@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .params import Branch, QuenchSpec, ThermalSpec, TrapIonConfig, reduce
+from .params import Branch, reduce_point
 from .presets import FIG1_CONFIG, desk_scale_point, figure_presets
 from .spectra import spectrum_table
 from .sweep import MOMENT_COLUMNS, RESULT_COLUMNS, ResultRow, SweepSpec, run_specs
@@ -100,8 +100,12 @@ def _coerce(key: str, value: str):
 _FLAG_ALIASES = {"omega": "omega_rabi", "phi": "phi_angle"}
 
 
-def _effective_params(args: argparse.Namespace) -> dict:
-    """Merge defaults < preset fixed block < config file < explicit flags."""
+def _effective_params(args: argparse.Namespace) -> tuple[dict, dict]:
+    """(params, overrides): defaults < preset fixed block < config file < explicit flags.
+
+    overrides holds the final value of every parameter the config file or a
+    flag set; a preset's grids take these in place of their own fixed values.
+    """
     params: dict = dict(FIG1_CONFIG)
     if getattr(args, "desk_scale", False):
         params = desk_scale_point()
@@ -116,23 +120,24 @@ def _effective_params(args: argparse.Namespace) -> dict:
         if "nbar" in fixed:
             params.pop("beta", None)
         params.update(fixed)
+    explicit: dict = {}
     if getattr(args, "config", None):
         for key, raw in _read_config_file(args.config).items():
             key = _FLAG_ALIASES.get(key, key)
             if key in _PARAM_KEYS:
-                params[key] = _coerce(key, raw)
+                explicit[key] = _coerce(key, raw)
     for flag in ("nu", "omega0", "omega", "mass", "phi", "nbar", "beta", "eta"):
         value = getattr(args, flag, None)
         if value is not None:
-            params[_FLAG_ALIASES.get(flag, flag)] = value
+            explicit[_FLAG_ALIASES.get(flag, flag)] = value
+    params.update(explicit)
     if params.get("nbar") is not None and getattr(args, "beta", None) is not None:
         params.pop("nbar", None)
-        params["beta"] = args.beta
     if "nbar" in params and "beta" in params:
         raise ConfigError("give only one of nbar and beta")
     if "nbar" not in params and "beta" not in params:
         raise ConfigError("one of nbar or beta is required")
-    return params
+    return params, {key: params[key] for key in explicit if key in params}
 
 
 def _policy_from_args(args: argparse.Namespace) -> TruncationPolicy:
@@ -206,27 +211,10 @@ def _meta_for(args: argparse.Namespace, command: str, params: dict, extra: dict 
     return meta
 
 
-def _flag_given(args: argparse.Namespace, key: str) -> bool:
-    flag = {"omega_rabi": "omega", "phi_angle": "phi"}.get(key, key)
-    return getattr(args, flag, None) is not None
-
-
-def _explicit_overrides(args: argparse.Namespace, params: dict) -> dict:
-    """Parameter values the user pinned via flags or the config file."""
-    overrides = {key: params[key] for key in _PARAM_KEYS if _flag_given(args, key) and key in params}
-    if getattr(args, "config", None):
-        for key, raw in _read_config_file(args.config).items():
-            key = _FLAG_ALIASES.get(key, key)
-            if key in _PARAM_KEYS and key not in overrides:
-                overrides[key] = _coerce(key, raw)
-    return overrides
-
-
-def _specs_for_point_command(args: argparse.Namespace, params: dict) -> list[SweepSpec]:
+def _specs_for_point_command(args: argparse.Namespace, params: dict, overrides: dict) -> list[SweepSpec]:
     """Sweep specs for `lag`: the preset's grids, or one single-point spec."""
     if args.preset:
         preset = figure_presets()[args.preset]
-        overrides = _explicit_overrides(args, params)
         specs = []
         for spec in preset.specs:
             fixed = dict(spec.fixed)
@@ -266,14 +254,14 @@ def _emit_rows(args: argparse.Namespace, command: str, params: dict, rows: list[
 
 
 def _cmd_lag(args: argparse.Namespace) -> int:
-    params = _effective_params(args)
-    specs = _specs_for_point_command(args, params)
+    params, overrides = _effective_params(args)
+    specs = _specs_for_point_command(args, params, overrides)
     rows = run_specs(specs, policy=_policy_from_args(args), threads=args.threads)
     return _emit_rows(args, "lag", params, rows, with_moments=False)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    params = _effective_params(args)
+    params, _ = _effective_params(args)
     if args.axis is None:
         raise ConfigError("sweep requires --axis")
     if args.values:
@@ -320,7 +308,7 @@ _ORACLE_COLUMNS = (
 
 
 def _cmd_moments(args: argparse.Namespace) -> int:
-    params = _effective_params(args)
+    params, _ = _effective_params(args)
     etas: tuple[float, ...]
     if args.eta is not None or "eta" in params:
         etas = (float(args.eta if args.eta is not None else params["eta"]),)
@@ -338,16 +326,7 @@ def _cmd_moments(args: argparse.Namespace) -> int:
     writer = _Writer(args.format, args.out, columns, _meta_for(args, "moments", params, {"numeric_oracle": use_oracle}))
     try:
         for eta in etas:
-            cfg = TrapIonConfig(
-                mass=params["mass"],
-                nu=params["nu"],
-                omega0=params["omega0"],
-                omega_rabi=params["omega_rabi"],
-                phi_angle=params.get("phi_angle", 0.0),
-            )
-            thermal = ThermalSpec(nbar=params.get("nbar"), beta=params.get("beta"))
-            quench = QuenchSpec(0, Branch.CARRIER)
-            rp = reduce(cfg, quench, thermal, eta_override=eta)
+            cfg, rp = reduce_point(params, 0, Branch.CARRIER, eta)
             moments = moments_analytic(rp)
             row = {
                 "nu": cfg.nu,
@@ -363,9 +342,9 @@ def _cmd_moments(args: argparse.Namespace) -> int:
             }
             if use_oracle:
                 n_trunc = args.nmax if args.nmax is not None else 80
-                m1 = moments_numeric(rp, quench, n_trunc, 1).value
-                m2 = moments_numeric(rp, quench, n_trunc, 2).value
-                m3 = moments_numeric(rp, quench, n_trunc, 3).value
+                m1 = moments_numeric(rp, rp.quench, n_trunc, 1).value
+                m2 = moments_numeric(rp, rp.quench, n_trunc, 2).value
+                m3 = moments_numeric(rp, rp.quench, n_trunc, 3).value
                 row.update(
                     {
                         "w_mean_numeric": m1,
@@ -382,33 +361,26 @@ def _cmd_moments(args: argparse.Namespace) -> int:
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
-    params = _effective_params(args)
+    params, _ = _effective_params(args)
     branches = _parse_branches(args.branch) if args.branch else (Branch.CARRIER,)
     m_values = _parse_ms(args.m) if args.m else (0,)
     n_max = args.nmax if args.nmax is not None else 40
+    if not 0 <= n_max <= TruncationPolicy.n_cap:
+        raise ConfigError(f"--nmax {n_max} must lie in [0, {TruncationPolicy.n_cap}], the term cap")
     columns = ("branch", "m", "kind", "n", "mu", "gamma")
     writer = _Writer(args.format, args.out, columns, _meta_for(args, "spectrum", params))
     try:
         for branch in branches:
             for m in m_values:
-                quench = QuenchSpec(m, branch)
-                cfg = TrapIonConfig(
-                    mass=params["mass"],
-                    nu=params["nu"],
-                    omega0=params["omega0"],
-                    omega_rabi=params["omega_rabi"],
-                    phi_angle=params.get("phi_angle", 0.0),
-                )
-                thermal = ThermalSpec(nbar=params.get("nbar"), beta=params.get("beta"))
-                rp = reduce(cfg, quench, thermal, eta_override=params.get("eta"))
-                table = spectrum_table(quench.m, quench.branch, rp, n_max)
+                _, rp = reduce_point(params, m, branch, params.get("eta"))
+                table = spectrum_table(rp.m, rp.branch, rp, n_max)
                 for n, zeta in enumerate(table.edge):
                     writer.write_row(
-                        {"branch": quench.branch.value, "m": quench.m, "kind": "edge", "n": n, "mu": float(zeta), "gamma": float("nan")}
+                        {"branch": rp.branch.value, "m": rp.m, "kind": "edge", "n": n, "mu": float(zeta), "gamma": float("nan")}
                     )
                 for n, (mu, gamma) in enumerate(table.pairs):
                     writer.write_row(
-                        {"branch": quench.branch.value, "m": quench.m, "kind": "pair", "n": n, "mu": mu, "gamma": gamma}
+                        {"branch": rp.branch.value, "m": rp.m, "kind": "pair", "n": n, "mu": mu, "gamma": gamma}
                     )
     finally:
         writer.close()

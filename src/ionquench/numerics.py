@@ -234,28 +234,3 @@ def sqrt_excess(w: float, u):
         out = np.where(u_arr == 0.0, 0.0, u_arr * u_arr / (np.hypot(w, u_arr) + w))
     return out
 
-
-class StreamingLogSum:
-    """Running log-sum-exp accumulator with deterministic left-to-right order."""
-
-    def __init__(self) -> None:
-        self._max = -math.inf
-        self._sum = 0.0  # sum of exp(term - max) seen so far
-
-    def add(self, term: float) -> None:
-        if term == -math.inf:
-            return
-        if term > self._max:
-            if self._max == -math.inf:
-                self._sum = 1.0
-            else:
-                self._sum = self._sum * math.exp(self._max - term) + 1.0
-            self._max = term
-        else:
-            self._sum += math.exp(term - self._max)
-
-    @property
-    def value(self) -> float:
-        if self._max == -math.inf:
-            return -math.inf
-        return self._max + math.log(self._sum)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Mapping
 
 __all__ = [
     "HBAR",
@@ -24,6 +25,7 @@ __all__ = [
     "eta_from_geometry",
     "nbar_beta_convert",
     "reduce",
+    "reduce_point",
     "reduced_from_ratios",
 ]
 
@@ -183,6 +185,7 @@ class ReducedParams:
         _require(self.b_nu > 0, "b_nu must be positive")
         _require(self.b_w0 >= 0, "b_w0 must be nonnegative")
         _require(self.b_om >= 0, "b_om must be nonnegative")
+        _require(math.isfinite(self.eta), "Lamb-Dicke parameter must be finite")
         _require(self.eta >= 0, "Lamb-Dicke parameter must be nonnegative")
         _require(self.m >= 0, "sideband index must be nonnegative")
         expected = self.b_w0 + self.branch.sideband_sign * self.m * self.b_nu
@@ -246,10 +249,36 @@ def reduce(
     b_om = beta_hbar * cfg.omega_rabi
     b_wl = b_w0 + quench.branch.sideband_sign * quench.m * b_nu
     eta = eta_override if eta_override is not None else eta_from_geometry(cfg, quench)
-    for name, val in (("b_nu", b_nu), ("b_w0", b_w0), ("b_om", b_om), ("b_wl", b_wl), ("eta", eta)):
+    for name, val in (("b_nu", b_nu), ("b_w0", b_w0), ("b_om", b_om), ("b_wl", b_wl)):
         if not math.isfinite(val):
             raise ValueError(f"dimensionless group {name} overflowed to a non-finite value")
     return ReducedParams(b_nu=b_nu, b_w0=b_w0, b_om=b_om, b_wl=b_wl, eta=eta, m=quench.m, branch=quench.branch)
+
+
+def reduce_point(
+    point: Mapping, m: int, branch: Branch, eta: float | None = None
+) -> tuple[TrapIonConfig, ReducedParams]:
+    """Resolve one parameter point in SI units to its configuration and reduced groups.
+
+    This is the single path from raw parameters to ReducedParams.  point
+    holds mass, nu, omega0, omega_rabi, optional phi_angle, and nbar or beta;
+    when both are present nbar wins, so a sweep over nbar may keep a fixed
+    beta in its held block.  eta, when given, overrides the geometric
+    Lamb-Dicke value.
+    """
+    cfg = TrapIonConfig(
+        mass=float(point["mass"]),
+        nu=float(point["nu"]),
+        omega0=float(point["omega0"]),
+        omega_rabi=float(point["omega_rabi"]),
+        phi_angle=float(point.get("phi_angle", 0.0)),
+    )
+    if point.get("nbar") is not None:
+        thermal = ThermalSpec(nbar=float(point["nbar"]))
+    else:
+        thermal = ThermalSpec(beta=float(point["beta"]))
+    rp = reduce(cfg, QuenchSpec(int(m), branch), thermal, eta_override=None if eta is None else float(eta))
+    return cfg, rp
 
 
 def reduced_from_ratios(

@@ -12,8 +12,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Mapping
 
-from .params import Branch, QuenchSpec, ThermalSpec, TrapIonConfig, reduce
-from .thermo import TruncationPolicy, divergence_predicate_reduced, nonequilibrium_lag
+from .params import Branch, reduce_point
+from .thermo import TruncationPolicy, nonequilibrium_lag
 from .workstats import moments_analytic
 
 __all__ = ["SweepSpec", "ResultRow", "RESULT_COLUMNS", "MOMENT_COLUMNS", "sweep_points", "run_sweep", "evaluate_point"]
@@ -124,24 +124,11 @@ class ResultRow:
 def evaluate_point(point: Mapping, policy: TruncationPolicy | None = None, with_moments: bool = False) -> ResultRow:
     """Evaluate the lag (and optionally the closed-form moments) at one point."""
     policy = policy or TruncationPolicy()
-    cfg = TrapIonConfig(
-        mass=float(point["mass"]),
-        nu=float(point["nu"]),
-        omega0=float(point["omega0"]),
-        omega_rabi=float(point["omega_rabi"]),
-        phi_angle=float(point.get("phi_angle", 0.0)),
-    )
-    if "nbar" in point and point["nbar"] is not None:
-        thermal = ThermalSpec(nbar=float(point["nbar"]))
-    else:
-        thermal = ThermalSpec(beta=float(point["beta"]))
-    quench = QuenchSpec(int(point["m"]), point["branch"])
     eta = point.get("eta")
-    rp = reduce(cfg, quench, thermal, eta_override=None if eta is None else float(eta))
+    cfg, rp = reduce_point(point, point["m"], point["branch"], eta)
     if point.get("n_pinned") is not None:
         policy = replace(policy, n_pinned=int(point["n_pinned"]))
     result = nonequilibrium_lag(rp, policy=policy)
-    predicate = divergence_predicate_reduced(rp)
     moments = moments_analytic(rp) if with_moments else None
     return ResultRow(
         nu=cfg.nu,
@@ -161,7 +148,7 @@ def evaluate_point(point: Mapping, policy: TruncationPolicy | None = None, with_
         n_used=result.truncation.n_used,
         tail_bound_log=result.truncation.tail_bound_log,
         converged=result.truncation.converged,
-        divergence_predicted=predicate.diverges,
+        divergence_predicted=result.regime_flags["divergence_predicted"],
         w_mean=moments.mean if moments else None,
         w_second=moments.second if moments else None,
         w_third=moments.third if moments else None,

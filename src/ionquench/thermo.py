@@ -62,33 +62,41 @@ __all__ = [
 _LN2 = math.log(2.0)
 
 
+# Fixed truncation constants: chunk size of the adaptive sums, and the "quiet"
+# stop (this many consecutive terms each below _TERM_REL_TOL of the running sum).
+_CHUNK = 512
+_TERM_REL_TOL = 1e-16
+_CONSECUTIVE_BELOW = 64
+
+
 @dataclass(frozen=True)
 class TruncationPolicy:
     """How partition sums are truncated.
 
     n_pinned fixes the number of explicit terms (figure presets pin their
     reference term counts); otherwise the sum grows adaptively until either 64
-    consecutive terms each contribute relative mass below term_rel_tol, or
-    the analytic tail bound certifies convergence, or n_cap is hit.  In
-    adaptive mode a sum that ends non-converged raises TruncationError unless
+    consecutive terms each contribute relative mass below 1e-16, or the
+    analytic tail bound certifies convergence, or n_cap is hit.  In adaptive
+    mode a sum that ends non-converged raises TruncationError unless
     error_on_nonconverged is cleared; pinned sums never raise, they only
     report converged=False.
     """
 
     n_pinned: int | None = None
     n_cap: int = 200_000
-    chunk: int = 512
-    term_rel_tol: float = 1e-16
-    consecutive_below: int = 64
     tail_rel_tol: float = 1e-12
     lag_abs_tol: float = 1e-12
     error_on_nonconverged: bool = True
 
     def __post_init__(self) -> None:
-        if self.n_pinned is not None and self.n_pinned < 1:
-            raise ValueError("n_pinned must be at least 1")
-        if self.n_cap < 1 or self.chunk < 1:
-            raise ValueError("n_cap and chunk must be positive")
+        if self.n_cap < 1:
+            raise ValueError("n_cap must be positive")
+        if self.n_pinned is not None and not 1 <= self.n_pinned <= self.n_cap:
+            raise ValueError(f"pinned term count {self.n_pinned} must lie in [1, {self.n_cap}]")
+        for name in ("tail_rel_tol", "lag_abs_tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"tolerance {name} must be finite and positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -194,16 +202,16 @@ def _abs_bwl_minus_bw0(rp: ReducedParams) -> tuple[float, float]:
     return -rp.b_wl, -2.0 * rp.b_w0 - delta
 
 
-def _coupling_u(rp: ReducedParams, n_lo: int, n_hi: int) -> np.ndarray:
-    """b_om * |f_n^m| for n in [n_lo, n_hi)."""
-    signs, log_mags = _coupling_upto(rp.m, rp.eta, n_hi - 1)
+def _scaled_coupling(m: int, eta: float, scale: float, n_lo: int, n_hi: int) -> np.ndarray:
+    """scale * |f_n^m| for n in [n_lo, n_hi)."""
+    signs, log_mags = _coupling_upto(m, eta, n_hi - 1)
     with np.errstate(over="ignore"):
-        return np.where(signs[n_lo:n_hi] == 0, 0.0, rp.b_om * np.exp(log_mags[n_lo:n_hi]))
+        return np.where(signs[n_lo:n_hi] == 0, 0.0, scale * np.exp(log_mags[n_lo:n_hi]))
 
 
 def _excess_logs(rp: ReducedParams, n_lo: int, n_hi: int) -> np.ndarray:
     """Shifted log of the coupling-induced excess terms for n in [n_lo, n_hi)."""
-    u = _coupling_u(rp, n_lo, n_hi)
+    u = _scaled_coupling(rp.m, rp.eta, rp.b_om, n_lo, n_hi)
     abs_bwl, d_aw = _abs_bwl_minus_bw0(rp)
     b_quarter = 0.25 * sqrt_excess(abs_bwl, u)  # (sqrt(b_wl^2+u^2) - |b_wl|)/4 >= 0
     a_shifted = 0.5 * d_aw + b_quarter
@@ -244,80 +252,67 @@ def _excess_tail_log(rp: ReducedParams, n_from: int) -> float:
     )
 
 
-@dataclass(frozen=True)
-class _ExcessSum:
-    log_sum: float  # shifted log of the total excess (log(nbar+1) included)
-    report: TruncationReport
-
-
-def _scan_excess(rp: ReducedParams, policy: TruncationPolicy) -> _ExcessSum:
-    """Sum the excess terms under the truncation policy, in ascending n order.
+def _chunked_log_sum(term_logs, policy: TruncationPolicy, bound_reached=None) -> tuple[float, int, str]:
+    """(log of the sum, terms used, stop reason) of term_logs(n_lo, n_hi), ascending in n.
 
     Terms are produced and merged chunk by chunk (fixed chunk size), so the
-    result is deterministic for given inputs.  The quiet-terms counter
-    compares each term against the running total at the start of its chunk,
-    which only understates term significance never overstates it, so the
-    stopping rule is conservative.
+    result is deterministic for given inputs.  A pinned policy sums exactly
+    n_pinned terms (stop reason "pinned").  Otherwise the sum stops once
+    _CONSECUTIVE_BELOW consecutive terms are quiet ("quiet"), once
+    bound_reached(n_used) holds after a chunk ("bound"), or at n_cap ("cap").
+    The quiet-terms counter compares each term against the running total at
+    the start of its chunk, which only understates term significance never
+    overstates it, so the stopping rule is conservative.
     """
-    if rp.b_om == 0.0 or (rp.m > 0 and rp.eta == 0.0):
-        # Dead coupling: the excess vanishes identically, no scan needed.
-        return _ExcessSum(log_sum=-math.inf, report=_EXACT_REPORT)
-    ln_zi_shifted = rp.ln_nbar_plus_1 + math.log1p(math.exp(-rp.b_w0))
-    log_thresh = math.log(policy.term_rel_tol)
-
+    log_thresh = math.log(_TERM_REL_TOL)
     running = -math.inf
     n_done = 0
     consec = 0
     target = policy.n_pinned if policy.n_pinned is not None else policy.n_cap
-    stop_reason = "cap"
-
-    def tail_rel_zi(n_from: int) -> float:
-        # log of (excess tail bound / Z_i); the log(nbar+1) factors cancel.
-        return _excess_tail_log(rp, n_from) - math.log1p(math.exp(-rp.b_w0))
-
     while n_done < target:
-        n_hi = min(n_done + policy.chunk, target)
-        xs = _excess_logs(rp, n_done, n_hi)
+        n_hi = min(n_done + _CHUNK, target)
+        xs = term_logs(n_done, n_hi)
         finite = xs > -math.inf
+        val_before = running
         if finite.any():
             hi = float(np.max(xs))
-            chunk_lse = hi + math.log(float(np.sum(np.exp(xs - hi))))
-            val_before = running
-            running = float(np.logaddexp(running, chunk_lse))
-        else:
-            val_before = running
-        if val_before == -math.inf:
-            below = ~finite
-        else:
-            below = (xs - val_before) < log_thresh
+            running = float(np.logaddexp(running, hi + math.log(float(np.sum(np.exp(xs - hi))))))
+        below = ~finite if val_before == -math.inf else (xs - val_before) < log_thresh
         if bool(below.all()):
             consec += xs.size
         else:
             consec = int(xs.size - 1 - np.max(np.nonzero(~below)[0]))
         n_done = n_hi
         if policy.n_pinned is None:
-            if consec >= policy.consecutive_below:
-                stop_reason = "quiet"
-                break
-            if tail_rel_zi(n_done) <= math.log(policy.lag_abs_tol):
-                stop_reason = "bound"
-                break
-    else:
-        stop_reason = "pinned" if policy.n_pinned is not None else stop_reason
+            if consec >= _CONSECUTIVE_BELOW:
+                return running, n_done, "quiet"
+            if bound_reached is not None and bound_reached(n_done):
+                return running, n_done, "bound"
+    return running, n_done, "pinned" if policy.n_pinned is not None else "cap"
 
-    log_sum = running
-    tail_log = _excess_tail_log(rp, n_done) + rp.ln_nbar_plus_1
-    tail_over_zi = tail_rel_zi(n_done)
-    lag_so_far = float(np.logaddexp(0.0, log_sum - ln_zi_shifted))
-    ln_zf = ln_zi_shifted + lag_so_far
-    tail_bound_log = tail_log - ln_zf
-    converged = (tail_bound_log <= math.log(policy.tail_rel_tol)) or (
-        tail_over_zi <= math.log(policy.lag_abs_tol)
+
+def _excess_lag(rp: ReducedParams, policy: TruncationPolicy) -> tuple[float, float, TruncationReport]:
+    """(shifted log Z_initial, lag, truncation report) from the excess sum."""
+    ln_zi = ln_partition_initial(rp).shifted_log
+    if rp.b_om == 0.0 or (rp.m > 0 and rp.eta == 0.0):
+        # Dead coupling: the excess vanishes identically, no scan needed.
+        return ln_zi, 0.0, _EXACT_REPORT
+
+    def tail_rel_zi(n_from: int) -> float:
+        # log of (excess tail bound / Z_i); the log(nbar+1) factors cancel.
+        return _excess_tail_log(rp, n_from) - math.log1p(math.exp(-rp.b_w0))
+
+    log_lag_tol = math.log(policy.lag_abs_tol)
+    log_sum, n_done, stop_reason = _chunked_log_sum(
+        lambda lo, hi: _excess_logs(rp, lo, hi), policy, lambda n: tail_rel_zi(n) <= log_lag_tol
     )
+    lag = float(np.logaddexp(0.0, log_sum - ln_zi))
+    tail_bound_log = _excess_tail_log(rp, n_done) + rp.ln_nbar_plus_1 - (ln_zi + lag)
+    converged = tail_bound_log <= math.log(policy.tail_rel_tol) or tail_rel_zi(n_done) <= log_lag_tol
     report = TruncationReport(n_used=n_done, tail_bound_log=tail_bound_log, converged=converged)
     if not converged and policy.n_pinned is None and policy.error_on_nonconverged:
         raise TruncationError(report, f"partition sum not converged after {n_done} terms ({stop_reason})")
-    return _ExcessSum(log_sum=log_sum, report=report)
+    return ln_zi, lag, report
 
 
 def _edge_shifted_log(rp: ReducedParams) -> float:
@@ -348,10 +343,8 @@ def ln_partition_final(
         raise ValueError("quench spec disagrees with the reduced parameters")
     policy = policy or TruncationPolicy()
     if assembly == "excess":
-        ln_zi = ln_partition_initial(rp).shifted_log
-        scan = _scan_excess(rp, policy)
-        lag = float(np.logaddexp(0.0, scan.log_sum - ln_zi))
-        return LogPartition(shifted_log=ln_zi + lag, shift_reference=0.5 * rp.b_w0, truncation=scan.report)
+        ln_zi, lag, report = _excess_lag(rp, policy)
+        return LogPartition(shifted_log=ln_zi + lag, shift_reference=0.5 * rp.b_w0, truncation=report)
     if assembly == "direct":
         return _ln_partition_final_direct(rp, policy)
     raise ValueError("assembly must be 'excess' or 'direct'")
@@ -359,7 +352,7 @@ def ln_partition_final(
 
 def _direct_term_logs(rp: ReducedParams, n_lo: int, n_hi: int) -> np.ndarray:
     """Shifted log of 2 e^(-b_nu(n+m/2)) cosh(X_n) for n in [n_lo, n_hi)."""
-    u = _coupling_u(rp, n_lo, n_hi)
+    u = _scaled_coupling(rp.m, rp.eta, rp.b_om, n_lo, n_hi)
     abs_bwl, d_aw = _abs_bwl_minus_bw0(rp)
     half_ss = 0.5 * (d_aw + sqrt_excess(abs_bwl, u))  # X_n - b_w0/2
     x_full = half_ss + 0.5 * rp.b_w0
@@ -368,28 +361,9 @@ def _direct_term_logs(rp: ReducedParams, n_lo: int, n_hi: int) -> np.ndarray:
 
 
 def _ln_partition_final_direct(rp: ReducedParams, policy: TruncationPolicy) -> LogPartition:
-    log_thresh = math.log(policy.term_rel_tol)
-    running = -math.inf
-    n_done = 0
-    consec = 0
-    target = policy.n_pinned if policy.n_pinned is not None else policy.n_cap
-
-    while n_done < target:
-        n_hi = min(n_done + policy.chunk, target)
-        xs = _direct_term_logs(rp, n_done, n_hi)
-        hi = float(np.max(xs))
-        chunk_lse = hi + math.log(float(np.sum(np.exp(xs - hi))))
-        val_before = running
-        running = float(np.logaddexp(running, chunk_lse))
-        below = (xs - val_before) < log_thresh if val_before > -math.inf else np.zeros(xs.size, dtype=bool)
-        if bool(below.all()):
-            consec += xs.size
-        else:
-            consec = int(xs.size - 1 - np.max(np.nonzero(~below)[0]))
-        n_done = n_hi
-        if policy.n_pinned is None and consec >= policy.consecutive_below:
-            break
-
+    # No early tail-bound stop: this reference sum ends on the quiet rule, the
+    # pin or the cap, and its own tail bound is checked afterwards.
+    running, n_done, _ = _chunked_log_sum(lambda lo, hi: _direct_term_logs(rp, lo, hi), policy)
     total = float(np.logaddexp(running, _edge_shifted_log(rp)))
     # Tail of the direct sum: each term is at most 2 e^(-b_nu(n+m/2)) e^(X_max)
     # with the splitting at the u = b_om envelope of the coupling.
@@ -417,14 +391,11 @@ def nonequilibrium_lag(
     """
     if quench is not None and (quench.m != rp.m or quench.branch is not rp.branch):
         raise ValueError("quench spec disagrees with the reduced parameters")
-    policy = policy or TruncationPolicy()
-    ln_zi = ln_partition_initial(rp).shifted_log
-    scan = _scan_excess(rp, policy)
-    value = float(np.logaddexp(0.0, scan.log_sum - ln_zi))
+    _, value, report = _excess_lag(rp, policy or TruncationPolicy())
     predicate = divergence_predicate_reduced(rp)
     return LagResult(
         value=value,
-        truncation=scan.report,
+        truncation=report,
         regime_flags={"divergence_predicted": predicate.diverges},
     )
 
@@ -432,28 +403,27 @@ def nonequilibrium_lag(
 # -- low-temperature classification -------------------------------------------
 
 
-def _phi_reduced_array(
+def _phi_parts(
     m: int, branch: Branch, r_w0: float, r_om: float, eta: float, n_max: int
-) -> np.ndarray:
-    """Phi_n^m / nu for n = 0..n_max, assembled without cancellation.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(ladder, excess) for n = 0..n_max, with Phi_n^m / nu = ladder - excess.
 
-    Phi/nu = (2n+m) - (|r_wl| - r_w0) - (sqrt(r_wl^2 + u_n^2) - |r_wl|), so
-    the sign is reliable even when the result is ~1e-11 of omega0/nu.
+    ladder = (2n+m) - (|r_wl| - r_w0) and excess = sqrt(r_wl^2 + u_n^2) - |r_wl|
+    are each formed without cancellation, so the sign of Phi is reliable even
+    when it is ~1e-11 of omega0/nu.
     """
-    signs, log_mags = _coupling_upto(m, eta, n_max)
-    with np.errstate(over="ignore"):
-        u = np.where(signs[: n_max + 1] == 0, 0.0, r_om * np.exp(log_mags[: n_max + 1]))
+    u = _scaled_coupling(m, eta, r_om, 0, n_max + 1)
     sign = branch.sideband_sign if m > 0 else 0
     r_wl = r_w0 + sign * m
-    abs_rwl = abs(r_wl)
     d_aw = float(sign * m) if r_wl >= 0 else -2.0 * r_w0 - sign * m
-    ns = np.arange(n_max + 1, dtype=float)
-    return (2.0 * ns + m) - d_aw - sqrt_excess(abs_rwl, u)
+    ladder = (2.0 * np.arange(n_max + 1, dtype=float) + m) - d_aw
+    return ladder, sqrt_excess(abs(r_wl), u)
 
 
 def phi_reduced(n: int, m: int, branch: Branch, r_w0: float, r_om: float, eta: float) -> float:
     """Low-temperature exponent in trap-frequency units (Phi / nu)."""
-    return float(_phi_reduced_array(m, branch, r_w0, r_om, eta, n)[n])
+    ladder, excess = _phi_parts(m, branch, r_w0, r_om, eta, n)
+    return float(ladder[n] - excess[n])
 
 
 def phi(
@@ -488,16 +458,7 @@ def _phi_scan(
     splitting excess); measuring against omega0 instead would swallow every
     trap-scale value once omega0/nu is large.
     """
-    signs, log_mags = _coupling_upto(m, eta, n_scan_max)
-    with np.errstate(over="ignore"):
-        u = np.where(signs[: n_scan_max + 1] == 0, 0.0, r_om * np.exp(log_mags[: n_scan_max + 1]))
-    sign = branch.sideband_sign if m > 0 else 0
-    r_wl = r_w0 + sign * m
-    abs_rwl = abs(r_wl)
-    d_aw = float(sign * m) if r_wl >= 0 else -2.0 * r_w0 - sign * m
-    ns = np.arange(n_scan_max + 1, dtype=float)
-    ladder = (2.0 * ns + m) - d_aw
-    excess = sqrt_excess(abs_rwl, u)
+    ladder, excess = _phi_parts(m, branch, r_w0, r_om, eta, n_scan_max)
     values = ladder - excess
     is_zero = np.abs(values) <= _PHI_ZERO_TOL * (np.abs(ladder) + np.abs(excess))
     is_neg = (values < 0) & ~is_zero
@@ -647,7 +608,7 @@ def nu_to_zero_limit(
         raise ValueError(
             "omega_rabi * |f_n^m| vanishes identically; the small-nu limit needs decaying coupling terms"
         )
-    u = _coupling_u(rp, 0, n_terms)
+    u = _scaled_coupling(rp.m, rp.eta, rp.b_om, 0, n_terms)
     excess = sqrt_excess(rp.b_w0, u)
     x_full = 0.5 * excess + 0.5 * rp.b_w0
     terms = 0.5 * excess + np.log1p(np.exp(-2.0 * x_full)) - math.log1p(math.exp(-rp.b_w0))

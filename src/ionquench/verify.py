@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import numerics, spectra, thermo, workstats
-from .params import Branch, QuenchSpec, ReducedParams, ThermalSpec, TrapIonConfig, reduce, reduced_from_ratios
+from .params import Branch, QuenchSpec, ReducedParams, ThermalSpec, reduce_point, reduced_from_ratios
 from .presets import FIG1_CONFIG
 
 __all__ = ["CheckResult", "run_checks", "FAST_CHECKS", "FULL_ONLY_CHECKS"]
@@ -29,13 +29,7 @@ class CheckResult:
 
 
 def _fig1_reduced(m: int, branch: Branch, eta: float, nbar: float = 0.38) -> ReducedParams:
-    cfg = TrapIonConfig(
-        mass=FIG1_CONFIG["mass"],
-        nu=FIG1_CONFIG["nu"],
-        omega0=FIG1_CONFIG["omega0"],
-        omega_rabi=FIG1_CONFIG["omega_rabi"],
-    )
-    return reduce(cfg, QuenchSpec(m, branch), ThermalSpec(nbar=nbar), eta_override=eta)
+    return reduce_point(dict(FIG1_CONFIG, nbar=nbar), m, branch, eta)[1]
 
 
 def _laguerre_explicit(n: int, m: int, x: Fraction) -> Fraction:

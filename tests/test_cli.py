@@ -104,6 +104,22 @@ class TestLagCommand:
         assert float(row["nbar"]) == pytest.approx(0.25, rel=1e-12)  # flag wins
 
 
+class TestInputValidation:
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+    def test_bad_tolerance_exit_code(self, tol, capsys):
+        assert main(["lag", f"--tol={tol}"]) == 2
+        assert "tail_rel_tol must be finite and positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["lag", "spectrum"])
+    def test_nmax_above_term_cap_exit_code(self, command, capsys):
+        assert main([command, "--nmax", "200001"]) == 2
+        assert "200001" in capsys.readouterr().err
+
+    def test_nonfinite_eta_message(self, capsys):
+        assert main(["lag", "--eta", "nan"]) == 2
+        assert "Lamb-Dicke parameter must be finite" in capsys.readouterr().err
+
+
 class TestSweepCommand:
     def test_m_axis_interior_maximum(self, tmp_path):
         out = tmp_path / "m.csv"
@@ -129,6 +145,16 @@ class TestSweepCommand:
         vals = [float(r["lag"]) for r in read_csv(out)]
         assert len(vals) == 31
         assert (max(vals) - min(vals)) / max(vals) <= 1e-2
+
+    def test_nbar_axis_wins_over_fixed_beta(self, tmp_path):
+        out = tmp_path / "nbar.csv"
+        code = main(
+            ["sweep", "--axis", "nbar", "--values", "0.5,2", "--beta", "1e-20", "--eta", "0.5",
+             "--branch", "jc", "--m", "1", "--out", str(out)]
+        )
+        assert code == 0
+        nbars = [float(r["nbar"]) for r in read_csv(out)]
+        assert nbars == pytest.approx([0.5, 2.0], rel=1e-12)
 
     def test_requires_axis_and_grid(self):
         assert main(["sweep", "--grid", "1:2:3:linear"]) == 2

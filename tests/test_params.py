@@ -119,6 +119,11 @@ class TestReduce:
         with pytest.raises(ValueError):
             reduce(cfg, QuenchSpec(0, Branch.CARRIER), ThermalSpec(beta=1e300), eta_override=0.0)
 
+    @pytest.mark.parametrize("eta", [math.nan, math.inf])
+    def test_nonfinite_eta_override_rejected(self, fig1_cfg, eta):
+        with pytest.raises(ValueError, match="Lamb-Dicke parameter must be finite"):
+            reduce(fig1_cfg, QuenchSpec(1, Branch.JC), ThermalSpec(nbar=0.38), eta_override=eta)
+
     @given(st.integers(min_value=1, max_value=9))
     def test_branch_sign_rule(self, m):
         jc = reduced_from_ratios(1e3, 1.0, 0.4, m, Branch.JC, nbar=0.7)

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from ionquench.numerics import coupling_f, log_sum_exp, sqrt_shift
-from ionquench.params import Branch, QuenchSpec, ThermalSpec, TrapIonConfig, reduce, reduced_from_ratios
+from ionquench.params import Branch, QuenchSpec, ThermalSpec, TrapIonConfig, reduce, reduce_point, reduced_from_ratios
+from ionquench.presets import figure_presets
 from ionquench.spectra import dense_hamiltonians
+from ionquench.sweep import run_sweep
 from ionquench.thermo import (
     TruncationError,
     TruncationPolicy,
@@ -120,6 +122,20 @@ class TestPartitionFinal:
         # The policy can downgrade the error to a flagged report.
         part = ln_partition_final(rp, policy=TruncationPolicy(n_cap=1000, error_on_nonconverged=False))
         assert not part.truncation.converged
+
+
+class TestTruncationPolicy:
+    def test_pinned_count_above_cap_rejected(self):
+        with pytest.raises(ValueError, match="pinned term count 200001"):
+            TruncationPolicy(n_pinned=TruncationPolicy().n_cap + 1)
+        with pytest.raises(ValueError, match="pinned term count"):
+            TruncationPolicy(n_pinned=50, n_cap=40)
+
+    @pytest.mark.parametrize("name", ["tail_rel_tol", "lag_abs_tol"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_tolerances_must_be_finite_and_positive(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            TruncationPolicy(**{name: value})
 
 
 class TestLag:
@@ -262,6 +278,17 @@ class TestDivergencePredicate:
         c = TrapIonConfig(**FIG4_RIGHT)
         rp = reduce(c, QuenchSpec(2, Branch.JC), ThermalSpec(nbar=0.5), eta_override=1.0)
         assert divergence_predicate_reduced(rp).diverges == divergence_predicate(2, Branch.JC, c, 1.0).diverges
+
+    def test_sweep_rows_carry_the_predicate(self):
+        # Rows take divergence_predicted from the lag's own scan; it must match
+        # a fresh scan on the fig4 blocks, where some rows diverge and some do not.
+        flags = []
+        for spec in figure_presets()["fig4"].specs:
+            for point, row in zip(spec.points(), run_sweep(spec)):
+                _, rp = reduce_point(point, point["m"], point["branch"], point["eta"])
+                assert row.divergence_predicted == divergence_predicate_reduced(rp).diverges
+                flags.append(row.divergence_predicted)
+        assert True in flags and False in flags
 
 
 class TestLowTemperatureLimit:
