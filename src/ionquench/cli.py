@@ -33,6 +33,8 @@ _EXIT_VERIFY_FAIL = 1
 _EXIT_CONFIG = 2
 _EXIT_NONCONVERGED = 3
 
+_MAX_THREADS = 64
+
 _PARAM_KEYS = ("nu", "omega0", "omega_rabi", "mass", "phi_angle", "nbar", "beta", "eta")
 
 
@@ -106,6 +108,8 @@ def _effective_params(args: argparse.Namespace) -> tuple[dict, dict]:
     overrides holds the final value of every parameter the config file or a
     flag set; a preset's grids take these in place of their own fixed values.
     """
+    if getattr(args, "nbar", None) is not None and getattr(args, "beta", None) is not None:
+        raise ConfigError("give only one of nbar and beta")
     params: dict = dict(FIG1_CONFIG)
     if getattr(args, "desk_scale", False):
         params = desk_scale_point()
@@ -131,8 +135,9 @@ def _effective_params(args: argparse.Namespace) -> tuple[dict, dict]:
         if value is not None:
             explicit[_FLAG_ALIASES.get(flag, flag)] = value
     params.update(explicit)
-    if params.get("nbar") is not None and getattr(args, "beta", None) is not None:
-        params.pop("nbar", None)
+    for flag, other in (("beta", "nbar"), ("nbar", "beta")):
+        if getattr(args, flag, None) is not None:
+            params.pop(other, None)  # the flag replaces the default, preset or config value
     if "nbar" in params and "beta" in params:
         raise ConfigError("give only one of nbar and beta")
     if "nbar" not in params and "beta" not in params:
@@ -192,7 +197,7 @@ def _add_shared_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, help="truncation tail tolerance")
     p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     p.add_argument("--out", type=str, help="output path (default stdout)")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=f"worker threads, 1..{_MAX_THREADS}")
     p.add_argument("--allow-nonconverged", action="store_true", dest="allow_nonconverged")
     p.add_argument("--desk-scale", action="store_true", dest="desk_scale", help="use moderate frequency ratios")
     p.add_argument("--config", type=str, help="flat key = value config file")
@@ -441,6 +446,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        threads = getattr(args, "threads", 1)
+        if not 1 <= threads <= _MAX_THREADS:
+            raise ConfigError(f"--threads {threads} must lie in [1, {_MAX_THREADS}]")
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,11 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "CouplingValue",
+    "LaguerreState",
+    "LAGUERRE_START",
     "laguerre_assoc",
     "laguerre_logabs_sequence",
     "coupling_f",
@@ -86,37 +89,73 @@ def laguerre_assoc(n: int, m: int, x: float) -> float:
     return curr
 
 
-def laguerre_logabs_sequence(n_max: int, m: int, x: float) -> tuple[np.ndarray, np.ndarray]:
-    """Signs and log magnitudes of L_n^m(x) for n = 0..n_max.
+class LaguerreState(NamedTuple):
+    """Where a log-domain Laguerre recurrence stopped.
+
+    Indices 0..n have been produced; prev and curr are L_{n-1}^m and L_n^m
+    divided by exp(offset).  LAGUERRE_START (n = -1) is the state before
+    index 0.  Resuming from a state gives values bitwise equal to those of an
+    uninterrupted run, because every step depends only on the state.
+    """
+
+    n: int
+    prev: float
+    curr: float
+    offset: float
+
+
+LAGUERRE_START = LaguerreState(-1, 0.0, 0.0, 0.0)
+
+
+def _laguerre_extend(state: LaguerreState, n_max: int, m: int, x: float) -> tuple[list, list, LaguerreState]:
+    """(signs, log magnitudes) of L_n^m(x) for n = state.n+1..n_max, and the end state.
 
     Runs the recurrence on rescaled values with exponent tracking, so the
-    sequence is valid far beyond the linear-space overflow threshold.
+    sequence is valid far beyond the linear-space overflow threshold.  Each
+    log magnitude is math.log of the rescaled value plus the offset:
+    numpy's vectorized log may differ from math.log in the last ulp, and the
+    figure presets' reference values were produced with math.log.
     """
+    signs: list[int] = []
+    logabs: list[float] = []
+    k_first, prev, curr, offset = state.n + 1, state.prev, state.curr, state.offset
+    if k_first == 0 and n_max >= 0:
+        signs.append(1)
+        logabs.append(0.0)
+        prev, curr, offset = 0.0, 1.0, 0.0  # L_{-1} = 0 makes the k = 1 step give m + 1 - x
+        k_first = 1
+    log, sign_append, log_append = math.log, signs.append, logabs.append
+    for k in range(k_first, n_max + 1):
+        # L_k = ((2k + m - 1 - x) L_{k-1} - (k - 1 + m) L_{k-2}) / k; the integer
+        # part of the first coefficient is exact, so it equals 2.0*(k-1) + m + 1.0 - x.
+        prev, curr = curr, ((2 * k + m - 1 - x) * curr - (k - 1 + m) * prev) / k
+        a, b = abs(prev), abs(curr)
+        mag = b if b > a else a  # max(a, b), without the builtin call
+        if mag > _RESCALE_HI or 0.0 < mag < _RESCALE_LO:
+            prev /= mag
+            curr /= mag
+            offset += log(mag)
+        if curr == 0.0:
+            sign_append(0)
+            log_append(-math.inf)
+        elif curr > 0.0:
+            sign_append(1)
+            log_append(log(curr) + offset)
+        else:
+            sign_append(-1)
+            log_append(log(-curr) + offset)
+    end = LaguerreState(n_max, prev, curr, offset) if n_max > state.n else state
+    return signs, logabs, end
+
+
+def laguerre_logabs_sequence(n_max: int, m: int, x: float) -> tuple[np.ndarray, np.ndarray]:
+    """Signs and log magnitudes of L_n^m(x) for n = 0..n_max."""
     if n_max < 0 or m < 0:
         raise ValueError("Laguerre indices must be nonnegative")
     if x < 0:
         raise ValueError("Laguerre argument must be nonnegative")
-    signs = np.zeros(n_max + 1, dtype=np.int8)
-    logabs = np.full(n_max + 1, -np.inf)
-
-    prev, curr = 1.0, m + 1.0 - x
-    offset = 0.0  # natural-log scale factor shared by (prev, curr)
-    signs[0], logabs[0] = 1, 0.0
-    for k in range(1, n_max + 1):
-        if k > 1:
-            prev, curr = curr, ((2.0 * (k - 1) + m + 1.0 - x) * curr - (k - 1 + m) * prev) / k
-        mag = max(abs(prev), abs(curr))
-        if mag > _RESCALE_HI or (0.0 < mag < _RESCALE_LO):
-            scale = mag
-            prev /= scale
-            curr /= scale
-            offset += math.log(scale)
-        if curr == 0.0:
-            signs[k] = 0
-        else:
-            signs[k] = 1 if curr > 0 else -1
-            logabs[k] = math.log(abs(curr)) + offset
-    return signs, logabs
+    signs, logabs, _ = _laguerre_extend(LAGUERRE_START, n_max, m, x)
+    return np.array(signs, dtype=np.int8), np.array(logabs)
 
 
 def _log_factorial_ratio(n: np.ndarray, m: int) -> np.ndarray:
@@ -127,20 +166,34 @@ def _log_factorial_ratio(n: np.ndarray, m: int) -> np.ndarray:
     return -0.5 * np.log(n[:, None] + ks[None, :]).sum(axis=1)
 
 
-def coupling_logabs_sequence(n_max: int, m: int, eta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Signs and log magnitudes of f_n^m(eta) for n = 0..n_max."""
+def coupling_logabs_sequence(n_max: int, m: int, eta: float, *, resume: LaguerreState | None = None):
+    """Signs and log magnitudes of f_n^m(eta) for n = 0..n_max.
+
+    With resume set (LAGUERRE_START, or the state a previous resumed call for
+    the same m and eta returned) only n = resume.n+1..n_max are computed, and
+    the call returns (signs, log_mags, state) for that segment.  The segment
+    is bitwise equal to the same slice of a one-shot call.
+    """
+    if n_max < 0 or m < 0:
+        raise ValueError("Laguerre indices must be nonnegative")
     if eta < 0:
         raise ValueError("Lamb-Dicke parameter must be nonnegative")
+    state = LAGUERRE_START if resume is None else resume
+    size = max(n_max - state.n, 0)
     if eta == 0.0:
-        signs = np.ones(n_max + 1, dtype=np.int8)
         if m == 0:
-            return signs, np.zeros(n_max + 1)
-        return np.zeros(n_max + 1, dtype=np.int8), np.full(n_max + 1, -np.inf)
-    x = eta * eta
-    signs, logabs = laguerre_logabs_sequence(n_max, m, x)
-    n = np.arange(n_max + 1, dtype=float)
-    log_mags = m * math.log(eta) - 0.5 * x + _log_factorial_ratio(n, m) + logabs
-    return signs, log_mags
+            signs, log_mags = np.ones(size, dtype=np.int8), np.zeros(size)
+        else:
+            signs, log_mags = np.zeros(size, dtype=np.int8), np.full(size, -np.inf)
+        end = state._replace(n=n_max) if size else state
+    else:
+        x = eta * eta
+        sign_list, logabs, end = _laguerre_extend(state, n_max, m, x)
+        n = np.arange(state.n + 1, state.n + 1 + size, dtype=float)
+        signs = np.array(sign_list, dtype=np.int8)
+        # Elementwise, so a segment equals the matching slice of a longer run.
+        log_mags = m * math.log(eta) - 0.5 * x + _log_factorial_ratio(n, m) + np.array(logabs)
+    return (signs, log_mags) if resume is None else (signs, log_mags, end)
 
 
 def coupling_f(n: int, m: int, eta: float) -> CouplingValue:

@@ -29,11 +29,12 @@ term assembly is kept as assembly="direct" for cross-validation.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import coupling_logabs_sequence, lnsinh, sqrt_excess
+from .numerics import LAGUERRE_START, LaguerreState, coupling_logabs_sequence, lnsinh, sqrt_excess
 from .params import Branch, QuenchSpec, ReducedParams, TrapIonConfig
 
 __all__ = [
@@ -176,22 +177,55 @@ def ln_partition_initial(rp: ReducedParams) -> LogPartition:
 
 # -- internal machinery -------------------------------------------------------
 
-_COUPLING_CACHE: dict[tuple[int, float], tuple[np.ndarray, np.ndarray]] = {}
+# (m, eta) -> (signs, log_mags, state): f_n^m for n = 0..state.n, where state
+# is where the Laguerre recurrence stopped.  The arrays may be longer than
+# state.n + 1; the spare room is filled by later extensions.  Growth runs
+# under _COUPLING_LOCK, only writes past the longest published entry, and
+# publishes a new tuple in one step, so readers need no lock.
+_COUPLING_CACHE: dict[tuple[int, float], tuple[np.ndarray, np.ndarray, LaguerreState]] = {}
+_COUPLING_CACHE_KEYS = 512
+_COUPLING_LOCK = threading.Lock()
 
 
 def _coupling_upto(m: int, eta: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Cached (signs, log magnitudes) of f_n^m for n = 0..>=n_max."""
     key = (m, eta)
-    cached = _COUPLING_CACHE.get(key)
-    if cached is None or cached[0].size <= n_max:
-        size = 512
-        while size <= n_max:
-            size *= 2
-        if len(_COUPLING_CACHE) >= 512:
+    entry = _COUPLING_CACHE.get(key)
+    if entry is None or entry[2].n < n_max:
+        with _COUPLING_LOCK:
+            entry = _COUPLING_CACHE.get(key)
+            if entry is None or entry[2].n < n_max:
+                entry = _grow_coupling(key, entry, n_max)
+    signs, log_mags, state = entry
+    return signs[: state.n + 1], log_mags[: state.n + 1]
+
+
+def _grow_coupling(key: tuple[int, float], entry, n_max: int):
+    """Publish an entry for key that reaches n_max, resuming the recurrence.
+
+    A new key starts with enough terms for the divergence scan as well, so a
+    pinned row needs one recurrence call.  An extension computes only the
+    missing terms; the arrays double in capacity when full, so copying stays
+    linear in the final length.
+    """
+    m, eta = key
+    if entry is None:
+        if len(_COUPLING_CACHE) >= _COUPLING_CACHE_KEYS:
             _COUPLING_CACHE.clear()
-        cached = coupling_logabs_sequence(size - 1, m, eta)
-        _COUPLING_CACHE[key] = cached
-    return cached
+        entry = coupling_logabs_sequence(max(n_max, default_scan_bound(m)), m, eta, resume=LAGUERRE_START)
+    else:
+        signs, log_mags, state = entry
+        new_signs, new_mags, new_state = coupling_logabs_sequence(n_max, m, eta, resume=state)
+        lo = state.n + 1
+        if signs.size <= n_max:
+            capacity = max(n_max + 1, 2 * signs.size)
+            signs = np.concatenate((signs[:lo], np.empty(capacity - lo, dtype=signs.dtype)))
+            log_mags = np.concatenate((log_mags[:lo], np.empty(capacity - lo)))
+        signs[lo : n_max + 1] = new_signs
+        log_mags[lo : n_max + 1] = new_mags
+        entry = (signs, log_mags, new_state)
+    _COUPLING_CACHE[key] = entry
+    return entry
 
 
 def _abs_bwl_minus_bw0(rp: ReducedParams) -> tuple[float, float]:
@@ -222,34 +256,49 @@ def _excess_logs(rp: ReducedParams, n_lo: int, n_hi: int) -> np.ndarray:
             _LN2
             - rp.b_nu * (ns + 0.5 * rp.m)
             + a_shifted
-            + np.log1p(-np.exp(-2.0 * a_full))
+            + _log1m_exp_neg2(a_full)
             + lnsinh(b_quarter)
         )
     return np.where(b_quarter == 0.0, -np.inf, out)
 
 
-def _excess_tail_log(rp: ReducedParams, n_from: int) -> float:
-    """Shifted-log bound on the excess terms with n >= n_from, minus log(nbar+1).
+def _log1m_exp_neg2(a):
+    """log(1 - e^(-2a)) for a > 0, a float or an array.
+
+    log1p(-e^(-2a)), except where e^(-2a) rounds to 1 (a below ~1e-16, at
+    extreme temperatures): there log1p would give log(0), and
+    log(-expm1(-2a)) is used instead.  Floats go through math, arrays
+    through numpy, as the two differ in the last ulp.
+    """
+    if isinstance(a, float):
+        edge = math.exp(-2.0 * a)
+        return math.log1p(-edge) if edge != 1.0 else math.log(-math.expm1(-2.0 * a))
+    edge = np.exp(-2.0 * a)
+    out = np.log1p(-edge)
+    at_one = edge == 1.0
+    if at_one.any():
+        out[at_one] = np.log(-np.expm1(-2.0 * a[at_one]))
+    return out
+
+
+def _excess_tail(rp: ReducedParams):
+    """n_from -> shifted-log bound on the excess terms with n >= n_from, minus log(nbar+1).
 
     Uses |f_n^m| <= 1 (unitary matrix element), so the coupling factor is
     bounded by its u = b_om envelope while the geometric factor sums exactly.
-    The log(nbar+1) is left out because it cancels against Z_initial.
+    The log(nbar+1) is left out because it cancels against Z_initial.  The
+    row's constants are built once; only the geometric factor depends on
+    n_from.
     """
-    if rp.b_om == 0.0:
-        return -math.inf
     abs_bwl, d_aw = _abs_bwl_minus_bw0(rp)
     b_quarter = 0.25 * float(sqrt_excess(abs_bwl, rp.b_om))
-    if b_quarter == 0.0:
-        return -math.inf
+    if b_quarter == 0.0:  # also when b_om = 0
+        return lambda n_from: -math.inf
     a_shifted = 0.5 * d_aw + b_quarter
-    a_full = a_shifted + 0.5 * rp.b_w0
-    return (
-        _LN2
-        - rp.b_nu * (n_from + 0.5 * rp.m)
-        + a_shifted
-        + math.log1p(-math.exp(-2.0 * a_full))
-        + float(lnsinh(b_quarter))
-    )
+    log_edge = _log1m_exp_neg2(a_shifted + 0.5 * rp.b_w0)
+    log_sinh = float(lnsinh(b_quarter))
+    b_nu, half_m = rp.b_nu, 0.5 * rp.m
+    return lambda n_from: _LN2 - b_nu * (n_from + half_m) + a_shifted + log_edge + log_sinh
 
 
 def _chunked_log_sum(term_logs, policy: TruncationPolicy, bound_reached=None) -> tuple[float, int, str]:
@@ -298,16 +347,19 @@ def _excess_lag(rp: ReducedParams, policy: TruncationPolicy) -> tuple[float, flo
         # Dead coupling: the excess vanishes identically, no scan needed.
         return ln_zi, 0.0, _EXACT_REPORT
 
+    excess_tail = _excess_tail(rp)
+    log_zi_edge = math.log1p(math.exp(-rp.b_w0))
+
     def tail_rel_zi(n_from: int) -> float:
         # log of (excess tail bound / Z_i); the log(nbar+1) factors cancel.
-        return _excess_tail_log(rp, n_from) - math.log1p(math.exp(-rp.b_w0))
+        return excess_tail(n_from) - log_zi_edge
 
     log_lag_tol = math.log(policy.lag_abs_tol)
     log_sum, n_done, stop_reason = _chunked_log_sum(
         lambda lo, hi: _excess_logs(rp, lo, hi), policy, lambda n: tail_rel_zi(n) <= log_lag_tol
     )
     lag = float(np.logaddexp(0.0, log_sum - ln_zi))
-    tail_bound_log = _excess_tail_log(rp, n_done) + rp.ln_nbar_plus_1 - (ln_zi + lag)
+    tail_bound_log = excess_tail(n_done) + rp.ln_nbar_plus_1 - (ln_zi + lag)
     converged = tail_bound_log <= math.log(policy.tail_rel_tol) or tail_rel_zi(n_done) <= log_lag_tol
     report = TruncationReport(n_used=n_done, tail_bound_log=tail_bound_log, converged=converged)
     if not converged and policy.n_pinned is None and policy.error_on_nonconverged:

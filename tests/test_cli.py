@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from ionquench import thermo
 from ionquench.cli import main
 from ionquench.presets import FIG1_CONFIG, figure_presets
 
@@ -119,6 +120,39 @@ class TestInputValidation:
         assert main(["lag", "--eta", "nan"]) == 2
         assert "Lamb-Dicke parameter must be finite" in capsys.readouterr().err
 
+    def test_nbar_and_beta_flags_conflict(self, capsys):
+        assert main(["lag", "--nbar", "1", "--beta", "1e22"]) == 2
+        assert "give only one of nbar and beta" in capsys.readouterr().err
+
+    def test_beta_flag_replaces_preset_nbar(self, tmp_path):
+        # fig1 fixes nbar = 0.38; beta = 3.4e30 /J gives nbar ~ 0.2 at nu = 5 kHz.
+        out = tmp_path / "fig1.csv"
+        argv = ["lag", "--preset", "fig1", "--branch", "jc", "--m", "1", "--beta", "3.4e30", "--out", str(out)]
+        assert main(argv) == 0
+        nbars = {float(r["nbar"]) for r in read_csv(out)}
+        assert len(nbars) == 1 and 0.15 < nbars.pop() < 0.25
+
+    def test_nbar_flag_replaces_preset_and_config_beta(self, tmp_path):
+        # fig5 fixes beta; a config file may too.  Flags win over both.
+        conf = tmp_path / "run.conf"
+        conf.write_text("beta = 1e30\n")
+        for extra in (["--preset", "fig5"], ["--config", str(conf)]):
+            out = tmp_path / "rows.csv"
+            assert main(["lag", *extra, "--branch", "jc", "--m", "1", "--nbar", "0.5", "--out", str(out)]) == 0
+            nbars = [float(r["nbar"]) for r in read_csv(out)]
+            assert nbars and nbars == pytest.approx([0.5] * len(nbars), rel=1e-12)
+
+    @pytest.mark.parametrize("threads", ["0", "65"])
+    def test_threads_out_of_range(self, threads, capsys):
+        # A single-point call: a build without the bound starts one worker at most.
+        assert main(["lag", "--threads", threads]) == 2
+        assert f"--threads {threads} must lie in [1, 64]" in capsys.readouterr().err
+
+    def test_extreme_temperature_is_not_a_domain_error(self, capsys):
+        # beta = 2 /J puts b_w0 near 5e-19, where e^(-2a) rounds to 1.
+        assert main(["lag", "--beta", "2"]) in (0, 3)
+        assert "math domain error" not in capsys.readouterr().err
+
 
 class TestSweepCommand:
     def test_m_axis_interior_maximum(self, tmp_path):
@@ -155,6 +189,18 @@ class TestSweepCommand:
         assert code == 0
         nbars = [float(r["nbar"]) for r in read_csv(out)]
         assert nbars == pytest.approx([0.5, 2.0], rel=1e-12)
+
+    def test_threads_do_not_change_adaptive_sweep(self, tmp_path, monkeypatch):
+        # Adaptive sums grow the shared coupling cache while the workers read it.
+        argv = ["sweep", "--axis", "nbar", "--values", "30,300,3000", "--branch", "jc,ajc",
+                "--m", "1,2,3", "--eta", "0.8"]  # fmt: skip
+        outputs = []
+        for threads in ("1", "4"):
+            monkeypatch.setattr(thermo, "_COUPLING_CACHE", {})
+            out = tmp_path / f"threads{threads}.csv"
+            assert main([*argv, "--threads", threads, "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_requires_axis_and_grid(self):
         assert main(["sweep", "--grid", "1:2:3:linear"]) == 2

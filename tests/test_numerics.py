@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import eval_genlaguerre
 
 from ionquench.numerics import (
+    LAGUERRE_START,
     coupling_f,
     coupling_logabs_sequence,
     laguerre_assoc,
@@ -139,6 +140,42 @@ class TestCoupling:
             single = coupling_f(n, 2, 1.3)
             assert signs[n] == single.sign
             assert logs[n] == pytest.approx(single.log_mag, rel=1e-14, abs=1e-14)
+
+
+class TestResumedCoupling:
+    """A sequence grown piecewise from a LaguerreState equals a one-shot one, bit for bit."""
+
+    SPLITS = (39, 120, 511, 1500, 9000, 70000)
+
+    @pytest.mark.parametrize("m", (0, 1, 4, 29))
+    @pytest.mark.parametrize("eta", (0.0, 1e-3, 0.5, 3.5, 12.0, 40.0))
+    def test_resumed_equals_one_shot(self, m, eta):
+        signs, log_mags = coupling_logabs_sequence(self.SPLITS[-1], m, eta)
+        state, lo = LAGUERRE_START, 0
+        for n_max in self.SPLITS:
+            seg_signs, seg_mags, state = coupling_logabs_sequence(n_max, m, eta, resume=state)
+            assert state.n == n_max
+            assert np.array_equal(seg_signs, signs[lo : n_max + 1])
+            assert seg_mags.tobytes() == log_mags[lo : n_max + 1].tobytes()
+            lo = n_max + 1
+
+    def test_split_crosses_a_rescale(self):
+        # eta = 40 (x = 1600): |L_n| passes 1e250 well before n = 1500, so the
+        # splits above resume across at least one rescale of (prev, curr).
+        _, _, early = coupling_logabs_sequence(39, 0, 40.0, resume=LAGUERRE_START)
+        _, _, late = coupling_logabs_sequence(1500, 0, 40.0, resume=early)
+        assert early.offset == 0.0 and late.offset > 0.0
+
+    def test_request_at_or_below_the_state_is_empty(self):
+        _, _, state = coupling_logabs_sequence(50, 2, 0.7, resume=LAGUERRE_START)
+        signs, log_mags, same = coupling_logabs_sequence(50, 2, 0.7, resume=state)
+        assert signs.size == 0 and log_mags.size == 0 and same == state
+
+    def test_rejects_negative_indices(self):
+        with pytest.raises(ValueError):
+            coupling_logabs_sequence(-1, 0, 0.5)
+        with pytest.raises(ValueError):
+            coupling_logabs_sequence(5, -1, 0.0)
 
 
 class TestLncosh:

@@ -1,4 +1,8 @@
+import collections
 import math
+import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -7,7 +11,8 @@ from ionquench.numerics import coupling_f, log_sum_exp, sqrt_shift
 from ionquench.params import Branch, QuenchSpec, ThermalSpec, TrapIonConfig, reduce, reduce_point, reduced_from_ratios
 from ionquench.presets import figure_presets
 from ionquench.spectra import dense_hamiltonians
-from ionquench.sweep import run_sweep
+from ionquench import thermo
+from ionquench.sweep import SweepSpec, run_sweep
 from ionquench.thermo import (
     TruncationError,
     TruncationPolicy,
@@ -156,6 +161,16 @@ class TestLag:
             branch = branch_for(m, preferred)
             rp = fig1_reduced(m, branch, 0.5, nbar=1e6)
             assert nonequilibrium_lag(rp).value <= 1e-6
+
+    @pytest.mark.parametrize("ratio", [1e-14, 1e-17, 1e-20])
+    def test_extreme_temperature_carrier(self, ratio):
+        # b_w0 ~ ratio: below ~1e-16, e^(-2a) rounds to 1 in every excess term
+        # and in the tail bound.  For tiny arguments the lag
+        # log(cosh(X)/cosh(b_w0/2)) is b_om^2/8 to relative order b_om^2.
+        rp = desk_reduced(0, Branch.CARRIER, 0.0, nbar=1.0, r_w0=ratio, r_om=ratio)
+        result = nonequilibrium_lag(rp)
+        assert result.truncation.converged
+        assert result.value == pytest.approx(rp.b_om**2 / 8, rel=1e-9)
 
     def test_jc_small_eta_reversible(self):
         for m in (1, 2):
@@ -383,3 +398,89 @@ class TestNuToZeroLimit:
         assert math.isfinite(limit.value)
         assert limit.value > 0.0
         assert limit.truncation.converged
+
+
+class TestCouplingCache:
+    """The coupling cache resumes the Laguerre recurrence instead of rerunning it."""
+
+    def test_adaptive_sweep_runs_each_step_once(self, monkeypatch):
+        calls = []
+        real = thermo.coupling_logabs_sequence
+
+        def counting(n_max, m, eta, *, resume=None):
+            calls.append(((m, eta), n_max, resume.n if resume is not None else -1))
+            return real(n_max, m, eta, resume=resume)
+
+        monkeypatch.setattr(thermo, "coupling_logabs_sequence", counting)
+        monkeypatch.setattr(thermo, "_COUPLING_CACHE", {})
+        fixed = {key: FIG1[key] for key in ("mass", "nu", "omega0", "omega_rabi")}
+        spec = SweepSpec(
+            axis="nbar", grid=(30.0, 300.0, 3000.0), fixed={**fixed, "eta": 0.8},
+            branches=(Branch.JC, Branch.AJC), m_values=(1, 3),
+        )  # fmt: skip
+        rows = run_sweep(spec, TruncationPolicy())
+        assert max(row.n_used for row in rows) > 2 * 512  # the cache had to grow
+        for key in {(1, 0.8), (3, 0.8)}:
+            mine = [(n_max, start) for k, n_max, start in calls if k == key]
+            steps = sum(n_max - start for n_max, start in mine)
+            # Each call starts where the previous one stopped: no step runs twice.
+            assert [start for _, start in mine] == [-1] + [n_max for n_max, _ in mine[:-1]]
+            assert steps <= 2 * (max(n_max for n_max, _ in mine) + 1)
+
+    def test_pinned_row_needs_one_recurrence_call(self, monkeypatch):
+        # The first fill also covers the divergence scan (10 m + 100 terms).
+        calls = []
+        real = thermo.coupling_logabs_sequence
+        monkeypatch.setattr(thermo, "coupling_logabs_sequence", lambda *a, **k: calls.append(a) or real(*a, **k))
+        monkeypatch.setattr(thermo, "_COUPLING_CACHE", {})
+        rp = fig1_reduced(2, Branch.JC, 0.6)
+        nonequilibrium_lag(rp, policy=TruncationPolicy(n_pinned=40))
+        assert [a[0] for a in calls] == [thermo.default_scan_bound(2)]
+
+    def test_concurrent_growth_runs_each_step_once(self, monkeypatch):
+        # More threads than cores, switching often, all growing the same keys.
+        steps = collections.Counter()
+        real = thermo.coupling_logabs_sequence
+
+        def counting(n_max, m, eta, *, resume=None):
+            steps[(m, eta)] += n_max - (resume.n if resume is not None else -1)
+            return real(n_max, m, eta, resume=resume)
+
+        monkeypatch.setattr(thermo, "coupling_logabs_sequence", counting)
+        monkeypatch.setattr(thermo, "_COUPLING_CACHE", {})
+        keys = ((1, 0.8), (3, 2.5))
+        seen = []
+
+        def worker(seed):
+            rng = random.Random(seed)
+            for n_max in range(100, 6000, 173):
+                key = rng.choice(keys)
+                seen.append((key, n_max, *thermo._coupling_upto(*key, n_max)))
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        assert len(seen) == 8 * len(range(100, 6000, 173))
+        refs = {key: real(6000, *key) for key in keys}
+        for key, n_max, signs, log_mags in seen:
+            assert signs.size > n_max
+            assert np.array_equal(signs, refs[key][0][: signs.size])
+            assert log_mags.tobytes() == refs[key][1][: log_mags.size].tobytes()
+        for key in keys:
+            assert steps[key] == thermo._COUPLING_CACHE[key][2].n + 1
+
+    def test_cached_values_equal_one_shot(self, monkeypatch):
+        monkeypatch.setattr(thermo, "_COUPLING_CACHE", {})
+        for n_max in (39, 700, 1300, 5000, 4000):
+            signs, log_mags = thermo._coupling_upto(2, 1.1, n_max)
+            assert signs.size == log_mags.size > n_max
+        ref_signs, ref_mags = thermo.coupling_logabs_sequence(signs.size - 1, 2, 1.1)
+        assert np.array_equal(signs, ref_signs) and log_mags.tobytes() == ref_mags.tobytes()
