@@ -34,6 +34,9 @@ _EXIT_CONFIG = 2
 _EXIT_NONCONVERGED = 3
 
 _MAX_THREADS = 64
+# moments --numeric-oracle builds dense 2(nmax+1)-square operators; at this
+# maximum a row takes about 2 s and 114 MB, and the cost grows like nmax^3.
+_MAX_ORACLE_NMAX = 400
 
 _PARAM_KEYS = ("nu", "omega0", "omega_rabi", "mass", "phi_angle", "nbar", "beta", "eta")
 
@@ -326,6 +329,9 @@ def _cmd_moments(args: argparse.Namespace) -> int:
     use_oracle = bool(args.numeric_oracle)
     if use_oracle and params["omega0"] / params["nu"] > 1e3:
         raise ConfigError("--numeric-oracle needs desk-scale frequency ratios; add --desk-scale")
+    n_trunc = args.nmax if args.nmax is not None else 80
+    if use_oracle and not 2 <= n_trunc <= _MAX_ORACLE_NMAX:
+        raise ConfigError(f"--nmax {n_trunc} must lie in [2, {_MAX_ORACLE_NMAX}] with --numeric-oracle")
 
     columns = _MOMENT_ROW_COLUMNS + (_ORACLE_COLUMNS if use_oracle else ())
     writer = _Writer(args.format, args.out, columns, _meta_for(args, "moments", params, {"numeric_oracle": use_oracle}))
@@ -346,7 +352,6 @@ def _cmd_moments(args: argparse.Namespace) -> int:
                 "w_skewness": moments.skewness,
             }
             if use_oracle:
-                n_trunc = args.nmax if args.nmax is not None else 80
                 m1 = moments_numeric(rp, rp.quench, n_trunc, 1).value
                 m2 = moments_numeric(rp, rp.quench, n_trunc, 2).value
                 m3 = moments_numeric(rp, rp.quench, n_trunc, 3).value

@@ -65,7 +65,9 @@ _LN2 = math.log(2.0)
 
 # Fixed truncation constants: chunk size of the adaptive sums, and the "quiet"
 # stop (this many consecutive terms each below _TERM_REL_TOL of the running sum).
+# Terms are produced up to _BLOCK_CHUNKS chunks at a time.
 _CHUNK = 512
+_BLOCK_CHUNKS = 16
 _TERM_REL_TOL = 1e-16
 _CONSECUTIVE_BELOW = 64
 
@@ -102,11 +104,16 @@ class TruncationPolicy:
 
 @dataclass(frozen=True)
 class TruncationReport:
-    """n_used explicit terms; tail_bound_log = log(estimated tail / sum)."""
+    """n_used explicit terms; tail_bound_log = log(estimated tail / sum).
+
+    stop_reason says why the sum ended: "quiet", "bound", "cap" or "pinned"
+    for a chunked sum, "exact" for a closed form, and "" when not recorded.
+    """
 
     n_used: int
     tail_bound_log: float
     converged: bool
+    stop_reason: str = ""
 
 
 class TruncationError(RuntimeError):
@@ -162,7 +169,7 @@ class LowTemperatureLimit:
     negative_witnesses: list[int]
 
 
-_EXACT_REPORT = TruncationReport(n_used=0, tail_bound_log=-math.inf, converged=True)
+_EXACT_REPORT = TruncationReport(n_used=0, tail_bound_log=-math.inf, converged=True, stop_reason="exact")
 
 
 def ln_partition_initial(rp: ReducedParams) -> LogPartition:
@@ -301,43 +308,84 @@ def _excess_tail(rp: ReducedParams):
     return lambda n_from: _LN2 - b_nu * (n_from + half_m) + a_shifted + log_edge + log_sinh
 
 
+def _chunk_log_sums(rows: np.ndarray) -> list[float]:
+    """log sum(exp(row)) of each row of a C-contiguous 2-D block (nan for an all -inf row).
+
+    Full chunks are reduced in one pass; a row-wise pairwise sum of a
+    contiguous row has the bits of the 1-D np.sum of that row.  A single
+    short row (a partial last chunk) takes the 1-D path itself.
+    """
+    his = rows.max(axis=1)
+    with np.errstate(invalid="ignore"):
+        if rows.shape[1] == _CHUNK:
+            sums = np.exp(rows - his[:, None]).sum(axis=1).tolist()
+        else:
+            sums = [float(np.sum(np.exp(rows[0] - his[0])))]
+    return [hi + math.log(s) for hi, s in zip(his.tolist(), sums)]
+
+
 def _chunked_log_sum(term_logs, policy: TruncationPolicy, bound_reached=None) -> tuple[float, int, str]:
     """(log of the sum, terms used, stop reason) of term_logs(n_lo, n_hi), ascending in n.
 
-    Terms are produced and merged chunk by chunk (fixed chunk size), so the
-    result is deterministic for given inputs.  A pinned policy sums exactly
-    n_pinned terms (stop reason "pinned").  Otherwise the sum stops once
+    Terms are merged chunk by chunk (fixed chunk size), so the result is
+    deterministic for given inputs.  A pinned policy sums exactly n_pinned
+    terms (stop reason "pinned").  Otherwise the sum stops once
     _CONSECUTIVE_BELOW consecutive terms are quiet ("quiet"), once
     bound_reached(n_used) holds after a chunk ("bound"), or at n_cap ("cap").
     The quiet-terms counter compares each term against the running total at
     the start of its chunk, which only understates term significance never
     overstates it, so the stopping rule is conservative.
+
+    Terms are produced in blocks of chunks, one term_logs call each: up to
+    _BLOCK_CHUNKS chunks for a pinned sum, 1, 2, 4, ... up to _BLOCK_CHUNKS
+    for an adaptive one.  A block never runs past n_pinned or n_cap, nor past
+    the first chunk edge where bound_reached holds.  Only production is
+    blocked: every chunk is folded and tested as if it had been made alone.
     """
     log_thresh = math.log(_TERM_REL_TOL)
+    pinned = policy.n_pinned is not None
+    target = policy.n_pinned if pinned else policy.n_cap
     running = -math.inf
     n_done = 0
     consec = 0
-    target = policy.n_pinned if policy.n_pinned is not None else policy.n_cap
+    n_chunks = _BLOCK_CHUNKS if pinned else 1
     while n_done < target:
-        n_hi = min(n_done + _CHUNK, target)
-        xs = term_logs(n_done, n_hi)
-        finite = xs > -math.inf
-        val_before = running
-        if finite.any():
-            hi = float(np.max(xs))
-            running = float(np.logaddexp(running, hi + math.log(float(np.sum(np.exp(xs - hi))))))
-        below = ~finite if val_before == -math.inf else (xs - val_before) < log_thresh
-        if bool(below.all()):
-            consec += xs.size
-        else:
-            consec = int(xs.size - 1 - np.max(np.nonzero(~below)[0]))
-        n_done = n_hi
-        if policy.n_pinned is None:
-            if consec >= _CONSECUTIVE_BELOW:
-                return running, n_done, "quiet"
-            if bound_reached is not None and bound_reached(n_done):
-                return running, n_done, "bound"
-    return running, n_done, "pinned" if policy.n_pinned is not None else "cap"
+        n_hi = min(n_done + n_chunks * _CHUNK, target)
+        edges = [*range(n_done + _CHUNK, n_hi, _CHUNK), n_hi]
+        bound_at = None
+        if bound_reached is not None and not pinned:
+            bound_at = next((edge for edge in edges if bound_reached(edge)), None)
+            if bound_at is not None:
+                edges = edges[: edges.index(bound_at) + 1]
+        xs = term_logs(n_done, edges[-1])
+        n_full = len(xs) // _CHUNK
+        groups = [xs[: n_full * _CHUNK].reshape(n_full, _CHUNK)] if n_full else []
+        if n_full * _CHUNK < len(xs):
+            groups.append(xs[n_full * _CHUNK :].reshape(1, -1))
+        for rows in groups:  # the full chunks, then a partial last one
+            finite = rows > -math.inf
+            befores = []
+            for has_finite, chunk_log in zip(finite.any(axis=1).tolist(), _chunk_log_sums(rows)):
+                befores.append(running)
+                if has_finite:
+                    running = float(np.logaddexp(running, chunk_log))
+            if pinned:
+                n_done += rows.size
+                continue
+            before = np.array(befores)[:, None]
+            with np.errstate(invalid="ignore"):
+                below = np.where(before == -math.inf, ~finite, (rows - before) < log_thresh)
+            # Quiet terms at the end of each chunk that has a loud one.
+            trailing = np.argmax(~below[:, ::-1], axis=1).tolist()
+            for all_below, n_quiet, running_after in zip(below.all(axis=1).tolist(), trailing, befores[1:] + [running]):
+                consec = consec + rows.shape[1] if all_below else n_quiet
+                n_done += rows.shape[1]
+                if consec >= _CONSECUTIVE_BELOW:
+                    return running_after, n_done, "quiet"
+                if n_done == bound_at:
+                    return running_after, n_done, "bound"
+        n_chunks = min(2 * n_chunks, _BLOCK_CHUNKS)
+    return running, n_done, "pinned" if pinned else "cap"
 
 
 def _excess_lag(rp: ReducedParams, policy: TruncationPolicy) -> tuple[float, float, TruncationReport]:
@@ -361,7 +409,9 @@ def _excess_lag(rp: ReducedParams, policy: TruncationPolicy) -> tuple[float, flo
     lag = float(np.logaddexp(0.0, log_sum - ln_zi))
     tail_bound_log = excess_tail(n_done) + rp.ln_nbar_plus_1 - (ln_zi + lag)
     converged = tail_bound_log <= math.log(policy.tail_rel_tol) or tail_rel_zi(n_done) <= log_lag_tol
-    report = TruncationReport(n_used=n_done, tail_bound_log=tail_bound_log, converged=converged)
+    report = TruncationReport(
+        n_used=n_done, tail_bound_log=tail_bound_log, converged=converged, stop_reason=stop_reason
+    )
     if not converged and policy.n_pinned is None and policy.error_on_nonconverged:
         raise TruncationError(report, f"partition sum not converged after {n_done} terms ({stop_reason})")
     return ln_zi, lag, report
@@ -415,7 +465,7 @@ def _direct_term_logs(rp: ReducedParams, n_lo: int, n_hi: int) -> np.ndarray:
 def _ln_partition_final_direct(rp: ReducedParams, policy: TruncationPolicy) -> LogPartition:
     # No early tail-bound stop: this reference sum ends on the quiet rule, the
     # pin or the cap, and its own tail bound is checked afterwards.
-    running, n_done, _ = _chunked_log_sum(lambda lo, hi: _direct_term_logs(rp, lo, hi), policy)
+    running, n_done, stop_reason = _chunked_log_sum(lambda lo, hi: _direct_term_logs(rp, lo, hi), policy)
     total = float(np.logaddexp(running, _edge_shifted_log(rp)))
     # Tail of the direct sum: each term is at most 2 e^(-b_nu(n+m/2)) e^(X_max)
     # with the splitting at the u = b_om envelope of the coupling.
@@ -424,7 +474,9 @@ def _ln_partition_final_direct(rp: ReducedParams, policy: TruncationPolicy) -> L
     tail_log = _LN2 + env - rp.b_nu * (n_done + 0.5 * rp.m) + rp.ln_nbar_plus_1
     tail_bound_log = tail_log - total
     converged = tail_bound_log <= math.log(policy.tail_rel_tol)
-    report = TruncationReport(n_used=n_done, tail_bound_log=tail_bound_log, converged=converged)
+    report = TruncationReport(
+        n_used=n_done, tail_bound_log=tail_bound_log, converged=converged, stop_reason=stop_reason
+    )
     if not converged and policy.n_pinned is None and policy.error_on_nonconverged:
         raise TruncationError(report, f"direct partition sum not converged after {n_done} terms")
     return LogPartition(shifted_log=total, shift_reference=0.5 * rp.b_w0, truncation=report)

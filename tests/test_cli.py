@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from ionquench import thermo
+from ionquench import cli, thermo
 from ionquench.cli import main
 from ionquench.presets import FIG1_CONFIG, figure_presets
 
@@ -232,6 +232,14 @@ class TestMomentsCommand:
 
     def test_numeric_oracle_requires_desk_scale(self):
         assert main(["moments", "--numeric-oracle"]) == 2
+
+    def test_numeric_oracle_nmax_above_maximum_rejected(self, tmp_path, capsys):
+        # Rejected before the dense 2(nmax+1)-square operators are built.
+        out = tmp_path / "m.csv"
+        n_max = str(cli._MAX_ORACLE_NMAX + 1)
+        assert main(["moments", "--desk-scale", "--numeric-oracle", "--nmax", n_max, "--out", str(out)]) == 2
+        assert f"--nmax {n_max} must lie in" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSpectrumCommand:

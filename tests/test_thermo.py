@@ -6,6 +6,7 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ionquench.numerics import coupling_f, log_sum_exp, sqrt_shift
 from ionquench.params import Branch, QuenchSpec, ThermalSpec, TrapIonConfig, reduce, reduce_point, reduced_from_ratios
@@ -484,3 +485,154 @@ class TestCouplingCache:
             assert signs.size == log_mags.size > n_max
         ref_signs, ref_mags = thermo.coupling_logabs_sequence(signs.size - 1, 2, 1.1)
         assert np.array_equal(signs, ref_signs) and log_mags.tobytes() == ref_mags.tobytes()
+
+
+def _one_chunk_at_a_time(term_logs, policy, bound_reached=None):
+    """The chunked log-sum loop as it was before terms came in blocks: the reference."""
+    log_thresh = math.log(thermo._TERM_REL_TOL)
+    running = -math.inf
+    n_done = 0
+    consec = 0
+    target = policy.n_pinned if policy.n_pinned is not None else policy.n_cap
+    while n_done < target:
+        n_hi = min(n_done + thermo._CHUNK, target)
+        xs = term_logs(n_done, n_hi)
+        finite = xs > -math.inf
+        val_before = running
+        if finite.any():
+            hi = float(np.max(xs))
+            running = float(np.logaddexp(running, hi + math.log(float(np.sum(np.exp(xs - hi))))))
+        below = ~finite if val_before == -math.inf else (xs - val_before) < log_thresh
+        if bool(below.all()):
+            consec += xs.size
+        else:
+            consec = int(xs.size - 1 - np.max(np.nonzero(~below)[0]))
+        n_done = n_hi
+        if policy.n_pinned is None:
+            if consec >= thermo._CONSECUTIVE_BELOW:
+                return running, n_done, "quiet"
+            if bound_reached is not None and bound_reached(n_done):
+                return running, n_done, "bound"
+    return running, n_done, "pinned" if policy.n_pinned is not None else "cap"
+
+
+@st.composite
+def _term_sums(draw):
+    """(terms, policy, bound_reached edges or None) for a chunked log sum."""
+    chunk = thermo._CHUNK
+    size = max(1, draw(st.sampled_from(range(41))) * chunk + draw(st.sampled_from([0, 1, 63, 300, chunk - 1])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    slope = draw(st.sampled_from([0.0, 1e-4, 1e-3, 0.01, 0.2]))
+    terms = draw(st.floats(-50.0, 50.0)) - slope * np.arange(size) + draw(st.floats(0.0, 30.0)) * rng.standard_normal(size)
+    for _ in range(draw(st.integers(0, 4))):  # runs of -inf, some longer than a chunk
+        start = draw(st.integers(0, size - 1))
+        terms[start : start + draw(st.integers(1, 3 * chunk))] = -np.inf
+    target = max(1, round(size * draw(st.sampled_from([1.0, 0.9, 0.5, 0.1, 0.01]))))
+    if draw(st.booleans()):
+        return terms, TruncationPolicy(n_pinned=target, n_cap=size), None
+    fires = None
+    if draw(st.booleans()):
+        edges = list(range(chunk, target, chunk)) + [target]
+        fires = set(draw(st.lists(st.sampled_from(edges), min_size=1, max_size=3)))
+    return terms, TruncationPolicy(n_cap=target), fires
+
+
+class TestBlockedLogSum:
+    """Terms come in blocks of chunks; every decision is still made per chunk."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(_term_sums())
+    def test_bitwise_equal_to_one_chunk_at_a_time(self, case):
+        terms, policy, fires = case
+        bound = None if fires is None else fires.__contains__
+        asked = []
+
+        def term_logs(lo, hi):
+            asked.append((lo, hi))
+            return terms[lo:hi].copy()
+
+        got = thermo._chunked_log_sum(term_logs, policy, bound)
+        ref = _one_chunk_at_a_time(lambda lo, hi: terms[lo:hi].copy(), policy, bound)
+        assert (got[0].hex(), got[1:]) == (ref[0].hex(), ref[1:])
+        # Blocks tile [0, end) in order, at most 16 chunks each, and never
+        # run past a pinned, capped or bound stop.
+        assert [lo for lo, _ in asked] == [0] + [hi for _, hi in asked[:-1]]
+        assert all(hi - lo <= 16 * thermo._CHUNK for lo, hi in asked)
+        if got[2] != "quiet":
+            assert asked[-1][1] == got[1]
+
+    def test_adaptive_blocks_double_up_to_sixteen_chunks(self):
+        asked = []
+        terms = np.zeros(100 * thermo._CHUNK)
+        thermo._chunked_log_sum(lambda lo, hi: asked.append(hi - lo) or terms[lo:hi], TruncationPolicy(n_cap=terms.size))
+        assert [n // thermo._CHUNK for n in asked[:7]] == [1, 2, 4, 8, 16, 16, 16]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_row_wise_sum_equals_one_dimensional_sum(self, seed):
+        rng = np.random.default_rng(seed)
+        for k in (1, 2, 5, 16):
+            rows = np.exp(rng.uniform(-700.0, 0.0, size=(k, thermo._CHUNK)) * rng.uniform(0.0, 1.0, size=(k, 1)))
+            sums = rows.sum(axis=1)
+            for row, total in zip(rows, sums):
+                assert np.sum(np.ascontiguousarray(row)).tobytes() == total.tobytes()
+
+    # exp, log and log1p, and the other elementwise functions the term formulas use.
+    @pytest.mark.parametrize("ufunc", [np.exp, np.log, np.log1p, np.expm1, np.sinh, lambda v: np.hypot(3.7, v)])
+    def test_elementwise_bits_do_not_depend_on_position(self, ufunc):
+        rng = np.random.default_rng(11)
+        values = np.concatenate((rng.uniform(-745.0, 709.0, 300), rng.uniform(-1.0, 1.0, 300), rng.uniform(0.0, 1e-8, 300)))
+        values = np.abs(values) if ufunc is np.log else values
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            whole = ufunc(values)
+            for offset in range(1, 18):  # shifts an element across vector lanes and tails
+                padded = ufunc(np.concatenate((np.full(offset, 0.5), values)))
+                assert padded[offset:].tobytes() == whole.tobytes()
+                assert ufunc(values[offset:]).tobytes() == whole[offset:].tobytes()
+            assert ufunc(values[:896].reshape(28, 32)).tobytes() == whole[:896].tobytes()
+            assert all(ufunc(values[i : i + 1]).tobytes() == whole[i : i + 1].tobytes() for i in range(0, values.size, 7))
+
+
+class TestSumWorkBounds:
+    # Recurrence steps per key: TestCouplingCache.test_adaptive_sweep_runs_each_step_once.
+
+    def test_adaptive_sums_stop_on_the_bound_without_overrun(self, monkeypatch):
+        asked = []
+        real = thermo._excess_logs
+        monkeypatch.setattr(thermo, "_excess_logs", lambda rp, lo, hi: asked.append(hi) or real(rp, lo, hi))
+        for m in (1, 3):
+            for branch in (Branch.JC, Branch.AJC):
+                for nbar in (1e3, 1e4, 3e4):
+                    asked.clear()
+                    report = nonequilibrium_lag(fig1_reduced(m, branch, 0.8, nbar=nbar)).truncation
+                    assert report.stop_reason == "bound"
+                    assert max(asked) == report.n_used > 5 * thermo._CHUNK
+
+    @pytest.mark.parametrize("n_pinned, calls", [(40, 1), (5000, 1), (8192, 1), (8193, 2)])
+    def test_pinned_row_makes_one_term_call_up_to_sixteen_chunks(self, monkeypatch, n_pinned, calls):
+        asked = []
+        real = thermo._excess_logs
+        monkeypatch.setattr(thermo, "_excess_logs", lambda rp, lo, hi: asked.append((lo, hi)) or real(rp, lo, hi))
+        report = nonequilibrium_lag(fig1_reduced(1, Branch.JC, 0.8), policy=TruncationPolicy(n_pinned=n_pinned)).truncation
+        assert len(asked) == calls and asked[-1][1] == report.n_used == n_pinned
+
+
+class TestStopReason:
+    def test_adaptive_deep_row_stops_on_the_bound(self):
+        report = nonequilibrium_lag(fig1_reduced(2, Branch.AJC, 1.5, nbar=1e4)).truncation
+        assert report.stop_reason == "bound" and report.converged
+
+    def test_pinned_row(self):
+        report = nonequilibrium_lag(fig1_reduced(2, Branch.JC, 1.5), policy=TruncationPolicy(n_pinned=40)).truncation
+        assert report.stop_reason == "pinned"
+
+    def test_other_reports(self):
+        assert nonequilibrium_lag(fig1_reduced(1, Branch.JC, 0.0)).truncation.stop_reason == "exact"
+        assert ln_partition_initial(fig1_reduced(1, Branch.JC, 0.5)).truncation.stop_reason == "exact"
+        direct = ln_partition_final(desk_reduced(1, Branch.JC, 0.8), assembly="direct").truncation
+        assert direct.stop_reason == "quiet"
+        capped = ln_partition_final(
+            reduced_from_ratios(10.0, 1e4, 0.5, 0, Branch.CARRIER, nbar=1e8),
+            policy=TruncationPolicy(n_cap=1000, error_on_nonconverged=False),
+        ).truncation
+        assert capped.stop_reason == "cap" and capped.n_used == 1000
+        assert nu_to_zero_limit(fig1_reduced(0, Branch.CARRIER, 0.0)).truncation.stop_reason == ""
