@@ -33,6 +33,8 @@ _EXIT_VERIFY_FAIL = 1
 _EXIT_CONFIG = 2
 _EXIT_NONCONVERGED = 3
 
+# --threads has no effect (runs are serial); existing command lines still
+# pass it, so it stays parsed and bounded.
 _MAX_THREADS = 64
 # moments --numeric-oracle builds dense 2(nmax+1)-square operators; at this
 # maximum a row takes about 2 s and 114 MB, and the cost grows like nmax^3.
@@ -74,7 +76,7 @@ def _parse_ms(text: str) -> tuple[int, ...]:
 
 
 def _read_config_file(path: str) -> dict[str, str]:
-    """Flat key = value file; '#' starts a comment; keys mirror flag names."""
+    """Flat key = value file; '#' starts a comment; keys are parameter names."""
     out: dict[str, str] = {}
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -85,21 +87,6 @@ def _read_config_file(path: str) -> dict[str, str]:
         key, value = (part.strip() for part in line.split("=", 1))
         out[key.replace("-", "_")] = value
     return out
-
-
-_FLOAT_KEYS = {"nu", "omega0", "omega", "omega_rabi", "mass", "phi", "phi_angle", "nbar", "beta", "eta", "tol"}
-_INT_KEYS = {"nmax", "threads", "seed"}
-_BOOL_KEYS = {"allow_nonconverged", "desk_scale", "numeric_oracle"}
-
-
-def _coerce(key: str, value: str):
-    if key in _FLOAT_KEYS:
-        return float(value)
-    if key in _INT_KEYS:
-        return int(value)
-    if key in _BOOL_KEYS:
-        return value.strip().lower() in ("1", "true", "yes", "on")
-    return value
 
 
 _FLAG_ALIASES = {"omega": "omega_rabi", "phi": "phi_angle"}
@@ -131,8 +118,10 @@ def _effective_params(args: argparse.Namespace) -> tuple[dict, dict]:
     if getattr(args, "config", None):
         for key, raw in _read_config_file(args.config).items():
             key = _FLAG_ALIASES.get(key, key)
-            if key in _PARAM_KEYS:
-                explicit[key] = _coerce(key, raw)
+            if key not in _PARAM_KEYS:
+                accepted = ", ".join(sorted((*_PARAM_KEYS, *_FLAG_ALIASES)))
+                raise ConfigError(f"unknown config key {key!r} (accepted: {accepted})")
+            explicit[key] = float(raw)
     for flag in ("nu", "omega0", "omega", "mass", "phi", "nbar", "beta", "eta"):
         value = getattr(args, flag, None)
         if value is not None:
@@ -200,7 +189,7 @@ def _add_shared_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, help="truncation tail tolerance")
     p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     p.add_argument("--out", type=str, help="output path (default stdout)")
-    p.add_argument("--threads", type=int, default=1, help=f"worker threads, 1..{_MAX_THREADS}")
+    p.add_argument("--threads", type=int, default=1, help=f"1..{_MAX_THREADS}; ignored: runs are serial")
     p.add_argument("--allow-nonconverged", action="store_true", dest="allow_nonconverged")
     p.add_argument("--desk-scale", action="store_true", dest="desk_scale", help="use moderate frequency ratios")
     p.add_argument("--config", type=str, help="flat key = value config file")
@@ -264,7 +253,7 @@ def _emit_rows(args: argparse.Namespace, command: str, params: dict, rows: list[
 def _cmd_lag(args: argparse.Namespace) -> int:
     params, overrides = _effective_params(args)
     specs = _specs_for_point_command(args, params, overrides)
-    rows = run_specs(specs, policy=_policy_from_args(args), threads=args.threads)
+    rows = run_specs(specs, policy=_policy_from_args(args))
     return _emit_rows(args, "lag", params, rows, with_moments=False)
 
 
@@ -290,7 +279,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     m_values = _parse_ms(args.m) if args.m else ((0,) if args.axis != "m" else ())
     fixed = {k: v for k, v in params.items() if k != args.axis}
     spec = SweepSpec(axis=args.axis, grid=grid, fixed=fixed, branches=branches, m_values=m_values, n_pinned=args.nmax)
-    rows = run_specs([spec], policy=_policy_from_args(args), threads=args.threads)
+    rows = run_specs([spec], policy=_policy_from_args(args))
     return _emit_rows(args, "sweep", params, rows, with_moments=False)
 
 

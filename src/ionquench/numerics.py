@@ -26,7 +26,6 @@ __all__ = [
     "LaguerreState",
     "LAGUERRE_START",
     "laguerre_assoc",
-    "laguerre_logabs_sequence",
     "coupling_f",
     "coupling_logabs_sequence",
     "lncosh",
@@ -146,16 +145,6 @@ def _laguerre_extend(state: LaguerreState, n_max: int, m: int, x: float) -> tupl
             log_append(log(-curr) + offset)
     end = LaguerreState(n_max, prev, curr, offset) if n_max > state.n else state
     return signs, logabs, end
-
-
-def laguerre_logabs_sequence(n_max: int, m: int, x: float) -> tuple[np.ndarray, np.ndarray]:
-    """Signs and log magnitudes of L_n^m(x) for n = 0..n_max."""
-    if n_max < 0 or m < 0:
-        raise ValueError("Laguerre indices must be nonnegative")
-    if x < 0:
-        raise ValueError("Laguerre argument must be nonnegative")
-    signs, logabs, _ = _laguerre_extend(LAGUERRE_START, n_max, m, x)
-    return np.array(signs, dtype=np.int8), np.array(logabs)
 
 
 def _log_factorial_ratio(n: np.ndarray, m: int) -> np.ndarray:

@@ -1,14 +1,11 @@
 """Parameter sweeps over grids of lag evaluations, with plot-ready rows.
 
-Rows come out in a fixed order (grid-major, then branch, then sideband
-index) regardless of how many worker threads evaluate them: points are
-index-tagged and collected in submission order, so parallel output is
-byte-identical to a serial run.
+Rows come out in a fixed order: spec by spec, and within a spec grid-major,
+then branch, then sideband index.  Points are evaluated one after another.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Mapping
 
@@ -16,7 +13,7 @@ from .params import Branch, reduce_point
 from .thermo import TruncationPolicy, nonequilibrium_lag
 from .workstats import moments_analytic
 
-__all__ = ["SweepSpec", "ResultRow", "RESULT_COLUMNS", "MOMENT_COLUMNS", "sweep_points", "run_sweep", "evaluate_point"]
+__all__ = ["SweepSpec", "ResultRow", "RESULT_COLUMNS", "MOMENT_COLUMNS", "run_specs", "evaluate_point"]
 
 SWEEP_AXES = ("eta", "omega_rabi", "nbar", "nu", "m")
 
@@ -156,31 +153,10 @@ def evaluate_point(point: Mapping, policy: TruncationPolicy | None = None, with_
     )
 
 
-def sweep_points(spec: SweepSpec) -> list[dict]:
-    return list(spec.points())
-
-
-def run_sweep(
-    spec: SweepSpec,
-    policy: TruncationPolicy | None = None,
-    threads: int = 1,
-    with_moments: bool = False,
-) -> list[ResultRow]:
-    """Evaluate every point of the sweep; output order matches spec.points()."""
-    points = sweep_points(spec)
-    if threads <= 1:
-        return [evaluate_point(p, policy, with_moments) for p in points]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda p: evaluate_point(p, policy, with_moments), points))
-
-
 def run_specs(
     specs: Iterable[SweepSpec],
     policy: TruncationPolicy | None = None,
-    threads: int = 1,
     with_moments: bool = False,
 ) -> list[ResultRow]:
-    rows: list[ResultRow] = []
-    for spec in specs:
-        rows.extend(run_sweep(spec, policy, threads, with_moments))
-    return rows
+    """Evaluate every point of every spec, in spec order and then spec.points() order."""
+    return [evaluate_point(p, policy, with_moments) for spec in specs for p in spec.points()]

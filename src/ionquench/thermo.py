@@ -29,7 +29,6 @@ term assembly is kept as assembly="direct" for cross-validation.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -186,12 +185,11 @@ def ln_partition_initial(rp: ReducedParams) -> LogPartition:
 
 # (m, eta) -> (signs, log_mags, state): f_n^m for n = 0..state.n, where state
 # is where the Laguerre recurrence stopped.  The arrays may be longer than
-# state.n + 1; the spare room is filled by later extensions.  Growth runs
-# under _COUPLING_LOCK, only writes past the longest published entry, and
-# publishes a new tuple in one step, so readers need no lock.
+# state.n + 1; the spare room is filled by later extensions, which write
+# only past state.n, so slices handed out earlier never change.  Sweeps run
+# serially, so the cache takes no lock.
 _COUPLING_CACHE: dict[tuple[int, float], tuple[np.ndarray, np.ndarray, LaguerreState]] = {}
 _COUPLING_CACHE_KEYS = 512
-_COUPLING_LOCK = threading.Lock()
 
 
 def _coupling_upto(m: int, eta: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -199,16 +197,13 @@ def _coupling_upto(m: int, eta: float, n_max: int) -> tuple[np.ndarray, np.ndarr
     key = (m, eta)
     entry = _COUPLING_CACHE.get(key)
     if entry is None or entry[2].n < n_max:
-        with _COUPLING_LOCK:
-            entry = _COUPLING_CACHE.get(key)
-            if entry is None or entry[2].n < n_max:
-                entry = _grow_coupling(key, entry, n_max)
+        entry = _grow_coupling(key, entry, n_max)
     signs, log_mags, state = entry
     return signs[: state.n + 1], log_mags[: state.n + 1]
 
 
 def _grow_coupling(key: tuple[int, float], entry, n_max: int):
-    """Publish an entry for key that reaches n_max, resuming the recurrence.
+    """Store an entry for key that reaches n_max, resuming the recurrence.
 
     A new key starts with enough terms for the divergence scan as well, so a
     pinned row needs one recurrence call.  An extension computes only the

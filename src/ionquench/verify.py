@@ -54,8 +54,8 @@ def check_laguerre_recurrence(rng) -> CheckResult:
 
 def check_laguerre_at_zero(rng) -> CheckResult:
     worst = 0.0
-    for n in range(0, 20, 3):
-        for m in range(0, 8):
+    for n in range(20):
+        for m in range(8):
             ref = math.comb(n + m, m)
             worst = max(worst, abs(numerics.laguerre_assoc(n, m, 0.0) - ref) / ref)
     return CheckResult("laguerre_value_at_zero", worst <= 1e-13, f"max rel err {worst:.2e}")
@@ -64,7 +64,7 @@ def check_laguerre_at_zero(rng) -> CheckResult:
 def check_coupling_reconstruction(rng) -> CheckResult:
     worst = 0.0
     for m in range(5):
-        for eta in (0.1, 0.5, 1.5, 2.5, 3.5):
+        for eta in (0.1, 0.5, 1.0, 1.5, 2.0, 2.5, 3.5):
             for n in range(31):
                 direct = (
                     eta**m

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from ionquench import cli, thermo
+from ionquench import cli
 from ionquench.cli import main
 from ionquench.presets import FIG1_CONFIG, figure_presets
 
@@ -69,6 +69,7 @@ class TestLagCommand:
         assert a.read_bytes() == b.read_bytes()
 
     def test_threads_do_not_change_output(self, tmp_path):
+        # --threads is accepted and ignored: runs are serial.
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         main(["lag", "--preset", "fig2", "--out", str(a)])
         main(["lag", "--preset", "fig2", "--threads", "4", "--out", str(b)])
@@ -103,6 +104,15 @@ class TestLagCommand:
         row = read_csv(out)[0]
         assert float(row["omega_rabi"]) == 2e6  # from config file
         assert float(row["nbar"]) == pytest.approx(0.25, rel=1e-12)  # flag wins
+
+    @pytest.mark.parametrize("line", ["tol = 0", "nmax = 3", "threads = 99"])
+    def test_config_file_rejects_unknown_keys(self, tmp_path, capsys, line):
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"nbar = 0.5\n{line}\n")
+        assert main(["lag", "--config", str(conf), "--out", str(tmp_path / "row.csv")]) == 2
+        err = capsys.readouterr().err
+        assert f"unknown config key {line.split()[0]!r}" in err
+        assert "accepted: beta, eta, mass, nbar, nu, omega, omega0, omega_rabi, phi, phi_angle" in err
 
 
 class TestInputValidation:
@@ -189,18 +199,6 @@ class TestSweepCommand:
         assert code == 0
         nbars = [float(r["nbar"]) for r in read_csv(out)]
         assert nbars == pytest.approx([0.5, 2.0], rel=1e-12)
-
-    def test_threads_do_not_change_adaptive_sweep(self, tmp_path, monkeypatch):
-        # Adaptive sums grow the shared coupling cache while the workers read it.
-        argv = ["sweep", "--axis", "nbar", "--values", "30,300,3000", "--branch", "jc,ajc",
-                "--m", "1,2,3", "--eta", "0.8"]  # fmt: skip
-        outputs = []
-        for threads in ("1", "4"):
-            monkeypatch.setattr(thermo, "_COUPLING_CACHE", {})
-            out = tmp_path / f"threads{threads}.csv"
-            assert main([*argv, "--threads", threads, "--out", str(out)]) == 0
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
 
     def test_requires_axis_and_grid(self):
         assert main(["sweep", "--grid", "1:2:3:linear"]) == 2

@@ -6,7 +6,6 @@ import pytest
 from ionquench.numerics import coupling_f
 from ionquench.params import Branch, QuenchSpec, reduced_from_ratios
 from ionquench.spectra import (
-    analytic_dense_spectrum,
     dense_hamiltonians,
     displacement_element,
     displacement_matrix,
@@ -131,12 +130,6 @@ class TestDisplacement:
         interior = slice(0, 10)
         assert np.allclose(prod[interior, interior], np.eye(n + 1)[interior, interior], atol=1e-12)
 
-    def test_column_norms_with_truncation_margin(self):
-        for eta in (0.3, 1.0):
-            mat = displacement_matrix(160, eta)
-            norms = np.linalg.norm(mat[:, :81], axis=0)
-            assert np.max(np.abs(norms - 1.0)) <= 1e-8
-
 
 class TestDenseHamiltonians:
     def test_zero_rabi_collapses_to_initial(self):
@@ -181,20 +174,6 @@ class TestDenseHamiltonians:
 
 
 class TestSpectrumOracle:
-    def test_analytic_equals_dense_all_regimes(self):
-        n_trunc = 60
-        for m in (0, 1, 2, 3):
-            for preferred in (Branch.JC, Branch.AJC):
-                branch = branch_for(m, preferred)
-                for eta in (0.1, 0.5, 1.5):
-                    rp = desk_reduced(m, branch, eta)
-                    dense = dense_hamiltonians(rp, QuenchSpec(m, branch), n_trunc)
-                    evals = np.linalg.eigvalsh(dense.h_final_sideband)
-                    pred = analytic_dense_spectrum(m, branch, rp, n_trunc)
-                    assert pred.shape == evals.shape
-                    dev = np.abs(pred - evals) / np.maximum(np.abs(evals), 1.0)
-                    assert dev.max() <= 1e-10
-
     def test_interior_band_statement(self):
         # The analytic pairs alone cover the dense spectrum away from the
         # truncation boundary band (n > n_trunc - m - 1).
@@ -216,22 +195,3 @@ class TestSpectrumOracle:
         rp = desk_reduced(0, Branch.CARRIER, 0.7)
         for n in (0, 5, 17):
             assert sideband_eigenvalues(n, 0, Branch.JC, rp) == sideband_eigenvalues(n, 0, Branch.AJC, rp)
-
-    def test_eigenvector_completeness_interior(self):
-        n_trunc = 40
-        for m, branch in ((1, Branch.JC), (2, Branch.AJC)):
-            rp = desk_reduced(m, branch, 0.8)
-            dim = 2 * (n_trunc + 1)
-            acc = np.zeros((dim, dim), dtype=complex)
-            level = "e" if branch is Branch.AJC else "g"
-            for n in range(m):
-                vec = np.zeros(dim, dtype=complex)
-                vec[ket_index(n, level)] = 1.0
-                acc += np.outer(vec, vec.conj())
-            for n in range(n_trunc - m + 1):
-                for pair in sideband_eigenvectors(n, m, branch, rp):
-                    vec = pair.as_dense(n_trunc)
-                    acc += np.outer(vec, vec.conj())
-            interior = 2 * (n_trunc - m + 1)
-            dev = np.abs(acc[:interior, :interior] - np.eye(dim)[:interior, :interior])
-            assert dev.max() <= 1e-9

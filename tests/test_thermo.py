@@ -1,19 +1,14 @@
-import collections
 import math
-import random
-import sys
-import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ionquench.numerics import coupling_f, log_sum_exp, sqrt_shift
+from ionquench.numerics import coupling_f, sqrt_shift
 from ionquench.params import Branch, QuenchSpec, ThermalSpec, TrapIonConfig, reduce, reduce_point, reduced_from_ratios
 from ionquench.presets import figure_presets
-from ionquench.spectra import dense_hamiltonians
 from ionquench import thermo
-from ionquench.sweep import SweepSpec, run_sweep
+from ionquench.sweep import SweepSpec, run_specs
 from ionquench.thermo import (
     TruncationError,
     TruncationPolicy,
@@ -80,27 +75,6 @@ class TestPartitionFinal:
             zi = ln_partition_initial(rp).shifted_log
             zf = ln_partition_final(rp).shifted_log
             assert zf == pytest.approx(zi, rel=1e-12)
-
-    def test_dense_oracle_desk_scale(self):
-        for m in (0, 1, 2):
-            for preferred in (Branch.JC, Branch.AJC):
-                branch = branch_for(m, preferred)
-                rp = desk_reduced(m, branch, 0.8)
-                dense = dense_hamiltonians(rp, QuenchSpec(m, branch), 70)
-                evals = np.linalg.eigvalsh(dense.h_final_sideband)
-                ref = log_sum_exp(-rp.b_nu * evals) - 0.5 * rp.b_w0
-                got = ln_partition_final(rp).shifted_log
-                assert got == pytest.approx(ref, rel=1e-8, abs=1e-8)
-
-    def test_direct_assembly_agrees(self):
-        rng = np.random.default_rng(5)
-        for _ in range(10):
-            m = int(rng.integers(0, 3))
-            branch = branch_for(m, Branch.JC if rng.integers(0, 2) else Branch.AJC)
-            rp = desk_reduced(m, branch, float(rng.uniform(0, 2.5)), nbar=float(rng.uniform(0.05, 3.0)))
-            a = ln_partition_final(rp, assembly="excess").shifted_log
-            b = ln_partition_final(rp, assembly="direct").shifted_log
-            assert a == pytest.approx(b, rel=1e-12)
 
     def test_pinned_term_count_respected(self):
         rp = fig1_reduced(1, Branch.AJC, 0.5)
@@ -300,7 +274,7 @@ class TestDivergencePredicate:
         # a fresh scan on the fig4 blocks, where some rows diverge and some do not.
         flags = []
         for spec in figure_presets()["fig4"].specs:
-            for point, row in zip(spec.points(), run_sweep(spec)):
+            for point, row in zip(spec.points(), run_specs([spec])):
                 _, rp = reduce_point(point, point["m"], point["branch"], point["eta"])
                 assert row.divergence_predicted == divergence_predicate_reduced(rp).diverges
                 flags.append(row.divergence_predicted)
@@ -419,7 +393,7 @@ class TestCouplingCache:
             axis="nbar", grid=(30.0, 300.0, 3000.0), fixed={**fixed, "eta": 0.8},
             branches=(Branch.JC, Branch.AJC), m_values=(1, 3),
         )  # fmt: skip
-        rows = run_sweep(spec, TruncationPolicy())
+        rows = run_specs([spec], TruncationPolicy())
         assert max(row.n_used for row in rows) > 2 * 512  # the cache had to grow
         for key in {(1, 0.8), (3, 0.8)}:
             mine = [(n_max, start) for k, n_max, start in calls if k == key]
@@ -437,46 +411,6 @@ class TestCouplingCache:
         rp = fig1_reduced(2, Branch.JC, 0.6)
         nonequilibrium_lag(rp, policy=TruncationPolicy(n_pinned=40))
         assert [a[0] for a in calls] == [thermo.default_scan_bound(2)]
-
-    def test_concurrent_growth_runs_each_step_once(self, monkeypatch):
-        # More threads than cores, switching often, all growing the same keys.
-        steps = collections.Counter()
-        real = thermo.coupling_logabs_sequence
-
-        def counting(n_max, m, eta, *, resume=None):
-            steps[(m, eta)] += n_max - (resume.n if resume is not None else -1)
-            return real(n_max, m, eta, resume=resume)
-
-        monkeypatch.setattr(thermo, "coupling_logabs_sequence", counting)
-        monkeypatch.setattr(thermo, "_COUPLING_CACHE", {})
-        keys = ((1, 0.8), (3, 2.5))
-        seen = []
-
-        def worker(seed):
-            rng = random.Random(seed)
-            for n_max in range(100, 6000, 173):
-                key = rng.choice(keys)
-                seen.append((key, n_max, *thermo._coupling_upto(*key, n_max)))
-
-        switch = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(8)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(switch)
-        assert not any(t.is_alive() for t in threads)
-        assert len(seen) == 8 * len(range(100, 6000, 173))
-        refs = {key: real(6000, *key) for key in keys}
-        for key, n_max, signs, log_mags in seen:
-            assert signs.size > n_max
-            assert np.array_equal(signs, refs[key][0][: signs.size])
-            assert log_mags.tobytes() == refs[key][1][: log_mags.size].tobytes()
-        for key in keys:
-            assert steps[key] == thermo._COUPLING_CACHE[key][2].n + 1
 
     def test_cached_values_equal_one_shot(self, monkeypatch):
         monkeypatch.setattr(thermo, "_COUPLING_CACHE", {})
