@@ -11,12 +11,13 @@ import time
 import numpy as np
 import pytest
 
-from ionquench.numerics import sqrt_shift
+from ionquench.numerics import log_sum_exp, sqrt_shift
 from ionquench.params import Branch, QuenchSpec, TrapIonConfig, reduced_from_ratios
 from ionquench.spectra import analytic_dense_spectrum, dense_hamiltonians, sideband_eigenvectors
 from ionquench.thermo import (
     TruncationPolicy,
     divergence_predicate,
+    ln_partition_final,
     low_temperature_limit,
     nonequilibrium_lag,
     phi,
@@ -103,6 +104,20 @@ def test_criterion_2_spectrum_oracle():
         f"eigenvalue rel dev {worst_val:.1e} (<=1e-10), eigenvector residual {worst_vec:.1e} (<=1e-10), "
         f"{elapsed:.1f}s (<60s)",
     )
+
+
+def test_criterion_3_partition_oracle():
+    worst = 0.0
+    for m in (0, 1, 2):
+        for preferred in (Branch.JC, Branch.AJC):
+            branch = branch_for(m, preferred)
+            rp = reduced_from_ratios(10.0, 1.0, 0.8, m, branch, nbar=0.38)
+            dense = dense_hamiltonians(rp, QuenchSpec(m, branch), 70)
+            evals = np.linalg.eigvalsh(dense.h_final_sideband)
+            ref = log_sum_exp(-rp.b_nu * evals) - 0.5 * rp.b_w0
+            got = ln_partition_final(rp).shifted_log
+            worst = max(worst, abs(got - ref) / max(abs(ref), 1e-3))
+    record("criterion-3 partition oracle", worst <= 1e-8, f"max rel dev {worst:.1e} (<=1e-8)")
 
 
 def test_criterion_4_carrier_closed_form():

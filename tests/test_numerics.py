@@ -208,6 +208,15 @@ class TestSqrtShift:
         u = 1.0
         assert sqrt_shift(w, u, w) == pytest.approx(u * u / (2 * w), rel=1e-9)
 
+    def test_cancellation_regression(self):
+        # Naive evaluation loses the entire signal at the shared-drive scale.
+        w = 822.0 * math.pi * 1e12
+        u = math.pi * 1e6
+        naive = math.sqrt(w * w + u * u) - w
+        safe = sqrt_shift(w, u, w)
+        assert naive == 0.0
+        assert safe == pytest.approx(1.9109444364901419e-3, rel=1e-12)
+
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             sqrt_shift(-1.0, 1.0, 0.0)

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ionquench.numerics import coupling_f, sqrt_shift
+from ionquench.numerics import coupling_f, log_sum_exp, sqrt_shift
 from ionquench.params import Branch, QuenchSpec, ThermalSpec, TrapIonConfig, reduce, reduce_point, reduced_from_ratios
 from ionquench.presets import figure_presets
+from ionquench.spectra import dense_hamiltonians
 from ionquench import thermo
 from ionquench.sweep import SweepSpec, run_specs
 from ionquench.thermo import (
@@ -75,6 +76,17 @@ class TestPartitionFinal:
             zi = ln_partition_initial(rp).shifted_log
             zf = ln_partition_final(rp).shifted_log
             assert zf == pytest.approx(zi, rel=1e-12)
+
+    def test_dense_oracle_desk_scale(self):
+        for m in (0, 1, 2):
+            for preferred in (Branch.JC, Branch.AJC):
+                branch = branch_for(m, preferred)
+                rp = desk_reduced(m, branch, 0.8)
+                dense = dense_hamiltonians(rp, QuenchSpec(m, branch), 70)
+                evals = np.linalg.eigvalsh(dense.h_final_sideband)
+                ref = log_sum_exp(-rp.b_nu * evals) - 0.5 * rp.b_w0
+                got = ln_partition_final(rp).shifted_log
+                assert got == pytest.approx(ref, rel=1e-8, abs=1e-8)
 
     def test_pinned_term_count_respected(self):
         rp = fig1_reduced(1, Branch.AJC, 0.5)
