@@ -12,11 +12,10 @@ trace formula.
 
 import numpy as np
 
-from ionquench.params import Branch, QuenchSpec, reduced_from_ratios
+from ionquench.params import Branch, reduced_from_ratios
 from ionquench.workstats import moments_analytic, moments_numeric, work_pmf_sideband
 
 rp = reduced_from_ratios(10.0, 1.0, 0.5, 0, Branch.CARRIER, nbar=0.38)
-q = QuenchSpec(0, Branch.CARRIER)
 analytic = moments_analytic(rp)
 
 print("closed forms at the desk point (hbar*nu units):")
@@ -27,18 +26,17 @@ print(f"  skewness = {analytic.skewness:.6f}, halves when the Rabi frequency dou
 
 print("\ndense binomial-trace oracle (80 levels):")
 for order in (1, 2, 3):
-    est = moments_numeric(rp, q, 80, order)
+    est = moments_numeric(rp, 80, order)
     print(f"  order {order}: {est.value:+.12e}  (largest term {est.largest_term:.2e}, "
           f"cancellation x{est.cancellation_ratio:.1f})")
 
 print("\ntwo-point work distribution of a first-sideband quench:")
 rp1 = reduced_from_ratios(10.0, 1.0, 0.7, 1, Branch.JC, nbar=0.38)
-q1 = QuenchSpec(1, Branch.JC)
-pmf = work_pmf_sideband(rp1, q1, 60)
+pmf = work_pmf_sideband(rp1, 60)
 top = np.argsort(pmf.probabilities)[::-1][:5]
 for idx in sorted(top):
     print(f"  W = {pmf.values[idx]:+9.4f}  p = {pmf.probabilities[idx]:.4e}")
 print(f"  ({pmf.values.size} atoms, total probability {pmf.total:.12f})")
 for order in (1, 2, 3):
-    ref = moments_numeric(rp1, q1, 60, order, use_full=False).value
+    ref = moments_numeric(rp1, 60, order, use_full=False).value
     print(f"  moment {order}: pmf {pmf.moment(order):+.10e} vs trace {ref:+.10e}")

@@ -6,7 +6,8 @@ the effective configuration is echoed into CSV header comments.  Config
 precedence is flags > config file > preset > defaults.
 
 Exit codes: 0 ok, 1 verification failure, 2 usage or config error,
-3 non-converged rows present without --allow-nonconverged.
+3 non-converged rows present without --allow-nonconverged, 4 internal error
+(any other exception, reported as one "error:" line).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ _EXIT_OK = 0
 _EXIT_VERIFY_FAIL = 1
 _EXIT_CONFIG = 2
 _EXIT_NONCONVERGED = 3
+_EXIT_INTERNAL = 4
 
 # --threads has no effect (runs are serial); existing command lines still
 # pass it, so it stays parsed and bounded.
@@ -39,6 +41,9 @@ _MAX_THREADS = 64
 # moments --numeric-oracle builds dense 2(nmax+1)-square operators; at this
 # maximum a row takes about 2 s and 114 MB, and the cost grows like nmax^3.
 _MAX_ORACLE_NMAX = 400
+# The divergence scan builds a (10m + 100) x m matrix, so memory grows like
+# m^2; at this maximum a lag row peaks near 37 MB.
+_MAX_SIDEBAND = 200
 
 _PARAM_KEYS = ("nu", "omega0", "omega_rabi", "mass", "phi_angle", "nbar", "beta", "eta")
 
@@ -68,28 +73,49 @@ def _parse_branches(text: str) -> tuple[Branch, ...]:
     return tuple(out)
 
 
+def _check_sidebands(ms: tuple[int, ...], what: str) -> tuple[int, ...]:
+    for m in ms:
+        if not 0 <= m <= _MAX_SIDEBAND:
+            raise ConfigError(f"{what} {m} must lie in [0, {_MAX_SIDEBAND}]")
+    return ms
+
+
 def _parse_ms(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(tok) for tok in text.split(","))
+        ms = tuple(int(tok) for tok in text.split(","))
     except ValueError as exc:
         raise ConfigError(f"bad sideband list {text!r}") from exc
+    return _check_sidebands(ms, "--m")
 
 
-def _read_config_file(path: str) -> dict[str, str]:
-    """Flat key = value file; '#' starts a comment; keys are parameter names."""
-    out: dict[str, str] = {}
-    for raw in Path(path).read_text().splitlines():
+_FLAG_ALIASES = {"omega": "omega_rabi", "phi": "phi_angle"}
+
+
+def _read_config_file(path: str) -> dict[str, float]:
+    """Flat key = value file; '#' starts a comment; keys are parameter names
+    or flag aliases, each given once, with numeric values."""
+    out: dict[str, float] = {}
+    lines: dict[str, int] = {}
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"config line without '=': {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        out[key.replace("-", "_")] = value
+        key = key.replace("-", "_")
+        key = _FLAG_ALIASES.get(key, key)
+        if key not in _PARAM_KEYS:
+            accepted = ", ".join(sorted((*_PARAM_KEYS, *_FLAG_ALIASES)))
+            raise ConfigError(f"unknown config key {key!r} (accepted: {accepted})")
+        if key in lines:
+            raise ConfigError(f"config key {key!r} is set twice in {path}, on lines {lines[key]} and {lineno}")
+        try:
+            out[key] = float(value)
+        except ValueError:
+            raise ConfigError(f"config key {key!r} in {path} has the non-numeric value {value!r}") from None
+        lines[key] = lineno
     return out
-
-
-_FLAG_ALIASES = {"omega": "omega_rabi", "phi": "phi_angle"}
 
 
 def _effective_params(args: argparse.Namespace) -> tuple[dict, dict]:
@@ -114,14 +140,7 @@ def _effective_params(args: argparse.Namespace) -> tuple[dict, dict]:
         if "nbar" in fixed:
             params.pop("beta", None)
         params.update(fixed)
-    explicit: dict = {}
-    if getattr(args, "config", None):
-        for key, raw in _read_config_file(args.config).items():
-            key = _FLAG_ALIASES.get(key, key)
-            if key not in _PARAM_KEYS:
-                accepted = ", ".join(sorted((*_PARAM_KEYS, *_FLAG_ALIASES)))
-                raise ConfigError(f"unknown config key {key!r} (accepted: {accepted})")
-            explicit[key] = float(raw)
+    explicit: dict = _read_config_file(args.config) if getattr(args, "config", None) else {}
     for flag in ("nu", "omega0", "omega", "mass", "phi", "nbar", "beta", "eta"):
         value = getattr(args, flag, None)
         if value is not None:
@@ -275,6 +294,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         grid = tuple(int(round(v)) for v in vals) if args.axis == "m" else tuple(vals.tolist())
     else:
         raise ConfigError("sweep requires --grid or --values")
+    if args.axis == "m":
+        _check_sidebands(grid, "--axis m value")
     branches = _parse_branches(args.branch) if args.branch else (Branch.CARRIER,)
     m_values = _parse_ms(args.m) if args.m else ((0,) if args.axis != "m" else ())
     fixed = {k: v for k, v in params.items() if k != args.axis}
@@ -341,9 +362,9 @@ def _cmd_moments(args: argparse.Namespace) -> int:
                 "w_skewness": moments.skewness,
             }
             if use_oracle:
-                m1 = moments_numeric(rp, rp.quench, n_trunc, 1).value
-                m2 = moments_numeric(rp, rp.quench, n_trunc, 2).value
-                m3 = moments_numeric(rp, rp.quench, n_trunc, 3).value
+                m1 = moments_numeric(rp, n_trunc, 1).value
+                m2 = moments_numeric(rp, n_trunc, 2).value
+                m3 = moments_numeric(rp, n_trunc, 3).value
                 row.update(
                     {
                         "w_mean_numeric": m1,
@@ -372,7 +393,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         for branch in branches:
             for m in m_values:
                 _, rp = reduce_point(params, m, branch, params.get("eta"))
-                table = spectrum_table(rp.m, rp.branch, rp, n_max)
+                table = spectrum_table(rp, n_max)
                 for n, zeta in enumerate(table.edge):
                     writer.write_row(
                         {"branch": rp.branch.value, "m": rp.m, "kind": "edge", "n": n, "mu": float(zeta), "gamma": float("nan")}
@@ -450,6 +471,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
+    except Exception as exc:  # KeyboardInterrupt is not an Exception and stays uncaught
+        message = " ".join(str(exc).split())
+        print(f"error: internal failure ({type(exc).__name__}): {message}", file=sys.stderr)
+        return _EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -164,17 +164,17 @@ class ReducedParams:
     b_nu   beta * hbar * nu
     b_w0   beta * hbar * omega0
     b_om   beta * hbar * omega_rabi
-    b_wl   beta * hbar * omega_laser, equal to b_w0 -+ m*b_nu (JC: -, AJC: +)
     eta    Lamb-Dicke parameter
+    m, branch  the transition the laser drives
 
-    b_wl may be negative when m*nu exceeds omega0 (strong-coupling regimes);
+    b_wl = beta * hbar * omega_laser is derived from these (see the property).
+    It may be negative when m*nu exceeds omega0 (strong-coupling regimes);
     only its square enters the spectra.
     """
 
     b_nu: float
     b_w0: float
     b_om: float
-    b_wl: float
     eta: float
     m: int
     branch: Branch
@@ -188,9 +188,11 @@ class ReducedParams:
         _require(math.isfinite(self.eta), "Lamb-Dicke parameter must be finite")
         _require(self.eta >= 0, "Lamb-Dicke parameter must be nonnegative")
         _require(self.m >= 0, "sideband index must be nonnegative")
-        expected = self.b_w0 + self.branch.sideband_sign * self.m * self.b_nu
-        scale = max(abs(self.b_w0), self.m * self.b_nu, 1.0)
-        _require(abs(self.b_wl - expected) <= 1e-9 * scale, "b_wl inconsistent with branch sign rule")
+
+    @property
+    def b_wl(self) -> float:
+        """beta * hbar * omega_laser = b_w0 -+ m*b_nu (JC: -, AJC: +)."""
+        return self.b_w0 + self.branch.sideband_sign * self.m * self.b_nu
 
     @property
     def nbar(self) -> float:
@@ -215,10 +217,6 @@ class ReducedParams:
     def r_wl(self) -> float:
         """omega_laser / nu (may be negative)."""
         return self.b_wl / self.b_nu
-
-    @property
-    def quench(self) -> QuenchSpec:
-        return QuenchSpec(self.m, self.branch)
 
 
 def eta_from_geometry(cfg: TrapIonConfig, quench: QuenchSpec) -> float:
@@ -247,12 +245,11 @@ def reduce(
     beta_hbar = b_nu / cfg.nu
     b_w0 = beta_hbar * cfg.omega0
     b_om = beta_hbar * cfg.omega_rabi
-    b_wl = b_w0 + quench.branch.sideband_sign * quench.m * b_nu
     eta = eta_override if eta_override is not None else eta_from_geometry(cfg, quench)
-    for name, val in (("b_nu", b_nu), ("b_w0", b_w0), ("b_om", b_om), ("b_wl", b_wl)):
+    for name, val in (("b_nu", b_nu), ("b_w0", b_w0), ("b_om", b_om)):
         if not math.isfinite(val):
             raise ValueError(f"dimensionless group {name} overflowed to a non-finite value")
-    return ReducedParams(b_nu=b_nu, b_w0=b_w0, b_om=b_om, b_wl=b_wl, eta=eta, m=quench.m, branch=quench.branch)
+    return ReducedParams(b_nu=b_nu, b_w0=b_w0, b_om=b_om, eta=eta, m=quench.m, branch=quench.branch)
 
 
 def reduce_point(
@@ -302,12 +299,10 @@ def reduced_from_ratios(
         b_nu = math.log1p(1.0 / nbar)
     _require(b_nu > 0, "b_nu must be positive")
     quench = QuenchSpec(m, branch)
-    b_w0 = b_nu * omega0_over_nu
     return ReducedParams(
         b_nu=b_nu,
-        b_w0=b_w0,
+        b_w0=b_nu * omega0_over_nu,
         b_om=b_nu * omega_rabi_over_nu,
-        b_wl=b_w0 + quench.branch.sideband_sign * quench.m * b_nu,
         eta=eta,
         m=quench.m,
         branch=quench.branch,

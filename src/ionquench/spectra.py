@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import coupling_f, coupling_logabs_sequence, sqrt_shift
-from .params import Branch, QuenchSpec, ReducedParams
+from .params import Branch, ReducedParams
 
 __all__ = [
     "EigenPair",
@@ -72,41 +72,38 @@ class SpectrumTable:
         return list(zip(self.mu.tolist(), self.gamma.tolist()))
 
 
-def _half_splitting(r_wl: float, u: float) -> float:
-    """Half the level splitting sqrt(r_wl^2 + u^2) of a coupled 2x2 block."""
-    return 0.5 * math.hypot(r_wl, u)
-
-
-def sideband_eigenvalues(n: int, m: int, branch: Branch, rp: ReducedParams) -> tuple[float, float]:
+def sideband_eigenvalues(n: int, rp: ReducedParams) -> tuple[float, float]:
     """Eigenvalue pair (mu, gamma) of the coupled block {n, n+m}, in hbar*nu units.
 
     mu = (n + m/2) - s/2 and gamma = (n + m/2) + s/2 with
     s = sqrt((omega_L/nu)^2 + (omega_rabi/nu)^2 |f_n^m|^2); the carrier is the
     m = 0 case of either branch.
     """
-    u = rp.r_om * coupling_f(n, m, rp.eta).magnitude
-    s = 2.0 * _half_splitting(_branch_r_wl(m, branch, rp), u)
-    center = n + 0.5 * m
+    u = rp.r_om * coupling_f(n, rp.m, rp.eta).magnitude
+    s = math.hypot(_branch_r_wl(rp), u)
+    center = n + 0.5 * rp.m
     return center - 0.5 * s, center + 0.5 * s
 
 
-def _branch_r_wl(m: int, branch: Branch, rp: ReducedParams) -> float:
-    """omega_L/nu for an explicit branch choice (carrier maps to m = 0)."""
-    if branch is Branch.CARRIER or m == 0:
-        return rp.r_w0
-    return rp.r_w0 + branch.sideband_sign * m
+def _branch_r_wl(rp: ReducedParams) -> float:
+    """omega_L/nu formed as r_w0 -+ m.
+
+    rp.r_wl = b_wl / b_nu differs from this in the last bit at many
+    frequency ratios, which would change the printed spectra.
+    """
+    return rp.r_w0 + rp.branch.sideband_sign * rp.m
 
 
-def edge_eigenvalues(m: int, branch: Branch, rp: ReducedParams) -> np.ndarray:
+def edge_eigenvalues(rp: ReducedParams) -> np.ndarray:
     """Decoupled edge eigenvalues for n = 0..m-1 in hbar*nu units.
 
     JC leaves |n,g> untouched at n - omega0/(2 nu); AJC leaves |n,e> at
     n + omega0/(2 nu).  Empty for m = 0.
     """
-    if m == 0:
+    if rp.m == 0:
         return np.empty(0)
-    ns = np.arange(m, dtype=float)
-    if branch is Branch.AJC:
+    ns = np.arange(rp.m, dtype=float)
+    if rp.branch is Branch.AJC:
         return ns + 0.5 * rp.r_w0
     return ns - 0.5 * rp.r_w0
 
@@ -118,22 +115,22 @@ def _block_kets(n: int, m: int, branch: Branch) -> tuple[tuple[int, str], tuple[
     return (n, "e"), (n + m, "g")
 
 
-def sideband_eigenvectors(n: int, m: int, branch: Branch, rp: ReducedParams) -> tuple[EigenPair, EigenPair]:
+def sideband_eigenvectors(n: int, rp: ReducedParams) -> tuple[EigenPair, EigenPair]:
     """Normalized eigenvectors of the coupled 2x2 block, as (mu pair, gamma pair).
 
     At a coupling zero (f_n^m = 0) the block is already diagonal and the bare
     kets are returned with their diagonal energies.
     """
-    ket_e, ket_g = _block_kets(n, m, branch)
+    ket_e, ket_g = _block_kets(n, rp.m, rp.branch)
     a = ket_e[0] + 0.5 * rp.r_w0  # excited-ket diagonal energy
     b = ket_g[0] - 0.5 * rp.r_w0
-    f = coupling_f(n, m, rp.eta)
+    f = coupling_f(n, rp.m, rp.eta)
     f_c = f.as_complex()
-    if branch is Branch.AJC and m > 0:
+    if rp.branch is Branch.AJC and rp.m > 0:
         f_c = f_c.conjugate()
     c = 0.5 * rp.r_om * f_c
 
-    mu_val, gamma_val = sideband_eigenvalues(n, m, branch, rp)
+    mu_val, gamma_val = sideband_eigenvalues(n, rp)
     if c == 0:
         lo, hi = ((ket_e, a), (ket_g, b)) if a <= b else ((ket_g, b), (ket_e, a))
         return (
@@ -160,18 +157,17 @@ def sideband_eigenvectors(n: int, m: int, branch: Branch, rp: ReducedParams) -> 
     return _normalized(mu_val, d_mu), _normalized(gamma_val, d_gamma)
 
 
-def spectrum_table(m: int, branch: Branch, rp: ReducedParams, n_trunc: int) -> SpectrumTable:
+def spectrum_table(rp: ReducedParams, n_trunc: int) -> SpectrumTable:
     """Analytic spectrum: edge values plus (mu_n, gamma_n) for n = 0..n_trunc."""
-    signs, log_mags = coupling_logabs_sequence(n_trunc, m, rp.eta)
+    signs, log_mags = coupling_logabs_sequence(n_trunc, rp.m, rp.eta)
     u = rp.r_om * np.where(signs == 0, 0.0, np.exp(log_mags))
-    r_wl = _branch_r_wl(m, branch, rp)
-    s = np.hypot(r_wl, u)
-    centers = np.arange(n_trunc + 1, dtype=float) + 0.5 * m
+    s = np.hypot(_branch_r_wl(rp), u)
+    centers = np.arange(n_trunc + 1, dtype=float) + 0.5 * rp.m
     return SpectrumTable(
-        branch=branch,
-        m=m,
+        branch=rp.branch,
+        m=rp.m,
         n_trunc=n_trunc,
-        edge=edge_eigenvalues(m, branch, rp),
+        edge=edge_eigenvalues(rp),
         mu=centers - 0.5 * s,
         gamma=centers + 0.5 * s,
     )
@@ -224,13 +220,13 @@ class DenseQuench:
     tail_warning: bool
 
 
-def dense_hamiltonians(rp: ReducedParams, quench: QuenchSpec, n_trunc: int) -> DenseQuench:
+def dense_hamiltonians(rp: ReducedParams, n_trunc: int) -> DenseQuench:
     """Build the dense pre/post-quench operators and the initial Gibbs state.
 
     Requires n_trunc >= m + 2.  Sets tail_warning when the thermal occupation
     beyond the truncation exceeds 1e-12 of the total.
     """
-    m = quench.m
+    m = rp.m
     if n_trunc < m + 2:
         raise ValueError("n_trunc must be at least m + 2")
     dim = 2 * (n_trunc + 1)
@@ -252,7 +248,7 @@ def dense_hamiltonians(rp: ReducedParams, quench: QuenchSpec, n_trunc: int) -> D
     signs, log_mags = coupling_logabs_sequence(n_trunc - m, m, rp.eta)
     f_vals = (1j ** (m % 4)) * signs * np.exp(log_mags)
     ks = np.arange(n_trunc + 1 - m)
-    if quench.branch is Branch.AJC and m > 0:
+    if rp.branch is Branch.AJC and m > 0:
         rows, cols = ket_index(m, "e") + 2 * ks, ket_index(0, "g") + 2 * ks
         h_side[rows, cols] += 0.5 * rp.r_om * f_vals.conj()
         h_side[cols, rows] += 0.5 * rp.r_om * f_vals
@@ -284,21 +280,20 @@ def dense_hamiltonians(rp: ReducedParams, quench: QuenchSpec, n_trunc: int) -> D
     )
 
 
-def analytic_dense_spectrum(m: int, branch: Branch, rp: ReducedParams, n_trunc: int) -> np.ndarray:
+def analytic_dense_spectrum(rp: ReducedParams, n_trunc: int) -> np.ndarray:
     """Predicted eigenvalue multiset of the truncated sideband Hamiltonian.
 
     Edge values, coupled pairs for blocks fully inside the truncation, and the
     bare diagonal energies of the boundary kets whose partners fall outside.
     Sorted ascending; length equals the dense dimension 2(n_trunc + 1).
     """
-    vals = [edge_eigenvalues(m, branch, rp)]
-    table = spectrum_table(m, branch, rp, n_trunc)
+    m = rp.m
+    table = spectrum_table(rp, n_trunc)
     inside = slice(0, n_trunc - m + 1)
-    vals.append(table.mu[inside])
-    vals.append(table.gamma[inside])
+    vals = [table.edge, table.mu[inside], table.gamma[inside]]
     if m > 0:
         ns = np.arange(n_trunc - m + 1, n_trunc + 1, dtype=float)
-        if branch is Branch.AJC:
+        if rp.branch is Branch.AJC:
             vals.append(ns - 0.5 * rp.r_w0)  # unpaired ground kets
         else:
             vals.append(ns + 0.5 * rp.r_w0)  # unpaired excited kets

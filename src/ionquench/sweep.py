@@ -145,7 +145,7 @@ def evaluate_point(point: Mapping, policy: TruncationPolicy | None = None, with_
         n_used=result.truncation.n_used,
         tail_bound_log=result.truncation.tail_bound_log,
         converged=result.truncation.converged,
-        divergence_predicted=result.regime_flags["divergence_predicted"],
+        divergence_predicted=result.divergence_predicted,
         w_mean=moments.mean if moments else None,
         w_second=moments.second if moments else None,
         w_third=moments.third if moments else None,

@@ -29,12 +29,12 @@ term assembly is kept as assembly="direct" for cross-validation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .numerics import LAGUERRE_START, LaguerreState, coupling_logabs_sequence, lnsinh, sqrt_excess
-from .params import Branch, QuenchSpec, ReducedParams, TrapIonConfig
+from .params import Branch, ReducedParams, TrapIonConfig
 
 __all__ = [
     "TruncationPolicy",
@@ -134,11 +134,11 @@ class LogPartition:
 
 @dataclass(frozen=True)
 class LagResult:
-    """Nonequilibrium lag (nats) with truncation and regime metadata."""
+    """Nonequilibrium lag (nats), its truncation, and whether it diverges as T -> 0."""
 
     value: float
     truncation: TruncationReport
-    regime_flags: dict = field(default_factory=dict)
+    divergence_predicted: bool
 
 
 @dataclass(frozen=True)
@@ -424,7 +424,6 @@ def _edge_shifted_log(rp: ReducedParams) -> float:
 
 def ln_partition_final(
     rp: ReducedParams,
-    quench: QuenchSpec | None = None,
     policy: TruncationPolicy | None = None,
     assembly: str = "excess",
 ) -> LogPartition:
@@ -436,8 +435,6 @@ def ln_partition_final(
     literally, in fixed ascending order, and exists to cross-check the
     default path.
     """
-    if quench is not None and (quench.m != rp.m or quench.branch is not rp.branch):
-        raise ValueError("quench spec disagrees with the reduced parameters")
     policy = policy or TruncationPolicy()
     if assembly == "excess":
         ln_zi, lag, report = _excess_lag(rp, policy)
@@ -477,26 +474,15 @@ def _ln_partition_final_direct(rp: ReducedParams, policy: TruncationPolicy) -> L
     return LogPartition(shifted_log=total, shift_reference=0.5 * rp.b_w0, truncation=report)
 
 
-def nonequilibrium_lag(
-    rp: ReducedParams,
-    quench: QuenchSpec | None = None,
-    policy: TruncationPolicy | None = None,
-) -> LagResult:
+def nonequilibrium_lag(rp: ReducedParams, policy: TruncationPolicy | None = None) -> LagResult:
     """Lag log(Z_final / Z_initial) >= 0 for the sudden sideband quench.
 
     The shifts cancel exactly; the value is log1p(excess / Z_initial), so the
     decoupled limits (omega_rabi -> 0, eta -> infinity, JC sideband with
     eta -> 0) return exactly zero.
     """
-    if quench is not None and (quench.m != rp.m or quench.branch is not rp.branch):
-        raise ValueError("quench spec disagrees with the reduced parameters")
     _, value, report = _excess_lag(rp, policy or TruncationPolicy())
-    predicate = divergence_predicate_reduced(rp)
-    return LagResult(
-        value=value,
-        truncation=report,
-        regime_flags={"divergence_predicted": predicate.diverges},
-    )
+    return LagResult(value=value, truncation=report, divergence_predicted=divergence_predicate_reduced(rp).diverges)
 
 
 # -- low-temperature classification -------------------------------------------
@@ -542,22 +528,15 @@ def phi(
 _PHI_ZERO_TOL = 1e-9
 
 
-def _phi_scan(
-    m: int,
-    branch: Branch,
-    r_w0: float,
-    r_om: float,
-    eta: float,
-    n_scan_max: int,
-) -> tuple[list[int], list[int]]:
-    """(strictly negative witnesses, zero crossings) of Phi_n^m for n <= n_scan_max.
+def _phi_scan(m: int, branch: Branch, r_w0: float, r_om: float, eta: float) -> tuple[list[int], list[int]]:
+    """(strictly negative witnesses, zero crossings) of Phi_n^m for n <= default_scan_bound(m).
 
     A value counts as zero when it is below 1e-9 of the two quantities whose
     difference it is (the level ladder nu(2n+m) -+ m nu and the dressed-
     splitting excess); measuring against omega0 instead would swallow every
     trap-scale value once omega0/nu is large.
     """
-    ladder, excess = _phi_parts(m, branch, r_w0, r_om, eta, n_scan_max)
+    ladder, excess = _phi_parts(m, branch, r_w0, r_om, eta, default_scan_bound(m))
     values = ladder - excess
     is_zero = np.abs(values) <= _PHI_ZERO_TOL * (np.abs(ladder) + np.abs(excess))
     is_neg = (values < 0) & ~is_zero
@@ -570,24 +549,18 @@ def default_scan_bound(m: int) -> int:
     return 10 * m + 100
 
 
-def _coupling_alive(m: int, branch: Branch, r_om: float, eta: float) -> bool:
+def _coupling_alive(m: int, r_om: float, eta: float) -> bool:
     """Whether any f_n^m is nonzero: carrier always couples, sidebands need eta > 0."""
     if r_om <= 0:
         return False
     return m == 0 or eta > 0
 
 
-def divergence_predicate_reduced(rp: ReducedParams, n_scan_max: int | None = None) -> DivergenceReport:
-    return _divergence_core(rp.m, rp.branch, rp.r_w0, rp.r_om, rp.eta, n_scan_max)
+def divergence_predicate_reduced(rp: ReducedParams) -> DivergenceReport:
+    return _divergence_core(rp.m, rp.branch, rp.r_w0, rp.r_om, rp.eta)
 
 
-def divergence_predicate(
-    m: int,
-    branch: Branch,
-    cfg: TrapIonConfig,
-    eta: float,
-    n_scan_max: int | None = None,
-) -> DivergenceReport:
+def divergence_predicate(m: int, branch: Branch, cfg: TrapIonConfig, eta: float) -> DivergenceReport:
     """Does the lag diverge as the temperature goes to zero?
 
     AJC and carrier quenches with live coupling always do (the lowest
@@ -595,48 +568,32 @@ def divergence_predicate(
     Phi_n^m turns negative, equivalently
     |f_n^m| > (2/omega_rabi) sqrt(nu (omega0 + n nu)(n+m)) for some n.
     """
-    return _divergence_core(m, branch, cfg.omega0 / cfg.nu, cfg.omega_rabi / cfg.nu, eta, n_scan_max)
+    return _divergence_core(m, branch, cfg.omega0 / cfg.nu, cfg.omega_rabi / cfg.nu, eta)
 
 
-def _divergence_core(
-    m: int,
-    branch: Branch,
-    r_w0: float,
-    r_om: float,
-    eta: float,
-    n_scan_max: int | None,
-) -> DivergenceReport:
-    bound = n_scan_max if n_scan_max is not None else default_scan_bound(m)
-    if bound < 1:
-        raise ValueError("n_scan_max must be at least 1")
-    if not _coupling_alive(m, branch, r_om, eta):
+def _divergence_core(m: int, branch: Branch, r_w0: float, r_om: float, eta: float) -> DivergenceReport:
+    bound = default_scan_bound(m)
+    if not _coupling_alive(m, r_om, eta):
         return DivergenceReport(diverges=False, witnesses=[], n_scanned=bound)
-    negative, _ = _phi_scan(m, branch, r_w0, r_om, eta, bound)
+    negative, _ = _phi_scan(m, branch, r_w0, r_om, eta)
     if branch is Branch.JC and m > 0:
         return DivergenceReport(diverges=bool(negative), witnesses=negative, n_scanned=bound)
     # AJC and carrier: Phi_0 < 0 whenever the coupling is live.
     return DivergenceReport(diverges=True, witnesses=negative, n_scanned=bound)
 
 
-def low_temperature_limit(
-    m: int,
-    branch: Branch,
-    cfg: TrapIonConfig,
-    eta: float,
-    n_scan_max: int | None = None,
-) -> LowTemperatureLimit:
+def low_temperature_limit(m: int, branch: Branch, cfg: TrapIonConfig, eta: float) -> LowTemperatureLimit:
     """Zero-temperature limit of the lag: log(1 + k) when finite.
 
     k counts the exponents Phi_n^m within the documented zero tolerance.
     AJC and carrier quenches with live coupling never stay finite.
     """
-    bound = n_scan_max if n_scan_max is not None else default_scan_bound(m)
     r_w0, r_om = cfg.omega0 / cfg.nu, cfg.omega_rabi / cfg.nu
-    if not _coupling_alive(m, branch, r_om, eta):
+    if not _coupling_alive(m, r_om, eta):
         return LowTemperatureLimit(finite=True, limit_value=0.0, zero_count=0, negative_witnesses=[])
     if branch is not Branch.JC or m == 0:
         return LowTemperatureLimit(finite=False, limit_value=None, zero_count=0, negative_witnesses=[0])
-    negative, zeros = _phi_scan(m, branch, r_w0, r_om, eta, bound)
+    negative, zeros = _phi_scan(m, branch, r_w0, r_om, eta)
     if negative:
         return LowTemperatureLimit(finite=False, limit_value=None, zero_count=len(zeros), negative_witnesses=negative)
     return LowTemperatureLimit(
@@ -679,11 +636,7 @@ class NuToZeroResult:
     truncation: TruncationReport
 
 
-def nu_to_zero_limit(
-    rp: ReducedParams,
-    quench: QuenchSpec | None = None,
-    policy: TruncationPolicy | None = None,
-) -> NuToZeroResult:
+def nu_to_zero_limit(rp: ReducedParams, policy: TruncationPolicy | None = None) -> NuToZeroResult:
     """Vanishing-trap-frequency limit of the lag at fixed eta, b_w0 and b_om.
 
     With the motional spacing gone, every mode contributes
@@ -699,11 +652,9 @@ def nu_to_zero_limit(
     mode then contributes exactly 1 and the unnormalized sum diverges with no
     finite limit content.
     """
-    if quench is not None and (quench.m != rp.m or quench.branch is not rp.branch):
-        raise ValueError("quench spec disagrees with the reduced parameters")
     policy = policy or TruncationPolicy()
     n_terms = policy.n_pinned if policy.n_pinned is not None else 512
-    if not _coupling_alive(rp.m, rp.branch, rp.r_om, rp.eta):
+    if not _coupling_alive(rp.m, rp.r_om, rp.eta):
         raise ValueError(
             "omega_rabi * |f_n^m| vanishes identically; the small-nu limit needs decaying coupling terms"
         )

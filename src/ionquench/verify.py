@@ -9,13 +9,13 @@ are deterministic for a given seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
 from . import numerics, spectra, thermo, workstats
-from .params import Branch, QuenchSpec, ReducedParams, ThermalSpec, reduce_point, reduced_from_ratios
+from .params import Branch, ReducedParams, ThermalSpec, reduce_point, reduced_from_ratios
 from .presets import FIG1_CONFIG
 
 __all__ = ["CheckResult", "run_checks", "FAST_CHECKS", "FULL_ONLY_CHECKS"]
@@ -195,12 +195,11 @@ def check_spectrum_dense_oracle(rng) -> CheckResult:
     for m in range(4):
         for branch in (Branch.JC, Branch.AJC):
             for eta in (0.1, 0.5, 1.5):
-                rp = _desk(m, branch if m > 0 else Branch.CARRIER, eta)
-                q = QuenchSpec(m, branch if m > 0 else Branch.CARRIER)
+                rp = _desk(m, branch, eta)
                 n_trunc = 60
-                dense = spectra.dense_hamiltonians(rp, q, n_trunc)
+                dense = spectra.dense_hamiltonians(rp, n_trunc)
                 evals = np.linalg.eigvalsh(dense.h_final_sideband)
-                pred = spectra.analytic_dense_spectrum(q.m, q.branch, rp, n_trunc)
+                pred = spectra.analytic_dense_spectrum(rp, n_trunc)
                 dev = np.max(np.abs(evals - pred) / np.maximum(np.abs(evals), 1.0))
                 worst = max(worst, float(dev))
     return CheckResult("spectrum_vs_dense_oracle", worst <= 1e-10, f"max rel dev {worst:.2e}")
@@ -214,11 +213,11 @@ def check_eigenvector_residuals(rng) -> CheckResult:
         branch = (Branch.JC, Branch.AJC)[int(rng.integers(0, 2))] if m > 0 else Branch.CARRIER
         eta = float(rng.uniform(0.05, 2.0))
         rp = _desk(m, branch, eta)
-        dense = spectra.dense_hamiltonians(rp, QuenchSpec(m, branch), n_trunc)
+        dense = spectra.dense_hamiltonians(rp, n_trunc)
         h = dense.h_final_sideband
         h_norm = float(np.linalg.norm(h, 2))
         for n in range(0, n_trunc - m - 1, 7):
-            for pair in spectra.sideband_eigenvectors(n, m, branch, rp):
+            for pair in spectra.sideband_eigenvectors(n, rp):
                 vec = pair.as_dense(n_trunc)
                 resid = float(np.linalg.norm(h @ vec - pair.value * vec))
                 worst = max(worst, resid / h_norm)
@@ -232,13 +231,13 @@ def check_eigenvector_completeness(rng) -> CheckResult:
         rp = _desk(m, branch, 0.8)
         dim = 2 * (n_trunc + 1)
         acc = np.zeros((dim, dim), dtype=complex)
-        for zeta, n in zip(spectra.edge_eigenvalues(m, branch, rp), range(m)):
+        for zeta, n in zip(spectra.edge_eigenvalues(rp), range(m)):
             level = "e" if branch is Branch.AJC else "g"
             vec = np.zeros(dim, dtype=complex)
             vec[spectra.ket_index(n, level)] = 1.0
             acc += np.outer(vec, vec.conj())
         for n in range(n_trunc - m + 1):
-            for pair in spectra.sideband_eigenvectors(n, m, branch, rp):
+            for pair in spectra.sideband_eigenvectors(n, rp):
                 vec = pair.as_dense(n_trunc)
                 acc += np.outer(vec, vec.conj())
         interior = slice(0, 2 * (n_trunc - m + 1))
@@ -249,7 +248,7 @@ def check_eigenvector_completeness(rng) -> CheckResult:
 
 def check_block_sparsity(rng) -> CheckResult:
     rp = _desk(2, Branch.JC, 0.9)
-    dense = spectra.dense_hamiltonians(rp, QuenchSpec(2, Branch.JC), 30)
+    dense = spectra.dense_hamiltonians(rp, 30)
     h = dense.h_final_sideband.copy()
     n_trunc = 30
     for n in range(n_trunc + 1):
@@ -264,10 +263,11 @@ def check_block_sparsity(rng) -> CheckResult:
 
 def check_carrier_branch_consistency(rng) -> CheckResult:
     rp = _desk(0, Branch.CARRIER, 0.6)
+    as_jc, as_ajc = replace(rp, branch=Branch.JC), replace(rp, branch=Branch.AJC)
     worst = 0.0
     for n in (0, 3, 11):
-        jc = spectra.sideband_eigenvalues(n, 0, Branch.JC, rp)
-        ajc = spectra.sideband_eigenvalues(n, 0, Branch.AJC, rp)
+        jc = spectra.sideband_eigenvalues(n, as_jc)
+        ajc = spectra.sideband_eigenvalues(n, as_ajc)
         worst = max(worst, abs(jc[0] - ajc[0]), abs(jc[1] - ajc[1]))
     return CheckResult("carrier_branch_consistency", worst == 0.0, f"max dev {worst:.1e}")
 
@@ -276,9 +276,8 @@ def check_partition_dense_oracle(rng) -> CheckResult:
     worst = 0.0
     for m in range(3):
         for branch in (Branch.JC, Branch.AJC):
-            q = QuenchSpec(m, branch)
-            rp = _desk(q.m, q.branch, 0.8)
-            dense = spectra.dense_hamiltonians(rp, q, 70)
+            rp = _desk(m, branch, 0.8)
+            dense = spectra.dense_hamiltonians(rp, 70)
             evals = np.linalg.eigvalsh(dense.h_final_sideband)
             ln_z_dense = numerics.log_sum_exp(-rp.b_nu * evals) - 0.5 * rp.b_w0
             ln_z = thermo.ln_partition_final(rp).shifted_log
@@ -309,12 +308,11 @@ def check_moment_oracle(rng) -> CheckResult:
     ]
     for r_w0, r_om, eta, nbar in cases:
         rp = reduced_from_ratios(r_w0, r_om, eta, 0, Branch.CARRIER, nbar=nbar)
-        q = QuenchSpec(0, Branch.CARRIER)
         analytic = workstats.moments_analytic(rp)
-        h_norm = float(np.linalg.norm(spectra.dense_hamiltonians(rp, q, 80).h_final_full, 2))
-        m1 = workstats.moments_numeric(rp, q, 80, 1).value
-        m2 = workstats.moments_numeric(rp, q, 80, 2).value
-        m3 = workstats.moments_numeric(rp, q, 80, 3).value
+        h_norm = float(np.linalg.norm(spectra.dense_hamiltonians(rp, 80).h_final_full, 2))
+        m1 = workstats.moments_numeric(rp, 80, 1).value
+        m2 = workstats.moments_numeric(rp, 80, 2).value
+        m3 = workstats.moments_numeric(rp, 80, 3).value
         worst1 = max(worst1, abs(m1) / h_norm)
         worst2 = max(worst2, abs(m2 - analytic.second) / analytic.second)
         worst3 = max(worst3, abs(m3 - analytic.third) / analytic.third)
@@ -325,12 +323,11 @@ def check_moment_oracle(rng) -> CheckResult:
 def check_pmf_consistency(rng) -> CheckResult:
     worst = 0.0
     for m, branch in ((1, Branch.JC), (2, Branch.AJC), (0, Branch.CARRIER)):
-        q = QuenchSpec(m, branch)
-        rp = _desk(q.m, q.branch, 0.7)
-        pmf = workstats.work_pmf_sideband(rp, q, 60)
-        scale = max(workstats.moments_numeric(rp, q, 60, 2, use_full=False).value, 1e-12)
+        rp = _desk(m, branch, 0.7)
+        pmf = workstats.work_pmf_sideband(rp, 60)
+        scale = max(workstats.moments_numeric(rp, 60, 2, use_full=False).value, 1e-12)
         for order in (1, 2, 3):
-            ref = workstats.moments_numeric(rp, q, 60, order, use_full=False).value
+            ref = workstats.moments_numeric(rp, 60, order, use_full=False).value
             got = pmf.moment(order)
             worst = max(worst, abs(got - ref) / max(abs(ref), scale ** (order / 2.0)))
         worst = max(worst, abs(pmf.total - 1.0))

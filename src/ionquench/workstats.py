@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import Branch, QuenchSpec, ReducedParams
+from .params import Branch, ReducedParams
 from .spectra import dense_hamiltonians, sideband_eigenvectors
 
 __all__ = [
@@ -67,13 +67,7 @@ def moments_analytic(rp: ReducedParams) -> WorkMoments:
     return WorkMoments(mean=0.0, second=second, third=third, skewness=skew)
 
 
-def moments_numeric(
-    rp: ReducedParams,
-    quench: QuenchSpec,
-    n_trunc: int,
-    order: int,
-    use_full: bool = True,
-) -> MomentEstimate:
+def moments_numeric(rp: ReducedParams, n_trunc: int, order: int, use_full: bool = True) -> MomentEstimate:
     """Binomial trace evaluation of <W^order> on dense truncated operators.
 
     use_full selects the full exponential coupling as the quench target;
@@ -83,7 +77,7 @@ def moments_numeric(
     """
     if not 1 <= order <= MAX_NUMERIC_ORDER:
         raise ValueError(f"moment order must be in 1..{MAX_NUMERIC_ORDER}")
-    ops = dense_hamiltonians(rp, quench, n_trunc)
+    ops = dense_hamiltonians(rp, n_trunc)
     h_f = ops.h_final_full if use_full else ops.h_final_sideband
     h_i_diag = np.real(np.diag(ops.h_initial))
     weights = np.real(np.diag(ops.rho_initial))
@@ -134,7 +128,7 @@ class WorkPMF:
         return float(np.sum(self.probabilities))
 
 
-def work_pmf_sideband(rp: ReducedParams, quench: QuenchSpec, n_trunc: int) -> WorkPMF:
+def work_pmf_sideband(rp: ReducedParams, n_trunc: int) -> WorkPMF:
     """Work distribution for a sideband quench from the analytic eigenpairs.
 
     Initial energy eigenstates |n, g/e> are drawn from the Gibbs weights; the
@@ -143,7 +137,6 @@ def work_pmf_sideband(rp: ReducedParams, quench: QuenchSpec, n_trunc: int) -> Wo
     energy magnitude are merged (exact degeneracies, e.g. zero-work edge
     events, collapse to one atom).
     """
-    m = quench.m
     thermal_base = -math.expm1(-rp.b_nu)
     p_g = 1.0 / (1.0 + math.exp(-rp.b_w0))
     p_e = 1.0 - p_g
@@ -168,12 +161,12 @@ def work_pmf_sideband(rp: ReducedParams, quench: QuenchSpec, n_trunc: int) -> Wo
 
         for level, e_init, p_level in (("g", e_g, p_g), ("e", e_e, p_e)):
             prob0 = p_th * p_level
-            block_n = _initial_block(n, level, m, quench)
+            block_n = _initial_block(n, level, rp)
             if block_n is None:
                 # Bare edge ket: eigenstate of both Hamiltonians, zero work.
                 _emit(prob0, 0.0, e_init)
                 continue
-            pair_lo, pair_hi = sideband_eigenvectors(block_n, m, quench.branch, rp)
+            pair_lo, pair_hi = sideband_eigenvectors(block_n, rp)
             for pair in (pair_lo, pair_hi):
                 amp = pair.amplitudes.get((n, level), 0.0)
                 _emit(prob0 * abs(amp) ** 2, pair.value - e_init, e_init, pair.value)
@@ -202,9 +195,10 @@ def work_pmf_sideband(rp: ReducedParams, quench: QuenchSpec, n_trunc: int) -> Wo
     )
 
 
-def _initial_block(n: int, level: str, m: int, quench: QuenchSpec) -> int | None:
+def _initial_block(n: int, level: str, rp: ReducedParams) -> int | None:
     """Index of the 2x2 block containing |n, level>, or None for a bare edge ket."""
-    if quench.branch is Branch.AJC and m > 0:
+    m = rp.m
+    if rp.branch is Branch.AJC and m > 0:
         if level == "g":
             return n
         return n - m if n >= m else None

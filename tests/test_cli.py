@@ -114,6 +114,20 @@ class TestLagCommand:
         assert f"unknown config key {line.split()[0]!r}" in err
         assert "accepted: beta, eta, mass, nbar, nu, omega, omega0, omega_rabi, phi, phi_angle" in err
 
+    def test_config_file_non_numeric_value(self, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text("nbar = abc\n")
+        assert main(["lag", "--config", str(conf), "--out", str(tmp_path / "row.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "'nbar'" in err and str(conf) in err
+
+    def test_config_file_repeated_key(self, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text("nbar = 0.5\n# comment line\nnbar = 2\n")
+        assert main(["lag", "--config", str(conf), "--out", str(tmp_path / "row.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "'nbar'" in err and "lines 1 and 3" in err
+
 
 class TestInputValidation:
     @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
@@ -157,6 +171,36 @@ class TestInputValidation:
         # A single-point call: a build without the bound starts one worker at most.
         assert main(["lag", "--threads", threads]) == 2
         assert f"--threads {threads} must lie in [1, 64]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lag", "--m", str(cli._MAX_SIDEBAND + 1), "--branch", "jc", "--eta", "0.5"],
+            ["sweep", "--axis", "m", "--values", f"1,{cli._MAX_SIDEBAND + 1}", "--branch", "ajc", "--eta", "0.5"],
+        ],
+    )
+    def test_sideband_index_above_maximum_rejected(self, argv, tmp_path, capsys):
+        # Rejected before the (10m + 100) x m divergence scan is built.
+        out = tmp_path / "rows.csv"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert f"{cli._MAX_SIDEBAND + 1} must lie in [0, {cli._MAX_SIDEBAND}]" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["lag", "sweep"])
+    def test_sideband_index_at_maximum_runs(self, command, tmp_path):
+        out = tmp_path / "rows.csv"
+        m = str(cli._MAX_SIDEBAND)
+        axis = ["--axis", "m", "--values", m] if command == "sweep" else ["--m", m]
+        assert main([command, *axis, "--branch", "jc", "--eta", "0.5", "--out", str(out)]) == 0
+        assert [r["m"] for r in read_csv(out)] == [m]
+
+    def test_unexpected_exception_is_one_error_line(self, tmp_path, capsys):
+        # eta = 1e200 overflows the dense oracle's coupling matrix.
+        out = tmp_path / "m.csv"
+        assert main(["moments", "--desk-scale", "--numeric-oracle", "--eta", "1e200", "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_extreme_temperature_is_not_a_domain_error(self, capsys):
         # beta = 2 /J puts b_w0 near 5e-19, where e^(-2a) rounds to 1.

@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ionquench.numerics import coupling_f
-from ionquench.params import Branch, QuenchSpec, reduced_from_ratios
+from ionquench.params import Branch, reduced_from_ratios
 from ionquench.spectra import (
     dense_hamiltonians,
     displacement_element,
@@ -21,7 +22,7 @@ from conftest import branch_for, desk_reduced
 class TestSidebandEigenvalues:
     def test_zero_rabi_limit(self):
         rp = desk_reduced(1, Branch.JC, 0.5, r_om=0.0)
-        mu, gamma = sideband_eigenvalues(3, 1, Branch.JC, rp)
+        mu, gamma = sideband_eigenvalues(3, rp)
         r_wl = rp.r_w0 - 1
         assert mu == pytest.approx(3.5 - r_wl / 2, rel=1e-14)
         assert gamma == pytest.approx(3.5 + r_wl / 2, rel=1e-14)
@@ -30,19 +31,19 @@ class TestSidebandEigenvalues:
         for m, branch in ((1, Branch.JC), (3, Branch.AJC), (0, Branch.CARRIER)):
             rp = desk_reduced(m, branch, 1.1)
             for n in (0, 2, 9):
-                mu, gamma = sideband_eigenvalues(n, m, branch, rp)
+                mu, gamma = sideband_eigenvalues(n, rp)
                 assert mu + gamma == pytest.approx(2 * (n + m / 2), rel=1e-13)
 
     def test_ordering(self):
         rp = desk_reduced(2, Branch.AJC, 0.9)
-        table = spectrum_table(2, Branch.AJC, rp, 30)
+        table = spectrum_table(rp, 30)
         assert np.all(table.mu <= table.gamma)
         assert len(table.edge) == 2
 
     def test_negative_laser_frequency_regime(self):
         # Trap frequency above the transition frequency: omega_L < 0 for JC m=2.
         rp = reduced_from_ratios(1.0 / 1.2, 0.5e9 / 1.2e8, 1.5, 2, Branch.JC, nbar=0.5)
-        mu, gamma = sideband_eigenvalues(0, 2, Branch.JC, rp)
+        mu, gamma = sideband_eigenvalues(0, rp)
         s = math.hypot(rp.r_wl, rp.r_om * coupling_f(0, 2, 1.5).magnitude)
         assert gamma - mu == pytest.approx(s, rel=1e-13)
 
@@ -50,23 +51,23 @@ class TestSidebandEigenvalues:
 class TestEdgeEigenvalues:
     def test_carrier_has_no_edge(self):
         rp = desk_reduced(0, Branch.CARRIER, 0.4)
-        assert edge_eigenvalues(0, Branch.CARRIER, rp).size == 0
+        assert edge_eigenvalues(rp).size == 0
 
     def test_jc_edge_values(self):
         rp = desk_reduced(2, Branch.JC, 0.4)
-        edge = edge_eigenvalues(2, Branch.JC, rp)
+        edge = edge_eigenvalues(rp)
         assert edge.tolist() == pytest.approx([-rp.r_w0 / 2, 1 - rp.r_w0 / 2], rel=1e-14)
 
     def test_ajc_edge_values(self):
         rp = desk_reduced(1, Branch.AJC, 0.4)
-        edge = edge_eigenvalues(1, Branch.AJC, rp)
+        edge = edge_eigenvalues(rp)
         assert edge.tolist() == pytest.approx([rp.r_w0 / 2], rel=1e-14)
 
 
 class TestSidebandEigenvectors:
     def test_decoupled_limit_returns_bare_kets(self):
         rp = desk_reduced(2, Branch.JC, 0.7, r_om=0.0)
-        lo, hi = sideband_eigenvectors(1, 2, Branch.JC, rp)
+        lo, hi = sideband_eigenvectors(1, rp)
         assert lo.amplitudes == {(3, "g"): 1.0 + 0.0j}
         assert hi.amplitudes == {(1, "e"): 1.0 + 0.0j}
         assert lo.value < hi.value
@@ -78,7 +79,7 @@ class TestSidebandEigenvectors:
             branch = branch_for(m, Branch.JC if rng.integers(0, 2) else Branch.AJC)
             rp = desk_reduced(m, branch, float(rng.uniform(0.01, 2.5)), r_om=float(rng.uniform(0.1, 20.0)))
             n = int(rng.integers(0, 12))
-            lo, hi = sideband_eigenvectors(n, m, branch, rp)
+            lo, hi = sideband_eigenvectors(n, rp)
             vec_lo, vec_hi = lo.as_dense(n + m), hi.as_dense(n + m)
             assert np.vdot(vec_lo, vec_lo) == pytest.approx(1.0, abs=1e-12)
             assert np.vdot(vec_hi, vec_hi) == pytest.approx(1.0, abs=1e-12)
@@ -88,11 +89,11 @@ class TestSidebandEigenvectors:
         n_trunc = 40
         for m, branch, eta in ((1, Branch.JC, 0.9), (2, Branch.AJC, 1.4), (0, Branch.CARRIER, 0.3)):
             rp = desk_reduced(m, branch, eta)
-            dense = dense_hamiltonians(rp, QuenchSpec(m, branch), n_trunc)
+            dense = dense_hamiltonians(rp, n_trunc)
             h = dense.h_final_sideband
             h_norm = np.linalg.norm(h, 2)
             for n in (0, 3, 10):
-                for pair in sideband_eigenvectors(n, m, branch, rp):
+                for pair in sideband_eigenvectors(n, rp):
                     vec = pair.as_dense(n_trunc)
                     assert np.linalg.norm(h @ vec - pair.value * vec) <= 1e-10 * h_norm
 
@@ -101,7 +102,7 @@ class TestSidebandEigenvectors:
         # the carrier block at n = 1 is then diagonal.
         assert coupling_f(1, 0, 1.0).sign == 0
         rp = desk_reduced(0, Branch.CARRIER, 1.0)
-        lo, hi = sideband_eigenvectors(1, 0, Branch.CARRIER, rp)
+        lo, hi = sideband_eigenvectors(1, rp)
         assert set(lo.amplitudes) | set(hi.amplitudes) == {(1, "e"), (1, "g")}
         assert lo.value == pytest.approx(1 - rp.r_w0 / 2, rel=1e-14)
         assert hi.value == pytest.approx(1 + rp.r_w0 / 2, rel=1e-14)
@@ -134,36 +135,36 @@ class TestDisplacement:
 class TestDenseHamiltonians:
     def test_zero_rabi_collapses_to_initial(self):
         rp = desk_reduced(1, Branch.JC, 0.5, r_om=0.0)
-        ops = dense_hamiltonians(rp, QuenchSpec(1, Branch.JC), 20)
+        ops = dense_hamiltonians(rp, 20)
         assert np.array_equal(ops.h_final_full, ops.h_initial)
         assert np.array_equal(ops.h_final_sideband, ops.h_initial)
 
     def test_gibbs_trace_normalized(self):
         rp = desk_reduced(2, Branch.AJC, 0.8)
-        ops = dense_hamiltonians(rp, QuenchSpec(2, Branch.AJC), 60)
+        ops = dense_hamiltonians(rp, 60)
         assert np.trace(ops.rho_initial).real == pytest.approx(1.0, abs=1e-12)
         assert not ops.tail_warning
 
     def test_tail_warning_flag(self):
         rp = desk_reduced(0, Branch.CARRIER, 0.2, nbar=40.0)
-        ops = dense_hamiltonians(rp, QuenchSpec(0, Branch.CARRIER), 12)
+        ops = dense_hamiltonians(rp, 12)
         assert ops.tail_warning
 
     def test_truncation_precondition(self):
         rp = desk_reduced(3, Branch.JC, 0.5)
         with pytest.raises(ValueError):
-            dense_hamiltonians(rp, QuenchSpec(3, Branch.JC), 4)
+            dense_hamiltonians(rp, 4)
 
     def test_hermitian(self):
         rp = desk_reduced(1, Branch.AJC, 1.2)
-        ops = dense_hamiltonians(rp, QuenchSpec(1, Branch.AJC), 30)
+        ops = dense_hamiltonians(rp, 30)
         for mat in (ops.h_initial, ops.h_final_full, ops.h_final_sideband):
             assert np.allclose(mat, mat.conj().T, atol=1e-12 * np.abs(mat).max())
 
     def test_block_sparsity_pattern_exact(self):
         m, n_trunc = 2, 24
         rp = desk_reduced(m, Branch.JC, 0.9)
-        h = dense_hamiltonians(rp, QuenchSpec(m, Branch.JC), n_trunc).h_final_sideband.copy()
+        h = dense_hamiltonians(rp, n_trunc).h_final_sideband.copy()
         for n in range(n_trunc + 1):
             h[ket_index(n, "g"), ket_index(n, "g")] = 0.0
             h[ket_index(n, "e"), ket_index(n, "e")] = 0.0
@@ -179,12 +180,12 @@ class TestSpectrumOracle:
         # truncation boundary band (n > n_trunc - m - 1).
         m, n_trunc = 1, 50
         rp = desk_reduced(m, Branch.JC, 0.5)
-        dense = dense_hamiltonians(rp, QuenchSpec(m, Branch.JC), n_trunc)
+        dense = dense_hamiltonians(rp, n_trunc)
         evals = np.sort(np.linalg.eigvalsh(dense.h_final_sideband))
-        table = spectrum_table(m, Branch.JC, rp, n_trunc)
+        table = spectrum_table(rp, n_trunc)
         interior = np.sort(
             np.concatenate(
-                [edge_eigenvalues(m, Branch.JC, rp), table.mu[: n_trunc - m + 1], table.gamma[: n_trunc - m + 1]]
+                [edge_eigenvalues(rp), table.mu[: n_trunc - m + 1], table.gamma[: n_trunc - m + 1]]
             )
         )
         # Every interior analytic value appears in the dense spectrum.
@@ -193,5 +194,6 @@ class TestSpectrumOracle:
 
     def test_carrier_branch_paths_coincide(self):
         rp = desk_reduced(0, Branch.CARRIER, 0.7)
+        as_jc, as_ajc = replace(rp, branch=Branch.JC), replace(rp, branch=Branch.AJC)
         for n in (0, 5, 17):
-            assert sideband_eigenvalues(n, 0, Branch.JC, rp) == sideband_eigenvalues(n, 0, Branch.AJC, rp)
+            assert sideband_eigenvalues(n, as_jc) == sideband_eigenvalues(n, as_ajc)

@@ -82,7 +82,7 @@ class TestPartitionFinal:
             for preferred in (Branch.JC, Branch.AJC):
                 branch = branch_for(m, preferred)
                 rp = desk_reduced(m, branch, 0.8)
-                dense = dense_hamiltonians(rp, QuenchSpec(m, branch), 70)
+                dense = dense_hamiltonians(rp, 70)
                 evals = np.linalg.eigvalsh(dense.h_final_sideband)
                 ref = log_sum_exp(-rp.b_nu * evals) - 0.5 * rp.b_w0
                 got = ln_partition_final(rp).shifted_log
@@ -211,9 +211,9 @@ class TestLag:
 
     def test_divergence_flag_attached(self):
         res = nonequilibrium_lag(fig1_reduced(1, Branch.AJC, 0.5), policy=TruncationPolicy(n_pinned=40))
-        assert res.regime_flags["divergence_predicted"] is True
+        assert res.divergence_predicted is True
         res = nonequilibrium_lag(fig1_reduced(1, Branch.JC, 0.5), policy=TruncationPolicy(n_pinned=40))
-        assert res.regime_flags["divergence_predicted"] is False
+        assert res.divergence_predicted is False
 
 
 class TestPhi:

@@ -67,41 +67,39 @@ class TestAnalyticMoments:
 class TestNumericMoments:
     def test_first_moment_vanishes(self):
         rp = desk_reduced(0, Branch.CARRIER, 0.5)
-        q = QuenchSpec(0, Branch.CARRIER)
-        h_norm = np.linalg.norm(dense_hamiltonians(rp, q, 80).h_final_full, 2)
+        h_norm = np.linalg.norm(dense_hamiltonians(rp, 80).h_final_full, 2)
         for use_full in (True, False):
-            est = moments_numeric(rp, q, 80, 1, use_full=use_full)
+            est = moments_numeric(rp, 80, 1, use_full=use_full)
             assert abs(est.value) <= 1e-10 * h_norm
 
     def test_second_matches_closed_form(self):
         rp = desk_reduced(0, Branch.CARRIER, 0.5)
-        est = moments_numeric(rp, QuenchSpec(0, Branch.CARRIER), 80, 2)
+        est = moments_numeric(rp, 80, 2)
         assert est.value == pytest.approx(0.25, rel=1e-8)
 
     def test_third_matches_closed_form(self):
         rp = desk_reduced(0, Branch.CARRIER, 0.5)
-        est = moments_numeric(rp, QuenchSpec(0, Branch.CARRIER), 80, 3)
+        est = moments_numeric(rp, 80, 3)
         assert est.value == pytest.approx(moments_analytic(rp).third, rel=1e-6)
 
     def test_sideband_first_moment_null(self):
         for m, branch in ((1, Branch.JC), (2, Branch.AJC)):
             rp = desk_reduced(m, branch, 0.7)
-            q = QuenchSpec(m, branch)
-            h_norm = np.linalg.norm(dense_hamiltonians(rp, q, 70).h_final_sideband, 2)
-            est = moments_numeric(rp, q, 70, 1, use_full=False)
+            h_norm = np.linalg.norm(dense_hamiltonians(rp, 70).h_final_sideband, 2)
+            est = moments_numeric(rp, 70, 1, use_full=False)
             assert abs(est.value) <= 1e-10 * h_norm
 
     def test_order_capped(self):
         rp = desk_reduced(0, Branch.CARRIER, 0.5)
         with pytest.raises(ValueError):
-            moments_numeric(rp, QuenchSpec(0, Branch.CARRIER), 40, 5)
-        moments_numeric(rp, QuenchSpec(0, Branch.CARRIER), 40, 4)
+            moments_numeric(rp, 40, 5)
+        moments_numeric(rp, 40, 4)
 
     def test_cancellation_flag_at_extreme_ratio(self):
         # At a deliberately large frequency ratio the binomial terms cancel
         # many digits and the estimate must say so.
         rp = desk_reduced(0, Branch.CARRIER, 0.5, r_w0=1e8)
-        est = moments_numeric(rp, QuenchSpec(0, Branch.CARRIER), 40, 2)
+        est = moments_numeric(rp, 40, 2)
         assert est.cancellation_ratio > 1e6
         assert est.cancellation_warning
 
@@ -109,32 +107,32 @@ class TestNumericMoments:
 class TestWorkPMF:
     def test_no_quench_gives_point_mass_at_zero(self):
         rp = desk_reduced(1, Branch.JC, 0.5, r_om=0.0)
-        pmf = work_pmf_sideband(rp, QuenchSpec(1, Branch.JC), 50)
+        pmf = work_pmf_sideband(rp, 50)
         assert pmf.values.tolist() == [0.0]
         assert pmf.probabilities.tolist() == pytest.approx([1.0], abs=1e-12)
 
     def test_normalized(self):
         for m, branch in ((0, Branch.CARRIER), (1, Branch.JC), (2, Branch.AJC)):
             rp = desk_reduced(m, branch, 0.9)
-            pmf = work_pmf_sideband(rp, QuenchSpec(m, branch), 60)
+            pmf = work_pmf_sideband(rp, 60)
             assert pmf.total == pytest.approx(1.0, abs=1e-10)
             assert np.all(pmf.probabilities >= 0.0)
             assert np.all(np.diff(pmf.values) > 0)
 
     def test_first_moment_zero(self):
         rp = desk_reduced(1, Branch.JC, 0.6)
-        pmf = work_pmf_sideband(rp, QuenchSpec(1, Branch.JC), 60)
+        pmf = work_pmf_sideband(rp, 60)
         assert abs(pmf.moment(1)) <= 1e-10
 
     def test_tail_warning(self):
         rp = desk_reduced(0, Branch.CARRIER, 0.5, nbar=30.0)
-        pmf = work_pmf_sideband(rp, QuenchSpec(0, Branch.CARRIER), 20)
+        pmf = work_pmf_sideband(rp, 20)
         assert pmf.tail_warning
 
     def test_edge_states_contribute_zero_work(self):
         # JC leaves |n, g> with n < m untouched; their two-point work is zero.
         rp = desk_reduced(2, Branch.JC, 0.0001, nbar=0.38)
-        pmf = work_pmf_sideband(rp, QuenchSpec(2, Branch.JC), 50)
+        pmf = work_pmf_sideband(rp, 50)
         idx = int(np.argmin(np.abs(pmf.values)))
         p_zero = pmf.probabilities[idx]
         # At nearly zero coupling everything sits at zero work.
