@@ -9,21 +9,23 @@ preset realizes both situations: on the left panel only the m = 1 sideband
 crosses, on the right panel m = 1 and m = 2 both do.
 """
 
-from ionquench.params import Branch, TrapIonConfig
+from ionquench.params import Branch, reduce_point
 from ionquench.presets import figure_presets
 from ionquench.sweep import run_specs
-from ionquench.thermo import divergence_predicate, low_temperature_limit, phi
+from ionquench.thermo import divergence_predicate_reduced, low_temperature_limit, phi_reduced
 
-LEFT = dict(cfg=TrapIonConfig(mass=7e-26, nu=1.2e8, omega0=1.0e8, omega_rabi=0.5e9), eta=1.5)
-RIGHT = dict(cfg=TrapIonConfig(mass=7e-26, nu=1.2e8, omega0=1.0e8, omega_rabi=1.0e9), eta=1.0)
+# The classification needs no temperature; any nbar gives the same answer.
+LEFT = dict(block=dict(mass=7e-26, nu=1.2e8, omega0=1.0e8, omega_rabi=0.5e9, nbar=0.5), eta=1.5)
+RIGHT = dict(block=dict(mass=7e-26, nu=1.2e8, omega0=1.0e8, omega_rabi=1.0e9, nbar=0.5), eta=1.0)
 
 for name, panel in (("left", LEFT), ("right", RIGHT)):
-    cfg, eta = panel["cfg"], panel["eta"]
-    print(f"{name} panel: omega_rabi = {cfg.omega_rabi:.1e} rad/s, eta = {eta}")
+    block, eta = panel["block"], panel["eta"]
+    print(f"{name} panel: omega_rabi = {block['omega_rabi']:.1e} rad/s, eta = {eta}")
     for m in (1, 2):
-        report = divergence_predicate(m, Branch.JC, cfg, eta)
-        limit = low_temperature_limit(m, Branch.JC, cfg, eta)
-        phi0 = phi(0, m, Branch.JC, cfg.nu, cfg.omega0, cfg.omega_rabi, eta).phi
+        _, rp = reduce_point(block, m, Branch.JC, eta)
+        report = divergence_predicate_reduced(rp)
+        limit = low_temperature_limit(rp)
+        phi0 = block["nu"] * phi_reduced(0, rp)
         verdict = "diverges" if report.diverges else f"finite, limit {limit.limit_value:g}"
         print(f"  m = {m}: Phi_0 = {phi0:+.3e} rad/s, witnesses {report.witnesses} -> {verdict}")
 

@@ -24,7 +24,7 @@ import numpy as np
 from .params import Branch, reduce_point
 from .presets import FIG1_CONFIG, desk_scale_point, figure_presets
 from .spectra import spectrum_table
-from .sweep import MOMENT_COLUMNS, RESULT_COLUMNS, ResultRow, SweepSpec, run_specs
+from .sweep import RESULT_COLUMNS, ResultRow, SweepSpec, run_specs
 from .thermo import TruncationPolicy
 from .verify import run_checks
 from .workstats import moments_analytic, moments_numeric
@@ -166,14 +166,18 @@ def _policy_from_args(args: argparse.Namespace) -> TruncationPolicy:
 
 
 class _Writer:
-    """CSV or JSON-lines row sink with a stable column order."""
+    """CSV or JSON-lines row sink with a stable column order.
+
+    A context manager: on exit it closes its --out file, and deletes that
+    file when an exception leaves the block, so a failed run leaves no
+    partial output behind.
+    """
 
     def __init__(self, fmt: str, out_path: str | None, columns: tuple[str, ...], header_meta: dict):
         self.fmt = fmt
         self.columns = columns
-        self.header_meta = header_meta
         self._fh = open(out_path, "w", newline="") if out_path else sys.stdout
-        self._owns = out_path is not None
+        self._out_path = out_path
         self._csv = None
         if fmt == "csv":
             for key in sorted(header_meta):
@@ -187,9 +191,14 @@ class _Writer:
         else:
             self._fh.write(json.dumps({c: values[c] for c in self.columns}) + "\n")
 
-    def close(self) -> None:
-        if self._owns:
+    def __enter__(self) -> _Writer:
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if self._out_path is not None:
             self._fh.close()
+            if exc_type is not None:
+                Path(self._out_path).unlink(missing_ok=True)
 
 
 def _add_shared_flags(p: argparse.ArgumentParser) -> None:
@@ -256,14 +265,10 @@ def _specs_for_point_command(args: argparse.Namespace, params: dict, overrides: 
     ]
 
 
-def _emit_rows(args: argparse.Namespace, command: str, params: dict, rows: list[ResultRow], with_moments: bool) -> int:
-    columns = RESULT_COLUMNS + (MOMENT_COLUMNS if with_moments else ())
-    writer = _Writer(args.format, args.out, columns, _meta_for(args, command, params))
-    try:
+def _emit_rows(args: argparse.Namespace, command: str, params: dict, rows: list[ResultRow]) -> int:
+    with _Writer(args.format, args.out, RESULT_COLUMNS, _meta_for(args, command, params)) as writer:
         for row in rows:
-            writer.write_row(row.as_dict(with_moments=with_moments))
-    finally:
-        writer.close()
+            writer.write_row(row.as_dict())
     if any(not row.converged for row in rows) and not args.allow_nonconverged:
         return _EXIT_NONCONVERGED
     return _EXIT_OK
@@ -273,7 +278,7 @@ def _cmd_lag(args: argparse.Namespace) -> int:
     params, overrides = _effective_params(args)
     specs = _specs_for_point_command(args, params, overrides)
     rows = run_specs(specs, policy=_policy_from_args(args))
-    return _emit_rows(args, "lag", params, rows, with_moments=False)
+    return _emit_rows(args, "lag", params, rows)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -301,7 +306,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     fixed = {k: v for k, v in params.items() if k != args.axis}
     spec = SweepSpec(axis=args.axis, grid=grid, fixed=fixed, branches=branches, m_values=m_values, n_pinned=args.nmax)
     rows = run_specs([spec], policy=_policy_from_args(args))
-    return _emit_rows(args, "sweep", params, rows, with_moments=False)
+    return _emit_rows(args, "sweep", params, rows)
 
 
 _MOMENT_ROW_COLUMNS = (
@@ -344,8 +349,8 @@ def _cmd_moments(args: argparse.Namespace) -> int:
         raise ConfigError(f"--nmax {n_trunc} must lie in [2, {_MAX_ORACLE_NMAX}] with --numeric-oracle")
 
     columns = _MOMENT_ROW_COLUMNS + (_ORACLE_COLUMNS if use_oracle else ())
-    writer = _Writer(args.format, args.out, columns, _meta_for(args, "moments", params, {"numeric_oracle": use_oracle}))
-    try:
+    meta = _meta_for(args, "moments", params, {"numeric_oracle": use_oracle})
+    with _Writer(args.format, args.out, columns, meta) as writer:
         for eta in etas:
             cfg, rp = reduce_point(params, 0, Branch.CARRIER, eta)
             moments = moments_analytic(rp)
@@ -375,8 +380,6 @@ def _cmd_moments(args: argparse.Namespace) -> int:
                     }
                 )
             writer.write_row(row)
-    finally:
-        writer.close()
     return _EXIT_OK
 
 
@@ -388,8 +391,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     if not 0 <= n_max <= TruncationPolicy.n_cap:
         raise ConfigError(f"--nmax {n_max} must lie in [0, {TruncationPolicy.n_cap}], the term cap")
     columns = ("branch", "m", "kind", "n", "mu", "gamma")
-    writer = _Writer(args.format, args.out, columns, _meta_for(args, "spectrum", params))
-    try:
+    with _Writer(args.format, args.out, columns, _meta_for(args, "spectrum", params)) as writer:
         for branch in branches:
             for m in m_values:
                 _, rp = reduce_point(params, m, branch, params.get("eta"))
@@ -402,8 +404,6 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
                     writer.write_row(
                         {"branch": rp.branch.value, "m": rp.m, "kind": "pair", "n": n, "mu": mu, "gamma": gamma}
                     )
-    finally:
-        writer.close()
     return _EXIT_OK
 
 

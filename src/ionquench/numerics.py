@@ -167,6 +167,8 @@ def coupling_logabs_sequence(n_max: int, m: int, eta: float, *, resume: Laguerre
         raise ValueError("Laguerre indices must be nonnegative")
     if eta < 0:
         raise ValueError("Lamb-Dicke parameter must be nonnegative")
+    if not math.isfinite(eta * eta):
+        raise ValueError(f"Lamb-Dicke parameter {eta!r} is too large: eta^2 overflows")
     state = LAGUERRE_START if resume is None else resume
     size = max(n_max - state.n, 0)
     if eta == 0.0:

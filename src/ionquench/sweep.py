@@ -11,9 +11,8 @@ from typing import Iterable, Iterator, Mapping
 
 from .params import Branch, reduce_point
 from .thermo import TruncationPolicy, nonequilibrium_lag
-from .workstats import moments_analytic
 
-__all__ = ["SweepSpec", "ResultRow", "RESULT_COLUMNS", "MOMENT_COLUMNS", "run_specs", "evaluate_point"]
+__all__ = ["SweepSpec", "ResultRow", "RESULT_COLUMNS", "run_specs", "evaluate_point"]
 
 SWEEP_AXES = ("eta", "omega_rabi", "nbar", "nu", "m")
 
@@ -37,7 +36,6 @@ RESULT_COLUMNS = (
     "converged",
     "divergence_predicted",
 )
-MOMENT_COLUMNS = ("w_mean", "w_second", "w_third", "w_skewness")
 
 
 @dataclass(frozen=True)
@@ -108,25 +106,19 @@ class ResultRow:
     tail_bound_log: float
     converged: bool
     divergence_predicted: bool
-    w_mean: float | None = None
-    w_second: float | None = None
-    w_third: float | None = None
-    w_skewness: float | None = None
 
-    def as_dict(self, with_moments: bool = False) -> dict:
-        cols = RESULT_COLUMNS + (MOMENT_COLUMNS if with_moments else ())
-        return {c: getattr(self, c) for c in cols}
+    def as_dict(self) -> dict:
+        return {c: getattr(self, c) for c in RESULT_COLUMNS}
 
 
-def evaluate_point(point: Mapping, policy: TruncationPolicy | None = None, with_moments: bool = False) -> ResultRow:
-    """Evaluate the lag (and optionally the closed-form moments) at one point."""
+def evaluate_point(point: Mapping, policy: TruncationPolicy | None = None) -> ResultRow:
+    """Evaluate the lag at one point."""
     policy = policy or TruncationPolicy()
     eta = point.get("eta")
     cfg, rp = reduce_point(point, point["m"], point["branch"], eta)
     if point.get("n_pinned") is not None:
         policy = replace(policy, n_pinned=int(point["n_pinned"]))
     result = nonequilibrium_lag(rp, policy=policy)
-    moments = moments_analytic(rp) if with_moments else None
     return ResultRow(
         nu=cfg.nu,
         omega0=cfg.omega0,
@@ -146,17 +138,9 @@ def evaluate_point(point: Mapping, policy: TruncationPolicy | None = None, with_
         tail_bound_log=result.truncation.tail_bound_log,
         converged=result.truncation.converged,
         divergence_predicted=result.divergence_predicted,
-        w_mean=moments.mean if moments else None,
-        w_second=moments.second if moments else None,
-        w_third=moments.third if moments else None,
-        w_skewness=moments.skewness if moments else None,
     )
 
 
-def run_specs(
-    specs: Iterable[SweepSpec],
-    policy: TruncationPolicy | None = None,
-    with_moments: bool = False,
-) -> list[ResultRow]:
+def run_specs(specs: Iterable[SweepSpec], policy: TruncationPolicy | None = None) -> list[ResultRow]:
     """Evaluate every point of every spec, in spec order and then spec.points() order."""
-    return [evaluate_point(p, policy, with_moments) for spec in specs for p in spec.points()]
+    return [evaluate_point(p, policy) for spec in specs for p in spec.points()]

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import LAGUERRE_START, LaguerreState, coupling_logabs_sequence, lnsinh, sqrt_excess
-from .params import Branch, ReducedParams, TrapIonConfig
+from .params import Branch, ReducedParams
 
 __all__ = [
     "TruncationPolicy",
@@ -42,16 +42,13 @@ __all__ = [
     "TruncationError",
     "LogPartition",
     "LagResult",
-    "PhiValue",
     "DivergenceReport",
     "LowTemperatureLimit",
     "NuToZeroResult",
     "ln_partition_initial",
     "ln_partition_final",
     "nonequilibrium_lag",
-    "phi",
     "phi_reduced",
-    "divergence_predicate",
     "divergence_predicate_reduced",
     "low_temperature_limit",
     "small_eta_coupling_sq",
@@ -142,20 +139,9 @@ class LagResult:
 
 
 @dataclass(frozen=True)
-class PhiValue:
-    """Low-temperature exponent nu(2n+m) + omega0 - sqrt(omega_L^2 + u^2), rad/s."""
-
-    n: int
-    m: int
-    branch: Branch
-    phi: float
-
-
-@dataclass(frozen=True)
 class DivergenceReport:
     diverges: bool
     witnesses: list[int]
-    n_scanned: int
 
 
 @dataclass(frozen=True)
@@ -488,55 +474,46 @@ def nonequilibrium_lag(rp: ReducedParams, policy: TruncationPolicy | None = None
 # -- low-temperature classification -------------------------------------------
 
 
-def _phi_parts(
-    m: int, branch: Branch, r_w0: float, r_om: float, eta: float, n_max: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _phi_parts(rp: ReducedParams, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """(ladder, excess) for n = 0..n_max, with Phi_n^m / nu = ladder - excess.
 
     ladder = (2n+m) - (|r_wl| - r_w0) and excess = sqrt(r_wl^2 + u_n^2) - |r_wl|
     are each formed without cancellation, so the sign of Phi is reliable even
-    when it is ~1e-11 of omega0/nu.
+    when it is ~1e-11 of omega0/nu.  Only the frequency ratios of rp enter,
+    not its temperature.
     """
-    u = _scaled_coupling(m, eta, r_om, 0, n_max + 1)
-    sign = branch.sideband_sign if m > 0 else 0
+    m, r_w0 = rp.m, rp.r_w0
+    u = _scaled_coupling(m, rp.eta, rp.r_om, 0, n_max + 1)
+    sign = rp.branch.sideband_sign if m > 0 else 0
     r_wl = r_w0 + sign * m
     d_aw = float(sign * m) if r_wl >= 0 else -2.0 * r_w0 - sign * m
     ladder = (2.0 * np.arange(n_max + 1, dtype=float) + m) - d_aw
     return ladder, sqrt_excess(abs(r_wl), u)
 
 
-def phi_reduced(n: int, m: int, branch: Branch, r_w0: float, r_om: float, eta: float) -> float:
-    """Low-temperature exponent in trap-frequency units (Phi / nu)."""
-    ladder, excess = _phi_parts(m, branch, r_w0, r_om, eta, n)
+def phi_reduced(n: int, rp: ReducedParams) -> float:
+    """Low-temperature exponent Phi_n^m in trap-frequency units (Phi / nu).
+
+    Only the frequency ratios of rp enter, not its temperature; multiply by
+    nu for rad/s.
+    """
+    ladder, excess = _phi_parts(rp, n)
     return float(ladder[n] - excess[n])
-
-
-def phi(
-    n: int,
-    m: int,
-    branch: Branch,
-    nu: float,
-    omega0: float,
-    omega_rabi: float,
-    eta: float,
-) -> PhiValue:
-    """Low-temperature exponent Phi_n^m in rad/s."""
-    value = nu * phi_reduced(n, m, branch, omega0 / nu, omega_rabi / nu, eta)
-    return PhiValue(n=n, m=m, branch=branch, phi=value)
 
 
 _PHI_ZERO_TOL = 1e-9
 
 
-def _phi_scan(m: int, branch: Branch, r_w0: float, r_om: float, eta: float) -> tuple[list[int], list[int]]:
+def _phi_scan(rp: ReducedParams) -> tuple[list[int], list[int]]:
     """(strictly negative witnesses, zero crossings) of Phi_n^m for n <= default_scan_bound(m).
 
     A value counts as zero when it is below 1e-9 of the two quantities whose
     difference it is (the level ladder nu(2n+m) -+ m nu and the dressed-
     splitting excess); measuring against omega0 instead would swallow every
-    trap-scale value once omega0/nu is large.
+    trap-scale value once omega0/nu is large.  Only the frequency ratios of
+    rp enter, not its temperature.
     """
-    ladder, excess = _phi_parts(m, branch, r_w0, r_om, eta, default_scan_bound(m))
+    ladder, excess = _phi_parts(rp, default_scan_bound(rp.m))
     values = ladder - excess
     is_zero = np.abs(values) <= _PHI_ZERO_TOL * (np.abs(ladder) + np.abs(excess))
     is_neg = (values < 0) & ~is_zero
@@ -549,51 +526,46 @@ def default_scan_bound(m: int) -> int:
     return 10 * m + 100
 
 
-def _coupling_alive(m: int, r_om: float, eta: float) -> bool:
-    """Whether any f_n^m is nonzero: carrier always couples, sidebands need eta > 0."""
-    if r_om <= 0:
+def _coupling_alive(rp: ReducedParams) -> bool:
+    """Whether any f_n^m is nonzero: carrier always couples, sidebands need eta > 0.
+
+    Only the ratio omega_rabi/nu of rp enters, not its temperature.
+    """
+    if rp.r_om <= 0:
         return False
-    return m == 0 or eta > 0
+    return rp.m == 0 or rp.eta > 0
 
 
 def divergence_predicate_reduced(rp: ReducedParams) -> DivergenceReport:
-    return _divergence_core(rp.m, rp.branch, rp.r_w0, rp.r_om, rp.eta)
-
-
-def divergence_predicate(m: int, branch: Branch, cfg: TrapIonConfig, eta: float) -> DivergenceReport:
     """Does the lag diverge as the temperature goes to zero?
 
     AJC and carrier quenches with live coupling always do (the lowest
     exponent is strictly negative); a JC quench diverges iff some exponent
     Phi_n^m turns negative, equivalently
     |f_n^m| > (2/omega_rabi) sqrt(nu (omega0 + n nu)(n+m)) for some n.
+    Only the frequency ratios of rp enter, not its temperature.
     """
-    return _divergence_core(m, branch, cfg.omega0 / cfg.nu, cfg.omega_rabi / cfg.nu, eta)
-
-
-def _divergence_core(m: int, branch: Branch, r_w0: float, r_om: float, eta: float) -> DivergenceReport:
-    bound = default_scan_bound(m)
-    if not _coupling_alive(m, r_om, eta):
-        return DivergenceReport(diverges=False, witnesses=[], n_scanned=bound)
-    negative, _ = _phi_scan(m, branch, r_w0, r_om, eta)
-    if branch is Branch.JC and m > 0:
-        return DivergenceReport(diverges=bool(negative), witnesses=negative, n_scanned=bound)
+    if not _coupling_alive(rp):
+        return DivergenceReport(diverges=False, witnesses=[])
+    negative, _ = _phi_scan(rp)
+    if rp.branch is Branch.JC and rp.m > 0:
+        return DivergenceReport(diverges=bool(negative), witnesses=negative)
     # AJC and carrier: Phi_0 < 0 whenever the coupling is live.
-    return DivergenceReport(diverges=True, witnesses=negative, n_scanned=bound)
+    return DivergenceReport(diverges=True, witnesses=negative)
 
 
-def low_temperature_limit(m: int, branch: Branch, cfg: TrapIonConfig, eta: float) -> LowTemperatureLimit:
+def low_temperature_limit(rp: ReducedParams) -> LowTemperatureLimit:
     """Zero-temperature limit of the lag: log(1 + k) when finite.
 
     k counts the exponents Phi_n^m within the documented zero tolerance.
-    AJC and carrier quenches with live coupling never stay finite.
+    AJC and carrier quenches with live coupling never stay finite.  Only the
+    frequency ratios of rp enter, not its temperature.
     """
-    r_w0, r_om = cfg.omega0 / cfg.nu, cfg.omega_rabi / cfg.nu
-    if not _coupling_alive(m, r_om, eta):
+    if not _coupling_alive(rp):
         return LowTemperatureLimit(finite=True, limit_value=0.0, zero_count=0, negative_witnesses=[])
-    if branch is not Branch.JC or m == 0:
+    if rp.branch is not Branch.JC or rp.m == 0:
         return LowTemperatureLimit(finite=False, limit_value=None, zero_count=0, negative_witnesses=[0])
-    negative, zeros = _phi_scan(m, branch, r_w0, r_om, eta)
+    negative, zeros = _phi_scan(rp)
     if negative:
         return LowTemperatureLimit(finite=False, limit_value=None, zero_count=len(zeros), negative_witnesses=negative)
     return LowTemperatureLimit(
@@ -654,7 +626,7 @@ def nu_to_zero_limit(rp: ReducedParams, policy: TruncationPolicy | None = None) 
     """
     policy = policy or TruncationPolicy()
     n_terms = policy.n_pinned if policy.n_pinned is not None else 512
-    if not _coupling_alive(rp.m, rp.r_om, rp.eta):
+    if not _coupling_alive(rp):
         raise ValueError(
             "omega_rabi * |f_n^m| vanishes identically; the small-nu limit needs decaying coupling terms"
         )

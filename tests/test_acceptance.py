@@ -13,15 +13,15 @@ import numpy as np
 import pytest
 
 from ionquench.numerics import log_sum_exp, sqrt_shift
-from ionquench.params import Branch, TrapIonConfig, reduced_from_ratios
+from ionquench.params import Branch, reduce_point, reduced_from_ratios
 from ionquench.spectra import analytic_dense_spectrum, dense_hamiltonians, sideband_eigenvectors
 from ionquench.thermo import (
     TruncationPolicy,
-    divergence_predicate,
+    divergence_predicate_reduced,
     ln_partition_final,
     low_temperature_limit,
     nonequilibrium_lag,
-    phi,
+    phi_reduced,
 )
 from ionquench.workstats import moments_analytic, moments_numeric
 from ionquench.cli import main as cli_main
@@ -167,32 +167,34 @@ def test_criterion_5_limit_suite():
 
 
 def test_criterion_6_divergence_classification():
-    left = TrapIonConfig(mass=7e-26, nu=1.2e8, omega0=1.0e8, omega_rabi=0.5e9)
-    right = TrapIonConfig(mass=7e-26, nu=1.2e8, omega0=1.0e8, omega_rabi=1.0e9)
-    fig1 = TrapIonConfig(**FIG1)
+    left = dict(mass=7e-26, nu=1.2e8, omega0=1.0e8, omega_rabi=0.5e9)
+    right = dict(mass=7e-26, nu=1.2e8, omega0=1.0e8, omega_rabi=1.0e9)
+
+    def rp_at(block, m, branch, eta):
+        # The zero-temperature classification does not depend on nbar.
+        return reduce_point(dict(block, nbar=0.5), m, branch, eta)[1]
 
     # Left panel: the first m = 1 block dips negative, all m = 2 blocks stay up.
-    left_m1 = phi(0, 1, Branch.JC, left.nu, left.omega0, left.omega_rabi, 1.5).phi <= 0
-    left_m2 = all(
-        phi(n, 2, Branch.JC, left.nu, left.omega0, left.omega_rabi, 1.5).phi >= 0 for n in range(80)
+    left_m1 = left["nu"] * phi_reduced(0, rp_at(left, 1, Branch.JC, 1.5)) <= 0
+    left_m2 = all(left["nu"] * phi_reduced(n, rp_at(left, 2, Branch.JC, 1.5)) >= 0 for n in range(80))
+    left_pred = (
+        divergence_predicate_reduced(rp_at(left, 1, Branch.JC, 1.5)).diverges
+        and not divergence_predicate_reduced(rp_at(left, 2, Branch.JC, 1.5)).diverges
     )
-    left_pred = divergence_predicate(1, Branch.JC, left, 1.5).diverges and not divergence_predicate(
-        2, Branch.JC, left, 1.5
-    ).diverges
 
     # Right panel: both sidebands dip negative in their first block.
-    right_m1 = phi(0, 1, Branch.JC, right.nu, right.omega0, right.omega_rabi, 1.0).phi <= 0
-    right_m2 = phi(0, 2, Branch.JC, right.nu, right.omega0, right.omega_rabi, 1.0).phi <= 0
-    right_pred = all(divergence_predicate(m, Branch.JC, right, 1.0).diverges for m in (1, 2))
+    right_m1 = right["nu"] * phi_reduced(0, rp_at(right, 1, Branch.JC, 1.0)) <= 0
+    right_m2 = right["nu"] * phi_reduced(0, rp_at(right, 2, Branch.JC, 1.0)) <= 0
+    right_pred = all(divergence_predicate_reduced(rp_at(right, m, Branch.JC, 1.0)).diverges for m in (1, 2))
 
     ajc_always = all(
-        divergence_predicate(m, Branch.AJC, cfg, eta).diverges
+        divergence_predicate_reduced(rp_at(block, m, Branch.AJC, eta)).diverges
         for m in (1, 2, 3)
-        for cfg in (fig1, left, right)
+        for block in (FIG1, left, right)
         for eta in (0.3, 1.0, 2.5)
     )
 
-    fig1_limits = [low_temperature_limit(m, Branch.JC, fig1, 0.5) for m in (1, 2)]
+    fig1_limits = [low_temperature_limit(rp_at(FIG1, m, Branch.JC, 0.5)) for m in (1, 2)]
     fig1_finite = all(lim.finite and lim.zero_count == 0 and lim.limit_value == 0.0 for lim in fig1_limits)
 
     ok = left_m1 and left_m2 and left_pred and right_m1 and right_m2 and right_pred and ajc_always and fig1_finite
@@ -321,10 +323,11 @@ def test_criterion_9_sqrt_shift_regression():
 def _mp_fig1_lag(rp, couplings):
     """Independent direct sum of log(Z_final / Z_initial) in 60-digit arithmetic.
 
-    couplings holds f_n^m for n = 0..199 from mp.laguerre.  b_wl is formed
-    in mp from the float b_w0 and b_nu, so the reference carries no rounding
-    of the float b_wl; the decoupled edge term is added in closed form.  At
-    nbar = 0.38 the thermal weight beyond 200 terms is below 1e-110.
+    couplings holds f_n^m for n = 0..len-1 from mp.laguerre, and the sum
+    stops there.  b_wl is formed in mp from the float b_w0 and b_nu, so the
+    reference carries no rounding of the float b_wl; the decoupled edge term
+    is added in closed form.  At nbar = 0.38 the thermal weight beyond 200
+    terms is below 1e-110.
     """
     with mp.workdps(60):
         b_nu, b_w0, b_om = mp.mpf(rp.b_nu), mp.mpf(rp.b_w0), mp.mpf(rp.b_om)
@@ -383,4 +386,28 @@ def test_criterion_10_headline_claim_at_experimental_ratios(fig_outputs):
         ok,
         f"rise-peak-fall {shape_ok} (peaks {peaks}), lag vs 60-digit direct sum max rel dev {worst:.1e} "
         f"(<=1e-12), {elapsed:.1f}s",
+    )
+
+
+def test_criterion_10_oracle_at_higher_sidebands_and_occupation():
+    # The adaptive lag against the same 60-digit direct sum, at m = 3..5 and
+    # at nbar = 5 as well as 0.38.  The reference keeps n_terms terms, with
+    # (nbar/(nbar+1))^n_terms <= 1e-30 so that its own truncation stays far
+    # below the tolerance: 200 terms at nbar = 0.38, 500 at nbar = 5.
+    t0 = time.monotonic()
+    worst = 0.0
+    for m in (3, 4, 5):
+        for eta in (0.3, 1.25, 3.5):
+            couplings = _mp_couplings(m, eta, n_terms=500)
+            for nbar, n_terms in ((0.38, 200), (5.0, 500)):
+                assert (nbar / (nbar + 1)) ** n_terms <= 1e-30
+                for branch in (Branch.JC, Branch.AJC):
+                    rp = fig1_reduced(m, branch, eta, nbar=nbar)
+                    ref = _mp_fig1_lag(rp, couplings[:n_terms])
+                    worst = max(worst, float(abs(nonequilibrium_lag(rp).value - ref) / ref))
+    elapsed = time.monotonic() - t0
+    record(
+        "criterion-10 oracle at m <= 5 and nbar = 5",
+        worst <= 1e-12,
+        f"adaptive lag vs 60-digit direct sum max rel dev {worst:.1e} (<=1e-12) over 36 points, {elapsed:.1f}s",
     )

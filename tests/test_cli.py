@@ -88,6 +88,7 @@ class TestLagCommand:
             "--nbar", "1e8", "--eta", "0.5", "--out", str(tmp_path / "x.csv"),
         ]
         assert main(args) == 3
+        assert read_csv(tmp_path / "x.csv")[0]["converged"] == "false"  # exit 3 keeps its --out file
         assert main(args + ["--allow-nonconverged"]) == 0
         rows = read_csv(tmp_path / "x.csv")
         assert rows[0]["converged"] == "false"
@@ -194,10 +195,19 @@ class TestInputValidation:
         assert main([command, *axis, "--branch", "jc", "--eta", "0.5", "--out", str(out)]) == 0
         assert [r["m"] for r in read_csv(out)] == [m]
 
-    def test_unexpected_exception_is_one_error_line(self, tmp_path, capsys):
-        # eta = 1e200 overflows the dense oracle's coupling matrix.
+    @pytest.mark.parametrize("command", ["lag", "spectrum"])
+    def test_overflowing_eta_rejected(self, command, capsys):
+        # eta^2 overflows; the coupling sequence used to come back as NaN.
+        assert main([command, "--desk-scale", "--branch", "jc", "--m", "1", "--eta", "1e200"]) == 2
+        assert "Lamb-Dicke parameter 1e+200 is too large" in capsys.readouterr().err
+
+    def test_unexpected_exception_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("dense oracle broke")
+
+        monkeypatch.setattr(cli, "moments_numeric", broken)
         out = tmp_path / "m.csv"
-        assert main(["moments", "--desk-scale", "--numeric-oracle", "--eta", "1e200", "--out", str(out)]) == 4
+        assert main(["moments", "--desk-scale", "--numeric-oracle", "--out", str(out)]) == 4
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -281,6 +291,12 @@ class TestMomentsCommand:
         n_max = str(cli._MAX_ORACLE_NMAX + 1)
         assert main(["moments", "--desk-scale", "--numeric-oracle", "--nmax", n_max, "--out", str(out)]) == 2
         assert f"--nmax {n_max} must lie in" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_failed_row_leaves_no_out_file(self, tmp_path):
+        # The header is written before the row fails; the file must go too.
+        out = tmp_path / "x.csv"
+        assert main(["moments", "--desk-scale", "--numeric-oracle", "--eta", "1e200", "--out", str(out)]) == 2
         assert not out.exists()
 
 

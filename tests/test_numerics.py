@@ -111,6 +111,11 @@ class TestCoupling:
             assert signs[n] == single.sign
             assert logs[n] == pytest.approx(single.log_mag, rel=1e-14, abs=1e-14)
 
+    def test_overflowing_eta_rejected(self):
+        # eta^2 = inf would turn every log magnitude past n = 0 into NaN.
+        with pytest.raises(ValueError, match=r"1e\+200"):
+            coupling_logabs_sequence(3, 1, 1e200)
+
 
 class TestResumedCoupling:
     """A sequence grown piecewise from a LaguerreState equals a one-shot one, bit for bit."""

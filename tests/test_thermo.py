@@ -13,14 +13,12 @@ from ionquench.sweep import SweepSpec, run_specs
 from ionquench.thermo import (
     TruncationError,
     TruncationPolicy,
-    divergence_predicate,
     divergence_predicate_reduced,
     ln_partition_final,
     ln_partition_initial,
     low_temperature_limit,
     nonequilibrium_lag,
     nu_to_zero_limit,
-    phi,
     phi_reduced,
     small_eta_coupling_sq,
     small_eta_coupling_sq_leading,
@@ -29,6 +27,11 @@ from conftest import FIG1, branch_for, desk_reduced, fig1_reduced
 
 FIG4_LEFT = dict(mass=7e-26, nu=1.2e8, omega0=1.0e8, omega_rabi=0.5e9)
 FIG4_RIGHT = dict(mass=7e-26, nu=1.2e8, omega0=1.0e8, omega_rabi=1.0e9)
+
+
+def classify_rp(block, m, branch, eta, nbar=0.5):
+    """Reduced parameters for the zero-temperature classification; nbar does not enter it."""
+    return reduce_point(dict(block, nbar=nbar), m, branch, eta)[1]
 
 
 class TestPartitionInitial:
@@ -196,9 +199,7 @@ class TestLag:
         # slope per unit b_nu approaches |Phi_min| / (2 nu).
         m, eta = 1, 0.5
         base = fig1_reduced(m, Branch.AJC, eta)
-        phi_min = min(
-            phi_reduced(n, m, Branch.AJC, base.r_w0, base.r_om, eta) for n in range(40)
-        )
+        phi_min = min(phi_reduced(n, base) for n in range(40))
         assert phi_min < 0
         b_nus = [base.b_nu * 2**k for k in range(6, 10)]
         lags = []
@@ -218,68 +219,71 @@ class TestLag:
 
 class TestPhi:
     def test_zero_rabi_values(self):
-        assert phi(2, 1, Branch.JC, 10.0, 1e4, 0.0, 0.5).phi == pytest.approx(2 * 10.0 * 3, rel=1e-14)
-        assert phi(2, 1, Branch.AJC, 10.0, 1e4, 0.0, 0.5).phi == pytest.approx(2 * 10.0 * 2, rel=1e-14)
-        assert phi(0, 1, Branch.AJC, 10.0, 1e4, 0.0, 0.5).phi == pytest.approx(0.0, abs=1e-14)
+        block = dict(mass=1e-25, nu=10.0, omega0=1e4, omega_rabi=0.0)
+        nu = block["nu"]
+        assert nu * phi_reduced(2, classify_rp(block, 1, Branch.JC, 0.5)) == pytest.approx(2 * 10.0 * 3, rel=1e-14)
+        assert nu * phi_reduced(2, classify_rp(block, 1, Branch.AJC, 0.5)) == pytest.approx(2 * 10.0 * 2, rel=1e-14)
+        assert nu * phi_reduced(0, classify_rp(block, 1, Branch.AJC, 0.5)) == pytest.approx(0.0, abs=1e-14)
 
     def test_fig4_left_sign_pattern(self):
         # Recomputed: the first coupled block of m = 1 is pushed negative,
         # every m = 2 block stays nonnegative.
-        assert phi(0, 1, Branch.JC, FIG4_LEFT["nu"], FIG4_LEFT["omega0"], FIG4_LEFT["omega_rabi"], 1.5).phi < 0
+        assert phi_reduced(0, classify_rp(FIG4_LEFT, 1, Branch.JC, 1.5)) < 0
+        rp = classify_rp(FIG4_LEFT, 2, Branch.JC, 1.5)
         for n in range(60):
-            assert phi(n, 2, Branch.JC, FIG4_LEFT["nu"], FIG4_LEFT["omega0"], FIG4_LEFT["omega_rabi"], 1.5).phi >= 0
+            assert phi_reduced(n, rp) >= 0
 
     def test_fig4_right_sign_pattern(self):
         for m in (1, 2):
-            assert phi(0, m, Branch.JC, FIG4_RIGHT["nu"], FIG4_RIGHT["omega0"], FIG4_RIGHT["omega_rabi"], 1.0).phi < 0
+            assert phi_reduced(0, classify_rp(FIG4_RIGHT, m, Branch.JC, 1.0)) < 0
 
     def test_sign_reliable_at_experimental_scale(self):
         # The value is ~1e-12 of omega0 yet must come out with a stable sign.
         cfg = dict(FIG1)
-        value = phi(0, 1, Branch.AJC, cfg["nu"], cfg["omega0"], cfg["omega_rabi"], 0.5)
-        assert value.phi < 0
+        value = cfg["nu"] * phi_reduced(0, classify_rp(cfg, 1, Branch.AJC, 0.5))
+        assert value < 0
         naive = cfg["nu"] * (2 * 0 + 1) + cfg["omega0"] - math.hypot(
             cfg["omega0"] + cfg["nu"], cfg["omega_rabi"] * coupling_f(0, 1, 0.5).magnitude
         )
         # The naive expression cannot even resolve the magnitude.
-        assert abs(value.phi) < 1e-2 * cfg["omega0"] * 1e-9
+        assert abs(value) < 1e-2 * cfg["omega0"] * 1e-9
 
 
 class TestDivergencePredicate:
     def test_ajc_always_diverges_with_live_coupling(self):
         for m in (1, 2, 5):
             for cfg in (FIG1, FIG4_RIGHT):
-                c = TrapIonConfig(**cfg)
-                assert divergence_predicate(m, Branch.AJC, c, 0.5).diverges
+                assert divergence_predicate_reduced(classify_rp(cfg, m, Branch.AJC, 0.5)).diverges
 
     def test_carrier_always_diverges(self):
-        assert divergence_predicate(0, Branch.CARRIER, TrapIonConfig(**FIG1), 0.0).diverges
+        assert divergence_predicate_reduced(classify_rp(FIG1, 0, Branch.CARRIER, 0.0)).diverges
 
     def test_dead_coupling_does_not_diverge(self):
-        silent = TrapIonConfig(**{**FIG1, "omega_rabi": 0.0})
-        assert not divergence_predicate(1, Branch.AJC, silent, 0.5).diverges
+        silent = {**FIG1, "omega_rabi": 0.0}
+        assert not divergence_predicate_reduced(classify_rp(silent, 1, Branch.AJC, 0.5)).diverges
         # AJC sideband with eta = 0 has no coupling at all.
-        assert not divergence_predicate(2, Branch.AJC, TrapIonConfig(**FIG1), 0.0).diverges
+        assert not divergence_predicate_reduced(classify_rp(FIG1, 2, Branch.AJC, 0.0)).diverges
 
     def test_fig1_jc_finite(self):
-        c = TrapIonConfig(**FIG1)
         for m in (1, 2):
-            report = divergence_predicate(m, Branch.JC, c, 0.5)
+            report = divergence_predicate_reduced(classify_rp(FIG1, m, Branch.JC, 0.5))
             assert not report.diverges
             assert report.witnesses == []
 
     def test_fig4_witnesses(self):
-        left = TrapIonConfig(**FIG4_LEFT)
-        right = TrapIonConfig(**FIG4_RIGHT)
-        assert divergence_predicate(1, Branch.JC, left, 1.5).witnesses == [0]
-        assert divergence_predicate(2, Branch.JC, left, 1.5).witnesses == []
-        assert divergence_predicate(1, Branch.JC, right, 1.0).witnesses == [0]
-        assert divergence_predicate(2, Branch.JC, right, 1.0).witnesses == [0]
+        assert divergence_predicate_reduced(classify_rp(FIG4_LEFT, 1, Branch.JC, 1.5)).witnesses == [0]
+        assert divergence_predicate_reduced(classify_rp(FIG4_LEFT, 2, Branch.JC, 1.5)).witnesses == []
+        assert divergence_predicate_reduced(classify_rp(FIG4_RIGHT, 1, Branch.JC, 1.0)).witnesses == [0]
+        assert divergence_predicate_reduced(classify_rp(FIG4_RIGHT, 2, Branch.JC, 1.0)).witnesses == [0]
 
-    def test_reduced_variant_consistent(self):
-        c = TrapIonConfig(**FIG4_RIGHT)
-        rp = reduce(c, QuenchSpec(2, Branch.JC), ThermalSpec(nbar=0.5), eta_override=1.0)
-        assert divergence_predicate_reduced(rp).diverges == divergence_predicate(2, Branch.JC, c, 1.0).diverges
+    def test_witnesses_independent_of_nbar(self):
+        # Only the frequency ratios enter the classification; the temperature
+        # of rp, here across nine decades of nbar, must not move it.
+        reports = [
+            divergence_predicate_reduced(classify_rp(FIG4_RIGHT, 2, Branch.JC, 1.0, nbar=nbar))
+            for nbar in (1e-4, 0.5, 1e5)
+        ]
+        assert all(report.diverges and report.witnesses == [0] for report in reports)
 
     def test_sweep_rows_carry_the_predicate(self):
         # Rows take divergence_predicted from the lag's own scan; it must match
@@ -295,7 +299,7 @@ class TestDivergencePredicate:
 
 class TestLowTemperatureLimit:
     def test_all_positive_gives_zero(self):
-        limit = low_temperature_limit(1, Branch.JC, TrapIonConfig(**FIG1), 0.5)
+        limit = low_temperature_limit(classify_rp(FIG1, 1, Branch.JC, 0.5))
         assert limit.finite and limit.limit_value == 0.0 and limit.zero_count == 0
 
     def test_constructed_zero_crossing_gives_ln2(self):
@@ -305,22 +309,22 @@ class TestLowTemperatureLimit:
         target = nu * (2 * n + m) + omega0
         omega_l = omega0 - m * nu
         omega_rabi = math.sqrt(target**2 - omega_l**2) / f
-        cfg = TrapIonConfig(mass=1e-25, nu=nu, omega0=omega0, omega_rabi=omega_rabi)
-        limit = low_temperature_limit(m, Branch.JC, cfg, eta)
+        block = dict(mass=1e-25, nu=nu, omega0=omega0, omega_rabi=omega_rabi)
+        limit = low_temperature_limit(classify_rp(block, m, Branch.JC, eta))
         assert limit.finite
         assert limit.zero_count == 1
         assert limit.limit_value == pytest.approx(math.log(2.0), rel=1e-12)
 
     def test_ajc_never_finite(self):
-        assert not low_temperature_limit(1, Branch.AJC, TrapIonConfig(**FIG1), 0.5).finite
-        assert not low_temperature_limit(0, Branch.CARRIER, TrapIonConfig(**FIG1), 0.5).finite
+        assert not low_temperature_limit(classify_rp(FIG1, 1, Branch.AJC, 0.5)).finite
+        assert not low_temperature_limit(classify_rp(FIG1, 0, Branch.CARRIER, 0.5)).finite
 
     def test_jc_negative_phi_not_finite(self):
-        assert not low_temperature_limit(1, Branch.JC, TrapIonConfig(**FIG4_RIGHT), 1.0).finite
+        assert not low_temperature_limit(classify_rp(FIG4_RIGHT, 1, Branch.JC, 1.0)).finite
 
     def test_dead_coupling_is_trivially_finite(self):
-        silent = TrapIonConfig(**{**FIG1, "omega_rabi": 0.0})
-        limit = low_temperature_limit(1, Branch.AJC, silent, 0.5)
+        silent = {**FIG1, "omega_rabi": 0.0}
+        limit = low_temperature_limit(classify_rp(silent, 1, Branch.AJC, 0.5))
         assert limit.finite and limit.limit_value == 0.0
 
 
