@@ -89,6 +89,15 @@ def _parse_ms(text: str) -> tuple[int, ...]:
 
 
 _FLAG_ALIASES = {"omega": "omega_rabi", "phi": "phi_angle"}
+# The flag that sets each sweep axis; on a swept axis the grid sets the value.
+_AXIS_FLAGS = {"eta": "eta", "omega_rabi": "omega", "nbar": "nbar", "nu": "nu", "m": "m"}
+
+
+def _reject_axis_flags(args: argparse.Namespace, axis: str, sweeper: str, also: tuple[str, ...] = ()) -> None:
+    """ConfigError when a flag sets the parameter that sweeper sweeps along axis."""
+    for flag in (_AXIS_FLAGS[axis], *also):
+        if getattr(args, flag, None) is not None:
+            raise ConfigError(f"--{flag} conflicts with {sweeper}, which sweeps {axis}")
 
 
 def _read_config_file(path: str) -> dict[str, float]:
@@ -242,6 +251,8 @@ def _specs_for_point_command(args: argparse.Namespace, params: dict, overrides: 
         preset = figure_presets()[args.preset]
         specs = []
         for spec in preset.specs:
+            # The grid sets the swept value; on the nbar axis --beta would set the temperature too.
+            _reject_axis_flags(args, spec.axis, f"preset {args.preset}", ("beta",) if spec.axis == "nbar" else ())
             fixed = dict(spec.fixed)
             for key, val in overrides.items():
                 if key == spec.axis:
@@ -299,6 +310,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         grid = tuple(int(round(v)) for v in vals) if args.axis == "m" else tuple(vals.tolist())
     else:
         raise ConfigError("sweep requires --grid or --values")
+    _reject_axis_flags(args, args.axis, f"--axis {args.axis}")
     if args.axis == "m":
         _check_sidebands(grid, "--axis m value")
     branches = _parse_branches(args.branch) if args.branch else (Branch.CARRIER,)

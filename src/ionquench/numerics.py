@@ -28,6 +28,7 @@ __all__ = [
     "laguerre_assoc",
     "coupling_f",
     "coupling_logabs_sequence",
+    "eta_squared",
     "lncosh",
     "lnsinh",
     "log_sum_exp",
@@ -167,8 +168,7 @@ def coupling_logabs_sequence(n_max: int, m: int, eta: float, *, resume: Laguerre
         raise ValueError("Laguerre indices must be nonnegative")
     if eta < 0:
         raise ValueError("Lamb-Dicke parameter must be nonnegative")
-    if not math.isfinite(eta * eta):
-        raise ValueError(f"Lamb-Dicke parameter {eta!r} is too large: eta^2 overflows")
+    x = eta_squared(eta)
     state = LAGUERRE_START if resume is None else resume
     size = max(n_max - state.n, 0)
     if eta == 0.0:
@@ -178,13 +178,20 @@ def coupling_logabs_sequence(n_max: int, m: int, eta: float, *, resume: Laguerre
             signs, log_mags = np.zeros(size, dtype=np.int8), np.full(size, -np.inf)
         end = state._replace(n=n_max) if size else state
     else:
-        x = eta * eta
         sign_list, logabs, end = _laguerre_extend(state, n_max, m, x)
         n = np.arange(state.n + 1, state.n + 1 + size, dtype=float)
         signs = np.array(sign_list, dtype=np.int8)
         # Elementwise, so a segment equals the matching slice of a longer run.
         log_mags = m * math.log(eta) - 0.5 * x + _log_factorial_ratio(n, m) + np.array(logabs)
     return (signs, log_mags) if resume is None else (signs, log_mags, end)
+
+
+def eta_squared(eta: float) -> float:
+    """eta^2, or ValueError when it overflows the double range."""
+    x = eta * eta
+    if not math.isfinite(x):
+        raise ValueError(f"Lamb-Dicke parameter {eta!r} is too large: eta^2 overflows")
+    return x
 
 
 def coupling_f(n: int, m: int, eta: float) -> CouplingValue:
@@ -215,11 +222,15 @@ def lnsinh(x):
     if np.any(x_arr < 0):
         raise ValueError("lnsinh requires nonnegative arguments")
     small = x_arr < 20.0
-    out = np.empty_like(x_arr)
-    with np.errstate(divide="ignore"):
-        out[small] = np.log(np.sinh(x_arr[small]))
-    big = ~small
-    out[big] = x_arr[big] - _LN2 + np.log1p(-np.exp(-2.0 * x_arr[big]))
+    if small.all():
+        with np.errstate(divide="ignore"):
+            out = np.log(np.sinh(x_arr))
+    else:
+        out = np.empty_like(x_arr)
+        with np.errstate(divide="ignore"):
+            out[small] = np.log(np.sinh(x_arr[small]))
+        big = ~small
+        out[big] = x_arr[big] - _LN2 + np.log1p(-np.exp(-2.0 * x_arr[big]))
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(out)
     return out

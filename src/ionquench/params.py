@@ -196,7 +196,10 @@ class ReducedParams:
 
     @property
     def nbar(self) -> float:
-        return 1.0 / math.expm1(self.b_nu)
+        try:
+            return 1.0 / math.expm1(self.b_nu)
+        except OverflowError:  # e^b_nu overflows; 1/(e^b_nu - 1) is e^(-b_nu) to double precision
+            return math.exp(-self.b_nu)
 
     @property
     def ln_nbar_plus_1(self) -> float:

@@ -1,7 +1,8 @@
 """Parameter sweeps over grids of lag evaluations, with plot-ready rows.
 
 Rows come out in a fixed order: spec by spec, and within a spec grid-major,
-then branch, then sideband index.  Points are evaluated one after another.
+then branch, then sideband index.  Points are evaluated one after another,
+except that a pinned spec's lags are summed in blocks (see run_specs).
 """
 
 from __future__ import annotations
@@ -9,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Mapping
 
-from .params import Branch, reduce_point
-from .thermo import TruncationPolicy, nonequilibrium_lag
+from .params import Branch, ReducedParams, TrapIonConfig, reduce_point
+from .thermo import LagResult, TruncationPolicy, nonequilibrium_lag, nonequilibrium_lags
 
 __all__ = ["SweepSpec", "ResultRow", "RESULT_COLUMNS", "run_specs", "evaluate_point"]
 
@@ -114,17 +115,19 @@ class ResultRow:
 def evaluate_point(point: Mapping, policy: TruncationPolicy | None = None) -> ResultRow:
     """Evaluate the lag at one point."""
     policy = policy or TruncationPolicy()
-    eta = point.get("eta")
-    cfg, rp = reduce_point(point, point["m"], point["branch"], eta)
+    cfg, rp = reduce_point(point, point["m"], point["branch"], point.get("eta"))
     if point.get("n_pinned") is not None:
         policy = replace(policy, n_pinned=int(point["n_pinned"]))
-    result = nonequilibrium_lag(rp, policy=policy)
+    return _row(cfg, rp, point.get("eta") is not None, nonequilibrium_lag(rp, policy=policy))
+
+
+def _row(cfg: TrapIonConfig, rp: ReducedParams, eta_given: bool, result: LagResult) -> ResultRow:
     return ResultRow(
         nu=cfg.nu,
         omega0=cfg.omega0,
         omega_rabi=cfg.omega_rabi,
         mass=cfg.mass,
-        phi_angle=cfg.phi_angle if eta is None else float("nan"),
+        phi_angle=float("nan") if eta_given else cfg.phi_angle,
         eta=rp.eta,
         nbar=rp.nbar,
         b_nu=rp.b_nu,
@@ -141,6 +144,26 @@ def evaluate_point(point: Mapping, policy: TruncationPolicy | None = None) -> Re
     )
 
 
+def _pinned_rows(spec: SweepSpec, policy: TruncationPolicy) -> list[ResultRow]:
+    """Rows of a pinned spec: every point resolved first, then all lags in blocks."""
+    if spec.n_pinned is not None:
+        policy = replace(policy, n_pinned=spec.n_pinned)
+    resolved = [(*reduce_point(p, p["m"], p["branch"], p.get("eta")), p.get("eta") is not None) for p in spec.points()]
+    results = nonequilibrium_lags([rp for _, rp, _ in resolved], policy)
+    return [_row(*point, result) for point, result in zip(resolved, results)]
+
+
 def run_specs(specs: Iterable[SweepSpec], policy: TruncationPolicy | None = None) -> list[ResultRow]:
-    """Evaluate every point of every spec, in spec order and then spec.points() order."""
-    return [evaluate_point(p, policy) for spec in specs for p in spec.points()]
+    """Evaluate every point of every spec, in spec order and then spec.points() order.
+
+    A pinned spec's lags are summed in blocks of rows that share a sideband
+    index; an adaptive spec's points are evaluated one by one.
+    """
+    policy = policy or TruncationPolicy()
+    rows: list[ResultRow] = []
+    for spec in specs:
+        if spec.n_pinned is None and policy.n_pinned is None:
+            rows.extend(evaluate_point(p, policy) for p in spec.points())
+        else:
+            rows.extend(_pinned_rows(spec, policy))
+    return rows

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,6 +49,7 @@ __all__ = [
     "ln_partition_initial",
     "ln_partition_final",
     "nonequilibrium_lag",
+    "nonequilibrium_lags",
     "phi_reduced",
     "divergence_predicate_reduced",
     "low_temperature_limit",
@@ -61,9 +63,12 @@ _LN2 = math.log(2.0)
 
 # Fixed truncation constants: chunk size of the adaptive sums, and the "quiet"
 # stop (this many consecutive terms each below _TERM_REL_TOL of the running sum).
-# Terms are produced up to _BLOCK_CHUNKS chunks at a time.
+# One term call covers at most _BLOCK_CHUNKS chunks of terms; pinned rows are
+# summed _BLOCK_ROWS at a time, so a block's call covers 16 chunks of one row
+# or one chunk of 16 rows.
 _CHUNK = 512
 _BLOCK_CHUNKS = 16
+_BLOCK_ROWS = 16
 _TERM_REL_TOL = 1e-16
 _CONSECUTIVE_BELOW = 64
 
@@ -231,23 +236,54 @@ def _scaled_coupling(m: int, eta: float, scale: float, n_lo: int, n_hi: int) -> 
         return np.where(signs[n_lo:n_hi] == 0, 0.0, scale * np.exp(log_mags[n_lo:n_hi]))
 
 
-def _excess_logs(rp: ReducedParams, n_lo: int, n_hi: int) -> np.ndarray:
-    """Shifted log of the coupling-induced excess terms for n in [n_lo, n_hi)."""
-    u = _scaled_coupling(rp.m, rp.eta, rp.b_om, n_lo, n_hi)
-    abs_bwl, d_aw = _abs_bwl_minus_bw0(rp)
-    b_quarter = 0.25 * sqrt_excess(abs_bwl, u)  # (sqrt(b_wl^2+u^2) - |b_wl|)/4 >= 0
-    a_shifted = 0.5 * d_aw + b_quarter
-    a_full = a_shifted + 0.5 * rp.b_w0
-    ns = np.arange(n_lo, n_hi, dtype=float)
+class _Rows(NamedTuple):
+    """Parameters of rows that share the sideband index m, each a [rows x 1] column."""
+
+    m: int
+    etas: tuple[float, ...]
+    b_nu: np.ndarray
+    b_w0: np.ndarray
+    b_om: np.ndarray
+    abs_bwl: np.ndarray
+    d_aw: np.ndarray  # |b_wl| - b_w0
+
+
+def _rows_of(rps: list[ReducedParams]) -> _Rows:
+    columns = np.array([(rp.b_nu, rp.b_w0, rp.b_om, *_abs_bwl_minus_bw0(rp)) for rp in rps]).T.copy()[:, :, None]
+    return _Rows(rps[0].m, tuple(rp.eta for rp in rps), *columns)
+
+
+def _coupling_rows(m: int, etas: tuple[float, ...], n_lo: int, n_hi: int) -> np.ndarray:
+    """|f_n^m| for n in [n_lo, n_hi), one row per eta, from one cache slice per distinct eta.
+
+    When all etas are equal the result is a single row, which broadcasts.
+    """
+    by_eta = {eta: _scaled_coupling(m, eta, 1.0, n_lo, n_hi) for eta in dict.fromkeys(etas)}
+    if len(by_eta) == 1:
+        return next(iter(by_eta.values()))[None, :]
+    return np.stack([by_eta[eta] for eta in etas])
+
+
+def _excess_logs(rows: _Rows, n_lo: int, n_hi: int) -> np.ndarray:
+    """Shifted log of the coupling-induced excess terms for n in [n_lo, n_hi), one row per parameter row.
+
+    The one excess-term formula: every operation is elementwise, so a row's
+    terms have the same bits in a block of any size.
+    """
+    with np.errstate(over="ignore"):
+        u = rows.b_om * _coupling_rows(rows.m, rows.etas, n_lo, n_hi)
+    b_quarter = 0.25 * sqrt_excess(rows.abs_bwl, u)  # (sqrt(b_wl^2+u^2) - |b_wl|)/4 >= 0
+    a_shifted = 0.5 * rows.d_aw + b_quarter
+    # _LN2 - b_nu (n + m/2) + a_shifted + log(1 - e^(-2 a_full)) + lnsinh(b_quarter),
+    # added left to right in place, which keeps few [rows x n] arrays alive.
+    out = rows.b_nu * (np.arange(n_lo, n_hi, dtype=float) + 0.5 * rows.m)
+    np.subtract(_LN2, out, out=out)
+    out += a_shifted
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = (
-            _LN2
-            - rp.b_nu * (ns + 0.5 * rp.m)
-            + a_shifted
-            + _log1m_exp_neg2(a_full)
-            + lnsinh(b_quarter)
-        )
-    return np.where(b_quarter == 0.0, -np.inf, out)
+        out += _log1m_exp_neg2(a_shifted + 0.5 * rows.b_w0)
+        out += lnsinh(b_quarter)
+    out[b_quarter == 0.0] = -np.inf
+    return out
 
 
 def _log1m_exp_neg2(a):
@@ -269,40 +305,59 @@ def _log1m_exp_neg2(a):
     return out
 
 
-def _excess_tail(rp: ReducedParams):
-    """n_from -> shifted-log bound on the excess terms with n >= n_from, minus log(nbar+1).
+def _excess_tails(rows: _Rows) -> list:
+    """Per row, n_from -> shifted-log bound on the excess terms with n >= n_from, minus log(nbar+1).
 
     Uses |f_n^m| <= 1 (unitary matrix element), so the coupling factor is
     bounded by its u = b_om envelope while the geometric factor sums exactly.
     The log(nbar+1) is left out because it cancels against Z_initial.  The
-    row's constants are built once; only the geometric factor depends on
+    envelope and its lnsinh are formed for all rows at once, the rest of
+    each row's constants in math; only the geometric factor depends on
     n_from.
     """
-    abs_bwl, d_aw = _abs_bwl_minus_bw0(rp)
-    b_quarter = 0.25 * float(sqrt_excess(abs_bwl, rp.b_om))
+    b_quarters = 0.25 * sqrt_excess(rows.abs_bwl, rows.b_om)
+    columns = (b_quarters, lnsinh(b_quarters), rows.d_aw, rows.b_w0, rows.b_nu)
+    return [_excess_tail(*values, 0.5 * rows.m) for values in zip(*(c.ravel().tolist() for c in columns))]
+
+
+def _excess_tail(b_quarter: float, log_sinh: float, d_aw: float, b_w0: float, b_nu: float, half_m: float):
     if b_quarter == 0.0:  # also when b_om = 0
         return lambda n_from: -math.inf
     a_shifted = 0.5 * d_aw + b_quarter
-    log_edge = _log1m_exp_neg2(a_shifted + 0.5 * rp.b_w0)
-    log_sinh = float(lnsinh(b_quarter))
-    b_nu, half_m = rp.b_nu, 0.5 * rp.m
+    log_edge = _log1m_exp_neg2(a_shifted + 0.5 * b_w0)
     return lambda n_from: _LN2 - b_nu * (n_from + half_m) + a_shifted + log_edge + log_sinh
 
 
 def _chunk_log_sums(rows: np.ndarray) -> list[float]:
-    """log sum(exp(row)) of each row of a C-contiguous 2-D block (nan for an all -inf row).
+    """log sum(exp(row)) of each row of a 2-D block of chunks (nan for an all -inf row).
 
-    Full chunks are reduced in one pass; a row-wise pairwise sum of a
-    contiguous row has the bits of the 1-D np.sum of that row.  A single
-    short row (a partial last chunk) takes the 1-D path itself.
+    All rows are reduced in one pass; the row-wise pairwise sum of a row has
+    the bits of the 1-D np.sum of that row, at any row length.
     """
     his = rows.max(axis=1)
     with np.errstate(invalid="ignore"):
-        if rows.shape[1] == _CHUNK:
-            sums = np.exp(rows - his[:, None]).sum(axis=1).tolist()
-        else:
-            sums = [float(np.sum(np.exp(rows[0] - his[0])))]
+        sums = np.exp(rows - his[:, None]).sum(axis=1).tolist()
     return [hi + math.log(s) for hi, s in zip(his.tolist(), sums)]
+
+
+def _pinned_log_sums(term_logs, n_rows: int, n_pinned: int) -> list[float]:
+    """log of the sum of terms n < n_pinned of each row of term_logs(n_lo, n_hi), a [n_rows x n] block.
+
+    One call covers at most _BLOCK_CHUNKS chunks of terms over all rows
+    (at least one chunk per row).  Each row is folded chunk by chunk in
+    ascending n, so it gets the bits of a one-row, one-chunk-at-a-time sum.
+    """
+    step = max(1, _BLOCK_CHUNKS // n_rows) * _CHUNK
+    running = [-math.inf] * n_rows
+    for n_lo in range(0, n_pinned, step):
+        xs = term_logs(n_lo, min(n_lo + step, n_pinned))
+        for lo in range(0, xs.shape[1], _CHUNK):
+            chunks = xs[:, lo : lo + _CHUNK]  # one chunk of every row
+            has_finite = (chunks > -math.inf).any(axis=1).tolist()
+            for row, (finite, chunk_log) in enumerate(zip(has_finite, _chunk_log_sums(chunks))):
+                if finite:
+                    running[row] = float(np.logaddexp(running[row], chunk_log))
+    return running
 
 
 def _chunked_log_sum(term_logs, policy: TruncationPolicy, bound_reached=None) -> tuple[float, int, str]:
@@ -310,31 +365,31 @@ def _chunked_log_sum(term_logs, policy: TruncationPolicy, bound_reached=None) ->
 
     Terms are merged chunk by chunk (fixed chunk size), so the result is
     deterministic for given inputs.  A pinned policy sums exactly n_pinned
-    terms (stop reason "pinned").  Otherwise the sum stops once
-    _CONSECUTIVE_BELOW consecutive terms are quiet ("quiet"), once
+    terms (stop reason "pinned") through _pinned_log_sums.  Otherwise the sum
+    stops once _CONSECUTIVE_BELOW consecutive terms are quiet ("quiet"), once
     bound_reached(n_used) holds after a chunk ("bound"), or at n_cap ("cap").
     The quiet-terms counter compares each term against the running total at
     the start of its chunk, which only understates term significance never
     overstates it, so the stopping rule is conservative.
 
-    Terms are produced in blocks of chunks, one term_logs call each: up to
-    _BLOCK_CHUNKS chunks for a pinned sum, 1, 2, 4, ... up to _BLOCK_CHUNKS
-    for an adaptive one.  A block never runs past n_pinned or n_cap, nor past
-    the first chunk edge where bound_reached holds.  Only production is
-    blocked: every chunk is folded and tested as if it had been made alone.
+    An adaptive sum asks term_logs for blocks of 1, 2, 4, ... up to
+    _BLOCK_CHUNKS chunks, never past n_cap nor past the first chunk edge
+    where bound_reached holds.  Only production is blocked: every chunk is
+    folded and tested as if it had been made alone.
     """
+    if policy.n_pinned is not None:
+        (running,) = _pinned_log_sums(lambda lo, hi: term_logs(lo, hi)[None, :], 1, policy.n_pinned)
+        return running, policy.n_pinned, "pinned"
     log_thresh = math.log(_TERM_REL_TOL)
-    pinned = policy.n_pinned is not None
-    target = policy.n_pinned if pinned else policy.n_cap
     running = -math.inf
     n_done = 0
     consec = 0
-    n_chunks = _BLOCK_CHUNKS if pinned else 1
-    while n_done < target:
-        n_hi = min(n_done + n_chunks * _CHUNK, target)
+    n_chunks = 1
+    while n_done < policy.n_cap:
+        n_hi = min(n_done + n_chunks * _CHUNK, policy.n_cap)
         edges = [*range(n_done + _CHUNK, n_hi, _CHUNK), n_hi]
         bound_at = None
-        if bound_reached is not None and not pinned:
+        if bound_reached is not None:
             bound_at = next((edge for edge in edges if bound_reached(edge)), None)
             if bound_at is not None:
                 edges = edges[: edges.index(bound_at) + 1]
@@ -350,9 +405,6 @@ def _chunked_log_sum(term_logs, policy: TruncationPolicy, bound_reached=None) ->
                 befores.append(running)
                 if has_finite:
                     running = float(np.logaddexp(running, chunk_log))
-            if pinned:
-                n_done += rows.size
-                continue
             before = np.array(befores)[:, None]
             with np.errstate(invalid="ignore"):
                 below = np.where(before == -math.inf, ~finite, (rows - before) < log_thresh)
@@ -366,36 +418,63 @@ def _chunked_log_sum(term_logs, policy: TruncationPolicy, bound_reached=None) ->
                 if n_done == bound_at:
                     return running_after, n_done, "bound"
         n_chunks = min(2 * n_chunks, _BLOCK_CHUNKS)
-    return running, n_done, "pinned" if pinned else "cap"
+    return running, n_done, "cap"
 
 
-def _excess_lag(rp: ReducedParams, policy: TruncationPolicy) -> tuple[float, float, TruncationReport]:
-    """(shifted log Z_initial, lag, truncation report) from the excess sum."""
-    ln_zi = ln_partition_initial(rp).shifted_log
-    if rp.b_om == 0.0 or (rp.m > 0 and rp.eta == 0.0):
-        # Dead coupling: the excess vanishes identically, no scan needed.
-        return ln_zi, 0.0, _EXACT_REPORT
+def _excess_lags(rps: list[ReducedParams], policy: TruncationPolicy) -> list[tuple[float, float, TruncationReport]]:
+    """(shifted log Z_initial, lag, truncation report) of each row, from the excess sum.
 
-    excess_tail = _excess_tail(rp)
-    log_zi_edge = math.log1p(math.exp(-rp.b_w0))
+    Rows with dead coupling are exact zeros.  With a pinned policy the live
+    rows that share a sideband index are summed in blocks of up to
+    _BLOCK_ROWS rows; an adaptive policy sums each row alone.
+    """
+    out: list = [None] * len(rps)
+    by_m: dict[int, list[int]] = {}
+    for i, rp in enumerate(rps):
+        if rp.b_om == 0.0 or (rp.m > 0 and rp.eta == 0.0):
+            # Dead coupling: the excess vanishes identically, no scan needed.
+            out[i] = (ln_partition_initial(rp).shifted_log, 0.0, _EXACT_REPORT)
+        else:
+            by_m.setdefault(rp.m, []).append(i)
+    size = _BLOCK_ROWS if policy.n_pinned is not None else 1
+    for live in by_m.values():
+        for start in range(0, len(live), size):
+            block = live[start : start + size]
+            for i, result in zip(block, _excess_block([rps[i] for i in block], policy)):
+                out[i] = result
+    return out
 
-    def tail_rel_zi(n_from: int) -> float:
-        # log of (excess tail bound / Z_i); the log(nbar+1) factors cancel.
-        return excess_tail(n_from) - log_zi_edge
 
+def _excess_block(rps: list[ReducedParams], policy: TruncationPolicy) -> list[tuple[float, float, TruncationReport]]:
+    """_excess_lags for live rows that share m: all pinned, or one adaptive row."""
+    rows = _rows_of(rps)
+    tails = _excess_tails(rows)
+    # log(1 + e^(-b_w0)): log Z_i without its log(nbar+1), which cancels against the tails'.
+    zi_edges = [math.log1p(math.exp(-rp.b_w0)) for rp in rps]
     log_lag_tol = math.log(policy.lag_abs_tol)
-    log_sum, n_done, stop_reason = _chunked_log_sum(
-        lambda lo, hi: _excess_logs(rp, lo, hi), policy, lambda n: tail_rel_zi(n) <= log_lag_tol
-    )
-    lag = float(np.logaddexp(0.0, log_sum - ln_zi))
-    tail_bound_log = excess_tail(n_done) + rp.ln_nbar_plus_1 - (ln_zi + lag)
-    converged = tail_bound_log <= math.log(policy.tail_rel_tol) or tail_rel_zi(n_done) <= log_lag_tol
-    report = TruncationReport(
-        n_used=n_done, tail_bound_log=tail_bound_log, converged=converged, stop_reason=stop_reason
-    )
-    if not converged and policy.n_pinned is None and policy.error_on_nonconverged:
-        raise TruncationError(report, f"partition sum not converged after {n_done} terms ({stop_reason})")
-    return ln_zi, lag, report
+    if policy.n_pinned is not None:
+        log_sums = _pinned_log_sums(lambda lo, hi: _excess_logs(rows, lo, hi), len(rps), policy.n_pinned)
+        sums = [(log_sum, policy.n_pinned, "pinned") for log_sum in log_sums]
+    else:
+        (row_tail,), (row_edge,) = tails, zi_edges
+        sums = [
+            _chunked_log_sum(
+                lambda lo, hi: _excess_logs(rows, lo, hi)[0], policy, lambda n: row_tail(n) - row_edge <= log_lag_tol
+            )
+        ]
+    out = []
+    for rp, tail, zi_edge, (log_sum, n_done, stop_reason) in zip(rps, tails, zi_edges, sums):
+        ln_zi = ln_partition_initial(rp).shifted_log
+        lag = float(np.logaddexp(0.0, log_sum - ln_zi))
+        tail_bound_log = tail(n_done) + rp.ln_nbar_plus_1 - (ln_zi + lag)
+        converged = tail_bound_log <= math.log(policy.tail_rel_tol) or tail(n_done) - zi_edge <= log_lag_tol
+        report = TruncationReport(
+            n_used=n_done, tail_bound_log=tail_bound_log, converged=converged, stop_reason=stop_reason
+        )
+        if not converged and policy.n_pinned is None and policy.error_on_nonconverged:
+            raise TruncationError(report, f"partition sum not converged after {n_done} terms ({stop_reason})")
+        out.append((ln_zi, lag, report))
+    return out
 
 
 def _edge_shifted_log(rp: ReducedParams) -> float:
@@ -423,7 +502,7 @@ def ln_partition_final(
     """
     policy = policy or TruncationPolicy()
     if assembly == "excess":
-        ln_zi, lag, report = _excess_lag(rp, policy)
+        ((ln_zi, lag, report),) = _excess_lags([rp], policy)
         return LogPartition(shifted_log=ln_zi + lag, shift_reference=0.5 * rp.b_w0, truncation=report)
     if assembly == "direct":
         return _ln_partition_final_direct(rp, policy)
@@ -467,8 +546,22 @@ def nonequilibrium_lag(rp: ReducedParams, policy: TruncationPolicy | None = None
     decoupled limits (omega_rabi -> 0, eta -> infinity, JC sideband with
     eta -> 0) return exactly zero.
     """
-    _, value, report = _excess_lag(rp, policy or TruncationPolicy())
-    return LagResult(value=value, truncation=report, divergence_predicted=divergence_predicate_reduced(rp).diverges)
+    return nonequilibrium_lags([rp], policy)[0]
+
+
+def nonequilibrium_lags(rps: list[ReducedParams], policy: TruncationPolicy | None = None) -> list[LagResult]:
+    """nonequilibrium_lag of each point, with the same bits.
+
+    With a pinned policy the rows that share a sideband index are summed as
+    blocks of up to 16 rows, which costs far less than one row at a time,
+    and the divergence scan runs once per JC key, not once per row.
+    """
+    lags = _excess_lags(rps, policy or TruncationPolicy())
+    jc_memo: dict = {}
+    return [
+        LagResult(value=lag, truncation=report, divergence_predicted=_diverges(rp, jc_memo))
+        for rp, (_, lag, report) in zip(rps, lags)
+    ]
 
 
 # -- low-temperature classification -------------------------------------------
@@ -534,6 +627,23 @@ def _coupling_alive(rp: ReducedParams) -> bool:
     if rp.r_om <= 0:
         return False
     return rp.m == 0 or rp.eta > 0
+
+
+def _diverges(rp: ReducedParams, jc_memo: dict) -> bool:
+    """divergence_predicate_reduced(rp).diverges, with Phi scanned only where the answer needs it.
+
+    Dead coupling never diverges and live AJC or carrier coupling always
+    does.  A JC sideband's answer is kept in jc_memo under (m, r_w0, r_om,
+    eta), the only inputs of its scan, so a sweep over temperature scans once.
+    """
+    if not _coupling_alive(rp):
+        return False
+    if rp.branch is not Branch.JC or rp.m == 0:
+        return True
+    key = (rp.m, rp.r_w0, rp.r_om, rp.eta)
+    if key not in jc_memo:
+        jc_memo[key] = divergence_predicate_reduced(rp).diverges
+    return jc_memo[key]
 
 
 def divergence_predicate_reduced(rp: ReducedParams) -> DivergenceReport:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import eta_squared
 from .params import Branch, ReducedParams
 from .spectra import dense_hamiltonians, sideband_eigenvectors
 
@@ -59,11 +60,16 @@ class MomentEstimate:
 
 
 def moments_analytic(rp: ReducedParams) -> WorkMoments:
-    """Closed-form moments for the full-coupling sudden quench, in hbar*nu units."""
+    """Closed-form moments for the full-coupling sudden quench, in hbar*nu units.
+
+    Raises ValueError when eta^2, a moment or the skewness overflows.
+    """
     half_om = 0.5 * rp.r_om
     second = half_om * half_om
-    third = second * (rp.eta * rp.eta + rp.r_w0 * math.tanh(0.5 * rp.b_w0))
+    third = second * (eta_squared(rp.eta) + rp.r_w0 * math.tanh(0.5 * rp.b_w0))
     skew = third / second**1.5 if second > 0 else 0.0
+    if not (math.isfinite(third) and math.isfinite(skew)):
+        raise ValueError(f"work moments overflow at Lamb-Dicke parameter {rp.eta!r}")
     return WorkMoments(mean=0.0, second=second, third=third, skewness=skew)
 
 

@@ -201,6 +201,27 @@ class TestInputValidation:
         assert main([command, "--desk-scale", "--branch", "jc", "--m", "1", "--eta", "1e200"]) == 2
         assert "Lamb-Dicke parameter 1e+200 is too large" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, flag, axis",
+        [
+            (["lag", "--preset", "fig1", "--eta", "0.3"], "--eta", "eta"),
+            (["lag", "--preset", "fig2", "--omega", "1e6"], "--omega", "omega_rabi"),
+            (["lag", "--preset", "fig3", "--nbar", "2"], "--nbar", "nbar"),
+            (["lag", "--preset", "fig3", "--beta", "2"], "--beta", "nbar"),
+            (["lag", "--preset", "fig5", "--nu", "1e4"], "--nu", "nu"),
+            (["lag", "--preset", "fig6", "--m", "1"], "--m", "m"),
+            (["sweep", "--axis", "m", "--values", "1,2", "--m", "3", "--eta", "0.5"], "--m", "m"),
+            (["sweep", "--axis", "eta", "--values", "0.1,0.2", "--eta", "0.5"], "--eta", "eta"),
+        ],
+    )
+    def test_flag_for_the_swept_axis_rejected(self, argv, flag, axis, tmp_path, capsys):
+        # The grid sets the swept value; the flag used to be dropped with exit 0.
+        out = tmp_path / "rows.csv"
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and flag in err[0] and f"sweeps {axis}" in err[0]
+        assert not out.exists()
+
     def test_unexpected_exception_is_one_error_line(self, tmp_path, capsys, monkeypatch):
         def broken(*args, **kwargs):
             raise RuntimeError("dense oracle broke")
@@ -281,6 +302,21 @@ class TestMomentsCommand:
         row = read_csv(out)[0]
         assert float(row["w_second_rel_dev"]) <= 1e-6
         assert float(row["w_third_rel_dev"]) <= 1e-6
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--desk-scale", "--eta", "1e200"], "Lamb-Dicke parameter 1e+200 is too large: eta^2 overflows"),
+            # eta^2 is finite here, but the third moment is not.
+            (["--eta", "1e153"], "work moments overflow at Lamb-Dicke parameter 1e+153"),
+        ],
+    )
+    def test_overflowing_eta_rejected(self, argv, message, tmp_path, capsys):
+        # w_third and w_skewness used to be written as inf with exit 0.
+        out = tmp_path / "m.csv"
+        assert main(["moments", *argv, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_numeric_oracle_requires_desk_scale(self):
         assert main(["moments", "--numeric-oracle"]) == 2

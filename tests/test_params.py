@@ -119,6 +119,13 @@ class TestReduce:
         with pytest.raises(ValueError):
             reduce(cfg, QuenchSpec(0, Branch.CARRIER), ThermalSpec(beta=1e300), eta_override=0.0)
 
+    @pytest.mark.parametrize("b_nu", [709.0, 710.0, 740.0, 12654.861804])
+    def test_nbar_at_low_temperature(self, b_nu):
+        # nbar = 1/(e^b_nu - 1) = e^(-b_nu) to double precision here; e^b_nu
+        # overflows past b_nu ~ 709.8, where nbar used to raise OverflowError.
+        rp = reduced_from_ratios(0.8, 4.0, 0.5, 1, Branch.JC, b_nu=b_nu)
+        assert rp.nbar == pytest.approx(math.exp(-b_nu), rel=1e-12, abs=0.0)
+
     @pytest.mark.parametrize("eta", [math.nan, math.inf])
     def test_nonfinite_eta_override_rejected(self, fig1_cfg, eta):
         with pytest.raises(ValueError, match="Lamb-Dicke parameter must be finite"):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ionquench.numerics import coupling_f, log_sum_exp, sqrt_shift
+from ionquench.numerics import coupling_f, log_sum_exp, sqrt_excess, sqrt_shift
 from ionquench.params import Branch, QuenchSpec, ThermalSpec, TrapIonConfig, reduce, reduce_point, reduced_from_ratios
 from ionquench.presets import figure_presets
 from ionquench.spectra import dense_hamiltonians
@@ -286,15 +286,18 @@ class TestDivergencePredicate:
         assert all(report.diverges and report.witnesses == [0] for report in reports)
 
     def test_sweep_rows_carry_the_predicate(self):
-        # Rows take divergence_predicted from the lag's own scan; it must match
-        # a fresh scan on the fig4 blocks, where some rows diverge and some do not.
+        # Rows take divergence_predicted from a memo keyed by the frequency
+        # ratios, eta and m; every row of every preset must match a fresh scan
+        # (fig4 has rows that diverge and rows that do not).
+        policy = TruncationPolicy(error_on_nonconverged=False)
         flags = []
-        for spec in figure_presets()["fig4"].specs:
-            for point, row in zip(spec.points(), run_specs([spec])):
-                _, rp = reduce_point(point, point["m"], point["branch"], point["eta"])
-                assert row.divergence_predicted == divergence_predicate_reduced(rp).diverges
-                flags.append(row.divergence_predicted)
-        assert True in flags and False in flags
+        for preset in figure_presets().values():
+            for spec in preset.specs:
+                for point, row in zip(spec.points(), run_specs([spec], policy)):
+                    _, rp = reduce_point(point, point["m"], point["branch"], point.get("eta"))
+                    assert row.divergence_predicted == divergence_predicate_reduced(rp).diverges, (preset.name, point)
+                    flags.append(row.divergence_predicted)
+        assert len(flags) == 1440 and True in flags and False in flags
 
 
 class TestLowTemperatureLimit:
@@ -519,12 +522,14 @@ class TestBlockedLogSum:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_row_wise_sum_equals_one_dimensional_sum(self, seed):
+        # Full chunks, and the partial last chunks a pinned block reduces (40, 50, 392, 464 at the presets).
         rng = np.random.default_rng(seed)
-        for k in (1, 2, 5, 16):
-            rows = np.exp(rng.uniform(-700.0, 0.0, size=(k, thermo._CHUNK)) * rng.uniform(0.0, 1.0, size=(k, 1)))
-            sums = rows.sum(axis=1)
-            for row, total in zip(rows, sums):
-                assert np.sum(np.ascontiguousarray(row)).tobytes() == total.tobytes()
+        for width in (thermo._CHUNK, 1, 7, 40, 50, 129, 392, 464, 511):
+            for k in (1, 2, 5, 16):
+                rows = np.exp(rng.uniform(-700.0, 0.0, size=(k, width)) * rng.uniform(0.0, 1.0, size=(k, 1)))
+                sums = rows.sum(axis=1)
+                for row, total in zip(rows, sums):
+                    assert np.sum(np.ascontiguousarray(row)).tobytes() == total.tobytes()
 
     # exp, log and log1p, and the other elementwise functions the term formulas use.
     @pytest.mark.parametrize("ufunc", [np.exp, np.log, np.log1p, np.expm1, np.sinh, lambda v: np.hypot(3.7, v)])
@@ -540,6 +545,138 @@ class TestBlockedLogSum:
                 assert ufunc(values[offset:]).tobytes() == whole[offset:].tobytes()
             assert ufunc(values[:896].reshape(28, 32)).tobytes() == whole[:896].tobytes()
             assert all(ufunc(values[i : i + 1]).tobytes() == whole[i : i + 1].tobytes() for i in range(0, values.size, 7))
+
+
+def _lnsinh_masked(x):
+    """numerics.lnsinh as it was before its all-small fast path."""
+    small = x < 20.0
+    out = np.empty_like(x)
+    with np.errstate(divide="ignore"):
+        out[small] = np.log(np.sinh(x[small]))
+    out[~small] = x[~small] - math.log(2.0) + np.log1p(-np.exp(-2.0 * x[~small]))
+    return out
+
+
+def _one_row_pinned(rp, n_pinned):
+    """(lag, n_used, tail_bound_log, converged, divergence_predicted) of a pinned row,
+    computed as the one-row path did before rows were summed in blocks: the reference."""
+    policy = TruncationPolicy(n_pinned=n_pinned, error_on_nonconverged=False)
+    diverges = divergence_predicate_reduced(rp).diverges
+    if rp.b_om == 0.0 or (rp.m > 0 and rp.eta == 0.0):
+        return 0.0, 0, -math.inf, True, diverges
+    abs_bwl, d_aw = thermo._abs_bwl_minus_bw0(rp)
+
+    def term_logs(n_lo, n_hi):
+        u = thermo._scaled_coupling(rp.m, rp.eta, rp.b_om, n_lo, n_hi)
+        b_quarter = 0.25 * sqrt_excess(abs_bwl, u)
+        a_shifted = 0.5 * d_aw + b_quarter
+        ns = np.arange(n_lo, n_hi, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = (
+                math.log(2.0)
+                - rp.b_nu * (ns + 0.5 * rp.m)
+                + a_shifted
+                + thermo._log1m_exp_neg2(a_shifted + 0.5 * rp.b_w0)
+                + _lnsinh_masked(b_quarter)
+            )
+        return np.where(b_quarter == 0.0, -np.inf, out)
+
+    b_quarter = 0.25 * float(sqrt_excess(abs_bwl, rp.b_om))
+    if b_quarter == 0.0:
+        tail = lambda n_from: -math.inf  # noqa: E731
+    else:
+        a_shifted = 0.5 * d_aw + b_quarter
+        log_edge = thermo._log1m_exp_neg2(a_shifted + 0.5 * rp.b_w0)
+        log_sinh = float(_lnsinh_masked(np.array([b_quarter]))[0])
+        tail = lambda n_from: (  # noqa: E731
+            math.log(2.0) - rp.b_nu * (n_from + 0.5 * rp.m) + a_shifted + log_edge + log_sinh
+        )
+    log_sum, n_done, _ = _one_chunk_at_a_time(term_logs, policy)
+    ln_zi = rp.ln_nbar_plus_1 + math.log1p(math.exp(-rp.b_w0))
+    lag = float(np.logaddexp(0.0, log_sum - ln_zi))
+    tail_bound_log = tail(n_done) + rp.ln_nbar_plus_1 - (ln_zi + lag)
+    converged = tail_bound_log <= math.log(policy.tail_rel_tol) or (
+        tail(n_done) - math.log1p(math.exp(-rp.b_w0)) <= math.log(policy.lag_abs_tol)
+    )
+    return lag, n_done, tail_bound_log, converged, diverges
+
+
+_ETAS = (0.0, 0.05, 0.3, 0.5, 0.7, 0.85, 1.0, 1.25, 2.0, 2.7, 3.5, 6.0)
+
+
+@st.composite
+def _pinned_spec_groups(draw):
+    """Pinned sweep specs whose rows mix eta (with 0), m, branch and temperature.
+
+    With all 12 etas and both branches a sideband index has more live rows
+    than one block holds; with 2 to 8 rows a block asks for several chunks
+    per row in one call.
+    """
+    block = dict(draw(st.sampled_from([FIG1, FIG4_LEFT, FIG4_RIGHT])))
+    block["omega_rabi"] = draw(st.sampled_from([block["omega_rabi"], block["omega_rabi"], 0.0]))
+    if draw(st.booleans()):
+        block["nbar"] = 10.0 ** draw(st.floats(-4.0, 5.0))
+    else:
+        block["beta"] = draw(st.sampled_from([2.0, 1e20, 1e30]))  # 2 /J: e^(-2a) rounds to 1
+    etas = draw(st.sets(st.sampled_from(_ETAS), min_size=1, max_size=len(_ETAS))) if draw(st.booleans()) else _ETAS
+    kind = draw(st.sampled_from(["carrier", "one branch", "both branches"]))
+    if kind == "carrier":
+        branches, ms = (Branch.CARRIER,), (0,)
+    else:
+        both = (Branch.JC, Branch.AJC)
+        branches = both if kind == "both branches" else (draw(st.sampled_from(both)),)
+        ms = tuple(draw(st.lists(st.integers(0, 6), min_size=1, max_size=2, unique=True)))
+    n_pinned = draw(st.sampled_from([1, 40, 511, 512, 513, 1500, 5000]))
+    return SweepSpec(
+        axis="eta", grid=tuple(sorted(etas)), fixed=block, branches=branches, m_values=ms, n_pinned=n_pinned
+    )
+
+
+class TestBatchedPinnedRows:
+    """A pinned spec's rows are summed in blocks; each row keeps the bits of the one-row path."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(_pinned_spec_groups())
+    def test_bitwise_equal_to_one_row_at_a_time(self, spec):
+        rows = run_specs([spec], TruncationPolicy(error_on_nonconverged=False))
+        for point, row in zip(spec.points(), rows):
+            _, rp = reduce_point(point, point["m"], point["branch"], point["eta"])
+            lag, n_used, tail_bound_log, converged, diverges = _one_row_pinned(rp, spec.n_pinned)
+            got = (row.lag.hex(), row.n_used, row.tail_bound_log.hex(), row.converged, row.divergence_predicted)
+            assert got == (lag.hex(), n_used, tail_bound_log.hex(), converged, diverges), point
+
+    def test_groups_span_several_blocks(self):
+        # 11 live etas x 2 branches = 22 rows per sideband index (eta = 0 is
+        # dead): a block of 16 rows, one chunk each per call, then a block of
+        # 6 rows with two chunks each per call and a partial last chunk.
+        spec = SweepSpec(
+            axis="eta", grid=_ETAS, fixed=dict(FIG1, nbar=0.38),
+            branches=(Branch.JC, Branch.AJC), m_values=(1, 2), n_pinned=1500,
+        )  # fmt: skip
+        rows = run_specs([spec], TruncationPolicy(error_on_nonconverged=False))
+        assert len(rows) == 48
+        for point, row in zip(spec.points(), rows):
+            _, rp = reduce_point(point, point["m"], point["branch"], point["eta"])
+            lag, n_used, tail_bound_log, converged, diverges = _one_row_pinned(rp, 1500)
+            assert (row.lag.hex(), row.n_used, row.tail_bound_log.hex()) == (lag.hex(), n_used, tail_bound_log.hex())
+            assert (row.converged, row.divergence_predicted) == (converged, diverges)
+
+    def test_extreme_temperature_takes_the_expm1_branch(self, monkeypatch):
+        # beta = 2 /J: a_full is below 1e-16, so e^(-2a) rounds to 1 in every term.
+        seen = []
+        real = thermo._log1m_exp_neg2
+        monkeypatch.setattr(
+            thermo, "_log1m_exp_neg2", lambda a: seen.append(np.all(np.exp(-2.0 * np.asarray(a)) == 1.0)) or real(a)
+        )
+        spec = SweepSpec(
+            axis="eta", grid=(0.3, 1.0), fixed=dict(FIG1, beta=2.0),
+            branches=(Branch.JC, Branch.AJC), m_values=(0, 1), n_pinned=40,
+        )  # fmt: skip
+        rows = run_specs([spec], TruncationPolicy(error_on_nonconverged=False))
+        assert seen and all(seen)
+        for point, row in zip(spec.points(), rows):
+            _, rp = reduce_point(point, point["m"], point["branch"], point["eta"])
+            assert row.lag.hex() == _one_row_pinned(rp, 40)[0].hex()
 
 
 class TestSumWorkBounds:
