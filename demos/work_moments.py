@@ -13,6 +13,7 @@ trace formula.
 import numpy as np
 
 from ionquench.params import Branch, reduced_from_ratios
+from ionquench.spectra import dense_hamiltonians
 from ionquench.workstats import moments_analytic, moments_numeric, work_pmf_sideband
 
 rp = reduced_from_ratios(10.0, 1.0, 0.5, 0, Branch.CARRIER, nbar=0.38)
@@ -25,8 +26,9 @@ print(f"  <W^3> = {analytic.third:.12f}   (positive: negative work is likelier)"
 print(f"  skewness = {analytic.skewness:.6f}, halves when the Rabi frequency doubles")
 
 print("\ndense binomial-trace oracle (80 levels):")
+ops = dense_hamiltonians(rp, 80)
 for order in (1, 2, 3):
-    est = moments_numeric(rp, 80, order)
+    est = moments_numeric(ops, order)
     print(f"  order {order}: {est.value:+.12e}  (largest term {est.largest_term:.2e}, "
           f"cancellation x{est.cancellation_ratio:.1f})")
 
@@ -37,6 +39,7 @@ top = np.argsort(pmf.probabilities)[::-1][:5]
 for idx in sorted(top):
     print(f"  W = {pmf.values[idx]:+9.4f}  p = {pmf.probabilities[idx]:.4e}")
 print(f"  ({pmf.values.size} atoms, total probability {pmf.total:.12f})")
+ops1 = dense_hamiltonians(rp1, 60)
 for order in (1, 2, 3):
-    ref = moments_numeric(rp1, 60, order, use_full=False).value
+    ref = moments_numeric(ops1, order, use_full=False).value
     print(f"  moment {order}: pmf {pmf.moment(order):+.10e} vs trace {ref:+.10e}")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -23,7 +24,7 @@ import numpy as np
 
 from .params import Branch, reduce_point
 from .presets import FIG1_CONFIG, desk_scale_point, figure_presets
-from .spectra import spectrum_table
+from .spectra import dense_hamiltonians, spectrum_table
 from .sweep import RESULT_COLUMNS, ResultRow, SweepSpec, run_specs
 from .thermo import TruncationPolicy
 from .verify import run_checks
@@ -39,7 +40,7 @@ _EXIT_INTERNAL = 4
 # pass it, so it stays parsed and bounded.
 _MAX_THREADS = 64
 # moments --numeric-oracle builds dense 2(nmax+1)-square operators; at this
-# maximum a row takes about 2 s and 114 MB, and the cost grows like nmax^3.
+# maximum a row takes about 1.2 s and 105 MB, and the cost grows like nmax^3.
 _MAX_ORACLE_NMAX = 400
 # The divergence scan builds a (10m + 100) x m matrix, so memory grows like
 # m^2; at this maximum a lag row peaks near 37 MB.
@@ -93,11 +94,14 @@ _FLAG_ALIASES = {"omega": "omega_rabi", "phi": "phi_angle"}
 _AXIS_FLAGS = {"eta": "eta", "omega_rabi": "omega", "nbar": "nbar", "nu": "nu", "m": "m"}
 
 
-def _reject_axis_flags(args: argparse.Namespace, axis: str, sweeper: str, also: tuple[str, ...] = ()) -> None:
-    """ConfigError when a flag sets the parameter that sweeper sweeps along axis."""
+def _reject_axis_inputs(args: argparse.Namespace, overrides: dict, axis: str, sweeper: str, also: tuple[str, ...] = ()) -> None:
+    """ConfigError when a flag or the config file sets the parameter that sweeper sweeps along axis."""
     for flag in (_AXIS_FLAGS[axis], *also):
         if getattr(args, flag, None) is not None:
             raise ConfigError(f"--{flag} conflicts with {sweeper}, which sweeps {axis}")
+    for key in (axis, *also):
+        if key in overrides:  # no flag set it, so the config file did
+            raise ConfigError(f"config key {key!r} in {args.config} conflicts with {sweeper}, which sweeps {axis}")
 
 
 def _read_config_file(path: str) -> dict[str, float]:
@@ -133,36 +137,30 @@ def _effective_params(args: argparse.Namespace) -> tuple[dict, dict]:
     overrides holds the final value of every parameter the config file or a
     flag set; a preset's grids take these in place of their own fixed values.
     """
-    if getattr(args, "nbar", None) is not None and getattr(args, "beta", None) is not None:
-        raise ConfigError("give only one of nbar and beta")
-    params: dict = dict(FIG1_CONFIG)
-    if getattr(args, "desk_scale", False):
-        params = desk_scale_point()
+    params: dict = desk_scale_point() if getattr(args, "desk_scale", False) else dict(FIG1_CONFIG)
+    layers: list[dict] = []
     preset_name = getattr(args, "preset", None)
     if preset_name:
         presets = figure_presets()
         if preset_name not in presets:
             raise ConfigError(f"unknown preset {preset_name!r}")
-        fixed = presets[preset_name].specs[0].fixed
-        if "beta" in fixed:
-            params.pop("nbar", None)
-        if "nbar" in fixed:
-            params.pop("beta", None)
-        params.update(fixed)
-    explicit: dict = _read_config_file(args.config) if getattr(args, "config", None) else {}
-    for flag in ("nu", "omega0", "omega", "mass", "phi", "nbar", "beta", "eta"):
-        value = getattr(args, flag, None)
-        if value is not None:
-            explicit[_FLAG_ALIASES.get(flag, flag)] = value
-    params.update(explicit)
-    for flag, other in (("beta", "nbar"), ("nbar", "beta")):
-        if getattr(args, flag, None) is not None:
-            params.pop(other, None)  # the flag replaces the default, preset or config value
-    if "nbar" in params and "beta" in params:
-        raise ConfigError("give only one of nbar and beta")
+        layers.append(presets[preset_name].specs[0].fixed)
+    config = _read_config_file(args.config) if getattr(args, "config", None) else {}
+    flags = {
+        _FLAG_ALIASES.get(flag, flag): getattr(args, flag)
+        for flag in ("nu", "omega0", "omega", "mass", "phi", "nbar", "beta", "eta")
+        if getattr(args, flag, None) is not None
+    }
+    for layer in (*layers, config, flags):
+        if "nbar" in layer and "beta" in layer:
+            raise ConfigError("give only one of nbar and beta")
+        for key, other in (("beta", "nbar"), ("nbar", "beta")):
+            if key in layer:
+                params.pop(other, None)  # the layer's temperature replaces the one below it
+        params.update(layer)
     if "nbar" not in params and "beta" not in params:
         raise ConfigError("one of nbar or beta is required")
-    return params, {key: params[key] for key in explicit if key in params}
+    return params, {key: params[key] for key in (*config, *flags) if key in params}
 
 
 def _policy_from_args(args: argparse.Namespace) -> TruncationPolicy:
@@ -251,12 +249,10 @@ def _specs_for_point_command(args: argparse.Namespace, params: dict, overrides: 
         preset = figure_presets()[args.preset]
         specs = []
         for spec in preset.specs:
-            # The grid sets the swept value; on the nbar axis --beta would set the temperature too.
-            _reject_axis_flags(args, spec.axis, f"preset {args.preset}", ("beta",) if spec.axis == "nbar" else ())
+            # The grid sets the swept value; on the nbar axis beta would set the temperature too.
+            _reject_axis_inputs(args, overrides, spec.axis, f"preset {args.preset}", ("beta",) if spec.axis == "nbar" else ())
             fixed = dict(spec.fixed)
             for key, val in overrides.items():
-                if key == spec.axis:
-                    continue
                 if key in ("nbar", "beta"):
                     fixed.pop("nbar", None)
                     fixed.pop("beta", None)
@@ -293,7 +289,7 @@ def _cmd_lag(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    params, _ = _effective_params(args)
+    params, overrides = _effective_params(args)
     if args.axis is None:
         raise ConfigError("sweep requires --axis")
     if args.values:
@@ -310,7 +306,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         grid = tuple(int(round(v)) for v in vals) if args.axis == "m" else tuple(vals.tolist())
     else:
         raise ConfigError("sweep requires --grid or --values")
-    _reject_axis_flags(args, args.axis, f"--axis {args.axis}")
+    _reject_axis_inputs(args, overrides, args.axis, f"--axis {args.axis}")
     if args.axis == "m":
         _check_sidebands(grid, "--axis m value")
     branches = _parse_branches(args.branch) if args.branch else (Branch.CARRIER,)
@@ -379,9 +375,10 @@ def _cmd_moments(args: argparse.Namespace) -> int:
                 "w_skewness": moments.skewness,
             }
             if use_oracle:
-                m1 = moments_numeric(rp, n_trunc, 1).value
-                m2 = moments_numeric(rp, n_trunc, 2).value
-                m3 = moments_numeric(rp, n_trunc, 3).value
+                ops = dense_hamiltonians(rp, n_trunc)
+                m1 = moments_numeric(ops, 1).value
+                m2 = moments_numeric(ops, 2).value
+                m3 = moments_numeric(ops, 3).value
                 row.update(
                     {
                         "w_mean_numeric": m1,
@@ -436,6 +433,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return _EXIT_OK if payload["all_passed"] else _EXIT_VERIFY_FAIL
 
 
+# Built once per process: every default is immutable, and each parse_args
+# call fills a fresh Namespace.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ionquench", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .numerics import coupling_f, coupling_logabs_sequence, sqrt_shift
+from .numerics import CouplingValue, coupling_f, coupling_logabs_sequence, sqrt_shift
 from .params import Branch, ReducedParams
 
 __all__ = [
@@ -79,8 +80,12 @@ def sideband_eigenvalues(n: int, rp: ReducedParams) -> tuple[float, float]:
     s = sqrt((omega_L/nu)^2 + (omega_rabi/nu)^2 |f_n^m|^2); the carrier is the
     m = 0 case of either branch.
     """
-    u = rp.r_om * coupling_f(n, rp.m, rp.eta).magnitude
-    s = math.hypot(_branch_r_wl(rp), u)
+    return _pair_values(n, rp, coupling_f(n, rp.m, rp.eta))
+
+
+def _pair_values(n: int, rp: ReducedParams, f: CouplingValue) -> tuple[float, float]:
+    """(mu, gamma) of block n from its coupling f = f_n^m."""
+    s = math.hypot(_branch_r_wl(rp), rp.r_om * f.magnitude)
     center = n + 0.5 * rp.m
     return center - 0.5 * s, center + 0.5 * s
 
@@ -130,7 +135,7 @@ def sideband_eigenvectors(n: int, rp: ReducedParams) -> tuple[EigenPair, EigenPa
         f_c = f_c.conjugate()
     c = 0.5 * rp.r_om * f_c
 
-    mu_val, gamma_val = sideband_eigenvalues(n, rp)
+    mu_val, gamma_val = _pair_values(n, rp, f)
     if c == 0:
         lo, hi = ((ket_e, a), (ket_g, b)) if a <= b else ((ket_g, b), (ket_e, a))
         return (
@@ -204,20 +209,38 @@ def displacement_matrix(n_trunc: int, eta: float) -> np.ndarray:
 class DenseQuench:
     """Dense truncated operators for one parameter point (hbar*nu units).
 
+    rp                the quench point the operators describe
     h_initial         bare Hamiltonian, diagonal
-    h_final_full      quench target with the full exponential coupling
     h_final_sideband  quench target with the resonant m-quantum coupling
     rho_initial       thermal x electronic Gibbs state of h_initial
     thermal_tail      neglected thermal weight exp(-b_nu * n_trunc)
+    h_final_full      quench target with the full exponential coupling; built
+                      and checked for Hermiticity on first read, since its
+                      displacement matrix costs about dim^2/2 recurrence steps
     """
 
+    rp: ReducedParams
     n_trunc: int
     h_initial: np.ndarray
-    h_final_full: np.ndarray
     h_final_sideband: np.ndarray
     rho_initial: np.ndarray
     thermal_tail: float
     tail_warning: bool
+
+    @cached_property
+    def h_final_full(self) -> np.ndarray:
+        # Full coupling: (omega_rabi / 2 nu) (sigma_+ D + sigma_- D^dag).
+        d_mat = displacement_matrix(self.n_trunc, self.rp.eta)
+        h_full = self.h_initial.copy()
+        h_full[1::2, 0::2] += 0.5 * self.rp.r_om * d_mat
+        h_full[0::2, 1::2] += 0.5 * self.rp.r_om * d_mat.conj().T
+        _check_hermitian("h_final_full", h_full)
+        return h_full
+
+
+def _check_hermitian(name: str, mat: np.ndarray) -> None:
+    if not np.allclose(mat, mat.conj().T, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(mat).max()))):
+        raise RuntimeError(f"{name} failed the Hermiticity check")
 
 
 def dense_hamiltonians(rp: ReducedParams, n_trunc: int) -> DenseQuench:
@@ -236,12 +259,6 @@ def dense_hamiltonians(rp: ReducedParams, n_trunc: int) -> DenseQuench:
     diag[0::2] = ns - 0.5 * rp.r_w0
     diag[1::2] = ns + 0.5 * rp.r_w0
     h_initial = np.diag(diag).astype(complex)
-
-    # Full coupling: (omega_rabi / 2 nu) (sigma_+ D + sigma_- D^dag).
-    d_mat = displacement_matrix(n_trunc, rp.eta)
-    h_full = h_initial.copy()
-    h_full[1::2, 0::2] += 0.5 * rp.r_om * d_mat
-    h_full[0::2, 1::2] += 0.5 * rp.r_om * d_mat.conj().T
 
     # Sideband coupling: only the resonant m-quantum diagonal of D survives.
     h_side = h_initial.copy()
@@ -264,15 +281,14 @@ def dense_hamiltonians(rp: ReducedParams, n_trunc: int) -> DenseQuench:
     weights[1::2] = thermal * (1.0 - p_g)
     rho = np.diag(weights).astype(complex)
 
-    for name, mat in (("h_initial", h_initial), ("h_final_full", h_full), ("h_final_sideband", h_side)):
-        if not np.allclose(mat, mat.conj().T, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(mat).max()))):
-            raise RuntimeError(f"{name} failed the Hermiticity check")
+    _check_hermitian("h_initial", h_initial)
+    _check_hermitian("h_final_sideband", h_side)
 
     tail = math.exp(-rp.b_nu * n_trunc)
     return DenseQuench(
+        rp=rp,
         n_trunc=n_trunc,
         h_initial=h_initial,
-        h_final_full=h_full,
         h_final_sideband=h_side,
         rho_initial=rho,
         thermal_tail=tail,

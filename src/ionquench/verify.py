@@ -309,10 +309,11 @@ def check_moment_oracle(rng) -> CheckResult:
     for r_w0, r_om, eta, nbar in cases:
         rp = reduced_from_ratios(r_w0, r_om, eta, 0, Branch.CARRIER, nbar=nbar)
         analytic = workstats.moments_analytic(rp)
-        h_norm = float(np.linalg.norm(spectra.dense_hamiltonians(rp, 80).h_final_full, 2))
-        m1 = workstats.moments_numeric(rp, 80, 1).value
-        m2 = workstats.moments_numeric(rp, 80, 2).value
-        m3 = workstats.moments_numeric(rp, 80, 3).value
+        ops = spectra.dense_hamiltonians(rp, 80)
+        h_norm = float(np.linalg.norm(ops.h_final_full, 2))
+        m1 = workstats.moments_numeric(ops, 1).value
+        m2 = workstats.moments_numeric(ops, 2).value
+        m3 = workstats.moments_numeric(ops, 3).value
         worst1 = max(worst1, abs(m1) / h_norm)
         worst2 = max(worst2, abs(m2 - analytic.second) / analytic.second)
         worst3 = max(worst3, abs(m3 - analytic.third) / analytic.third)
@@ -325,9 +326,10 @@ def check_pmf_consistency(rng) -> CheckResult:
     for m, branch in ((1, Branch.JC), (2, Branch.AJC), (0, Branch.CARRIER)):
         rp = _desk(m, branch, 0.7)
         pmf = workstats.work_pmf_sideband(rp, 60)
-        scale = max(workstats.moments_numeric(rp, 60, 2, use_full=False).value, 1e-12)
+        ops = spectra.dense_hamiltonians(rp, 60)
+        scale = max(workstats.moments_numeric(ops, 2, use_full=False).value, 1e-12)
         for order in (1, 2, 3):
-            ref = workstats.moments_numeric(rp, 60, order, use_full=False).value
+            ref = workstats.moments_numeric(ops, order, use_full=False).value
             got = pmf.moment(order)
             worst = max(worst, abs(got - ref) / max(abs(ref), scale ** (order / 2.0)))
         worst = max(worst, abs(pmf.total - 1.0))

@@ -20,7 +20,7 @@ import numpy as np
 
 from .numerics import eta_squared
 from .params import Branch, ReducedParams
-from .spectra import dense_hamiltonians, sideband_eigenvectors
+from .spectra import DenseQuench, sideband_eigenvectors
 
 __all__ = [
     "WorkMoments",
@@ -73,17 +73,17 @@ def moments_analytic(rp: ReducedParams) -> WorkMoments:
     return WorkMoments(mean=0.0, second=second, third=third, skewness=skew)
 
 
-def moments_numeric(rp: ReducedParams, n_trunc: int, order: int, use_full: bool = True) -> MomentEstimate:
-    """Binomial trace evaluation of <W^order> on dense truncated operators.
+def moments_numeric(ops: DenseQuench, order: int, use_full: bool = True) -> MomentEstimate:
+    """Binomial trace evaluation of <W^order> on the dense truncated operators ops.
 
     use_full selects the full exponential coupling as the quench target;
-    otherwise the resonant sideband coupling is used.  Intended for
-    desk-scale frequency ratios: at experimental ratios the alternating
-    binomial terms cancel far beyond double precision.
+    otherwise the resonant sideband coupling is used.  Build ops once with
+    dense_hamiltonians and pass it to every order.  Intended for desk-scale
+    frequency ratios: at experimental ratios the alternating binomial terms
+    cancel far beyond double precision.
     """
     if not 1 <= order <= MAX_NUMERIC_ORDER:
         raise ValueError(f"moment order must be in 1..{MAX_NUMERIC_ORDER}")
-    ops = dense_hamiltonians(rp, n_trunc)
     h_f = ops.h_final_full if use_full else ops.h_final_sideband
     h_i_diag = np.real(np.diag(ops.h_initial))
     weights = np.real(np.diag(ops.rho_initial))

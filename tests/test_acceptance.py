@@ -63,10 +63,11 @@ def test_criterion_1_closed_form_moments():
     for r_w0, r_om, eta, nbar in cases:
         rp = reduced_from_ratios(r_w0, r_om, eta, 0, Branch.CARRIER, nbar=nbar)
         analytic = moments_analytic(rp)
-        h_norm = float(np.linalg.norm(dense_hamiltonians(rp, 80).h_final_full, 2))
-        worst1 = max(worst1, abs(moments_numeric(rp, 80, 1).value) / h_norm)
-        worst2 = max(worst2, abs(moments_numeric(rp, 80, 2).value - analytic.second) / analytic.second)
-        worst3 = max(worst3, abs(moments_numeric(rp, 80, 3).value - analytic.third) / analytic.third)
+        ops = dense_hamiltonians(rp, 80)
+        h_norm = float(np.linalg.norm(ops.h_final_full, 2))
+        worst1 = max(worst1, abs(moments_numeric(ops, 1).value) / h_norm)
+        worst2 = max(worst2, abs(moments_numeric(ops, 2).value - analytic.second) / analytic.second)
+        worst3 = max(worst3, abs(moments_numeric(ops, 3).value - analytic.third) / analytic.third)
     elapsed = time.monotonic() - t0
     ok = worst1 <= 1e-10 and worst2 <= 1e-8 and worst3 <= 1e-6 and elapsed < 10.0
     record(

@@ -222,8 +222,46 @@ class TestInputValidation:
         assert len(err) == 1 and err[0].startswith("error: ") and flag in err[0] and f"sweeps {axis}" in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, line, key, axis",
+        [
+            (["lag", "--preset", "fig1"], "eta = 0.3", "eta", "eta"),
+            (["lag", "--preset", "fig2"], "omega = 1e6", "omega_rabi", "omega_rabi"),
+            (["lag", "--preset", "fig3"], "nbar = 2", "nbar", "nbar"),
+            (["lag", "--preset", "fig3"], "beta = 1e30", "beta", "nbar"),
+            (["lag", "--preset", "fig4"], "beta = 1e30", "beta", "nbar"),
+            (["lag", "--preset", "fig5"], "nu = 1e4", "nu", "nu"),
+            (["sweep", "--axis", "eta", "--values", "0.1,0.2"], "eta = 0.3", "eta", "eta"),
+        ],
+    )
+    def test_config_value_for_the_swept_axis_rejected(self, argv, line, key, axis, tmp_path, capsys):
+        # The config value used to be dropped with exit 0, and the grid written.
+        conf = tmp_path / "run.conf"
+        conf.write_text(line + "\n")
+        out = tmp_path / "rows.csv"
+        assert main([*argv, "--config", str(conf), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: config key ")
+        assert repr(key) in err[0] and f"sweeps {axis}" in err[0]
+        assert not out.exists()
+
+    def test_config_beta_replaces_default_nbar(self, tmp_path):
+        # A config file's temperature replaces the default one, as a flag does.
+        conf = tmp_path / "run.conf"
+        conf.write_text("beta = 3.4e30\n")
+        out = tmp_path / "row.csv"
+        assert main(["lag", "--config", str(conf), "--out", str(out)]) == 0
+        assert 0.15 < float(read_csv(out)[0]["nbar"]) < 0.25
+
+    def test_parser_built_once_and_reused(self):
+        parser = cli.build_parser()
+        assert cli.build_parser() is parser
+        assert parser.parse_args(["lag", "--nmax", "40", "--eta", "0.5"]).nmax == 40
+        fresh = parser.parse_args(["lag"])
+        assert fresh.nmax is None and fresh.eta is None and fresh.threads == 1
+
     def test_unexpected_exception_is_one_error_line(self, tmp_path, capsys, monkeypatch):
-        def broken(*args, **kwargs):
+        def broken(ops, order, use_full=True):
             raise RuntimeError("dense oracle broke")
 
         monkeypatch.setattr(cli, "moments_numeric", broken)

@@ -6,6 +6,7 @@ import pytest
 
 from ionquench.numerics import coupling_f
 from ionquench.params import Branch, reduced_from_ratios
+from ionquench import spectra
 from ionquench.spectra import (
     dense_hamiltonians,
     displacement_element,
@@ -16,7 +17,7 @@ from ionquench.spectra import (
     sideband_eigenvectors,
     spectrum_table,
 )
-from conftest import branch_for, desk_reduced
+from conftest import branch_for, desk_reduced, eager_full_hamiltonian
 
 
 class TestSidebandEigenvalues:
@@ -97,6 +98,16 @@ class TestSidebandEigenvectors:
                     vec = pair.as_dense(n_trunc)
                     assert np.linalg.norm(h @ vec - pair.value * vec) <= 1e-10 * h_norm
 
+    @pytest.mark.parametrize("eta", [0.05, 0.3, 0.9, 1.7])
+    def test_values_equal_sideband_eigenvalues(self, eta):
+        # The coupling is read once per call; the pair values keep their bits.
+        for m in range(4):
+            for branch in (Branch.JC, Branch.AJC):
+                rp = desk_reduced(m, branch_for(m, branch), eta, r_om=3.0)
+                for n in range(61):
+                    lo, hi = sideband_eigenvectors(n, rp)
+                    assert (lo.value, hi.value) == sideband_eigenvalues(n, rp)
+
     def test_coupling_zero_fallback(self):
         # L_1(x) = 1 - x vanishes at x = 1, and eta = 1 squares to it exactly;
         # the carrier block at n = 1 is then diagonal.
@@ -154,6 +165,31 @@ class TestDenseHamiltonians:
         rp = desk_reduced(3, Branch.JC, 0.5)
         with pytest.raises(ValueError):
             dense_hamiltonians(rp, 4)
+
+    def test_full_coupling_built_on_first_read_only(self, monkeypatch):
+        calls = []
+        real = spectra.displacement_matrix
+        monkeypatch.setattr(spectra, "displacement_matrix", lambda *a: calls.append(a) or real(*a))
+        ops = dense_hamiltonians(desk_reduced(1, Branch.JC, 0.7), 30)
+        np.linalg.eigvalsh(ops.h_final_sideband)
+        assert calls == []
+        first = ops.h_final_full
+        assert calls == [(30, 0.7)]
+        assert ops.h_final_full is first
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("n_trunc", [20, 80])
+    @pytest.mark.parametrize("eta", [0.0, 0.3, 1.5])
+    @pytest.mark.parametrize("m, branch", [(0, Branch.CARRIER), (1, Branch.JC), (2, Branch.AJC)])
+    def test_full_coupling_equals_eager_build(self, m, branch, eta, n_trunc):
+        rp = desk_reduced(m, branch, eta, r_om=2.0)
+        assert np.array_equal(dense_hamiltonians(rp, n_trunc).h_final_full, eager_full_hamiltonian(rp, n_trunc))
+
+    def test_full_coupling_hermiticity_checked_on_read(self, monkeypatch):
+        monkeypatch.setattr(spectra, "displacement_matrix", lambda n_trunc, eta: np.full((n_trunc + 1,) * 2, np.nan))
+        ops = dense_hamiltonians(desk_reduced(0, Branch.CARRIER, 0.5), 12)
+        with pytest.raises(RuntimeError, match="h_final_full failed the Hermiticity check"):
+            ops.h_final_full
 
     def test_hermitian(self):
         rp = desk_reduced(1, Branch.AJC, 1.2)

@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from ionquench.params import Branch, QuenchSpec, ThermalSpec, TrapIonConfig, reduce
 from ionquench.spectra import dense_hamiltonians
 from ionquench.workstats import moments_analytic, moments_numeric, work_pmf_sideband
-from conftest import FIG1, desk_reduced
+from conftest import FIG1, desk_reduced, eager_full_hamiltonian
 
 
 class TestAnalyticMoments:
@@ -64,42 +66,74 @@ class TestAnalyticMoments:
         assert vals[1] == pytest.approx(vals[0], rel=1e-10)
 
 
+def fresh_build_moment(rp, n_trunc, order, use_full):
+    """<W^order> with operators built afresh for this one call, as moments_numeric once did."""
+    ops = dense_hamiltonians(rp, n_trunc)
+    h_f = eager_full_hamiltonian(rp, n_trunc) if use_full else ops.h_final_sideband
+    h_i_diag = np.real(np.diag(ops.h_initial))
+    weights = np.real(np.diag(ops.rho_initial))
+    powers_diag = [np.ones_like(h_i_diag)]
+    mat = np.eye(h_f.shape[0], dtype=complex)
+    for _ in range(order):
+        mat = mat @ h_f
+        powers_diag.append(np.real(np.diag(mat)))
+    total = 0.0
+    largest = 0.0
+    for k in range(order + 1):
+        term = math.comb(order, k) * float(np.sum(powers_diag[order - k] * h_i_diag**k * weights))
+        total += (-1) ** k * term
+        largest = max(largest, abs(term))
+    return total, largest
+
+
 class TestNumericMoments:
+    @pytest.mark.parametrize("m, branch, eta", [(0, Branch.CARRIER, 0.5), (1, Branch.JC, 0.7), (2, Branch.AJC, 1.2)])
+    def test_shared_operators_equal_fresh_builds(self, m, branch, eta):
+        rp = desk_reduced(m, branch, eta)
+        ops = dense_hamiltonians(rp, 40)
+        for use_full in (True, False):
+            for order in range(1, 5):
+                est = moments_numeric(ops, order, use_full=use_full)
+                assert (est.value, est.largest_term) == fresh_build_moment(rp, 40, order, use_full)
+
     def test_first_moment_vanishes(self):
         rp = desk_reduced(0, Branch.CARRIER, 0.5)
-        h_norm = np.linalg.norm(dense_hamiltonians(rp, 80).h_final_full, 2)
+        ops = dense_hamiltonians(rp, 80)
+        h_norm = np.linalg.norm(ops.h_final_full, 2)
         for use_full in (True, False):
-            est = moments_numeric(rp, 80, 1, use_full=use_full)
+            est = moments_numeric(ops, 1, use_full=use_full)
             assert abs(est.value) <= 1e-10 * h_norm
 
     def test_second_matches_closed_form(self):
         rp = desk_reduced(0, Branch.CARRIER, 0.5)
-        est = moments_numeric(rp, 80, 2)
+        est = moments_numeric(dense_hamiltonians(rp, 80), 2)
         assert est.value == pytest.approx(0.25, rel=1e-8)
 
     def test_third_matches_closed_form(self):
         rp = desk_reduced(0, Branch.CARRIER, 0.5)
-        est = moments_numeric(rp, 80, 3)
+        est = moments_numeric(dense_hamiltonians(rp, 80), 3)
         assert est.value == pytest.approx(moments_analytic(rp).third, rel=1e-6)
 
     def test_sideband_first_moment_null(self):
         for m, branch in ((1, Branch.JC), (2, Branch.AJC)):
             rp = desk_reduced(m, branch, 0.7)
-            h_norm = np.linalg.norm(dense_hamiltonians(rp, 70).h_final_sideband, 2)
-            est = moments_numeric(rp, 70, 1, use_full=False)
+            ops = dense_hamiltonians(rp, 70)
+            h_norm = np.linalg.norm(ops.h_final_sideband, 2)
+            est = moments_numeric(ops, 1, use_full=False)
             assert abs(est.value) <= 1e-10 * h_norm
 
     def test_order_capped(self):
         rp = desk_reduced(0, Branch.CARRIER, 0.5)
+        ops = dense_hamiltonians(rp, 40)
         with pytest.raises(ValueError):
-            moments_numeric(rp, 40, 5)
-        moments_numeric(rp, 40, 4)
+            moments_numeric(ops, 5)
+        moments_numeric(ops, 4)
 
     def test_cancellation_flag_at_extreme_ratio(self):
         # At a deliberately large frequency ratio the binomial terms cancel
         # many digits and the estimate must say so.
         rp = desk_reduced(0, Branch.CARRIER, 0.5, r_w0=1e8)
-        est = moments_numeric(rp, 40, 2)
+        est = moments_numeric(dense_hamiltonians(rp, 40), 2)
         assert est.cancellation_ratio > 1e6
         assert est.cancellation_warning
 
