@@ -132,7 +132,7 @@ def _read_config_file(path: str) -> dict[str, float]:
 
 
 def _effective_params(args: argparse.Namespace) -> tuple[dict, dict]:
-    """(params, overrides): defaults < preset fixed block < config file < explicit flags.
+    """(params, overrides): defaults or desk scale < preset fixed block < config file < explicit flags.
 
     overrides holds the final value of every parameter the config file or a
     flag set; a preset's grids take these in place of their own fixed values.
@@ -141,6 +141,8 @@ def _effective_params(args: argparse.Namespace) -> tuple[dict, dict]:
     layers: list[dict] = []
     preset_name = getattr(args, "preset", None)
     if preset_name:
+        if getattr(args, "desk_scale", False):
+            raise ConfigError(f"--desk-scale conflicts with --preset {preset_name}, which sets its own parameter block")
         presets = figure_presets()
         if preset_name not in presets:
             raise ConfigError(f"unknown preset {preset_name!r}")

@@ -1,8 +1,9 @@
 """Parameter sweeps over grids of lag evaluations, with plot-ready rows.
 
 Rows come out in a fixed order: spec by spec, and within a spec grid-major,
-then branch, then sideband index.  Points are evaluated one after another,
-except that a pinned spec's lags are summed in blocks (see run_specs).
+then branch, then sideband index.  A spec's lags are summed in blocks of
+rows that share a sideband index, pinned or adaptive alike (see run_specs);
+evaluate_point is the one-point form.
 """
 
 from __future__ import annotations
@@ -144,26 +145,19 @@ def _row(cfg: TrapIonConfig, rp: ReducedParams, eta_given: bool, result: LagResu
     )
 
 
-def _pinned_rows(spec: SweepSpec, policy: TruncationPolicy) -> list[ResultRow]:
-    """Rows of a pinned spec: every point resolved first, then all lags in blocks."""
-    if spec.n_pinned is not None:
-        policy = replace(policy, n_pinned=spec.n_pinned)
-    resolved = [(*reduce_point(p, p["m"], p["branch"], p.get("eta")), p.get("eta") is not None) for p in spec.points()]
-    results = nonequilibrium_lags([rp for _, rp, _ in resolved], policy)
-    return [_row(*point, result) for point, result in zip(resolved, results)]
-
-
 def run_specs(specs: Iterable[SweepSpec], policy: TruncationPolicy | None = None) -> list[ResultRow]:
     """Evaluate every point of every spec, in spec order and then spec.points() order.
 
-    A pinned spec's lags are summed in blocks of rows that share a sideband
-    index; an adaptive spec's points are evaluated one by one.
+    Each spec's points are resolved first, then all their lags come from one
+    nonequilibrium_lags call, which sums rows that share a sideband index in
+    blocks.  A TruncationError names the first failing point of the first
+    spec that has one.
     """
     policy = policy or TruncationPolicy()
     rows: list[ResultRow] = []
     for spec in specs:
-        if spec.n_pinned is None and policy.n_pinned is None:
-            rows.extend(evaluate_point(p, policy) for p in spec.points())
-        else:
-            rows.extend(_pinned_rows(spec, policy))
+        spec_policy = policy if spec.n_pinned is None else replace(policy, n_pinned=spec.n_pinned)
+        resolved = [(*reduce_point(p, p["m"], p["branch"], p.get("eta")), p.get("eta") is not None) for p in spec.points()]
+        results = nonequilibrium_lags([rp for _, rp, _ in resolved], spec_policy)
+        rows.extend(_row(*point, result) for point, result in zip(resolved, results))
     return rows

@@ -24,6 +24,9 @@ the geometric factor of the neglected excess tail cancels against the
 (nbar+1) inside Z_initial, so convergence is certified even when b_nu is
 tiny (nbar ~ 1e6) after a few hundred explicit terms.  The literal term-by-
 term assembly is kept as assembly="direct" for cross-validation.
+
+Every partition sum, pinned or adaptive, excess or direct, is folded by one
+engine, _log_sums, with a stop state per row.
 """
 
 from __future__ import annotations
@@ -63,9 +66,9 @@ _LN2 = math.log(2.0)
 
 # Fixed truncation constants: chunk size of the adaptive sums, and the "quiet"
 # stop (this many consecutive terms each below _TERM_REL_TOL of the running sum).
-# One term call covers at most _BLOCK_CHUNKS chunks of terms; pinned rows are
-# summed _BLOCK_ROWS at a time, so a block's call covers 16 chunks of one row
-# or one chunk of 16 rows.
+# One term call covers at most _BLOCK_CHUNKS chunks of terms; rows are summed
+# _BLOCK_ROWS at a time, so a block's call covers 16 chunks of one row or one
+# chunk of 16 rows.
 _CHUNK = 512
 _BLOCK_CHUNKS = 16
 _BLOCK_ROWS = 16
@@ -340,93 +343,89 @@ def _chunk_log_sums(rows: np.ndarray) -> list[float]:
     return [hi + math.log(s) for hi, s in zip(his.tolist(), sums)]
 
 
-def _pinned_log_sums(term_logs, n_rows: int, n_pinned: int) -> list[float]:
-    """log of the sum of terms n < n_pinned of each row of term_logs(n_lo, n_hi), a [n_rows x n] block.
+def _log_sums(term_logs, n_rows: int, policy: TruncationPolicy, bounds=None) -> list[tuple[float, int, str]]:
+    """(log of the sum, terms used, stop reason) of each of n_rows rows of terms, summed ascending in n.
 
-    One call covers at most _BLOCK_CHUNKS chunks of terms over all rows
-    (at least one chunk per row).  Each row is folded chunk by chunk in
-    ascending n, so it gets the bits of a one-row, one-chunk-at-a-time sum.
+    term_logs(live, n_lo, n_hi) gives the terms n_lo..n_hi-1 of the rows
+    listed in live, as a [len(live) x (n_hi - n_lo)] block.  Each row is
+    folded chunk by chunk, so it keeps the bits of a one-row, one-chunk-at-a-
+    time sum, and leaves live when it stops: after n_pinned terms ("pinned");
+    else once _CONSECUTIVE_BELOW consecutive terms are quiet ("quiet"); else
+    at the first chunk edge n where bounds[row](n) holds ("bound"); else at
+    n_cap ("cap").  A term counts as quiet against the running sum at the
+    start of its chunk, which only understates its significance, so the quiet
+    rule is conservative.
+
+    One call covers at most _BLOCK_CHUNKS chunks over the live rows (at least
+    one per row) and never runs past a live row's pinned, cap or bound stop.
+    Adaptive calls take 1, 2, 4, ... chunks per row, so a quiet stop overruns
+    its row by at most 15 chunks.
     """
-    step = max(1, _BLOCK_CHUNKS // n_rows) * _CHUNK
-    running = [-math.inf] * n_rows
-    for n_lo in range(0, n_pinned, step):
-        xs = term_logs(n_lo, min(n_lo + step, n_pinned))
-        for lo in range(0, xs.shape[1], _CHUNK):
-            chunks = xs[:, lo : lo + _CHUNK]  # one chunk of every row
-            has_finite = (chunks > -math.inf).any(axis=1).tolist()
-            for row, (finite, chunk_log) in enumerate(zip(has_finite, _chunk_log_sums(chunks))):
-                if finite:
-                    running[row] = float(np.logaddexp(running[row], chunk_log))
-    return running
-
-
-def _chunked_log_sum(term_logs, policy: TruncationPolicy, bound_reached=None) -> tuple[float, int, str]:
-    """(log of the sum, terms used, stop reason) of term_logs(n_lo, n_hi), ascending in n.
-
-    Terms are merged chunk by chunk (fixed chunk size), so the result is
-    deterministic for given inputs.  A pinned policy sums exactly n_pinned
-    terms (stop reason "pinned") through _pinned_log_sums.  Otherwise the sum
-    stops once _CONSECUTIVE_BELOW consecutive terms are quiet ("quiet"), once
-    bound_reached(n_used) holds after a chunk ("bound"), or at n_cap ("cap").
-    The quiet-terms counter compares each term against the running total at
-    the start of its chunk, which only understates term significance never
-    overstates it, so the stopping rule is conservative.
-
-    An adaptive sum asks term_logs for blocks of 1, 2, 4, ... up to
-    _BLOCK_CHUNKS chunks, never past n_cap nor past the first chunk edge
-    where bound_reached holds.  Only production is blocked: every chunk is
-    folded and tested as if it had been made alone.
-    """
-    if policy.n_pinned is not None:
-        (running,) = _pinned_log_sums(lambda lo, hi: term_logs(lo, hi)[None, :], 1, policy.n_pinned)
-        return running, policy.n_pinned, "pinned"
+    pinned = policy.n_pinned is not None
+    end = policy.n_pinned if pinned else policy.n_cap
     log_thresh = math.log(_TERM_REL_TOL)
-    running = -math.inf
+    out: list = [None] * n_rows
+    running = [-math.inf] * n_rows
+    consec = [0] * n_rows
+    live = list(range(n_rows))
     n_done = 0
-    consec = 0
-    n_chunks = 1
-    while n_done < policy.n_cap:
-        n_hi = min(n_done + n_chunks * _CHUNK, policy.n_cap)
-        edges = [*range(n_done + _CHUNK, n_hi, _CHUNK), n_hi]
-        bound_at = None
-        if bound_reached is not None:
-            bound_at = next((edge for edge in edges if bound_reached(edge)), None)
-            if bound_at is not None:
-                edges = edges[: edges.index(bound_at) + 1]
-        xs = term_logs(n_done, edges[-1])
-        n_full = len(xs) // _CHUNK
-        groups = [xs[: n_full * _CHUNK].reshape(n_full, _CHUNK)] if n_full else []
-        if n_full * _CHUNK < len(xs):
-            groups.append(xs[n_full * _CHUNK :].reshape(1, -1))
-        for rows in groups:  # the full chunks, then a partial last one
-            finite = rows > -math.inf
-            befores = []
-            for has_finite, chunk_log in zip(finite.any(axis=1).tolist(), _chunk_log_sums(rows)):
-                befores.append(running)
+    n_chunks = _BLOCK_CHUNKS if pinned else 1
+    while live:
+        n_hi = min(n_done + min(n_chunks, max(1, _BLOCK_CHUNKS // len(live))) * _CHUNK, end)
+        bound_at = {}
+        if bounds is not None:
+            edges = [*range(n_done + _CHUNK, n_hi, _CHUNK), n_hi]
+            for row in live:
+                at = next((edge for edge in edges if bounds[row](edge)), None)
+                if at is not None:
+                    bound_at[row] = at
+            n_hi = min(bound_at.values(), default=n_hi)
+        xs = term_logs(live, n_done, n_hi)
+        split = (n_hi - n_done) // _CHUNK * _CHUNK
+        # Each row's full chunks as consecutive rows of one block, then its partial last chunk.
+        for n_lo, chunks in ((n_done, xs[:, :split].reshape(-1, _CHUNK)), (n_done + split, xs[:, split:])):
+            if chunks.size == 0:
+                continue
+            per = chunks.shape[0] // len(live)
+            finite = chunks > -math.inf
+            befores, afters = [], []
+            for k, (has_finite, chunk_log) in enumerate(zip(finite.any(axis=1).tolist(), _chunk_log_sums(chunks))):
+                row = live[k // per]
+                befores.append(running[row])
                 if has_finite:
-                    running = float(np.logaddexp(running, chunk_log))
+                    running[row] = float(np.logaddexp(running[row], chunk_log))
+                afters.append(running[row])
+            if pinned:
+                continue
             before = np.array(befores)[:, None]
             with np.errstate(invalid="ignore"):
-                below = np.where(before == -math.inf, ~finite, (rows - before) < log_thresh)
+                below = np.where(before == -math.inf, ~finite, (chunks - before) < log_thresh)
             # Quiet terms at the end of each chunk that has a loud one.
             trailing = np.argmax(~below[:, ::-1], axis=1).tolist()
-            for all_below, n_quiet, running_after in zip(below.all(axis=1).tolist(), trailing, befores[1:] + [running]):
-                consec = consec + rows.shape[1] if all_below else n_quiet
-                n_done += rows.shape[1]
-                if consec >= _CONSECUTIVE_BELOW:
-                    return running_after, n_done, "quiet"
-                if n_done == bound_at:
-                    return running_after, n_done, "bound"
+            for k, (all_below, n_quiet, running_after) in enumerate(zip(below.all(axis=1).tolist(), trailing, afters)):
+                row = live[k // per]
+                if out[row] is None:
+                    consec[row] = consec[row] + chunks.shape[1] if all_below else n_quiet
+                    n_used = n_lo + (k % per + 1) * chunks.shape[1]
+                    if consec[row] >= _CONSECUTIVE_BELOW:
+                        out[row] = (running_after, n_used, "quiet")
+                    elif n_used == bound_at.get(row):
+                        out[row] = (running_after, n_used, "bound")
+        if n_hi == end:  # the rows still live stop at the pin or the cap
+            out = [result or (running[row], end, "pinned" if pinned else "cap") for row, result in enumerate(out)]
+        live = [row for row in live if out[row] is None]
+        n_done = n_hi
         n_chunks = min(2 * n_chunks, _BLOCK_CHUNKS)
-    return running, n_done, "cap"
+    return out
 
 
 def _excess_lags(rps: list[ReducedParams], policy: TruncationPolicy) -> list[tuple[float, float, TruncationReport]]:
     """(shifted log Z_initial, lag, truncation report) of each row, from the excess sum.
 
-    Rows with dead coupling are exact zeros.  With a pinned policy the live
-    rows that share a sideband index are summed in blocks of up to
-    _BLOCK_ROWS rows; an adaptive policy sums each row alone.
+    Rows with dead coupling are exact zeros.  The live rows that share a
+    sideband index are summed in blocks of up to _BLOCK_ROWS rows.  An
+    adaptive sum that ends non-converged raises TruncationError for the first
+    such row in input order, unless policy.error_on_nonconverged is cleared.
     """
     out: list = [None] * len(rps)
     by_m: dict[int, list[int]] = {}
@@ -436,32 +435,33 @@ def _excess_lags(rps: list[ReducedParams], policy: TruncationPolicy) -> list[tup
             out[i] = (ln_partition_initial(rp).shifted_log, 0.0, _EXACT_REPORT)
         else:
             by_m.setdefault(rp.m, []).append(i)
-    size = _BLOCK_ROWS if policy.n_pinned is not None else 1
     for live in by_m.values():
-        for start in range(0, len(live), size):
-            block = live[start : start + size]
+        for start in range(0, len(live), _BLOCK_ROWS):
+            block = live[start : start + _BLOCK_ROWS]
             for i, result in zip(block, _excess_block([rps[i] for i in block], policy)):
                 out[i] = result
+    failed = next((report for _, _, report in out if not report.converged), None)
+    if failed and policy.n_pinned is None and policy.error_on_nonconverged:
+        raise TruncationError(failed, f"partition sum not converged after {failed.n_used} terms ({failed.stop_reason})")
     return out
 
 
+def _take(rows: _Rows, live: list[int]) -> _Rows:
+    """The rows listed in live."""
+    return _Rows(rows.m, tuple(rows.etas[i] for i in live), *(column[live] for column in rows[2:]))
+
+
 def _excess_block(rps: list[ReducedParams], policy: TruncationPolicy) -> list[tuple[float, float, TruncationReport]]:
-    """_excess_lags for live rows that share m: all pinned, or one adaptive row."""
+    """_excess_lags for live rows that share m, from one _log_sums call."""
     rows = _rows_of(rps)
     tails = _excess_tails(rows)
     # log(1 + e^(-b_w0)): log Z_i without its log(nbar+1), which cancels against the tails'.
     zi_edges = [math.log1p(math.exp(-rp.b_w0)) for rp in rps]
     log_lag_tol = math.log(policy.lag_abs_tol)
-    if policy.n_pinned is not None:
-        log_sums = _pinned_log_sums(lambda lo, hi: _excess_logs(rows, lo, hi), len(rps), policy.n_pinned)
-        sums = [(log_sum, policy.n_pinned, "pinned") for log_sum in log_sums]
-    else:
-        (row_tail,), (row_edge,) = tails, zi_edges
-        sums = [
-            _chunked_log_sum(
-                lambda lo, hi: _excess_logs(rows, lo, hi)[0], policy, lambda n: row_tail(n) - row_edge <= log_lag_tol
-            )
-        ]
+    bounds = None
+    if policy.n_pinned is None:
+        bounds = [lambda n, tail=tail, edge=edge: tail(n) - edge <= log_lag_tol for tail, edge in zip(tails, zi_edges)]
+    sums = _log_sums(lambda live, lo, hi: _excess_logs(_take(rows, live), lo, hi), len(rps), policy, bounds)
     out = []
     for rp, tail, zi_edge, (log_sum, n_done, stop_reason) in zip(rps, tails, zi_edges, sums):
         ln_zi = ln_partition_initial(rp).shifted_log
@@ -471,8 +471,6 @@ def _excess_block(rps: list[ReducedParams], policy: TruncationPolicy) -> list[tu
         report = TruncationReport(
             n_used=n_done, tail_bound_log=tail_bound_log, converged=converged, stop_reason=stop_reason
         )
-        if not converged and policy.n_pinned is None and policy.error_on_nonconverged:
-            raise TruncationError(report, f"partition sum not converged after {n_done} terms ({stop_reason})")
         out.append((ln_zi, lag, report))
     return out
 
@@ -522,7 +520,7 @@ def _direct_term_logs(rp: ReducedParams, n_lo: int, n_hi: int) -> np.ndarray:
 def _ln_partition_final_direct(rp: ReducedParams, policy: TruncationPolicy) -> LogPartition:
     # No early tail-bound stop: this reference sum ends on the quiet rule, the
     # pin or the cap, and its own tail bound is checked afterwards.
-    running, n_done, stop_reason = _chunked_log_sum(lambda lo, hi: _direct_term_logs(rp, lo, hi), policy)
+    ((running, n_done, stop_reason),) = _log_sums(lambda live, lo, hi: _direct_term_logs(rp, lo, hi)[None, :], 1, policy)
     total = float(np.logaddexp(running, _edge_shifted_log(rp)))
     # Tail of the direct sum: each term is at most 2 e^(-b_nu(n+m/2)) e^(X_max)
     # with the splitting at the u = b_om envelope of the coupling.
@@ -552,9 +550,10 @@ def nonequilibrium_lag(rp: ReducedParams, policy: TruncationPolicy | None = None
 def nonequilibrium_lags(rps: list[ReducedParams], policy: TruncationPolicy | None = None) -> list[LagResult]:
     """nonequilibrium_lag of each point, with the same bits.
 
-    With a pinned policy the rows that share a sideband index are summed as
-    blocks of up to 16 rows, which costs far less than one row at a time,
-    and the divergence scan runs once per JC key, not once per row.
+    Rows that share a sideband index are summed in blocks of up to 16 rows,
+    which costs far less than one row at a time, and the divergence scan
+    runs once per JC key, not once per row.  A TruncationError names the
+    first non-converged point in input order.
     """
     lags = _excess_lags(rps, policy or TruncationPolicy())
     jc_memo: dict = {}

@@ -131,6 +131,21 @@ class TestLagCommand:
 
 
 class TestInputValidation:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["moments", "--desk-scale", "--preset", "fig1"],
+            ["moments", "--desk-scale", "--numeric-oracle", "--preset", "fig1"],
+            ["lag", "--desk-scale", "--preset", "fig1"],
+        ],
+    )
+    def test_desk_scale_with_preset_rejected(self, argv, tmp_path, capsys):
+        # The preset's block used to replace the desk-scale point without a word.
+        out = tmp_path / "x.csv"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert "error: --desk-scale conflicts with --preset fig1" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
     def test_bad_tolerance_exit_code(self, tol, capsys):
         assert main(["lag", f"--tol={tol}"]) == 2

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from ionquench.numerics import coupling_f, log_sum_exp, sqrt_excess, sqrt_shift
 from ionquench.params import Branch, QuenchSpec, ThermalSpec, TrapIonConfig, reduce, reduce_point, reduced_from_ratios
-from ionquench.presets import figure_presets
+from ionquench.presets import desk_scale_point, figure_presets
 from ionquench.spectra import dense_hamiltonians
 from ionquench import thermo
 from ionquench.sweep import SweepSpec, run_specs
@@ -18,6 +19,7 @@ from ionquench.thermo import (
     ln_partition_initial,
     low_temperature_limit,
     nonequilibrium_lag,
+    nonequilibrium_lags,
     nu_to_zero_limit,
     phi_reduced,
     small_eta_coupling_sq,
@@ -469,17 +471,28 @@ def _one_chunk_at_a_time(term_logs, policy, bound_reached=None):
     return running, n_done, "pinned" if policy.n_pinned is not None else "cap"
 
 
-@st.composite
-def _term_sums(draw):
-    """(terms, policy, bound_reached edges or None) for a chunked log sum."""
-    chunk = thermo._CHUNK
-    size = max(1, draw(st.sampled_from(range(41))) * chunk + draw(st.sampled_from([0, 1, 63, 300, chunk - 1])))
+def _draw_terms(draw, size):
+    """size term logs: a level, a slope and noise, with runs of -inf."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     slope = draw(st.sampled_from([0.0, 1e-4, 1e-3, 0.01, 0.2]))
     terms = draw(st.floats(-50.0, 50.0)) - slope * np.arange(size) + draw(st.floats(0.0, 30.0)) * rng.standard_normal(size)
     for _ in range(draw(st.integers(0, 4))):  # runs of -inf, some longer than a chunk
         start = draw(st.integers(0, size - 1))
-        terms[start : start + draw(st.integers(1, 3 * chunk))] = -np.inf
+        terms[start : start + draw(st.integers(1, 3 * thermo._CHUNK))] = -np.inf
+    return terms
+
+
+def _draw_size(draw, max_chunks):
+    chunk = thermo._CHUNK
+    return max(1, draw(st.sampled_from(range(max_chunks + 1))) * chunk + draw(st.sampled_from([0, 1, 63, 300, chunk - 1])))
+
+
+@st.composite
+def _term_sums(draw):
+    """(terms, policy, bound_reached edges or None) for a chunked log sum."""
+    chunk = thermo._CHUNK
+    size = _draw_size(draw, 40)
+    terms = _draw_terms(draw, size)
     target = max(1, round(size * draw(st.sampled_from([1.0, 0.9, 0.5, 0.1, 0.01]))))
     if draw(st.booleans()):
         return terms, TruncationPolicy(n_pinned=target, n_cap=size), None
@@ -488,6 +501,19 @@ def _term_sums(draw):
         edges = list(range(chunk, target, chunk)) + [target]
         fires = set(draw(st.lists(st.sampled_from(edges), min_size=1, max_size=3)))
     return terms, TruncationPolicy(n_cap=target), fires
+
+
+@st.composite
+def _term_blocks(draw):
+    """(2 to 20 rows of terms, policy, per-row bound edges or None) for one multi-row log sum."""
+    chunk = thermo._CHUNK
+    size = _draw_size(draw, 20)
+    rows = [_draw_terms(draw, size) for _ in range(draw(st.integers(2, 20)))]
+    target = max(1, round(size * draw(st.sampled_from([1.0, 0.9, 0.5, 0.1, 0.01]))))
+    if draw(st.booleans()):
+        return rows, TruncationPolicy(n_pinned=target, n_cap=size), None
+    edges = list(range(chunk, target, chunk)) + [target]
+    return rows, TruncationPolicy(n_cap=target), [set(draw(st.lists(st.sampled_from(edges), max_size=3))) for _ in rows]
 
 
 class TestBlockedLogSum:
@@ -504,7 +530,8 @@ class TestBlockedLogSum:
             asked.append((lo, hi))
             return terms[lo:hi].copy()
 
-        got = thermo._chunked_log_sum(term_logs, policy, bound)
+        bounds = None if bound is None else [bound]
+        (got,) = thermo._log_sums(lambda live, lo, hi: term_logs(lo, hi)[None, :], 1, policy, bounds)
         ref = _one_chunk_at_a_time(lambda lo, hi: terms[lo:hi].copy(), policy, bound)
         assert (got[0].hex(), got[1:]) == (ref[0].hex(), ref[1:])
         # Blocks tile [0, end) in order, at most 16 chunks each, and never
@@ -514,10 +541,36 @@ class TestBlockedLogSum:
         if got[2] != "quiet":
             assert asked[-1][1] == got[1]
 
+    @settings(deadline=None, max_examples=100)
+    @given(_term_blocks())
+    def test_rows_of_a_block_bitwise_equal_to_one_chunk_at_a_time(self, case):
+        rows, policy, fires = case
+        bounds = None if fires is None else [row_fires.__contains__ for row_fires in fires]
+        calls = []
+
+        def term_logs(live, lo, hi):
+            calls.append((list(live), lo, hi))
+            return np.stack([rows[row][lo:hi] for row in live])
+
+        got = thermo._log_sums(term_logs, len(rows), policy, bounds)
+        for row, (terms, (log_sum, n_used, stop_reason)) in enumerate(zip(rows, got)):
+            ref = _one_chunk_at_a_time(lambda lo, hi: terms[lo:hi].copy(), policy, None if fires is None else bounds[row])
+            assert (log_sum.hex(), n_used, stop_reason) == (ref[0].hex(), *ref[1:]), row
+            # A row is asked for until it stops: never past a pinned, cap or
+            # bound stop, and at most 15 chunks past a quiet one.
+            assert [row in live for live, _, _ in calls] == [lo < n_used for _, lo, _ in calls]
+            last = max(hi for live, _, hi in calls if row in live)
+            assert last - n_used <= (15 * thermo._CHUNK if stop_reason == "quiet" else 0)
+        # Calls tile [0, end) in order, each within max(16, live) chunks.
+        assert [lo for _, lo, _ in calls] == [0] + [hi for _, _, hi in calls[:-1]]
+        assert all(len(live) * (hi - lo) <= max(16, len(live)) * thermo._CHUNK for live, lo, hi in calls)
+
     def test_adaptive_blocks_double_up_to_sixteen_chunks(self):
         asked = []
         terms = np.zeros(100 * thermo._CHUNK)
-        thermo._chunked_log_sum(lambda lo, hi: asked.append(hi - lo) or terms[lo:hi], TruncationPolicy(n_cap=terms.size))
+        thermo._log_sums(
+            lambda live, lo, hi: asked.append(hi - lo) or terms[None, lo:hi], 1, TruncationPolicy(n_cap=terms.size)
+        )
         assert [n // thermo._CHUNK for n in asked[:7]] == [1, 2, 4, 8, 16, 16, 16]
 
     @pytest.mark.parametrize("seed", range(4))
@@ -557,13 +610,12 @@ def _lnsinh_masked(x):
     return out
 
 
-def _one_row_pinned(rp, n_pinned):
-    """(lag, n_used, tail_bound_log, converged, divergence_predicted) of a pinned row,
+def _one_row(rp, policy):
+    """(lag, n_used, tail_bound_log, converged, divergence_predicted, stop_reason) of one row,
     computed as the one-row path did before rows were summed in blocks: the reference."""
-    policy = TruncationPolicy(n_pinned=n_pinned, error_on_nonconverged=False)
     diverges = divergence_predicate_reduced(rp).diverges
     if rp.b_om == 0.0 or (rp.m > 0 and rp.eta == 0.0):
-        return 0.0, 0, -math.inf, True, diverges
+        return 0.0, 0, -math.inf, True, diverges, "exact"
     abs_bwl, d_aw = thermo._abs_bwl_minus_bw0(rp)
 
     def term_logs(n_lo, n_hi):
@@ -591,14 +643,17 @@ def _one_row_pinned(rp, n_pinned):
         tail = lambda n_from: (  # noqa: E731
             math.log(2.0) - rp.b_nu * (n_from + 0.5 * rp.m) + a_shifted + log_edge + log_sinh
         )
-    log_sum, n_done, _ = _one_chunk_at_a_time(term_logs, policy)
+    bound_reached = lambda n: tail(n) - math.log1p(math.exp(-rp.b_w0)) <= math.log(policy.lag_abs_tol)  # noqa: E731
+    log_sum, n_done, stop_reason = _one_chunk_at_a_time(term_logs, policy, bound_reached)
     ln_zi = rp.ln_nbar_plus_1 + math.log1p(math.exp(-rp.b_w0))
     lag = float(np.logaddexp(0.0, log_sum - ln_zi))
     tail_bound_log = tail(n_done) + rp.ln_nbar_plus_1 - (ln_zi + lag)
-    converged = tail_bound_log <= math.log(policy.tail_rel_tol) or (
-        tail(n_done) - math.log1p(math.exp(-rp.b_w0)) <= math.log(policy.lag_abs_tol)
-    )
-    return lag, n_done, tail_bound_log, converged, diverges
+    converged = tail_bound_log <= math.log(policy.tail_rel_tol) or bound_reached(n_done)
+    return lag, n_done, tail_bound_log, converged, diverges, stop_reason
+
+
+def _pinned(n_pinned):
+    return TruncationPolicy(n_pinned=n_pinned, error_on_nonconverged=False)
 
 
 _ETAS = (0.0, 0.05, 0.3, 0.5, 0.7, 0.85, 1.0, 1.25, 2.0, 2.7, 3.5, 6.0)
@@ -641,7 +696,7 @@ class TestBatchedPinnedRows:
         rows = run_specs([spec], TruncationPolicy(error_on_nonconverged=False))
         for point, row in zip(spec.points(), rows):
             _, rp = reduce_point(point, point["m"], point["branch"], point["eta"])
-            lag, n_used, tail_bound_log, converged, diverges = _one_row_pinned(rp, spec.n_pinned)
+            lag, n_used, tail_bound_log, converged, diverges, _ = _one_row(rp, _pinned(spec.n_pinned))
             got = (row.lag.hex(), row.n_used, row.tail_bound_log.hex(), row.converged, row.divergence_predicted)
             assert got == (lag.hex(), n_used, tail_bound_log.hex(), converged, diverges), point
 
@@ -657,7 +712,7 @@ class TestBatchedPinnedRows:
         assert len(rows) == 48
         for point, row in zip(spec.points(), rows):
             _, rp = reduce_point(point, point["m"], point["branch"], point["eta"])
-            lag, n_used, tail_bound_log, converged, diverges = _one_row_pinned(rp, 1500)
+            lag, n_used, tail_bound_log, converged, diverges, _ = _one_row(rp, _pinned(1500))
             assert (row.lag.hex(), row.n_used, row.tail_bound_log.hex()) == (lag.hex(), n_used, tail_bound_log.hex())
             assert (row.converged, row.divergence_predicted) == (converged, diverges)
 
@@ -676,7 +731,73 @@ class TestBatchedPinnedRows:
         assert seen and all(seen)
         for point, row in zip(spec.points(), rows):
             _, rp = reduce_point(point, point["m"], point["branch"], point["eta"])
-            assert row.lag.hex() == _one_row_pinned(rp, 40)[0].hex()
+            assert row.lag.hex() == _one_row(rp, _pinned(40))[0].hex()
+
+
+_ADAPTIVE_POLICIES = (
+    TruncationPolicy(error_on_nonconverged=False),
+    TruncationPolicy(n_cap=700, error_on_nonconverged=False),  # "cap" with a partial last chunk
+    TruncationPolicy(tail_rel_tol=1e-6, lag_abs_tol=1e-6, error_on_nonconverged=False),
+    TruncationPolicy(tail_rel_tol=1e-300, lag_abs_tol=1e-300, n_cap=3000, error_on_nonconverged=False),  # "quiet"
+)
+
+
+@st.composite
+def _adaptive_spec_groups(draw):
+    """(adaptive sweep specs, policy): one to three specs over eta (with 0) or nbar, mixing m and branch."""
+    block = dict(draw(st.sampled_from([FIG1, FIG4_LEFT, FIG4_RIGHT, desk_scale_point()])))
+    block.pop("eta", None)
+    specs = []
+    for _ in range(draw(st.integers(1, 3))):
+        nbars = sorted(draw(st.sets(st.floats(-3.0, 3.0).map(lambda x: 10.0**x), min_size=1, max_size=4)))
+        etas = sorted(draw(st.sets(st.sampled_from(_ETAS), min_size=1, max_size=4)))
+        if draw(st.booleans()):
+            axis, grid, fixed = "eta", etas, dict(block, nbar=nbars[0])
+        else:
+            axis, grid, fixed = "nbar", nbars, dict(block, eta=etas[0])
+        if draw(st.booleans()):
+            branches, ms = (Branch.CARRIER,), (0,)
+        else:
+            branches = tuple(draw(st.sets(st.sampled_from((Branch.JC, Branch.AJC)), min_size=1)))
+            ms = tuple(draw(st.lists(st.integers(0, 4), min_size=1, max_size=3, unique=True)))
+        specs.append(SweepSpec(axis=axis, grid=tuple(grid), fixed=fixed, branches=branches, m_values=ms))
+    return specs, draw(st.sampled_from(_ADAPTIVE_POLICIES))
+
+
+class TestBatchedAdaptiveRows:
+    """Adaptive rows are summed in blocks too; each keeps the bits and the stop of the one-row path."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(_adaptive_spec_groups())
+    def test_bitwise_equal_to_one_row_at_a_time(self, case):
+        specs, policy = case
+        points = [point for spec in specs for point in spec.points()]
+        rps = [reduce_point(point, point["m"], point["branch"], point.get("eta"))[1] for point in points]
+        for point, rp, result in zip(points, rps, nonequilibrium_lags(rps, policy)):
+            lag, n_used, tail_bound_log, converged, diverges, stop_reason = _one_row(rp, policy)
+            report = result.truncation
+            got = (result.value.hex(), report.n_used, report.tail_bound_log.hex(), report.converged)
+            assert got == (lag.hex(), n_used, tail_bound_log.hex(), converged), point
+            assert (result.divergence_predicted, report.stop_reason) == (diverges, stop_reason), point
+
+    def test_error_names_the_first_failing_point_in_sweep_order(self):
+        # At 512 terms the m = 1 tail lies above the m = 2 tail, and lag_abs_tol
+        # is set between them: at nbar 10 the m = 2 row stops on the bound while
+        # the m = 1 row hits the cap, and at nbar 30 both fail.  Blocks are
+        # summed m = 2 first, so a report in block order would name (30, m = 2).
+        fixed = dict(desk_scale_point(), eta=0.8)
+        spec = SweepSpec(axis="nbar", grid=(10.0, 30.0), fixed=fixed, branches=(Branch.JC,), m_values=(2, 1))
+        points = list(spec.points())
+        rps = [reduce_point(point, point["m"], point["branch"], point["eta"])[1] for point in points]
+        edges = [thermo._excess_tails(thermo._rows_of([rp]))[0](512) - math.log1p(math.exp(-rp.b_w0)) for rp in rps]
+        assert edges[0] < edges[1]
+        policy = TruncationPolicy(n_cap=512, tail_rel_tol=1e-300, lag_abs_tol=math.exp(0.5 * (edges[0] + edges[1])))
+        lenient = replace(policy, error_on_nonconverged=False)
+        assert [row.converged for row in run_specs([spec], lenient)] == [True, False, False, False]
+        with pytest.raises(TruncationError) as excinfo:
+            run_specs([spec], policy)
+        assert excinfo.value.report == nonequilibrium_lag(rps[1], lenient).truncation
+        assert str(excinfo.value) == "partition sum not converged after 512 terms (cap)"
 
 
 class TestSumWorkBounds:
