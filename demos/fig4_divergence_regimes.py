@@ -9,7 +9,7 @@ preset realizes both situations: on the left panel only the m = 1 sideband
 crosses, on the right panel m = 1 and m = 2 both do.
 """
 
-from ionquench.params import Branch, reduce_point
+from ionquench.params import Branch, reduce
 from ionquench.presets import figure_presets
 from ionquench.sweep import run_specs
 from ionquench.thermo import divergence_predicate_reduced, low_temperature_limit, phi_reduced
@@ -22,7 +22,7 @@ for name, panel in (("left", LEFT), ("right", RIGHT)):
     block, eta = panel["block"], panel["eta"]
     print(f"{name} panel: omega_rabi = {block['omega_rabi']:.1e} rad/s, eta = {eta}")
     for m in (1, 2):
-        _, rp = reduce_point(block, m, Branch.JC, eta)
+        rp = reduce(block, m, Branch.JC, eta)
         report = divergence_predicate_reduced(rp)
         limit = low_temperature_limit(rp)
         phi0 = block["nu"] * phi_reduced(0, rp)

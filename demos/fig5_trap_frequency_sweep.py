@@ -14,7 +14,7 @@ freezes the motion out entirely.
 
 import math
 
-from ionquench.params import Branch, QuenchSpec, ThermalSpec, TrapIonConfig, reduce
+from ionquench.params import Branch, reduce
 from ionquench.presets import FIG1_CONFIG, figure_presets
 from ionquench.sweep import run_specs
 from ionquench.thermo import nu_to_zero_limit
@@ -32,13 +32,7 @@ for eta in (0.0, 0.5, 1.5, 2.5, 3.5):
 
 # Dedicated limit operation at eta = 0 against the sweep.
 beta = math.log1p(1 / FIG1_CONFIG["nbar"]) / (1.054571817e-34 * FIG1_CONFIG["nu"])
-cfg = TrapIonConfig(
-    mass=FIG1_CONFIG["mass"],
-    nu=FIG1_CONFIG["nu"],
-    omega0=FIG1_CONFIG["omega0"],
-    omega_rabi=FIG1_CONFIG["omega_rabi"],
-)
-rp = reduce(cfg, QuenchSpec(0, Branch.CARRIER), ThermalSpec(beta=beta), eta_override=0.0)
+rp = reduce(dict(FIG1_CONFIG, nbar=None, beta=beta), 0, Branch.CARRIER, eta=0.0)
 limit = nu_to_zero_limit(rp)
 flat = {r.nu: r.lag for r in rows if round(r.eta, 10) == 0.0}
 print(f"\nvanishing-frequency limit at eta = 0: {limit.value:.6e}")

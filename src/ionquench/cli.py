@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .params import Branch, reduce_point
+from .params import Branch, reduce
 from .presets import FIG1_CONFIG, desk_scale_point, figure_presets
 from .spectra import dense_hamiltonians, spectrum_table
 from .sweep import RESULT_COLUMNS, ResultRow, SweepSpec, run_specs
@@ -362,13 +362,13 @@ def _cmd_moments(args: argparse.Namespace) -> int:
     meta = _meta_for(args, "moments", params, {"numeric_oracle": use_oracle})
     with _Writer(args.format, args.out, columns, meta) as writer:
         for eta in etas:
-            cfg, rp = reduce_point(params, 0, Branch.CARRIER, eta)
+            rp = reduce(params, 0, Branch.CARRIER, eta)
             moments = moments_analytic(rp)
             row = {
-                "nu": cfg.nu,
-                "omega0": cfg.omega0,
-                "omega_rabi": cfg.omega_rabi,
-                "mass": cfg.mass,
+                "nu": float(params["nu"]),
+                "omega0": float(params["omega0"]),
+                "omega_rabi": float(params["omega_rabi"]),
+                "mass": float(params["mass"]),
                 "eta": eta,
                 "nbar": rp.nbar,
                 "w_mean": moments.mean,
@@ -405,7 +405,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     with _Writer(args.format, args.out, columns, _meta_for(args, "spectrum", params)) as writer:
         for branch in branches:
             for m in m_values:
-                _, rp = reduce_point(params, m, branch, params.get("eta"))
+                rp = reduce(params, m, branch, params.get("eta"))
                 table = spectrum_table(rp, n_max)
                 for n, zeta in enumerate(table.edge):
                     writer.write_row(

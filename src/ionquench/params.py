@@ -2,9 +2,11 @@
 
 All frequencies in this package are angular (rad/s).  Quantities quoted in
 the "1.0 pi MHz" style are ingested verbatim as angular values
-(pi x 1e6 rad/s).  Every computation downstream of :func:`reduce` consumes
-only the dimensionless groups collected in :class:`ReducedParams`; SI
-magnitudes never enter the numerical kernels.
+(pi x 1e6 rad/s).  :func:`reduce` is the one path from a parameter point
+in SI units to the dimensionless groups of :class:`ReducedParams`;
+:func:`reduced_from_ratios` builds them from frequency ratios instead.
+Every computation downstream consumes only those groups; SI magnitudes never
+enter the numerical kernels.
 """
 
 from __future__ import annotations
@@ -18,14 +20,8 @@ __all__ = [
     "HBAR",
     "SPEED_OF_LIGHT",
     "Branch",
-    "TrapIonConfig",
-    "QuenchSpec",
-    "ThermalSpec",
     "ReducedParams",
-    "eta_from_geometry",
-    "nbar_beta_convert",
     "reduce",
-    "reduce_point",
     "reduced_from_ratios",
 ]
 
@@ -59,102 +55,6 @@ class Branch(enum.Enum):
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise ValueError(msg)
-
-
-@dataclass(frozen=True)
-class TrapIonConfig:
-    """Ion, trap, and laser parameters in SI units (angular frequencies).
-
-    mass        ion mass (kg)
-    nu          trap angular frequency (rad/s)
-    omega0      electronic transition angular frequency (rad/s)
-    omega_rabi  classical Rabi angular frequency (rad/s)
-    phi_angle   angle between laser wave vector and trap axis (rad)
-    """
-
-    mass: float
-    nu: float
-    omega0: float
-    omega_rabi: float
-    phi_angle: float = 0.0
-
-    def __post_init__(self) -> None:
-        _require(self.mass > 0, "ion mass must be positive")
-        _require(self.nu > 0, "trap frequency must be positive")
-        _require(self.omega0 > 0, "transition frequency must be positive")
-        _require(self.omega_rabi >= 0, "Rabi frequency must be nonnegative")
-        _require(0.0 <= self.phi_angle <= math.pi / 2, "laser angle must lie in [0, pi/2]")
-
-
-@dataclass(frozen=True)
-class QuenchSpec:
-    """Sideband index plus branch selector; together they fix the laser frequency.
-
-    m = 0 is normalized to the carrier regardless of the requested branch;
-    JC/AJC require m >= 1.
-    """
-
-    m: int
-    branch: Branch
-
-    def __post_init__(self) -> None:
-        _require(self.m >= 0, "sideband index must be nonnegative")
-        if self.m == 0 and self.branch is not Branch.CARRIER:
-            object.__setattr__(self, "branch", Branch.CARRIER)
-        if self.branch is Branch.CARRIER:
-            _require(self.m == 0, "carrier transitions have m = 0")
-
-    def laser_frequency(self, nu: float, omega0: float) -> float:
-        return omega0 + self.branch.sideband_sign * self.m * nu
-
-
-@dataclass(frozen=True)
-class ThermalSpec:
-    """Initial Gibbs state, given as exactly one of beta (1/J) or nbar.
-
-    beta = infinity is rejected; zero-temperature behavior lives in the
-    dedicated asymptotic operations so the generic numeric path never sees a
-    non-finite value.
-    """
-
-    beta: float | None = None
-    nbar: float | None = None
-
-    def __post_init__(self) -> None:
-        given = (self.beta is not None) + (self.nbar is not None)
-        _require(given == 1, "give exactly one of beta or nbar")
-        if self.beta is not None:
-            _require(math.isfinite(self.beta) and self.beta > 0, "beta must be positive and finite")
-        if self.nbar is not None:
-            _require(math.isfinite(self.nbar) and self.nbar > 0, "nbar must be positive and finite")
-
-    def b_nu(self, nu: float) -> float:
-        """Dimensionless beta * hbar * nu for a trap frequency nu."""
-        _require(nu > 0, "trap frequency must be positive")
-        if self.beta is not None:
-            return self.beta * HBAR * nu
-        return math.log1p(1.0 / self.nbar)
-
-    def beta_for(self, nu: float) -> float:
-        if self.beta is not None:
-            return self.beta
-        return self.b_nu(nu) / (HBAR * nu)
-
-    def nbar_for(self, nu: float) -> float:
-        if self.nbar is not None:
-            return self.nbar
-        return 1.0 / math.expm1(self.b_nu(nu))
-
-
-def nbar_beta_convert(thermal: ThermalSpec, nu: float) -> float:
-    """Return whichever of beta or nbar the thermal state does not already carry.
-
-    Uses nbar = 1/(exp(beta*hbar*nu) - 1) and its inverse
-    beta*hbar*nu = log(1 + 1/nbar); the round trip is exact to ulp scale.
-    """
-    if thermal.beta is not None:
-        return thermal.nbar_for(nu)
-    return thermal.beta_for(nu)
 
 
 @dataclass(frozen=True)
@@ -222,63 +122,63 @@ class ReducedParams:
         return self.b_wl / self.b_nu
 
 
-def eta_from_geometry(cfg: TrapIonConfig, quench: QuenchSpec) -> float:
-    """Lamb-Dicke parameter from the trap geometry and the sideband choice.
+def _transition(m: int, branch: Branch) -> tuple[int, Branch]:
+    """The sideband index and branch, with m = 0 normalized to the carrier.
 
-    eta = (omega_L / c) * sqrt(hbar / (2 M nu)) * cos(phi), with the laser
-    frequency fixed by the branch: omega_L = omega0 -+ m nu.
+    JC/AJC require m >= 1; the carrier requires m = 0.
     """
-    omega_l = quench.laser_frequency(cfg.nu, cfg.omega0)
-    _require(omega_l > 0, "sideband detuning exceeds the transition frequency; supply eta explicitly")
-    return (omega_l / SPEED_OF_LIGHT) * math.sqrt(HBAR / (2.0 * cfg.mass * cfg.nu)) * math.cos(cfg.phi_angle)
+    _require(m >= 0, "sideband index must be nonnegative")
+    if m == 0:
+        branch = Branch.CARRIER
+    if branch is Branch.CARRIER:
+        _require(m == 0, "carrier transitions have m = 0")
+    return m, branch
 
 
-def reduce(
-    cfg: TrapIonConfig,
-    quench: QuenchSpec,
-    thermal: ThermalSpec,
-    eta_override: float | None = None,
-) -> ReducedParams:
-    """Collect all dimensionless groups for one parameter point.
+def reduce(point: Mapping, m: int, branch: Branch, eta: float | None = None) -> ReducedParams:
+    """Resolve one parameter point in SI units to its reduced groups.
 
-    eta_override bypasses the geometric Lamb-Dicke value; sweeps that treat
-    eta as the independent variable use it.
+    This is the single path from raw parameters to ReducedParams.  point
+    holds mass (kg), nu, omega0 and omega_rabi (rad/s), optional phi_angle
+    (rad, the angle between the laser wave vector and the trap axis), and
+    nbar or beta (1/J); when both are present nbar wins, so a sweep over
+    nbar may keep a fixed beta in its held block.  eta, when given,
+    overrides the geometric Lamb-Dicke value
+    eta = (omega_L / c) * sqrt(hbar / (2 M nu)) * cos(phi), whose laser
+    frequency the branch fixes: omega_L = omega0 -+ m nu.
     """
-    b_nu = thermal.b_nu(cfg.nu)
-    beta_hbar = b_nu / cfg.nu
-    b_w0 = beta_hbar * cfg.omega0
-    b_om = beta_hbar * cfg.omega_rabi
-    eta = eta_override if eta_override is not None else eta_from_geometry(cfg, quench)
+    mass = float(point["mass"])
+    nu = float(point["nu"])
+    omega0 = float(point["omega0"])
+    omega_rabi = float(point["omega_rabi"])
+    phi_angle = float(point.get("phi_angle", 0.0))
+    _require(mass > 0, "ion mass must be positive")
+    _require(nu > 0, "trap frequency must be positive")
+    _require(omega0 > 0, "transition frequency must be positive")
+    _require(omega_rabi >= 0, "Rabi frequency must be nonnegative")
+    _require(0.0 <= phi_angle <= math.pi / 2, "laser angle must lie in [0, pi/2]")
+    if point.get("nbar") is not None:
+        nbar = float(point["nbar"])
+        _require(math.isfinite(nbar) and nbar > 0, "nbar must be positive and finite")
+        b_nu = math.log1p(1.0 / nbar)
+    elif point.get("beta") is not None:
+        beta = float(point["beta"])
+        _require(math.isfinite(beta) and beta > 0, "beta must be positive and finite")
+        b_nu = beta * HBAR * nu
+    else:
+        raise ValueError("give nbar or beta for the initial temperature")
+    m, branch = _transition(int(m), branch)
+    beta_hbar = b_nu / nu
+    b_w0 = beta_hbar * omega0
+    b_om = beta_hbar * omega_rabi
+    if eta is None:
+        omega_l = omega0 + branch.sideband_sign * m * nu
+        _require(omega_l > 0, "sideband detuning exceeds the transition frequency; supply eta explicitly")
+        eta = (omega_l / SPEED_OF_LIGHT) * math.sqrt(HBAR / (2.0 * mass * nu)) * math.cos(phi_angle)
     for name, val in (("b_nu", b_nu), ("b_w0", b_w0), ("b_om", b_om)):
         if not math.isfinite(val):
             raise ValueError(f"dimensionless group {name} overflowed to a non-finite value")
-    return ReducedParams(b_nu=b_nu, b_w0=b_w0, b_om=b_om, eta=eta, m=quench.m, branch=quench.branch)
-
-
-def reduce_point(
-    point: Mapping, m: int, branch: Branch, eta: float | None = None
-) -> tuple[TrapIonConfig, ReducedParams]:
-    """Resolve one parameter point in SI units to its configuration and reduced groups.
-
-    This is the single path from raw parameters to ReducedParams.  point
-    holds mass, nu, omega0, omega_rabi, optional phi_angle, and nbar or beta;
-    when both are present nbar wins, so a sweep over nbar may keep a fixed
-    beta in its held block.  eta, when given, overrides the geometric
-    Lamb-Dicke value.
-    """
-    cfg = TrapIonConfig(
-        mass=float(point["mass"]),
-        nu=float(point["nu"]),
-        omega0=float(point["omega0"]),
-        omega_rabi=float(point["omega_rabi"]),
-        phi_angle=float(point.get("phi_angle", 0.0)),
-    )
-    if point.get("nbar") is not None:
-        thermal = ThermalSpec(nbar=float(point["nbar"]))
-    else:
-        thermal = ThermalSpec(beta=float(point["beta"]))
-    rp = reduce(cfg, QuenchSpec(int(m), branch), thermal, eta_override=None if eta is None else float(eta))
-    return cfg, rp
+    return ReducedParams(b_nu=b_nu, b_w0=b_w0, b_om=b_om, eta=float(eta), m=m, branch=branch)
 
 
 def reduced_from_ratios(
@@ -301,12 +201,12 @@ def reduced_from_ratios(
         _require(nbar > 0, "nbar must be positive")
         b_nu = math.log1p(1.0 / nbar)
     _require(b_nu > 0, "b_nu must be positive")
-    quench = QuenchSpec(m, branch)
+    m, branch = _transition(m, branch)
     return ReducedParams(
         b_nu=b_nu,
         b_w0=b_nu * omega0_over_nu,
         b_om=b_nu * omega_rabi_over_nu,
         eta=eta,
-        m=quench.m,
-        branch=quench.branch,
+        m=m,
+        branch=branch,
     )

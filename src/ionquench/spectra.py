@@ -28,7 +28,6 @@ __all__ = [
     "edge_eigenvalues",
     "sideband_eigenvectors",
     "spectrum_table",
-    "displacement_element",
     "displacement_matrix",
     "dense_hamiltonians",
     "analytic_dense_spectrum",
@@ -176,20 +175,6 @@ def spectrum_table(rp: ReducedParams, n_trunc: int) -> SpectrumTable:
         mu=centers - 0.5 * s,
         gamma=centers + 0.5 * s,
     )
-
-
-def displacement_element(n_row: int, n_col: int, eta: float) -> complex:
-    """Fock matrix element <n_row| exp(i eta (a + a^dag)) |n_col>.
-
-    Equals (i eta)^m sqrt(min! / max!) exp(-eta^2/2) L_min^m(eta^2) with
-    m = |n_row - n_col|; the matrix is complex symmetric, so both triangles
-    share the same expression.
-    """
-    if n_row < 0 or n_col < 0:
-        raise ValueError("Fock indices must be nonnegative")
-    m = abs(n_row - n_col)
-    f = coupling_f(min(n_row, n_col), m, eta)
-    return f.as_complex()
 
 
 def displacement_matrix(n_trunc: int, eta: float) -> np.ndarray:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Mapping
 
-from .params import Branch, ReducedParams, TrapIonConfig, reduce_point
+from .params import Branch, ReducedParams, reduce
 from .thermo import LagResult, TruncationPolicy, nonequilibrium_lag, nonequilibrium_lags
 
 __all__ = ["SweepSpec", "ResultRow", "RESULT_COLUMNS", "run_specs", "evaluate_point"]
@@ -116,19 +116,20 @@ class ResultRow:
 def evaluate_point(point: Mapping, policy: TruncationPolicy | None = None) -> ResultRow:
     """Evaluate the lag at one point."""
     policy = policy or TruncationPolicy()
-    cfg, rp = reduce_point(point, point["m"], point["branch"], point.get("eta"))
+    rp = reduce(point, point["m"], point["branch"], point.get("eta"))
     if point.get("n_pinned") is not None:
         policy = replace(policy, n_pinned=int(point["n_pinned"]))
-    return _row(cfg, rp, point.get("eta") is not None, nonequilibrium_lag(rp, policy=policy))
+    return _row(point, rp, nonequilibrium_lag(rp, policy=policy))
 
 
-def _row(cfg: TrapIonConfig, rp: ReducedParams, eta_given: bool, result: LagResult) -> ResultRow:
+def _row(point: Mapping, rp: ReducedParams, result: LagResult) -> ResultRow:
+    """The row of a point; its SI columns echo the point, phi_angle is NaN when eta was given."""
     return ResultRow(
-        nu=cfg.nu,
-        omega0=cfg.omega0,
-        omega_rabi=cfg.omega_rabi,
-        mass=cfg.mass,
-        phi_angle=float("nan") if eta_given else cfg.phi_angle,
+        nu=float(point["nu"]),
+        omega0=float(point["omega0"]),
+        omega_rabi=float(point["omega_rabi"]),
+        mass=float(point["mass"]),
+        phi_angle=float("nan") if point.get("eta") is not None else float(point.get("phi_angle", 0.0)),
         eta=rp.eta,
         nbar=rp.nbar,
         b_nu=rp.b_nu,
@@ -157,7 +158,8 @@ def run_specs(specs: Iterable[SweepSpec], policy: TruncationPolicy | None = None
     rows: list[ResultRow] = []
     for spec in specs:
         spec_policy = policy if spec.n_pinned is None else replace(policy, n_pinned=spec.n_pinned)
-        resolved = [(*reduce_point(p, p["m"], p["branch"], p.get("eta")), p.get("eta") is not None) for p in spec.points()]
-        results = nonequilibrium_lags([rp for _, rp, _ in resolved], spec_policy)
-        rows.extend(_row(*point, result) for point, result in zip(resolved, results))
+        points = list(spec.points())
+        rps = [reduce(p, p["m"], p["branch"], p.get("eta")) for p in points]
+        results = nonequilibrium_lags(rps, spec_policy)
+        rows.extend(_row(*row) for row in zip(points, rps, results))
     return rows

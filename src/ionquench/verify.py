@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import numerics, spectra, thermo, workstats
-from .params import Branch, ReducedParams, ThermalSpec, reduce_point, reduced_from_ratios
+from .params import HBAR, Branch, ReducedParams, reduce, reduced_from_ratios
 from .presets import FIG1_CONFIG
 
 __all__ = ["CheckResult", "run_checks", "FAST_CHECKS", "FULL_ONLY_CHECKS"]
@@ -29,7 +29,7 @@ class CheckResult:
 
 
 def _fig1_reduced(m: int, branch: Branch, eta: float, nbar: float = 0.38) -> ReducedParams:
-    return reduce_point(dict(FIG1_CONFIG, nbar=nbar), m, branch, eta)[1]
+    return reduce(dict(FIG1_CONFIG, nbar=nbar), m, branch, eta)
 
 
 def _laguerre_explicit(n: int, m: int, x: Fraction) -> Fraction:
@@ -175,10 +175,10 @@ def check_branch_sign_rule(rng) -> CheckResult:
 def check_nbar_beta_roundtrip(rng) -> CheckResult:
     worst = 0.0
     for nbar in (1e-6, 0.38, 1.0, 42.0, 1e6):
-        b = ThermalSpec(nbar=nbar).b_nu(5e3)
-        back = 1.0 / math.expm1(b)
+        back = _fig1_reduced(0, Branch.CARRIER, 0.0, nbar=nbar).nbar
         worst = max(worst, abs(back - nbar) / nbar)
-    ln2_case = abs(ThermalSpec(beta=math.log(2.0) / (1.054571817e-34 * 1.0)).nbar_for(1.0) - 1.0)
+    unit_nu = dict(FIG1_CONFIG, nu=1.0, nbar=None, beta=math.log(2.0) / (HBAR * 1.0))
+    ln2_case = abs(reduce(unit_nu, 0, Branch.CARRIER, 0.0).nbar - 1.0)
     worst = max(worst, ln2_case)
     return CheckResult("nbar_beta_roundtrip", worst <= 1e-14, f"max rel err {worst:.2e}")
 

@@ -3,24 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from ionquench.params import Branch, QuenchSpec, ThermalSpec, TrapIonConfig, reduce, reduced_from_ratios
+from ionquench.params import Branch, reduce, reduced_from_ratios
 from ionquench.spectra import displacement_matrix
 
 # Shared trap drive: Ca+-style parameters used across the figure presets.
 FIG1 = dict(mass=7.0e-26, nu=5.0e3, omega0=822.0 * math.pi * 1e12, omega_rabi=math.pi * 1e6)
 
 
-@pytest.fixture
-def fig1_cfg():
-    return TrapIonConfig(**FIG1)
-
-
 def fig1_reduced(m, branch, eta, nbar=0.38, omega_rabi=None):
     params = dict(FIG1)
     if omega_rabi is not None:
         params["omega_rabi"] = omega_rabi
-    cfg = TrapIonConfig(**params)
-    return reduce(cfg, QuenchSpec(m, branch), ThermalSpec(nbar=nbar), eta_override=eta)
+    return reduce(dict(params, nbar=nbar), m, branch, eta)
 
 
 def desk_reduced(m, branch, eta, nbar=0.38, r_w0=10.0, r_om=1.0):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from ionquench.numerics import log_sum_exp, sqrt_shift
-from ionquench.params import Branch, reduce_point, reduced_from_ratios
+from ionquench.params import Branch, reduce, reduced_from_ratios
 from ionquench.spectra import analytic_dense_spectrum, dense_hamiltonians, sideband_eigenvectors
 from ionquench.thermo import (
     TruncationPolicy,
@@ -173,7 +173,7 @@ def test_criterion_6_divergence_classification():
 
     def rp_at(block, m, branch, eta):
         # The zero-temperature classification does not depend on nbar.
-        return reduce_point(dict(block, nbar=0.5), m, branch, eta)[1]
+        return reduce(dict(block, nbar=0.5), m, branch, eta)
 
     # Left panel: the first m = 1 block dips negative, all m = 2 blocks stay up.
     left_m1 = left["nu"] * phi_reduced(0, rp_at(left, 1, Branch.JC, 1.5)) <= 0

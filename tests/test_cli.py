@@ -160,6 +160,11 @@ class TestInputValidation:
         assert main(["lag", "--eta", "nan"]) == 2
         assert "Lamb-Dicke parameter must be finite" in capsys.readouterr().err
 
+    def test_negative_mass_is_one_error_line(self, capsys):
+        assert main(["lag", "--mass", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: ion mass must be positive\n"
+
     def test_nbar_and_beta_flags_conflict(self, capsys):
         assert main(["lag", "--nbar", "1", "--beta", "1e22"]) == 2
         assert "give only one of nbar and beta" in capsys.readouterr().err

@@ -3,121 +3,131 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from ionquench.params import (
-    HBAR,
-    SPEED_OF_LIGHT,
-    Branch,
-    QuenchSpec,
-    ThermalSpec,
-    TrapIonConfig,
-    eta_from_geometry,
-    nbar_beta_convert,
-    reduce,
-    reduced_from_ratios,
-)
+from ionquench import cli, params, sweep
+from ionquench.params import HBAR, SPEED_OF_LIGHT, Branch, reduce, reduced_from_ratios
+from ionquench.presets import figure_presets
+from ionquench.sweep import SweepSpec, run_specs
 from conftest import FIG1
 
 
-class TestEtaFromGeometry:
-    def test_perpendicular_laser_gives_zero(self, fig1_cfg):
-        # cos(pi/2) carries the rounding of pi/2 itself, ~1e-16 of the on-axis value.
-        cfg = TrapIonConfig(**{**FIG1, "phi_angle": math.pi / 2})
-        assert eta_from_geometry(cfg, QuenchSpec(0, Branch.CARRIER)) == pytest.approx(0.0, abs=1e-15)
+def fig1_point(**changes):
+    return {**FIG1, "nbar": 0.38, **changes}
 
-    def test_fig1_axis_scale(self, fig1_cfg):
+
+def geometric_eta(m=0, branch=Branch.CARRIER, **changes):
+    return reduce(fig1_point(**changes), m, branch).eta
+
+
+class TestEtaFromGeometry:
+    def test_perpendicular_laser_gives_zero(self):
+        # cos(pi/2) carries the rounding of pi/2 itself, ~1e-16 of the on-axis value.
+        assert geometric_eta(phi_angle=math.pi / 2) == pytest.approx(0.0, abs=1e-15)
+
+    def test_fig1_axis_scale(self):
         # Recomputed directly from the definition; consistent with a sweep
         # axis that extends to ~3.5.
-        eta = eta_from_geometry(fig1_cfg, QuenchSpec(0, Branch.CARRIER))
+        eta = geometric_eta()
         expected = (FIG1["omega0"] / SPEED_OF_LIGHT) * math.sqrt(HBAR / (2 * FIG1["mass"] * FIG1["nu"]))
         assert eta == pytest.approx(expected, rel=1e-14)
         assert eta == pytest.approx(3.343413161156333, rel=1e-12)
         assert 3.3 < eta < 3.5
 
-    def test_mass_scaling(self, fig1_cfg):
-        heavy = TrapIonConfig(**{**FIG1, "mass": FIG1["mass"] * 1e6})
-        q = QuenchSpec(0, Branch.CARRIER)
-        assert eta_from_geometry(heavy, q) == pytest.approx(1e-3 * eta_from_geometry(fig1_cfg, q), rel=1e-12)
+    def test_mass_scaling(self):
+        assert geometric_eta(mass=FIG1["mass"] * 1e6) == pytest.approx(1e-3 * geometric_eta(), rel=1e-12)
 
-    def test_monotonicities(self, fig1_cfg):
-        q = QuenchSpec(0, Branch.CARRIER)
-        base = eta_from_geometry(fig1_cfg, q)
+    def test_monotonicities(self):
+        base = geometric_eta()
         for phi in (0.3, 0.8, 1.4):
-            assert eta_from_geometry(TrapIonConfig(**{**FIG1, "phi_angle": phi}), q) < base
-        assert eta_from_geometry(TrapIonConfig(**{**FIG1, "mass": 2 * FIG1["mass"]}), q) < base
-        assert eta_from_geometry(TrapIonConfig(**{**FIG1, "nu": 2 * FIG1["nu"]}), q) < base
+            assert geometric_eta(phi_angle=phi) < base
+        assert geometric_eta(mass=2 * FIG1["mass"]) < base
+        assert geometric_eta(nu=2 * FIG1["nu"]) < base
         # Larger laser frequency (AJC side) raises eta.
-        jc = eta_from_geometry(fig1_cfg, QuenchSpec(3, Branch.JC))
-        ajc = eta_from_geometry(fig1_cfg, QuenchSpec(3, Branch.AJC))
-        assert jc < base < ajc
+        assert geometric_eta(3, Branch.JC) < base < geometric_eta(3, Branch.AJC)
+
+    def test_laser_below_zero_frequency_needs_explicit_eta(self):
+        point = dict(mass=7e-26, nu=1.2e8, omega0=1.0e8, omega_rabi=0.5e9, nbar=0.5)
+        with pytest.raises(ValueError, match="supply eta explicitly"):
+            reduce(point, 1, Branch.JC)
+        assert reduce(point, 1, Branch.JC, 1.5).eta == 1.5
 
 
 class TestThermalConversion:
     def test_ln2_gives_unit_occupation(self):
         beta = math.log(2.0) / (HBAR * 1.0)
-        assert nbar_beta_convert(ThermalSpec(beta=beta), 1.0) == pytest.approx(1.0, rel=1e-14)
+        rp = reduce({**FIG1, "nu": 1.0, "beta": beta}, 0, Branch.CARRIER, 0.0)
+        assert rp.nbar == pytest.approx(1.0, rel=1e-14)
 
     def test_reference_value(self):
         # log(1 + 1/0.38) recomputed with 60-digit arithmetic.
-        assert ThermalSpec(nbar=0.38).b_nu(FIG1["nu"]) == pytest.approx(1.2896675254308189, rel=1e-15)
+        assert reduce(fig1_point(), 0, Branch.CARRIER, 0.0).b_nu == pytest.approx(1.2896675254308189, rel=1e-15)
 
     def test_high_temperature_limit(self):
-        assert ThermalSpec(nbar=1e12).b_nu(1e6) == pytest.approx(1e-12, rel=1e-3)
+        rp = reduce(fig1_point(nu=1e6, nbar=1e12), 0, Branch.CARRIER, 0.0)
+        assert rp.b_nu == pytest.approx(1e-12, rel=1e-3)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            ThermalSpec(nbar=-0.5)
+            reduce(fig1_point(nbar=-0.5), 0, Branch.CARRIER, 0.0)
         with pytest.raises(ValueError):
-            ThermalSpec(beta=0.0)
+            reduce({**FIG1, "beta": 0.0}, 0, Branch.CARRIER, 0.0)
         with pytest.raises(ValueError):
-            ThermalSpec(beta=1e30, nbar=0.5)
-        with pytest.raises(ValueError):
-            ThermalSpec()
+            reduce(FIG1, 0, Branch.CARRIER, 0.0)
+
+    def test_nbar_wins_over_beta(self):
+        rp = reduce(fig1_point(beta=1e30), 0, Branch.CARRIER, 0.0)
+        assert rp.b_nu == reduce(fig1_point(), 0, Branch.CARRIER, 0.0).b_nu
 
     @given(st.floats(min_value=1e-9, max_value=1e9))
     def test_roundtrip_involutive(self, nbar):
-        nu = 5e3
-        beta = nbar_beta_convert(ThermalSpec(nbar=nbar), nu)
-        back = nbar_beta_convert(ThermalSpec(beta=beta), nu)
+        rp = reduce(fig1_point(nbar=nbar), 0, Branch.CARRIER, 0.0)
+        beta = rp.b_nu / (HBAR * FIG1["nu"])
+        back = reduce({**FIG1, "beta": beta}, 0, Branch.CARRIER, 0.0).nbar
         assert back == pytest.approx(nbar, rel=1e-14)
 
 
-class TestQuenchSpec:
+class TestTransition:
     def test_m_zero_normalizes_to_carrier(self):
-        assert QuenchSpec(0, Branch.JC).branch is Branch.CARRIER
-        assert QuenchSpec(0, Branch.AJC).branch is Branch.CARRIER
+        assert reduce(fig1_point(), 0, Branch.JC, 0.1).branch is Branch.CARRIER
+        assert reduce(fig1_point(), 0, Branch.AJC, 0.1).branch is Branch.CARRIER
+        assert reduced_from_ratios(10.0, 1.0, 0.1, 0, Branch.JC, nbar=0.38).branch is Branch.CARRIER
 
     def test_carrier_requires_m_zero(self):
-        with pytest.raises(ValueError):
-            QuenchSpec(2, Branch.CARRIER)
+        with pytest.raises(ValueError, match="carrier transitions have m = 0"):
+            reduce(fig1_point(), 2, Branch.CARRIER, 0.1)
+        with pytest.raises(ValueError, match="carrier transitions have m = 0"):
+            reduced_from_ratios(10.0, 1.0, 0.1, 2, Branch.CARRIER, nbar=0.38)
 
-    def test_laser_frequency_signs(self):
-        assert QuenchSpec(2, Branch.JC).laser_frequency(10.0, 1e4) == 1e4 - 20.0
-        assert QuenchSpec(2, Branch.AJC).laser_frequency(10.0, 1e4) == 1e4 + 20.0
+    def test_negative_m_rejected(self):
+        with pytest.raises(ValueError, match="sideband index must be nonnegative"):
+            reduce(fig1_point(), -1, Branch.JC, 0.1)
 
 
 class TestReduce:
-    def test_fig1_b_w0(self, fig1_cfg):
-        rp = reduce(fig1_cfg, QuenchSpec(0, Branch.CARRIER), ThermalSpec(nbar=0.38), eta_override=0.5)
+    def test_fig1_b_w0(self):
+        rp = reduce(fig1_point(), 0, Branch.CARRIER, 0.5)
         assert rp.b_w0 == pytest.approx(666084687857.94, rel=1e-12)
 
-    def test_carrier_with_zero_eta(self, fig1_cfg):
-        rp = reduce(fig1_cfg, QuenchSpec(0, Branch.CARRIER), ThermalSpec(nbar=0.38), eta_override=0.0)
+    def test_carrier_with_zero_eta(self):
+        rp = reduce(fig1_point(), 0, Branch.CARRIER, 0.0)
         assert rp.eta == 0.0
         assert rp.b_wl == rp.b_w0
 
-    def test_jc_branch_shift(self, fig1_cfg):
-        rp = reduce(fig1_cfg, QuenchSpec(2, Branch.JC), ThermalSpec(nbar=0.38), eta_override=0.1)
+    def test_jc_branch_shift(self):
+        rp = reduce(fig1_point(), 2, Branch.JC, 0.1)
         assert rp.b_wl == pytest.approx(rp.b_w0 - 2 * rp.b_nu, abs=1e-9 * rp.b_w0)
 
-    def test_geometry_route_matches_override(self, fig1_cfg):
-        q = QuenchSpec(1, Branch.JC)
-        rp = reduce(fig1_cfg, q, ThermalSpec(nbar=0.38))
-        assert rp.eta == pytest.approx(eta_from_geometry(fig1_cfg, q), rel=1e-15)
+    def test_geometry_route_matches_override(self):
+        # JC at m = 1: the laser sits one trap quantum below the transition.
+        omega_l = FIG1["omega0"] - FIG1["nu"]
+        expected = (omega_l / SPEED_OF_LIGHT) * math.sqrt(HBAR / (2.0 * FIG1["mass"] * FIG1["nu"]))
+        rp = reduce(fig1_point(), 1, Branch.JC)
+        assert rp.eta == pytest.approx(expected, rel=1e-15)
+        assert reduce(fig1_point(), 1, Branch.JC, rp.eta) == rp
 
     def test_overflow_rejected(self):
-        cfg = TrapIonConfig(mass=1e-30, nu=1e-300, omega0=1e300, omega_rabi=0.0)
-        with pytest.raises(ValueError):
-            reduce(cfg, QuenchSpec(0, Branch.CARRIER), ThermalSpec(beta=1e300), eta_override=0.0)
+        point = dict(mass=1e-30, nu=1e-300, omega0=1e300, omega_rabi=0.0, beta=1e300)
+        with pytest.raises(ValueError, match="overflowed"):
+            reduce(point, 0, Branch.CARRIER, 0.0)
 
     @pytest.mark.parametrize("b_nu", [709.0, 710.0, 740.0, 12654.861804])
     def test_nbar_at_low_temperature(self, b_nu):
@@ -127,12 +137,74 @@ class TestReduce:
         assert rp.nbar == pytest.approx(math.exp(-b_nu), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("eta", [math.nan, math.inf])
-    def test_nonfinite_eta_override_rejected(self, fig1_cfg, eta):
+    def test_nonfinite_eta_override_rejected(self, eta):
         with pytest.raises(ValueError, match="Lamb-Dicke parameter must be finite"):
-            reduce(fig1_cfg, QuenchSpec(1, Branch.JC), ThermalSpec(nbar=0.38), eta_override=eta)
+            reduce(fig1_point(), 1, Branch.JC, eta)
 
     @given(st.integers(min_value=1, max_value=9))
     def test_branch_sign_rule(self, m):
         jc = reduced_from_ratios(1e3, 1.0, 0.4, m, Branch.JC, nbar=0.7)
         ajc = reduced_from_ratios(1e3, 1.0, 0.4, m, Branch.AJC, nbar=0.7)
         assert jc.b_wl < jc.b_w0 < ajc.b_wl
+
+
+class TestValidation:
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"mass": 0.0}, "ion mass must be positive"),
+            ({"mass": -1.0}, "ion mass must be positive"),
+            ({"mass": math.nan}, "ion mass must be positive"),
+            ({"nu": 0.0}, "trap frequency must be positive"),
+            ({"nu": -5e3}, "trap frequency must be positive"),
+            ({"omega0": 0.0}, "transition frequency must be positive"),
+            ({"omega_rabi": -1.0}, "Rabi frequency must be nonnegative"),
+            ({"phi_angle": -0.1}, r"laser angle must lie in \[0, pi/2\]"),
+            ({"phi_angle": 1.6}, r"laser angle must lie in \[0, pi/2\]"),
+            ({"nbar": 0.0}, "nbar must be positive and finite"),
+            ({"nbar": -0.5}, "nbar must be positive and finite"),
+            ({"nbar": math.nan}, "nbar must be positive and finite"),
+            ({"nbar": None, "beta": 0.0}, "beta must be positive and finite"),
+            ({"nbar": None, "beta": -1e30}, "beta must be positive and finite"),
+            ({"nbar": None, "beta": math.nan}, "beta must be positive and finite"),
+            ({"nbar": None}, "give nbar or beta"),
+        ],
+    )
+    def test_bad_field_message(self, changes, message):
+        with pytest.raises(ValueError, match=message):
+            reduce(fig1_point(**changes), 1, Branch.JC, 0.3)
+
+    def test_sweep_point_without_temperature(self):
+        spec = SweepSpec(axis="eta", grid=(0.1, 0.2), fixed=dict(FIG1), branches=(Branch.JC,), m_values=(1,))
+        with pytest.raises(ValueError, match="give nbar or beta"):
+            run_specs([spec])
+
+
+class TestCallersBindReduce:
+    """sweep and cli call reduce through their own module binding, one call per resolved point."""
+
+    @staticmethod
+    def count_calls(monkeypatch, module):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return params.reduce(*args, **kwargs)
+
+        monkeypatch.setattr(module, "reduce", counted)
+        return calls
+
+    def test_sweep_resolves_each_row_once(self, monkeypatch):
+        calls = self.count_calls(monkeypatch, sweep)
+        rows = run_specs(figure_presets()["fig2"].specs)
+        assert len(rows) == 186
+        assert len(calls) == 186
+
+    def test_spectrum_resolves_each_transition_once(self, monkeypatch, capsys):
+        calls = self.count_calls(monkeypatch, cli)
+        assert cli.main(["spectrum", "--m", "1,2", "--branch", "jc"]) == 0
+        assert [args[1:3] for args in calls] == [(1, Branch.JC), (2, Branch.JC)]
+
+
+def test_params_exports_one_si_entry():
+    assert params.__all__ == ["HBAR", "SPEED_OF_LIGHT", "Branch", "ReducedParams", "reduce", "reduced_from_ratios"]

@@ -9,7 +9,6 @@ from ionquench.params import Branch, reduced_from_ratios
 from ionquench import spectra
 from ionquench.spectra import (
     dense_hamiltonians,
-    displacement_element,
     displacement_matrix,
     edge_eigenvalues,
     ket_index,
@@ -121,14 +120,14 @@ class TestSidebandEigenvectors:
 
 class TestDisplacement:
     def test_identity_at_zero_eta(self):
-        assert displacement_element(4, 4, 0.0) == 1.0
-        assert displacement_element(5, 4, 0.0) == 0.0
         mat = displacement_matrix(12, 0.0)
+        assert mat[4, 4] == 1.0
+        assert mat[5, 4] == 0.0
         assert np.array_equal(mat, np.eye(13, dtype=complex))
 
     def test_vacuum_expectation(self):
         for eta in (0.2, 1.0, 2.5):
-            assert displacement_element(0, 0, eta) == pytest.approx(math.exp(-eta * eta / 2), rel=1e-14)
+            assert displacement_matrix(4, eta)[0, 0] == pytest.approx(math.exp(-eta * eta / 2), rel=1e-14)
 
     def test_symmetric_matrix(self):
         mat = displacement_matrix(20, 0.8)

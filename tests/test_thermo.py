@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ionquench.numerics import coupling_f, log_sum_exp, sqrt_excess, sqrt_shift
-from ionquench.params import Branch, QuenchSpec, ThermalSpec, TrapIonConfig, reduce, reduce_point, reduced_from_ratios
+from ionquench.params import Branch, reduce, reduced_from_ratios
 from ionquench.presets import desk_scale_point, figure_presets
 from ionquench.spectra import dense_hamiltonians
 from ionquench import thermo
@@ -33,7 +33,7 @@ FIG4_RIGHT = dict(mass=7e-26, nu=1.2e8, omega0=1.0e8, omega_rabi=1.0e9)
 
 def classify_rp(block, m, branch, eta, nbar=0.5):
     """Reduced parameters for the zero-temperature classification; nbar does not enter it."""
-    return reduce_point(dict(block, nbar=nbar), m, branch, eta)[1]
+    return reduce(dict(block, nbar=nbar), m, branch, eta)
 
 
 class TestPartitionInitial:
@@ -296,7 +296,7 @@ class TestDivergencePredicate:
         for preset in figure_presets().values():
             for spec in preset.specs:
                 for point, row in zip(spec.points(), run_specs([spec], policy)):
-                    _, rp = reduce_point(point, point["m"], point["branch"], point.get("eta"))
+                    rp = reduce(point, point["m"], point["branch"], point.get("eta"))
                     assert row.divergence_predicted == divergence_predicate_reduced(rp).diverges, (preset.name, point)
                     flags.append(row.divergence_predicted)
         assert len(flags) == 1440 and True in flags and False in flags
@@ -383,8 +383,7 @@ class TestNuToZeroLimit:
         beta = math.log1p(1 / 0.38) / (1.054571817e-34 * FIG1["nu"])
         limit_val = nu_to_zero_limit(fig1_reduced(0, Branch.CARRIER, 0.0)).value
         for factor in (1.0, 0.1, 0.01):
-            cfg = TrapIonConfig(**{**FIG1, "nu": FIG1["nu"] * factor})
-            rp = reduce(cfg, QuenchSpec(0, Branch.CARRIER), ThermalSpec(beta=beta), eta_override=0.0)
+            rp = reduce(dict(FIG1, nu=FIG1["nu"] * factor, beta=beta), 0, Branch.CARRIER, 0.0)
             lag = nonequilibrium_lag(rp).value
             assert lag == pytest.approx(limit_val, rel=1e-2)
 
@@ -695,7 +694,7 @@ class TestBatchedPinnedRows:
     def test_bitwise_equal_to_one_row_at_a_time(self, spec):
         rows = run_specs([spec], TruncationPolicy(error_on_nonconverged=False))
         for point, row in zip(spec.points(), rows):
-            _, rp = reduce_point(point, point["m"], point["branch"], point["eta"])
+            rp = reduce(point, point["m"], point["branch"], point["eta"])
             lag, n_used, tail_bound_log, converged, diverges, _ = _one_row(rp, _pinned(spec.n_pinned))
             got = (row.lag.hex(), row.n_used, row.tail_bound_log.hex(), row.converged, row.divergence_predicted)
             assert got == (lag.hex(), n_used, tail_bound_log.hex(), converged, diverges), point
@@ -711,7 +710,7 @@ class TestBatchedPinnedRows:
         rows = run_specs([spec], TruncationPolicy(error_on_nonconverged=False))
         assert len(rows) == 48
         for point, row in zip(spec.points(), rows):
-            _, rp = reduce_point(point, point["m"], point["branch"], point["eta"])
+            rp = reduce(point, point["m"], point["branch"], point["eta"])
             lag, n_used, tail_bound_log, converged, diverges, _ = _one_row(rp, _pinned(1500))
             assert (row.lag.hex(), row.n_used, row.tail_bound_log.hex()) == (lag.hex(), n_used, tail_bound_log.hex())
             assert (row.converged, row.divergence_predicted) == (converged, diverges)
@@ -730,7 +729,7 @@ class TestBatchedPinnedRows:
         rows = run_specs([spec], TruncationPolicy(error_on_nonconverged=False))
         assert seen and all(seen)
         for point, row in zip(spec.points(), rows):
-            _, rp = reduce_point(point, point["m"], point["branch"], point["eta"])
+            rp = reduce(point, point["m"], point["branch"], point["eta"])
             assert row.lag.hex() == _one_row(rp, _pinned(40))[0].hex()
 
 
@@ -772,7 +771,7 @@ class TestBatchedAdaptiveRows:
     def test_bitwise_equal_to_one_row_at_a_time(self, case):
         specs, policy = case
         points = [point for spec in specs for point in spec.points()]
-        rps = [reduce_point(point, point["m"], point["branch"], point.get("eta"))[1] for point in points]
+        rps = [reduce(point, point["m"], point["branch"], point.get("eta")) for point in points]
         for point, rp, result in zip(points, rps, nonequilibrium_lags(rps, policy)):
             lag, n_used, tail_bound_log, converged, diverges, stop_reason = _one_row(rp, policy)
             report = result.truncation
@@ -788,7 +787,7 @@ class TestBatchedAdaptiveRows:
         fixed = dict(desk_scale_point(), eta=0.8)
         spec = SweepSpec(axis="nbar", grid=(10.0, 30.0), fixed=fixed, branches=(Branch.JC,), m_values=(2, 1))
         points = list(spec.points())
-        rps = [reduce_point(point, point["m"], point["branch"], point["eta"])[1] for point in points]
+        rps = [reduce(point, point["m"], point["branch"], point["eta"]) for point in points]
         edges = [thermo._excess_tails(thermo._rows_of([rp]))[0](512) - math.log1p(math.exp(-rp.b_w0)) for rp in rps]
         assert edges[0] < edges[1]
         policy = TruncationPolicy(n_cap=512, tail_rel_tol=1e-300, lag_abs_tol=math.exp(0.5 * (edges[0] + edges[1])))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ionquench.params import Branch, QuenchSpec, ThermalSpec, TrapIonConfig, reduce
+from ionquench.params import Branch, reduce
 from ionquench.spectra import dense_hamiltonians
 from ionquench.workstats import moments_analytic, moments_numeric, work_pmf_sideband
 from conftest import FIG1, desk_reduced, eager_full_hamiltonian
@@ -46,22 +46,18 @@ class TestAnalyticMoments:
         # Keep beta fixed and derive eta from the geometry; the trap frequency
         # then cancels out of the third moment (in absolute units).
         beta = 2.5e30
-        thermal = ThermalSpec(beta=beta)
         vals = []
         for nu in (5e3, 1e4):
-            cfg = TrapIonConfig(**{**FIG1, "nu": nu})
-            rp = reduce(cfg, QuenchSpec(0, Branch.CARRIER), thermal)
+            rp = reduce(dict(FIG1, nu=nu, beta=beta), 0, Branch.CARRIER)
             # Convert from (hbar nu)^3 units back to an absolute scale.
             vals.append(moments_analytic(rp).third * nu**3)
         assert vals[1] == pytest.approx(vals[0], rel=1e-10)
 
     def test_third_nu_independence_on_sideband(self):
         beta = 2.5e30
-        thermal = ThermalSpec(beta=beta)
         vals = []
         for nu in (5e3, 1e4):
-            cfg = TrapIonConfig(**{**FIG1, "nu": nu})
-            rp = reduce(cfg, QuenchSpec(1, Branch.JC), thermal)
+            rp = reduce(dict(FIG1, nu=nu, beta=beta), 1, Branch.JC)
             vals.append(moments_analytic(rp).third * nu**3)
         assert vals[1] == pytest.approx(vals[0], rel=1e-10)
 
