@@ -107,43 +107,61 @@ class LaguerreState(NamedTuple):
 LAGUERRE_START = LaguerreState(-1, 0.0, 0.0, 0.0)
 
 
-def _laguerre_extend(state: LaguerreState, n_max: int, m: int, x: float) -> tuple[list, list, LaguerreState]:
+def _laguerre_extend(state: LaguerreState, n_max: int, m: int, x: float) -> tuple[np.ndarray, np.ndarray, LaguerreState]:
     """(signs, log magnitudes) of L_n^m(x) for n = state.n+1..n_max, and the end state.
 
     Runs the recurrence on rescaled values with exponent tracking, so the
-    sequence is valid far beyond the linear-space overflow threshold.  Each
-    log magnitude is math.log of the rescaled value plus the offset:
-    numpy's vectorized log may differ from math.log in the last ulp, and the
-    figure presets' reference values were produced with math.log.
+    sequence is valid far beyond the linear-space overflow threshold: (prev,
+    curr) are divided by mag = max(|prev|, |curr|) after any step that leaves
+    mag > hi = _RESCALE_HI or 0 < mag < lo = _RESCALE_LO.  The loop only stores
+    the rescaled values; each log magnitude is math.log of one plus the offset
+    of its segment (numpy's log may differ from math.log in the last ulp, and
+    the presets' reference values were produced with math.log).
+
+    A step first tests `lo <= new <= hi or -hi <= new <= -lo`, and the exact
+    test only when that fails.  This is safe: |curr| <= hi after every step
+    (a rescale leaves both values at most 1 in magnitude), so lo <= |new| <= hi
+    puts mag = max(|curr|, |new|) in [lo, hi].  A step whose x |L| overflows
+    gives inf or nan, which also fails the first test; it is then redone from
+    inputs rescaled by their max.  Where the unguarded loop stays finite
+    nothing is redone, so every value keeps its bits.
     """
-    signs: list[int] = []
-    logabs: list[float] = []
     k_first, prev, curr, offset = state.n + 1, state.prev, state.curr, state.offset
+    raw: list[float] = []  # L_k divided by exp(offset of its segment)
     if k_first == 0 and n_max >= 0:
-        signs.append(1)
-        logabs.append(0.0)
+        raw.append(1.0)
         prev, curr, offset = 0.0, 1.0, 0.0  # L_{-1} = 0 makes the k = 1 step give m + 1 - x
         k_first = 1
-    log, sign_append, log_append = math.log, signs.append, logabs.append
-    for k in range(k_first, n_max + 1):
-        # L_k = ((2k + m - 1 - x) L_{k-1} - (k - 1 + m) L_{k-2}) / k; the integer
-        # part of the first coefficient is exact, so it equals 2.0*(k-1) + m + 1.0 - x.
-        prev, curr = curr, ((2 * k + m - 1 - x) * curr - (k - 1 + m) * prev) / k
-        a, b = abs(prev), abs(curr)
-        mag = b if b > a else a  # max(a, b), without the builtin call
-        if mag > _RESCALE_HI or 0.0 < mag < _RESCALE_LO:
-            prev /= mag
-            curr /= mag
-            offset += log(mag)
-        if curr == 0.0:
-            sign_append(0)
-            log_append(-math.inf)
-        elif curr > 0.0:
-            sign_append(1)
-            log_append(log(curr) + offset)
-        else:
-            sign_append(-1)
-            log_append(log(-curr) + offset)
+    cuts = [(0, offset)]  # (index in raw, offset) where each segment starts
+    # L_k = ((2k + m - 1 - x) L_{k-1} - (k - 1 + m) L_{k-2}) / k, with 2k + m - 1,
+    # k - 1 + m and k carried as floats: exact integers, so the bits are those of int operands.
+    c1, c2, kf = 2.0 * k_first + m - 1.0, k_first - 1.0 + m, float(k_first)
+    lo, hi, isfinite, log, append = _RESCALE_LO, _RESCALE_HI, math.isfinite, math.log, raw.append
+    for _ in range(k_first, n_max + 1):
+        new = ((c1 - x) * curr - c2 * prev) / kf
+        if not (lo <= new <= hi or -hi <= new <= -lo):
+            if not isfinite(new) and isfinite(curr):
+                mag = max(abs(prev), abs(curr))
+                prev, curr, offset = prev / mag, curr / mag, offset + log(mag)
+                cuts.append((len(raw), offset))
+                new = ((c1 - x) * curr - c2 * prev) / kf
+            mag = max(abs(curr), abs(new))
+            if mag > hi or 0.0 < mag < lo:
+                curr, new, offset = curr / mag, new / mag, offset + log(mag)
+                cuts.append((len(raw), offset))
+        prev, curr = curr, new
+        append(new)
+        c1, c2, kf = c1 + 2.0, c2 + 1.0, kf + 1.0
+    values = np.array(raw)
+    signs = np.sign(values).astype(np.int8)
+    mags = np.abs(values).tolist()
+    try:
+        logabs = np.fromiter(map(log, mags), float, len(mags))
+    except ValueError:  # an exact zero of the polynomial
+        logabs = np.array([log(v) if v else -math.inf for v in mags])
+    for (start, seg_offset), (stop, _) in zip(cuts, [*cuts[1:], (len(raw), 0.0)]):
+        if seg_offset != 0.0:  # log(v) + 0.0 == log(v): math.log never returns -0.0
+            logabs[start:stop] += seg_offset
     end = LaguerreState(n_max, prev, curr, offset) if n_max > state.n else state
     return signs, logabs, end
 
@@ -166,7 +184,7 @@ def coupling_logabs_sequence(n_max: int, m: int, eta: float, *, resume: Laguerre
     """
     if n_max < 0 or m < 0:
         raise ValueError("Laguerre indices must be nonnegative")
-    if eta < 0:
+    if not eta >= 0:  # also rejects nan
         raise ValueError("Lamb-Dicke parameter must be nonnegative")
     x = eta_squared(eta)
     state = LAGUERRE_START if resume is None else resume
@@ -178,11 +196,10 @@ def coupling_logabs_sequence(n_max: int, m: int, eta: float, *, resume: Laguerre
             signs, log_mags = np.zeros(size, dtype=np.int8), np.full(size, -np.inf)
         end = state._replace(n=n_max) if size else state
     else:
-        sign_list, logabs, end = _laguerre_extend(state, n_max, m, x)
+        signs, logabs, end = _laguerre_extend(state, n_max, m, x)
         n = np.arange(state.n + 1, state.n + 1 + size, dtype=float)
-        signs = np.array(sign_list, dtype=np.int8)
         # Elementwise, so a segment equals the matching slice of a longer run.
-        log_mags = m * math.log(eta) - 0.5 * x + _log_factorial_ratio(n, m) + np.array(logabs)
+        log_mags = m * math.log(eta) - 0.5 * x + _log_factorial_ratio(n, m) + logabs
     return (signs, log_mags) if resume is None else (signs, log_mags, end)
 
 
@@ -213,14 +230,12 @@ def lncosh(x):
 
 
 def lnsinh(x):
-    """log sinh(x) for x >= 0; -inf at x = 0.
+    """log sinh(x) for x >= 0 (not checked); -inf at x = 0.
 
     Small arguments go through sinh directly (no loss down to the underflow
     floor); large ones use x - log 2 + log(1 - exp(-2x)).
     """
     x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr < 0):
-        raise ValueError("lnsinh requires nonnegative arguments")
     small = x_arr < 20.0
     if small.all():
         with np.errstate(divide="ignore"):
@@ -286,6 +301,7 @@ def sqrt_excess(w: float, u):
     """sqrt(w^2 + u^2) - w for w >= 0, elementwise and cancellation-free."""
     u_arr = np.asarray(u, dtype=float)
     with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.where(u_arr == 0.0, 0.0, u_arr * u_arr / (np.hypot(w, u_arr) + w))
-    return out
+        out = u_arr * u_arr / (np.hypot(w, u_arr) + w)
+    # Where w > 0, u = 0 gives 0/(2w) = +0.0 already; only w = 0 needs the guard.
+    return out if np.all(np.greater(w, 0.0)) else np.where(u_arr == 0.0, 0.0, out)
 

@@ -283,7 +283,10 @@ def _excess_logs(rows: _Rows, n_lo: int, n_hi: int) -> np.ndarray:
     np.subtract(_LN2, out, out=out)
     out += a_shifted
     with np.errstate(divide="ignore", invalid="ignore"):
-        out += _log1m_exp_neg2(a_shifted + 0.5 * rows.b_w0)
+        # a_full >= |b_wl|/2 = (d_aw + b_w0)/2, also in floats: past 400, e^(-2 a_full)
+        # underflows to 0 and the edge adds log1p(-0.0) = -0.0, which changes no bit.
+        if not np.all(0.5 * (rows.d_aw + rows.b_w0) > 400.0):
+            out += _log1m_exp_neg2(a_shifted + 0.5 * rows.b_w0)
         out += lnsinh(b_quarter)
     out[b_quarter == 0.0] = -np.inf
     return out
@@ -331,8 +334,8 @@ def _excess_tail(b_quarter: float, log_sinh: float, d_aw: float, b_w0: float, b_
     return lambda n_from: _LN2 - b_nu * (n_from + half_m) + a_shifted + log_edge + log_sinh
 
 
-def _chunk_log_sums(rows: np.ndarray) -> list[float]:
-    """log sum(exp(row)) of each row of a 2-D block of chunks (nan for an all -inf row).
+def _chunk_log_sums(rows: np.ndarray) -> tuple[list[float], list[float]]:
+    """(max, log sum(exp(row))) of each row of a 2-D block of chunks (nan log for an all -inf row).
 
     All rows are reduced in one pass; the row-wise pairwise sum of a row has
     the bits of the 1-D np.sum of that row, at any row length.
@@ -340,7 +343,14 @@ def _chunk_log_sums(rows: np.ndarray) -> list[float]:
     his = rows.max(axis=1)
     with np.errstate(invalid="ignore"):
         sums = np.exp(rows - his[:, None]).sum(axis=1).tolist()
-    return [hi + math.log(s) for hi, s in zip(his.tolist(), sums)]
+    his = his.tolist()
+    return his, [hi + math.log(s) for hi, s in zip(his, sums)]
+
+
+def _quiet(terms: np.ndarray, before: np.ndarray, log_thresh: float) -> np.ndarray:
+    """Which terms are below log_thresh relative to the running sum before their chunk (a column)."""
+    with np.errstate(invalid="ignore"):
+        return np.where(before == -math.inf, ~(terms > -math.inf), (terms - before) < log_thresh)
 
 
 def _log_sums(term_logs, n_rows: int, policy: TruncationPolicy, bounds=None) -> list[tuple[float, int, str]]:
@@ -386,27 +396,30 @@ def _log_sums(term_logs, n_rows: int, policy: TruncationPolicy, bounds=None) -> 
         for n_lo, chunks in ((n_done, xs[:, :split].reshape(-1, _CHUNK)), (n_done + split, xs[:, split:])):
             if chunks.size == 0:
                 continue
-            per = chunks.shape[0] // len(live)
-            finite = chunks > -math.inf
+            per, width = chunks.shape[0] // len(live), chunks.shape[1]
             befores, afters = [], []
-            for k, (has_finite, chunk_log) in enumerate(zip(finite.any(axis=1).tolist(), _chunk_log_sums(chunks))):
+            for k, (hi, chunk_log) in enumerate(zip(*_chunk_log_sums(chunks))):
                 row = live[k // per]
                 befores.append(running[row])
-                if has_finite:
+                # The chunk has a term above -inf iff its max is, unless a nan hides it.
+                if hi > -math.inf or (hi != hi and (chunks[k] > -math.inf).any()):
                     running[row] = float(np.logaddexp(running[row], chunk_log))
                 afters.append(running[row])
             if pinned:
                 continue
             before = np.array(befores)[:, None]
-            with np.errstate(invalid="ignore"):
-                below = np.where(before == -math.inf, ~finite, (chunks - before) < log_thresh)
-            # Quiet terms at the end of each chunk that has a loud one.
-            trailing = np.argmax(~below[:, ::-1], axis=1).tolist()
-            for k, (all_below, n_quiet, running_after) in enumerate(zip(below.all(axis=1).tolist(), trailing, afters)):
+            # Quiet terms at the end of each chunk (width if all are quiet).  A loud
+            # last term makes that 0, so only chunks with a quiet last term are tested whole.
+            runs = np.zeros(len(afters), dtype=int)
+            ends_quiet = np.flatnonzero(_quiet(chunks[:, -1:], before, log_thresh))
+            if ends_quiet.size:
+                below = _quiet(chunks[ends_quiet], before[ends_quiet], log_thresh)
+                runs[ends_quiet] = np.where(below.all(axis=1), width, np.argmax(~below[:, ::-1], axis=1))
+            for k, (run, running_after) in enumerate(zip(runs.tolist(), afters)):
                 row = live[k // per]
                 if out[row] is None:
-                    consec[row] = consec[row] + chunks.shape[1] if all_below else n_quiet
-                    n_used = n_lo + (k % per + 1) * chunks.shape[1]
+                    consec[row] = consec[row] + width if run == width else run
+                    n_used = n_lo + (k % per + 1) * width
                     if consec[row] >= _CONSECUTIVE_BELOW:
                         out[row] = (running_after, n_used, "quiet")
                     elif n_used == bound_at.get(row):

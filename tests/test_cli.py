@@ -405,6 +405,14 @@ class TestSpectrumCommand:
         pair0 = next(r for r in rows if r["kind"] == "pair" and r["n"] == "0")
         assert float(pair0["mu"]) < float(pair0["gamma"])
 
+    def test_huge_eta_pair_rows_have_no_nan(self, tmp_path):
+        # x |L_n| once overflowed inside the Laguerre step, and every pair row from n = 2 on printed nan.
+        out = tmp_path / "s.csv"
+        assert main(["spectrum", "--m", "1", "--branch", "jc", "--eta", "1e100", "--out", str(out)]) == 0
+        pairs = [r for r in read_csv(out) if r["kind"] == "pair"]
+        assert len(pairs) > 2
+        assert all(math.isfinite(float(r["mu"])) and math.isfinite(float(r["gamma"])) for r in pairs)
+
 
 class TestVerifyCommand:
     def test_fast_passes_and_is_quick(self, capsys):

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import eval_genlaguerre
 
+from ionquench import numerics
 from ionquench.numerics import (
     LAGUERRE_START,
+    LaguerreState,
     coupling_f,
     coupling_logabs_sequence,
     laguerre_assoc,
@@ -151,6 +153,111 @@ class TestResumedCoupling:
             coupling_logabs_sequence(-1, 0, 0.5)
         with pytest.raises(ValueError):
             coupling_logabs_sequence(5, -1, 0.0)
+
+
+def _laguerre_extend_reference(state, n_max, m, x):
+    """The log-domain recurrence as one loop that tests, rescales and takes each log per step."""
+    signs, logabs = [], []
+    k_first, prev, curr, offset = state.n + 1, state.prev, state.curr, state.offset
+    if k_first == 0 and n_max >= 0:
+        signs.append(1)
+        logabs.append(0.0)
+        prev, curr, offset = 0.0, 1.0, 0.0
+        k_first = 1
+    for k in range(k_first, n_max + 1):
+        prev, curr = curr, ((2 * k + m - 1 - x) * curr - (k - 1 + m) * prev) / k
+        a, b = abs(prev), abs(curr)
+        mag = b if b > a else a
+        if mag > 1e250 or 0.0 < mag < 1e-250:
+            prev /= mag
+            curr /= mag
+            offset += math.log(mag)
+        if curr == 0.0:
+            signs.append(0)
+            logabs.append(-math.inf)
+        elif curr > 0.0:
+            signs.append(1)
+            logabs.append(math.log(curr) + offset)
+        else:
+            signs.append(-1)
+            logabs.append(math.log(-curr) + offset)
+    end = LaguerreState(n_max, prev, curr, offset) if n_max > state.n else state
+    return np.array(signs, dtype=np.int8), np.array(logabs), end
+
+
+class TestLaguerreKernel:
+    """numerics._laguerre_extend has the bits of the one-loop reference, wherever that stays finite."""
+
+    def assert_same(self, state, n_max, m, x):
+        signs, logabs, end = numerics._laguerre_extend(state, n_max, m, x)
+        ref_signs, ref_logabs, ref_end = _laguerre_extend_reference(state, n_max, m, x)
+        assert signs.dtype == np.int8 and np.array_equal(signs, ref_signs)
+        assert logabs.tobytes() == ref_logabs.tobytes()
+        assert end == ref_end
+        return end
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_resume_splits(self, seed):
+        rng = np.random.default_rng(seed)
+        for m in (0, 1, 4, 17, 200):
+            x = float(10.0 ** rng.uniform(-4.0, 4.5))  # up to x ~ 3e4: rescales on both sides
+            splits = np.sort(rng.choice(6000, size=4, replace=False)).tolist() + [6000]
+            state = LAGUERRE_START
+            for n_max in splits:
+                state = self.assert_same(state, n_max, m, x)
+
+    def test_exact_zero(self):
+        # L_1^3(4) = 3 + 1 - 4 = 0 exactly, at eta = 2.
+        signs, logabs, _ = numerics._laguerre_extend(LAGUERRE_START, 5, 3, 4.0)
+        assert signs[1] == 0 and logabs[1] == -math.inf
+        self.assert_same(LAGUERRE_START, 300, 3, 4.0)
+
+    def test_low_side_rescale(self):
+        state = LaguerreState(10, 1e-260, 1e-260, 5.0)
+        _, _, end = numerics._laguerre_extend(state, 11, 2, 0.3)
+        assert end.offset < 5.0  # the first step rescaled upward
+        self.assert_same(state, 400, 2, 0.3)
+
+    def test_high_side_rescale(self):
+        assert self.assert_same(LAGUERRE_START, 3000, 0, 1600.0).offset > 0.0
+
+    def test_empty_request(self):
+        self.assert_same(LAGUERRE_START, -1, 2, 0.5)
+        _, _, state = numerics._laguerre_extend(LAGUERRE_START, 20, 2, 0.5)
+        self.assert_same(state, 20, 2, 0.5)
+
+
+class TestHugeEtaCoupling:
+    """x |L| overflowing inside a step must not turn the log magnitudes into nan."""
+
+    @pytest.mark.parametrize("m", range(6))
+    def test_every_log_magnitude_is_finite_or_minus_inf(self, m):
+        for eta in np.logspace(-3.0, 150.0, 61).tolist():
+            signs, log_mags = coupling_logabs_sequence(400, m, eta)
+            assert not np.isnan(log_mags).any(), eta
+            assert not np.isposinf(log_mags).any(), eta
+            assert np.array_equal(log_mags == -math.inf, signs == 0), eta
+
+    @pytest.mark.parametrize("m, eta, n_first_nan", [(2, 1e40, 4), (1, 1e100, 2)])
+    def test_overflowing_step_is_redone(self, m, eta, n_first_nan):
+        # Without the redo these gave nan from n_first_nan on; below it nothing changes.
+        signs, log_mags = coupling_logabs_sequence(400, m, eta)
+        ref_signs, ref_logabs, _ = _laguerre_extend_reference(LAGUERRE_START, 400, m, eta * eta)
+        assert np.isnan(ref_logabs[n_first_nan:]).all() and not np.isnan(ref_logabs[:n_first_nan]).any()
+        assert np.isfinite(log_mags).all()
+        assert np.array_equal(signs[:n_first_nan], ref_signs[:n_first_nan])
+        direct = coupling_logabs_sequence(n_first_nan - 1, m, eta)[1]
+        assert direct.tobytes() == log_mags[:n_first_nan].tobytes()
+        # For x >> n(n + m), L_n^m(x) = (-x)^n/n! to within a relative n(n + m)/x.
+        x = eta * eta
+        laguerre_signs, logabs, _ = numerics._laguerre_extend(LAGUERRE_START, 400, m, x)
+        for n in (n_first_nan, 40, 400):
+            assert laguerre_signs[n] == (-1) ** n
+            assert logabs[n] == pytest.approx(n * math.log(x) - math.lgamma(n + 1), rel=1e-12)
+
+    def test_nan_eta_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            coupling_logabs_sequence(3, 1, math.nan)
 
 
 class TestLncosh:

@@ -564,6 +564,24 @@ class TestBlockedLogSum:
         assert [lo for _, lo, _ in calls] == [0] + [hi for _, _, hi in calls[:-1]]
         assert all(len(live) * (hi - lo) <= max(16, len(live)) * thermo._CHUNK for live, lo, hi in calls)
 
+    @pytest.mark.parametrize("policy", [TruncationPolicy(n_pinned=3000), TruncationPolicy(n_cap=3000)])
+    def test_nan_terms_fold_as_one_chunk_at_a_time(self, policy):
+        # A chunk's max is nan when it holds a nan: such a chunk is folded iff it
+        # also holds a term above -inf, exactly as before.
+        chunk = thermo._CHUNK
+        rows = [np.linspace(-5.0, -60.0, 3000) for _ in range(4)]
+        rows[0][chunk + 7] = np.nan  # nan among finite terms: the running sum turns nan
+        rows[1][chunk : 2 * chunk] = np.nan  # an all-nan chunk is skipped
+        rows[2][:chunk] = -np.inf
+        rows[2][3] = np.nan  # nan and -inf only: skipped too
+        rows[3][2 * chunk - 1] = np.nan  # a nan last term
+        with np.errstate(invalid="ignore"):
+            got = thermo._log_sums(lambda live, lo, hi: np.stack([rows[row][lo:hi] for row in live]), len(rows), policy)
+            refs = [_one_chunk_at_a_time(lambda lo, hi: terms[lo:hi].copy(), policy) for terms in rows]
+        for (log_sum, n_used, stop_reason), ref in zip(got, refs):
+            assert (log_sum.hex(), n_used, stop_reason) == (ref[0].hex(), *ref[1:])
+        assert math.isnan(got[0][0]) and not math.isnan(got[1][0]) and not math.isnan(got[2][0])
+
     def test_adaptive_blocks_double_up_to_sixteen_chunks(self):
         asked = []
         terms = np.zeros(100 * thermo._CHUNK)
@@ -843,3 +861,88 @@ class TestStopReason:
         ).truncation
         assert capped.stop_reason == "cap" and capped.n_used == 1000
         assert nu_to_zero_limit(fig1_reduced(0, Branch.CARRIER, 0.0)).truncation.stop_reason == ""
+
+
+def _excess_logs_reference(rows, n_lo, n_hi):
+    """thermo._excess_logs with every pass: the guarded sqrt difference and the edge on every row."""
+    with np.errstate(over="ignore"):
+        u = rows.b_om * thermo._coupling_rows(rows.m, rows.etas, n_lo, n_hi)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        b_quarter = 0.25 * np.where(u == 0.0, 0.0, u * u / (np.hypot(rows.abs_bwl, u) + rows.abs_bwl))
+    a_shifted = 0.5 * rows.d_aw + b_quarter
+    out = rows.b_nu * (np.arange(n_lo, n_hi, dtype=float) + 0.5 * rows.m)
+    np.subtract(math.log(2.0), out, out=out)
+    out += a_shifted
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out += thermo._log1m_exp_neg2(a_shifted + 0.5 * rows.b_w0)
+        out += _lnsinh_masked(b_quarter)
+    out[b_quarter == 0.0] = -np.inf
+    return out, b_quarter
+
+
+class TestExcessKernel:
+    """thermo._excess_logs skips only passes that cannot change a bit."""
+
+    FIG1_ROWS = [fig1_reduced(m, b, 0.8, nbar=nbar) for m in (1, 2) for b in (Branch.JC, Branch.AJC) for nbar in (1e3, 3e4)]
+    DESK_ROWS = [desk_reduced(m, Branch.JC, eta) for m in (1, 2) for eta in (0.3, 1.5)]  # |b_wl| ~ 13: edge kept
+    BIG_SINH_ROWS = [reduced_from_ratios(10.0, 200.0, eta, 1, b, b_nu=2.0) for eta in (0.3, 0.8) for b in (Branch.JC, Branch.AJC)]
+    DEAD_ROWS = [reduced_from_ratios(10.0, 0.0, 0.5, 1, Branch.JC, nbar=0.38)]  # b_om = 0
+    # b_wl = 0 at a zero of the coupling (L_1^3(4) = 0): sqrt_excess must keep its u = 0 guard.
+    RESONANT_ROWS = [reduced_from_ratios(3.0, 1.0, 2.0, 3, Branch.JC, nbar=0.38)]
+
+    @pytest.mark.parametrize(
+        "rps", [FIG1_ROWS, DESK_ROWS, BIG_SINH_ROWS, DEAD_ROWS, RESONANT_ROWS, FIG1_ROWS + DESK_ROWS + DEAD_ROWS]
+    )
+    @pytest.mark.parametrize("n_lo, n_hi", [(0, 512), (512, 2100)])
+    def test_bitwise_equal_to_every_pass(self, rps, n_lo, n_hi):
+        by_m = {}
+        for rp in rps:
+            by_m.setdefault(rp.m, []).append(rp)
+        for block in by_m.values():
+            rows = thermo._rows_of(block)
+            ref, _ = _excess_logs_reference(rows, n_lo, n_hi)
+            assert thermo._excess_logs(rows, n_lo, n_hi).tobytes() == ref.tobytes()
+
+    def test_rows_reach_each_case(self):
+        def edge_skipped(rps):
+            rows = thermo._rows_of(rps)
+            return bool(np.all(0.5 * (rows.d_aw + rows.b_w0) > 400.0))
+
+        assert edge_skipped(self.FIG1_ROWS) and not edge_skipped(self.DESK_ROWS)
+        _, b_quarter = _excess_logs_reference(thermo._rows_of(self.BIG_SINH_ROWS), 0, 512)
+        assert (b_quarter >= 20.0).any() and (b_quarter < 20.0).any()
+        _, b_quarter = _excess_logs_reference(thermo._rows_of(self.DEAD_ROWS), 0, 512)
+        assert (b_quarter == 0.0).all()
+        assert self.RESONANT_ROWS[0].b_wl == 0.0 and thermo._coupling_rows(3, (2.0,), 0, 512)[0, 1] == 0.0
+
+
+# lag, tail_bound_log (float.hex), n_used and stop_reason of adaptive fig1-block
+# rows, as the kernels gave them before the per-term passes were cut.
+_DEEP_ROW_BITS = {
+    (1, "JC", 1000.0): ("0x1.8e2dec6356bd6p-38", "-0x1.c0249cb4a7977p+4", 5632, "bound"),
+    (1, "AJC", 1000.0): ("0x1.8e93db78ea8dfp-38", "-0x1.c02084a753f88p+4", 5632, "bound"),
+    (1, "JC", 10000.0): ("0x1.8ea91395bc26ep-43", "-0x1.ba6833ba546f6p+4", 29696, "bound"),
+    (1, "AJC", 10000.0): ("0x1.8eb3483ef7341p-43", "-0x1.ba67cae0209a2p+4", 29696, "bound"),
+    (2, "JC", 1000.0): ("0x1.2aa433c0631b0p-39", "-0x1.c028b4c1fb1a3p+4", 5632, "bound"),
+    (2, "AJC", 1000.0): ("0x1.2b3d2ed9c2b25p-39", "-0x1.c02084a753dc6p+4", 5632, "bound"),
+    (2, "JC", 10000.0): ("0x1.2adde24a4561dp-44", "-0x1.ba689c948864dp+4", 29696, "bound"),
+    (2, "AJC", 10000.0): ("0x1.2aed2fcab97c4p-44", "-0x1.ba67cae020ba5p+4", 29696, "bound"),
+    (3, "JC", 1000.0): ("0x1.3e6b7a908cd8fp-40", "-0x1.c02ccccf4ec9cp+4", 5632, "bound"),
+    (3, "AJC", 1000.0): ("0x1.3f604513acce8p-40", "-0x1.c02084a753ed0p+4", 5632, "bound"),
+    (3, "JC", 10000.0): ("0x1.3ec1763d00896p-45", "-0x1.ba69056ebc5b8p+4", 29696, "bound"),
+    (3, "AJC", 10000.0): ("0x1.3ed9f1db66dc6p-45", "-0x1.ba67cae020dbcp+4", 29696, "bound"),
+    (4, "JC", 1000.0): ("0x1.7dab9aae55c8bp-41", "-0x1.c030e4dca282cp+4", 5632, "bound"),
+    (4, "AJC", 1000.0): ("0x1.7f3305724000bp-41", "-0x1.c02084a754070p+4", 5632, "bound"),
+    (4, "JC", 10000.0): ("0x1.7e8010e970381p-46", "-0x1.ba696e48f052ap+4", 29696, "bound"),
+    (4, "AJC", 10000.0): ("0x1.7ea73d6e2e859p-46", "-0x1.ba67cae020fdap+4", 29696, "bound"),
+}
+
+
+def test_adaptive_deep_rows_keep_their_bits():
+    etas = {1: 0.3, 2: 0.8, 3: 1.5, 4: 2.5}  # one per m, as the deep_sums benchmark draws them
+    keys = list(_DEEP_ROW_BITS)
+    rps = [fig1_reduced(m, Branch[branch], etas[m], nbar=nbar) for m, branch, nbar in keys]
+    for key, result in zip(keys, nonequilibrium_lags(rps)):
+        report = result.truncation
+        got = (result.value.hex(), report.tail_bound_log.hex(), report.n_used, report.stop_reason)
+        assert got == _DEEP_ROW_BITS[key], key
