@@ -5,19 +5,19 @@ Changing the trap frequency while holding the Lamb-Dicke parameter and the
 temperature fixed (physically: re-aiming the laser as the trap stiffens)
 moves the lag far less than any other knob; its main role is to cap the
 largest eta reachable at a given geometry. At eta = 0 the lag is exactly
-frequency-independent and equals the carrier closed form, which is also what
-the dedicated vanishing-frequency limit operation returns. At larger eta the
-lag drifts by order-unity factors across the sweep (the thermal average
+frequency-independent and equals the carrier closed form
+0.5 * sqrt_shift(b_w0, b_om, b_w0), which is therefore also its
+vanishing-frequency limit. At larger eta the lag drifts by order-unity factors across the sweep (the thermal average
 samples different stretches of the oscillating coupling) and the stiff end
 freezes the motion out entirely.
 """
 
 import math
 
+from ionquench.numerics import sqrt_shift
 from ionquench.params import Branch, reduce
 from ionquench.presets import FIG1_CONFIG, figure_presets
 from ionquench.sweep import run_specs
-from ionquench.thermo import nu_to_zero_limit
 
 rows = run_specs(figure_presets()["fig5"].specs)
 
@@ -30,10 +30,10 @@ for eta in (0.0, 0.5, 1.5, 2.5, 3.5):
     print(f"{eta:5.1f} | {pts[nus[0]]:14.5e} {pts[min(nus, key=lambda n: abs(n - 5e3))]:14.5e} "
           f"{pts[nus[-1]]:14.5e} {spread:9.1e}")
 
-# Dedicated limit operation at eta = 0 against the sweep.
+# The carrier closed form at eta = 0 against the sweep.
 beta = math.log1p(1 / FIG1_CONFIG["nbar"]) / (1.054571817e-34 * FIG1_CONFIG["nu"])
 rp = reduce(dict(FIG1_CONFIG, nbar=None, beta=beta), 0, Branch.CARRIER, eta=0.0)
-limit = nu_to_zero_limit(rp)
+closed = 0.5 * sqrt_shift(rp.b_w0, rp.b_om, rp.b_w0)
 flat = {r.nu: r.lag for r in rows if round(r.eta, 10) == 0.0}
-print(f"\nvanishing-frequency limit at eta = 0: {limit.value:.6e}")
-print(f"sweep value at the smallest nu:       {flat[min(flat)]:.6e}")
+print(f"\ncarrier closed form at eta = 0:  {closed:.6e}")
+print(f"sweep value at the smallest nu: {flat[min(flat)]:.6e}")

@@ -45,6 +45,8 @@ _MAX_ORACLE_NMAX = 400
 # The divergence scan builds a (10m + 100) x m matrix, so memory grows like
 # m^2; at this maximum a lag row peaks near 37 MB.
 _MAX_SIDEBAND = 200
+# sweep --grid min:max:count; the presets' largest grid has 71 points.
+_MAX_GRID_COUNT = 10_000
 
 _PARAM_KEYS = ("nu", "omega0", "omega_rabi", "mass", "phi_angle", "nbar", "beta", "eta")
 
@@ -304,6 +306,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if len(parts) != 4 or parts[3] not in ("linear", "log"):
             raise ConfigError("--grid must be min:max:count:linear|log")
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+        if not 1 <= count <= _MAX_GRID_COUNT:
+            raise ConfigError(f"--grid count {count} must lie in [1, {_MAX_GRID_COUNT}]")
         vals = np.linspace(lo, hi, count) if parts[3] == "linear" else np.geomspace(lo, hi, count)
         grid = tuple(int(round(v)) for v in vals) if args.axis == "m" else tuple(vals.tolist())
     else:

@@ -276,25 +276,15 @@ def sqrt_shift(w_l: float, u: float, w_0: float) -> float:
     Evaluates (w_l - w_0) + u^2 / (sqrt(w_l^2 + u^2) + w_l), accurate even
     when u/w_l is far below the double epsilon.  Requires w_l >= 0 (callers
     with a negative laser frequency pass |w_l|; only the square enters).
+    Scalars only; sqrt_excess is the elementwise form for arrays.
     """
-    if isinstance(w_l, float) and isinstance(u, float):
-        if w_l < 0:
-            raise ValueError("sqrt_shift requires w_l >= 0")
-        if u < 0:
-            raise ValueError("sqrt_shift requires u >= 0")
-        if u == 0.0:
-            return w_l - w_0
-        return (w_l - w_0) + u * u / (math.hypot(w_l, u) + w_l)
-    w_l_arr = np.asarray(w_l, dtype=float)
-    u_arr = np.asarray(u, dtype=float)
-    if np.any(w_l_arr < 0):
+    if w_l < 0:
         raise ValueError("sqrt_shift requires w_l >= 0")
-    if np.any(u_arr < 0):
+    if u < 0:
         raise ValueError("sqrt_shift requires u >= 0")
-    out = (w_l_arr - w_0) + sqrt_excess(w_l_arr, u_arr)
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
+    if u == 0.0:
+        return w_l - w_0
+    return (w_l - w_0) + u * u / (math.hypot(w_l, u) + w_l)
 
 
 def sqrt_excess(w: float, u):

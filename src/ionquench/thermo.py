@@ -48,7 +48,6 @@ __all__ = [
     "LagResult",
     "DivergenceReport",
     "LowTemperatureLimit",
-    "NuToZeroResult",
     "ln_partition_initial",
     "ln_partition_final",
     "nonequilibrium_lag",
@@ -58,7 +57,6 @@ __all__ = [
     "low_temperature_limit",
     "small_eta_coupling_sq",
     "small_eta_coupling_sq_leading",
-    "nu_to_zero_limit",
 ]
 
 _LN2 = math.log(2.0)
@@ -111,13 +109,13 @@ class TruncationReport:
     """n_used explicit terms; tail_bound_log = log(estimated tail / sum).
 
     stop_reason says why the sum ended: "quiet", "bound", "cap" or "pinned"
-    for a chunked sum, "exact" for a closed form, and "" when not recorded.
+    for a chunked sum, and "exact" for a closed form.
     """
 
     n_used: int
     tail_bound_log: float
     converged: bool
-    stop_reason: str = ""
+    stop_reason: str
 
 
 class TruncationError(RuntimeError):
@@ -641,21 +639,40 @@ def _coupling_alive(rp: ReducedParams) -> bool:
     return rp.m == 0 or rp.eta > 0
 
 
+def _zero_temperature(
+    rp: ReducedParams, jc_scan=_phi_scan, witnesses: bool = True
+) -> tuple[bool, list[int], list[int]]:
+    """(diverges, negative witnesses, zero crossings) as T -> 0: the one rule every classifier follows.
+
+    Dead coupling never diverges and has no witnesses.  Live AJC or carrier
+    coupling always diverges, since Phi_0 < 0; its Phi is scanned for the
+    witnesses only when witnesses is set.  A JC sideband diverges iff
+    jc_scan(rp), which gives (negative, zeros) like _phi_scan, finds a
+    strictly negative Phi_n^m.
+    """
+    if not _coupling_alive(rp):
+        return False, [], []
+    if rp.branch is Branch.JC and rp.m > 0:
+        negative, zeros = jc_scan(rp)
+        return bool(negative), negative, zeros
+    return (True, *_phi_scan(rp)) if witnesses else (True, [], [])
+
+
 def _diverges(rp: ReducedParams, jc_memo: dict) -> bool:
     """divergence_predicate_reduced(rp).diverges, with Phi scanned only where the answer needs it.
 
-    Dead coupling never diverges and live AJC or carrier coupling always
-    does.  A JC sideband's answer is kept in jc_memo under (m, r_w0, r_om,
-    eta), the only inputs of its scan, so a sweep over temperature scans once.
+    AJC and carrier coupling is not scanned.  A JC sideband's witnesses are
+    kept in jc_memo under (m, r_w0, r_om, eta), the only inputs of its scan,
+    so a sweep over temperature scans once.
     """
-    if not _coupling_alive(rp):
-        return False
-    if rp.branch is not Branch.JC or rp.m == 0:
-        return True
-    key = (rp.m, rp.r_w0, rp.r_om, rp.eta)
-    if key not in jc_memo:
-        jc_memo[key] = divergence_predicate_reduced(rp).diverges
-    return jc_memo[key]
+
+    def jc_scan(rp: ReducedParams) -> tuple[list[int], list[int]]:
+        key = (rp.m, rp.r_w0, rp.r_om, rp.eta)
+        if key not in jc_memo:
+            jc_memo[key] = divergence_predicate_reduced(rp).witnesses
+        return jc_memo[key], []  # only the verdict is read, so the zeros are left out
+
+    return _zero_temperature(rp, jc_scan, witnesses=False)[0]
 
 
 def divergence_predicate_reduced(rp: ReducedParams) -> DivergenceReport:
@@ -667,28 +684,20 @@ def divergence_predicate_reduced(rp: ReducedParams) -> DivergenceReport:
     |f_n^m| > (2/omega_rabi) sqrt(nu (omega0 + n nu)(n+m)) for some n.
     Only the frequency ratios of rp enter, not its temperature.
     """
-    if not _coupling_alive(rp):
-        return DivergenceReport(diverges=False, witnesses=[])
-    negative, _ = _phi_scan(rp)
-    if rp.branch is Branch.JC and rp.m > 0:
-        return DivergenceReport(diverges=bool(negative), witnesses=negative)
-    # AJC and carrier: Phi_0 < 0 whenever the coupling is live.
-    return DivergenceReport(diverges=True, witnesses=negative)
+    diverges, negative, _ = _zero_temperature(rp)
+    return DivergenceReport(diverges=diverges, witnesses=negative)
 
 
 def low_temperature_limit(rp: ReducedParams) -> LowTemperatureLimit:
     """Zero-temperature limit of the lag: log(1 + k) when finite.
 
     k counts the exponents Phi_n^m within the documented zero tolerance.
-    AJC and carrier quenches with live coupling never stay finite.  Only the
-    frequency ratios of rp enter, not its temperature.
+    AJC and carrier quenches with live coupling never stay finite.  The
+    witnesses are those of divergence_predicate_reduced.  Only the frequency
+    ratios of rp enter, not its temperature.
     """
-    if not _coupling_alive(rp):
-        return LowTemperatureLimit(finite=True, limit_value=0.0, zero_count=0, negative_witnesses=[])
-    if rp.branch is not Branch.JC or rp.m == 0:
-        return LowTemperatureLimit(finite=False, limit_value=None, zero_count=0, negative_witnesses=[0])
-    negative, zeros = _phi_scan(rp)
-    if negative:
+    diverges, negative, zeros = _zero_temperature(rp)
+    if diverges:
         return LowTemperatureLimit(finite=False, limit_value=None, zero_count=len(zeros), negative_witnesses=negative)
     return LowTemperatureLimit(
         finite=True,
@@ -698,7 +707,7 @@ def low_temperature_limit(rp: ReducedParams) -> LowTemperatureLimit:
     )
 
 
-# -- small-eta and small-nu asymptotics ----------------------------------------
+# -- small-eta asymptotics ----------------------------------------------------
 
 
 def small_eta_coupling_sq(n: int, m: int, eta: float) -> float:
@@ -721,52 +730,3 @@ def small_eta_coupling_sq_leading(n: int, m: int, eta: float) -> float:
         return (n + 1.0) * eta * eta
     return 0.0
 
-
-@dataclass(frozen=True)
-class NuToZeroResult:
-    """Per-mode regularized limit of log(Z_final/Z_initial) as nu -> 0 at fixed eta."""
-
-    value: float
-    truncation: TruncationReport
-
-
-def nu_to_zero_limit(rp: ReducedParams, policy: TruncationPolicy | None = None) -> NuToZeroResult:
-    """Vanishing-trap-frequency limit of the lag at fixed eta, b_w0 and b_om.
-
-    With the motional spacing gone, every mode contributes
-    sech(b_w0/2) cosh(sqrt(b_w0^2 + b_om^2 |f_n^m|^2)/2) >= 1, so the raw
-    mode sum grows with the cutoff and only the per-mode average is finite:
-
-        value = log( (1/N) sum_n sech(b_w0/2) cosh(X_n) ).
-
-    For eta = 0 (all couplings equal) the average is exact, N-independent,
-    and coincides with the carrier closed form (b_w0/2-level shift of the
-    dressed splitting); the generic lag approaches it as nu shrinks at fixed
-    beta.  Inputs with omega_rabi |f| identically zero are rejected: every
-    mode then contributes exactly 1 and the unnormalized sum diverges with no
-    finite limit content.
-    """
-    policy = policy or TruncationPolicy()
-    n_terms = policy.n_pinned if policy.n_pinned is not None else 512
-    if not _coupling_alive(rp):
-        raise ValueError(
-            "omega_rabi * |f_n^m| vanishes identically; the small-nu limit needs decaying coupling terms"
-        )
-    u = _scaled_coupling(rp.m, rp.eta, rp.b_om, 0, n_terms)
-    excess = sqrt_excess(rp.b_w0, u)
-    x_full = 0.5 * excess + 0.5 * rp.b_w0
-    terms = 0.5 * excess + np.log1p(np.exp(-2.0 * x_full)) - math.log1p(math.exp(-rp.b_w0))
-
-    hi = float(np.max(terms))
-    cumulative = np.cumsum(np.exp(terms - hi))
-    value = hi + math.log(float(cumulative[-1])) - math.log(n_terms)
-    if n_terms > 1:
-        prev = hi + math.log(float(cumulative[-2])) - math.log(n_terms - 1)
-        drift = abs(value - prev)
-    else:
-        drift = 0.0
-    scale = max(abs(value), 1e-300)
-    tail_bound_log = math.log(max(drift / scale, 1e-300))
-    converged = drift <= max(0.05 * abs(value), policy.lag_abs_tol)
-    report = TruncationReport(n_used=n_terms, tail_bound_log=tail_bound_log, converged=converged)
-    return NuToZeroResult(value=value, truncation=report)

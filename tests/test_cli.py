@@ -1,6 +1,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -53,6 +57,21 @@ class TestLagCommand:
             dead = float(r["eta"]) == 0.0 and r["branch"] != "carrier"
             assert r["n_used"] == ("0" if dead else "40")
         assert all(r["converged"] == "true" for r in rows)
+
+    def test_preset_runs_without_scipy(self, tmp_path):
+        # numpy is the only runtime dependency: a preset run needs no scipy.
+        out = tmp_path / "fig2.csv"
+        script = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from ionquench.cli import main\n"
+            f"sys.exit(main(['lag', '--preset', 'fig2', '--out', {str(out)!r}]))\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert len(read_csv(out)) > 0
 
     def test_preset_fig3_term_counts(self, tmp_path):
         out = tmp_path / "fig3.csv"
@@ -337,6 +356,9 @@ class TestSweepCommand:
         assert main(["sweep", "--grid", "1:2:3:linear"]) == 2
         assert main(["sweep", "--axis", "eta"]) == 2
         assert main(["sweep", "--axis", "eta", "--grid", "bad"]) == 2
+        # An oversized count is rejected before any grid is allocated.
+        assert main(["sweep", "--axis", "eta", "--grid", "0:1:1000000000000:linear"]) == 2
+        assert main(["sweep", "--axis", "eta", "--grid", f"0:1:{cli._MAX_GRID_COUNT + 1}:log"]) == 2
 
 
 class TestMomentsCommand:

@@ -20,7 +20,6 @@ from ionquench.thermo import (
     low_temperature_limit,
     nonequilibrium_lag,
     nonequilibrium_lags,
-    nu_to_zero_limit,
     phi_reduced,
     small_eta_coupling_sq,
     small_eta_coupling_sq_leading,
@@ -332,6 +331,20 @@ class TestLowTemperatureLimit:
         limit = low_temperature_limit(classify_rp(silent, 1, Branch.AJC, 0.5))
         assert limit.finite and limit.limit_value == 0.0
 
+    @pytest.mark.parametrize(
+        "block, eta", [(FIG1, 0.5), (FIG4_LEFT, 1.5), (FIG4_RIGHT, 1.0)], ids=["fig1", "fig4_left", "fig4_right"]
+    )
+    @pytest.mark.parametrize(
+        "m, branch", [(1, Branch.JC), (2, Branch.JC), (1, Branch.AJC), (2, Branch.AJC), (0, Branch.CARRIER)]
+    )
+    def test_witnesses_match_divergence_predicate(self, block, eta, m, branch):
+        # Both classifiers follow one rule; at the fig4 right block AJC has witnesses [0, 1].
+        rp = classify_rp(block, m, branch, eta)
+        report = divergence_predicate_reduced(rp)
+        limit = low_temperature_limit(rp)
+        assert limit.negative_witnesses == report.witnesses
+        assert limit.finite is not report.diverges
+
 
 class TestSmallEtaExpansion:
     def test_carrier_form(self):
@@ -360,39 +373,17 @@ class TestSmallEtaExpansion:
 
 
 class TestNuToZeroLimit:
-    def test_rejects_dead_coupling(self):
-        rp = desk_reduced(1, Branch.JC, 0.5, r_om=0.0)
-        with pytest.raises(ValueError):
-            nu_to_zero_limit(rp)
-        with pytest.raises(ValueError):
-            nu_to_zero_limit(desk_reduced(2, Branch.AJC, 0.0))
-
-    def test_carrier_zero_eta_exact(self):
-        # With eta = 0 every mode is identical: the per-mode ratio equals the
-        # carrier closed form at any term count, which is also the lag value
-        # the generic path returns at every trap frequency.
-        rp = fig1_reduced(0, Branch.CARRIER, 0.0)
-        limit = nu_to_zero_limit(rp)
-        closed = 0.5 * sqrt_shift(rp.b_w0, rp.b_om, rp.b_w0)
-        assert limit.value == pytest.approx(closed, rel=1e-12)
-        assert limit.truncation.converged
-
     def test_generic_lag_approaches_limit_as_nu_shrinks(self):
         # Shrink nu tenfold twice at fixed beta and eta = 0; the generic lag
-        # stays within 1% of the limit operation's value (here: exactly on it).
+        # stays within 1% of the carrier closed form, its nu -> 0 limit (here:
+        # exactly on it).
         beta = math.log1p(1 / 0.38) / (1.054571817e-34 * FIG1["nu"])
-        limit_val = nu_to_zero_limit(fig1_reduced(0, Branch.CARRIER, 0.0)).value
+        rp = fig1_reduced(0, Branch.CARRIER, 0.0)
+        limit_val = 0.5 * sqrt_shift(rp.b_w0, rp.b_om, rp.b_w0)
         for factor in (1.0, 0.1, 0.01):
             rp = reduce(dict(FIG1, nu=FIG1["nu"] * factor, beta=beta), 0, Branch.CARRIER, 0.0)
             lag = nonequilibrium_lag(rp).value
             assert lag == pytest.approx(limit_val, rel=1e-2)
-
-    def test_finite_at_moderate_eta(self):
-        rp = fig1_reduced(0, Branch.CARRIER, 1.0)
-        limit = nu_to_zero_limit(rp, policy=TruncationPolicy(n_pinned=256))
-        assert math.isfinite(limit.value)
-        assert limit.value > 0.0
-        assert limit.truncation.converged
 
 
 class TestCouplingCache:
@@ -860,7 +851,6 @@ class TestStopReason:
             policy=TruncationPolicy(n_cap=1000, error_on_nonconverged=False),
         ).truncation
         assert capped.stop_reason == "cap" and capped.n_used == 1000
-        assert nu_to_zero_limit(fig1_reduced(0, Branch.CARRIER, 0.0)).truncation.stop_reason == ""
 
 
 def _excess_logs_reference(rows, n_lo, n_hi):
