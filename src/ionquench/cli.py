@@ -3,7 +3,8 @@
 Subcommands: lag, moments, sweep, spectrum, verify.  Output is CSV
 (RFC-4180 quoting, '.' decimal, %.17g floats) or JSON lines via --format;
 the effective configuration is echoed into CSV header comments.  Config
-precedence is flags > config file > preset > defaults.
+precedence is flags > config file > preset > defaults; an unset eta is the
+geometric Lamb-Dicke value.
 
 Exit codes: 0 ok, 1 verification failure, 2 usage or config error,
 3 non-converged rows present without --allow-nonconverged, 4 internal error
@@ -25,7 +26,7 @@ import numpy as np
 from .params import Branch, reduce
 from .presets import FIG1_CONFIG, desk_scale_point, figure_presets
 from .spectra import dense_hamiltonians, spectrum_table
-from .sweep import RESULT_COLUMNS, ResultRow, SweepSpec, run_specs
+from .sweep import RESULT_COLUMNS, SweepSpec, run_specs
 from .thermo import TruncationPolicy
 from .verify import run_checks
 from .workstats import moments_analytic, moments_numeric
@@ -96,13 +97,13 @@ _FLAG_ALIASES = {"omega": "omega_rabi", "phi": "phi_angle"}
 _AXIS_FLAGS = {"eta": "eta", "omega_rabi": "omega", "nbar": "nbar", "nu": "nu", "m": "m"}
 
 
-def _reject_axis_inputs(args: argparse.Namespace, overrides: dict, axis: str, sweeper: str, also: tuple[str, ...] = ()) -> None:
+def _reject_axis_inputs(args: argparse.Namespace, config: dict, axis: str, sweeper: str, also: tuple[str, ...] = ()) -> None:
     """ConfigError when a flag or the config file sets the parameter that sweeper sweeps along axis."""
     for flag in (_AXIS_FLAGS[axis], *also):
-        if getattr(args, flag, None) is not None:
+        if getattr(args, flag) is not None:
             raise ConfigError(f"--{flag} conflicts with {sweeper}, which sweeps {axis}")
     for key in (axis, *also):
-        if key in overrides:  # no flag set it, so the config file did
+        if key in config:
             raise ConfigError(f"config key {key!r} in {args.config} conflicts with {sweeper}, which sweeps {axis}")
 
 
@@ -133,47 +134,47 @@ def _read_config_file(path: str) -> dict[str, float]:
     return out
 
 
-def _effective_params(args: argparse.Namespace) -> tuple[dict, dict]:
-    """(params, overrides): defaults or desk scale < preset fixed block < config file < explicit flags.
-
-    overrides holds the final value of every parameter the config file or a
-    flag set; a preset's grids take these in place of their own fixed values.
-    """
-    params: dict = desk_scale_point() if getattr(args, "desk_scale", False) else dict(FIG1_CONFIG)
-    layers: list[dict] = []
-    preset_name = getattr(args, "preset", None)
-    if preset_name:
-        if getattr(args, "desk_scale", False):
-            raise ConfigError(f"--desk-scale conflicts with --preset {preset_name}, which sets its own parameter block")
-        presets = figure_presets()
-        if preset_name not in presets:
-            raise ConfigError(f"unknown preset {preset_name!r}")
-        layers.append(presets[preset_name].specs[0].fixed)
-    config = _read_config_file(args.config) if getattr(args, "config", None) else {}
-    flags = {
-        _FLAG_ALIASES.get(flag, flag): getattr(args, flag)
-        for flag in ("nu", "omega0", "omega", "mass", "phi", "nbar", "beta", "eta")
-        if getattr(args, flag, None) is not None
-    }
-    for layer in (*layers, config, flags):
+def _layer(base: dict, *layers: dict) -> dict:
+    """base with each layer on top in turn; a layer's nbar or beta replaces the other one below it."""
+    out = dict(base)
+    for layer in layers:
         if "nbar" in layer and "beta" in layer:
             raise ConfigError("give only one of nbar and beta")
         for key, other in (("beta", "nbar"), ("nbar", "beta")):
             if key in layer:
-                params.pop(other, None)  # the layer's temperature replaces the one below it
-        params.update(layer)
+                out.pop(other, None)
+        out.update(layer)
+    return out
+
+
+def _effective_params(args: argparse.Namespace) -> tuple[dict, tuple[dict, dict]]:
+    """(params, (config, flags)): defaults or desk scale < preset fixed block < config file < explicit flags.
+
+    config and flags are the layers the config file and the flags set; a
+    preset's grids lay them on their own fixed blocks.
+    """
+    if args.preset and args.desk_scale:
+        raise ConfigError(f"--desk-scale conflicts with --preset {args.preset}, which sets its own parameter block")
+    preset = (figure_presets()[args.preset].specs[0].fixed,) if args.preset else ()
+    config = _read_config_file(args.config) if args.config else {}
+    flags = {
+        _FLAG_ALIASES.get(flag, flag): getattr(args, flag)
+        for flag in ("nu", "omega0", "omega", "mass", "phi", "nbar", "beta", "eta")
+        if getattr(args, flag) is not None
+    }
+    params = _layer(desk_scale_point() if args.desk_scale else FIG1_CONFIG, *preset, config, flags)
     if "nbar" not in params and "beta" not in params:
         raise ConfigError("one of nbar or beta is required")
-    return params, {key: params[key] for key in (*config, *flags) if key in params}
+    return params, (config, flags)
 
 
-def _policy_from_args(args: argparse.Namespace) -> TruncationPolicy:
-    policy = TruncationPolicy(error_on_nonconverged=False)
-    if getattr(args, "nmax", None) is not None:
-        policy = replace(policy, n_pinned=args.nmax)
-    if getattr(args, "tol", None) is not None:
-        policy = replace(policy, tail_rel_tol=args.tol, lag_abs_tol=args.tol)
-    return policy
+def _policy(args: argparse.Namespace) -> TruncationPolicy:
+    """The lag sums' policy from --tol; --nmax reaches them through each spec's n_pinned."""
+    if not 1 <= args.threads <= _MAX_THREADS:
+        raise ConfigError(f"--threads {args.threads} must lie in [1, {_MAX_THREADS}]")
+    if args.tol is None:
+        return TruncationPolicy(error_on_nonconverged=False)
+    return TruncationPolicy(tol=args.tol, error_on_nonconverged=False)
 
 
 class _Writer:
@@ -212,72 +213,60 @@ class _Writer:
                 Path(self._out_path).unlink(missing_ok=True)
 
 
-def _add_shared_flags(p: argparse.ArgumentParser) -> None:
+def _add_flags(p: argparse.ArgumentParser, sidebands: bool, lag_sums: bool) -> None:
+    """The flags a subcommand reads: the parameter point and output always,
+    --branch/--m with sidebands, and the lag sums' flags with lag_sums."""
     p.add_argument("--preset", choices=tuple(f"fig{i}" for i in range(1, 7)), help="figure preset")
-    p.add_argument("--branch", type=str, help="comma list of jc,ajc,carrier")
-    p.add_argument("--m", dest="m", type=str, help="comma list of sideband indices")
-    p.add_argument("--eta", type=float, help="Lamb-Dicke parameter (overrides geometry)")
-    p.add_argument("--phi", type=float, help="laser angle in rad (geometry route)")
+    if sidebands:
+        p.add_argument("--branch", type=str, help="comma list of jc,ajc,carrier")
+        p.add_argument("--m", dest="m", type=str, help="comma list of sideband indices")
+    p.add_argument("--eta", type=float, help="Lamb-Dicke parameter (default: the geometric value)")
+    p.add_argument("--phi", type=float, help="laser angle in rad (geometric eta only)")
     p.add_argument("--omega", type=float, help="Rabi angular frequency, rad/s")
     p.add_argument("--omega0", type=float, help="transition angular frequency, rad/s")
     p.add_argument("--nu", type=float, help="trap angular frequency, rad/s")
     p.add_argument("--mass", type=float, help="ion mass, kg")
     p.add_argument("--nbar", type=float, help="initial thermal occupation")
     p.add_argument("--beta", type=float, help="inverse temperature, 1/J")
-    p.add_argument("--nmax", type=int, help="pin the number of partition-sum terms")
-    p.add_argument("--tol", type=float, help="truncation tail tolerance")
+    p.add_argument("--nmax", type=int, help="pin the term count (spectrum: table rows; moments: oracle truncation)")
+    if lag_sums:
+        p.add_argument("--tol", type=float, help="truncation tail tolerance")
+        p.add_argument("--threads", type=int, default=1, help=f"1..{_MAX_THREADS}; ignored: runs are serial")
+        p.add_argument("--allow-nonconverged", action="store_true", dest="allow_nonconverged")
     p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     p.add_argument("--out", type=str, help="output path (default stdout)")
-    p.add_argument("--threads", type=int, default=1, help=f"1..{_MAX_THREADS}; ignored: runs are serial")
-    p.add_argument("--allow-nonconverged", action="store_true", dest="allow_nonconverged")
     p.add_argument("--desk-scale", action="store_true", dest="desk_scale", help="use moderate frequency ratios")
     p.add_argument("--config", type=str, help="flat key = value config file")
 
 
-def _meta_for(args: argparse.Namespace, command: str, params: dict, extra: dict | None = None) -> dict:
-    meta = {"command": command, **{f"param.{k}": v for k, v in sorted(params.items())}}
-    if getattr(args, "preset", None):
+def _meta_for(args: argparse.Namespace, command: str, params: dict, extra: dict) -> dict:
+    meta = {"command": command, **{f"param.{k}": v for k, v in sorted(params.items())}, **extra}
+    if args.preset:
         meta["preset"] = args.preset
-    if getattr(args, "nmax", None) is not None:
+    if args.nmax is not None:
         meta["nmax"] = args.nmax
-    if getattr(args, "tol", None) is not None:
-        meta["tol"] = args.tol
-    if extra:
-        meta.update(extra)
     return meta
 
 
-def _specs_for_point_command(args: argparse.Namespace, params: dict, overrides: dict) -> list[SweepSpec]:
-    """Sweep specs for `lag`: the preset's grids, or one single-point spec."""
-    if args.preset:
-        preset = figure_presets()[args.preset]
-        specs = []
-        for spec in preset.specs:
-            # The grid sets the swept value; on the nbar axis beta would set the temperature too.
-            _reject_axis_inputs(args, overrides, spec.axis, f"preset {args.preset}", ("beta",) if spec.axis == "nbar" else ())
-            fixed = dict(spec.fixed)
-            for key, val in overrides.items():
-                if key in ("nbar", "beta"):
-                    fixed.pop("nbar", None)
-                    fixed.pop("beta", None)
-                fixed[key] = val
-            branches = _parse_branches(args.branch) if args.branch else spec.branches
-            m_values = _parse_ms(args.m) if args.m else spec.m_values
-            n_pinned = args.nmax if args.nmax is not None else spec.n_pinned
-            specs.append(replace(spec, fixed=fixed, branches=branches, m_values=m_values, n_pinned=n_pinned))
-        return specs
-    branches = _parse_branches(args.branch) if args.branch else (Branch.CARRIER,)
-    m_values = _parse_ms(args.m) if args.m else (0,)
-    eta = params.get("eta")
-    grid = (float(eta) if eta is not None else 0.0,)
-    fixed = {k: v for k, v in params.items() if k != "eta"}
-    return [
-        SweepSpec(axis="eta", grid=grid, fixed=fixed, branches=branches, m_values=m_values, n_pinned=args.nmax)
-    ]
+def _sidebands(args: argparse.Namespace, branches=(Branch.CARRIER,), m_values=(0,)) -> tuple[tuple[Branch, ...], tuple[int, ...]]:
+    """(branches, m values) from --branch and --m, each defaulting to the given ones."""
+    return (
+        _parse_branches(args.branch) if args.branch else branches,
+        _parse_ms(args.m) if args.m else m_values,
+    )
 
 
-def _emit_rows(args: argparse.Namespace, command: str, params: dict, rows: list[ResultRow]) -> int:
-    with _Writer(args.format, args.out, RESULT_COLUMNS, _meta_for(args, command, params)) as writer:
+def _with_flags(args: argparse.Namespace, spec: SweepSpec, *layers: dict) -> SweepSpec:
+    """spec with layers on its fixed block and --branch, --m and --nmax in place of its own."""
+    branches, m_values = _sidebands(args, spec.branches, spec.m_values)
+    n_pinned = spec.n_pinned if args.nmax is None else args.nmax
+    return replace(spec, fixed=_layer(spec.fixed, *layers), branches=branches, m_values=m_values, n_pinned=n_pinned)
+
+
+def _run_lags(args: argparse.Namespace, command: str, params: dict, specs: list[SweepSpec]) -> int:
+    rows = run_specs(specs, policy=_policy(args))
+    extra = {} if args.tol is None else {"tol": args.tol}
+    with _Writer(args.format, args.out, RESULT_COLUMNS, _meta_for(args, command, params, extra)) as writer:
         for row in rows:
             writer.write_row(row.as_dict())
     if any(not row.converged for row in rows) and not args.allow_nonconverged:
@@ -286,14 +275,21 @@ def _emit_rows(args: argparse.Namespace, command: str, params: dict, rows: list[
 
 
 def _cmd_lag(args: argparse.Namespace) -> int:
-    params, overrides = _effective_params(args)
-    specs = _specs_for_point_command(args, params, overrides)
-    rows = run_specs(specs, policy=_policy_from_args(args))
-    return _emit_rows(args, "lag", params, rows)
+    """The preset's grids, or the one point as a one-value grid on its own nu."""
+    params, (config, flags) = _effective_params(args)
+    if not args.preset:
+        point = SweepSpec(axis="nu", grid=(params["nu"],), fixed=params, branches=(Branch.CARRIER,), m_values=(0,))
+        return _run_lags(args, "lag", params, [_with_flags(args, point)])
+    specs = []
+    for spec in figure_presets()[args.preset].specs:
+        # The grid sets the swept value; on the nbar axis beta would set the temperature too.
+        _reject_axis_inputs(args, config, spec.axis, f"preset {args.preset}", ("beta",) if spec.axis == "nbar" else ())
+        specs.append(_with_flags(args, spec, config, flags))
+    return _run_lags(args, "lag", params, specs)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    params, overrides = _effective_params(args)
+    params, (config, _) = _effective_params(args)
     if args.axis is None:
         raise ConfigError("sweep requires --axis")
     if args.values:
@@ -312,15 +308,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         grid = tuple(int(round(v)) for v in vals) if args.axis == "m" else tuple(vals.tolist())
     else:
         raise ConfigError("sweep requires --grid or --values")
-    _reject_axis_inputs(args, overrides, args.axis, f"--axis {args.axis}")
+    _reject_axis_inputs(args, config, args.axis, f"--axis {args.axis}")
     if args.axis == "m":
         _check_sidebands(grid, "--axis m value")
-    branches = _parse_branches(args.branch) if args.branch else (Branch.CARRIER,)
-    m_values = _parse_ms(args.m) if args.m else ((0,) if args.axis != "m" else ())
-    fixed = {k: v for k, v in params.items() if k != args.axis}
-    spec = SweepSpec(axis=args.axis, grid=grid, fixed=fixed, branches=branches, m_values=m_values, n_pinned=args.nmax)
-    rows = run_specs([spec], policy=_policy_from_args(args))
-    return _emit_rows(args, "sweep", params, rows)
+    m_values = () if args.axis == "m" else (0,)
+    spec = SweepSpec(axis=args.axis, grid=grid, fixed=params, branches=(Branch.CARRIER,), m_values=m_values)
+    return _run_lags(args, "sweep", params, [_with_flags(args, spec)])
 
 
 _MOMENT_ROW_COLUMNS = (
@@ -346,16 +339,13 @@ _ORACLE_COLUMNS = (
 
 def _cmd_moments(args: argparse.Namespace) -> int:
     params, _ = _effective_params(args)
-    etas: tuple[float, ...]
-    if args.eta is not None or "eta" in params:
-        etas = (float(args.eta if args.eta is not None else params["eta"]),)
-    elif args.preset:
-        spec = figure_presets()[args.preset].specs[0]
-        etas = tuple(float(v) for v in spec.grid) if spec.axis == "eta" else (0.5,)
-    else:
-        etas = (0.0,)
+    etas: tuple = (params.get("eta"),)  # None: the geometric carrier value
+    if args.preset and "eta" not in params:  # only fig1 fixes no eta: it sweeps it
+        etas = figure_presets()[args.preset].specs[0].grid
 
-    use_oracle = bool(args.numeric_oracle)
+    use_oracle = args.numeric_oracle
+    if args.nmax is not None and not use_oracle:
+        raise ConfigError("--nmax sets the truncation of --numeric-oracle, which is not given")
     if use_oracle and params["omega0"] / params["nu"] > 1e3:
         raise ConfigError("--numeric-oracle needs desk-scale frequency ratios; add --desk-scale")
     n_trunc = args.nmax if args.nmax is not None else 80
@@ -373,7 +363,7 @@ def _cmd_moments(args: argparse.Namespace) -> int:
                 "omega0": float(params["omega0"]),
                 "omega_rabi": float(params["omega_rabi"]),
                 "mass": float(params["mass"]),
-                "eta": eta,
+                "eta": rp.eta,
                 "nbar": rp.nbar,
                 "w_mean": moments.mean,
                 "w_second": moments.second,
@@ -400,13 +390,12 @@ def _cmd_moments(args: argparse.Namespace) -> int:
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     params, _ = _effective_params(args)
-    branches = _parse_branches(args.branch) if args.branch else (Branch.CARRIER,)
-    m_values = _parse_ms(args.m) if args.m else (0,)
+    branches, m_values = _sidebands(args)
     n_max = args.nmax if args.nmax is not None else 40
     if not 0 <= n_max <= TruncationPolicy.n_cap:
         raise ConfigError(f"--nmax {n_max} must lie in [0, {TruncationPolicy.n_cap}], the term cap")
     columns = ("branch", "m", "kind", "n", "mu", "gamma")
-    with _Writer(args.format, args.out, columns, _meta_for(args, "spectrum", params)) as writer:
+    with _Writer(args.format, args.out, columns, _meta_for(args, "spectrum", params, {})) as writer:
         for branch in branches:
             for m in m_values:
                 rp = reduce(params, m, branch, params.get("eta"))
@@ -445,28 +434,29 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ionquench", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
+    # No abbreviations: a subcommand reads only the flags it names (moments --m would be --mass).
 
-    p_lag = sub.add_parser("lag", help="nonequilibrium lag rows (single point or preset grids)")
-    _add_shared_flags(p_lag)
+    p_lag = sub.add_parser("lag", allow_abbrev=False, help="nonequilibrium lag rows (single point or preset grids)")
+    _add_flags(p_lag, sidebands=True, lag_sums=True)
     p_lag.set_defaults(func=_cmd_lag)
 
-    p_moments = sub.add_parser("moments", help="closed-form work moments, optional numeric oracle")
-    _add_shared_flags(p_moments)
+    p_moments = sub.add_parser("moments", allow_abbrev=False, help="closed-form work moments, optional numeric oracle")
+    _add_flags(p_moments, sidebands=False, lag_sums=False)
     p_moments.add_argument("--numeric-oracle", action="store_true", dest="numeric_oracle")
     p_moments.set_defaults(func=_cmd_moments)
 
-    p_sweep = sub.add_parser("sweep", help="sweep one axis over an explicit grid")
-    _add_shared_flags(p_sweep)
+    p_sweep = sub.add_parser("sweep", allow_abbrev=False, help="sweep one axis over an explicit grid")
+    _add_flags(p_sweep, sidebands=True, lag_sums=True)
     p_sweep.add_argument("--axis", choices=("eta", "omega_rabi", "nbar", "nu", "m"))
     p_sweep.add_argument("--grid", type=str, help="min:max:count:linear|log")
     p_sweep.add_argument("--values", type=str, help="explicit comma list")
     p_sweep.set_defaults(func=_cmd_sweep)
 
-    p_spectrum = sub.add_parser("spectrum", help="dump the analytic spectrum table")
-    _add_shared_flags(p_spectrum)
+    p_spectrum = sub.add_parser("spectrum", allow_abbrev=False, help="dump the analytic spectrum table")
+    _add_flags(p_spectrum, sidebands=True, lag_sums=False)
     p_spectrum.set_defaults(func=_cmd_spectrum)
 
-    p_verify = sub.add_parser("verify", help="run the invariant suites")
+    p_verify = sub.add_parser("verify", allow_abbrev=False, help="run the invariant suites")
     p_verify.add_argument("level", choices=("fast", "full"))
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--out", type=str, help="write the JSON report here")
@@ -479,9 +469,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        threads = getattr(args, "threads", 1)
-        if not 1 <= threads <= _MAX_THREADS:
-            raise ConfigError(f"--threads {threads} must lie in [1, {_MAX_THREADS}]")
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

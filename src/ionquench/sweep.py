@@ -8,7 +8,7 @@ evaluate_point is the one-point form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Iterable, Iterator, Mapping
 
 from .params import Branch, ReducedParams, reduce
@@ -17,27 +17,6 @@ from .thermo import LagResult, TruncationPolicy, nonequilibrium_lag, nonequilibr
 __all__ = ["SweepSpec", "ResultRow", "RESULT_COLUMNS", "run_specs", "evaluate_point"]
 
 SWEEP_AXES = ("eta", "omega_rabi", "nbar", "nu", "m")
-
-RESULT_COLUMNS = (
-    "nu",
-    "omega0",
-    "omega_rabi",
-    "mass",
-    "phi_angle",
-    "eta",
-    "nbar",
-    "b_nu",
-    "b_w0",
-    "b_om",
-    "b_wl",
-    "m",
-    "branch",
-    "lag",
-    "n_used",
-    "tail_bound_log",
-    "converged",
-    "divergence_predicted",
-)
 
 
 @dataclass(frozen=True)
@@ -111,6 +90,10 @@ class ResultRow:
 
     def as_dict(self) -> dict:
         return {c: getattr(self, c) for c in RESULT_COLUMNS}
+
+
+# The output columns, in the field order of ResultRow.
+RESULT_COLUMNS = tuple(field.name for field in fields(ResultRow))
 
 
 def evaluate_point(point: Mapping, policy: TruncationPolicy | None = None) -> ResultRow:

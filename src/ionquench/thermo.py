@@ -81,16 +81,16 @@ class TruncationPolicy:
     n_pinned fixes the number of explicit terms (figure presets pin their
     reference term counts); otherwise the sum grows adaptively until either 64
     consecutive terms each contribute relative mass below 1e-16, or the
-    analytic tail bound certifies convergence, or n_cap is hit.  In adaptive
-    mode a sum that ends non-converged raises TruncationError unless
-    error_on_nonconverged is cleared; pinned sums never raise, they only
-    report converged=False.
+    analytic tail bound certifies convergence, or n_cap is hit; tol is the
+    relative tail tolerance of that stop and of the converged flag.  In
+    adaptive mode a sum that ends non-converged raises TruncationError
+    unless error_on_nonconverged is cleared; pinned sums never raise, they
+    only report converged=False.
     """
 
     n_pinned: int | None = None
     n_cap: int = 200_000
-    tail_rel_tol: float = 1e-12
-    lag_abs_tol: float = 1e-12
+    tol: float = 1e-12
     error_on_nonconverged: bool = True
 
     def __post_init__(self) -> None:
@@ -98,10 +98,8 @@ class TruncationPolicy:
             raise ValueError("n_cap must be positive")
         if self.n_pinned is not None and not 1 <= self.n_pinned <= self.n_cap:
             raise ValueError(f"pinned term count {self.n_pinned} must lie in [1, {self.n_cap}]")
-        for name in ("tail_rel_tol", "lag_abs_tol"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"tolerance {name} must be finite and positive, got {value}")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tolerance tol must be finite and positive, got {self.tol}")
 
 
 @dataclass(frozen=True)
@@ -468,17 +466,17 @@ def _excess_block(rps: list[ReducedParams], policy: TruncationPolicy) -> list[tu
     tails = _excess_tails(rows)
     # log(1 + e^(-b_w0)): log Z_i without its log(nbar+1), which cancels against the tails'.
     zi_edges = [math.log1p(math.exp(-rp.b_w0)) for rp in rps]
-    log_lag_tol = math.log(policy.lag_abs_tol)
+    log_tol = math.log(policy.tol)
     bounds = None
     if policy.n_pinned is None:
-        bounds = [lambda n, tail=tail, edge=edge: tail(n) - edge <= log_lag_tol for tail, edge in zip(tails, zi_edges)]
+        bounds = [lambda n, tail=tail, edge=edge: tail(n) - edge <= log_tol for tail, edge in zip(tails, zi_edges)]
     sums = _log_sums(lambda live, lo, hi: _excess_logs(_take(rows, live), lo, hi), len(rps), policy, bounds)
     out = []
     for rp, tail, zi_edge, (log_sum, n_done, stop_reason) in zip(rps, tails, zi_edges, sums):
         ln_zi = ln_partition_initial(rp).shifted_log
         lag = float(np.logaddexp(0.0, log_sum - ln_zi))
         tail_bound_log = tail(n_done) + rp.ln_nbar_plus_1 - (ln_zi + lag)
-        converged = tail_bound_log <= math.log(policy.tail_rel_tol) or tail(n_done) - zi_edge <= log_lag_tol
+        converged = tail_bound_log <= log_tol or tail(n_done) - zi_edge <= log_tol
         report = TruncationReport(
             n_used=n_done, tail_bound_log=tail_bound_log, converged=converged, stop_reason=stop_reason
         )
@@ -539,7 +537,7 @@ def _ln_partition_final_direct(rp: ReducedParams, policy: TruncationPolicy) -> L
     env = 0.5 * (d_aw + float(sqrt_excess(abs_bwl, rp.b_om)))
     tail_log = _LN2 + env - rp.b_nu * (n_done + 0.5 * rp.m) + rp.ln_nbar_plus_1
     tail_bound_log = tail_log - total
-    converged = tail_bound_log <= math.log(policy.tail_rel_tol)
+    converged = tail_bound_log <= math.log(policy.tol)
     report = TruncationReport(
         n_used=n_done, tail_bound_log=tail_bound_log, converged=converged, stop_reason=stop_reason
     )

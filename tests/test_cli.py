@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -10,6 +11,7 @@ import pytest
 
 from ionquench import cli
 from ionquench.cli import main
+from ionquench.params import Branch, reduce
 from ionquench.presets import FIG1_CONFIG, figure_presets
 
 EXPECTED_HEADER = (
@@ -35,6 +37,23 @@ class TestLagCommand:
         assert len(rows) == 1
         assert abs(float(rows[0]["lag"])) <= 1e-10
         assert rows[0]["branch"] == "jc"
+
+    def test_unset_eta_is_the_geometric_value_as_in_sweep(self, capsys):
+        # The single point used to force eta = 0 (and print lag 0) where sweep used the geometry.
+        assert main(["lag", "--branch", "jc", "--m", "1"]) == 0
+        lag_row = capsys.readouterr().out.splitlines()[-1]
+        assert main(["sweep", "--axis", "nbar", "--values", "0.38", "--branch", "jc", "--m", "1"]) == 0
+        assert lag_row == capsys.readouterr().out.splitlines()[-1]
+        assert lag_row.split(",")[5] == repr(reduce(FIG1_CONFIG, 1, Branch.JC).eta)
+
+    def test_phi_sets_the_geometric_eta(self, tmp_path):
+        # --phi used to be accepted and ignored: eta 0 and phi_angle nan.
+        out = tmp_path / "row.csv"
+        assert main(["lag", "--phi", "0.3", "--out", str(out)]) == 0
+        row = read_csv(out)[0]
+        assert float(row["phi_angle"]) == 0.3
+        expected = reduce(dict(FIG1_CONFIG, phi_angle=0.3), 0, Branch.CARRIER).eta
+        assert float(row["eta"]) == expected < reduce(FIG1_CONFIG, 0, Branch.CARRIER).eta
 
     def test_header_comments_echo_config(self, tmp_path):
         out = tmp_path / "row.csv"
@@ -168,7 +187,7 @@ class TestInputValidation:
     @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
     def test_bad_tolerance_exit_code(self, tol, capsys):
         assert main(["lag", f"--tol={tol}"]) == 2
-        assert "tail_rel_tol must be finite and positive" in capsys.readouterr().err
+        assert "tolerance tol must be finite and positive" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["lag", "spectrum"])
     def test_nmax_above_term_cap_exit_code(self, command, capsys):
@@ -316,6 +335,58 @@ class TestInputValidation:
         assert "math domain error" not in capsys.readouterr().err
 
 
+_POINT_FLAGS = {
+    "--preset", "--eta", "--phi", "--omega", "--omega0", "--nu", "--mass", "--nbar", "--beta", "--nmax",
+    "--format", "--out", "--desk-scale", "--config",
+}  # fmt: skip
+_LAG_FLAGS = _POINT_FLAGS | {"--branch", "--m", "--tol", "--threads", "--allow-nonconverged"}
+
+
+def _accepted_options(parser: argparse.ArgumentParser) -> set[str]:
+    """The option strings (and positional names) a parser reads, without --help."""
+    return {
+        action.option_strings[0] if action.option_strings else action.dest
+        for action in parser._actions
+        if not isinstance(action, argparse._HelpAction)
+    }
+
+
+class TestParser:
+    def test_each_subcommand_registers_only_the_flags_it_reads(self):
+        (subparsers,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        accepted = {name: _accepted_options(p) for name, p in subparsers.choices.items()}
+        assert accepted == {
+            "lag": _LAG_FLAGS,
+            "sweep": _LAG_FLAGS | {"--axis", "--grid", "--values"},
+            "moments": _POINT_FLAGS | {"--numeric-oracle"},
+            "spectrum": _POINT_FLAGS | {"--branch", "--m"},
+            "verify": {"level", "--seed", "--out"},
+        }
+        assert [len(accepted[name]) for name in ("lag", "sweep", "moments", "spectrum", "verify")] == [19, 22, 15, 16, 3]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectrum", "--tol", "1e-6"],
+            ["spectrum", "--threads", "1"],
+            ["spectrum", "--allow-nonconverged"],
+            ["moments", "--branch", "jc"],
+            ["moments", "--m", "1"],
+            ["moments", "--tol", "1e-6"],
+            ["moments", "--threads", "1"],
+            ["moments", "--allow-nonconverged"],
+        ],
+    )
+    def test_dropped_flag_exits_2_before_any_output(self, argv, tmp_path, capsys):
+        # No abbreviations either: moments --m 1 must not be read as --mass 1.
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--out", str(out)])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestSweepCommand:
     def test_m_axis_interior_maximum(self, tmp_path):
         out = tmp_path / "m.csv"
@@ -396,6 +467,20 @@ class TestMomentsCommand:
         out = tmp_path / "m.csv"
         assert main(["moments", *argv, "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unset_eta_is_the_geometric_carrier_value(self, tmp_path):
+        # The moments used to be taken at eta = 0.
+        out = tmp_path / "m.csv"
+        assert main(["moments", "--out", str(out)]) == 0
+        assert float(read_csv(out)[0]["eta"]) == reduce(FIG1_CONFIG, 0, Branch.CARRIER).eta
+
+    def test_nmax_without_numeric_oracle_rejected(self, tmp_path, capsys):
+        # --nmax used to be ignored and still echoed into the CSV header.
+        out = tmp_path / "m.csv"
+        assert main(["moments", "--desk-scale", "--nmax", "40", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "--numeric-oracle" in err[0]
         assert not out.exists()
 
     def test_numeric_oracle_requires_desk_scale(self):

@@ -127,11 +127,10 @@ class TestTruncationPolicy:
         with pytest.raises(ValueError, match="pinned term count"):
             TruncationPolicy(n_pinned=50, n_cap=40)
 
-    @pytest.mark.parametrize("name", ["tail_rel_tol", "lag_abs_tol"])
     @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
-    def test_tolerances_must_be_finite_and_positive(self, name, value):
-        with pytest.raises(ValueError, match=name):
-            TruncationPolicy(**{name: value})
+    def test_tolerances_must_be_finite_and_positive(self, value):
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            TruncationPolicy(tol=value)
 
 
 class TestLag:
@@ -651,12 +650,12 @@ def _one_row(rp, policy):
         tail = lambda n_from: (  # noqa: E731
             math.log(2.0) - rp.b_nu * (n_from + 0.5 * rp.m) + a_shifted + log_edge + log_sinh
         )
-    bound_reached = lambda n: tail(n) - math.log1p(math.exp(-rp.b_w0)) <= math.log(policy.lag_abs_tol)  # noqa: E731
+    bound_reached = lambda n: tail(n) - math.log1p(math.exp(-rp.b_w0)) <= math.log(policy.tol)  # noqa: E731
     log_sum, n_done, stop_reason = _one_chunk_at_a_time(term_logs, policy, bound_reached)
     ln_zi = rp.ln_nbar_plus_1 + math.log1p(math.exp(-rp.b_w0))
     lag = float(np.logaddexp(0.0, log_sum - ln_zi))
     tail_bound_log = tail(n_done) + rp.ln_nbar_plus_1 - (ln_zi + lag)
-    converged = tail_bound_log <= math.log(policy.tail_rel_tol) or bound_reached(n_done)
+    converged = tail_bound_log <= math.log(policy.tol) or bound_reached(n_done)
     return lag, n_done, tail_bound_log, converged, diverges, stop_reason
 
 
@@ -745,8 +744,8 @@ class TestBatchedPinnedRows:
 _ADAPTIVE_POLICIES = (
     TruncationPolicy(error_on_nonconverged=False),
     TruncationPolicy(n_cap=700, error_on_nonconverged=False),  # "cap" with a partial last chunk
-    TruncationPolicy(tail_rel_tol=1e-6, lag_abs_tol=1e-6, error_on_nonconverged=False),
-    TruncationPolicy(tail_rel_tol=1e-300, lag_abs_tol=1e-300, n_cap=3000, error_on_nonconverged=False),  # "quiet"
+    TruncationPolicy(tol=1e-6, error_on_nonconverged=False),
+    TruncationPolicy(tol=1e-300, n_cap=3000, error_on_nonconverged=False),  # "quiet"
 )
 
 
@@ -789,9 +788,10 @@ class TestBatchedAdaptiveRows:
             assert (result.divergence_predicted, report.stop_reason) == (diverges, stop_reason), point
 
     def test_error_names_the_first_failing_point_in_sweep_order(self):
-        # At 512 terms the m = 1 tail lies above the m = 2 tail, and lag_abs_tol
-        # is set between them: at nbar 10 the m = 2 row stops on the bound while
-        # the m = 1 row hits the cap, and at nbar 30 both fail.  Blocks are
+        # At 512 terms the m = 1 tail lies above the m = 2 tail, and tol is set
+        # between them: at nbar 10 the m = 2 row stops on the bound while the
+        # m = 1 row hits the cap, and at nbar 30 both fail.  The lags (about
+        # 1e-4) move the tails relative to Z_final far less than the half-gap.  Blocks are
         # summed m = 2 first, so a report in block order would name (30, m = 2).
         fixed = dict(desk_scale_point(), eta=0.8)
         spec = SweepSpec(axis="nbar", grid=(10.0, 30.0), fixed=fixed, branches=(Branch.JC,), m_values=(2, 1))
@@ -799,7 +799,7 @@ class TestBatchedAdaptiveRows:
         rps = [reduce(point, point["m"], point["branch"], point["eta"]) for point in points]
         edges = [thermo._excess_tails(thermo._rows_of([rp]))[0](512) - math.log1p(math.exp(-rp.b_w0)) for rp in rps]
         assert edges[0] < edges[1]
-        policy = TruncationPolicy(n_cap=512, tail_rel_tol=1e-300, lag_abs_tol=math.exp(0.5 * (edges[0] + edges[1])))
+        policy = TruncationPolicy(n_cap=512, tol=math.exp(0.5 * (edges[0] + edges[1])))
         lenient = replace(policy, error_on_nonconverged=False)
         assert [row.converged for row in run_specs([spec], lenient)] == [True, False, False, False]
         with pytest.raises(TruncationError) as excinfo:
