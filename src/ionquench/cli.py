@@ -4,7 +4,7 @@ Subcommands: lag, moments, sweep, spectrum, verify.  Output is CSV
 (RFC-4180 quoting, '.' decimal, %.17g floats) or JSON lines via --format;
 the effective configuration is echoed into CSV header comments.  Config
 precedence is flags > config file > preset > defaults; an unset eta is the
-geometric Lamb-Dicke value.
+geometric Lamb-Dicke value; --phi is an error when no row uses that value.
 
 Exit codes: 0 ok, 1 verification failure, 2 usage or config error,
 3 non-converged rows present without --allow-nonconverged, 4 internal error
@@ -168,6 +168,13 @@ def _effective_params(args: argparse.Namespace) -> tuple[dict, tuple[dict, dict]
     return params, (config, flags)
 
 
+def _reject_unused_phi(args: argparse.Namespace, params: dict, geometric_rows: bool) -> None:
+    """ConfigError when the laser angle is set but no row uses the geometric eta it enters."""
+    if "phi_angle" in params and not geometric_rows:
+        source = "--phi" if args.phi is not None else f"config key 'phi_angle' in {args.config}"
+        raise ConfigError(f"{source} sets the laser angle of the geometric eta, but every row has a given or swept eta")
+
+
 def _policy(args: argparse.Namespace) -> TruncationPolicy:
     """The lag sums' policy from --tol; --nmax reaches them through each spec's n_pinned."""
     if not 1 <= args.threads <= _MAX_THREADS:
@@ -264,6 +271,7 @@ def _with_flags(args: argparse.Namespace, spec: SweepSpec, *layers: dict) -> Swe
 
 
 def _run_lags(args: argparse.Namespace, command: str, params: dict, specs: list[SweepSpec]) -> int:
+    _reject_unused_phi(args, params, any(spec.axis != "eta" and "eta" not in spec.fixed for spec in specs))
     rows = run_specs(specs, policy=_policy(args))
     extra = {} if args.tol is None else {"tol": args.tol}
     with _Writer(args.format, args.out, RESULT_COLUMNS, _meta_for(args, command, params, extra)) as writer:
@@ -342,6 +350,7 @@ def _cmd_moments(args: argparse.Namespace) -> int:
     etas: tuple = (params.get("eta"),)  # None: the geometric carrier value
     if args.preset and "eta" not in params:  # only fig1 fixes no eta: it sweeps it
         etas = figure_presets()[args.preset].specs[0].grid
+    _reject_unused_phi(args, params, None in etas)
 
     use_oracle = args.numeric_oracle
     if args.nmax is not None and not use_oracle:
@@ -391,6 +400,7 @@ def _cmd_moments(args: argparse.Namespace) -> int:
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     params, _ = _effective_params(args)
     branches, m_values = _sidebands(args)
+    _reject_unused_phi(args, params, "eta" not in params)
     n_max = args.nmax if args.nmax is not None else 40
     if not 0 <= n_max <= TruncationPolicy.n_cap:
         raise ConfigError(f"--nmax {n_max} must lie in [0, {TruncationPolicy.n_cap}], the term cap")

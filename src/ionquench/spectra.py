@@ -1,6 +1,12 @@
 """Exact block eigendecomposition of the sideband Hamiltonians at the quench
 instant, plus dense truncated-Fock builders used as a brute-force oracle.
 
+The sideband Hamiltonian splits into 2x2 blocks {|n,e>, |n+m,g>} (JC) or
+{|n+m,e>, |n,g>} (AJC) plus the m uncoupled edge kets of the level that
+carries the +m.  This module is the one place that knows that structure:
+edge_level names the level, ket_energy gives the bare energies, and the
+work distribution and the checks read both from here.
+
 Internal energy unit is hbar*nu throughout, so matrix norms stay near
 omega0/nu instead of absolute SI magnitudes.  The product basis is ordered
 |0,g>, |0,e>, |1,g>, |1,e>, ... and the dense oracle is meant for desk-scale
@@ -24,6 +30,8 @@ __all__ = [
     "SpectrumTable",
     "DenseQuench",
     "ket_index",
+    "edge_level",
+    "ket_energy",
     "sideband_eigenvalues",
     "edge_eigenvalues",
     "sideband_eigenvectors",
@@ -34,11 +42,41 @@ __all__ = [
 ]
 
 
-def ket_index(n: int, level: str) -> int:
-    """Index of |n, level> in the ordered product basis |0,g>, |0,e>, |1,g>, ..."""
+def ket_index(n, level: str):
+    """Index of |n, level> in the ordered product basis |0,g>, |0,e>, |1,g>, ...; n may be an array."""
     if level not in ("g", "e"):
         raise ValueError("level must be 'g' or 'e'")
     return 2 * n + (1 if level == "e" else 0)
+
+
+def edge_level(rp: ReducedParams) -> str:
+    """The level whose ket in block n is |n+m, level>; its kets with n < m are the edge kets.
+
+    "e" for AJC and "g" otherwise (the carrier pairs |n,e> with |n,g> either way).
+    """
+    return "e" if rp.branch is Branch.AJC and rp.m > 0 else "g"
+
+
+def ket_energy(n, level: str, rp: ReducedParams):
+    """Bare energy n +- omega0/(2 nu) of |n, level> in hbar*nu units; n may be an array."""
+    return n + 0.5 * rp.r_w0 if level == "e" else n - 0.5 * rp.r_w0
+
+
+def _block_kets(n, rp: ReducedParams) -> tuple[tuple, tuple]:
+    """Kets of the coupled block n, ordered (excited ket, ground ket); n may be an array."""
+    edge = edge_level(rp)
+    return tuple((n + rp.m if level == edge else n, level) for level in ("e", "g"))
+
+
+def _oriented(f, rp: ReducedParams):
+    """<e|H|g> coupling factor of a block from f_n^m: conjugated when the excited ket carries the +m."""
+    return f.conjugate() if edge_level(rp) == "e" else f
+
+
+def _coupling_values(n_max: int, m: int, eta: float) -> np.ndarray:
+    """Complex couplings i^m sign exp(log|f_n^m|) for n = 0..n_max."""
+    signs, log_mags = coupling_logabs_sequence(n_max, m, eta)
+    return (1j ** (m % 4)) * signs * np.exp(log_mags)
 
 
 @dataclass(frozen=True)
@@ -60,9 +98,6 @@ class EigenPair:
 class SpectrumTable:
     """Edge eigenvalues (n = 0..m-1) and coupled-pair eigenvalues (mu_n, gamma_n)."""
 
-    branch: Branch
-    m: int
-    n_trunc: int
     edge: np.ndarray
     mu: np.ndarray
     gamma: np.ndarray
@@ -101,22 +136,9 @@ def _branch_r_wl(rp: ReducedParams) -> float:
 def edge_eigenvalues(rp: ReducedParams) -> np.ndarray:
     """Decoupled edge eigenvalues for n = 0..m-1 in hbar*nu units.
 
-    JC leaves |n,g> untouched at n - omega0/(2 nu); AJC leaves |n,e> at
-    n + omega0/(2 nu).  Empty for m = 0.
+    The edge kets |n, edge_level> keep their bare energies.  Empty for m = 0.
     """
-    if rp.m == 0:
-        return np.empty(0)
-    ns = np.arange(rp.m, dtype=float)
-    if rp.branch is Branch.AJC:
-        return ns + 0.5 * rp.r_w0
-    return ns - 0.5 * rp.r_w0
-
-
-def _block_kets(n: int, m: int, branch: Branch) -> tuple[tuple[int, str], tuple[int, str]]:
-    """Kets of the coupled block, ordered (higher electronic ket, ground ket)."""
-    if branch is Branch.AJC and m > 0:
-        return (n + m, "e"), (n, "g")
-    return (n, "e"), (n + m, "g")
+    return ket_energy(np.arange(rp.m, dtype=float), edge_level(rp), rp)
 
 
 def sideband_eigenvectors(n: int, rp: ReducedParams) -> tuple[EigenPair, EigenPair]:
@@ -125,14 +147,11 @@ def sideband_eigenvectors(n: int, rp: ReducedParams) -> tuple[EigenPair, EigenPa
     At a coupling zero (f_n^m = 0) the block is already diagonal and the bare
     kets are returned with their diagonal energies.
     """
-    ket_e, ket_g = _block_kets(n, rp.m, rp.branch)
-    a = ket_e[0] + 0.5 * rp.r_w0  # excited-ket diagonal energy
-    b = ket_g[0] - 0.5 * rp.r_w0
+    ket_e, ket_g = _block_kets(n, rp)
+    a = ket_energy(*ket_e, rp)
+    b = ket_energy(*ket_g, rp)
     f = coupling_f(n, rp.m, rp.eta)
-    f_c = f.as_complex()
-    if rp.branch is Branch.AJC and rp.m > 0:
-        f_c = f_c.conjugate()
-    c = 0.5 * rp.r_om * f_c
+    c = 0.5 * rp.r_om * _oriented(f.as_complex(), rp)
 
     mu_val, gamma_val = _pair_values(n, rp, f)
     if c == 0:
@@ -167,14 +186,7 @@ def spectrum_table(rp: ReducedParams, n_trunc: int) -> SpectrumTable:
     u = rp.r_om * np.where(signs == 0, 0.0, np.exp(log_mags))
     s = np.hypot(_branch_r_wl(rp), u)
     centers = np.arange(n_trunc + 1, dtype=float) + 0.5 * rp.m
-    return SpectrumTable(
-        branch=rp.branch,
-        m=rp.m,
-        n_trunc=n_trunc,
-        edge=edge_eigenvalues(rp),
-        mu=centers - 0.5 * s,
-        gamma=centers + 0.5 * s,
-    )
+    return SpectrumTable(edge=edge_eigenvalues(rp), mu=centers - 0.5 * s, gamma=centers + 0.5 * s)
 
 
 def displacement_matrix(n_trunc: int, eta: float) -> np.ndarray:
@@ -182,8 +194,7 @@ def displacement_matrix(n_trunc: int, eta: float) -> np.ndarray:
     dim = n_trunc + 1
     mat = np.zeros((dim, dim), dtype=complex)
     for m in range(dim):
-        signs, log_mags = coupling_logabs_sequence(dim - 1 - m, m, eta)
-        vals = (1j ** (m % 4)) * signs * np.exp(log_mags)
+        vals = _coupling_values(dim - 1 - m, m, eta)
         ks = np.arange(dim - m)
         mat[ks + m, ks] = vals
         mat[ks, ks + m] = vals
@@ -198,7 +209,8 @@ class DenseQuench:
     h_initial         bare Hamiltonian, diagonal
     h_final_sideband  quench target with the resonant m-quantum coupling
     rho_initial       thermal x electronic Gibbs state of h_initial
-    thermal_tail      neglected thermal weight exp(-b_nu * n_trunc)
+    tail_warning      exp(-b_nu * n_trunc), the thermal weight from level
+                      n_trunc up, is at least 1e-12
     h_final_full      quench target with the full exponential coupling; built
                       and checked for Hermiticity on first read, since its
                       displacement matrix costs about dim^2/2 recurrence steps
@@ -209,7 +221,6 @@ class DenseQuench:
     h_initial: np.ndarray
     h_final_sideband: np.ndarray
     rho_initial: np.ndarray
-    thermal_tail: float
     tail_warning: bool
 
     @cached_property
@@ -241,23 +252,17 @@ def dense_hamiltonians(rp: ReducedParams, n_trunc: int) -> DenseQuench:
     ns = np.arange(n_trunc + 1, dtype=float)
 
     diag = np.empty(dim)
-    diag[0::2] = ns - 0.5 * rp.r_w0
-    diag[1::2] = ns + 0.5 * rp.r_w0
+    diag[0::2] = ket_energy(ns, "g", rp)
+    diag[1::2] = ket_energy(ns, "e", rp)
     h_initial = np.diag(diag).astype(complex)
 
     # Sideband coupling: only the resonant m-quantum diagonal of D survives.
     h_side = h_initial.copy()
-    signs, log_mags = coupling_logabs_sequence(n_trunc - m, m, rp.eta)
-    f_vals = (1j ** (m % 4)) * signs * np.exp(log_mags)
-    ks = np.arange(n_trunc + 1 - m)
-    if rp.branch is Branch.AJC and m > 0:
-        rows, cols = ket_index(m, "e") + 2 * ks, ket_index(0, "g") + 2 * ks
-        h_side[rows, cols] += 0.5 * rp.r_om * f_vals.conj()
-        h_side[cols, rows] += 0.5 * rp.r_om * f_vals
-    else:
-        rows, cols = ket_index(0, "e") + 2 * ks, ket_index(m, "g") + 2 * ks
-        h_side[rows, cols] += 0.5 * rp.r_om * f_vals
-        h_side[cols, rows] += 0.5 * rp.r_om * f_vals.conj()
+    c_eg = 0.5 * rp.r_om * _oriented(_coupling_values(n_trunc - m, m, rp.eta), rp)
+    ket_e, ket_g = _block_kets(np.arange(n_trunc + 1 - m), rp)
+    rows, cols = ket_index(*ket_e), ket_index(*ket_g)
+    h_side[rows, cols] += c_eg
+    h_side[cols, rows] += c_eg.conj()
 
     thermal = np.exp(-rp.b_nu * ns) * (-math.expm1(-rp.b_nu))
     p_g = 1.0 / (1.0 + math.exp(-rp.b_w0))
@@ -269,15 +274,13 @@ def dense_hamiltonians(rp: ReducedParams, n_trunc: int) -> DenseQuench:
     _check_hermitian("h_initial", h_initial)
     _check_hermitian("h_final_sideband", h_side)
 
-    tail = math.exp(-rp.b_nu * n_trunc)
     return DenseQuench(
         rp=rp,
         n_trunc=n_trunc,
         h_initial=h_initial,
         h_final_sideband=h_side,
         rho_initial=rho,
-        thermal_tail=tail,
-        tail_warning=tail >= 1e-12,
+        tail_warning=math.exp(-rp.b_nu * n_trunc) >= 1e-12,
     )
 
 
@@ -285,17 +288,13 @@ def analytic_dense_spectrum(rp: ReducedParams, n_trunc: int) -> np.ndarray:
     """Predicted eigenvalue multiset of the truncated sideband Hamiltonian.
 
     Edge values, coupled pairs for blocks fully inside the truncation, and the
-    bare diagonal energies of the boundary kets whose partners fall outside.
-    Sorted ascending; length equals the dense dimension 2(n_trunc + 1).
+    bare energies of the boundary kets whose partners |n+m, edge_level> fall
+    outside: the other level's kets past n_trunc - m.  Sorted ascending;
+    length equals the dense dimension 2(n_trunc + 1).
     """
     m = rp.m
     table = spectrum_table(rp, n_trunc)
     inside = slice(0, n_trunc - m + 1)
-    vals = [table.edge, table.mu[inside], table.gamma[inside]]
-    if m > 0:
-        ns = np.arange(n_trunc - m + 1, n_trunc + 1, dtype=float)
-        if rp.branch is Branch.AJC:
-            vals.append(ns - 0.5 * rp.r_w0)  # unpaired ground kets
-        else:
-            vals.append(ns + 0.5 * rp.r_w0)  # unpaired excited kets
-    return np.sort(np.concatenate(vals))
+    unpaired = "g" if edge_level(rp) == "e" else "e"
+    boundary = ket_energy(np.arange(n_trunc - m + 1, n_trunc + 1, dtype=float), unpaired, rp)
+    return np.sort(np.concatenate([table.edge, table.mu[inside], table.gamma[inside], boundary]))

@@ -129,7 +129,6 @@ class LogPartition:
     """log Z carried relative to the b_w0/2 shift; the shift is never re-added."""
 
     shifted_log: float
-    shift_reference: float
     truncation: TruncationReport
 
 
@@ -168,7 +167,7 @@ def ln_partition_initial(rp: ReducedParams) -> LogPartition:
     arbitrarily large b_w0.
     """
     shifted = rp.ln_nbar_plus_1 + math.log1p(math.exp(-rp.b_w0))
-    return LogPartition(shifted_log=shifted, shift_reference=0.5 * rp.b_w0, truncation=_EXACT_REPORT)
+    return LogPartition(shifted_log=shifted, truncation=_EXACT_REPORT)
 
 
 # -- internal machinery -------------------------------------------------------
@@ -510,7 +509,7 @@ def ln_partition_final(
     policy = policy or TruncationPolicy()
     if assembly == "excess":
         ((ln_zi, lag, report),) = _excess_lags([rp], policy)
-        return LogPartition(shifted_log=ln_zi + lag, shift_reference=0.5 * rp.b_w0, truncation=report)
+        return LogPartition(shifted_log=ln_zi + lag, truncation=report)
     if assembly == "direct":
         return _ln_partition_final_direct(rp, policy)
     raise ValueError("assembly must be 'excess' or 'direct'")
@@ -543,7 +542,7 @@ def _ln_partition_final_direct(rp: ReducedParams, policy: TruncationPolicy) -> L
     )
     if not converged and policy.n_pinned is None and policy.error_on_nonconverged:
         raise TruncationError(report, f"direct partition sum not converged after {n_done} terms")
-    return LogPartition(shifted_log=total, shift_reference=0.5 * rp.b_w0, truncation=report)
+    return LogPartition(shifted_log=total, truncation=report)
 
 
 def nonequilibrium_lag(rp: ReducedParams, policy: TruncationPolicy | None = None) -> LagResult:

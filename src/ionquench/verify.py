@@ -231,10 +231,9 @@ def check_eigenvector_completeness(rng) -> CheckResult:
         rp = _desk(m, branch, 0.8)
         dim = 2 * (n_trunc + 1)
         acc = np.zeros((dim, dim), dtype=complex)
-        for zeta, n in zip(spectra.edge_eigenvalues(rp), range(m)):
-            level = "e" if branch is Branch.AJC else "g"
+        for n in range(m):
             vec = np.zeros(dim, dtype=complex)
-            vec[spectra.ket_index(n, level)] = 1.0
+            vec[spectra.ket_index(n, spectra.edge_level(rp))] = 1.0
             acc += np.outer(vec, vec.conj())
         for n in range(n_trunc - m + 1):
             for pair in spectra.sideband_eigenvectors(n, rp):

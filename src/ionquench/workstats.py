@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import eta_squared
-from .params import Branch, ReducedParams
-from .spectra import DenseQuench, sideband_eigenvectors
+from .params import ReducedParams
+from .spectra import DenseQuench, EigenPair, edge_level, ket_energy, sideband_eigenvectors
 
 __all__ = [
     "WorkMoments",
@@ -115,15 +115,13 @@ def moments_numeric(ops: DenseQuench, order: int, use_full: bool = True) -> Mome
 class WorkPMF:
     """Two-point-measurement work distribution, collated and sorted.
 
-    values/probabilities are parallel arrays sorted by work value; nearby
-    values within collation_tol have been merged.  tail_probability is the
-    thermal weight of initial states beyond the truncation (not renormalized).
+    values/probabilities are parallel arrays sorted by work value, with
+    nearby values merged.  tail_warning is set when the thermal weight of the
+    initial states beyond the truncation (not renormalized) exceeds 1e-10.
     """
 
     values: np.ndarray
     probabilities: np.ndarray
-    collation_tol: float
-    tail_probability: float
     tail_warning: bool
 
     def moment(self, order: int) -> float:
@@ -147,37 +145,24 @@ def work_pmf_sideband(rp: ReducedParams, n_trunc: int) -> WorkPMF:
     p_g = 1.0 / (1.0 + math.exp(-rp.b_w0))
     p_e = 1.0 - p_g
 
+    edge = edge_level(rp)
     events_w: list[float] = []
     events_p: list[float] = []
     max_abs_e = 0.0
-
-    def _emit(prob: float, work: float, *energies: float) -> None:
-        nonlocal max_abs_e
-        if prob == 0.0:
-            return
-        events_w.append(work)
-        events_p.append(prob)
-        for e in energies:
-            max_abs_e = max(max_abs_e, abs(e))
-
     for n in range(n_trunc + 1):
         p_th = thermal_base * math.exp(-rp.b_nu * n)
-        e_g = n - 0.5 * rp.r_w0
-        e_e = n + 0.5 * rp.r_w0
+        for level, p_level in (("g", p_g), ("e", p_e)):
+            e_init = ket_energy(n, level, rp)
+            block_n = n - rp.m if level == edge else n
+            # An edge ket (no block) is an eigenstate of both Hamiltonians: zero work.
+            finals = sideband_eigenvectors(block_n, rp) if block_n >= 0 else (EigenPair(e_init, {(n, level): 1.0}),)
+            for pair in finals:
+                prob = p_th * p_level * abs(pair.amplitudes.get((n, level), 0.0)) ** 2
+                if prob != 0.0:
+                    events_w.append(pair.value - e_init)
+                    events_p.append(prob)
+                    max_abs_e = max(max_abs_e, abs(e_init), abs(pair.value))
 
-        for level, e_init, p_level in (("g", e_g, p_g), ("e", e_e, p_e)):
-            prob0 = p_th * p_level
-            block_n = _initial_block(n, level, rp)
-            if block_n is None:
-                # Bare edge ket: eigenstate of both Hamiltonians, zero work.
-                _emit(prob0, 0.0, e_init)
-                continue
-            pair_lo, pair_hi = sideband_eigenvectors(block_n, rp)
-            for pair in (pair_lo, pair_hi):
-                amp = pair.amplitudes.get((n, level), 0.0)
-                _emit(prob0 * abs(amp) ** 2, pair.value - e_init, e_init, pair.value)
-
-    tail = math.exp(-rp.b_nu * (n_trunc + 1))
     order = np.argsort(np.asarray(events_w), kind="stable")
     w_sorted = np.asarray(events_w)[order]
     p_sorted = np.asarray(events_p)[order]
@@ -195,19 +180,5 @@ def work_pmf_sideband(rp: ReducedParams, n_trunc: int) -> WorkPMF:
     return WorkPMF(
         values=np.asarray(merged_w),
         probabilities=np.asarray(merged_p),
-        collation_tol=tol,
-        tail_probability=tail,
-        tail_warning=tail > 1e-10,
+        tail_warning=math.exp(-rp.b_nu * (n_trunc + 1)) > 1e-10,
     )
-
-
-def _initial_block(n: int, level: str, rp: ReducedParams) -> int | None:
-    """Index of the 2x2 block containing |n, level>, or None for a bare edge ket."""
-    m = rp.m
-    if rp.branch is Branch.AJC and m > 0:
-        if level == "g":
-            return n
-        return n - m if n >= m else None
-    if level == "e":
-        return n
-    return n - m if n >= m else None

@@ -55,6 +55,45 @@ class TestLagCommand:
         expected = reduce(dict(FIG1_CONFIG, phi_angle=0.3), 0, Branch.CARRIER).eta
         assert float(row["eta"]) == expected < reduce(FIG1_CONFIG, 0, Branch.CARRIER).eta
 
+    @pytest.mark.parametrize(
+        "argv, conf",
+        [
+            pytest.param(["lag", "--eta", "0.5"], None, id="eta-flag"),
+            pytest.param(["lag"], "eta = 0.5", id="eta-config"),
+            pytest.param(["lag", "--desk-scale"], None, id="desk-scale"),
+            pytest.param(["lag", "--preset", "fig2"], None, id="preset-fixed-eta"),
+            pytest.param(["lag", "--preset", "fig1"], None, id="lag-preset-sweeps-eta"),
+            pytest.param(["moments", "--preset", "fig1"], None, id="moments-preset-sweeps-eta"),
+            pytest.param(["sweep", "--axis", "eta", "--values", "0.1,0.2"], None, id="sweep-axis-eta"),
+            pytest.param(["spectrum", "--desk-scale"], None, id="spectrum-desk-scale"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "phi",
+        [pytest.param(["--phi", "0.3"], id="flag"), pytest.param("phi = 0.3", id="config-phi"), pytest.param("phi_angle = 0.3", id="config-phi_angle")],
+    )
+    def test_phi_without_a_geometric_eta_rejected(self, argv, conf, phi, tmp_path, capsys):
+        # Every row has a given or swept eta, so the angle enters none; it used to be echoed and ignored.
+        lines = [line for line in (conf, phi) if isinstance(line, str)]
+        config = tmp_path / "run.conf"
+        config.write_text("".join(line + "\n" for line in lines))
+        out = tmp_path / "rows.csv"
+        extra = phi if isinstance(phi, list) else []
+        assert main([*argv, *extra, "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        source = "--phi" if extra else f"config key 'phi_angle' in {config}"
+        assert len(err) == 1 and err[0].startswith(f"error: {source} sets the laser angle")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["spectrum", "--nmax", "2"], ["moments"], ["sweep", "--axis", "nbar", "--values", "1"], ["spectrum", "--preset", "fig1"]],
+    )
+    def test_phi_with_the_geometric_eta_accepted(self, argv, tmp_path):
+        out = tmp_path / "rows.csv"
+        assert main([*argv, "--phi", "0.3", "--out", str(out)]) == 0
+        assert "# param.phi_angle = 0.29999999999999999" in out.read_text()
+
     def test_header_comments_echo_config(self, tmp_path):
         out = tmp_path / "row.csv"
         main(["lag", "--eta", "0.5", "--out", str(out)])

@@ -196,16 +196,24 @@ class TestDenseHamiltonians:
         for mat in (ops.h_initial, ops.h_final_full, ops.h_final_sideband):
             assert np.allclose(mat, mat.conj().T, atol=1e-12 * np.abs(mat).max())
 
-    def test_block_sparsity_pattern_exact(self):
-        m, n_trunc = 2, 24
-        rp = desk_reduced(m, Branch.JC, 0.9)
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("branch", [Branch.JC, Branch.AJC])
+    def test_block_sparsity_pattern_exact(self, branch, m):
+        n_trunc = 24
+        rp = desk_reduced(m, branch, 0.9)
         h = dense_hamiltonians(rp, n_trunc).h_final_sideband.copy()
         for n in range(n_trunc + 1):
             h[ket_index(n, "g"), ket_index(n, "g")] = 0.0
             h[ket_index(n, "e"), ket_index(n, "e")] = 0.0
+        # JC couples |n,e> to |n+m,g>; AJC couples |n+m,e> to |n,g>.
         for n in range(n_trunc + 1 - m):
-            h[ket_index(n, "e"), ket_index(n + m, "g")] = 0.0
-            h[ket_index(n + m, "g"), ket_index(n, "e")] = 0.0
+            if branch is Branch.JC:
+                ket_e, ket_g = ket_index(n, "e"), ket_index(n + m, "g")
+            else:
+                ket_e, ket_g = ket_index(n + m, "e"), ket_index(n, "g")
+            assert h[ket_e, ket_g] != 0.0
+            h[ket_e, ket_g] = 0.0
+            h[ket_g, ket_e] = 0.0
         assert np.abs(h).max() == 0.0
 
 

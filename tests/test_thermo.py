@@ -40,7 +40,6 @@ class TestPartitionInitial:
         # b_w0 = 0 with nbar = 1: Z = 4 and the shift vanishes.
         rp = reduced_from_ratios(0.0, 0.0, 0.0, 0, Branch.CARRIER, nbar=1.0)
         part = ln_partition_initial(rp)
-        assert part.shift_reference == 0.0
         assert part.shifted_log == pytest.approx(math.log(4.0), rel=1e-14)
 
     def test_fig1_shifted_value(self):
