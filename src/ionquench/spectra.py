@@ -32,6 +32,7 @@ __all__ = [
     "ket_index",
     "edge_level",
     "ket_energy",
+    "truncation_tail_warning",
     "sideband_eigenvalues",
     "edge_eigenvalues",
     "sideband_eigenvectors",
@@ -55,6 +56,11 @@ def edge_level(rp: ReducedParams) -> str:
     "e" for AJC and "g" otherwise (the carrier pairs |n,e> with |n,g> either way).
     """
     return "e" if rp.branch is Branch.AJC and rp.m > 0 else "g"
+
+
+def truncation_tail_warning(rp: ReducedParams, n_trunc: int) -> bool:
+    """Whether exp(-b_nu (n_trunc + 1)), the Gibbs weight of the levels past n_trunc, is at least 1e-12."""
+    return math.exp(-rp.b_nu * (n_trunc + 1)) >= 1e-12
 
 
 def ket_energy(n, level: str, rp: ReducedParams):
@@ -209,8 +215,8 @@ class DenseQuench:
     h_initial         bare Hamiltonian, diagonal
     h_final_sideband  quench target with the resonant m-quantum coupling
     rho_initial       thermal x electronic Gibbs state of h_initial
-    tail_warning      exp(-b_nu * n_trunc), the thermal weight from level
-                      n_trunc up, is at least 1e-12
+    tail_warning      truncation_tail_warning(rp, n_trunc): the Gibbs weight
+                      of the levels past n_trunc is at least 1e-12
     h_final_full      quench target with the full exponential coupling; built
                       and checked for Hermiticity on first read, since its
                       displacement matrix costs about dim^2/2 recurrence steps
@@ -242,8 +248,7 @@ def _check_hermitian(name: str, mat: np.ndarray) -> None:
 def dense_hamiltonians(rp: ReducedParams, n_trunc: int) -> DenseQuench:
     """Build the dense pre/post-quench operators and the initial Gibbs state.
 
-    Requires n_trunc >= m + 2.  Sets tail_warning when the thermal occupation
-    beyond the truncation exceeds 1e-12 of the total.
+    Requires n_trunc >= m + 2.  Sets tail_warning as truncation_tail_warning.
     """
     m = rp.m
     if n_trunc < m + 2:
@@ -280,7 +285,7 @@ def dense_hamiltonians(rp: ReducedParams, n_trunc: int) -> DenseQuench:
         h_initial=h_initial,
         h_final_sideband=h_side,
         rho_initial=rho,
-        tail_warning=math.exp(-rp.b_nu * n_trunc) >= 1e-12,
+        tail_warning=truncation_tail_warning(rp, n_trunc),
     )
 
 

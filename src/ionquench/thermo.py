@@ -62,16 +62,12 @@ __all__ = [
 _LN2 = math.log(2.0)
 
 
-# Fixed truncation constants: chunk size of the adaptive sums, and the "quiet"
-# stop (this many consecutive terms each below _TERM_REL_TOL of the running sum).
-# One term call covers at most _BLOCK_CHUNKS chunks of terms; rows are summed
-# _BLOCK_ROWS at a time, so a block's call covers 16 chunks of one row or one
-# chunk of 16 rows.
+# Fixed truncation constants: chunk size of the sums.  One term call covers at
+# most _BLOCK_CHUNKS chunks of terms; rows are summed _BLOCK_ROWS at a time, so
+# a block's call covers 16 chunks of one row or one chunk of 16 rows.
 _CHUNK = 512
 _BLOCK_CHUNKS = 16
 _BLOCK_ROWS = 16
-_TERM_REL_TOL = 1e-16
-_CONSECUTIVE_BELOW = 64
 
 
 @dataclass(frozen=True)
@@ -79,9 +75,8 @@ class TruncationPolicy:
     """How partition sums are truncated.
 
     n_pinned fixes the number of explicit terms (figure presets pin their
-    reference term counts); otherwise the sum grows adaptively until either 64
-    consecutive terms each contribute relative mass below 1e-16, or the
-    analytic tail bound certifies convergence, or n_cap is hit; tol is the
+    reference term counts); otherwise the sum grows adaptively until its
+    analytic tail bound certifies convergence or n_cap is hit; tol is the
     relative tail tolerance of that stop and of the converged flag.  In
     adaptive mode a sum that ends non-converged raises TruncationError
     unless error_on_nonconverged is cleared; pinned sums never raise, they
@@ -106,8 +101,8 @@ class TruncationPolicy:
 class TruncationReport:
     """n_used explicit terms; tail_bound_log = log(estimated tail / sum).
 
-    stop_reason says why the sum ended: "quiet", "bound", "cap" or "pinned"
-    for a chunked sum, and "exact" for a closed form.
+    stop_reason says why the sum ended: "bound", "cap" or "pinned" for a
+    chunked sum, and "exact" for a closed form.
     """
 
     n_used: int
@@ -342,12 +337,6 @@ def _chunk_log_sums(rows: np.ndarray) -> tuple[list[float], list[float]]:
     return his, [hi + math.log(s) for hi, s in zip(his, sums)]
 
 
-def _quiet(terms: np.ndarray, before: np.ndarray, log_thresh: float) -> np.ndarray:
-    """Which terms are below log_thresh relative to the running sum before their chunk (a column)."""
-    with np.errstate(invalid="ignore"):
-        return np.where(before == -math.inf, ~(terms > -math.inf), (terms - before) < log_thresh)
-
-
 def _log_sums(term_logs, n_rows: int, policy: TruncationPolicy, bounds=None) -> list[tuple[float, int, str]]:
     """(log of the sum, terms used, stop reason) of each of n_rows rows of terms, summed ascending in n.
 
@@ -355,76 +344,57 @@ def _log_sums(term_logs, n_rows: int, policy: TruncationPolicy, bounds=None) -> 
     listed in live, as a [len(live) x (n_hi - n_lo)] block.  Each row is
     folded chunk by chunk, so it keeps the bits of a one-row, one-chunk-at-a-
     time sum, and leaves live when it stops: after n_pinned terms ("pinned");
-    else once _CONSECUTIVE_BELOW consecutive terms are quiet ("quiet"); else
-    at the first chunk edge n where bounds[row](n) holds ("bound"); else at
-    n_cap ("cap").  A term counts as quiet against the running sum at the
-    start of its chunk, which only understates its significance, so the quiet
-    rule is conservative.
+    else at the first chunk edge n where bounds[row](n) holds ("bound"); else
+    at n_cap ("cap").  Pinned sums do not read bounds.
 
     One call covers at most _BLOCK_CHUNKS chunks over the live rows (at least
-    one per row) and never runs past a live row's pinned, cap or bound stop.
-    Adaptive calls take 1, 2, 4, ... chunks per row, so a quiet stop overruns
-    its row by at most 15 chunks.
+    one per row; adaptive calls take 1, 2, 4, ... chunks per row) and ends at
+    its live rows' earliest stop, so no term past a row's stop is computed.
     """
     pinned = policy.n_pinned is not None
     end = policy.n_pinned if pinned else policy.n_cap
-    log_thresh = math.log(_TERM_REL_TOL)
     out: list = [None] * n_rows
     running = [-math.inf] * n_rows
-    consec = [0] * n_rows
     live = list(range(n_rows))
     n_done = 0
     n_chunks = _BLOCK_CHUNKS if pinned else 1
     while live:
         n_hi = min(n_done + min(n_chunks, max(1, _BLOCK_CHUNKS // len(live))) * _CHUNK, end)
         bound_at = {}
-        if bounds is not None:
+        if bounds is not None and not pinned:
             edges = [*range(n_done + _CHUNK, n_hi, _CHUNK), n_hi]
-            for row in live:
-                at = next((edge for edge in edges if bounds[row](edge)), None)
-                if at is not None:
-                    bound_at[row] = at
-            n_hi = min(bound_at.values(), default=n_hi)
+            bound_at = {row: next((edge for edge in edges if bounds[row](edge)), None) for row in live}
+            n_hi = min((edge for edge in bound_at.values() if edge is not None), default=n_hi)
         xs = term_logs(live, n_done, n_hi)
         split = (n_hi - n_done) // _CHUNK * _CHUNK
         # Each row's full chunks as consecutive rows of one block, then its partial last chunk.
-        for n_lo, chunks in ((n_done, xs[:, :split].reshape(-1, _CHUNK)), (n_done + split, xs[:, split:])):
+        for chunks in (xs[:, :split].reshape(-1, _CHUNK), xs[:, split:]):
             if chunks.size == 0:
                 continue
-            per, width = chunks.shape[0] // len(live), chunks.shape[1]
-            befores, afters = [], []
+            per = chunks.shape[0] // len(live)
             for k, (hi, chunk_log) in enumerate(zip(*_chunk_log_sums(chunks))):
                 row = live[k // per]
-                befores.append(running[row])
                 # The chunk has a term above -inf iff its max is, unless a nan hides it.
                 if hi > -math.inf or (hi != hi and (chunks[k] > -math.inf).any()):
                     running[row] = float(np.logaddexp(running[row], chunk_log))
-                afters.append(running[row])
-            if pinned:
-                continue
-            before = np.array(befores)[:, None]
-            # Quiet terms at the end of each chunk (width if all are quiet).  A loud
-            # last term makes that 0, so only chunks with a quiet last term are tested whole.
-            runs = np.zeros(len(afters), dtype=int)
-            ends_quiet = np.flatnonzero(_quiet(chunks[:, -1:], before, log_thresh))
-            if ends_quiet.size:
-                below = _quiet(chunks[ends_quiet], before[ends_quiet], log_thresh)
-                runs[ends_quiet] = np.where(below.all(axis=1), width, np.argmax(~below[:, ::-1], axis=1))
-            for k, (run, running_after) in enumerate(zip(runs.tolist(), afters)):
-                row = live[k // per]
-                if out[row] is None:
-                    consec[row] = consec[row] + width if run == width else run
-                    n_used = n_lo + (k % per + 1) * width
-                    if consec[row] >= _CONSECUTIVE_BELOW:
-                        out[row] = (running_after, n_used, "quiet")
-                    elif n_used == bound_at.get(row):
-                        out[row] = (running_after, n_used, "bound")
-        if n_hi == end:  # the rows still live stop at the pin or the cap
-            out = [result or (running[row], end, "pinned" if pinned else "cap") for row, result in enumerate(out)]
+        for row in live:
+            if bound_at.get(row) == n_hi:
+                out[row] = (running[row], n_hi, "bound")
+            elif n_hi == end:
+                out[row] = (running[row], end, "pinned" if pinned else "cap")
         live = [row for row in live if out[row] is None]
         n_done = n_hi
         n_chunks = min(2 * n_chunks, _BLOCK_CHUNKS)
     return out
+
+
+def _coupling_alive(rp: ReducedParams) -> bool:
+    """Whether the drive couples any levels: omega_rabi > 0 and, on a sideband, eta > 0.
+
+    The one dead-coupling rule: a dead row has an exact zero lag and never
+    diverges.  Only the ratio omega_rabi/nu of rp enters, not its temperature.
+    """
+    return rp.r_om > 0 and (rp.m == 0 or rp.eta > 0)
 
 
 def _excess_lags(rps: list[ReducedParams], policy: TruncationPolicy) -> list[tuple[float, float, TruncationReport]]:
@@ -438,8 +408,7 @@ def _excess_lags(rps: list[ReducedParams], policy: TruncationPolicy) -> list[tup
     out: list = [None] * len(rps)
     by_m: dict[int, list[int]] = {}
     for i, rp in enumerate(rps):
-        if rp.b_om == 0.0 or (rp.m > 0 and rp.eta == 0.0):
-            # Dead coupling: the excess vanishes identically, no scan needed.
+        if not _coupling_alive(rp):  # the excess vanishes identically, no scan needed
             out[i] = (ln_partition_initial(rp).shifted_log, 0.0, _EXACT_REPORT)
         else:
             by_m.setdefault(rp.m, []).append(i)
@@ -466,9 +435,7 @@ def _excess_block(rps: list[ReducedParams], policy: TruncationPolicy) -> list[tu
     # log(1 + e^(-b_w0)): log Z_i without its log(nbar+1), which cancels against the tails'.
     zi_edges = [math.log1p(math.exp(-rp.b_w0)) for rp in rps]
     log_tol = math.log(policy.tol)
-    bounds = None
-    if policy.n_pinned is None:
-        bounds = [lambda n, tail=tail, edge=edge: tail(n) - edge <= log_tol for tail, edge in zip(tails, zi_edges)]
+    bounds = [lambda n, tail=tail, edge=edge: tail(n) - edge <= log_tol for tail, edge in zip(tails, zi_edges)]
     sums = _log_sums(lambda live, lo, hi: _excess_logs(_take(rows, live), lo, hi), len(rps), policy, bounds)
     out = []
     for rp, tail, zi_edge, (log_sum, n_done, stop_reason) in zip(rps, tails, zi_edges, sums):
@@ -526,17 +493,20 @@ def _direct_term_logs(rp: ReducedParams, n_lo: int, n_hi: int) -> np.ndarray:
 
 
 def _ln_partition_final_direct(rp: ReducedParams, policy: TruncationPolicy) -> LogPartition:
-    # No early tail-bound stop: this reference sum ends on the quiet rule, the
-    # pin or the cap, and its own tail bound is checked afterwards.
-    ((running, n_done, stop_reason),) = _log_sums(lambda live, lo, hi: _direct_term_logs(rp, lo, hi)[None, :], 1, policy)
-    total = float(np.logaddexp(running, _edge_shifted_log(rp)))
-    # Tail of the direct sum: each term is at most 2 e^(-b_nu(n+m/2)) e^(X_max)
+    # Shifted log of the terms past n: each is at most 2 e^(-b_nu(n+m/2)) e^(X_max),
     # with the splitting at the u = b_om envelope of the coupling.
     abs_bwl, d_aw = _abs_bwl_minus_bw0(rp)
     env = 0.5 * (d_aw + float(sqrt_excess(abs_bwl, rp.b_om)))
-    tail_log = _LN2 + env - rp.b_nu * (n_done + 0.5 * rp.m) + rp.ln_nbar_plus_1
-    tail_bound_log = tail_log - total
-    converged = tail_bound_log <= math.log(policy.tol)
+    tail = lambda n: _LN2 + env - rp.b_nu * (n + 0.5 * rp.m) + rp.ln_nbar_plus_1
+    # Z_final >= Z_initial exactly, so a tail below tol of Z_initial certifies the stop.
+    ln_zi = ln_partition_initial(rp).shifted_log
+    log_tol = math.log(policy.tol)
+    ((running, n_done, stop_reason),) = _log_sums(
+        lambda live, lo, hi: _direct_term_logs(rp, lo, hi)[None, :], 1, policy, [lambda n: tail(n) - ln_zi <= log_tol]
+    )
+    total = float(np.logaddexp(running, _edge_shifted_log(rp)))
+    tail_bound_log = tail(n_done) - max(total, ln_zi)
+    converged = tail_bound_log <= log_tol
     report = TruncationReport(
         n_used=n_done, tail_bound_log=tail_bound_log, converged=converged, stop_reason=stop_reason
     )
@@ -624,16 +594,6 @@ def default_scan_bound(m: int) -> int:
     """Witnesses beyond this are impossible: |f_n^m| decays in n while the
     divergence threshold grows like sqrt(n)."""
     return 10 * m + 100
-
-
-def _coupling_alive(rp: ReducedParams) -> bool:
-    """Whether any f_n^m is nonzero: carrier always couples, sidebands need eta > 0.
-
-    Only the ratio omega_rabi/nu of rp enters, not its temperature.
-    """
-    if rp.r_om <= 0:
-        return False
-    return rp.m == 0 or rp.eta > 0
 
 
 def _zero_temperature(

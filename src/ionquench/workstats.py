@@ -20,7 +20,7 @@ import numpy as np
 
 from .numerics import eta_squared
 from .params import ReducedParams
-from .spectra import DenseQuench, EigenPair, edge_level, ket_energy, sideband_eigenvectors
+from .spectra import DenseQuench, EigenPair, edge_level, ket_energy, sideband_eigenvectors, truncation_tail_warning
 
 __all__ = [
     "WorkMoments",
@@ -116,8 +116,9 @@ class WorkPMF:
     """Two-point-measurement work distribution, collated and sorted.
 
     values/probabilities are parallel arrays sorted by work value, with
-    nearby values merged.  tail_warning is set when the thermal weight of the
-    initial states beyond the truncation (not renormalized) exceeds 1e-10.
+    nearby values merged.  tail_warning is spectra.truncation_tail_warning: the
+    Gibbs weight of the initial levels past the truncation (not renormalized)
+    is at least 1e-12.
     """
 
     values: np.ndarray
@@ -180,5 +181,5 @@ def work_pmf_sideband(rp: ReducedParams, n_trunc: int) -> WorkPMF:
     return WorkPMF(
         values=np.asarray(merged_w),
         probabilities=np.asarray(merged_p),
-        tail_warning=math.exp(-rp.b_nu * (n_trunc + 1)) > 1e-10,
+        tail_warning=truncation_tail_warning(rp, n_trunc),
     )

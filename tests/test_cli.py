@@ -170,6 +170,15 @@ class TestLagCommand:
         rows = read_csv(tmp_path / "x.csv")
         assert rows[0]["converged"] == "false"
 
+    def test_adaptive_row_runs_on_to_the_bound_edge(self, tmp_path):
+        # This row used to stop at 1024 terms, write converged false and exit 3,
+        # although 1536 terms certify it with the same lag.
+        args = ["lag", "--desk-scale", "--omega", "1e9", "--nbar", "30", "--branch", "jc", "--m", "1", "--out"]
+        assert main(args + [str(tmp_path / "adaptive.csv")]) == 0
+        assert main(args + [str(tmp_path / "pinned.csv"), "--nmax", "1536"]) == 0
+        (row,), (pinned,) = read_csv(tmp_path / "adaptive.csv"), read_csv(tmp_path / "pinned.csv")
+        assert (row["converged"], row["n_used"], row["lag"]) == ("true", "1536", pinned["lag"])
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         assert main(["lag", "--nbar", "-1"]) == 2
         assert main(["lag", "--nbar", "1", "--beta", "2"]) == 2

@@ -432,30 +432,18 @@ class TestCouplingCache:
 
 def _one_chunk_at_a_time(term_logs, policy, bound_reached=None):
     """The chunked log-sum loop as it was before terms came in blocks: the reference."""
-    log_thresh = math.log(thermo._TERM_REL_TOL)
     running = -math.inf
     n_done = 0
-    consec = 0
     target = policy.n_pinned if policy.n_pinned is not None else policy.n_cap
     while n_done < target:
         n_hi = min(n_done + thermo._CHUNK, target)
         xs = term_logs(n_done, n_hi)
-        finite = xs > -math.inf
-        val_before = running
-        if finite.any():
+        if (xs > -math.inf).any():
             hi = float(np.max(xs))
             running = float(np.logaddexp(running, hi + math.log(float(np.sum(np.exp(xs - hi))))))
-        below = ~finite if val_before == -math.inf else (xs - val_before) < log_thresh
-        if bool(below.all()):
-            consec += xs.size
-        else:
-            consec = int(xs.size - 1 - np.max(np.nonzero(~below)[0]))
         n_done = n_hi
-        if policy.n_pinned is None:
-            if consec >= thermo._CONSECUTIVE_BELOW:
-                return running, n_done, "quiet"
-            if bound_reached is not None and bound_reached(n_done):
-                return running, n_done, "bound"
+        if policy.n_pinned is None and bound_reached is not None and bound_reached(n_done):
+            return running, n_done, "bound"
     return running, n_done, "pinned" if policy.n_pinned is not None else "cap"
 
 
@@ -526,8 +514,7 @@ class TestBlockedLogSum:
         # run past a pinned, capped or bound stop.
         assert [lo for lo, _ in asked] == [0] + [hi for _, hi in asked[:-1]]
         assert all(hi - lo <= 16 * thermo._CHUNK for lo, hi in asked)
-        if got[2] != "quiet":
-            assert asked[-1][1] == got[1]
+        assert asked[-1][1] == got[1]
 
     @settings(deadline=None, max_examples=100)
     @given(_term_blocks())
@@ -544,11 +531,9 @@ class TestBlockedLogSum:
         for row, (terms, (log_sum, n_used, stop_reason)) in enumerate(zip(rows, got)):
             ref = _one_chunk_at_a_time(lambda lo, hi: terms[lo:hi].copy(), policy, None if fires is None else bounds[row])
             assert (log_sum.hex(), n_used, stop_reason) == (ref[0].hex(), *ref[1:]), row
-            # A row is asked for until it stops: never past a pinned, cap or
-            # bound stop, and at most 15 chunks past a quiet one.
+            # A row is asked for until it stops, and never past a pinned, cap or bound stop.
             assert [row in live for live, _, _ in calls] == [lo < n_used for _, lo, _ in calls]
-            last = max(hi for live, _, hi in calls if row in live)
-            assert last - n_used <= (15 * thermo._CHUNK if stop_reason == "quiet" else 0)
+            assert max(hi for live, _, hi in calls if row in live) == n_used
         # Calls tile [0, end) in order, each within max(16, live) chunks.
         assert [lo for _, lo, _ in calls] == [0] + [hi for _, _, hi in calls[:-1]]
         assert all(len(live) * (hi - lo) <= max(16, len(live)) * thermo._CHUNK for live, lo, hi in calls)
@@ -744,7 +729,7 @@ _ADAPTIVE_POLICIES = (
     TruncationPolicy(error_on_nonconverged=False),
     TruncationPolicy(n_cap=700, error_on_nonconverged=False),  # "cap" with a partial last chunk
     TruncationPolicy(tol=1e-6, error_on_nonconverged=False),
-    TruncationPolicy(tol=1e-300, n_cap=3000, error_on_nonconverged=False),  # "quiet"
+    TruncationPolicy(tol=1e-300, n_cap=3000, error_on_nonconverged=False),  # "cap" after several calls
 )
 
 
@@ -786,6 +771,14 @@ class TestBatchedAdaptiveRows:
             assert got == (lag.hex(), n_used, tail_bound_log.hex(), converged), point
             assert (result.divergence_predicted, report.stop_reason) == (diverges, stop_reason), point
 
+    @settings(deadline=None, max_examples=40)
+    @given(_adaptive_spec_groups())
+    def test_every_stop_but_the_cap_is_converged(self, case):
+        specs, policy = case
+        rps = [reduce(point, point["m"], point["branch"], point.get("eta")) for spec in specs for point in spec.points()]
+        for rp, result in zip(rps, nonequilibrium_lags(rps, policy)):
+            assert result.truncation.stop_reason == "cap" or result.truncation.converged, rp
+
     def test_error_names_the_first_failing_point_in_sweep_order(self):
         # At 512 terms the m = 1 tail lies above the m = 2 tail, and tol is set
         # between them: at nbar 10 the m = 2 row stops on the bound while the
@@ -822,6 +815,19 @@ class TestSumWorkBounds:
                     assert report.stop_reason == "bound"
                     assert max(asked) == report.n_used > 5 * thermo._CHUNK
 
+    def test_direct_sums_stop_on_the_bound_without_overrun(self, monkeypatch):
+        # A direct sum used to stop on the terms themselves, one or more chunks
+        # after the call that computed them: 1024 terms used of 1536 at desk scale.
+        asked = []
+        real = thermo._direct_term_logs
+        monkeypatch.setattr(thermo, "_direct_term_logs", lambda rp, lo, hi: asked.append(hi) or real(rp, lo, hi))
+        for m, branch in ((0, Branch.CARRIER), (1, Branch.JC), (2, Branch.AJC)):
+            for nbar in (0.38, 3.0, 30.0, 300.0):
+                asked.clear()
+                report = ln_partition_final(desk_reduced(m, branch, 0.8, nbar=nbar), assembly="direct").truncation
+                assert report.stop_reason == "bound" and report.converged
+                assert max(asked) == report.n_used
+
     @pytest.mark.parametrize("n_pinned, calls", [(40, 1), (5000, 1), (8192, 1), (8193, 2)])
     def test_pinned_row_makes_one_term_call_up_to_sixteen_chunks(self, monkeypatch, n_pinned, calls):
         asked = []
@@ -836,6 +842,16 @@ class TestStopReason:
         report = nonequilibrium_lag(fig1_reduced(2, Branch.AJC, 1.5, nbar=1e4)).truncation
         assert report.stop_reason == "bound" and report.converged
 
+    def test_row_runs_on_to_the_bound_edge(self):
+        # Its terms fall below 1e-16 of the running sum well before 1536 terms,
+        # where the tail bound first certifies it: it used to stop there at
+        # 1024 terms, report converged=False and raise.
+        rp = reduced_from_ratios(10.0, 1000.0, 0.5, 1, Branch.JC, nbar=30.0)
+        result = nonequilibrium_lag(rp)
+        report = result.truncation
+        assert (report.stop_reason, report.n_used, report.converged) == ("bound", 1536, True)
+        assert result.value.hex() == nonequilibrium_lag(rp, policy=TruncationPolicy(n_pinned=1536)).value.hex()
+
     def test_pinned_row(self):
         report = nonequilibrium_lag(fig1_reduced(2, Branch.JC, 1.5), policy=TruncationPolicy(n_pinned=40)).truncation
         assert report.stop_reason == "pinned"
@@ -844,7 +860,7 @@ class TestStopReason:
         assert nonequilibrium_lag(fig1_reduced(1, Branch.JC, 0.0)).truncation.stop_reason == "exact"
         assert ln_partition_initial(fig1_reduced(1, Branch.JC, 0.5)).truncation.stop_reason == "exact"
         direct = ln_partition_final(desk_reduced(1, Branch.JC, 0.8), assembly="direct").truncation
-        assert direct.stop_reason == "quiet"
+        assert direct.stop_reason == "bound" and direct.converged
         capped = ln_partition_final(
             reduced_from_ratios(10.0, 1e4, 0.5, 0, Branch.CARRIER, nbar=1e8),
             policy=TruncationPolicy(n_cap=1000, error_on_nonconverged=False),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ionquench.params import Branch, reduce
-from ionquench.spectra import dense_hamiltonians
+from ionquench.spectra import dense_hamiltonians, truncation_tail_warning
 from ionquench.workstats import moments_analytic, moments_numeric, work_pmf_sideband
 from conftest import FIG1, desk_reduced, eager_full_hamiltonian
 
@@ -158,6 +158,14 @@ class TestWorkPMF:
         rp = desk_reduced(0, Branch.CARRIER, 0.5, nbar=30.0)
         pmf = work_pmf_sideband(rp, 20)
         assert pmf.tail_warning
+
+    def test_tail_warning_agrees_with_the_dense_operators(self):
+        # b_nu = ln 2: the weight past n_trunc = 33 is 2^-34.  The two flags used to
+        # disagree at 33 and 39 (the PMF read 1e-10, the dense operators the weight from n_trunc up).
+        rp = desk_reduced(1, Branch.JC, 0.5, nbar=1.0)
+        for n_trunc, warns in ((33, True), (39, False), (40, False)):
+            flags = (work_pmf_sideband(rp, n_trunc).tail_warning, dense_hamiltonians(rp, n_trunc).tail_warning)
+            assert flags == (warns, warns) and truncation_tail_warning(rp, n_trunc) is warns
 
     def test_edge_states_contribute_zero_work(self):
         # JC leaves |n, g> with n < m untouched; their two-point work is zero.
