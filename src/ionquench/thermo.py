@@ -32,6 +32,7 @@ engine, _log_sums, with a stop state per row.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -102,7 +103,9 @@ class TruncationReport:
     """n_used explicit terms; tail_bound_log = log(estimated tail / sum).
 
     stop_reason says why the sum ended: "bound", "cap" or "pinned" for a
-    chunked sum, and "exact" for a closed form.
+    chunked sum; "settled" for a pinned sum whose remaining terms could not
+    change a bit of it, so it holds the value of all n_used = n_pinned terms
+    without computing them; and "exact" for a closed form.
     """
 
     n_used: int
@@ -189,16 +192,17 @@ def _coupling_upto(m: int, eta: float, n_max: int) -> tuple[np.ndarray, np.ndarr
 def _grow_coupling(key: tuple[int, float], entry, n_max: int):
     """Store an entry for key that reaches n_max, resuming the recurrence.
 
-    A new key starts with enough terms for the divergence scan as well, so a
-    pinned row needs one recurrence call.  An extension computes only the
-    missing terms; the arrays double in capacity when full, so copying stays
-    linear in the final length.
+    A new key is filled only to the n_max asked, so a pinned row needs one
+    recurrence call for its terms; a divergence scan that still runs (see
+    _jc_phi_positive) extends the key like any longer request.  An extension
+    computes only the missing terms; the arrays double in capacity when
+    full, so copying stays linear in the final length.
     """
     m, eta = key
     if entry is None:
         if len(_COUPLING_CACHE) >= _COUPLING_CACHE_KEYS:
             _COUPLING_CACHE.clear()
-        entry = coupling_logabs_sequence(max(n_max, default_scan_bound(m)), m, eta, resume=LAGUERRE_START)
+        entry = coupling_logabs_sequence(n_max, m, eta, resume=LAGUERRE_START)
     else:
         signs, log_mags, state = entry
         new_signs, new_mags, new_state = coupling_logabs_sequence(n_max, m, eta, resume=state)
@@ -337,7 +341,32 @@ def _chunk_log_sums(rows: np.ndarray) -> tuple[list[float], list[float]]:
     return his, [hi + math.log(s) for hi, s in zip(his, sums)]
 
 
-def _log_sums(term_logs, n_rows: int, policy: TruncationPolicy, bounds=None) -> list[tuple[float, int, str]]:
+_LN16 = math.log(16.0)
+
+
+def _settled(running: float, tail_log: float) -> bool:
+    """Whether terms that sum to at most e^tail_log can no longer change the bits of running.
+
+    The rule: a = running is a finite normal float and
+    tail_log < a + log(ulp(a)) - log(16).
+
+    Proof.  Every chunk folded later has an exact sum of at most e^tail_log,
+    and the computed chunk_log exceeds its exact log by at most delta, a few
+    ulps of the logs involved (terms, pairwise sum, tail), far below ln 4.
+    np.logaddexp(a, c) with c < a computes a + log1p(e^(c-a)), and
+    log1p(x) <= x, so it adds at most e^(c-a) < e^delta ulp(a)/16 < ulp(a)/4.
+    The floats next to a lie ulp(a) away above |a| and at least ulp(a)/2
+    below, so a + that rounds back to a.  running is then unchanged, so
+    the same test holds for the next chunk, and for all of them.
+
+    -inf (nothing folded yet) and nan never settle, as the right side is
+    nan.  0.0 and subnormals (a sum within 1e-308 of 1) are left out too,
+    so the argument needs only normal floats.
+    """
+    return abs(running) >= sys.float_info.min and tail_log < running + math.log(math.ulp(running)) - _LN16
+
+
+def _log_sums(term_logs, n_rows: int, policy: TruncationPolicy, bounds=None, tails=None) -> list[tuple[float, int, str]]:
     """(log of the sum, terms used, stop reason) of each of n_rows rows of terms, summed ascending in n.
 
     term_logs(live, n_lo, n_hi) gives the terms n_lo..n_hi-1 of the rows
@@ -345,7 +374,10 @@ def _log_sums(term_logs, n_rows: int, policy: TruncationPolicy, bounds=None) -> 
     folded chunk by chunk, so it keeps the bits of a one-row, one-chunk-at-a-
     time sum, and leaves live when it stops: after n_pinned terms ("pinned");
     else at the first chunk edge n where bounds[row](n) holds ("bound"); else
-    at n_cap ("cap").  Pinned sums do not read bounds.
+    at n_cap ("cap").  A pinned row also leaves, with the bits and n_used of
+    its n_pinned-term sum, between calls once _settled(running, tails[row](n))
+    holds, where tails[row](n) bounds the log of the sum of its terms from n
+    on ("settled").  Pinned sums do not read bounds, adaptive ones not tails.
 
     One call covers at most _BLOCK_CHUNKS chunks over the live rows (at least
     one per row; adaptive calls take 1, 2, 4, ... chunks per row) and ends at
@@ -382,6 +414,8 @@ def _log_sums(term_logs, n_rows: int, policy: TruncationPolicy, bounds=None) -> 
                 out[row] = (running[row], n_hi, "bound")
             elif n_hi == end:
                 out[row] = (running[row], end, "pinned" if pinned else "cap")
+            elif pinned and tails is not None and _settled(running[row], tails[row](n_hi)):
+                out[row] = (running[row], end, "settled")
         live = [row for row in live if out[row] is None]
         n_done = n_hi
         n_chunks = min(2 * n_chunks, _BLOCK_CHUNKS)
@@ -436,7 +470,11 @@ def _excess_block(rps: list[ReducedParams], policy: TruncationPolicy) -> list[tu
     zi_edges = [math.log1p(math.exp(-rp.b_w0)) for rp in rps]
     log_tol = math.log(policy.tol)
     bounds = [lambda n, tail=tail, edge=edge: tail(n) - edge <= log_tol for tail, edge in zip(tails, zi_edges)]
-    sums = _log_sums(lambda live, lo, hi: _excess_logs(_take(rows, live), lo, hi), len(rps), policy, bounds)
+    # The tails with their log(nbar+1) put back: bounds on the log of the excess terms from n on.
+    term_tails = [lambda n, tail=tail, ln1=rp.ln_nbar_plus_1: tail(n) + ln1 for tail, rp in zip(tails, rps)]
+    sums = _log_sums(
+        lambda live, lo, hi: _excess_logs(_take(rows, live), lo, hi), len(rps), policy, bounds, term_tails
+    )
     out = []
     for rp, tail, zi_edge, (log_sum, n_done, stop_reason) in zip(rps, tails, zi_edges, sums):
         ln_zi = ln_partition_initial(rp).shifted_log
@@ -552,13 +590,38 @@ def _phi_parts(rp: ReducedParams, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     when it is ~1e-11 of omega0/nu.  Only the frequency ratios of rp enter,
     not its temperature.
     """
-    m, r_w0 = rp.m, rp.r_w0
-    u = _scaled_coupling(m, rp.eta, rp.r_om, 0, n_max + 1)
-    sign = rp.branch.sideband_sign if m > 0 else 0
-    r_wl = r_w0 + sign * m
-    d_aw = float(sign * m) if r_wl >= 0 else -2.0 * r_w0 - sign * m
-    ladder = (2.0 * np.arange(n_max + 1, dtype=float) + m) - d_aw
+    u = _scaled_coupling(rp.m, rp.eta, rp.r_om, 0, n_max + 1)
+    r_wl, d_aw = _phi_offsets(rp)
+    ladder = (2.0 * np.arange(n_max + 1, dtype=float) + rp.m) - d_aw
     return ladder, sqrt_excess(abs(r_wl), u)
+
+
+def _phi_offsets(rp: ReducedParams) -> tuple[float, float]:
+    """(r_wl, d_aw) of the Phi scan: omega_laser/nu, and |r_wl| - r_w0 formed without cancellation."""
+    sign = rp.branch.sideband_sign if rp.m > 0 else 0
+    r_wl = rp.r_w0 + sign * rp.m
+    return r_wl, float(sign * rp.m) if r_wl >= 0 else -2.0 * rp.r_w0 - sign * rp.m
+
+
+def _jc_phi_positive(rp: ReducedParams) -> bool:
+    """Whether |f_n^m| <= 1 alone makes every Phi_n^m of a JC row positive, so no scan is needed.
+
+    The rule: r_om^2 < ladder_0 |r_wl|, where ladder_0 = m - d_aw is the
+    n = 0 ladder as _phi_parts forms it, 2 min(m, r_w0) up to rounding (JC:
+    2m when r_wl >= 0, 2 r_w0 when r_wl < 0).  It never holds at r_wl = 0.
+
+    Proof, for the floats _phi_scan computes.  Rounding is monotone and
+    2n + m >= m, so every ladder_n >= ladder_0.  The excess is
+    u^2/(hypot(|r_wl|, u) + |r_wl|) <= u^2/(2|r_wl|) up to a few ulps, and
+    u = r_om |f_n^m| <= r_om up to a few ulps, as |f| <= 1 (a computed |f|
+    may sit a few ulps above 1).  So the excess is below ladder_0/2 times
+    (1 + 1e-14): the rule keeps a factor 2 on the exact condition
+    r_om^2 < 2 ladder_0 |r_wl|.  Then Phi_n = ladder_n - excess is at least
+    about ladder_n/2 > 0: no negative witness, and no zero crossing either,
+    since that needs |Phi_n| <= 1e-9 (ladder_n + excess).
+    """
+    r_wl, d_aw = _phi_offsets(rp)
+    return rp.r_om**2 < (rp.m - d_aw) * abs(r_wl)
 
 
 def phi_reduced(n: int, rp: ReducedParams) -> float:
@@ -592,7 +655,11 @@ def _phi_scan(rp: ReducedParams) -> tuple[list[int], list[int]]:
 
 def default_scan_bound(m: int) -> int:
     """Witnesses beyond this are impossible: |f_n^m| decays in n while the
-    divergence threshold grows like sqrt(n)."""
+    divergence threshold grows like sqrt(n).
+
+    A scan extends the coupling cache of its key to this bound; a JC row
+    that _jc_phi_positive clears is not scanned, so its key is filled only
+    to the terms its sum uses."""
     return 10 * m + 100
 
 
@@ -639,8 +706,11 @@ def divergence_predicate_reduced(rp: ReducedParams) -> DivergenceReport:
     exponent is strictly negative); a JC quench diverges iff some exponent
     Phi_n^m turns negative, equivalently
     |f_n^m| > (2/omega_rabi) sqrt(nu (omega0 + n nu)(n+m)) for some n.
-    Only the frequency ratios of rp enter, not its temperature.
+    Only the frequency ratios of rp enter, not its temperature.  A JC row
+    that _jc_phi_positive clears is not scanned.
     """
+    if rp.branch is Branch.JC and _jc_phi_positive(rp):
+        return DivergenceReport(diverges=False, witnesses=[])
     diverges, negative, _ = _zero_temperature(rp)
     return DivergenceReport(diverges=diverges, witnesses=negative)
 

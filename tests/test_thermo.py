@@ -10,6 +10,7 @@ from ionquench.params import Branch, reduce, reduced_from_ratios
 from ionquench.presets import desk_scale_point, figure_presets
 from ionquench.spectra import dense_hamiltonians
 from ionquench import thermo
+from ionquench.cli import main
 from ionquench.sweep import SweepSpec, run_specs
 from ionquench.thermo import (
     TruncationError,
@@ -299,6 +300,55 @@ class TestDivergencePredicate:
         assert len(flags) == 1440 and True in flags and False in flags
 
 
+@st.composite
+def _jc_rows_about_the_skip_edge(draw):
+    """JC rows with r_om on both sides of the edge sqrt(2 min(m, r_w0) |r_wl|) of _jc_phi_positive."""
+    m = draw(st.integers(1, 30))
+    r_w0 = 10.0 ** draw(st.floats(math.log10(0.5), 12.0))
+    edge = math.sqrt(2.0 * min(m, r_w0) * abs(r_w0 - m))
+    r_om = max(edge, 1e-3) * 10.0 ** draw(st.floats(-1.0, 1.0))
+    eta = 10.0 ** draw(st.floats(-2.0, math.log10(5.0)))
+    return reduced_from_ratios(r_w0, r_om, eta, m, Branch.JC, nbar=0.5)
+
+
+class TestJcScanSkip:
+    """A JC row whose |f| <= 1 bound rules out every witness is not scanned."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(_jc_rows_about_the_skip_edge())
+    def test_skip_agrees_with_the_full_scan(self, rp):
+        negative, zeros = thermo._phi_scan(rp)
+        report = divergence_predicate_reduced(rp)
+        assert (report.diverges, report.witnesses) == (bool(negative), negative)
+        if thermo._jc_phi_positive(rp):
+            assert negative == [] and zeros == []
+            # The proof's margin: Phi_n stays above half its ladder.
+            ladder, excess = thermo._phi_parts(rp, thermo.default_scan_bound(rp.m))
+            assert np.all(ladder - excess >= 0.5 * ladder * (1.0 - 1e-12))
+
+    def test_fig1_block_is_not_scanned(self, monkeypatch):
+        monkeypatch.setattr(thermo, "_phi_parts", lambda rp, n_max: pytest.fail("scanned"))
+        rps = [classify_rp(FIG1, m, Branch.JC, eta) for m in (1, 2, 29) for eta in (0.5, 3.5)]
+        assert all(thermo._jc_phi_positive(rp) for rp in rps)
+        assert not any(result.divergence_predicted for result in nonequilibrium_lags(rps, _pinned(40)))
+        assert all(divergence_predicate_reduced(rp) == thermo.DivergenceReport(False, []) for rp in rps)
+
+    def test_fig4_blocks_keep_their_scan(self):
+        rps = [classify_rp(FIG4_LEFT, m, Branch.JC, 1.5) for m in (1, 2)]
+        rps += [classify_rp(FIG4_RIGHT, m, Branch.JC, 1.0) for m in (1, 2)]
+        assert not any(thermo._jc_phi_positive(rp) for rp in rps)
+        assert [divergence_predicate_reduced(rp).witnesses for rp in rps] == [[0], [], [0], [0]]
+
+    def test_low_temperature_limit_keeps_its_scan(self, monkeypatch):
+        scanned = []
+        real = thermo._phi_parts
+        monkeypatch.setattr(thermo, "_phi_parts", lambda rp, n_max: scanned.append(n_max) or real(rp, n_max))
+        rp = classify_rp(FIG1, 1, Branch.JC, 0.5)
+        assert thermo._jc_phi_positive(rp)
+        assert low_temperature_limit(rp).limit_value == 0.0
+        assert scanned == [thermo.default_scan_bound(1)]
+
+
 class TestLowTemperatureLimit:
     def test_all_positive_gives_zero(self):
         limit = low_temperature_limit(classify_rp(FIG1, 1, Branch.JC, 0.5))
@@ -412,14 +462,14 @@ class TestCouplingCache:
             assert steps <= 2 * (max(n_max for n_max, _ in mine) + 1)
 
     def test_pinned_row_needs_one_recurrence_call(self, monkeypatch):
-        # The first fill also covers the divergence scan (10 m + 100 terms).
+        # The first fill covers the pinned terms; this JC row needs no divergence scan.
         calls = []
         real = thermo.coupling_logabs_sequence
         monkeypatch.setattr(thermo, "coupling_logabs_sequence", lambda *a, **k: calls.append(a) or real(*a, **k))
         monkeypatch.setattr(thermo, "_COUPLING_CACHE", {})
         rp = fig1_reduced(2, Branch.JC, 0.6)
         nonequilibrium_lag(rp, policy=TruncationPolicy(n_pinned=40))
-        assert [a[0] for a in calls] == [thermo.default_scan_bound(2)]
+        assert [a[0] for a in calls] == [39]
 
     def test_cached_values_equal_one_shot(self, monkeypatch):
         monkeypatch.setattr(thermo, "_COUPLING_CACHE", {})
@@ -643,6 +693,12 @@ def _one_row(rp, policy):
     return lag, n_done, tail_bound_log, converged, diverges, stop_reason
 
 
+def _ref_lag_report(rp, policy):
+    """(lag, report) of _one_row, the one-chunk-at-a-time reference."""
+    lag, n_used, tail_bound_log, converged, _, stop_reason = _one_row(rp, policy)
+    return lag, thermo.TruncationReport(n_used, tail_bound_log, converged, stop_reason)
+
+
 def _pinned(n_pinned):
     return TruncationPolicy(n_pinned=n_pinned, error_on_nonconverged=False)
 
@@ -723,6 +779,87 @@ class TestBatchedPinnedRows:
         for point, row in zip(spec.points(), rows):
             rp = reduce(point, point["m"], point["branch"], point["eta"])
             assert row.lag.hex() == _one_row(rp, _pinned(40))[0].hex()
+
+
+def _fig3_rows():
+    """(policy, rows) of each fig3 spec: AJC pinned at 2000 terms, JC at 5000, nbar 1e-4 to 10."""
+    for spec in figure_presets()["fig3"].specs:
+        yield _pinned(spec.n_pinned), [reduce(point, point["m"], point["branch"], point["eta"]) for point in spec.points()]
+
+
+def _report_bits(lag, report):
+    return lag.hex(), report.n_used, report.tail_bound_log.hex(), report.converged
+
+
+@st.composite
+def _fig3_like_blocks(draw):
+    """(pinned policy, 1 to 20 rows of one m and branch) at the fig3 block and pins.
+
+    nbar runs from fig3's 1e-4 up to 1e3, where rows settle late or not at all.
+    """
+    n_pinned, branch = draw(st.sampled_from([(5000, Branch.JC), (2000, Branch.AJC)]))
+    m = draw(st.integers(0, 2))
+    eta = draw(st.sampled_from([0.5, 0.5, 0.3, 1.5]))
+    top = draw(st.sampled_from([1.0, 3.0]))
+    nbars = draw(st.lists(st.floats(-4.0, top).map(lambda x: 10.0**x), min_size=1, max_size=20))
+    return _pinned(n_pinned), [fig1_reduced(m, branch_for(m, branch), eta, nbar=nbar) for nbar in nbars]
+
+
+class TestSettledPinnedRows:
+    """A pinned row leaves its block once its remaining terms cannot change a bit of its sum."""
+
+    def test_fig3_settles_with_the_bits_of_the_full_sum(self, monkeypatch):
+        asked = []
+        real = thermo._excess_logs
+        monkeypatch.setattr(
+            thermo, "_excess_logs", lambda rows, lo, hi: asked.append(len(rows.etas) * (hi - lo)) or real(rows, lo, hi)
+        )
+        for policy, rps in _fig3_rows():
+            asked.clear()
+            results = nonequilibrium_lags(rps, policy)
+            reports = [result.truncation for result in results if result.truncation.stop_reason != "exact"]
+            assert sum(asked) < len(reports) * policy.n_pinned
+            assert "settled" in {report.stop_reason for report in reports}
+            assert all(report.n_used == policy.n_pinned for report in reports)
+            for rp, result in zip(rps, results):
+                assert _report_bits(result.value, result.truncation) == _report_bits(*_ref_lag_report(rp, policy)), rp
+
+    @settings(deadline=None, max_examples=30)
+    @given(_fig3_like_blocks())
+    def test_blocks_bitwise_equal_to_one_chunk_at_a_time(self, case):
+        policy, rps = case
+        for rp, result in zip(rps, nonequilibrium_lags(rps, policy)):
+            assert _report_bits(result.value, result.truncation) == _report_bits(*_ref_lag_report(rp, policy)), rp
+
+    def test_settled_row_reports_its_pin(self):
+        # One row takes 16 chunks per call, so it can settle at 8192 of its 10000 terms.
+        report = nonequilibrium_lag(fig1_reduced(1, Branch.JC, 0.5, nbar=0.1), _pinned(10000)).truncation
+        assert (report.stop_reason, report.n_used, report.converged) == ("settled", 10000, True)
+
+    def test_running_of_minus_inf_or_zero_never_settles(self):
+        assert not thermo._settled(-math.inf, -math.inf)
+        assert not thermo._settled(0.0, -1e300)
+        assert not thermo._settled(math.nan, -1e300)
+        assert thermo._settled(1.0, -40.0) and not thermo._settled(1.0, -30.0)
+        # Rows whose first chunk sums to e^-inf, e^0 and e^1, then only terms the tail calls negligible.
+        chunk = thermo._CHUNK
+        rows = [np.full(3 * chunk, -np.inf) for _ in range(16)]
+        rows[1][0] = 0.0
+        rows[2][0] = 1.0
+        for terms in rows:
+            terms[chunk:] = -1e3
+        sums = thermo._log_sums(
+            lambda live, lo, hi: np.stack([rows[row][lo:hi] for row in live]),
+            len(rows), _pinned(3 * chunk), tails=[lambda n: -500.0] * len(rows),
+        )  # fmt: skip
+        assert [stop for _, _, stop in sums[:3]] == ["pinned", "pinned", "settled"]
+        assert sums[2] == (1.0, 3 * chunk, "settled")
+
+    def test_adaptive_policy_never_reads_the_tails(self):
+        terms = np.linspace(0.0, -100.0, 4000)
+        tails = [lambda n: pytest.fail("read a tail")]
+        (got,) = thermo._log_sums(lambda live, lo, hi: terms[None, lo:hi], 1, TruncationPolicy(n_cap=4000), None, tails)
+        assert got[1:] == (4000, "cap")
 
 
 _ADAPTIVE_POLICIES = (
@@ -830,11 +967,40 @@ class TestSumWorkBounds:
 
     @pytest.mark.parametrize("n_pinned, calls", [(40, 1), (5000, 1), (8192, 1), (8193, 2)])
     def test_pinned_row_makes_one_term_call_up_to_sixteen_chunks(self, monkeypatch, n_pinned, calls):
+        # At nbar 1e4 the terms fall by e^(-0.8) over 8192 terms: the row is not settled there.
         asked = []
         real = thermo._excess_logs
         monkeypatch.setattr(thermo, "_excess_logs", lambda rp, lo, hi: asked.append((lo, hi)) or real(rp, lo, hi))
-        report = nonequilibrium_lag(fig1_reduced(1, Branch.JC, 0.8), policy=TruncationPolicy(n_pinned=n_pinned)).truncation
+        rp = fig1_reduced(1, Branch.JC, 0.8, nbar=1e4)
+        report = nonequilibrium_lag(rp, policy=TruncationPolicy(n_pinned=n_pinned)).truncation
         assert len(asked) == calls and asked[-1][1] == report.n_used == n_pinned
+
+
+    @pytest.mark.parametrize(
+        "preset, steps, terms",
+        [
+            ("fig1", 8440, 16880), ("fig2", 120, 7440), ("fig3", 6144, 146880),
+            ("fig4", 464, 6200), ("fig5", 4096, 126976), ("fig6", 4800, 9600),
+        ],
+    )  # fmt: skip
+    def test_preset_work(self, monkeypatch, tmp_path, preset, steps, terms):
+        # Laguerre recurrence steps and excess terms of lag --preset, from a cold cache.
+        work = {"steps": 0, "terms": 0}
+        real_sequence, real_logs = thermo.coupling_logabs_sequence, thermo._excess_logs
+
+        def sequence(n_max, m, eta, *, resume):
+            work["steps"] += n_max - resume.n
+            return real_sequence(n_max, m, eta, resume=resume)
+
+        def excess_logs(rows, n_lo, n_hi):
+            work["terms"] += len(rows.etas) * (n_hi - n_lo)
+            return real_logs(rows, n_lo, n_hi)
+
+        monkeypatch.setattr(thermo, "coupling_logabs_sequence", sequence)
+        monkeypatch.setattr(thermo, "_excess_logs", excess_logs)
+        monkeypatch.setattr(thermo, "_COUPLING_CACHE", {})
+        assert main(["lag", "--preset", preset, "--out", str(tmp_path / "rows.csv")]) == 0
+        assert (work["steps"], work["terms"]) == (steps, terms)
 
 
 class TestStopReason:
