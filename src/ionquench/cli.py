@@ -1,7 +1,8 @@
 """Command-line front end: figure presets, sweeps, spectra, and verification.
 
 Subcommands: lag, moments, sweep, spectrum, verify.  Output is CSV
-(RFC-4180 quoting, '.' decimal, %.17g floats) or JSON lines via --format;
+(RFC-4180 quoting, '.' decimal, %.17g floats) or JSON lines via --format,
+with a non-finite float as the string "nan", "inf" or "-inf";
 the effective configuration is echoed into CSV header comments.  Config
 precedence is flags > config file > preset > defaults; an unset eta is the
 geometric Lamb-Dicke value; --phi is an error when no row uses that value.
@@ -14,19 +15,21 @@ Exit codes: 0 ok, 1 verification failure, 2 usage or config error,
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
+import math
+import operator
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
 from .params import Branch, reduce
 from .presets import FIG1_CONFIG, desk_scale_point, figure_presets
 from .spectra import dense_hamiltonians, spectrum_table
-from .sweep import RESULT_COLUMNS, SweepSpec, run_specs
+from .sweep import RESULT_COLUMNS, ResultRow, SweepSpec, run_specs
 from .thermo import TruncationPolicy
 from .verify import run_checks
 from .workstats import moments_analytic, moments_numeric
@@ -56,14 +59,33 @@ class ConfigError(Exception):
     pass
 
 
+def _bool_text(value) -> str:
+    return "true" if value else "false"
+
+
 def _fmt(value) -> str:
+    """The text of a header value: %.17g floats, true/false bools."""
     if isinstance(value, bool):
-        return "true" if value else "false"
+        return _bool_text(value)
     if isinstance(value, float):
-        return format(value, ".17g")
-    if value is None:
-        return ""
+        return "%.17g" % value
     return str(value)
+
+
+# The % conversion of each column type in a CSV row; a bool or str cell is made text first.
+_CSV_CONVERSIONS = {float: "%.17g", int: "%d", bool: "%s", str: "%s"}
+
+
+def _quoted(text: str) -> str:
+    """text as an RFC-4180 field: in quotes, its quotes doubled, when it holds a comma, a quote or a newline."""
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _json_value(value):
+    """value in a JSON line; a non-finite float, which JSON lacks, as its CSV text ("nan", "inf", "-inf")."""
+    return "%.17g" % value if isinstance(value, float) and not math.isfinite(value) else value
 
 
 def _parse_branches(text: str) -> tuple[Branch, ...]:
@@ -187,28 +209,42 @@ def _policy(args: argparse.Namespace) -> TruncationPolicy:
 class _Writer:
     """CSV or JSON-lines row sink with a stable column order.
 
-    A context manager: on exit it closes its --out file, and deletes that
-    file when an exception leaves the block, so a failed run leaves no
-    partial output behind.
+    columns maps each column name to its type (float, int, bool or str), in
+    output order, and write_row takes a row's values as a tuple in that
+    order.  A CSV row is one % format of a template built here from the
+    column types.  A context manager: on exit it closes its --out file, and
+    deletes that file when an exception leaves the block, so a failed run
+    leaves no partial output behind.
     """
 
-    def __init__(self, fmt: str, out_path: str | None, columns: tuple[str, ...], header_meta: dict):
+    def __init__(self, fmt: str, out_path: str | None, columns: dict[str, type], header_meta: dict):
         self.fmt = fmt
-        self.columns = columns
+        self.columns = tuple(columns)
         self._fh = open(out_path, "w", newline="") if out_path else sys.stdout
         self._out_path = out_path
-        self._csv = None
+        self._template = ",".join(_CSV_CONVERSIONS[kind] for kind in columns.values()) + "\n"
+        # (position, to text) of each bool and str column.
+        self._texts = [
+            (i, _bool_text if kind is bool else _quoted)
+            for i, kind in enumerate(columns.values())
+            if kind in (bool, str)
+        ]
         if fmt == "csv":
             for key in sorted(header_meta):
                 self._fh.write(f"# {key} = {_fmt(header_meta[key])}\n")
-            self._csv = csv.writer(self._fh, lineterminator="\n")
-            self._csv.writerow(columns)
+            self._fh.write(",".join(map(_quoted, self.columns)) + "\n")
 
-    def write_row(self, values: dict) -> None:
+    def write_row(self, values: tuple) -> None:
         if self.fmt == "csv":
-            self._csv.writerow([_fmt(values[c]) for c in self.columns])
+            if self._texts:
+                values = list(values)
+                for i, text in self._texts:
+                    values[i] = text(values[i])
+                values = tuple(values)
+            self._fh.write(self._template % values)
         else:
-            self._fh.write(json.dumps({c: values[c] for c in self.columns}) + "\n")
+            row = dict(zip(self.columns, map(_json_value, values)))
+            self._fh.write(json.dumps(row, allow_nan=False) + "\n")
 
     def __enter__(self) -> _Writer:
         return self
@@ -270,13 +306,19 @@ def _with_flags(args: argparse.Namespace, spec: SweepSpec, *layers: dict) -> Swe
     return replace(spec, fixed=_layer(spec.fixed, *layers), branches=branches, m_values=m_values, n_pinned=n_pinned)
 
 
+# lag and sweep rows: the fields of ResultRow with their types, in RESULT_COLUMNS
+# order, and the tuple of a row's values in that order.
+_LAG_COLUMNS = get_type_hints(ResultRow)
+_lag_values = operator.attrgetter(*RESULT_COLUMNS)
+
+
 def _run_lags(args: argparse.Namespace, command: str, params: dict, specs: list[SweepSpec]) -> int:
     _reject_unused_phi(args, params, any(spec.axis != "eta" and "eta" not in spec.fixed for spec in specs))
     rows = run_specs(specs, policy=_policy(args))
     extra = {} if args.tol is None else {"tol": args.tol}
-    with _Writer(args.format, args.out, RESULT_COLUMNS, _meta_for(args, command, params, extra)) as writer:
+    with _Writer(args.format, args.out, _LAG_COLUMNS, _meta_for(args, command, params, extra)) as writer:
         for row in rows:
-            writer.write_row(row.as_dict())
+            writer.write_row(_lag_values(row))
     if any(not row.converged for row in rows) and not args.allow_nonconverged:
         return _EXIT_NONCONVERGED
     return _EXIT_OK
@@ -324,25 +366,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return _run_lags(args, "sweep", params, [_with_flags(args, spec)])
 
 
-_MOMENT_ROW_COLUMNS = (
-    "nu",
-    "omega0",
-    "omega_rabi",
-    "mass",
-    "eta",
-    "nbar",
-    "w_mean",
-    "w_second",
-    "w_third",
-    "w_skewness",
+_MOMENT_ROW_COLUMNS = dict.fromkeys(
+    ("nu", "omega0", "omega_rabi", "mass", "eta", "nbar", "w_mean", "w_second", "w_third", "w_skewness"), float
 )
-_ORACLE_COLUMNS = (
-    "w_mean_numeric",
-    "w_second_numeric",
-    "w_third_numeric",
-    "w_second_rel_dev",
-    "w_third_rel_dev",
+_ORACLE_COLUMNS = dict.fromkeys(
+    ("w_mean_numeric", "w_second_numeric", "w_third_numeric", "w_second_rel_dev", "w_third_rel_dev"), float
 )
+_SPECTRUM_COLUMNS = {"branch": str, "m": int, "kind": str, "n": int, "mu": float, "gamma": float}
 
 
 def _cmd_moments(args: argparse.Namespace) -> int:
@@ -361,38 +391,30 @@ def _cmd_moments(args: argparse.Namespace) -> int:
     if use_oracle and not 2 <= n_trunc <= _MAX_ORACLE_NMAX:
         raise ConfigError(f"--nmax {n_trunc} must lie in [2, {_MAX_ORACLE_NMAX}] with --numeric-oracle")
 
-    columns = _MOMENT_ROW_COLUMNS + (_ORACLE_COLUMNS if use_oracle else ())
+    columns = _MOMENT_ROW_COLUMNS | (_ORACLE_COLUMNS if use_oracle else {})
     meta = _meta_for(args, "moments", params, {"numeric_oracle": use_oracle})
     with _Writer(args.format, args.out, columns, meta) as writer:
         for eta in etas:
             rp = reduce(params, 0, Branch.CARRIER, eta)
             moments = moments_analytic(rp)
-            row = {
-                "nu": float(params["nu"]),
-                "omega0": float(params["omega0"]),
-                "omega_rabi": float(params["omega_rabi"]),
-                "mass": float(params["mass"]),
-                "eta": rp.eta,
-                "nbar": rp.nbar,
-                "w_mean": moments.mean,
-                "w_second": moments.second,
-                "w_third": moments.third,
-                "w_skewness": moments.skewness,
-            }
+            row = (
+                float(params["nu"]),
+                float(params["omega0"]),
+                float(params["omega_rabi"]),
+                float(params["mass"]),
+                rp.eta,
+                rp.nbar,
+                moments.mean,
+                moments.second,
+                moments.third,
+                moments.skewness,
+            )
             if use_oracle:
                 ops = dense_hamiltonians(rp, n_trunc)
                 m1 = moments_numeric(ops, 1).value
                 m2 = moments_numeric(ops, 2).value
                 m3 = moments_numeric(ops, 3).value
-                row.update(
-                    {
-                        "w_mean_numeric": m1,
-                        "w_second_numeric": m2,
-                        "w_third_numeric": m3,
-                        "w_second_rel_dev": abs(m2 - moments.second) / moments.second,
-                        "w_third_rel_dev": abs(m3 - moments.third) / moments.third,
-                    }
-                )
+                row += (m1, m2, m3, abs(m2 - moments.second) / moments.second, abs(m3 - moments.third) / moments.third)
             writer.write_row(row)
     return _EXIT_OK
 
@@ -404,20 +426,15 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     n_max = args.nmax if args.nmax is not None else 40
     if not 0 <= n_max <= TruncationPolicy.n_cap:
         raise ConfigError(f"--nmax {n_max} must lie in [0, {TruncationPolicy.n_cap}], the term cap")
-    columns = ("branch", "m", "kind", "n", "mu", "gamma")
-    with _Writer(args.format, args.out, columns, _meta_for(args, "spectrum", params, {})) as writer:
+    with _Writer(args.format, args.out, _SPECTRUM_COLUMNS, _meta_for(args, "spectrum", params, {})) as writer:
         for branch in branches:
             for m in m_values:
                 rp = reduce(params, m, branch, params.get("eta"))
                 table = spectrum_table(rp, n_max)
                 for n, zeta in enumerate(table.edge):
-                    writer.write_row(
-                        {"branch": rp.branch.value, "m": rp.m, "kind": "edge", "n": n, "mu": float(zeta), "gamma": float("nan")}
-                    )
+                    writer.write_row((rp.branch.value, rp.m, "edge", n, float(zeta), float("nan")))
                 for n, (mu, gamma) in enumerate(table.pairs):
-                    writer.write_row(
-                        {"branch": rp.branch.value, "m": rp.m, "kind": "pair", "n": n, "mu": mu, "gamma": gamma}
-                    )
+                    writer.write_row((rp.branch.value, rp.m, "pair", n, mu, gamma))
     return _EXIT_OK
 
 

@@ -1,9 +1,9 @@
 """Parameter sweeps over grids of lag evaluations, with plot-ready rows.
 
 Rows come out in a fixed order: spec by spec, and within a spec grid-major,
-then branch, then sideband index.  A spec's lags are summed in blocks of
-rows that share a sideband index, pinned or adaptive alike (see run_specs);
-evaluate_point is the one-point form.
+then branch, then sideband index.  A spec's lags are summed in blocks of up
+to 16 live rows in that order, of any sideband index, pinned or adaptive
+alike (see run_specs); evaluate_point is the one-point form.
 """
 
 from __future__ import annotations
@@ -88,9 +88,6 @@ class ResultRow:
     converged: bool
     divergence_predicted: bool
 
-    def as_dict(self) -> dict:
-        return {c: getattr(self, c) for c in RESULT_COLUMNS}
-
 
 # The output columns, in the field order of ResultRow.
 RESULT_COLUMNS = tuple(field.name for field in fields(ResultRow))
@@ -133,9 +130,9 @@ def run_specs(specs: Iterable[SweepSpec], policy: TruncationPolicy | None = None
     """Evaluate every point of every spec, in spec order and then spec.points() order.
 
     Each spec's points are resolved first, then all their lags come from one
-    nonequilibrium_lags call, which sums rows that share a sideband index in
-    blocks.  A TruncationError names the first failing point of the first
-    spec that has one.
+    nonequilibrium_lags call, which sums them in blocks of up to 16 live
+    rows in point order, of any sideband index.  A TruncationError names the
+    first failing point of the first spec that has one.
     """
     policy = policy or TruncationPolicy()
     rows: list[ResultRow] = []

@@ -56,8 +56,6 @@ __all__ = [
     "phi_reduced",
     "divergence_predicate_reduced",
     "low_temperature_limit",
-    "small_eta_coupling_sq",
-    "small_eta_coupling_sq_leading",
 ]
 
 _LN2 = math.log(2.0)
@@ -234,10 +232,10 @@ def _scaled_coupling(m: int, eta: float, scale: float, n_lo: int, n_hi: int) -> 
 
 
 class _Rows(NamedTuple):
-    """Parameters of rows that share the sideband index m, each a [rows x 1] column."""
+    """Parameters of a block of rows: their (m, eta) coupling keys, and each parameter a [rows x 1] column."""
 
-    m: int
-    etas: tuple[float, ...]
+    keys: tuple[tuple[int, float], ...]
+    half_m: np.ndarray  # m/2
     b_nu: np.ndarray
     b_w0: np.ndarray
     b_om: np.ndarray
@@ -246,19 +244,20 @@ class _Rows(NamedTuple):
 
 
 def _rows_of(rps: list[ReducedParams]) -> _Rows:
-    columns = np.array([(rp.b_nu, rp.b_w0, rp.b_om, *_abs_bwl_minus_bw0(rp)) for rp in rps]).T.copy()[:, :, None]
-    return _Rows(rps[0].m, tuple(rp.eta for rp in rps), *columns)
+    columns = [(0.5 * rp.m, rp.b_nu, rp.b_w0, rp.b_om, *_abs_bwl_minus_bw0(rp)) for rp in rps]
+    columns = np.array(columns).T.copy()[:, :, None]
+    return _Rows(tuple((rp.m, rp.eta) for rp in rps), *columns)
 
 
-def _coupling_rows(m: int, etas: tuple[float, ...], n_lo: int, n_hi: int) -> np.ndarray:
-    """|f_n^m| for n in [n_lo, n_hi), one row per eta, from one cache slice per distinct eta.
+def _coupling_rows(keys: tuple[tuple[int, float], ...], n_lo: int, n_hi: int) -> np.ndarray:
+    """|f_n^m| for n in [n_lo, n_hi), one row per (m, eta) key, from one cache slice per distinct key.
 
-    When all etas are equal the result is a single row, which broadcasts.
+    When all keys are equal the result is a single row, which broadcasts.
     """
-    by_eta = {eta: _scaled_coupling(m, eta, 1.0, n_lo, n_hi) for eta in dict.fromkeys(etas)}
-    if len(by_eta) == 1:
-        return next(iter(by_eta.values()))[None, :]
-    return np.stack([by_eta[eta] for eta in etas])
+    by_key = {key: _scaled_coupling(*key, 1.0, n_lo, n_hi) for key in dict.fromkeys(keys)}
+    if len(by_key) == 1:
+        return next(iter(by_key.values()))[None, :]
+    return np.stack([by_key[key] for key in keys])
 
 
 def _excess_logs(rows: _Rows, n_lo: int, n_hi: int) -> np.ndarray:
@@ -268,12 +267,12 @@ def _excess_logs(rows: _Rows, n_lo: int, n_hi: int) -> np.ndarray:
     terms have the same bits in a block of any size.
     """
     with np.errstate(over="ignore"):
-        u = rows.b_om * _coupling_rows(rows.m, rows.etas, n_lo, n_hi)
+        u = rows.b_om * _coupling_rows(rows.keys, n_lo, n_hi)
     b_quarter = 0.25 * sqrt_excess(rows.abs_bwl, u)  # (sqrt(b_wl^2+u^2) - |b_wl|)/4 >= 0
     a_shifted = 0.5 * rows.d_aw + b_quarter
     # _LN2 - b_nu (n + m/2) + a_shifted + log(1 - e^(-2 a_full)) + lnsinh(b_quarter),
     # added left to right in place, which keeps few [rows x n] arrays alive.
-    out = rows.b_nu * (np.arange(n_lo, n_hi, dtype=float) + 0.5 * rows.m)
+    out = rows.b_nu * (np.arange(n_lo, n_hi, dtype=float) + rows.half_m)
     np.subtract(_LN2, out, out=out)
     out += a_shifted
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -316,8 +315,8 @@ def _excess_tails(rows: _Rows) -> list:
     n_from.
     """
     b_quarters = 0.25 * sqrt_excess(rows.abs_bwl, rows.b_om)
-    columns = (b_quarters, lnsinh(b_quarters), rows.d_aw, rows.b_w0, rows.b_nu)
-    return [_excess_tail(*values, 0.5 * rows.m) for values in zip(*(c.ravel().tolist() for c in columns))]
+    columns = (b_quarters, lnsinh(b_quarters), rows.d_aw, rows.b_w0, rows.b_nu, rows.half_m)
+    return [_excess_tail(*values) for values in zip(*(c.ravel().tolist() for c in columns))]
 
 
 def _excess_tail(b_quarter: float, log_sinh: float, d_aw: float, b_w0: float, b_nu: float, half_m: float):
@@ -434,23 +433,23 @@ def _coupling_alive(rp: ReducedParams) -> bool:
 def _excess_lags(rps: list[ReducedParams], policy: TruncationPolicy) -> list[tuple[float, float, TruncationReport]]:
     """(shifted log Z_initial, lag, truncation report) of each row, from the excess sum.
 
-    Rows with dead coupling are exact zeros.  The live rows that share a
-    sideband index are summed in blocks of up to _BLOCK_ROWS rows.  An
-    adaptive sum that ends non-converged raises TruncationError for the first
-    such row in input order, unless policy.error_on_nonconverged is cleared.
+    Rows with dead coupling are exact zeros.  The live rows are summed in
+    blocks of up to _BLOCK_ROWS rows in input order, whatever their sideband
+    index.  An adaptive sum that ends non-converged raises TruncationError
+    for the first such row in input order, unless
+    policy.error_on_nonconverged is cleared.
     """
     out: list = [None] * len(rps)
-    by_m: dict[int, list[int]] = {}
+    live = []
     for i, rp in enumerate(rps):
         if not _coupling_alive(rp):  # the excess vanishes identically, no scan needed
             out[i] = (ln_partition_initial(rp).shifted_log, 0.0, _EXACT_REPORT)
         else:
-            by_m.setdefault(rp.m, []).append(i)
-    for live in by_m.values():
-        for start in range(0, len(live), _BLOCK_ROWS):
-            block = live[start : start + _BLOCK_ROWS]
-            for i, result in zip(block, _excess_block([rps[i] for i in block], policy)):
-                out[i] = result
+            live.append(i)
+    for start in range(0, len(live), _BLOCK_ROWS):
+        block = live[start : start + _BLOCK_ROWS]
+        for i, result in zip(block, _excess_block([rps[i] for i in block], policy)):
+            out[i] = result
     failed = next((report for _, _, report in out if not report.converged), None)
     if failed and policy.n_pinned is None and policy.error_on_nonconverged:
         raise TruncationError(failed, f"partition sum not converged after {failed.n_used} terms ({failed.stop_reason})")
@@ -459,11 +458,11 @@ def _excess_lags(rps: list[ReducedParams], policy: TruncationPolicy) -> list[tup
 
 def _take(rows: _Rows, live: list[int]) -> _Rows:
     """The rows listed in live."""
-    return _Rows(rows.m, tuple(rows.etas[i] for i in live), *(column[live] for column in rows[2:]))
+    return _Rows(tuple(rows.keys[i] for i in live), *(column[live] for column in rows[1:]))
 
 
 def _excess_block(rps: list[ReducedParams], policy: TruncationPolicy) -> list[tuple[float, float, TruncationReport]]:
-    """_excess_lags for live rows that share m, from one _log_sums call."""
+    """_excess_lags for a block of live rows, from one _log_sums call."""
     rows = _rows_of(rps)
     tails = _excess_tails(rows)
     # log(1 + e^(-b_w0)): log Z_i without its log(nbar+1), which cancels against the tails'.
@@ -566,10 +565,10 @@ def nonequilibrium_lag(rp: ReducedParams, policy: TruncationPolicy | None = None
 def nonequilibrium_lags(rps: list[ReducedParams], policy: TruncationPolicy | None = None) -> list[LagResult]:
     """nonequilibrium_lag of each point, with the same bits.
 
-    Rows that share a sideband index are summed in blocks of up to 16 rows,
-    which costs far less than one row at a time, and the divergence scan
-    runs once per JC key, not once per row.  A TruncationError names the
-    first non-converged point in input order.
+    Live rows are summed in blocks of up to 16 rows in input order, of any
+    sideband index, which costs far less than one row at a time, and the
+    divergence scan runs once per JC key, not once per row.  A
+    TruncationError names the first non-converged point in input order.
     """
     lags = _excess_lags(rps, policy or TruncationPolicy())
     jc_memo: dict = {}
@@ -732,28 +731,3 @@ def low_temperature_limit(rp: ReducedParams) -> LowTemperatureLimit:
         zero_count=len(zeros),
         negative_witnesses=[],
     )
-
-
-# -- small-eta asymptotics ----------------------------------------------------
-
-
-def small_eta_coupling_sq(n: int, m: int, eta: float) -> float:
-    """|f_n^m|^2 to second order in eta beyond the leading power:
-
-    ((n+m)! / (n! m!^2)) [1 - eta^2 (2n+m+1)/(m+1)] eta^(2m),
-    valid for eta well below 0.3.
-    """
-    if n < 0 or m < 0:
-        raise ValueError("indices must be nonnegative")
-    lead = math.comb(n + m, m) / math.factorial(m)
-    return lead * (1.0 - eta * eta * (2.0 * n + m + 1.0) / (m + 1.0)) * eta ** (2 * m)
-
-
-def small_eta_coupling_sq_leading(n: int, m: int, eta: float) -> float:
-    """Truncation of the expansion to order eta^2: nonzero only for m in {0, 1}."""
-    if m == 0:
-        return 1.0 - (2.0 * n + 1.0) * eta * eta
-    if m == 1:
-        return (n + 1.0) * eta * eta
-    return 0.0
-

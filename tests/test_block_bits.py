@@ -5,6 +5,10 @@ which decided the pairing, the bare energies and the AJC orientation
 separately at each site.  The one-rule form in spectra and workstats must
 give the same bits: values, probabilities, matrix elements and eigenvalues
 compared by tobytes(), signed zeros included.
+
+The excess sums of thermo are summed in blocks of rows that mix sideband
+indices; each row of such a block must have the bits of its one-row
+nonequilibrium_lag.
 """
 
 import math
@@ -12,8 +16,10 @@ import math
 import numpy as np
 import pytest
 
+from ionquench import thermo
 from ionquench.numerics import coupling_f, coupling_logabs_sequence, sqrt_shift
-from ionquench.params import Branch
+from ionquench.params import Branch, reduce
+from ionquench.presets import figure_presets
 from ionquench.spectra import (
     analytic_dense_spectrum,
     dense_hamiltonians,
@@ -22,8 +28,9 @@ from ionquench.spectra import (
     sideband_eigenvectors,
     spectrum_table,
 )
+from ionquench.thermo import TruncationPolicy, nonequilibrium_lag, nonequilibrium_lags
 from ionquench.workstats import work_pmf_sideband
-from conftest import desk_reduced
+from conftest import branch_for, desk_reduced, fig1_reduced
 
 CASES = [
     (m, branch)
@@ -195,3 +202,76 @@ class TestSameBitsAsBranchByBranchCode:
     def test_analytic_dense_spectrum(self, m, branch, eta, r_om):
         rp = desk_reduced(m, branch, eta, r_om=r_om)
         assert _bits(analytic_dense_spectrum(rp, 24)) == _bits(_reference_dense_spectrum(rp, 24))
+
+
+# -- excess blocks that mix sideband indices ----------------------------------
+
+MIXED_M_POLICIES = [
+    TruncationPolicy(n_pinned=40),
+    TruncationPolicy(n_pinned=5000),
+    TruncationPolicy(),
+    TruncationPolicy(tol=1e-6),
+    TruncationPolicy(n_cap=700, error_on_nonconverged=False),  # some rows stop on the cap
+]
+
+
+def _mixed_m_rows():
+    """Rows over m = 0..3 and both branches, in an order that interleaves m and temperature:
+    at the fig1 block, where each 16-row block holds rows that stop after 1 to 11 chunks,
+    and at desk scale, where the edge factor of the excess is kept."""
+    rows = []
+    for eta in (0.5, 1.5):
+        for branch in (Branch.JC, Branch.AJC):
+            for nbar in (0.05, 0.38, 30.0, 1e3):
+                rows += [fig1_reduced(m, branch_for(m, branch), eta, nbar=nbar) for m in (3, 0, 2, 1)]
+    for m in range(4):
+        rows += [desk_reduced(m, branch_for(m, branch), 0.8, nbar=3.0) for branch in (Branch.JC, Branch.AJC)]
+    return rows
+
+
+def _lag_bits(result):
+    """(lag, tail_bound_log, n_used, stop_reason) of a row, the floats as hex.
+
+    A pinned sum ends "pinned" or "settled" by how many chunks of the row its
+    block asks per call (16 for one row, one each for 16 rows), not by the
+    row: both stand for the bits of all n_pinned terms, so "settled" is read
+    as "pinned".
+    """
+    report = result.truncation
+    stop_reason = "pinned" if report.stop_reason == "settled" else report.stop_reason
+    return result.value.hex(), report.tail_bound_log.hex(), report.n_used, stop_reason
+
+
+def _block_ms(monkeypatch):
+    """The sideband indices of each excess block summed after the call, in order."""
+    blocks = []
+    real = thermo._excess_block
+
+    def excess_block(rps, policy):
+        blocks.append([rp.m for rp in rps])
+        return real(rps, policy)
+
+    monkeypatch.setattr(thermo, "_excess_block", excess_block)
+    return blocks
+
+
+@pytest.mark.parametrize("policy", MIXED_M_POLICIES, ids=["pinned40", "pinned5000", "adaptive", "tol1e-6", "cap700"])
+class TestMixedSidebandBlocks:
+    def test_rows_keep_their_one_row_bits(self, policy, monkeypatch):
+        rps = _mixed_m_rows()
+        one_row = [_lag_bits(nonequilibrium_lag(rp, policy)) for rp in rps]
+        blocks = _block_ms(monkeypatch)
+        assert [_lag_bits(result) for result in nonequilibrium_lags(rps, policy)] == one_row
+        # Blocks of 16 rows in input order, each over all four sideband indices.
+        assert [len(block) for block in blocks] == [16, 16, 16, 16, 8]
+        assert all(set(block) == {0, 1, 2, 3} for block in blocks)
+
+    def test_fig6_sideband_sweep_keeps_its_one_row_bits(self, policy, monkeypatch):
+        # fig6 sweeps m = 0..29 on both branches: each block holds 8 consecutive m of each branch.
+        for spec in figure_presets()["fig6"].specs:
+            rps = [reduce(point, point["m"], point["branch"], point["eta"]) for point in spec.points()]
+            assert max(rp.m for rp in rps) == 29
+            one_row = [_lag_bits(nonequilibrium_lag(rp, policy)) for rp in rps]
+            blocks = _block_ms(monkeypatch)
+            assert [_lag_bits(result) for result in nonequilibrium_lags(rps, policy)] == one_row
+            assert len(blocks) == 4 and all(len(set(block)) > 1 for block in blocks)

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -7,12 +8,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ionquench import cli
 from ionquench.cli import main
 from ionquench.params import Branch, reduce
 from ionquench.presets import FIG1_CONFIG, figure_presets
+from ionquench.sweep import RESULT_COLUMNS
 
 EXPECTED_HEADER = (
     "nu,omega0,omega_rabi,mass,phi_angle,eta,nbar,b_nu,b_w0,b_om,b_wl,"
@@ -567,6 +570,132 @@ class TestSpectrumCommand:
         pairs = [r for r in read_csv(out) if r["kind"] == "pair"]
         assert len(pairs) > 2
         assert all(math.isfinite(float(r["mu"])) and math.isfinite(float(r["gamma"])) for r in pairs)
+
+
+def _no_bare_constant(token):
+    raise ValueError(f"bare {token} in a JSON line")
+
+
+def _strict_json(line):
+    """One JSON line, rejecting the NaN, Infinity and -Infinity tokens that JSON lacks."""
+    return json.loads(line, parse_constant=_no_bare_constant)
+
+
+class TestJsonLines:
+    @pytest.mark.parametrize(
+        "argv, nonfinite",
+        [
+            # An exact row: tail_bound_log is -inf, and phi_angle is nan as eta is given.
+            (["lag", "--branch", "jc", "--m", "1,2", "--eta", "0"], {"tail_bound_log": "-inf", "phi_angle": "nan"}),
+            (["lag", "--preset", "fig4"], {"phi_angle": "nan"}),
+            (["spectrum", "--desk-scale", "--branch", "jc,ajc", "--m", "2", "--nmax", "6"], {"gamma": "nan"}),
+            (["moments", "--preset", "fig1"], {}),
+            (["moments", "--desk-scale", "--numeric-oracle", "--nmax", "20"], {}),
+        ],
+        ids=["lag-exact", "lag-fig4", "spectrum", "moments", "moments-oracle"],
+    )
+    def test_every_line_is_json_with_the_csv_text_of_nonfinite_floats(self, argv, nonfinite, tmp_path):
+        jsonl, csv_out = tmp_path / "rows.jsonl", tmp_path / "rows.csv"
+        assert main([*argv, "--format", "jsonl", "--out", str(jsonl)]) == 0
+        assert main([*argv, "--out", str(csv_out)]) == 0
+        rows = [_strict_json(line) for line in jsonl.read_text().splitlines()]
+        cells = read_csv(csv_out)
+        assert rows and len(rows) == len(cells)
+        seen = {}
+        for row, cell in zip(rows, cells):
+            assert list(row) == list(cell)
+            for column, value in row.items():
+                if isinstance(value, float):
+                    assert math.isfinite(value) and float(cell[column]) == value
+                elif isinstance(value, str) and column not in ("branch", "kind"):
+                    assert value == cell[column] and not math.isfinite(float(value))
+                    seen[column] = value
+        assert {column: seen.get(column) for column in nonfinite} == nonfinite
+
+
+def _reference_csv(columns, rows):
+    """The CSV text of a header and rows as the writer made it before its % template:
+    csv.writer over the text of each value."""
+
+    def fmt(value):
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        if isinstance(value, float):
+            return format(value, ".17g")
+        if value is None:
+            return ""
+        return str(value)
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([fmt(value) for value in row])
+    return buf.getvalue()
+
+
+# Edge values of each column type; a row takes the k-th value of its column's type, cyclically.
+_EDGE_VALUES = {
+    float: [
+        math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308, -2.2250738585072014e-308,
+        0.1, 1 / 3, 1e22, 123.0, np.float64(np.nan), np.float64(-0.0), np.float64(2.5e-300),
+    ],
+    int: [0, 1, -3, 29, 200_000, 2**62],
+    bool: [True, False],
+    str: ["jc", "ajc", "carrier", "edge", "pair", "", 'a,"b"\nc', "x,y", 'say "hi"', "new\nline"],
+}  # fmt: skip
+_WRITER_COLUMNS = {
+    "lag": cli._LAG_COLUMNS,
+    "moments": cli._MOMENT_ROW_COLUMNS | cli._ORACLE_COLUMNS,
+    "spectrum": cli._SPECTRUM_COLUMNS,
+}
+
+
+def _edge_rows(columns):
+    kinds = list(columns.values())
+    count = max(len(_EDGE_VALUES[kind]) for kind in kinds)
+    return [tuple(_EDGE_VALUES[kind][(k + i) % len(_EDGE_VALUES[kind])] for i, kind in enumerate(kinds)) for k in range(count)]
+
+
+class TestWriter:
+    def test_lag_columns_are_the_result_row_fields(self):
+        assert tuple(cli._LAG_COLUMNS) == RESULT_COLUMNS
+        assert {kind for kind in cli._LAG_COLUMNS.values()} == {float, int, str, bool}
+
+    @pytest.mark.parametrize("command", list(_WRITER_COLUMNS))
+    def test_csv_rows_byte_identical_to_csv_writer(self, command, tmp_path):
+        columns = _WRITER_COLUMNS[command]
+        rows = _edge_rows(columns)
+        out = tmp_path / "rows.csv"
+        with cli._Writer("csv", str(out), columns, {}) as writer:
+            for row in rows:
+                writer.write_row(row)
+        assert out.read_bytes() == _reference_csv(tuple(columns), rows).encode()
+
+    def test_quoted_str_reads_back(self, tmp_path):
+        out = tmp_path / "rows.csv"
+        texts = _EDGE_VALUES[str]
+        with cli._Writer("csv", str(out), {"text": str, "x": float}, {}) as writer:
+            for text in texts:
+                writer.write_row((text, 1.5))
+        assert [row["text"] for row in csv.DictReader(io.StringIO(out.read_text(), newline=""))] == texts
+
+    @pytest.mark.parametrize("command", list(_WRITER_COLUMNS))
+    def test_json_lines_of_edge_rows(self, command, tmp_path):
+        columns = _WRITER_COLUMNS[command]
+        rows = _edge_rows(columns)
+        out = tmp_path / "rows.jsonl"
+        with cli._Writer("jsonl", str(out), columns, {}) as writer:
+            for row in rows:
+                writer.write_row(row)
+        lines = [_strict_json(line) for line in out.read_text().splitlines()]
+        for line, row in zip(lines, rows, strict=True):
+            assert list(line) == list(columns)
+            for got, value in zip(line.values(), row):
+                if isinstance(value, float) and not math.isfinite(value):
+                    assert got == format(value, ".17g")
+                else:
+                    assert got == value and isinstance(got, bool) is isinstance(value, bool)
 
 
 class TestVerifyCommand:

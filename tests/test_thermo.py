@@ -22,8 +22,6 @@ from ionquench.thermo import (
     nonequilibrium_lag,
     nonequilibrium_lags,
     phi_reduced,
-    small_eta_coupling_sq,
-    small_eta_coupling_sq_leading,
 )
 from conftest import FIG1, branch_for, desk_reduced, fig1_reduced
 
@@ -392,32 +390,6 @@ class TestLowTemperatureLimit:
         limit = low_temperature_limit(rp)
         assert limit.negative_witnesses == report.witnesses
         assert limit.finite is not report.diverges
-
-
-class TestSmallEtaExpansion:
-    def test_carrier_form(self):
-        for n in (0, 2, 5):
-            eta = 0.01
-            assert small_eta_coupling_sq_leading(n, 0, eta) == pytest.approx(1 - (2 * n + 1) * eta**2, rel=1e-14)
-
-    def test_first_sideband_form(self):
-        for n in (0, 3):
-            eta = 0.02
-            assert small_eta_coupling_sq_leading(n, 1, eta) == pytest.approx((n + 1) * eta**2, rel=1e-14)
-        assert small_eta_coupling_sq_leading(4, 2, 0.02) == 0.0
-
-    def test_expansion_matches_exact_coupling(self):
-        n, m, eta = 2, 1, 1e-3
-        exact = coupling_f(n, m, eta).magnitude ** 2
-        approx = small_eta_coupling_sq(n, m, eta)
-        assert approx == pytest.approx(exact, rel=1e-5)
-
-    def test_second_order_beats_leading_order(self):
-        n, m, eta = 3, 1, 0.05
-        exact = coupling_f(n, m, eta).magnitude ** 2
-        err2 = abs(small_eta_coupling_sq(n, m, eta) - exact)
-        err1 = abs(small_eta_coupling_sq_leading(n, m, eta) - exact)
-        assert err2 < err1
 
 
 class TestNuToZeroLimit:
@@ -812,7 +784,7 @@ class TestSettledPinnedRows:
         asked = []
         real = thermo._excess_logs
         monkeypatch.setattr(
-            thermo, "_excess_logs", lambda rows, lo, hi: asked.append(len(rows.etas) * (hi - lo)) or real(rows, lo, hi)
+            thermo, "_excess_logs", lambda rows, lo, hi: asked.append(len(rows.keys) * (hi - lo)) or real(rows, lo, hi)
         )
         for policy, rps in _fig3_rows():
             asked.clear()
@@ -920,8 +892,7 @@ class TestBatchedAdaptiveRows:
         # At 512 terms the m = 1 tail lies above the m = 2 tail, and tol is set
         # between them: at nbar 10 the m = 2 row stops on the bound while the
         # m = 1 row hits the cap, and at nbar 30 both fail.  The lags (about
-        # 1e-4) move the tails relative to Z_final far less than the half-gap.  Blocks are
-        # summed m = 2 first, so a report in block order would name (30, m = 2).
+        # 1e-4) move the tails relative to Z_final far less than the half-gap.
         fixed = dict(desk_scale_point(), eta=0.8)
         spec = SweepSpec(axis="nbar", grid=(10.0, 30.0), fixed=fixed, branches=(Branch.JC,), m_values=(2, 1))
         points = list(spec.points())
@@ -977,30 +948,36 @@ class TestSumWorkBounds:
 
 
     @pytest.mark.parametrize(
-        "preset, steps, terms",
+        "preset, steps, terms, blocks",
         [
-            ("fig1", 8440, 16880), ("fig2", 120, 7440), ("fig3", 6144, 146880),
-            ("fig4", 464, 6200), ("fig5", 4096, 126976), ("fig6", 4800, 9600),
+            ("fig1", 8440, 16880, 27), ("fig2", 120, 7440, 12), ("fig3", 1536, 110592, 14),
+            ("fig4", 464, 6200, 8), ("fig5", 4096, 126976, 16), ("fig6", 4800, 9600, 16),
         ],
     )  # fmt: skip
-    def test_preset_work(self, monkeypatch, tmp_path, preset, steps, terms):
-        # Laguerre recurrence steps and excess terms of lag --preset, from a cold cache.
-        work = {"steps": 0, "terms": 0}
-        real_sequence, real_logs = thermo.coupling_logabs_sequence, thermo._excess_logs
+    def test_preset_work(self, monkeypatch, tmp_path, preset, steps, terms, blocks):
+        # Laguerre recurrence steps, excess terms and excess blocks of lag --preset, from a cold cache.
+        # Blocks mix sideband indices: fig6's 240 rows over m = 0..29 take 16 blocks, not one or more per m.
+        work = {"steps": 0, "terms": 0, "blocks": 0}
+        real_sequence, real_logs, real_block = thermo.coupling_logabs_sequence, thermo._excess_logs, thermo._excess_block
 
         def sequence(n_max, m, eta, *, resume):
             work["steps"] += n_max - resume.n
             return real_sequence(n_max, m, eta, resume=resume)
 
         def excess_logs(rows, n_lo, n_hi):
-            work["terms"] += len(rows.etas) * (n_hi - n_lo)
+            work["terms"] += len(rows.keys) * (n_hi - n_lo)
             return real_logs(rows, n_lo, n_hi)
+
+        def excess_block(rps, policy):
+            work["blocks"] += 1
+            return real_block(rps, policy)
 
         monkeypatch.setattr(thermo, "coupling_logabs_sequence", sequence)
         monkeypatch.setattr(thermo, "_excess_logs", excess_logs)
+        monkeypatch.setattr(thermo, "_excess_block", excess_block)
         monkeypatch.setattr(thermo, "_COUPLING_CACHE", {})
         assert main(["lag", "--preset", preset, "--out", str(tmp_path / "rows.csv")]) == 0
-        assert (work["steps"], work["terms"]) == (steps, terms)
+        assert (work["steps"], work["terms"], work["blocks"]) == (steps, terms, blocks)
 
 
 class TestStopReason:
@@ -1037,11 +1014,11 @@ class TestStopReason:
 def _excess_logs_reference(rows, n_lo, n_hi):
     """thermo._excess_logs with every pass: the guarded sqrt difference and the edge on every row."""
     with np.errstate(over="ignore"):
-        u = rows.b_om * thermo._coupling_rows(rows.m, rows.etas, n_lo, n_hi)
+        u = rows.b_om * thermo._coupling_rows(rows.keys, n_lo, n_hi)
     with np.errstate(invalid="ignore", divide="ignore"):
         b_quarter = 0.25 * np.where(u == 0.0, 0.0, u * u / (np.hypot(rows.abs_bwl, u) + rows.abs_bwl))
     a_shifted = 0.5 * rows.d_aw + b_quarter
-    out = rows.b_nu * (np.arange(n_lo, n_hi, dtype=float) + 0.5 * rows.m)
+    out = rows.b_nu * (np.arange(n_lo, n_hi, dtype=float) + rows.half_m)
     np.subtract(math.log(2.0), out, out=out)
     out += a_shifted
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -1066,10 +1043,11 @@ class TestExcessKernel:
     )
     @pytest.mark.parametrize("n_lo, n_hi", [(0, 512), (512, 2100)])
     def test_bitwise_equal_to_every_pass(self, rps, n_lo, n_hi):
+        # The whole list as one block, which mixes m, and the rows of each m alone.
         by_m = {}
         for rp in rps:
             by_m.setdefault(rp.m, []).append(rp)
-        for block in by_m.values():
+        for block in (rps, *by_m.values()):
             rows = thermo._rows_of(block)
             ref, _ = _excess_logs_reference(rows, n_lo, n_hi)
             assert thermo._excess_logs(rows, n_lo, n_hi).tobytes() == ref.tobytes()
@@ -1084,7 +1062,7 @@ class TestExcessKernel:
         assert (b_quarter >= 20.0).any() and (b_quarter < 20.0).any()
         _, b_quarter = _excess_logs_reference(thermo._rows_of(self.DEAD_ROWS), 0, 512)
         assert (b_quarter == 0.0).all()
-        assert self.RESONANT_ROWS[0].b_wl == 0.0 and thermo._coupling_rows(3, (2.0,), 0, 512)[0, 1] == 0.0
+        assert self.RESONANT_ROWS[0].b_wl == 0.0 and thermo._coupling_rows(((3, 2.0),), 0, 512)[0, 1] == 0.0
 
 
 # lag, tail_bound_log (float.hex), n_used and stop_reason of adaptive fig1-block
