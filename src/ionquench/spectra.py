@@ -17,7 +17,7 @@ spread destroys dense-solver accuracy and the analytic formulas take over.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -153,10 +153,14 @@ def sideband_eigenvectors(n: int, rp: ReducedParams) -> tuple[EigenPair, EigenPa
     At a coupling zero (f_n^m = 0) the block is already diagonal and the bare
     kets are returned with their diagonal energies.
     """
+    return _block_eigenvectors(n, rp, coupling_f(n, rp.m, rp.eta))
+
+
+def _block_eigenvectors(n: int, rp: ReducedParams, f: CouplingValue) -> tuple[EigenPair, EigenPair]:
+    """sideband_eigenvectors of block n from its coupling f = f_n^m."""
     ket_e, ket_g = _block_kets(n, rp)
     a = ket_energy(*ket_e, rp)
     b = ket_energy(*ket_g, rp)
-    f = coupling_f(n, rp.m, rp.eta)
     c = 0.5 * rp.r_om * _oriented(f.as_complex(), rp)
 
     mu_val, gamma_val = _pair_values(n, rp, f)
@@ -228,6 +232,23 @@ class DenseQuench:
     h_final_sideband: np.ndarray
     rho_initial: np.ndarray
     tail_warning: bool
+    # use_full -> (real diagonals of H_f^0..H_f^k, H_f^k) for the highest k formed so far
+    _powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def power_diagonals(self, order: int, use_full: bool) -> list[np.ndarray]:
+        """Real diagonals of H_f^0..H_f^order of one quench target, as a new list.
+
+        use_full picks h_final_full, otherwise h_final_sideband.  Each power
+        is formed once per object, as the power below it times H_f; the object
+        keeps every diagonal and only the highest power.
+        """
+        h_f = self.h_final_full if use_full else self.h_final_sideband
+        diags, top = self._powers.get(use_full, ([np.ones(h_f.shape[0])], None))
+        while len(diags) <= order:
+            top = h_f if top is None else top @ h_f
+            diags = [*diags, top.diagonal().real.copy()]
+            self._powers[use_full] = (diags, top)
+        return diags[: order + 1]
 
     @cached_property
     def h_final_full(self) -> np.ndarray:
@@ -241,7 +262,10 @@ class DenseQuench:
 
 
 def _check_hermitian(name: str, mat: np.ndarray) -> None:
-    if not np.allclose(mat, mat.conj().T, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(mat).max()))):
+    """Raise unless max|A - A^H| <= 1e-12 max(1, max|A|); a NaN entry fails."""
+    atol = 1e-12 * max(1.0, float(np.abs(mat).max()))
+    # |conj(A) - A^T| equals |A - A^H| entry for entry; numpy reuses the conj(A) temporary for the difference.
+    if not float(np.abs(mat.conj() - mat.T).max()) <= atol:
         raise RuntimeError(f"{name} failed the Hermiticity check")
 
 

@@ -104,6 +104,12 @@ class TruncationReport:
     chunked sum; "settled" for a pinned sum whose remaining terms could not
     change a bit of it, so it holds the value of all n_used = n_pinned terms
     without computing them; and "exact" for a closed form.
+
+    n_used, tail_bound_log and converged are the same whichever block of
+    nonequilibrium_lags a row is summed in.  A pinned row's stop_reason is
+    not: the settle test runs only between the calls of a block, and a block
+    asks more chunks of a row per call the fewer rows it holds, so the same
+    row can read "settled" in a 16-row block and "pinned" alone.
     """
 
     n_used: int
@@ -565,10 +571,14 @@ def nonequilibrium_lag(rp: ReducedParams, policy: TruncationPolicy | None = None
 def nonequilibrium_lags(rps: list[ReducedParams], policy: TruncationPolicy | None = None) -> list[LagResult]:
     """nonequilibrium_lag of each point, with the same bits.
 
-    Live rows are summed in blocks of up to 16 rows in input order, of any
-    sideband index, which costs far less than one row at a time, and the
-    divergence scan runs once per JC key, not once per row.  A
-    TruncationError names the first non-converged point in input order.
+    The value, n_used, tail_bound_log and converged of each result equal
+    those of the point alone.  Its stop_reason may not: a pinned point can
+    read "settled" here where it reads "pinned" alone (see TruncationReport);
+    both stand for the sum of all n_pinned terms.  Live rows are summed in
+    blocks of up to 16 rows in input order, of any sideband index, which
+    costs far less than one row at a time, and the divergence scan runs once
+    per JC key, not once per row.  A TruncationError names the first
+    non-converged point in input order.
     """
     lags = _excess_lags(rps, policy or TruncationPolicy())
     jc_memo: dict = {}

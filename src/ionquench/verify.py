@@ -33,11 +33,22 @@ def _fig1_reduced(m: int, branch: Branch, eta: float, nbar: float = 0.38) -> Red
 
 
 def _laguerre_explicit(n: int, m: int, x: Fraction) -> Fraction:
-    total = Fraction(0)
-    for k in range(n + 1):
-        num = Fraction((-1) ** k * math.factorial(n + m), math.factorial(m + k) * math.factorial(n - k) * math.factorial(k))
-        total += num * x**k
-    return total
+    """L_n^m(x) = sum_k (-1)^k C(n+m, n-k) x^k / k!, exactly.
+
+    With x = p/q the terms share the integer denominator n! q^n, so the sum
+    runs over integers and makes one Fraction.
+    """
+    p, q = x.numerator, x.denominator
+    n_fact = math.factorial(n)
+    num = sum(
+        (-1) ** k * math.comb(n + m, n - k) * (n_fact // math.factorial(k)) * p**k * q ** (n - k) for k in range(n + 1)
+    )
+    return Fraction(num, n_fact * q**n)
+
+
+def _hermitian_norm(mat: np.ndarray) -> float:
+    """Spectral norm of a Hermitian matrix: its largest |eigenvalue|."""
+    return float(np.max(np.abs(np.linalg.eigvalsh(mat))))
 
 
 def check_laguerre_recurrence(rng) -> CheckResult:
@@ -215,7 +226,7 @@ def check_eigenvector_residuals(rng) -> CheckResult:
         rp = _desk(m, branch, eta)
         dense = spectra.dense_hamiltonians(rp, n_trunc)
         h = dense.h_final_sideband
-        h_norm = float(np.linalg.norm(h, 2))
+        h_norm = _hermitian_norm(h)
         for n in range(0, n_trunc - m - 1, 7):
             for pair in spectra.sideband_eigenvectors(n, rp):
                 vec = pair.as_dense(n_trunc)
@@ -309,7 +320,7 @@ def check_moment_oracle(rng) -> CheckResult:
         rp = reduced_from_ratios(r_w0, r_om, eta, 0, Branch.CARRIER, nbar=nbar)
         analytic = workstats.moments_analytic(rp)
         ops = spectra.dense_hamiltonians(rp, 80)
-        h_norm = float(np.linalg.norm(ops.h_final_full, 2))
+        h_norm = _hermitian_norm(ops.h_final_full)
         m1 = workstats.moments_numeric(ops, 1).value
         m2 = workstats.moments_numeric(ops, 2).value
         m3 = workstats.moments_numeric(ops, 3).value

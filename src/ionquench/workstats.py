@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import eta_squared
+from .numerics import CouplingValue, coupling_logabs_sequence, eta_squared
 from .params import ReducedParams
-from .spectra import DenseQuench, EigenPair, edge_level, ket_energy, sideband_eigenvectors, truncation_tail_warning
+from .spectra import DenseQuench, EigenPair, _block_eigenvectors, edge_level, ket_energy, truncation_tail_warning
 
 __all__ = [
     "WorkMoments",
@@ -78,22 +78,20 @@ def moments_numeric(ops: DenseQuench, order: int, use_full: bool = True) -> Mome
 
     use_full selects the full exponential coupling as the quench target;
     otherwise the resonant sideband coupling is used.  Build ops once with
-    dense_hamiltonians and pass it to every order.  Intended for desk-scale
+    dense_hamiltonians and pass it to every order: the powers H_f^k are
+    shared across orders on one DenseQuench, each formed once, and it holds
+    the diagonals of at most MAX_NUMERIC_ORDER powers per target (plus the
+    highest power itself) for as long as it lives.  Intended for desk-scale
     frequency ratios: at experimental ratios the alternating binomial terms
     cancel far beyond double precision.
     """
     if not 1 <= order <= MAX_NUMERIC_ORDER:
         raise ValueError(f"moment order must be in 1..{MAX_NUMERIC_ORDER}")
-    h_f = ops.h_final_full if use_full else ops.h_final_sideband
     h_i_diag = np.real(np.diag(ops.h_initial))
     weights = np.real(np.diag(ops.rho_initial))
 
     # Tr[H_f^(order-k) H_i^k rho] with H_i and rho diagonal.
-    powers_diag = [np.ones_like(h_i_diag)]  # diagonals of H_f^0, H_f^1, ...
-    mat = np.eye(h_f.shape[0], dtype=complex)
-    for _ in range(order):
-        mat = mat @ h_f
-        powers_diag.append(np.real(np.diag(mat)))
+    powers_diag = ops.power_diagonals(order, use_full)  # diagonals of H_f^0, H_f^1, ...
 
     total = 0.0
     largest = 0.0
@@ -146,6 +144,12 @@ def work_pmf_sideband(rp: ReducedParams, n_trunc: int) -> WorkPMF:
     p_g = 1.0 / (1.0 + math.exp(-rp.b_w0))
     p_e = 1.0 - p_g
 
+    # One coupling recurrence for all blocks 0..n_trunc; a block is read once per ket of it inside the truncation.
+    signs, log_mags = coupling_logabs_sequence(max(n_trunc, 0), rp.m, rp.eta)
+    blocks = [
+        _block_eigenvectors(n, rp, CouplingValue(m_phase=rp.m % 4, sign=int(signs[n]), log_mag=float(log_mags[n])))
+        for n in range(n_trunc + 1)
+    ]
     edge = edge_level(rp)
     events_w: list[float] = []
     events_p: list[float] = []
@@ -156,7 +160,7 @@ def work_pmf_sideband(rp: ReducedParams, n_trunc: int) -> WorkPMF:
             e_init = ket_energy(n, level, rp)
             block_n = n - rp.m if level == edge else n
             # An edge ket (no block) is an eigenstate of both Hamiltonians: zero work.
-            finals = sideband_eigenvectors(block_n, rp) if block_n >= 0 else (EigenPair(e_init, {(n, level): 1.0}),)
+            finals = blocks[block_n] if block_n >= 0 else (EigenPair(e_init, {(n, level): 1.0}),)
             for pair in finals:
                 prob = p_th * p_level * abs(pair.amplitudes.get((n, level), 0.0)) ** 2
                 if prob != 0.0:

@@ -275,3 +275,19 @@ class TestMixedSidebandBlocks:
             blocks = _block_ms(monkeypatch)
             assert [_lag_bits(result) for result in nonequilibrium_lags(rps, policy)] == one_row
             assert len(blocks) == 4 and all(len(set(block)) > 1 for block in blocks)
+
+
+def test_pinned_stop_reason_is_the_only_field_that_depends_on_the_block():
+    # 16 fig1-block rows over m = 0..3: alone each asks 16 chunks (8192 >= 5000 terms) in its
+    # first call and ends "pinned"; in the block it asks one chunk per call and may settle early.
+    policy = TruncationPolicy(n_pinned=5000)
+    rps = _mixed_m_rows()[:16]
+    alone = [nonequilibrium_lag(rp, policy) for rp in rps]
+    block = nonequilibrium_lags(rps, policy)
+    for one, blocked in zip(alone, block, strict=True):
+        a, b = one.truncation, blocked.truncation
+        assert (one.value.hex(), a.n_used, a.tail_bound_log.hex(), a.converged) == (
+            blocked.value.hex(), b.n_used, b.tail_bound_log.hex(), b.converged
+        )
+        assert a.stop_reason == "pinned" and b.stop_reason in ("pinned", "settled")
+    assert any(result.truncation.stop_reason == "settled" for result in block)

@@ -190,6 +190,17 @@ class TestDenseHamiltonians:
         with pytest.raises(RuntimeError, match="h_final_full failed the Hermiticity check"):
             ops.h_final_full
 
+    def test_hermiticity_rule(self):
+        # max|A - A^H| <= 1e-12 max(1, max|A|): the largest entry here is 1, so the bound is 1e-12.
+        def mat(skew):
+            return np.array([[1.0, skew], [0.0, 0.0]], dtype=complex)
+
+        spectra._check_hermitian("at the bound", mat(1e-12))
+        with pytest.raises(RuntimeError, match="twice the bound failed the Hermiticity check"):
+            spectra._check_hermitian("twice the bound", mat(2e-12))
+        with pytest.raises(RuntimeError, match="nan failed the Hermiticity check"):
+            spectra._check_hermitian("nan", np.array([[1.0, 0.0], [0.0, np.nan]], dtype=complex))
+
     def test_hermitian(self):
         rp = desk_reduced(1, Branch.AJC, 1.2)
         ops = dense_hamiltonians(rp, 30)

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ionquench import numerics
 from ionquench.params import Branch, reduce
 from ionquench.spectra import dense_hamiltonians, truncation_tail_warning
 from ionquench.workstats import moments_analytic, moments_numeric, work_pmf_sideband
@@ -92,6 +97,16 @@ class TestNumericMoments:
                 est = moments_numeric(ops, order, use_full=use_full)
                 assert (est.value, est.largest_term) == fresh_build_moment(rp, 40, order, use_full)
 
+    def test_shared_powers_keep_each_target_and_order_apart(self):
+        # Orders out of sequence, repeated, and the two targets interleaved on one object.
+        rp = desk_reduced(1, Branch.JC, 0.7)
+        ops = dense_hamiltonians(rp, 40)
+        for order in (3, 1, 4, 2, 3):
+            for use_full in (True, False):
+                est = moments_numeric(ops, order, use_full=use_full)
+                want = fresh_build_moment(rp, 40, order, use_full)
+                assert (est.value.hex(), est.largest_term.hex()) == tuple(v.hex() for v in want)
+
     def test_first_moment_vanishes(self):
         rp = desk_reduced(0, Branch.CARRIER, 0.5)
         ops = dense_hamiltonians(rp, 80)
@@ -135,6 +150,14 @@ class TestNumericMoments:
 
 
 class TestWorkPMF:
+    @pytest.mark.parametrize("m, branch", [(0, Branch.CARRIER), (2, Branch.AJC)])
+    def test_one_coupling_recurrence_per_call(self, m, branch, monkeypatch):
+        calls = []
+        real = numerics._laguerre_extend
+        monkeypatch.setattr(numerics, "_laguerre_extend", lambda *a: calls.append(a[1]) or real(*a))
+        work_pmf_sideband(desk_reduced(m, branch, 0.7), 60)
+        assert calls == [60]
+
     def test_no_quench_gives_point_mass_at_zero(self):
         rp = desk_reduced(1, Branch.JC, 0.5, r_om=0.0)
         pmf = work_pmf_sideband(rp, 50)
@@ -176,3 +199,16 @@ class TestWorkPMF:
         # At nearly zero coupling everything sits at zero work.
         assert pmf.values[idx] == pytest.approx(0.0, abs=1e-12)
         assert p_zero == pytest.approx(1.0, abs=1e-6)
+
+
+def test_work_moments_demo_prints_the_recorded_digits():
+    # Re-record tests/golden/work_moments.stdout only with a change that means to move these digits.
+    root = Path(__file__).resolve().parents[1]
+    src = str(root / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", str(root / "demos" / "work_moments.py")],
+        env=env, capture_output=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == (root / "tests" / "golden" / "work_moments.stdout").read_bytes()
