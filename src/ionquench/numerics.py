@@ -27,6 +27,7 @@ __all__ = [
     "LAGUERRE_START",
     "laguerre_assoc",
     "coupling_f",
+    "coupling_f_sequence",
     "coupling_logabs_sequence",
     "eta_squared",
     "lncosh",
@@ -212,11 +213,21 @@ def eta_squared(eta: float) -> float:
 
 
 def coupling_f(n: int, m: int, eta: float) -> CouplingValue:
-    """Coupling f_n^m as a numerically safe phase + signed log magnitude."""
+    """Coupling f_n^m as a numerically safe phase + signed log magnitude.
+
+    Each call reruns the recurrence from n = 0; for a range of n, one
+    coupling_f_sequence call gives the same values.
+    """
     if n < 0 or m < 0:
         raise ValueError("coupling indices must be nonnegative")
     signs, log_mags = coupling_logabs_sequence(n, m, eta)
     return CouplingValue(m_phase=m % 4, sign=int(signs[n]), log_mag=float(log_mags[n]))
+
+
+def coupling_f_sequence(n_max: int, m: int, eta: float) -> list[CouplingValue]:
+    """coupling_f(n, m, eta) for n = 0..n_max, bitwise, from one recurrence run."""
+    signs, log_mags = coupling_logabs_sequence(n_max, m, eta)
+    return [CouplingValue(m_phase=m % 4, sign=s, log_mag=v) for s, v in zip(signs.tolist(), log_mags.tolist())]
 
 
 def lncosh(x):

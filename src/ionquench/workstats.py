@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import CouplingValue, coupling_logabs_sequence, eta_squared
+from .numerics import coupling_f_sequence, eta_squared
 from .params import ReducedParams
 from .spectra import DenseQuench, EigenPair, _block_eigenvectors, edge_level, ket_energy, truncation_tail_warning
 
@@ -145,11 +145,8 @@ def work_pmf_sideband(rp: ReducedParams, n_trunc: int) -> WorkPMF:
     p_e = 1.0 - p_g
 
     # One coupling recurrence for all blocks 0..n_trunc; a block is read once per ket of it inside the truncation.
-    signs, log_mags = coupling_logabs_sequence(max(n_trunc, 0), rp.m, rp.eta)
-    blocks = [
-        _block_eigenvectors(n, rp, CouplingValue(m_phase=rp.m % 4, sign=int(signs[n]), log_mag=float(log_mags[n])))
-        for n in range(n_trunc + 1)
-    ]
+    couplings = coupling_f_sequence(max(n_trunc, 0), rp.m, rp.eta)
+    blocks = [_block_eigenvectors(n, rp, couplings[n]) for n in range(n_trunc + 1)]
     edge = edge_level(rp)
     events_w: list[float] = []
     events_p: list[float] = []

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ionquench.numerics import coupling_f
-from ionquench.params import Branch, reduced_from_ratios
+from ionquench.params import Branch, ReducedParams, reduced_from_ratios
 from ionquench import spectra
 from ionquench.spectra import (
     dense_hamiltonians,
@@ -200,6 +200,18 @@ class TestDenseHamiltonians:
             spectra._check_hermitian("twice the bound", mat(2e-12))
         with pytest.raises(RuntimeError, match="nan failed the Hermiticity check"):
             spectra._check_hermitian("nan", np.array([[1.0, 0.0], [0.0, np.nan]], dtype=complex))
+        # An infinite entry fails, and the inf - inf it forms on the diagonal raises no numpy warning first.
+        with pytest.raises(RuntimeError, match="inf failed the Hermiticity check"):
+            spectra._check_hermitian("inf", np.array([[1.0, 0.0], [0.0, np.inf]], dtype=complex))
+        with pytest.raises(RuntimeError, match="off-diagonal inf failed the Hermiticity check"):
+            spectra._check_hermitian("off-diagonal inf", np.array([[1.0, np.inf], [0.0, 0.0]], dtype=complex))
+
+    def test_infinite_energy_raises(self):
+        # b_w0 / b_nu overflows, so r_w0 and the bare energies are infinite.
+        rp = ReducedParams(b_nu=1e-300, b_w0=1e10, b_om=1e-3, eta=0.5, m=1, branch=Branch.JC)
+        assert rp.r_w0 == math.inf
+        with pytest.raises(RuntimeError, match="h_final_sideband failed the Hermiticity check"):
+            dense_hamiltonians(rp, 10)
 
     def test_hermitian(self):
         rp = desk_reduced(1, Branch.AJC, 1.2)
