@@ -18,7 +18,6 @@ import argparse
 import functools
 import json
 import math
-import operator
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -29,7 +28,7 @@ import numpy as np
 from .params import Branch, reduce
 from .presets import FIG1_CONFIG, desk_scale_point, figure_presets
 from .spectra import dense_hamiltonians, spectrum_table
-from .sweep import RESULT_COLUMNS, ResultRow, SweepSpec, run_specs
+from .sweep import ResultRow, SweepSpec, run_specs
 from .thermo import TruncationPolicy
 from .verify import run_checks
 from .workstats import moments_analytic, moments_numeric
@@ -307,9 +306,8 @@ def _with_flags(args: argparse.Namespace, spec: SweepSpec, *layers: dict) -> Swe
 
 
 # lag and sweep rows: the fields of ResultRow with their types, in RESULT_COLUMNS
-# order, and the tuple of a row's values in that order.
+# order; a row is already the tuple of its values in that order.
 _LAG_COLUMNS = get_type_hints(ResultRow)
-_lag_values = operator.attrgetter(*RESULT_COLUMNS)
 
 
 def _run_lags(args: argparse.Namespace, command: str, params: dict, specs: list[SweepSpec]) -> int:
@@ -318,7 +316,7 @@ def _run_lags(args: argparse.Namespace, command: str, params: dict, specs: list[
     extra = {} if args.tol is None else {"tol": args.tol}
     with _Writer(args.format, args.out, _LAG_COLUMNS, _meta_for(args, command, params, extra)) as writer:
         for row in rows:
-            writer.write_row(_lag_values(row))
+            writer.write_row(row)
     if any(not row.converged for row in rows) and not args.allow_nonconverged:
         return _EXIT_NONCONVERGED
     return _EXIT_OK

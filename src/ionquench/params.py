@@ -118,8 +118,8 @@ class ReducedParams:
 
     @property
     def r_wl(self) -> float:
-        """omega_laser / nu (may be negative)."""
-        return self.b_wl / self.b_nu
+        """omega_laser / nu = r_w0 -+ m (JC: -, AJC: +); may be negative."""
+        return self.r_w0 + self.branch.sideband_sign * self.m
 
 
 def _transition(m: int, branch: Branch) -> tuple[int, Branch]:

@@ -127,18 +127,9 @@ def sideband_eigenvalues(n: int, rp: ReducedParams) -> tuple[float, float]:
 
 def _pair_values(n: int, rp: ReducedParams, f: CouplingValue) -> tuple[float, float]:
     """(mu, gamma) of block n from its coupling f = f_n^m."""
-    s = math.hypot(_branch_r_wl(rp), rp.r_om * f.magnitude)
+    s = math.hypot(rp.r_wl, rp.r_om * f.magnitude)
     center = n + 0.5 * rp.m
     return center - 0.5 * s, center + 0.5 * s
-
-
-def _branch_r_wl(rp: ReducedParams) -> float:
-    """omega_L/nu formed as r_w0 -+ m.
-
-    rp.r_wl = b_wl / b_nu differs from this in the last bit at many
-    frequency ratios, which would change the printed spectra.
-    """
-    return rp.r_w0 + rp.branch.sideband_sign * rp.m
 
 
 def edge_eigenvalues(rp: ReducedParams) -> np.ndarray:
@@ -198,7 +189,7 @@ def spectrum_table(rp: ReducedParams, n_trunc: int) -> SpectrumTable:
     """Analytic spectrum: edge values plus (mu_n, gamma_n) for n = 0..n_trunc."""
     signs, log_mags = coupling_logabs_sequence(n_trunc, rp.m, rp.eta)
     u = rp.r_om * np.where(signs == 0, 0.0, np.exp(log_mags))
-    s = np.hypot(_branch_r_wl(rp), u)
+    s = np.hypot(rp.r_wl, u)
     centers = np.arange(n_trunc + 1, dtype=float) + 0.5 * rp.m
     return SpectrumTable(edge=edge_eigenvalues(rp), mu=centers - 0.5 * s, gamma=centers + 0.5 * s)
 
@@ -259,8 +250,10 @@ class DenseQuench:
         # Full coupling: (omega_rabi / 2 nu) (sigma_+ D + sigma_- D^dag).
         d_mat = displacement_matrix(self.n_trunc, self.rp.eta)
         h_full = self.h_initial.copy()
-        h_full[1::2, 0::2] += 0.5 * self.rp.r_om * d_mat
-        h_full[0::2, 1::2] += 0.5 * self.rp.r_om * d_mat.conj().T
+        # An infinite r_om makes inf * 0 = nan entries, which the Hermiticity check rejects; numpy must not warn first.
+        with np.errstate(invalid="ignore"):
+            h_full[1::2, 0::2] += 0.5 * self.rp.r_om * d_mat
+            h_full[0::2, 1::2] += 0.5 * self.rp.r_om * d_mat.conj().T
         _check_hermitian("h_final_full", h_full)
         return h_full
 
@@ -294,7 +287,8 @@ def dense_hamiltonians(rp: ReducedParams, n_trunc: int) -> DenseQuench:
 
     # Sideband coupling: only the resonant m-quantum diagonal of D survives.
     h_side = h_initial.copy()
-    c_eg = 0.5 * rp.r_om * _oriented(_coupling_values(n_trunc - m, m, rp.eta), rp)
+    with np.errstate(invalid="ignore"):  # as in h_final_full: an infinite r_om fails the Hermiticity check below
+        c_eg = 0.5 * rp.r_om * _oriented(_coupling_values(n_trunc - m, m, rp.eta), rp)
     ket_e, ket_g = _block_kets(np.arange(n_trunc + 1 - m), rp)
     rows, cols = ket_index(*ket_e), ket_index(*ket_g)
     h_side[rows, cols] += c_eg

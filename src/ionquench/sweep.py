@@ -8,8 +8,8 @@ alike (see run_specs); evaluate_point is the one-point form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
-from typing import Iterable, Iterator, Mapping
+from dataclasses import dataclass, replace
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .params import Branch, ReducedParams, reduce
 from .thermo import LagResult, TruncationPolicy, nonequilibrium_lag, nonequilibrium_lags
@@ -65,9 +65,8 @@ class SweepSpec:
                     yield point
 
 
-@dataclass(frozen=True)
-class ResultRow:
-    """One evaluated grid point; column set is fixed and documented."""
+class ResultRow(NamedTuple):
+    """One evaluated grid point, as a tuple in output column order; column set is fixed and documented."""
 
     nu: float
     omega0: float
@@ -90,7 +89,7 @@ class ResultRow:
 
 
 # The output columns, in the field order of ResultRow.
-RESULT_COLUMNS = tuple(field.name for field in fields(ResultRow))
+RESULT_COLUMNS = ResultRow._fields
 
 
 def evaluate_point(point: Mapping, policy: TruncationPolicy | None = None) -> ResultRow:

@@ -101,15 +101,11 @@ class TruncationReport:
     """n_used explicit terms; tail_bound_log = log(estimated tail / sum).
 
     stop_reason says why the sum ended: "bound", "cap" or "pinned" for a
-    chunked sum; "settled" for a pinned sum whose remaining terms could not
-    change a bit of it, so it holds the value of all n_used = n_pinned terms
-    without computing them; and "exact" for a closed form.
-
-    n_used, tail_bound_log and converged are the same whichever block of
-    nonequilibrium_lags a row is summed in.  A pinned row's stop_reason is
-    not: the settle test runs only between the calls of a block, and a block
-    asks more chunks of a row per call the fewer rows it holds, so the same
-    row can read "settled" in a 16-row block and "pinned" alone.
+    chunked sum; "settled" for a pinned sum whose terms past some chunk edge
+    below n_pinned could not change a bit of it, so it holds the value of
+    all n_used = n_pinned terms; and "exact" for a closed form.  Every field
+    is a function of the row and the policy: it is the same whichever block
+    of nonequilibrium_lags the row is summed in.
     """
 
     n_used: int
@@ -362,7 +358,8 @@ def _settled(running: float, tail_log: float) -> bool:
     log1p(x) <= x, so it adds at most e^(c-a) < e^delta ulp(a)/16 < ulp(a)/4.
     The floats next to a lie ulp(a) away above |a| and at least ulp(a)/2
     below, so a + that rounds back to a.  running is then unchanged, so
-    the same test holds for the next chunk, and for all of them.
+    the same test holds at the next chunk edge and at all later ones: a row
+    settled at one edge is settled at every edge after it.
 
     -inf (nothing folded yet) and nan never settle, as the right side is
     nan.  0.0 and subnormals (a sum within 1e-308 of 1) are left out too,
@@ -379,16 +376,20 @@ def _log_sums(term_logs, n_rows: int, policy: TruncationPolicy, bounds=None, tai
     folded chunk by chunk, so it keeps the bits of a one-row, one-chunk-at-a-
     time sum, and leaves live when it stops: after n_pinned terms ("pinned");
     else at the first chunk edge n where bounds[row](n) holds ("bound"); else
-    at n_cap ("cap").  A pinned row also leaves, with the bits and n_used of
-    its n_pinned-term sum, between calls once _settled(running, tails[row](n))
-    holds, where tails[row](n) bounds the log of the sum of its terms from n
-    on ("settled").  Pinned sums do not read bounds, adaptive ones not tails.
+    at n_cap ("cap").  A pinned row settles, with the bits and n_used of its
+    n_pinned-term sum, at the first chunk edge n < n_pinned where
+    _settled(running, tails[row](n)) holds, tails[row](n) bounding the log
+    of the sum of its terms from n on ("settled").  Every edge is tested as
+    its chunk is folded, so the reason does not depend on the block; the
+    row leaves live at the end of that call.  Pinned sums do not read
+    bounds, adaptive ones not tails.
 
     One call covers at most _BLOCK_CHUNKS chunks over the live rows (at least
     one per row; adaptive calls take 1, 2, 4, ... chunks per row) and ends at
     its live rows' earliest stop, so no term past a row's stop is computed.
     """
     pinned = policy.n_pinned is not None
+    settles = pinned and tails is not None
     end = policy.n_pinned if pinned else policy.n_cap
     out: list = [None] * n_rows
     running = [-math.inf] * n_rows
@@ -405,22 +406,28 @@ def _log_sums(term_logs, n_rows: int, policy: TruncationPolicy, bounds=None, tai
         xs = term_logs(live, n_done, n_hi)
         split = (n_hi - n_done) // _CHUNK * _CHUNK
         # Each row's full chunks as consecutive rows of one block, then its partial last chunk.
-        for chunks in (xs[:, :split].reshape(-1, _CHUNK), xs[:, split:]):
+        for chunks, lo in ((xs[:, :split].reshape(-1, _CHUNK), n_done), (xs[:, split:], n_done + split)):
             if chunks.size == 0:
                 continue
             per = chunks.shape[0] // len(live)
             for k, (hi, chunk_log) in enumerate(zip(*_chunk_log_sums(chunks))):
                 row = live[k // per]
+                if out[row] is not None:  # settled at an earlier edge of this call
+                    continue
                 # The chunk has a term above -inf iff its max is, unless a nan hides it.
                 if hi > -math.inf or (hi != hi and (chunks[k] > -math.inf).any()):
                     running[row] = float(np.logaddexp(running[row], chunk_log))
+                if settles:
+                    edge = min(lo + (k % per + 1) * _CHUNK, n_hi)  # where the chunk ends
+                    if edge < end and _settled(running[row], tails[row](edge)):
+                        out[row] = (running[row], end, "settled")
         for row in live:
+            if out[row] is not None:
+                continue
             if bound_at.get(row) == n_hi:
                 out[row] = (running[row], n_hi, "bound")
             elif n_hi == end:
                 out[row] = (running[row], end, "pinned" if pinned else "cap")
-            elif pinned and tails is not None and _settled(running[row], tails[row](n_hi)):
-                out[row] = (running[row], end, "settled")
         live = [row for row in live if out[row] is None]
         n_done = n_hi
         n_chunks = min(2 * n_chunks, _BLOCK_CHUNKS)
@@ -571,21 +578,26 @@ def nonequilibrium_lag(rp: ReducedParams, policy: TruncationPolicy | None = None
 def nonequilibrium_lags(rps: list[ReducedParams], policy: TruncationPolicy | None = None) -> list[LagResult]:
     """nonequilibrium_lag of each point, with the same bits.
 
-    The value, n_used, tail_bound_log and converged of each result equal
-    those of the point alone.  Its stop_reason may not: a pinned point can
-    read "settled" here where it reads "pinned" alone (see TruncationReport);
-    both stand for the sum of all n_pinned terms.  Live rows are summed in
-    blocks of up to 16 rows in input order, of any sideband index, which
-    costs far less than one row at a time, and the divergence scan runs once
-    per JC key, not once per row.  A TruncationError names the first
-    non-converged point in input order.
+    Every field of each result, stop_reason included, equals that of the
+    point alone.  Live rows are summed in blocks of up to 16 rows in input
+    order, of any sideband index, which costs far less than one row at a
+    time, and the divergence scan runs once per JC key, not once per row.
+    A TruncationError names the first non-converged point in input order.
     """
     lags = _excess_lags(rps, policy or TruncationPolicy())
-    jc_memo: dict = {}
-    return [
-        LagResult(value=lag, truncation=report, divergence_predicted=_diverges(rp, jc_memo))
-        for rp, (_, lag, report) in zip(rps, lags)
-    ]
+    # Witnesses are kept under (m, r_w0, r_om, eta), the only inputs of the
+    # scan, so a sweep over temperature scans once.
+    negatives: dict = {}
+    results = []
+    for rp, (_, lag, report) in zip(rps, lags):
+        negative = []
+        if _reads_witnesses(rp):
+            key = (rp.m, rp.r_w0, rp.r_om, rp.eta)
+            if key not in negatives:
+                negatives[key] = divergence_predicate_reduced(rp).witnesses
+            negative = negatives[key]
+        results.append(LagResult(value=lag, truncation=report, divergence_predicted=_diverges_at_zero(rp, negative)))
+    return results
 
 
 # -- low-temperature classification -------------------------------------------
@@ -607,9 +619,8 @@ def _phi_parts(rp: ReducedParams, n_max: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _phi_offsets(rp: ReducedParams) -> tuple[float, float]:
     """(r_wl, d_aw) of the Phi scan: omega_laser/nu, and |r_wl| - r_w0 formed without cancellation."""
-    sign = rp.branch.sideband_sign if rp.m > 0 else 0
-    r_wl = rp.r_w0 + sign * rp.m
-    return r_wl, float(sign * rp.m) if r_wl >= 0 else -2.0 * rp.r_w0 - sign * rp.m
+    r_wl, delta = rp.r_wl, rp.branch.sideband_sign * rp.m  # delta = r_wl - r_w0, exact
+    return r_wl, float(delta) if r_wl >= 0 else -2.0 * rp.r_w0 - delta
 
 
 def _jc_phi_positive(rp: ReducedParams) -> bool:
@@ -672,40 +683,31 @@ def default_scan_bound(m: int) -> int:
     return 10 * m + 100
 
 
-def _zero_temperature(
-    rp: ReducedParams, jc_scan=_phi_scan, witnesses: bool = True
-) -> tuple[bool, list[int], list[int]]:
-    """(diverges, negative witnesses, zero crossings) as T -> 0: the one rule every classifier follows.
+def _witnesses(rp: ReducedParams) -> tuple[list[int], list[int]]:
+    """(strictly negative witnesses, zero crossings) of Phi_n^m: the one scan every classifier reads.
 
-    Dead coupling never diverges and has no witnesses.  Live AJC or carrier
-    coupling always diverges, since Phi_0 < 0; its Phi is scanned for the
-    witnesses only when witnesses is set.  A JC sideband diverges iff
-    jc_scan(rp), which gives (negative, zeros) like _phi_scan, finds a
-    strictly negative Phi_n^m.
+    Dead coupling has none, and neither has a JC row that _jc_phi_positive
+    clears (its proof rules out both); every other row is scanned by
+    _phi_scan.  Only the frequency ratios of rp enter, not its temperature.
     """
-    if not _coupling_alive(rp):
-        return False, [], []
-    if rp.branch is Branch.JC and rp.m > 0:
-        negative, zeros = jc_scan(rp)
-        return bool(negative), negative, zeros
-    return (True, *_phi_scan(rp)) if witnesses else (True, [], [])
+    if not _coupling_alive(rp) or (rp.branch is Branch.JC and _jc_phi_positive(rp)):
+        return [], []
+    return _phi_scan(rp)
 
 
-def _diverges(rp: ReducedParams, jc_memo: dict) -> bool:
-    """divergence_predicate_reduced(rp).diverges, with Phi scanned only where the answer needs it.
+def _reads_witnesses(rp: ReducedParams) -> bool:
+    """Whether the verdict on rp reads its witnesses: a JC sideband with live coupling."""
+    return rp.branch is Branch.JC and rp.m > 0 and _coupling_alive(rp)
 
-    AJC and carrier coupling is not scanned.  A JC sideband's witnesses are
-    kept in jc_memo under (m, r_w0, r_om, eta), the only inputs of its scan,
-    so a sweep over temperature scans once.
+
+def _diverges_at_zero(rp: ReducedParams, negative: list[int]) -> bool:
+    """The one zero-temperature verdict, from the negative witnesses of _witnesses(rp).
+
+    A JC sideband diverges iff it has a negative witness.  Any other row
+    diverges iff its coupling is live, since then Phi_0 < 0; it reads no
+    witnesses, so its callers need not scan it, nor a dead JC sideband.
     """
-
-    def jc_scan(rp: ReducedParams) -> tuple[list[int], list[int]]:
-        key = (rp.m, rp.r_w0, rp.r_om, rp.eta)
-        if key not in jc_memo:
-            jc_memo[key] = divergence_predicate_reduced(rp).witnesses
-        return jc_memo[key], []  # only the verdict is read, so the zeros are left out
-
-    return _zero_temperature(rp, jc_scan, witnesses=False)[0]
+    return bool(negative) if _reads_witnesses(rp) else _coupling_alive(rp)
 
 
 def divergence_predicate_reduced(rp: ReducedParams) -> DivergenceReport:
@@ -715,29 +717,23 @@ def divergence_predicate_reduced(rp: ReducedParams) -> DivergenceReport:
     exponent is strictly negative); a JC quench diverges iff some exponent
     Phi_n^m turns negative, equivalently
     |f_n^m| > (2/omega_rabi) sqrt(nu (omega0 + n nu)(n+m)) for some n.
-    Only the frequency ratios of rp enter, not its temperature.  A JC row
-    that _jc_phi_positive clears is not scanned.
+    The witnesses are those of _witnesses, so a JC row that
+    _jc_phi_positive clears is not scanned.  Only the frequency ratios of
+    rp enter, not its temperature.
     """
-    if rp.branch is Branch.JC and _jc_phi_positive(rp):
-        return DivergenceReport(diverges=False, witnesses=[])
-    diverges, negative, _ = _zero_temperature(rp)
-    return DivergenceReport(diverges=diverges, witnesses=negative)
+    negative, _ = _witnesses(rp)
+    return DivergenceReport(diverges=_diverges_at_zero(rp, negative), witnesses=negative)
 
 
 def low_temperature_limit(rp: ReducedParams) -> LowTemperatureLimit:
     """Zero-temperature limit of the lag: log(1 + k) when finite.
 
     k counts the exponents Phi_n^m within the documented zero tolerance.
-    AJC and carrier quenches with live coupling never stay finite.  The
-    witnesses are those of divergence_predicate_reduced.  Only the frequency
-    ratios of rp enter, not its temperature.
+    The witnesses and the verdict are those of divergence_predicate_reduced,
+    so AJC and carrier quenches with live coupling never stay finite, and a
+    JC row that _jc_phi_positive clears is not scanned (its k is 0).  Only
+    the frequency ratios of rp enter, not its temperature.
     """
-    diverges, negative, zeros = _zero_temperature(rp)
-    if diverges:
-        return LowTemperatureLimit(finite=False, limit_value=None, zero_count=len(zeros), negative_witnesses=negative)
-    return LowTemperatureLimit(
-        finite=True,
-        limit_value=math.log1p(len(zeros)),
-        zero_count=len(zeros),
-        negative_witnesses=[],
-    )
+    negative, zeros = _witnesses(rp)
+    finite = not _diverges_at_zero(rp, negative)  # a finite row has no negative witness
+    return LowTemperatureLimit(finite, math.log1p(len(zeros)) if finite else None, len(zeros), negative)

@@ -141,6 +141,19 @@ class TestReduce:
         with pytest.raises(ValueError, match="Lamb-Dicke parameter must be finite"):
             reduce(fig1_point(), 1, Branch.JC, eta)
 
+    @pytest.mark.parametrize("m, branch, sign", [(0, Branch.CARRIER, 0), (2, Branch.JC, -1), (3, Branch.AJC, +1)])
+    @given(r_w0=st.floats(0.1, 1e12), nbar=st.floats(1e-3, 1e6))
+    def test_r_wl_is_r_w0_plus_or_minus_m(self, m, branch, sign, r_w0, nbar):
+        # One formula, bit for bit: b_wl / b_nu differs from it in the last bit at many ratios.
+        rp = reduced_from_ratios(r_w0, 1.0, 0.4, m, branch, nbar=nbar)
+        assert rp.r_wl.hex() == (rp.r_w0 + sign * m).hex()
+
+    def test_r_wl_at_a_ratio_where_b_wl_over_b_nu_rounds_apart(self):
+        rp = params.ReducedParams(
+            b_nu=0.002876145663227698, b_w0=0.12133095261990702, b_om=0.0, eta=0.5, m=4, branch=Branch.AJC
+        )
+        assert rp.r_wl == rp.r_w0 + 4 != rp.b_wl / rp.b_nu
+
     @given(st.integers(min_value=1, max_value=9))
     def test_branch_sign_rule(self, m):
         jc = reduced_from_ratios(1e3, 1.0, 0.4, m, Branch.JC, nbar=0.7)

@@ -213,6 +213,18 @@ class TestDenseHamiltonians:
         with pytest.raises(RuntimeError, match="h_final_sideband failed the Hermiticity check"):
             dense_hamiltonians(rp, 10)
 
+    @pytest.mark.parametrize("m, branch", [(0, Branch.CARRIER), (1, Branch.JC)])
+    def test_infinite_rabi_ratio_raises(self, m, branch):
+        # b_om / b_nu overflows: inf times a zero part of a coupling is nan, which must fail the
+        # Hermiticity check rather than surface as numpy's invalid-value warning.
+        rp = ReducedParams(b_nu=1e-300, b_w0=1.0, b_om=1e10, eta=0.5, m=m, branch=branch)
+        assert rp.r_om == math.inf
+        with pytest.raises(RuntimeError, match="h_final_sideband failed the Hermiticity check"):
+            dense_hamiltonians(rp, 10)
+        ops = replace(dense_hamiltonians(desk_reduced(m, branch, 0.5), 10), rp=rp)
+        with pytest.raises(RuntimeError, match="h_final_full failed the Hermiticity check"):
+            ops.h_final_full
+
     def test_hermitian(self):
         rp = desk_reduced(1, Branch.AJC, 1.2)
         ops = dense_hamiltonians(rp, 30)

@@ -318,6 +318,12 @@ class TestJcScanSkip:
         negative, zeros = thermo._phi_scan(rp)
         report = divergence_predicate_reduced(rp)
         assert (report.diverges, report.witnesses) == (bool(negative), negative)
+        # The limit that the full scan gives, skipped or not.
+        if negative:
+            full = thermo.LowTemperatureLimit(False, None, len(zeros), negative)
+        else:
+            full = thermo.LowTemperatureLimit(True, math.log1p(len(zeros)), len(zeros), [])
+        assert low_temperature_limit(rp) == full
         if thermo._jc_phi_positive(rp):
             assert negative == [] and zeros == []
             # The proof's margin: Phi_n stays above half its ladder.
@@ -337,14 +343,11 @@ class TestJcScanSkip:
         assert not any(thermo._jc_phi_positive(rp) for rp in rps)
         assert [divergence_predicate_reduced(rp).witnesses for rp in rps] == [[0], [], [0], [0]]
 
-    def test_low_temperature_limit_keeps_its_scan(self, monkeypatch):
-        scanned = []
-        real = thermo._phi_parts
-        monkeypatch.setattr(thermo, "_phi_parts", lambda rp, n_max: scanned.append(n_max) or real(rp, n_max))
+    def test_low_temperature_limit_skips_the_scan_too(self, monkeypatch):
+        monkeypatch.setattr(thermo, "_phi_parts", lambda rp, n_max: pytest.fail("scanned"))
         rp = classify_rp(FIG1, 1, Branch.JC, 0.5)
         assert thermo._jc_phi_positive(rp)
-        assert low_temperature_limit(rp).limit_value == 0.0
-        assert scanned == [thermo.default_scan_bound(1)]
+        assert low_temperature_limit(rp) == thermo.LowTemperatureLimit(True, 0.0, 0, [])
 
 
 class TestLowTemperatureLimit:
