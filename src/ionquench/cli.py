@@ -18,6 +18,7 @@ import argparse
 import functools
 import json
 import math
+import operator
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -28,7 +29,7 @@ import numpy as np
 from .params import Branch, reduce
 from .presets import FIG1_CONFIG, desk_scale_point, figure_presets
 from .spectra import dense_hamiltonians, spectrum_table
-from .sweep import ResultRow, SweepSpec, run_specs
+from .sweep import ResultRow, SweepSpec, run_specs, spec_fixed_columns
 from .thermo import TruncationPolicy
 from .verify import run_checks
 from .workstats import moments_analytic, moments_numeric
@@ -80,6 +81,10 @@ def _quoted(text: str) -> str:
     if "," in text or '"' in text or "\n" in text:
         return '"' + text.replace('"', '""') + '"'
     return text
+
+
+# The text of a bool or str cell, which its % conversion then takes as it is.
+_CELL_TEXTS = {bool: _bool_text, str: _quoted}
 
 
 def _json_value(value):
@@ -176,7 +181,7 @@ def _effective_params(args: argparse.Namespace) -> tuple[dict, tuple[dict, dict]
     """
     if args.preset and args.desk_scale:
         raise ConfigError(f"--desk-scale conflicts with --preset {args.preset}, which sets its own parameter block")
-    preset = (figure_presets()[args.preset].specs[0].fixed,) if args.preset else ()
+    preset = (figure_presets(args.preset)[args.preset].specs[0].fixed,) if args.preset else ()
     config = _read_config_file(args.config) if args.config else {}
     flags = {
         _FLAG_ALIASES.get(flag, flag): getattr(args, flag)
@@ -211,39 +216,75 @@ class _Writer:
     columns maps each column name to its type (float, int, bool or str), in
     output order, and write_row takes a row's values as a tuple in that
     order.  A CSV row is one % format of a template built here from the
-    column types.  A context manager: on exit it closes its --out file, and
-    deletes that file when an exception leaves the block, so a failed run
-    leaves no partial output behind.
+    column types; write_rows formats the columns its rows share into a
+    template of its own, once per call.  A context manager: on exit it
+    closes its --out file, and deletes that file when an exception leaves
+    the block, so a failed run leaves no partial output behind.
     """
 
     def __init__(self, fmt: str, out_path: str | None, columns: dict[str, type], header_meta: dict):
         self.fmt = fmt
         self.columns = tuple(columns)
+        self._kinds = tuple(columns.values())
         self._fh = open(out_path, "w", newline="") if out_path else sys.stdout
         self._out_path = out_path
-        self._template = ",".join(_CSV_CONVERSIONS[kind] for kind in columns.values()) + "\n"
-        # (position, to text) of each bool and str column.
-        self._texts = [
-            (i, _bool_text if kind is bool else _quoted)
-            for i, kind in enumerate(columns.values())
-            if kind in (bool, str)
-        ]
+        self._template, self._texts = self._csv_form({})
         if fmt == "csv":
             for key in sorted(header_meta):
                 self._fh.write(f"# {key} = {_fmt(header_meta[key])}\n")
             self._fh.write(",".join(map(_quoted, self.columns)) + "\n")
 
+    def _csv_form(self, fixed: dict[int, object]) -> tuple[str, list]:
+        """(template, texts) of CSV rows whose columns at the positions in fixed hold the given values.
+
+        The template has those values formatted in and a % conversion for
+        each other column; texts lists (index among the other values, to
+        text) of each bool and str column among them.
+        """
+        pieces, texts, n_others = [], [], 0
+        for i, kind in enumerate(self._kinds):
+            to_text = _CELL_TEXTS.get(kind)
+            if i in fixed:
+                value = fixed[i] if to_text is None else to_text(fixed[i])
+                pieces.append((_CSV_CONVERSIONS[kind] % value).replace("%", "%%"))
+                continue
+            if to_text is not None:
+                texts.append((n_others, to_text))
+            pieces.append(_CSV_CONVERSIONS[kind])
+            n_others += 1
+        return ",".join(pieces) + "\n", texts
+
+    @staticmethod
+    def _csv_line(template: str, texts: list, values: tuple) -> str:
+        if texts:
+            values = list(values)
+            for i, text in texts:
+                values[i] = text(values[i])
+            values = tuple(values)
+        return template % values
+
     def write_row(self, values: tuple) -> None:
         if self.fmt == "csv":
-            if self._texts:
-                values = list(values)
-                for i, text in self._texts:
-                    values[i] = text(values[i])
-                values = tuple(values)
-            self._fh.write(self._template % values)
+            self._fh.write(self._csv_line(self._template, self._texts, values))
         else:
             row = dict(zip(self.columns, map(_json_value, values)))
             self._fh.write(json.dumps(row, allow_nan=False) + "\n")
+
+    def write_rows(self, rows: list[tuple], fixed: tuple[int, ...] = ()) -> None:
+        """write_row of each row; the columns at the positions in fixed hold the same value in every row.
+
+        A CSV formats those columns once for all rows, and each row's other
+        columns in one % format.
+        """
+        if self.fmt != "csv" or not rows:
+            for row in rows:
+                self.write_row(row)
+            return
+        template, texts = self._csv_form({i: rows[0][i] for i in fixed})
+        others = [i for i in range(len(self._kinds)) if i not in fixed]
+        pick = operator.itemgetter(*others) if len(others) > 1 else lambda row: tuple(row[i] for i in others)
+        for row in rows:
+            self._fh.write(self._csv_line(template, texts, pick(row)))
 
     def __enter__(self) -> _Writer:
         return self
@@ -312,12 +353,13 @@ _LAG_COLUMNS = get_type_hints(ResultRow)
 
 def _run_lags(args: argparse.Namespace, command: str, params: dict, specs: list[SweepSpec]) -> int:
     _reject_unused_phi(args, params, any(spec.axis != "eta" and "eta" not in spec.fixed for spec in specs))
-    rows = run_specs(specs, policy=_policy(args))
+    policy = _policy(args)
+    rows_by_spec = [run_specs([spec], policy=policy) for spec in specs]
     extra = {} if args.tol is None else {"tol": args.tol}
     with _Writer(args.format, args.out, _LAG_COLUMNS, _meta_for(args, command, params, extra)) as writer:
-        for row in rows:
-            writer.write_row(row)
-    if any(not row.converged for row in rows) and not args.allow_nonconverged:
+        for spec, rows in zip(specs, rows_by_spec):
+            writer.write_rows(rows, spec_fixed_columns(spec))
+    if any(not row.converged for rows in rows_by_spec for row in rows) and not args.allow_nonconverged:
         return _EXIT_NONCONVERGED
     return _EXIT_OK
 
@@ -329,7 +371,7 @@ def _cmd_lag(args: argparse.Namespace) -> int:
         point = SweepSpec(axis="nu", grid=(params["nu"],), fixed=params, branches=(Branch.CARRIER,), m_values=(0,))
         return _run_lags(args, "lag", params, [_with_flags(args, point)])
     specs = []
-    for spec in figure_presets()[args.preset].specs:
+    for spec in figure_presets(args.preset)[args.preset].specs:
         # The grid sets the swept value; on the nbar axis beta would set the temperature too.
         _reject_axis_inputs(args, config, spec.axis, f"preset {args.preset}", ("beta",) if spec.axis == "nbar" else ())
         specs.append(_with_flags(args, spec, config, flags))
@@ -377,7 +419,7 @@ def _cmd_moments(args: argparse.Namespace) -> int:
     params, _ = _effective_params(args)
     etas: tuple = (params.get("eta"),)  # None: the geometric carrier value
     if args.preset and "eta" not in params:  # only fig1 fixes no eta: it sweeps it
-        etas = figure_presets()[args.preset].specs[0].grid
+        etas = figure_presets(args.preset)[args.preset].specs[0].grid
     _reject_unused_phi(args, params, None in etas)
 
     use_oracle = args.numeric_oracle

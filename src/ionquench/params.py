@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -52,6 +53,10 @@ class Branch(enum.Enum):
         return 0
 
 
+# The largest b_om whose square is finite: the excess terms square the coupling u <= b_om.
+_B_OM_MAX = math.sqrt(sys.float_info.max)
+
+
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise ValueError(msg)
@@ -80,11 +85,26 @@ class ReducedParams:
     branch: Branch
 
     def __post_init__(self) -> None:
+        # One pass for a valid row (a nan fails every comparison); a failing
+        # row runs the ordered checks, which pick its message.
+        valid = (
+            0.0 < self.b_nu < math.inf
+            and 0.0 <= self.b_w0 < math.inf
+            and 0.0 <= self.b_om <= _B_OM_MAX
+            and 0.0 <= self.eta < math.inf
+            and self.m >= 0
+            and math.isfinite(self.b_wl)
+        )
+        if not valid:
+            self._check()
+
+    def _check(self) -> None:
         for name in ("b_nu", "b_w0", "b_om", "b_wl"):
             _require(math.isfinite(getattr(self, name)), f"{name} must be finite")
         _require(self.b_nu > 0, "b_nu must be positive")
         _require(self.b_w0 >= 0, "b_w0 must be nonnegative")
         _require(self.b_om >= 0, "b_om must be nonnegative")
+        _require(self.b_om <= _B_OM_MAX, f"b_om {self.b_om!r} is too large: b_om^2 overflows")
         _require(math.isfinite(self.eta), "Lamb-Dicke parameter must be finite")
         _require(self.eta >= 0, "Lamb-Dicke parameter must be nonnegative")
         _require(self.m >= 0, "sideband index must be nonnegative")
@@ -174,7 +194,14 @@ def reduce(point: Mapping, m: int, branch: Branch, eta: float | None = None) -> 
     if eta is None:
         omega_l = omega0 + branch.sideband_sign * m * nu
         _require(omega_l > 0, "sideband detuning exceeds the transition frequency; supply eta explicitly")
-        eta = (omega_l / SPEED_OF_LIGHT) * math.sqrt(HBAR / (2.0 * mass * nu)) * math.cos(phi_angle)
+        two_mass_nu = 2.0 * mass * nu  # 0.0 when the product underflows
+        eta = math.inf
+        if two_mass_nu > 0:
+            eta = (omega_l / SPEED_OF_LIGHT) * math.sqrt(HBAR / two_mass_nu) * math.cos(phi_angle)
+        _require(
+            math.isfinite(eta),
+            "the geometric Lamb-Dicke parameter is not finite at this mass and trap frequency; supply eta explicitly",
+        )
     for name, val in (("b_nu", b_nu), ("b_w0", b_w0), ("b_om", b_om)):
         if not math.isfinite(val):
             raise ValueError(f"dimensionless group {name} overflowed to a non-finite value")

@@ -134,8 +134,12 @@ def _fig6() -> FigurePreset:
     return FigurePreset("fig6", "lag vs sideband number for several Lamb-Dicke values", specs)
 
 
-def figure_presets() -> dict[str, FigurePreset]:
-    return {p.name: p for p in (_fig1(), _fig2(), _fig3(), _fig4(), _fig5(), _fig6())}
+_BUILDERS = {"fig1": _fig1, "fig2": _fig2, "fig3": _fig3, "fig4": _fig4, "fig5": _fig5, "fig6": _fig6}
+
+
+def figure_presets(*names: str) -> dict[str, FigurePreset]:
+    """The presets called names (fig1 to fig6), or all six when none is named, each built afresh."""
+    return {name: _BUILDERS[name]() for name in names or _BUILDERS}
 
 
 def desk_scale_point() -> dict:

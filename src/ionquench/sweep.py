@@ -1,20 +1,23 @@
 """Parameter sweeps over grids of lag evaluations, with plot-ready rows.
 
 Rows come out in a fixed order: spec by spec, and within a spec grid-major,
-then branch, then sideband index.  A spec's lags are summed in blocks of up
-to 16 live rows in that order, of any sideband index, pinned or adaptive
-alike (see run_specs); evaluate_point is the one-point form.
+then branch, then sideband index.  A spec's lags are summed in blocks of
+live rows in that order, of any sideband index, as many rows as fit a
+budget of 8192 terms per call: 16 rows of adaptive sums or of sums pinned
+at 512 or more terms, 204 rows of 40 pinned terms (see run_specs).
+evaluate_point is the one-point form.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .params import Branch, ReducedParams, reduce
 from .thermo import LagResult, TruncationPolicy, nonequilibrium_lag, nonequilibrium_lags
 
-__all__ = ["SweepSpec", "ResultRow", "RESULT_COLUMNS", "run_specs", "evaluate_point"]
+__all__ = ["SweepSpec", "ResultRow", "RESULT_COLUMNS", "run_specs", "evaluate_point", "spec_fixed_columns"]
 
 SWEEP_AXES = ("eta", "omega_rabi", "nbar", "nu", "m")
 
@@ -90,6 +93,13 @@ class ResultRow(NamedTuple):
 
 # The output columns, in the field order of ResultRow.
 RESULT_COLUMNS = ResultRow._fields
+# The SI columns, which lead a row; a spec holds all of them but its axis fixed.
+SI_COLUMNS = RESULT_COLUMNS[:5]
+
+
+def spec_fixed_columns(spec: SweepSpec) -> tuple[int, ...]:
+    """Positions in RESULT_COLUMNS of the SI columns every row of spec shares: all but its axis."""
+    return tuple(i for i, name in enumerate(SI_COLUMNS) if name != spec.axis)
 
 
 def evaluate_point(point: Mapping, policy: TruncationPolicy | None = None) -> ResultRow:
@@ -98,40 +108,33 @@ def evaluate_point(point: Mapping, policy: TruncationPolicy | None = None) -> Re
     rp = reduce(point, point["m"], point["branch"], point.get("eta"))
     if point.get("n_pinned") is not None:
         policy = replace(policy, n_pinned=int(point["n_pinned"]))
-    return _row(point, rp, nonequilibrium_lag(rp, policy=policy))
+    return _row(_si_values(point), rp, nonequilibrium_lag(rp, policy=policy))
 
 
-def _row(point: Mapping, rp: ReducedParams, result: LagResult) -> ResultRow:
-    """The row of a point; its SI columns echo the point, phi_angle is NaN when eta was given."""
+def _si_values(point: Mapping) -> list[float]:
+    """The SI columns of a point, in SI_COLUMNS order; they echo the point, phi_angle is NaN when eta was given."""
+    phi_angle = math.nan if point.get("eta") is not None else float(point.get("phi_angle", 0.0))
+    return [float(point["nu"]), float(point["omega0"]), float(point["omega_rabi"]), float(point["mass"]), phi_angle]
+
+
+def _row(si_values: list[float], rp: ReducedParams, result: LagResult) -> ResultRow:
+    """The row of a point with SI columns si_values and reduced parameters rp."""
+    report = result.truncation
     return ResultRow(
-        nu=float(point["nu"]),
-        omega0=float(point["omega0"]),
-        omega_rabi=float(point["omega_rabi"]),
-        mass=float(point["mass"]),
-        phi_angle=float("nan") if point.get("eta") is not None else float(point.get("phi_angle", 0.0)),
-        eta=rp.eta,
-        nbar=rp.nbar,
-        b_nu=rp.b_nu,
-        b_w0=rp.b_w0,
-        b_om=rp.b_om,
-        b_wl=rp.b_wl,
-        m=rp.m,
-        branch=rp.branch.value,
-        lag=result.value,
-        n_used=result.truncation.n_used,
-        tail_bound_log=result.truncation.tail_bound_log,
-        converged=result.truncation.converged,
-        divergence_predicted=result.divergence_predicted,
-    )
+        *si_values, rp.eta, rp.nbar, rp.b_nu, rp.b_w0, rp.b_om, rp.b_wl, rp.m, rp.branch.value,
+        result.value, report.n_used, report.tail_bound_log, report.converged, result.divergence_predicted,
+    )  # fmt: skip
 
 
 def run_specs(specs: Iterable[SweepSpec], policy: TruncationPolicy | None = None) -> list[ResultRow]:
     """Evaluate every point of every spec, in spec order and then spec.points() order.
 
     Each spec's points are resolved first, then all their lags come from one
-    nonequilibrium_lags call, which sums them in blocks of up to 16 live
-    rows in point order, of any sideband index.  A TruncationError names the
-    first failing point of the first spec that has one.
+    nonequilibrium_lags call, which sums them in blocks of live rows in
+    point order, of any sideband index, as many as fit its term budget.  A
+    spec's SI columns are converted once; only its axis column is set per
+    point.  A TruncationError names the first failing point of the first
+    spec that has one.
     """
     policy = policy or TruncationPolicy()
     rows: list[ResultRow] = []
@@ -140,5 +143,10 @@ def run_specs(specs: Iterable[SweepSpec], policy: TruncationPolicy | None = None
         points = list(spec.points())
         rps = [reduce(p, p["m"], p["branch"], p.get("eta")) for p in points]
         results = nonequilibrium_lags(rps, spec_policy)
-        rows.extend(_row(*row) for row in zip(points, rps, results))
+        si_values = _si_values(points[0])
+        axis = SI_COLUMNS.index(spec.axis) if spec.axis in SI_COLUMNS else None
+        for point, rp, result in zip(points, rps, results):
+            if axis is not None:
+                si_values[axis] = point[spec.axis]
+            rows.append(_row(si_values, rp, result))
     return rows

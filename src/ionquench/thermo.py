@@ -61,12 +61,13 @@ __all__ = [
 _LN2 = math.log(2.0)
 
 
-# Fixed truncation constants: chunk size of the sums.  One term call covers at
-# most _BLOCK_CHUNKS chunks of terms; rows are summed _BLOCK_ROWS at a time, so
-# a block's call covers 16 chunks of one row or one chunk of 16 rows.
+# Fixed truncation constants: chunk size of the sums, and the term budget of
+# one term call, 16 chunks.  A block takes as many live rows as fit the budget
+# on their first call, min(n_pinned, _CHUNK) terms each, and each call gives
+# every live row max(1, _TERM_BUDGET // (live * _CHUNK)) chunks: 16 chunks of
+# one row, one chunk of 16 rows, or the 40 pinned terms of 204 rows.
 _CHUNK = 512
-_BLOCK_CHUNKS = 16
-_BLOCK_ROWS = 16
+_TERM_BUDGET = 16 * _CHUNK
 
 
 @dataclass(frozen=True)
@@ -192,27 +193,32 @@ def _coupling_upto(m: int, eta: float, n_max: int) -> tuple[np.ndarray, np.ndarr
 def _grow_coupling(key: tuple[int, float], entry, n_max: int):
     """Store an entry for key that reaches n_max, resuming the recurrence.
 
-    A new key is filled only to the n_max asked, so a pinned row needs one
-    recurrence call for its terms; a divergence scan that still runs (see
-    _jc_phi_positive) extends the key like any longer request.  An extension
-    computes only the missing terms; the arrays double in capacity when
-    full, so copying stays linear in the final length.
+    A new key is filled only to the n_max asked: a pinned row needs one
+    recurrence call for its terms, and an adaptive block grows each key
+    once, to the furthest stop among its rows (see _excess_block).  A
+    divergence scan that still runs (see _jc_phi_positive) extends the key
+    like any longer request.  A recurrence call computes at most
+    _TERM_BUDGET terms, so its lists and arrays stay the size of one term
+    call's.  An extension computes only the missing terms; the arrays
+    double in capacity when full, so copying stays linear in the final
+    length.
     """
     m, eta = key
     if entry is None:
         if len(_COUPLING_CACHE) >= _COUPLING_CACHE_KEYS:
             _COUPLING_CACHE.clear()
-        entry = coupling_logabs_sequence(n_max, m, eta, resume=LAGUERRE_START)
-    else:
+        entry = coupling_logabs_sequence(min(n_max, _TERM_BUDGET - 1), m, eta, resume=LAGUERRE_START)
+    while entry[2].n < n_max:
         signs, log_mags, state = entry
-        new_signs, new_mags, new_state = coupling_logabs_sequence(n_max, m, eta, resume=state)
+        n_to = min(n_max, state.n + _TERM_BUDGET)
+        new_signs, new_mags, new_state = coupling_logabs_sequence(n_to, m, eta, resume=state)
         lo = state.n + 1
-        if signs.size <= n_max:
+        if signs.size <= n_to:
             capacity = max(n_max + 1, 2 * signs.size)
             signs = np.concatenate((signs[:lo], np.empty(capacity - lo, dtype=signs.dtype)))
             log_mags = np.concatenate((log_mags[:lo], np.empty(capacity - lo)))
-        signs[lo : n_max + 1] = new_signs
-        log_mags[lo : n_max + 1] = new_mags
+        signs[lo : n_to + 1] = new_signs
+        log_mags[lo : n_to + 1] = new_mags
         entry = (signs, log_mags, new_state)
     _COUPLING_CACHE[key] = entry
     return entry
@@ -368,41 +374,55 @@ def _settled(running: float, tail_log: float) -> bool:
     return abs(running) >= sys.float_info.min and tail_log < running + math.log(math.ulp(running)) - _LN16
 
 
-def _log_sums(term_logs, n_rows: int, policy: TruncationPolicy, bounds=None, tails=None) -> list[tuple[float, int, str]]:
-    """(log of the sum, terms used, stop reason) of each of n_rows rows of terms, summed ascending in n.
+def _stops(policy: TruncationPolicy, bounds: list) -> list[tuple[int, str]]:
+    """(terms, stop reason) of each row: where its sum ends unless it settles first.
+
+    A pinned row stops after n_pinned terms ("pinned").  An adaptive row
+    stops at the first chunk edge n where bounds[row](n) holds ("bound"),
+    else at n_cap ("cap").  So every stop is known before the row's first
+    term.  Pinned rows do not read bounds.
+    """
+    if policy.n_pinned is not None:
+        return [(policy.n_pinned, "pinned")] * len(bounds)
+    edges = [*range(_CHUNK, policy.n_cap, _CHUNK), policy.n_cap]
+    stops = []
+    for bound in bounds:
+        edge = next((n for n in edges if bound(n)), None)
+        stops.append((policy.n_cap, "cap") if edge is None else (edge, "bound"))
+    return stops
+
+
+def _log_sums(
+    term_logs, policy: TruncationPolicy, stops: list[tuple[int, str]], tails=None
+) -> list[tuple[float, int, str]]:
+    """(log of the sum, terms used, stop reason) of each row of terms, summed ascending in n.
 
     term_logs(live, n_lo, n_hi) gives the terms n_lo..n_hi-1 of the rows
     listed in live, as a [len(live) x (n_hi - n_lo)] block.  Each row is
     folded chunk by chunk, so it keeps the bits of a one-row, one-chunk-at-a-
-    time sum, and leaves live when it stops: after n_pinned terms ("pinned");
-    else at the first chunk edge n where bounds[row](n) holds ("bound"); else
-    at n_cap ("cap").  A pinned row settles, with the bits and n_used of its
-    n_pinned-term sum, at the first chunk edge n < n_pinned where
-    _settled(running, tails[row](n)) holds, tails[row](n) bounding the log
-    of the sum of its terms from n on ("settled").  Every edge is tested as
-    its chunk is folded, so the reason does not depend on the block; the
-    row leaves live at the end of that call.  Pinned sums do not read
-    bounds, adaptive ones not tails.
+    time sum, and leaves live at its stop from _stops.  A pinned row
+    settles, with the bits and n_used of its n_pinned-term sum, at the first
+    chunk edge n < n_pinned where _settled(running, tails[row](n)) holds,
+    tails[row](n) bounding the log of the sum of its terms from n on
+    ("settled").  Every edge is tested as its chunk is folded, so the reason
+    does not depend on the block; the row leaves live at the end of that
+    call.  Adaptive sums do not read tails.
 
-    One call covers at most _BLOCK_CHUNKS chunks over the live rows (at least
-    one per row; adaptive calls take 1, 2, 4, ... chunks per row) and ends at
-    its live rows' earliest stop, so no term past a row's stop is computed.
+    A call gives each live row max(1, _TERM_BUDGET // (live * _CHUNK))
+    chunks, adaptive calls at most 1, 2, 4, ... of them, and ends at its live
+    rows' earliest stop, so no term past a row's stop is computed.
     """
     pinned = policy.n_pinned is not None
     settles = pinned and tails is not None
-    end = policy.n_pinned if pinned else policy.n_cap
-    out: list = [None] * n_rows
-    running = [-math.inf] * n_rows
-    live = list(range(n_rows))
+    out: list = [None] * len(stops)
+    running = [-math.inf] * len(stops)
+    live = list(range(len(stops)))
     n_done = 0
-    n_chunks = _BLOCK_CHUNKS if pinned else 1
+    max_chunks = _TERM_BUDGET // _CHUNK
+    n_chunks = max_chunks if pinned else 1
     while live:
-        n_hi = min(n_done + min(n_chunks, max(1, _BLOCK_CHUNKS // len(live))) * _CHUNK, end)
-        bound_at = {}
-        if bounds is not None and not pinned:
-            edges = [*range(n_done + _CHUNK, n_hi, _CHUNK), n_hi]
-            bound_at = {row: next((edge for edge in edges if bounds[row](edge)), None) for row in live}
-            n_hi = min((edge for edge in bound_at.values() if edge is not None), default=n_hi)
+        per_row = min(n_chunks, max(1, _TERM_BUDGET // (len(live) * _CHUNK)))
+        n_hi = min(n_done + per_row * _CHUNK, min(stops[row][0] for row in live))
         xs = term_logs(live, n_done, n_hi)
         split = (n_hi - n_done) // _CHUNK * _CHUNK
         # Each row's full chunks as consecutive rows of one block, then its partial last chunk.
@@ -419,18 +439,14 @@ def _log_sums(term_logs, n_rows: int, policy: TruncationPolicy, bounds=None, tai
                     running[row] = float(np.logaddexp(running[row], chunk_log))
                 if settles:
                     edge = min(lo + (k % per + 1) * _CHUNK, n_hi)  # where the chunk ends
-                    if edge < end and _settled(running[row], tails[row](edge)):
-                        out[row] = (running[row], end, "settled")
+                    if edge < stops[row][0] and _settled(running[row], tails[row](edge)):
+                        out[row] = (running[row], stops[row][0], "settled")
         for row in live:
-            if out[row] is not None:
-                continue
-            if bound_at.get(row) == n_hi:
-                out[row] = (running[row], n_hi, "bound")
-            elif n_hi == end:
-                out[row] = (running[row], end, "pinned" if pinned else "cap")
+            if out[row] is None and stops[row][0] == n_hi:
+                out[row] = (running[row], n_hi, stops[row][1])
         live = [row for row in live if out[row] is None]
         n_done = n_hi
-        n_chunks = min(2 * n_chunks, _BLOCK_CHUNKS)
+        n_chunks = min(2 * n_chunks, max_chunks)
     return out
 
 
@@ -447,9 +463,11 @@ def _excess_lags(rps: list[ReducedParams], policy: TruncationPolicy) -> list[tup
     """(shifted log Z_initial, lag, truncation report) of each row, from the excess sum.
 
     Rows with dead coupling are exact zeros.  The live rows are summed in
-    blocks of up to _BLOCK_ROWS rows in input order, whatever their sideband
-    index.  An adaptive sum that ends non-converged raises TruncationError
-    for the first such row in input order, unless
+    blocks in input order, whatever their sideband index: as many rows as
+    fit _TERM_BUDGET on their first call, min(n_pinned, _CHUNK) terms each.
+    That is 16 rows for an adaptive sum or one pinned at 512 or more terms,
+    and 204 rows pinned at 40.  An adaptive sum that ends non-converged
+    raises TruncationError for the first such row in input order, unless
     policy.error_on_nonconverged is cleared.
     """
     out: list = [None] * len(rps)
@@ -459,8 +477,9 @@ def _excess_lags(rps: list[ReducedParams], policy: TruncationPolicy) -> list[tup
             out[i] = (ln_partition_initial(rp).shifted_log, 0.0, _EXACT_REPORT)
         else:
             live.append(i)
-    for start in range(0, len(live), _BLOCK_ROWS):
-        block = live[start : start + _BLOCK_ROWS]
+    size = _TERM_BUDGET // min(policy.n_pinned or _CHUNK, _CHUNK)
+    for start in range(0, len(live), size):
+        block = live[start : start + size]
         for i, result in zip(block, _excess_block([rps[i] for i in block], policy)):
             out[i] = result
     failed = next((report for _, _, report in out if not report.converged), None)
@@ -475,21 +494,31 @@ def _take(rows: _Rows, live: list[int]) -> _Rows:
 
 
 def _excess_block(rps: list[ReducedParams], policy: TruncationPolicy) -> list[tuple[float, float, TruncationReport]]:
-    """_excess_lags for a block of live rows, from one _log_sums call."""
+    """_excess_lags for a block of live rows, from one _log_sums call.
+
+    An adaptive row's stop is known before its first term, as its tail bound
+    is linear in n; so each coupling key is grown once, to the furthest stop
+    among its rows, not call by call.
+    """
     rows = _rows_of(rps)
     tails = _excess_tails(rows)
     # log(1 + e^(-b_w0)): log Z_i without its log(nbar+1), which cancels against the tails'.
     zi_edges = [math.log1p(math.exp(-rp.b_w0)) for rp in rps]
     log_tol = math.log(policy.tol)
     bounds = [lambda n, tail=tail, edge=edge: tail(n) - edge <= log_tol for tail, edge in zip(tails, zi_edges)]
+    stops = _stops(policy, bounds)
+    if policy.n_pinned is None:
+        reach: dict = {}
+        for key, (n_stop, _) in zip(rows.keys, stops):
+            reach[key] = max(reach.get(key, 0), n_stop)
+        for (m, eta), n_stop in reach.items():
+            _coupling_upto(m, eta, n_stop - 1)
     # The tails with their log(nbar+1) put back: bounds on the log of the excess terms from n on.
     term_tails = [lambda n, tail=tail, ln1=rp.ln_nbar_plus_1: tail(n) + ln1 for tail, rp in zip(tails, rps)]
-    sums = _log_sums(
-        lambda live, lo, hi: _excess_logs(_take(rows, live), lo, hi), len(rps), policy, bounds, term_tails
-    )
+    sums = _log_sums(lambda live, lo, hi: _excess_logs(_take(rows, live), lo, hi), policy, stops, term_tails)
     out = []
     for rp, tail, zi_edge, (log_sum, n_done, stop_reason) in zip(rps, tails, zi_edges, sums):
-        ln_zi = ln_partition_initial(rp).shifted_log
+        ln_zi = rp.ln_nbar_plus_1 + zi_edge  # ln_partition_initial(rp).shifted_log, formed alike
         lag = float(np.logaddexp(0.0, log_sum - ln_zi))
         tail_bound_log = tail(n_done) + rp.ln_nbar_plus_1 - (ln_zi + lag)
         converged = tail_bound_log <= log_tol or tail(n_done) - zi_edge <= log_tol
@@ -551,9 +580,9 @@ def _ln_partition_final_direct(rp: ReducedParams, policy: TruncationPolicy) -> L
     # Z_final >= Z_initial exactly, so a tail below tol of Z_initial certifies the stop.
     ln_zi = ln_partition_initial(rp).shifted_log
     log_tol = math.log(policy.tol)
-    ((running, n_done, stop_reason),) = _log_sums(
-        lambda live, lo, hi: _direct_term_logs(rp, lo, hi)[None, :], 1, policy, [lambda n: tail(n) - ln_zi <= log_tol]
-    )
+    stops = _stops(policy, [lambda n: tail(n) - ln_zi <= log_tol])
+    term_logs = lambda live, lo, hi: _direct_term_logs(rp, lo, hi)[None, :]
+    ((running, n_done, stop_reason),) = _log_sums(term_logs, policy, stops)
     total = float(np.logaddexp(running, _edge_shifted_log(rp)))
     tail_bound_log = tail(n_done) - max(total, ln_zi)
     converged = tail_bound_log <= log_tol
@@ -579,9 +608,11 @@ def nonequilibrium_lags(rps: list[ReducedParams], policy: TruncationPolicy | Non
     """nonequilibrium_lag of each point, with the same bits.
 
     Every field of each result, stop_reason included, equals that of the
-    point alone.  Live rows are summed in blocks of up to 16 rows in input
-    order, of any sideband index, which costs far less than one row at a
-    time, and the divergence scan runs once per JC key, not once per row.
+    point alone.  Live rows are summed in blocks in input order, of any
+    sideband index, as many as fit a budget of 8192 terms per call (16 rows
+    of adaptive sums, 204 of 40 pinned terms), which costs far less than one
+    row at a time, and the divergence scan runs once per JC key, not once
+    per row.
     A TruncationError names the first non-converged point in input order.
     """
     lags = _excess_lags(rps, policy or TruncationPolicy())

@@ -256,19 +256,21 @@ class TestMixedSidebandBlocks:
         one_row = [_lag_bits(nonequilibrium_lag(rp, policy)) for rp in rps]
         blocks = _block_ms(monkeypatch)
         assert [_lag_bits(result) for result in nonequilibrium_lags(rps, policy)] == one_row
-        # Blocks of 16 rows in input order, each over all four sideband indices.
-        assert [len(block) for block in blocks] == [16, 16, 16, 16, 8]
+        # Blocks in input order, each over all four sideband indices: as many rows as fit
+        # 8192 terms on their first call, so all 72 rows pinned at 40 terms, else 16 rows.
+        assert [len(block) for block in blocks] == ([72] if policy.n_pinned == 40 else [16, 16, 16, 16, 8])
         assert all(set(block) == {0, 1, 2, 3} for block in blocks)
 
     def test_fig6_sideband_sweep_keeps_its_one_row_bits(self, policy, monkeypatch):
-        # fig6 sweeps m = 0..29 on both branches: each block holds 8 consecutive m of each branch.
+        # fig6 sweeps m = 0..29 on both branches: a 16-row block holds 8 consecutive m of each branch,
+        # and the 60 rows pinned at 40 terms fit one block.
         for spec in figure_presets()["fig6"].specs:
             rps = [reduce(point, point["m"], point["branch"], point["eta"]) for point in spec.points()]
             assert max(rp.m for rp in rps) == 29
             one_row = [_lag_bits(nonequilibrium_lag(rp, policy)) for rp in rps]
             blocks = _block_ms(monkeypatch)
             assert [_lag_bits(result) for result in nonequilibrium_lags(rps, policy)] == one_row
-            assert len(blocks) == 4 and all(len(set(block)) > 1 for block in blocks)
+            assert len(blocks) == (1 if policy.n_pinned == 40 else 4) and all(len(set(block)) > 1 for block in blocks)
 
 
 def test_pinned_stop_reason_is_the_rows_own():

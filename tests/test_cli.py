@@ -249,6 +249,22 @@ class TestInputValidation:
         assert main(["lag", "--eta", "nan"]) == 2
         assert "Lamb-Dicke parameter must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["--nu", "1e-300"], ["--mass", "1e-320", "--nu", "1e-10"]])
+    def test_geometric_eta_of_underflowing_mass_times_nu(self, argv, capsys):
+        # 2 * mass * nu underflows to 0: an internal ZeroDivisionError with exit 4 before.
+        assert main(["lag", *argv]) == 2
+        assert capsys.readouterr().err == (
+            "error: the geometric Lamb-Dicke parameter is not finite at this mass and trap frequency;"
+            " supply eta explicitly\n"
+        )
+
+    @pytest.mark.parametrize("argv", [["--omega", "1e200", "--nbar", "1e-3"], ["--beta", "1e300"]])
+    def test_b_om_whose_square_overflows(self, argv, capsys):
+        # Every excess term was nan before: 200000 terms summed, a nan lag and exit 3.
+        assert main(["lag", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: b_om ") and err.endswith(" is too large: b_om^2 overflows\n")
+
     def test_negative_mass_is_one_error_line(self, capsys):
         assert main(["lag", "--mass", "-1"]) == 2
         err = capsys.readouterr().err
@@ -698,6 +714,51 @@ class TestWriter:
                     assert got == value and isinstance(got, bool) is isinstance(value, bool)
 
 
+class TestWriteRows:
+    """write_rows formats the columns its rows share once, with the bytes of write_row row by row."""
+
+    @staticmethod
+    def _both(tmp_path, fmt, columns, rows, fixed):
+        one, many = tmp_path / "one", tmp_path / "many"
+        with cli._Writer(fmt, str(one), columns, {"k": 1.5}) as writer:
+            for row in rows:
+                writer.write_row(row)
+        with cli._Writer(fmt, str(many), columns, {"k": 1.5}) as writer:
+            writer.write_rows(rows, fixed)
+        return one.read_bytes(), many.read_bytes()
+
+    @pytest.mark.parametrize("share", ["none", "every other", "all but one", "all"])
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize("command", list(_WRITER_COLUMNS))
+    def test_shared_columns_written_as_by_write_row(self, command, fmt, share, tmp_path):
+        columns = _WRITER_COLUMNS[command]
+        n = len(columns)
+        fixed = {
+            "none": (), "every other": tuple(range(0, n, 2)), "all but one": tuple(range(1, n)), "all": tuple(range(n))
+        }  # fmt: skip
+        rows = _edge_rows(columns)
+        rows = [tuple(rows[0][i] if i in fixed[share] else value for i, value in enumerate(row)) for row in rows]
+        one, many = self._both(tmp_path, fmt, columns, rows, fixed[share])
+        assert many == one and one.count(b"\n") >= len(rows)
+
+    def test_shared_text_with_percent_signs_and_commas(self, tmp_path):
+        columns = {"text": str, "x": float, "flag": bool}
+        rows = [("100% a,b", 1.5, True), ("100% a,b", math.nan, False)]
+        one, many = self._both(tmp_path, "csv", columns, rows, (0,))
+        assert many == one and b'"100% a,b",nan,false' in many
+
+
+_PRESET_REFS = Path(__file__).resolve().parents[1] / "perfbench" / "refs" / "presets"
+
+
+@pytest.mark.parametrize("preset", [f"fig{i}" for i in range(1, 7)])
+def test_preset_csv_equals_its_reference(preset, tmp_path):
+    # The references under perfbench/refs/presets are read, never written.
+    out = tmp_path / f"{preset}.csv"
+    assert main(["lag", "--preset", preset, "--out", str(out)]) == 0
+    assert out.read_bytes() == (_PRESET_REFS / f"{preset}.csv").read_bytes()
+
+
 class TestVerifyCommand:
     def test_fast_passes_and_is_quick(self, capsys):
         import time
@@ -716,6 +777,10 @@ class TestVerifyCommand:
 
 
 class TestPresetFidelity:
+    @pytest.mark.parametrize("name", [f"fig{i}" for i in range(1, 7)])
+    def test_preset_built_alone_equals_its_entry(self, name):
+        assert figure_presets(name) == {name: figure_presets()[name]}
+
     def test_parameter_blocks_match_reference_values(self):
         presets = figure_presets()
         shared = presets["fig1"].specs[0].fixed

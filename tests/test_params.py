@@ -193,6 +193,58 @@ class TestValidation:
             run_specs([spec])
 
 
+# A valid row; each case below changes some of its fields.
+_VALID_ROW = dict(b_nu=1.0, b_w0=2.0, b_om=3.0, eta=0.5, m=1, branch=Branch.JC)
+
+
+class TestReducedParamsMessages:
+    """Every check of ReducedParams, and which message wins when several fail."""
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"b_nu": math.nan}, "b_nu must be finite"),
+            ({"b_nu": math.inf, "b_w0": math.nan}, "b_nu must be finite"),
+            ({"b_w0": math.inf}, "b_w0 must be finite"),
+            ({"b_w0": -math.inf, "b_nu": -1.0}, "b_w0 must be finite"),
+            ({"b_om": math.nan, "eta": -1.0}, "b_om must be finite"),
+            ({"b_om": -math.inf}, "b_om must be finite"),
+            # b_wl = b_w0 + m b_nu overflows on the AJC branch, though both are finite.
+            ({"b_w0": 1e308, "b_nu": 1e308, "branch": Branch.AJC}, "b_wl must be finite"),
+            ({"b_w0": 1e308, "b_nu": 1e308, "branch": Branch.AJC, "b_om": -1.0}, "b_wl must be finite"),
+            ({"b_nu": 0.0}, "b_nu must be positive"),
+            ({"b_nu": -1.0, "b_w0": -1.0}, "b_nu must be positive"),
+            ({"b_w0": -1.0, "b_om": -1.0}, "b_w0 must be nonnegative"),
+            ({"b_om": -1.0, "eta": math.nan}, "b_om must be nonnegative"),
+            ({"b_om": 1e155, "eta": math.nan}, "b_om 1e+155 is too large: b_om^2 overflows"),
+            # The next double above sqrt(sys.float_info.max):
+            ({"b_om": 1.3407807929942597e154}, "b_om 1.3407807929942597e+154 is too large: b_om^2 overflows"),
+            ({"eta": math.nan, "m": -1}, "Lamb-Dicke parameter must be finite"),
+            ({"eta": math.inf}, "Lamb-Dicke parameter must be finite"),
+            ({"eta": -0.5, "m": -1}, "Lamb-Dicke parameter must be nonnegative"),
+            ({"m": -1}, "sideband index must be nonnegative"),
+        ],
+    )
+    def test_message(self, changes, message):
+        with pytest.raises(ValueError) as excinfo:
+            params.ReducedParams(**{**_VALID_ROW, **changes})
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {},
+            {"b_om": 1.3407807929942596e154},  # sqrt of the largest double: its square is finite
+            {"b_w0": 0.0, "b_om": 0.0, "eta": 0.0, "m": 0, "branch": Branch.CARRIER},
+            {"b_w0": -0.0},
+            {"b_w0": 1e308, "b_nu": 1e308},  # b_wl = 0 on the JC branch
+        ],
+    )
+    def test_valid_row(self, changes):
+        rp = params.ReducedParams(**{**_VALID_ROW, **changes})
+        assert math.isfinite(rp.b_om * rp.b_om) and math.isfinite(rp.b_wl)
+
+
 class TestCallersBindReduce:
     """sweep and cli call reduce through their own module binding, one call per resolved point."""
 

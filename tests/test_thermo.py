@@ -409,6 +409,15 @@ class TestNuToZeroLimit:
             assert lag == pytest.approx(limit_val, rel=1e-2)
 
 
+def _growth(start, stop):
+    """(n_max, resume.n) of the recurrence calls that grow a key from n = start to stop, 8192 terms at most each."""
+    calls = []
+    while start < stop:
+        calls.append((min(stop, start + 8192), start))
+        start = calls[-1][0]
+    return calls
+
+
 class TestCouplingCache:
     """The coupling cache resumes the Laguerre recurrence instead of rerunning it."""
 
@@ -431,10 +440,33 @@ class TestCouplingCache:
         assert max(row.n_used for row in rows) > 2 * 512  # the cache had to grow
         for key in {(1, 0.8), (3, 0.8)}:
             mine = [(n_max, start) for k, n_max, start in calls if k == key]
-            steps = sum(n_max - start for n_max, start in mine)
-            # Each call starts where the previous one stopped: no step runs twice.
-            assert [start for _, start in mine] == [-1] + [n_max for n_max, _ in mine[:-1]]
-            assert steps <= 2 * (max(n_max for n_max, _ in mine) + 1)
+            # The 12 rows make one block, and an adaptive row's stop is known when its block
+            # starts: each key grows once, to the furthest stop among its rows.
+            assert mine == _growth(-1, max(row.n_used for row in rows if row.m == key[0]) - 1)
+
+    def test_adaptive_blocks_grow_each_key_once_per_block(self, monkeypatch):
+        calls = []
+        real = thermo.coupling_logabs_sequence
+
+        def counting(n_max, m, eta, *, resume=None):
+            calls.append(((m, eta), n_max, resume.n if resume is not None else -1))
+            return real(n_max, m, eta, resume=resume)
+
+        monkeypatch.setattr(thermo, "coupling_logabs_sequence", counting)
+        monkeypatch.setattr(thermo, "_COUPLING_CACHE", {})
+        # 24 rows of one key in two 16-row blocks, the longer stops in the second.
+        fixed = {key: FIG1[key] for key in ("mass", "nu", "omega0", "omega_rabi")}
+        nbars = tuple(np.geomspace(1e2, 1e4, 12).tolist())
+        spec = SweepSpec(
+            axis="nbar", grid=nbars, fixed={**fixed, "eta": 0.8}, branches=(Branch.JC, Branch.AJC), m_values=(2,)
+        )  # fmt: skip
+        rows = run_specs([spec], TruncationPolicy())
+        firsts, seconds = rows[:16], rows[16:]
+        assert max(row.n_used for row in seconds) > max(row.n_used for row in firsts)
+        # Each block grows the key once, resuming where the last call stopped: no step runs twice.
+        first_reach, reach = max(row.n_used for row in firsts) - 1, max(row.n_used for row in rows) - 1
+        growths = _growth(-1, first_reach) + _growth(first_reach, reach)
+        assert [(n_max, start) for _, n_max, start in calls] == growths
 
     def test_pinned_row_needs_one_recurrence_call(self, monkeypatch):
         # The first fill covers the pinned terms; this JC row needs no divergence scan.
@@ -448,11 +480,16 @@ class TestCouplingCache:
 
     def test_cached_values_equal_one_shot(self, monkeypatch):
         monkeypatch.setattr(thermo, "_COUPLING_CACHE", {})
-        for n_max in (39, 700, 1300, 5000, 4000):
+        for n_max in (39, 700, 1300, 5000, 20000, 4000):
             signs, log_mags = thermo._coupling_upto(2, 1.1, n_max)
             assert signs.size == log_mags.size > n_max
         ref_signs, ref_mags = thermo.coupling_logabs_sequence(signs.size - 1, 2, 1.1)
         assert np.array_equal(signs, ref_signs) and log_mags.tobytes() == ref_mags.tobytes()
+
+
+def _never(n):
+    """A tail bound that never certifies a stop."""
+    return False
 
 
 def _one_chunk_at_a_time(term_logs, policy, bound_reached=None):
@@ -531,8 +568,8 @@ class TestBlockedLogSum:
             asked.append((lo, hi))
             return terms[lo:hi].copy()
 
-        bounds = None if bound is None else [bound]
-        (got,) = thermo._log_sums(lambda live, lo, hi: term_logs(lo, hi)[None, :], 1, policy, bounds)
+        stops = thermo._stops(policy, [bound or _never])
+        (got,) = thermo._log_sums(lambda live, lo, hi: term_logs(lo, hi)[None, :], policy, stops)
         ref = _one_chunk_at_a_time(lambda lo, hi: terms[lo:hi].copy(), policy, bound)
         assert (got[0].hex(), got[1:]) == (ref[0].hex(), ref[1:])
         # Blocks tile [0, end) in order, at most 16 chunks each, and never
@@ -552,7 +589,7 @@ class TestBlockedLogSum:
             calls.append((list(live), lo, hi))
             return np.stack([rows[row][lo:hi] for row in live])
 
-        got = thermo._log_sums(term_logs, len(rows), policy, bounds)
+        got = thermo._log_sums(term_logs, policy, thermo._stops(policy, bounds or [_never] * len(rows)))
         for row, (terms, (log_sum, n_used, stop_reason)) in enumerate(zip(rows, got)):
             ref = _one_chunk_at_a_time(lambda lo, hi: terms[lo:hi].copy(), policy, None if fires is None else bounds[row])
             assert (log_sum.hex(), n_used, stop_reason) == (ref[0].hex(), *ref[1:]), row
@@ -575,7 +612,8 @@ class TestBlockedLogSum:
         rows[2][3] = np.nan  # nan and -inf only: skipped too
         rows[3][2 * chunk - 1] = np.nan  # a nan last term
         with np.errstate(invalid="ignore"):
-            got = thermo._log_sums(lambda live, lo, hi: np.stack([rows[row][lo:hi] for row in live]), len(rows), policy)
+            stops = thermo._stops(policy, [_never] * len(rows))
+            got = thermo._log_sums(lambda live, lo, hi: np.stack([rows[row][lo:hi] for row in live]), policy, stops)
             refs = [_one_chunk_at_a_time(lambda lo, hi: terms[lo:hi].copy(), policy) for terms in rows]
         for (log_sum, n_used, stop_reason), ref in zip(got, refs):
             assert (log_sum.hex(), n_used, stop_reason) == (ref[0].hex(), *ref[1:])
@@ -584,9 +622,9 @@ class TestBlockedLogSum:
     def test_adaptive_blocks_double_up_to_sixteen_chunks(self):
         asked = []
         terms = np.zeros(100 * thermo._CHUNK)
-        thermo._log_sums(
-            lambda live, lo, hi: asked.append(hi - lo) or terms[None, lo:hi], 1, TruncationPolicy(n_cap=terms.size)
-        )
+        policy = TruncationPolicy(n_cap=terms.size)
+        stops = thermo._stops(policy, [_never])
+        thermo._log_sums(lambda live, lo, hi: asked.append(hi - lo) or terms[None, lo:hi], policy, stops)
         assert [n // thermo._CHUNK for n in asked[:7]] == [1, 2, 4, 8, 16, 16, 16]
 
     @pytest.mark.parametrize("seed", range(4))
@@ -594,7 +632,7 @@ class TestBlockedLogSum:
         # Full chunks, and the partial last chunks a pinned block reduces (40, 50, 392, 464 at the presets).
         rng = np.random.default_rng(seed)
         for width in (thermo._CHUNK, 1, 7, 40, 50, 129, 392, 464, 511):
-            for k in (1, 2, 5, 16):
+            for k in (1, 2, 5, 16, 204):
                 rows = np.exp(rng.uniform(-700.0, 0.0, size=(k, width)) * rng.uniform(0.0, 1.0, size=(k, 1)))
                 sums = rows.sum(axis=1)
                 for row, total in zip(rows, sums):
@@ -823,9 +861,10 @@ class TestSettledPinnedRows:
         rows[2][0] = 1.0
         for terms in rows:
             terms[chunk:] = -1e3
+        policy = _pinned(3 * chunk)
         sums = thermo._log_sums(
             lambda live, lo, hi: np.stack([rows[row][lo:hi] for row in live]),
-            len(rows), _pinned(3 * chunk), tails=[lambda n: -500.0] * len(rows),
+            policy, thermo._stops(policy, [_never] * len(rows)), tails=[lambda n: -500.0] * len(rows),
         )  # fmt: skip
         assert [stop for _, _, stop in sums[:3]] == ["pinned", "pinned", "settled"]
         assert sums[2] == (1.0, 3 * chunk, "settled")
@@ -833,7 +872,9 @@ class TestSettledPinnedRows:
     def test_adaptive_policy_never_reads_the_tails(self):
         terms = np.linspace(0.0, -100.0, 4000)
         tails = [lambda n: pytest.fail("read a tail")]
-        (got,) = thermo._log_sums(lambda live, lo, hi: terms[None, lo:hi], 1, TruncationPolicy(n_cap=4000), None, tails)
+        policy = TruncationPolicy(n_cap=4000)
+        stops = thermo._stops(policy, [_never])
+        (got,) = thermo._log_sums(lambda live, lo, hi: terms[None, lo:hi], policy, stops, tails)
         assert got[1:] == (4000, "cap")
 
 
@@ -953,13 +994,14 @@ class TestSumWorkBounds:
     @pytest.mark.parametrize(
         "preset, steps, terms, blocks",
         [
-            ("fig1", 8440, 16880, 27), ("fig2", 120, 7440, 12), ("fig3", 1536, 110592, 14),
-            ("fig4", 464, 6200, 8), ("fig5", 4096, 126976, 16), ("fig6", 4800, 9600, 16),
+            ("fig1", 8440, 16880, 3), ("fig2", 120, 7440, 1), ("fig3", 1536, 110592, 14),
+            ("fig4", 464, 6200, 2), ("fig5", 4096, 126976, 16), ("fig6", 4800, 9600, 4),
         ],
     )  # fmt: skip
     def test_preset_work(self, monkeypatch, tmp_path, preset, steps, terms, blocks):
         # Laguerre recurrence steps, excess terms and excess blocks of lag --preset, from a cold cache.
-        # Blocks mix sideband indices: fig6's 240 rows over m = 0..29 take 16 blocks, not one or more per m.
+        # A block holds as many rows as fit 8192 terms on their first call, of any sideband index:
+        # each of fig6's four 60-row specs over m = 0..29 takes one block of 40 pinned terms a row.
         work = {"steps": 0, "terms": 0, "blocks": 0}
         real_sequence, real_logs, real_block = thermo.coupling_logabs_sequence, thermo._excess_logs, thermo._excess_block
 
