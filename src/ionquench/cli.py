@@ -214,10 +214,10 @@ class _Writer:
     """CSV or JSON-lines row sink with a stable column order.
 
     columns maps each column name to its type (float, int, bool or str), in
-    output order, and write_row takes a row's values as a tuple in that
-    order.  A CSV row is one % format of a template built here from the
-    column types; write_rows formats the columns its rows share into a
-    template of its own, once per call.  A context manager: on exit it
+    output order, and write_rows takes each row's values as a tuple in that
+    order.  A CSV row is one % format of a template that write_rows builds
+    from the column types once per call, with the columns its rows share
+    formatted in.  A context manager: on exit it
     closes its --out file, and deletes that file when an exception leaves
     the block, so a failed run leaves no partial output behind.
     """
@@ -228,7 +228,6 @@ class _Writer:
         self._kinds = tuple(columns.values())
         self._fh = open(out_path, "w", newline="") if out_path else sys.stdout
         self._out_path = out_path
-        self._template, self._texts = self._csv_form({})
         if fmt == "csv":
             for key in sorted(header_meta):
                 self._fh.write(f"# {key} = {_fmt(header_meta[key])}\n")
@@ -254,37 +253,29 @@ class _Writer:
             n_others += 1
         return ",".join(pieces) + "\n", texts
 
-    @staticmethod
-    def _csv_line(template: str, texts: list, values: tuple) -> str:
-        if texts:
-            values = list(values)
-            for i, text in texts:
-                values[i] = text(values[i])
-            values = tuple(values)
-        return template % values
-
-    def write_row(self, values: tuple) -> None:
-        if self.fmt == "csv":
-            self._fh.write(self._csv_line(self._template, self._texts, values))
-        else:
-            row = dict(zip(self.columns, map(_json_value, values)))
-            self._fh.write(json.dumps(row, allow_nan=False) + "\n")
-
     def write_rows(self, rows: list[tuple], fixed: tuple[int, ...] = ()) -> None:
-        """write_row of each row; the columns at the positions in fixed hold the same value in every row.
+        """Write each row; the columns at the positions in fixed hold the same value in every row.
 
         A CSV formats those columns once for all rows, and each row's other
-        columns in one % format.
+        columns in one % format; a JSON line holds every column.
         """
-        if self.fmt != "csv" or not rows:
+        if not rows:
+            return
+        if self.fmt != "csv":
             for row in rows:
-                self.write_row(row)
+                self._fh.write(json.dumps(dict(zip(self.columns, map(_json_value, row))), allow_nan=False) + "\n")
             return
         template, texts = self._csv_form({i: rows[0][i] for i in fixed})
         others = [i for i in range(len(self._kinds)) if i not in fixed]
         pick = operator.itemgetter(*others) if len(others) > 1 else lambda row: tuple(row[i] for i in others)
         for row in rows:
-            self._fh.write(self._csv_line(template, texts, pick(row)))
+            values = pick(row)
+            if texts:
+                values = list(values)
+                for i, text in texts:
+                    values[i] = text(values[i])
+                values = tuple(values)
+            self._fh.write(template % values)
 
     def __enter__(self) -> _Writer:
         return self
@@ -455,7 +446,7 @@ def _cmd_moments(args: argparse.Namespace) -> int:
                 m2 = moments_numeric(ops, 2).value
                 m3 = moments_numeric(ops, 3).value
                 row += (m1, m2, m3, abs(m2 - moments.second) / moments.second, abs(m3 - moments.third) / moments.third)
-            writer.write_row(row)
+            writer.write_rows([row])  # each row as soon as it is computed: an oracle row can take seconds
     return _EXIT_OK
 
 
@@ -471,10 +462,9 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
             for m in m_values:
                 rp = reduce(params, m, branch, params.get("eta"))
                 table = spectrum_table(rp, n_max)
-                for n, zeta in enumerate(table.edge):
-                    writer.write_row((rp.branch.value, rp.m, "edge", n, float(zeta), float("nan")))
-                for n, (mu, gamma) in enumerate(table.pairs):
-                    writer.write_row((rp.branch.value, rp.m, "pair", n, mu, gamma))
+                edges = [(rp.branch.value, rp.m, "edge", n, float(zeta), math.nan) for n, zeta in enumerate(table.edge)]
+                pairs = [(rp.branch.value, rp.m, "pair", n, mu, gamma) for n, (mu, gamma) in enumerate(table.pairs)]
+                writer.write_rows(edges + pairs, fixed=(0, 1))
     return _EXIT_OK
 
 
@@ -537,10 +527,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_CONFIG
-    except (ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
     except Exception as exc:  # KeyboardInterrupt is not an Exception and stays uncaught

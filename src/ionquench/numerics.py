@@ -220,8 +220,7 @@ def coupling_f(n: int, m: int, eta: float) -> CouplingValue:
     """
     if n < 0 or m < 0:
         raise ValueError("coupling indices must be nonnegative")
-    signs, log_mags = coupling_logabs_sequence(n, m, eta)
-    return CouplingValue(m_phase=m % 4, sign=int(signs[n]), log_mag=float(log_mags[n]))
+    return coupling_f_sequence(n, m, eta)[n]
 
 
 def coupling_f_sequence(n_max: int, m: int, eta: float) -> list[CouplingValue]:

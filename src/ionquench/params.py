@@ -53,7 +53,8 @@ class Branch(enum.Enum):
         return 0
 
 
-# The largest b_om whose square is finite: the excess terms square the coupling u <= b_om.
+# The largest b_om, and r_om, whose square is finite: the excess terms square the
+# coupling u <= b_om, and the divergence scan u <= r_om.
 _B_OM_MAX = math.sqrt(sys.float_info.max)
 
 
@@ -91,6 +92,7 @@ class ReducedParams:
             0.0 < self.b_nu < math.inf
             and 0.0 <= self.b_w0 < math.inf
             and 0.0 <= self.b_om <= _B_OM_MAX
+            and self.r_om <= _B_OM_MAX
             and 0.0 <= self.eta < math.inf
             and self.m >= 0
             and math.isfinite(self.b_wl)
@@ -105,6 +107,7 @@ class ReducedParams:
         _require(self.b_w0 >= 0, "b_w0 must be nonnegative")
         _require(self.b_om >= 0, "b_om must be nonnegative")
         _require(self.b_om <= _B_OM_MAX, f"b_om {self.b_om!r} is too large: b_om^2 overflows")
+        _require(self.r_om <= _B_OM_MAX, f"r_om = b_om/b_nu = {self.r_om!r} is too large: r_om^2 overflows")
         _require(math.isfinite(self.eta), "Lamb-Dicke parameter must be finite")
         _require(self.eta >= 0, "Lamb-Dicke parameter must be nonnegative")
         _require(self.m >= 0, "sideband index must be nonnegative")

@@ -250,10 +250,8 @@ class DenseQuench:
         # Full coupling: (omega_rabi / 2 nu) (sigma_+ D + sigma_- D^dag).
         d_mat = displacement_matrix(self.n_trunc, self.rp.eta)
         h_full = self.h_initial.copy()
-        # An infinite r_om makes inf * 0 = nan entries, which the Hermiticity check rejects; numpy must not warn first.
-        with np.errstate(invalid="ignore"):
-            h_full[1::2, 0::2] += 0.5 * self.rp.r_om * d_mat
-            h_full[0::2, 1::2] += 0.5 * self.rp.r_om * d_mat.conj().T
+        h_full[1::2, 0::2] += 0.5 * self.rp.r_om * d_mat
+        h_full[0::2, 1::2] += 0.5 * self.rp.r_om * d_mat.conj().T
         _check_hermitian("h_final_full", h_full)
         return h_full
 
@@ -287,8 +285,7 @@ def dense_hamiltonians(rp: ReducedParams, n_trunc: int) -> DenseQuench:
 
     # Sideband coupling: only the resonant m-quantum diagonal of D survives.
     h_side = h_initial.copy()
-    with np.errstate(invalid="ignore"):  # as in h_final_full: an infinite r_om fails the Hermiticity check below
-        c_eg = 0.5 * rp.r_om * _oriented(_coupling_values(n_trunc - m, m, rp.eta), rp)
+    c_eg = 0.5 * rp.r_om * _oriented(_coupling_values(n_trunc - m, m, rp.eta), rp)
     ket_e, ket_g = _block_kets(np.arange(n_trunc + 1 - m), rp)
     rows, cols = ket_index(*ket_e), ket_index(*ket_g)
     h_side[rows, cols] += c_eg

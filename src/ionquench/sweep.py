@@ -1,11 +1,9 @@
 """Parameter sweeps over grids of lag evaluations, with plot-ready rows.
 
 Rows come out in a fixed order: spec by spec, and within a spec grid-major,
-then branch, then sideband index.  A spec's lags are summed in blocks of
-live rows in that order, of any sideband index, as many rows as fit a
-budget of 8192 terms per call: 16 rows of adaptive sums or of sums pinned
-at 512 or more terms, 204 rows of 40 pinned terms (see run_specs).
-evaluate_point is the one-point form.
+then branch, then sideband index.  A spec's lags come from one
+thermo.nonequilibrium_lags call (see run_specs); evaluate_point is the
+one-point form.
 """
 
 from __future__ import annotations
@@ -63,8 +61,6 @@ class SweepSpec:
                         point[self.axis] = float(value)
                     point["m"] = m
                     point["branch"] = branch
-                    if self.n_pinned is not None:
-                        point["n_pinned"] = self.n_pinned
                     yield point
 
 
@@ -103,11 +99,8 @@ def spec_fixed_columns(spec: SweepSpec) -> tuple[int, ...]:
 
 
 def evaluate_point(point: Mapping, policy: TruncationPolicy | None = None) -> ResultRow:
-    """Evaluate the lag at one point."""
-    policy = policy or TruncationPolicy()
+    """Evaluate the lag at one point; policy alone sets its truncation, its pin included."""
     rp = reduce(point, point["m"], point["branch"], point.get("eta"))
-    if point.get("n_pinned") is not None:
-        policy = replace(policy, n_pinned=int(point["n_pinned"]))
     return _row(_si_values(point), rp, nonequilibrium_lag(rp, policy=policy))
 
 
@@ -131,10 +124,10 @@ def run_specs(specs: Iterable[SweepSpec], policy: TruncationPolicy | None = None
 
     Each spec's points are resolved first, then all their lags come from one
     nonequilibrium_lags call, which sums them in blocks of live rows in
-    point order, of any sideband index, as many as fit its term budget.  A
-    spec's SI columns are converted once; only its axis column is set per
-    point.  A TruncationError names the first failing point of the first
-    spec that has one.
+    point order (see thermo's truncation constants).  A spec's SI columns
+    are converted once; only its axis column is set per point.  A
+    TruncationError names the first failing point of the first spec that
+    has one.
     """
     policy = policy or TruncationPolicy()
     rows: list[ResultRow] = []

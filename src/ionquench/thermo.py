@@ -63,9 +63,10 @@ _LN2 = math.log(2.0)
 
 # Fixed truncation constants: chunk size of the sums, and the term budget of
 # one term call, 16 chunks.  A block takes as many live rows as fit the budget
-# on their first call, min(n_pinned, _CHUNK) terms each, and each call gives
-# every live row max(1, _TERM_BUDGET // (live * _CHUNK)) chunks: 16 chunks of
-# one row, one chunk of 16 rows, or the 40 pinned terms of 204 rows.
+# on their first call, min(n_pinned, _CHUNK) terms each: 16 rows of adaptive
+# sums or of sums pinned at 512 or more terms, 204 rows of 40 pinned terms.
+# Each call gives every live row max(1, _TERM_BUDGET // (live * _CHUNK))
+# chunks: 16 chunks of a lone row, one chunk of each of 16 rows.
 _CHUNK = 512
 _TERM_BUDGET = 16 * _CHUNK
 
@@ -232,13 +233,6 @@ def _abs_bwl_minus_bw0(rp: ReducedParams) -> tuple[float, float]:
     return -rp.b_wl, -2.0 * rp.b_w0 - delta
 
 
-def _scaled_coupling(m: int, eta: float, scale: float, n_lo: int, n_hi: int) -> np.ndarray:
-    """scale * |f_n^m| for n in [n_lo, n_hi)."""
-    signs, log_mags = _coupling_upto(m, eta, n_hi - 1)
-    with np.errstate(over="ignore"):
-        return np.where(signs[n_lo:n_hi] == 0, 0.0, scale * np.exp(log_mags[n_lo:n_hi]))
-
-
 class _Rows(NamedTuple):
     """Parameters of a block of rows: their (m, eta) coupling keys, and each parameter a [rows x 1] column."""
 
@@ -262,7 +256,10 @@ def _coupling_rows(keys: tuple[tuple[int, float], ...], n_lo: int, n_hi: int) ->
 
     When all keys are equal the result is a single row, which broadcasts.
     """
-    by_key = {key: _scaled_coupling(*key, 1.0, n_lo, n_hi) for key in dict.fromkeys(keys)}
+    by_key = {}
+    for key in dict.fromkeys(keys):
+        signs, log_mags = _coupling_upto(*key, n_hi - 1)
+        by_key[key] = np.where(signs[n_lo:n_hi] == 0, 0.0, np.exp(log_mags[n_lo:n_hi]))
     if len(by_key) == 1:
         return next(iter(by_key.values()))[None, :]
     return np.stack([by_key[key] for key in keys])
@@ -274,8 +271,7 @@ def _excess_logs(rows: _Rows, n_lo: int, n_hi: int) -> np.ndarray:
     The one excess-term formula: every operation is elementwise, so a row's
     terms have the same bits in a block of any size.
     """
-    with np.errstate(over="ignore"):
-        u = rows.b_om * _coupling_rows(rows.keys, n_lo, n_hi)
+    u = rows.b_om * _coupling_rows(rows.keys, n_lo, n_hi)
     b_quarter = 0.25 * sqrt_excess(rows.abs_bwl, u)  # (sqrt(b_wl^2+u^2) - |b_wl|)/4 >= 0
     a_shifted = 0.5 * rows.d_aw + b_quarter
     # _LN2 - b_nu (n + m/2) + a_shifted + log(1 - e^(-2 a_full)) + lnsinh(b_quarter),
@@ -392,36 +388,30 @@ def _stops(policy: TruncationPolicy, bounds: list) -> list[tuple[int, str]]:
     return stops
 
 
-def _log_sums(
-    term_logs, policy: TruncationPolicy, stops: list[tuple[int, str]], tails=None
-) -> list[tuple[float, int, str]]:
+def _log_sums(term_logs, stops: list[tuple[int, str]], tails=None) -> list[tuple[float, int, str]]:
     """(log of the sum, terms used, stop reason) of each row of terms, summed ascending in n.
 
     term_logs(live, n_lo, n_hi) gives the terms n_lo..n_hi-1 of the rows
     listed in live, as a [len(live) x (n_hi - n_lo)] block.  Each row is
     folded chunk by chunk, so it keeps the bits of a one-row, one-chunk-at-a-
-    time sum, and leaves live at its stop from _stops.  A pinned row
-    settles, with the bits and n_used of its n_pinned-term sum, at the first
-    chunk edge n < n_pinned where _settled(running, tails[row](n)) holds,
-    tails[row](n) bounding the log of the sum of its terms from n on
+    time sum, and leaves live at its stop from _stops.  Given tails, a row
+    settles, with the bits and n_used of its sum to its stop, at the first
+    chunk edge n before that stop where _settled(running, tails[row](n))
+    holds, tails[row](n) bounding the log of the sum of its terms from n on
     ("settled").  Every edge is tested as its chunk is folded, so the reason
     does not depend on the block; the row leaves live at the end of that
-    call.  Adaptive sums do not read tails.
+    call.  Without tails no row settles.
 
     A call gives each live row max(1, _TERM_BUDGET // (live * _CHUNK))
-    chunks, adaptive calls at most 1, 2, 4, ... of them, and ends at its live
-    rows' earliest stop, so no term past a row's stop is computed.
+    chunks and ends at its live rows' earliest stop, so no term past a
+    row's stop is computed.
     """
-    pinned = policy.n_pinned is not None
-    settles = pinned and tails is not None
     out: list = [None] * len(stops)
     running = [-math.inf] * len(stops)
     live = list(range(len(stops)))
     n_done = 0
-    max_chunks = _TERM_BUDGET // _CHUNK
-    n_chunks = max_chunks if pinned else 1
     while live:
-        per_row = min(n_chunks, max(1, _TERM_BUDGET // (len(live) * _CHUNK)))
+        per_row = max(1, _TERM_BUDGET // (len(live) * _CHUNK))
         n_hi = min(n_done + per_row * _CHUNK, min(stops[row][0] for row in live))
         xs = term_logs(live, n_done, n_hi)
         split = (n_hi - n_done) // _CHUNK * _CHUNK
@@ -437,7 +427,7 @@ def _log_sums(
                 # The chunk has a term above -inf iff its max is, unless a nan hides it.
                 if hi > -math.inf or (hi != hi and (chunks[k] > -math.inf).any()):
                     running[row] = float(np.logaddexp(running[row], chunk_log))
-                if settles:
+                if tails is not None:
                     edge = min(lo + (k % per + 1) * _CHUNK, n_hi)  # where the chunk ends
                     if edge < stops[row][0] and _settled(running[row], tails[row](edge)):
                         out[row] = (running[row], stops[row][0], "settled")
@@ -446,7 +436,6 @@ def _log_sums(
                 out[row] = (running[row], n_hi, stops[row][1])
         live = [row for row in live if out[row] is None]
         n_done = n_hi
-        n_chunks = min(2 * n_chunks, max_chunks)
     return out
 
 
@@ -464,11 +453,10 @@ def _excess_lags(rps: list[ReducedParams], policy: TruncationPolicy) -> list[tup
 
     Rows with dead coupling are exact zeros.  The live rows are summed in
     blocks in input order, whatever their sideband index: as many rows as
-    fit _TERM_BUDGET on their first call, min(n_pinned, _CHUNK) terms each.
-    That is 16 rows for an adaptive sum or one pinned at 512 or more terms,
-    and 204 rows pinned at 40.  An adaptive sum that ends non-converged
-    raises TruncationError for the first such row in input order, unless
-    policy.error_on_nonconverged is cleared.
+    fit _TERM_BUDGET on their first call (see the truncation constants).
+    An adaptive sum that ends non-converged raises TruncationError for the
+    first such row in input order, unless policy.error_on_nonconverged is
+    cleared.
     """
     out: list = [None] * len(rps)
     live = []
@@ -507,15 +495,17 @@ def _excess_block(rps: list[ReducedParams], policy: TruncationPolicy) -> list[tu
     log_tol = math.log(policy.tol)
     bounds = [lambda n, tail=tail, edge=edge: tail(n) - edge <= log_tol for tail, edge in zip(tails, zi_edges)]
     stops = _stops(policy, bounds)
+    term_tails = None  # only a pinned row settles; an adaptive one ends at its bound or n_cap
     if policy.n_pinned is None:
         reach: dict = {}
         for key, (n_stop, _) in zip(rows.keys, stops):
             reach[key] = max(reach.get(key, 0), n_stop)
         for (m, eta), n_stop in reach.items():
             _coupling_upto(m, eta, n_stop - 1)
-    # The tails with their log(nbar+1) put back: bounds on the log of the excess terms from n on.
-    term_tails = [lambda n, tail=tail, ln1=rp.ln_nbar_plus_1: tail(n) + ln1 for tail, rp in zip(tails, rps)]
-    sums = _log_sums(lambda live, lo, hi: _excess_logs(_take(rows, live), lo, hi), policy, stops, term_tails)
+    else:
+        # The tails with their log(nbar+1) put back: bounds on the log of the excess terms from n on.
+        term_tails = [lambda n, tail=tail, ln1=rp.ln_nbar_plus_1: tail(n) + ln1 for tail, rp in zip(tails, rps)]
+    sums = _log_sums(lambda live, lo, hi: _excess_logs(_take(rows, live), lo, hi), stops, term_tails)
     out = []
     for rp, tail, zi_edge, (log_sum, n_done, stop_reason) in zip(rps, tails, zi_edges, sums):
         ln_zi = rp.ln_nbar_plus_1 + zi_edge  # ln_partition_initial(rp).shifted_log, formed alike
@@ -563,7 +553,7 @@ def ln_partition_final(
 
 def _direct_term_logs(rp: ReducedParams, n_lo: int, n_hi: int) -> np.ndarray:
     """Shifted log of 2 e^(-b_nu(n+m/2)) cosh(X_n) for n in [n_lo, n_hi)."""
-    u = _scaled_coupling(rp.m, rp.eta, rp.b_om, n_lo, n_hi)
+    u = rp.b_om * _coupling_rows(((rp.m, rp.eta),), n_lo, n_hi)[0]
     abs_bwl, d_aw = _abs_bwl_minus_bw0(rp)
     half_ss = 0.5 * (d_aw + sqrt_excess(abs_bwl, u))  # X_n - b_w0/2
     x_full = half_ss + 0.5 * rp.b_w0
@@ -582,7 +572,7 @@ def _ln_partition_final_direct(rp: ReducedParams, policy: TruncationPolicy) -> L
     log_tol = math.log(policy.tol)
     stops = _stops(policy, [lambda n: tail(n) - ln_zi <= log_tol])
     term_logs = lambda live, lo, hi: _direct_term_logs(rp, lo, hi)[None, :]
-    ((running, n_done, stop_reason),) = _log_sums(term_logs, policy, stops)
+    ((running, n_done, stop_reason),) = _log_sums(term_logs, stops)
     total = float(np.logaddexp(running, _edge_shifted_log(rp)))
     tail_bound_log = tail(n_done) - max(total, ln_zi)
     converged = tail_bound_log <= log_tol
@@ -609,10 +599,9 @@ def nonequilibrium_lags(rps: list[ReducedParams], policy: TruncationPolicy | Non
 
     Every field of each result, stop_reason included, equals that of the
     point alone.  Live rows are summed in blocks in input order, of any
-    sideband index, as many as fit a budget of 8192 terms per call (16 rows
-    of adaptive sums, 204 of 40 pinned terms), which costs far less than one
-    row at a time, and the divergence scan runs once per JC key, not once
-    per row.
+    sideband index, as many as fit the term budget of one call (see the
+    truncation constants), which costs far less than one row at a time, and
+    the divergence scan runs once per JC key, not once per row.
     A TruncationError names the first non-converged point in input order.
     """
     lags = _excess_lags(rps, policy or TruncationPolicy())
@@ -642,7 +631,7 @@ def _phi_parts(rp: ReducedParams, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     when it is ~1e-11 of omega0/nu.  Only the frequency ratios of rp enter,
     not its temperature.
     """
-    u = _scaled_coupling(rp.m, rp.eta, rp.r_om, 0, n_max + 1)
+    u = rp.r_om * _coupling_rows(((rp.m, rp.eta),), 0, n_max + 1)[0]
     r_wl, d_aw = _phi_offsets(rp)
     ladder = (2.0 * np.arange(n_max + 1, dtype=float) + rp.m) - d_aw
     return ladder, sqrt_excess(abs(r_wl), u)

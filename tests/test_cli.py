@@ -265,6 +265,12 @@ class TestInputValidation:
         err = capsys.readouterr().err
         assert err.startswith("error: b_om ") and err.endswith(" is too large: b_om^2 overflows\n")
 
+    @pytest.mark.parametrize("command", ["lag", "spectrum"])
+    def test_r_om_whose_square_overflows(self, command, capsys):
+        # r_om = omega_rabi/nu above sqrt(max double): an internal OverflowError with exit 4 before.
+        assert main([command, "--branch", "jc", "--m", "1", "--nbar", "1e20", "--omega", "1e160", "--eta", "0.5"]) == 2
+        assert capsys.readouterr().err == "error: r_om = b_om/b_nu = 2e+156 is too large: r_om^2 overflows\n"
+
     def test_negative_mass_is_one_error_line(self, capsys):
         assert main(["lag", "--mass", "-1"]) == 2
         err = capsys.readouterr().err
@@ -685,7 +691,7 @@ class TestWriter:
         out = tmp_path / "rows.csv"
         with cli._Writer("csv", str(out), columns, {}) as writer:
             for row in rows:
-                writer.write_row(row)
+                writer.write_rows([row])
         assert out.read_bytes() == _reference_csv(tuple(columns), rows).encode()
 
     def test_quoted_str_reads_back(self, tmp_path):
@@ -693,7 +699,7 @@ class TestWriter:
         texts = _EDGE_VALUES[str]
         with cli._Writer("csv", str(out), {"text": str, "x": float}, {}) as writer:
             for text in texts:
-                writer.write_row((text, 1.5))
+                writer.write_rows([(text, 1.5)])
         assert [row["text"] for row in csv.DictReader(io.StringIO(out.read_text(), newline=""))] == texts
 
     @pytest.mark.parametrize("command", list(_WRITER_COLUMNS))
@@ -703,7 +709,7 @@ class TestWriter:
         out = tmp_path / "rows.jsonl"
         with cli._Writer("jsonl", str(out), columns, {}) as writer:
             for row in rows:
-                writer.write_row(row)
+                writer.write_rows([row])
         lines = [_strict_json(line) for line in out.read_text().splitlines()]
         for line, row in zip(lines, rows, strict=True):
             assert list(line) == list(columns)
@@ -715,14 +721,14 @@ class TestWriter:
 
 
 class TestWriteRows:
-    """write_rows formats the columns its rows share once, with the bytes of write_row row by row."""
+    """write_rows formats the columns its rows share once, with the bytes of one row per call and none shared."""
 
     @staticmethod
     def _both(tmp_path, fmt, columns, rows, fixed):
         one, many = tmp_path / "one", tmp_path / "many"
         with cli._Writer(fmt, str(one), columns, {"k": 1.5}) as writer:
             for row in rows:
-                writer.write_row(row)
+                writer.write_rows([row])
         with cli._Writer(fmt, str(many), columns, {"k": 1.5}) as writer:
             writer.write_rows(rows, fixed)
         return one.read_bytes(), many.read_bytes()
@@ -730,7 +736,7 @@ class TestWriteRows:
     @pytest.mark.parametrize("share", ["none", "every other", "all but one", "all"])
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     @pytest.mark.parametrize("command", list(_WRITER_COLUMNS))
-    def test_shared_columns_written_as_by_write_row(self, command, fmt, share, tmp_path):
+    def test_shared_columns_written_as_one_row_at_a_time(self, command, fmt, share, tmp_path):
         columns = _WRITER_COLUMNS[command]
         n = len(columns)
         fixed = {
@@ -746,6 +752,11 @@ class TestWriteRows:
         rows = [("100% a,b", 1.5, True), ("100% a,b", math.nan, False)]
         one, many = self._both(tmp_path, "csv", columns, rows, (0,))
         assert many == one and b'"100% a,b",nan,false' in many
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_no_rows_write_nothing(self, fmt, tmp_path):
+        one, many = self._both(tmp_path, fmt, {"text": str, "x": float}, [], (0,))
+        assert many == one == (b"# k = 1.5\ntext,x\n" if fmt == "csv" else b"")
 
 
 _PRESET_REFS = Path(__file__).resolve().parents[1] / "perfbench" / "refs" / "presets"

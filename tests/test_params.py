@@ -219,6 +219,12 @@ class TestReducedParamsMessages:
             ({"b_om": 1e155, "eta": math.nan}, "b_om 1e+155 is too large: b_om^2 overflows"),
             # The next double above sqrt(sys.float_info.max):
             ({"b_om": 1.3407807929942597e154}, "b_om 1.3407807929942597e+154 is too large: b_om^2 overflows"),
+            # r_om = b_om/b_nu is checked right after b_om; its square, or the ratio itself, overflows.
+            ({"b_om": 1e100, "b_nu": 1e-60, "eta": math.nan}, "r_om = b_om/b_nu = 1e+160 is too large: r_om^2 overflows"),
+            ({"b_om": 1e10, "b_nu": 1e-300}, "r_om = b_om/b_nu = inf is too large: r_om^2 overflows"),
+            ({"b_om": 1e155, "b_nu": 1e-300}, "b_om 1e+155 is too large: b_om^2 overflows"),
+            ({"b_om": 1.3407807929942597e154 / 2, "b_nu": 0.5, "m": -1},
+             "r_om = b_om/b_nu = 1.3407807929942597e+154 is too large: r_om^2 overflows"),
             ({"eta": math.nan, "m": -1}, "Lamb-Dicke parameter must be finite"),
             ({"eta": math.inf}, "Lamb-Dicke parameter must be finite"),
             ({"eta": -0.5, "m": -1}, "Lamb-Dicke parameter must be nonnegative"),
@@ -235,6 +241,7 @@ class TestReducedParamsMessages:
         [
             {},
             {"b_om": 1.3407807929942596e154},  # sqrt of the largest double: its square is finite
+            {"b_om": 1.3407807929942596e154 / 2, "b_nu": 0.5},  # r_om at the same bound
             {"b_w0": 0.0, "b_om": 0.0, "eta": 0.0, "m": 0, "branch": Branch.CARRIER},
             {"b_w0": -0.0},
             {"b_w0": 1e308, "b_nu": 1e308},  # b_wl = 0 on the JC branch
@@ -242,7 +249,7 @@ class TestReducedParamsMessages:
     )
     def test_valid_row(self, changes):
         rp = params.ReducedParams(**{**_VALID_ROW, **changes})
-        assert math.isfinite(rp.b_om * rp.b_om) and math.isfinite(rp.b_wl)
+        assert math.isfinite(rp.b_om * rp.b_om) and math.isfinite(rp.r_om * rp.r_om) and math.isfinite(rp.b_wl)
 
 
 class TestCallersBindReduce:

@@ -207,23 +207,22 @@ class TestDenseHamiltonians:
             spectra._check_hermitian("off-diagonal inf", np.array([[1.0, np.inf], [0.0, 0.0]], dtype=complex))
 
     def test_infinite_energy_raises(self):
-        # b_w0 / b_nu overflows, so r_w0 and the bare energies are infinite.
-        rp = ReducedParams(b_nu=1e-300, b_w0=1e10, b_om=1e-3, eta=0.5, m=1, branch=Branch.JC)
+        # b_w0 / b_nu overflows, so r_w0 and the bare energies are infinite; r_om = 1e140 is finite.
+        rp = ReducedParams(b_nu=1e-300, b_w0=1e10, b_om=1e-160, eta=0.5, m=1, branch=Branch.JC)
         assert rp.r_w0 == math.inf
         with pytest.raises(RuntimeError, match="h_final_sideband failed the Hermiticity check"):
             dense_hamiltonians(rp, 10)
 
     @pytest.mark.parametrize("m, branch", [(0, Branch.CARRIER), (1, Branch.JC)])
     def test_infinite_rabi_ratio_raises(self, m, branch):
-        # b_om / b_nu overflows: inf times a zero part of a coupling is nan, which must fail the
-        # Hermiticity check rather than surface as numpy's invalid-value warning.
-        rp = ReducedParams(b_nu=1e-300, b_w0=1.0, b_om=1e10, eta=0.5, m=m, branch=branch)
-        assert rp.r_om == math.inf
-        with pytest.raises(RuntimeError, match="h_final_sideband failed the Hermiticity check"):
-            dense_hamiltonians(rp, 10)
-        ops = replace(dense_hamiltonians(desk_reduced(m, branch, 0.5), 10), rp=rp)
-        with pytest.raises(RuntimeError, match="h_final_full failed the Hermiticity check"):
-            ops.h_final_full
+        # b_om / b_nu overflows: the row is rejected when it is built, so no Hamiltonian
+        # forms inf times a zero part of a coupling (nan).
+        with pytest.raises(ValueError, match=r"^r_om = b_om/b_nu = inf is too large: r_om\^2 overflows$"):
+            ReducedParams(b_nu=1e-300, b_w0=1.0, b_om=1e10, eta=0.5, m=m, branch=branch)
+        # At the largest ratio a row may have, both final Hamiltonians form without a numpy warning and are Hermitian.
+        rp = ReducedParams(b_nu=1.0, b_w0=1.0, b_om=1.3407807929942596e154, eta=0.5, m=m, branch=branch)
+        ops = dense_hamiltonians(rp, 10)
+        assert np.isfinite(ops.h_final_sideband).all() and np.isfinite(ops.h_final_full).all()
 
     def test_hermitian(self):
         rp = desk_reduced(1, Branch.AJC, 1.2)

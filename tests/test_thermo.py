@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ionquench.numerics import coupling_f, log_sum_exp, sqrt_excess, sqrt_shift
+from ionquench.numerics import coupling_f, coupling_logabs_sequence, log_sum_exp, sqrt_excess, sqrt_shift
 from ionquench.params import Branch, reduce, reduced_from_ratios
 from ionquench.presets import desk_scale_point, figure_presets
 from ionquench.spectra import dense_hamiltonians
 from ionquench import thermo
 from ionquench.cli import main
-from ionquench.sweep import SweepSpec, run_specs
+from ionquench.sweep import SweepSpec, evaluate_point, run_specs
 from ionquench.thermo import (
     TruncationError,
     TruncationPolicy,
@@ -569,7 +569,7 @@ class TestBlockedLogSum:
             return terms[lo:hi].copy()
 
         stops = thermo._stops(policy, [bound or _never])
-        (got,) = thermo._log_sums(lambda live, lo, hi: term_logs(lo, hi)[None, :], policy, stops)
+        (got,) = thermo._log_sums(lambda live, lo, hi: term_logs(lo, hi)[None, :], stops)
         ref = _one_chunk_at_a_time(lambda lo, hi: terms[lo:hi].copy(), policy, bound)
         assert (got[0].hex(), got[1:]) == (ref[0].hex(), ref[1:])
         # Blocks tile [0, end) in order, at most 16 chunks each, and never
@@ -589,7 +589,7 @@ class TestBlockedLogSum:
             calls.append((list(live), lo, hi))
             return np.stack([rows[row][lo:hi] for row in live])
 
-        got = thermo._log_sums(term_logs, policy, thermo._stops(policy, bounds or [_never] * len(rows)))
+        got = thermo._log_sums(term_logs, thermo._stops(policy, bounds or [_never] * len(rows)))
         for row, (terms, (log_sum, n_used, stop_reason)) in enumerate(zip(rows, got)):
             ref = _one_chunk_at_a_time(lambda lo, hi: terms[lo:hi].copy(), policy, None if fires is None else bounds[row])
             assert (log_sum.hex(), n_used, stop_reason) == (ref[0].hex(), *ref[1:]), row
@@ -613,19 +613,27 @@ class TestBlockedLogSum:
         rows[3][2 * chunk - 1] = np.nan  # a nan last term
         with np.errstate(invalid="ignore"):
             stops = thermo._stops(policy, [_never] * len(rows))
-            got = thermo._log_sums(lambda live, lo, hi: np.stack([rows[row][lo:hi] for row in live]), policy, stops)
+            got = thermo._log_sums(lambda live, lo, hi: np.stack([rows[row][lo:hi] for row in live]), stops)
             refs = [_one_chunk_at_a_time(lambda lo, hi: terms[lo:hi].copy(), policy) for terms in rows]
         for (log_sum, n_used, stop_reason), ref in zip(got, refs):
             assert (log_sum.hex(), n_used, stop_reason) == (ref[0].hex(), *ref[1:])
         assert math.isnan(got[0][0]) and not math.isnan(got[1][0]) and not math.isnan(got[2][0])
 
-    def test_adaptive_blocks_double_up_to_sixteen_chunks(self):
+    @pytest.mark.parametrize(
+        "bound, stop",
+        [(_never, (100 * thermo._CHUNK + 300, "cap")), (lambda n: n >= 37 * thermo._CHUNK, (37 * thermo._CHUNK, "bound"))],
+    )
+    def test_one_adaptive_row_takes_sixteen_chunks_per_call(self, bound, stop):
         asked = []
-        terms = np.zeros(100 * thermo._CHUNK)
-        policy = TruncationPolicy(n_cap=terms.size)
-        stops = thermo._stops(policy, [_never])
-        thermo._log_sums(lambda live, lo, hi: asked.append(hi - lo) or terms[None, lo:hi], policy, stops)
-        assert [n // thermo._CHUNK for n in asked[:7]] == [1, 2, 4, 8, 16, 16, 16]
+        terms = np.zeros(100 * thermo._CHUNK + 300)
+        stops = thermo._stops(TruncationPolicy(n_cap=terms.size), [bound])
+        assert stops == [stop]
+        term_logs = lambda live, lo, hi: asked.append((lo, hi)) or terms[None, lo:hi]  # noqa: E731
+        ((_, n_used, stop_reason),) = thermo._log_sums(term_logs, stops)
+        # Every call but the last asks for 16 chunks; the calls tile [0, stop) and end exactly at it.
+        assert all(hi - lo == 16 * thermo._CHUNK for lo, hi in asked[:-1])
+        assert [lo for lo, _ in asked] == [0] + [hi for _, hi in asked[:-1]]
+        assert asked[-1][1] == n_used == stop[0] and stop_reason == stop[1]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_row_wise_sum_equals_one_dimensional_sum(self, seed):
@@ -671,9 +679,13 @@ def _one_row(rp, policy):
     if rp.b_om == 0.0 or (rp.m > 0 and rp.eta == 0.0):
         return 0.0, 0, -math.inf, True, diverges, "exact"
     abs_bwl, d_aw = thermo._abs_bwl_minus_bw0(rp)
+    coupling = [np.zeros(0), np.zeros(0)]  # signs and log |f_n^m| for n = 0..size-1
 
     def term_logs(n_lo, n_hi):
-        u = thermo._scaled_coupling(rp.m, rp.eta, rp.b_om, n_lo, n_hi)
+        if coupling[0].size < n_hi:  # a one-shot recurrence, not thermo's cache; its length doubles
+            coupling[:] = coupling_logabs_sequence(max(n_hi - 1, 2 * coupling[0].size), rp.m, rp.eta)
+        signs, log_mags = coupling
+        u = np.where(signs[n_lo:n_hi] == 0, 0.0, rp.b_om * np.exp(log_mags[n_lo:n_hi]))
         b_quarter = 0.25 * sqrt_excess(abs_bwl, u)
         a_shifted = 0.5 * d_aw + b_quarter
         ns = np.arange(n_lo, n_hi, dtype=float)
@@ -759,6 +771,14 @@ class TestBatchedPinnedRows:
             lag, n_used, tail_bound_log, converged, diverges, _ = _one_row(rp, _pinned(spec.n_pinned))
             got = (row.lag.hex(), row.n_used, row.tail_bound_log.hex(), row.converged, row.divergence_predicted)
             assert got == (lag.hex(), n_used, tail_bound_log.hex(), converged, diverges), point
+
+    def test_one_point_path_pins_through_its_policy(self):
+        # The pin reaches a point only through the policy: points carry no copy of it.
+        spec = figure_presets()["fig4"].specs[0]
+        points = list(spec.points())
+        assert spec.n_pinned == 50 and not any("n_pinned" in point for point in points)
+        rows = run_specs([spec])
+        assert [repr(evaluate_point(point, TruncationPolicy(n_pinned=50))) for point in points] == list(map(repr, rows))
 
     def test_groups_span_several_blocks(self):
         # 11 live etas x 2 branches = 22 rows per sideband index (eta = 0 is
@@ -864,18 +884,27 @@ class TestSettledPinnedRows:
         policy = _pinned(3 * chunk)
         sums = thermo._log_sums(
             lambda live, lo, hi: np.stack([rows[row][lo:hi] for row in live]),
-            policy, thermo._stops(policy, [_never] * len(rows)), tails=[lambda n: -500.0] * len(rows),
+            thermo._stops(policy, [_never] * len(rows)), tails=[lambda n: -500.0] * len(rows),
         )  # fmt: skip
         assert [stop for _, _, stop in sums[:3]] == ["pinned", "pinned", "settled"]
         assert sums[2] == (1.0, 3 * chunk, "settled")
 
-    def test_adaptive_policy_never_reads_the_tails(self):
+    def test_adaptive_policy_never_reads_the_tails(self, monkeypatch):
+        # An excess block hands _log_sums its tails only under a pin, so no adaptive row settles.
+        handed = []
+        real = thermo._log_sums
+        monkeypatch.setattr(
+            thermo, "_log_sums", lambda term_logs, stops, tails=None: handed.append(tails) or real(term_logs, stops, tails)
+        )
+        rps = [fig1_reduced(1, Branch.JC, 0.5, nbar=0.1), fig1_reduced(2, Branch.AJC, 1.0, nbar=3.0)]
+        adaptive = nonequilibrium_lags(rps, TruncationPolicy(n_cap=4000, error_on_nonconverged=False))
+        assert handed == [None] and {result.truncation.stop_reason for result in adaptive} <= {"bound", "cap"}
+        nonequilibrium_lags(rps, _pinned(4000))
+        assert len(handed) == 2 and len(handed[1]) == len(rps)
+        # Without tails no row settles: it runs to its stop.
         terms = np.linspace(0.0, -100.0, 4000)
-        tails = [lambda n: pytest.fail("read a tail")]
-        policy = TruncationPolicy(n_cap=4000)
-        stops = thermo._stops(policy, [_never])
-        (got,) = thermo._log_sums(lambda live, lo, hi: terms[None, lo:hi], policy, stops, tails)
-        assert got[1:] == (4000, "cap")
+        (got,) = thermo._log_sums(lambda live, lo, hi: terms[None, lo:hi], thermo._stops(_pinned(4000), [_never]))
+        assert got[1:] == (4000, "pinned")
 
 
 _ADAPTIVE_POLICIES = (
