@@ -2,7 +2,7 @@
 
 Rows come out in a fixed order: spec by spec, and within a spec grid-major,
 then branch, then sideband index.  A spec's lags come from one
-thermo.nonequilibrium_lags call (see run_specs); evaluate_point is the
+thermo.lag_columns call (see run_specs); evaluate_point is the
 one-point form.
 """
 
@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .params import Branch, ReducedParams, reduce
-from .thermo import LagResult, TruncationPolicy, nonequilibrium_lag, nonequilibrium_lags
+from .thermo import TruncationPolicy, lag_columns, nonequilibrium_lag
 
 __all__ = ["SweepSpec", "ResultRow", "RESULT_COLUMNS", "run_specs", "evaluate_point", "spec_fixed_columns"]
 
@@ -101,7 +101,10 @@ def spec_fixed_columns(spec: SweepSpec) -> tuple[int, ...]:
 def evaluate_point(point: Mapping, policy: TruncationPolicy | None = None) -> ResultRow:
     """Evaluate the lag at one point; policy alone sets its truncation, its pin included."""
     rp = reduce(point, point["m"], point["branch"], point.get("eta"))
-    return _row(_si_values(point), rp, nonequilibrium_lag(rp, policy=policy))
+    result = nonequilibrium_lag(rp, policy=policy)
+    report = result.truncation
+    lag = result.value, report.n_used, report.tail_bound_log, report.converged, result.divergence_predicted
+    return _row(_si_values(point), rp, *lag)
 
 
 def _si_values(point: Mapping) -> list[float]:
@@ -110,22 +113,19 @@ def _si_values(point: Mapping) -> list[float]:
     return [float(point["nu"]), float(point["omega0"]), float(point["omega_rabi"]), float(point["mass"]), phi_angle]
 
 
-def _row(si_values: list[float], rp: ReducedParams, result: LagResult) -> ResultRow:
-    """The row of a point with SI columns si_values and reduced parameters rp."""
-    report = result.truncation
-    return ResultRow(
-        *si_values, rp.eta, rp.nbar, rp.b_nu, rp.b_w0, rp.b_om, rp.b_wl, rp.m, rp.branch.value,
-        result.value, report.n_used, report.tail_bound_log, report.converged, result.divergence_predicted,
-    )  # fmt: skip
+def _row(si_values: list[float], rp: ReducedParams, *lag: float | int | bool) -> ResultRow:
+    """The row of a point with SI columns si_values, reduced parameters rp and its lag columns, in row order."""
+    return ResultRow(*si_values, rp.eta, rp.nbar, rp.b_nu, rp.b_w0, rp.b_om, rp.b_wl, rp.m, rp.branch.value, *lag)
 
 
 def run_specs(specs: Iterable[SweepSpec], policy: TruncationPolicy | None = None) -> list[ResultRow]:
     """Evaluate every point of every spec, in spec order and then spec.points() order.
 
     Each spec's points are resolved first, then all their lags come from one
-    nonequilibrium_lags call, which sums them in blocks of live rows in
-    point order (see thermo's truncation constants).  A spec's SI columns
-    are converted once; only its axis column is set per point.  A
+    thermo.lag_columns call, which sums them in blocks of live rows in
+    point order (see thermo's truncation constants), and the rows are built
+    straight from its columns, with no result object per row.  A spec's SI
+    columns are converted once; only its axis column is set per point.  A
     TruncationError names the first failing point of the first spec that
     has one.
     """
@@ -135,11 +135,12 @@ def run_specs(specs: Iterable[SweepSpec], policy: TruncationPolicy | None = None
         spec_policy = policy if spec.n_pinned is None else replace(policy, n_pinned=spec.n_pinned)
         points = list(spec.points())
         rps = [reduce(p, p["m"], p["branch"], p.get("eta")) for p in points]
-        results = nonequilibrium_lags(rps, spec_policy)
+        lags = lag_columns(rps, spec_policy)
         si_values = _si_values(points[0])
         axis = SI_COLUMNS.index(spec.axis) if spec.axis in SI_COLUMNS else None
-        for point, rp, result in zip(points, rps, results):
+        columns = (lags.value, lags.n_used, lags.tail_bound_log, lags.converged, lags.divergence_predicted)
+        for point, rp, *lag in zip(points, rps, *columns):
             if axis is not None:
                 si_values[axis] = point[spec.axis]
-            rows.append(_row(si_values, rp, result))
+            rows.append(_row(si_values, rp, *lag))
     return rows

@@ -47,12 +47,14 @@ __all__ = [
     "TruncationError",
     "LogPartition",
     "LagResult",
+    "LagColumns",
     "DivergenceReport",
     "LowTemperatureLimit",
     "ln_partition_initial",
     "ln_partition_final",
     "nonequilibrium_lag",
     "nonequilibrium_lags",
+    "lag_columns",
     "phi_reduced",
     "divergence_predicate_reduced",
     "low_temperature_limit",
@@ -141,6 +143,17 @@ class LagResult:
     divergence_predicted: bool
 
 
+class LagColumns(NamedTuple):
+    """The lags of a list of points as columns: one list per field of LagResult and its TruncationReport."""
+
+    value: list[float]
+    n_used: list[int]
+    tail_bound_log: list[float]
+    converged: list[bool]
+    stop_reason: list[str]
+    divergence_predicted: list[bool]
+
+
 @dataclass(frozen=True)
 class DivergenceReport:
     diverges: bool
@@ -172,23 +185,32 @@ def ln_partition_initial(rp: ReducedParams) -> LogPartition:
 
 # -- internal machinery -------------------------------------------------------
 
-# (m, eta) -> (signs, log_mags, state): f_n^m for n = 0..state.n, where state
-# is where the Laguerre recurrence stopped.  The arrays may be longer than
-# state.n + 1; the spare room is filled by later extensions, which write
-# only past state.n, so slices handed out earlier never change.  Sweeps run
+# (m, eta) -> (abs_f, state): |f_n^m| for n = 0..state.n, where state is
+# where the Laguerre recurrence stopped.  The array may be longer than
+# state.n + 1; the spare room is filled by later extensions, which write only
+# past state.n, so slices handed out earlier never change.  Sweeps run
 # serially, so the cache takes no lock.
-_COUPLING_CACHE: dict[tuple[int, float], tuple[np.ndarray, np.ndarray, LaguerreState]] = {}
+_COUPLING_CACHE: dict[tuple[int, float], tuple[np.ndarray, LaguerreState]] = {}
 _COUPLING_CACHE_KEYS = 512
 
 
-def _coupling_upto(m: int, eta: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cached (signs, log magnitudes) of f_n^m for n = 0..>=n_max."""
-    key = (m, eta)
-    entry = _COUPLING_CACHE.get(key)
-    if entry is None or entry[2].n < n_max:
-        entry = _grow_coupling(key, entry, n_max)
-    signs, log_mags, state = entry
-    return signs[: state.n + 1], log_mags[: state.n + 1]
+def _coupling_upto(reach: dict) -> dict:
+    """Cached |f_n^m| for n = 0..>=n_max of each (m, eta) key -> n_max of reach.
+
+    Room is made once per call: when the new keys would take the cache past
+    _COUPLING_CACHE_KEYS, every key not in reach is dropped.  So an excess
+    block, whose first call asks for all its keys, keeps them to its end.
+    """
+    if len(_COUPLING_CACHE) + sum(key not in _COUPLING_CACHE for key in reach) > _COUPLING_CACHE_KEYS:
+        for key in _COUPLING_CACHE.keys() - reach.keys():
+            del _COUPLING_CACHE[key]
+    out = {}
+    for key, n_max in reach.items():
+        entry = _COUPLING_CACHE.get(key)
+        if entry is None or entry[1].n < n_max:
+            entry = _grow_coupling(key, entry, n_max)
+        out[key] = entry[0][: entry[1].n + 1]
+    return out
 
 
 def _grow_coupling(key: tuple[int, float], entry, n_max: int):
@@ -200,43 +222,33 @@ def _grow_coupling(key: tuple[int, float], entry, n_max: int):
     divergence scan that still runs (see _jc_phi_positive) extends the key
     like any longer request.  A recurrence call computes at most
     _TERM_BUDGET terms, so its lists and arrays stay the size of one term
-    call's.  An extension computes only the missing terms; the arrays
-    double in capacity when full, so copying stays linear in the final
-    length.
+    call's, and each segment is exponentiated once, as it is stored.  An
+    extension computes only the missing terms; the array doubles in
+    capacity when full, so copying stays linear in the final length.
     """
     m, eta = key
-    if entry is None:
-        if len(_COUPLING_CACHE) >= _COUPLING_CACHE_KEYS:
-            _COUPLING_CACHE.clear()
-        entry = coupling_logabs_sequence(min(n_max, _TERM_BUDGET - 1), m, eta, resume=LAGUERRE_START)
-    while entry[2].n < n_max:
-        signs, log_mags, state = entry
+    abs_f, state = entry or (np.empty(0), LAGUERRE_START)
+    while state.n < n_max:
         n_to = min(n_max, state.n + _TERM_BUDGET)
-        new_signs, new_mags, new_state = coupling_logabs_sequence(n_to, m, eta, resume=state)
+        _, segment, new_state = coupling_logabs_sequence(n_to, m, eta, resume=state)
+        np.exp(segment, out=segment)  # |f|: a sign is 0 iff its log is -inf, and exp(-inf) = 0.0
         lo = state.n + 1
-        if signs.size <= n_to:
-            capacity = max(n_max + 1, 2 * signs.size)
-            signs = np.concatenate((signs[:lo], np.empty(capacity - lo, dtype=signs.dtype)))
-            log_mags = np.concatenate((log_mags[:lo], np.empty(capacity - lo)))
-        signs[lo : n_to + 1] = new_signs
-        log_mags[lo : n_to + 1] = new_mags
-        entry = (signs, log_mags, new_state)
-    _COUPLING_CACHE[key] = entry
+        if lo == 0:  # a new key keeps its first segment
+            abs_f = segment
+        elif abs_f.size <= n_to:
+            abs_f = np.concatenate((abs_f[:lo], segment, np.empty(max(n_max + 1, 2 * abs_f.size) - n_to - 1)))
+        else:
+            abs_f[lo : n_to + 1] = segment
+        state = new_state
+    entry = _COUPLING_CACHE[key] = (abs_f, state)
     return entry
-
-
-def _abs_bwl_minus_bw0(rp: ReducedParams) -> tuple[float, float]:
-    """(|b_wl|, |b_wl| - b_w0) with the difference formed without cancellation."""
-    delta = rp.branch.sideband_sign * rp.m * rp.b_nu  # b_wl - b_w0, exact
-    if rp.b_wl >= 0:
-        return rp.b_wl, delta
-    return -rp.b_wl, -2.0 * rp.b_w0 - delta
 
 
 class _Rows(NamedTuple):
     """Parameters of a block of rows: their (m, eta) coupling keys, and each parameter a [rows x 1] column."""
 
     keys: tuple[tuple[int, float], ...]
+    edge: bool  # whether some term may need the edge factor of _excess_logs; a subset keeps it (see _rows_of)
     half_m: np.ndarray  # m/2
     b_nu: np.ndarray
     b_w0: np.ndarray
@@ -246,23 +258,31 @@ class _Rows(NamedTuple):
 
 
 def _rows_of(rps: list[ReducedParams]) -> _Rows:
-    columns = [(0.5 * rp.m, rp.b_nu, rp.b_w0, rp.b_om, *_abs_bwl_minus_bw0(rp)) for rp in rps]
-    columns = np.array(columns).T.copy()[:, :, None]
-    return _Rows(tuple((rp.m, rp.eta) for rp in rps), *columns)
+    """The rows' columns, each with the bits of the same float operations on its row's parameters.
+
+    d_aw is formed without cancellation from delta = b_wl - b_w0 = -+m b_nu, exact; b_w0 + delta is rp.b_wl.
+    """
+    m, sign, b_nu, b_w0, b_om = np.array([(rp.m, rp.branch.sideband_sign, rp.b_nu, rp.b_w0, rp.b_om) for rp in rps]).T
+    delta = sign * m * b_nu
+    b_wl = b_w0 + delta
+    above = b_wl >= 0
+    columns = [0.5 * m, b_nu, b_w0, b_om, np.where(above, b_wl, -b_wl), np.where(above, delta, -2.0 * b_w0 - delta)]
+    # a_full >= |b_wl|/2 = (d_aw + b_w0)/2, also in floats: past 400, e^(-2 a_full) underflows
+    # to 0 and the edge adds log1p(-0.0) = -0.0, which changes no bit, in any row of any subset.
+    edge = not np.all(0.5 * (columns[5] + b_w0) > 400.0)
+    return _Rows(tuple((rp.m, rp.eta) for rp in rps), edge, *np.array(columns)[:, :, None])
 
 
 def _coupling_rows(keys: tuple[tuple[int, float], ...], n_lo: int, n_hi: int) -> np.ndarray:
     """|f_n^m| for n in [n_lo, n_hi), one row per (m, eta) key, from one cache slice per distinct key.
 
-    When all keys are equal the result is a single row, which broadcasts.
+    When all keys are equal the result is a single row, which broadcasts:
+    a view of the cache, which callers must not write to.
     """
-    by_key = {}
-    for key in dict.fromkeys(keys):
-        signs, log_mags = _coupling_upto(*key, n_hi - 1)
-        by_key[key] = np.where(signs[n_lo:n_hi] == 0, 0.0, np.exp(log_mags[n_lo:n_hi]))
+    by_key = _coupling_upto(dict.fromkeys(keys, n_hi - 1))
     if len(by_key) == 1:
-        return next(iter(by_key.values()))[None, :]
-    return np.stack([by_key[key] for key in keys])
+        return next(iter(by_key.values()))[None, n_lo:n_hi]
+    return np.stack([by_key[key][n_lo:n_hi] for key in keys])
 
 
 def _excess_logs(rows: _Rows, n_lo: int, n_hi: int) -> np.ndarray:
@@ -280,9 +300,7 @@ def _excess_logs(rows: _Rows, n_lo: int, n_hi: int) -> np.ndarray:
     np.subtract(_LN2, out, out=out)
     out += a_shifted
     with np.errstate(divide="ignore", invalid="ignore"):
-        # a_full >= |b_wl|/2 = (d_aw + b_w0)/2, also in floats: past 400, e^(-2 a_full)
-        # underflows to 0 and the edge adds log1p(-0.0) = -0.0, which changes no bit.
-        if not np.all(0.5 * (rows.d_aw + rows.b_w0) > 400.0):
+        if rows.edge:
             out += _log1m_exp_neg2(a_shifted + 0.5 * rows.b_w0)
         out += lnsinh(b_quarter)
     out[b_quarter == 0.0] = -np.inf
@@ -308,40 +326,35 @@ def _log1m_exp_neg2(a):
     return out
 
 
-def _excess_tails(rows: _Rows) -> list:
-    """Per row, n_from -> shifted-log bound on the excess terms with n >= n_from, minus log(nbar+1).
+def _excess_tails(rows: _Rows):
+    """n_from -> each row's shifted-log bound on its excess terms with n >= n_from, minus log(nbar+1).
 
     Uses |f_n^m| <= 1 (unitary matrix element), so the coupling factor is
     bounded by its u = b_om envelope while the geometric factor sums exactly.
-    The log(nbar+1) is left out because it cancels against Z_initial.  The
-    envelope and its lnsinh are formed for all rows at once, the rest of
-    each row's constants in math; only the geometric factor depends on
-    n_from.
+    The log(nbar+1) is left out because it cancels against Z_initial.
+    n_from is a number or an array that broadcasts against the columns.  The
+    edge factor is math's (numpy's log1p and exp may differ in the last
+    bit); a zero envelope gives 0.0 there, and -inf from its lnsinh.
     """
-    b_quarters = 0.25 * sqrt_excess(rows.abs_bwl, rows.b_om)
-    columns = (b_quarters, lnsinh(b_quarters), rows.d_aw, rows.b_w0, rows.b_nu, rows.half_m)
-    return [_excess_tail(*values) for values in zip(*(c.ravel().tolist() for c in columns))]
-
-
-def _excess_tail(b_quarter: float, log_sinh: float, d_aw: float, b_w0: float, b_nu: float, half_m: float):
-    if b_quarter == 0.0:  # also when b_om = 0
-        return lambda n_from: -math.inf
-    a_shifted = 0.5 * d_aw + b_quarter
-    log_edge = _log1m_exp_neg2(a_shifted + 0.5 * b_w0)
+    b_quarters = 0.25 * sqrt_excess(rows.abs_bwl, rows.b_om).ravel()
+    a_shifted = 0.5 * rows.d_aw.ravel() + b_quarters
+    a_full = (a_shifted + 0.5 * rows.b_w0.ravel()).tolist()
+    log_edge = np.array([_log1m_exp_neg2(a) if q else 0.0 for q, a in zip(b_quarters.tolist(), a_full)])
+    log_sinh, b_nu, half_m = lnsinh(b_quarters), rows.b_nu.ravel(), rows.half_m.ravel()
     return lambda n_from: _LN2 - b_nu * (n_from + half_m) + a_shifted + log_edge + log_sinh
 
 
-def _chunk_log_sums(rows: np.ndarray) -> tuple[list[float], list[float]]:
-    """(max, log sum(exp(row))) of each row of a 2-D block of chunks (nan log for an all -inf row).
+def _chunk_log_sums(chunks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(max, log sum(exp(chunk))) of each row of a 2-D block of chunks (nan log for an all -inf row).
 
-    All rows are reduced in one pass; the row-wise pairwise sum of a row has
-    the bits of the 1-D np.sum of that row, at any row length.
+    All chunks are reduced in one pass; the row-wise pairwise sum of a row
+    has the bits of the 1-D np.sum of that row, at any row length.  The log
+    is math's, one chunk at a time.
     """
-    his = rows.max(axis=1)
+    his = chunks.max(axis=1)
     with np.errstate(invalid="ignore"):
-        sums = np.exp(rows - his[:, None]).sum(axis=1).tolist()
-    his = his.tolist()
-    return his, [hi + math.log(s) for hi, s in zip(his, sums)]
+        sums = np.exp(chunks - his[:, None]).sum(axis=1).tolist()
+    return his, his + [math.log(s) for s in sums]
 
 
 _LN16 = math.log(16.0)
@@ -370,73 +383,76 @@ def _settled(running: float, tail_log: float) -> bool:
     return abs(running) >= sys.float_info.min and tail_log < running + math.log(math.ulp(running)) - _LN16
 
 
-def _stops(policy: TruncationPolicy, bounds: list) -> list[tuple[int, str]]:
-    """(terms, stop reason) of each row: where its sum ends unless it settles first.
+def _stops(policy: TruncationPolicy, reached, rows: int) -> tuple[np.ndarray, list[str]]:
+    """(terms, stop reasons) of rows sums: where each ends unless it settles first.
 
     A pinned row stops after n_pinned terms ("pinned").  An adaptive row
-    stops at the first chunk edge n where bounds[row](n) holds ("bound"),
-    else at n_cap ("cap").  So every stop is known before the row's first
-    term.  Pinned rows do not read bounds.
+    stops at the first chunk edge n where its bound holds ("bound"), else at
+    n_cap ("cap"): reached(edges), given a column of edges, says for each
+    edge and row whether the row's bound holds there.  So every stop is
+    known before the row's first term.  Pinned rows do not read bounds.
     """
     if policy.n_pinned is not None:
-        return [(policy.n_pinned, "pinned")] * len(bounds)
-    edges = [*range(_CHUNK, policy.n_cap, _CHUNK), policy.n_cap]
-    stops = []
-    for bound in bounds:
-        edge = next((n for n in edges if bound(n)), None)
-        stops.append((policy.n_cap, "cap") if edge is None else (edge, "bound"))
-    return stops
+        return np.full(rows, policy.n_pinned), ["pinned"] * rows
+    edges = np.array([*range(_CHUNK, policy.n_cap, _CHUNK), policy.n_cap])
+    hits = np.broadcast_to(reached(edges[:, None]), (edges.size, rows))
+    found = hits.any(axis=0)
+    return np.where(found, edges[hits.argmax(axis=0)], policy.n_cap), ["bound" if f else "cap" for f in found.tolist()]
 
 
-def _log_sums(term_logs, stops: list[tuple[int, str]], tails=None) -> list[tuple[float, int, str]]:
-    """(log of the sum, terms used, stop reason) of each row of terms, summed ascending in n.
+def _log_sums(term_logs, stops: np.ndarray, tails=None) -> tuple[np.ndarray, np.ndarray]:
+    """(log of the sum, whether it settled) of each row of terms, summed ascending in n to its stop.
 
     term_logs(live, n_lo, n_hi) gives the terms n_lo..n_hi-1 of the rows
-    listed in live, as a [len(live) x (n_hi - n_lo)] block.  Each row is
-    folded chunk by chunk, so it keeps the bits of a one-row, one-chunk-at-a-
-    time sum, and leaves live at its stop from _stops.  Given tails, a row
-    settles, with the bits and n_used of its sum to its stop, at the first
-    chunk edge n before that stop where _settled(running, tails[row](n))
-    holds, tails[row](n) bounding the log of the sum of its terms from n on
-    ("settled").  Every edge is tested as its chunk is folded, so the reason
-    does not depend on the block; the row leaves live at the end of that
-    call.  Without tails no row settles.
+    listed in live, as a [len(live) x (n_hi - n_lo)] block, and stops[row]
+    is where the row ends (see _stops).  The block is folded chunk column
+    by chunk column: one np.logaddexp call folds chunk j of every live row
+    whose chunk has a term, so each row keeps the bits of a one-row,
+    one-chunk-at-a-time sum.  Given tails, a row settles, with the bits of
+    its sum to its stop, at the first chunk edge n before that stop where
+    _settled(running, tails(n)[row]) holds, tails(n) bounding the log of the
+    sum of each row's terms from n on.  Every edge is tested as its column
+    is folded, so whether a row settles does not depend on the block; the
+    row leaves live at the end of that call.  Without tails no row settles.
 
     A call gives each live row max(1, _TERM_BUDGET // (live * _CHUNK))
     chunks and ends at its live rows' earliest stop, so no term past a
     row's stop is computed.
     """
-    out: list = [None] * len(stops)
-    running = [-math.inf] * len(stops)
-    live = list(range(len(stops)))
+    running = np.full(len(stops), -np.inf)
+    settled = np.zeros(len(stops), dtype=bool)
+    live = np.arange(len(stops))
     n_done = 0
-    while live:
-        per_row = max(1, _TERM_BUDGET // (len(live) * _CHUNK))
-        n_hi = min(n_done + per_row * _CHUNK, min(stops[row][0] for row in live))
+    while live.size:
+        per_row = max(1, _TERM_BUDGET // (live.size * _CHUNK))
+        n_hi = min(n_done + per_row * _CHUNK, int(stops[live].min()))
         xs = term_logs(live, n_done, n_hi)
         split = (n_hi - n_done) // _CHUNK * _CHUNK
-        # Each row's full chunks as consecutive rows of one block, then its partial last chunk.
-        for chunks, lo in ((xs[:, :split].reshape(-1, _CHUNK), n_done), (xs[:, split:], n_done + split)):
-            if chunks.size == 0:
+        # Each row's full chunks, then its partial last chunk, one column per chunk.
+        for part, lo in ((xs[:, :split], n_done), (xs[:, split:], n_done + split)):
+            if part.size == 0:
                 continue
-            per = chunks.shape[0] // len(live)
-            for k, (hi, chunk_log) in enumerate(zip(*_chunk_log_sums(chunks))):
-                row = live[k // per]
-                if out[row] is not None:  # settled at an earlier edge of this call
+            chunks = part.reshape(live.size, -(-part.shape[1] // _CHUNK), -1)
+            his, logs = (a.reshape(chunks.shape[:2]) for a in _chunk_log_sums(chunks.reshape(-1, chunks.shape[2])))
+            # A chunk has a term above -inf iff its max is, unless a nan hides it.
+            has = his > -np.inf
+            hidden = np.isnan(his)
+            if hidden.any():
+                has[hidden] = (chunks[hidden] > -np.inf).any(axis=1)
+            for j in range(chunks.shape[1]):
+                fold = has[:, j] & ~settled[live]  # a row settled at an earlier edge of this call is done
+                rows = live[fold]
+                running[rows] = np.logaddexp(running[rows], logs[fold, j])
+                if tails is None:
                     continue
-                # The chunk has a term above -inf iff its max is, unless a nan hides it.
-                if hi > -math.inf or (hi != hi and (chunks[k] > -math.inf).any()):
-                    running[row] = float(np.logaddexp(running[row], chunk_log))
-                if tails is not None:
-                    edge = min(lo + (k % per + 1) * _CHUNK, n_hi)  # where the chunk ends
-                    if edge < stops[row][0] and _settled(running[row], tails[row](edge)):
-                        out[row] = (running[row], stops[row][0], "settled")
-        for row in live:
-            if out[row] is None and stops[row][0] == n_hi:
-                out[row] = (running[row], n_hi, stops[row][1])
-        live = [row for row in live if out[row] is None]
+                edge = min(lo + (j + 1) * _CHUNK, n_hi)  # where the chunk ends
+                open_rows = live[~settled[live] & (stops[live] > edge)]
+                if open_rows.size:
+                    pairs = zip(running[open_rows].tolist(), tails(edge)[open_rows].tolist())
+                    settled[open_rows] = [_settled(a, tail_log) for a, tail_log in pairs]
+        live = live[(stops[live] > n_hi) & ~settled[live]]
         n_done = n_hi
-    return out
+    return running, settled
 
 
 def _coupling_alive(rp: ReducedParams) -> bool:
@@ -448,8 +464,8 @@ def _coupling_alive(rp: ReducedParams) -> bool:
     return rp.r_om > 0 and (rp.m == 0 or rp.eta > 0)
 
 
-def _excess_lags(rps: list[ReducedParams], policy: TruncationPolicy) -> list[tuple[float, float, TruncationReport]]:
-    """(shifted log Z_initial, lag, truncation report) of each row, from the excess sum.
+def _excess_lags(rps: list[ReducedParams], policy: TruncationPolicy) -> tuple[list, ...]:
+    """(lag, n_used, tail_bound_log, converged, stop_reason) columns of the rows, from the excess sum.
 
     Rows with dead coupling are exact zeros.  The live rows are summed in
     blocks in input order, whatever their sideband index: as many rows as
@@ -458,65 +474,61 @@ def _excess_lags(rps: list[ReducedParams], policy: TruncationPolicy) -> list[tup
     first such row in input order, unless policy.error_on_nonconverged is
     cleared.
     """
-    out: list = [None] * len(rps)
-    live = []
-    for i, rp in enumerate(rps):
-        if not _coupling_alive(rp):  # the excess vanishes identically, no scan needed
-            out[i] = (ln_partition_initial(rp).shifted_log, 0.0, _EXACT_REPORT)
-        else:
-            live.append(i)
+    n = len(rps)  # a dead row's excess vanishes identically: it keeps these exact zeros
+    columns = np.zeros(n), np.zeros(n, int), np.full(n, -np.inf), np.ones(n, bool), np.full(n, "exact", object)
+    live = [i for i, rp in enumerate(rps) if _coupling_alive(rp)]
     size = _TERM_BUDGET // min(policy.n_pinned or _CHUNK, _CHUNK)
     for start in range(0, len(live), size):
         block = live[start : start + size]
-        for i, result in zip(block, _excess_block([rps[i] for i in block], policy)):
-            out[i] = result
-    failed = next((report for _, _, report in out if not report.converged), None)
-    if failed and policy.n_pinned is None and policy.error_on_nonconverged:
-        raise TruncationError(failed, f"partition sum not converged after {failed.n_used} terms ({failed.stop_reason})")
-    return out
+        for column, values in zip(columns, _excess_block([rps[i] for i in block], policy)):
+            column[block] = values
+    columns = tuple(column.tolist() for column in columns)
+    failed = next((i for i, converged in enumerate(columns[3]) if not converged), None)
+    if failed is not None and policy.n_pinned is None and policy.error_on_nonconverged:
+        report = TruncationReport(*(column[failed] for column in columns[1:]))
+        raise TruncationError(report, f"partition sum not converged after {report.n_used} terms ({report.stop_reason})")
+    return columns
 
 
-def _take(rows: _Rows, live: list[int]) -> _Rows:
-    """The rows listed in live."""
-    return _Rows(tuple(rows.keys[i] for i in live), *(column[live] for column in rows[1:]))
+def _take(rows: _Rows, live: np.ndarray) -> _Rows:
+    """The rows listed in live: rows itself when every row is live."""
+    if live.size == len(rows.keys):
+        return rows
+    return _Rows(tuple(rows.keys[i] for i in live), rows.edge, *(column[live] for column in rows[2:]))
 
 
-def _excess_block(rps: list[ReducedParams], policy: TruncationPolicy) -> list[tuple[float, float, TruncationReport]]:
-    """_excess_lags for a block of live rows, from one _log_sums call.
+def _excess_block(rps: list[ReducedParams], policy: TruncationPolicy) -> tuple:
+    """_excess_lags for a block of live rows, from one _log_sums call, finished as columns.
 
     An adaptive row's stop is known before its first term, as its tail bound
     is linear in n; so each coupling key is grown once, to the furthest stop
-    among its rows, not call by call.
+    among its rows, not call by call.  The lags, tail bounds and converged
+    flags come from elementwise array operations, with the bits of the same
+    operations on each row's floats.
     """
     rows = _rows_of(rps)
     tails = _excess_tails(rows)
-    # log(1 + e^(-b_w0)): log Z_i without its log(nbar+1), which cancels against the tails'.
-    zi_edges = [math.log1p(math.exp(-rp.b_w0)) for rp in rps]
+    # log(nbar+1), and log(1 + e^(-b_w0)) in math like ln_partition_initial: their sum is log Z_i,
+    # and the tails leave out the first, as it cancels.
+    ln1, zi_edges = np.array([(rp.ln_nbar_plus_1, math.log1p(math.exp(-rp.b_w0))) for rp in rps]).T
     log_tol = math.log(policy.tol)
-    bounds = [lambda n, tail=tail, edge=edge: tail(n) - edge <= log_tol for tail, edge in zip(tails, zi_edges)]
-    stops = _stops(policy, bounds)
+    stops, reasons = _stops(policy, lambda n: tails(n) - zi_edges <= log_tol, len(rps))
     term_tails = None  # only a pinned row settles; an adaptive one ends at its bound or n_cap
     if policy.n_pinned is None:
         reach: dict = {}
-        for key, (n_stop, _) in zip(rows.keys, stops):
-            reach[key] = max(reach.get(key, 0), n_stop)
-        for (m, eta), n_stop in reach.items():
-            _coupling_upto(m, eta, n_stop - 1)
+        for key, n_stop in zip(rows.keys, stops.tolist()):
+            reach[key] = max(reach.get(key, 0), n_stop - 1)
+        _coupling_upto(reach)
     else:
-        # The tails with their log(nbar+1) put back: bounds on the log of the excess terms from n on.
-        term_tails = [lambda n, tail=tail, ln1=rp.ln_nbar_plus_1: tail(n) + ln1 for tail, rp in zip(tails, rps)]
-    sums = _log_sums(lambda live, lo, hi: _excess_logs(_take(rows, live), lo, hi), stops, term_tails)
-    out = []
-    for rp, tail, zi_edge, (log_sum, n_done, stop_reason) in zip(rps, tails, zi_edges, sums):
-        ln_zi = rp.ln_nbar_plus_1 + zi_edge  # ln_partition_initial(rp).shifted_log, formed alike
-        lag = float(np.logaddexp(0.0, log_sum - ln_zi))
-        tail_bound_log = tail(n_done) + rp.ln_nbar_plus_1 - (ln_zi + lag)
-        converged = tail_bound_log <= log_tol or tail(n_done) - zi_edge <= log_tol
-        report = TruncationReport(
-            n_used=n_done, tail_bound_log=tail_bound_log, converged=converged, stop_reason=stop_reason
-        )
-        out.append((ln_zi, lag, report))
-    return out
+        term_tails = lambda n: tails(n) + ln1  # bounds on the log of the excess terms from n on
+    log_sums, settled = _log_sums(lambda live, lo, hi: _excess_logs(_take(rows, live), lo, hi), stops, term_tails)
+    ln_zi = ln1 + zi_edges
+    lag = np.logaddexp(0.0, log_sums - ln_zi)
+    tail_used = tails(stops)
+    tail_bound_log = tail_used + ln1 - (ln_zi + lag)
+    converged = (tail_bound_log <= log_tol) | (tail_used - zi_edges <= log_tol)
+    reasons = ["settled" if s else reason for s, reason in zip(settled.tolist(), reasons)]
+    return lag, stops, tail_bound_log, converged, reasons
 
 
 def _edge_shifted_log(rp: ReducedParams) -> float:
@@ -544,8 +556,8 @@ def ln_partition_final(
     """
     policy = policy or TruncationPolicy()
     if assembly == "excess":
-        ((ln_zi, lag, report),) = _excess_lags([rp], policy)
-        return LogPartition(shifted_log=ln_zi + lag, truncation=report)
+        ((lag, *report),) = zip(*_excess_lags([rp], policy))
+        return LogPartition(ln_partition_initial(rp).shifted_log + lag, TruncationReport(*report))
     if assembly == "direct":
         return _ln_partition_final_direct(rp, policy)
     raise ValueError("assembly must be 'excess' or 'direct'")
@@ -554,8 +566,8 @@ def ln_partition_final(
 def _direct_term_logs(rp: ReducedParams, n_lo: int, n_hi: int) -> np.ndarray:
     """Shifted log of 2 e^(-b_nu(n+m/2)) cosh(X_n) for n in [n_lo, n_hi)."""
     u = rp.b_om * _coupling_rows(((rp.m, rp.eta),), n_lo, n_hi)[0]
-    abs_bwl, d_aw = _abs_bwl_minus_bw0(rp)
-    half_ss = 0.5 * (d_aw + sqrt_excess(abs_bwl, u))  # X_n - b_w0/2
+    rows = _rows_of([rp])
+    half_ss = 0.5 * (rows.d_aw[0] + sqrt_excess(rows.abs_bwl[0], u))  # X_n - b_w0/2
     x_full = half_ss + 0.5 * rp.b_w0
     ns = np.arange(n_lo, n_hi, dtype=float)
     return -rp.b_nu * (ns + 0.5 * rp.m) + half_ss + np.log1p(np.exp(-2.0 * x_full))
@@ -564,15 +576,16 @@ def _direct_term_logs(rp: ReducedParams, n_lo: int, n_hi: int) -> np.ndarray:
 def _ln_partition_final_direct(rp: ReducedParams, policy: TruncationPolicy) -> LogPartition:
     # Shifted log of the terms past n: each is at most 2 e^(-b_nu(n+m/2)) e^(X_max),
     # with the splitting at the u = b_om envelope of the coupling.
-    abs_bwl, d_aw = _abs_bwl_minus_bw0(rp)
-    env = 0.5 * (d_aw + float(sqrt_excess(abs_bwl, rp.b_om)))
+    rows = _rows_of([rp])
+    env = 0.5 * (rows.d_aw.item() + sqrt_excess(rows.abs_bwl, rp.b_om).item())
     tail = lambda n: _LN2 + env - rp.b_nu * (n + 0.5 * rp.m) + rp.ln_nbar_plus_1
     # Z_final >= Z_initial exactly, so a tail below tol of Z_initial certifies the stop.
     ln_zi = ln_partition_initial(rp).shifted_log
     log_tol = math.log(policy.tol)
-    stops = _stops(policy, [lambda n: tail(n) - ln_zi <= log_tol])
+    stops, (stop_reason,) = _stops(policy, lambda n: tail(n) - ln_zi <= log_tol, 1)
     term_logs = lambda live, lo, hi: _direct_term_logs(rp, lo, hi)[None, :]
-    ((running, n_done, stop_reason),) = _log_sums(term_logs, stops)
+    (running,), _ = _log_sums(term_logs, stops)
+    n_done = int(stops[0])
     total = float(np.logaddexp(running, _edge_shifted_log(rp)))
     tail_bound_log = tail(n_done) - max(total, ln_zi)
     converged = tail_bound_log <= log_tol
@@ -595,29 +608,36 @@ def nonequilibrium_lag(rp: ReducedParams, policy: TruncationPolicy | None = None
 
 
 def nonequilibrium_lags(rps: list[ReducedParams], policy: TruncationPolicy | None = None) -> list[LagResult]:
-    """nonequilibrium_lag of each point, with the same bits.
+    """nonequilibrium_lag of each point, with the same bits: the rows of lag_columns."""
+    columns = lag_columns(rps, policy)
+    return [LagResult(value, TruncationReport(*report), diverges) for value, *report, diverges in zip(*columns)]
 
-    Every field of each result, stop_reason included, equals that of the
-    point alone.  Live rows are summed in blocks in input order, of any
-    sideband index, as many as fit the term budget of one call (see the
-    truncation constants), which costs far less than one row at a time, and
-    the divergence scan runs once per JC key, not once per row.
-    A TruncationError names the first non-converged point in input order.
+
+def lag_columns(rps: list[ReducedParams], policy: TruncationPolicy | None = None) -> LagColumns:
+    """The lag of each point as columns, with no object per row: the one engine result.
+
+    Every field of each row, stop_reason included, equals that of the point
+    alone.  Live rows are summed in blocks in input order, of any sideband
+    index, as many as fit the term budget of one call (see the truncation
+    constants), and each block is finished as columns; this costs far less
+    than one row at a time.  The divergence scan runs once per JC key, not
+    once per row.  A TruncationError names the first non-converged point in
+    input order.
     """
     lags = _excess_lags(rps, policy or TruncationPolicy())
     # Witnesses are kept under (m, r_w0, r_om, eta), the only inputs of the
     # scan, so a sweep over temperature scans once.
     negatives: dict = {}
-    results = []
-    for rp, (_, lag, report) in zip(rps, lags):
+    diverges = []
+    for rp in rps:
         negative = []
         if _reads_witnesses(rp):
             key = (rp.m, rp.r_w0, rp.r_om, rp.eta)
             if key not in negatives:
                 negatives[key] = divergence_predicate_reduced(rp).witnesses
             negative = negatives[key]
-        results.append(LagResult(value=lag, truncation=report, divergence_predicted=_diverges_at_zero(rp, negative)))
-    return results
+        diverges.append(_diverges_at_zero(rp, negative))
+    return LagColumns(*lags, diverges)
 
 
 # -- low-temperature classification -------------------------------------------

@@ -468,6 +468,29 @@ class TestCouplingCache:
         growths = _growth(-1, first_reach) + _growth(first_reach, reach)
         assert [(n_max, start) for _, n_max, start in calls] == growths
 
+    def test_full_cache_keeps_the_keys_of_a_running_block(self, monkeypatch):
+        # 16 adaptive rows of 16 keys make one block.  With 505 keys cached its keys pass the
+        # 512-key cap: room is made once, before the block grows them, so each key still grows
+        # once, as from an empty cache.  A clear per new key used to drop keys the block had
+        # just grown, which then regrew piece by piece: 158 recurrence calls, not 32.
+        rps = [fig1_reduced(1, Branch.JC, eta, nbar=2e3) for eta in np.linspace(0.30, 0.45, 16).tolist()]
+        calls = []
+        real = thermo.coupling_logabs_sequence
+
+        def counting(n_max, m, eta, *, resume):
+            calls.append(((m, eta), n_max, resume.n))
+            return real(n_max, m, eta, resume=resume)
+
+        monkeypatch.setattr(thermo, "coupling_logabs_sequence", counting)
+        runs = []
+        for cached in (0, 505):
+            monkeypatch.setattr(thermo, "_COUPLING_CACHE", {})
+            thermo._coupling_upto({(2, 0.5 + k / 1024): 0 for k in range(cached)})
+            calls.clear()
+            runs.append(([result.value for result in nonequilibrium_lags(rps)], list(calls)))
+        assert runs[0] == runs[1] and len(runs[1][1]) == 32
+        assert set(thermo._COUPLING_CACHE) == {(rp.m, rp.eta) for rp in rps}
+
     def test_pinned_row_needs_one_recurrence_call(self, monkeypatch):
         # The first fill covers the pinned terms; this JC row needs no divergence scan.
         calls = []
@@ -479,17 +502,36 @@ class TestCouplingCache:
         assert [a[0] for a in calls] == [39]
 
     def test_cached_values_equal_one_shot(self, monkeypatch):
+        # The cache keeps |f_n^m|, exponentiated once per grown segment: the bits of a one-shot run's.
         monkeypatch.setattr(thermo, "_COUPLING_CACHE", {})
-        for n_max in (39, 700, 1300, 5000, 20000, 4000):
-            signs, log_mags = thermo._coupling_upto(2, 1.1, n_max)
-            assert signs.size == log_mags.size > n_max
-        ref_signs, ref_mags = thermo.coupling_logabs_sequence(signs.size - 1, 2, 1.1)
-        assert np.array_equal(signs, ref_signs) and log_mags.tobytes() == ref_mags.tobytes()
+        for m, eta in ((2, 1.1), (0, 1.0), (3, 2.0), (1, 0.0)):  # L_1(1) = 0, L_1^3(4) = 0, f = 0 at eta = 0
+            for n_max in (39, 700, 1300, 5000, 20000, 4000):
+                ((key, abs_f),) = thermo._coupling_upto({(m, eta): n_max}).items()
+                assert key == (m, eta) and abs_f.size > n_max
+                signs, log_mags = thermo.coupling_logabs_sequence(abs_f.size - 1, m, eta)
+                assert abs_f.tobytes() == np.where(signs == 0, 0.0, np.exp(log_mags)).tobytes()
+                assert ((abs_f == 0.0) == (signs == 0)).all()
 
 
 def _never(n):
     """A tail bound that never certifies a stop."""
     return False
+
+
+def _stops(policy, bounds):
+    """thermo._stops of rows whose bounds are given as one predicate per row on a single edge."""
+    reached = lambda edges: np.array([[bound(n) for bound in bounds] for n in edges.ravel().tolist()])  # noqa: E731
+    return thermo._stops(policy, reached, len(bounds))
+
+
+def _log_sums(term_logs, stops, tails=None):
+    """(log of the sum, terms used, stop reason) of each row of thermo._log_sums, with stops from _stops."""
+    ends, reasons = stops
+    sums, settled = thermo._log_sums(term_logs, ends, tails)
+    return [
+        (log_sum, n_used, "settled" if settles else reason)
+        for log_sum, n_used, reason, settles in zip(sums.tolist(), ends.tolist(), reasons, settled.tolist())
+    ]
 
 
 def _one_chunk_at_a_time(term_logs, policy, bound_reached=None):
@@ -568,8 +610,8 @@ class TestBlockedLogSum:
             asked.append((lo, hi))
             return terms[lo:hi].copy()
 
-        stops = thermo._stops(policy, [bound or _never])
-        (got,) = thermo._log_sums(lambda live, lo, hi: term_logs(lo, hi)[None, :], stops)
+        stops = _stops(policy, [bound or _never])
+        (got,) = _log_sums(lambda live, lo, hi: term_logs(lo, hi)[None, :], stops)
         ref = _one_chunk_at_a_time(lambda lo, hi: terms[lo:hi].copy(), policy, bound)
         assert (got[0].hex(), got[1:]) == (ref[0].hex(), ref[1:])
         # Blocks tile [0, end) in order, at most 16 chunks each, and never
@@ -589,7 +631,7 @@ class TestBlockedLogSum:
             calls.append((list(live), lo, hi))
             return np.stack([rows[row][lo:hi] for row in live])
 
-        got = thermo._log_sums(term_logs, thermo._stops(policy, bounds or [_never] * len(rows)))
+        got = _log_sums(term_logs, _stops(policy, bounds or [_never] * len(rows)))
         for row, (terms, (log_sum, n_used, stop_reason)) in enumerate(zip(rows, got)):
             ref = _one_chunk_at_a_time(lambda lo, hi: terms[lo:hi].copy(), policy, None if fires is None else bounds[row])
             assert (log_sum.hex(), n_used, stop_reason) == (ref[0].hex(), *ref[1:]), row
@@ -612,8 +654,8 @@ class TestBlockedLogSum:
         rows[2][3] = np.nan  # nan and -inf only: skipped too
         rows[3][2 * chunk - 1] = np.nan  # a nan last term
         with np.errstate(invalid="ignore"):
-            stops = thermo._stops(policy, [_never] * len(rows))
-            got = thermo._log_sums(lambda live, lo, hi: np.stack([rows[row][lo:hi] for row in live]), stops)
+            stops = _stops(policy, [_never] * len(rows))
+            got = _log_sums(lambda live, lo, hi: np.stack([rows[row][lo:hi] for row in live]), stops)
             refs = [_one_chunk_at_a_time(lambda lo, hi: terms[lo:hi].copy(), policy) for terms in rows]
         for (log_sum, n_used, stop_reason), ref in zip(got, refs):
             assert (log_sum.hex(), n_used, stop_reason) == (ref[0].hex(), *ref[1:])
@@ -626,10 +668,10 @@ class TestBlockedLogSum:
     def test_one_adaptive_row_takes_sixteen_chunks_per_call(self, bound, stop):
         asked = []
         terms = np.zeros(100 * thermo._CHUNK + 300)
-        stops = thermo._stops(TruncationPolicy(n_cap=terms.size), [bound])
-        assert stops == [stop]
+        stops = _stops(TruncationPolicy(n_cap=terms.size), [bound])
+        assert (stops[0].tolist(), stops[1]) == ([stop[0]], [stop[1]])
         term_logs = lambda live, lo, hi: asked.append((lo, hi)) or terms[None, lo:hi]  # noqa: E731
-        ((_, n_used, stop_reason),) = thermo._log_sums(term_logs, stops)
+        ((_, n_used, stop_reason),) = _log_sums(term_logs, stops)
         # Every call but the last asks for 16 chunks; the calls tile [0, stop) and end exactly at it.
         assert all(hi - lo == 16 * thermo._CHUNK for lo, hi in asked[:-1])
         assert [lo for lo, _ in asked] == [0] + [hi for _, hi in asked[:-1]]
@@ -678,7 +720,8 @@ def _one_row(rp, policy):
     diverges = divergence_predicate_reduced(rp).diverges
     if rp.b_om == 0.0 or (rp.m > 0 and rp.eta == 0.0):
         return 0.0, 0, -math.inf, True, diverges, "exact"
-    abs_bwl, d_aw = thermo._abs_bwl_minus_bw0(rp)
+    delta = rp.branch.sideband_sign * rp.m * rp.b_nu  # b_wl - b_w0, exact
+    abs_bwl, d_aw = (rp.b_wl, delta) if rp.b_wl >= 0 else (-rp.b_wl, -2.0 * rp.b_w0 - delta)
     coupling = [np.zeros(0), np.zeros(0)]  # signs and log |f_n^m| for n = 0..size-1
 
     def term_logs(n_lo, n_hi):
@@ -882,9 +925,9 @@ class TestSettledPinnedRows:
         for terms in rows:
             terms[chunk:] = -1e3
         policy = _pinned(3 * chunk)
-        sums = thermo._log_sums(
+        sums = _log_sums(
             lambda live, lo, hi: np.stack([rows[row][lo:hi] for row in live]),
-            thermo._stops(policy, [_never] * len(rows)), tails=[lambda n: -500.0] * len(rows),
+            _stops(policy, [_never] * len(rows)), tails=lambda n: np.full(len(rows), -500.0),
         )  # fmt: skip
         assert [stop for _, _, stop in sums[:3]] == ["pinned", "pinned", "settled"]
         assert sums[2] == (1.0, 3 * chunk, "settled")
@@ -900,10 +943,10 @@ class TestSettledPinnedRows:
         adaptive = nonequilibrium_lags(rps, TruncationPolicy(n_cap=4000, error_on_nonconverged=False))
         assert handed == [None] and {result.truncation.stop_reason for result in adaptive} <= {"bound", "cap"}
         nonequilibrium_lags(rps, _pinned(4000))
-        assert len(handed) == 2 and len(handed[1]) == len(rps)
+        assert len(handed) == 2 and handed[1](512).shape == (len(rps),)
         # Without tails no row settles: it runs to its stop.
         terms = np.linspace(0.0, -100.0, 4000)
-        (got,) = thermo._log_sums(lambda live, lo, hi: terms[None, lo:hi], thermo._stops(_pinned(4000), [_never]))
+        (got,) = _log_sums(lambda live, lo, hi: terms[None, lo:hi], _stops(_pinned(4000), [_never]))
         assert got[1:] == (4000, "pinned")
 
 
@@ -970,7 +1013,7 @@ class TestBatchedAdaptiveRows:
         spec = SweepSpec(axis="nbar", grid=(10.0, 30.0), fixed=fixed, branches=(Branch.JC,), m_values=(2, 1))
         points = list(spec.points())
         rps = [reduce(point, point["m"], point["branch"], point["eta"]) for point in points]
-        edges = [thermo._excess_tails(thermo._rows_of([rp]))[0](512) - math.log1p(math.exp(-rp.b_w0)) for rp in rps]
+        edges = [thermo._excess_tails(thermo._rows_of([rp]))(512)[0] - math.log1p(math.exp(-rp.b_w0)) for rp in rps]
         assert edges[0] < edges[1]
         policy = TruncationPolicy(n_cap=512, tol=math.exp(0.5 * (edges[0] + edges[1])))
         lenient = replace(policy, error_on_nonconverged=False)
@@ -1052,6 +1095,39 @@ class TestSumWorkBounds:
         monkeypatch.setattr(thermo, "_COUPLING_CACHE", {})
         assert main(["lag", "--preset", preset, "--out", str(tmp_path / "rows.csv")]) == 0
         assert (work["steps"], work["terms"], work["blocks"]) == (steps, terms, blocks)
+
+
+class TestBlockShape:
+    """An excess block is finished as columns: one fold per chunk column, and no result object per row."""
+
+    def test_fig1_folds_by_column_and_builds_no_row_objects(self, monkeypatch):
+        counts = dict.fromkeys(("columns", "blocks", "logaddexp", "objects"), 0)
+        real_logs, real_block, real_logaddexp = thermo._excess_logs, thermo._excess_block, np.logaddexp
+
+        def excess_logs(rows, n_lo, n_hi):
+            counts["columns"] += -(-(n_hi - n_lo) // thermo._CHUNK)
+            return real_logs(rows, n_lo, n_hi)
+
+        def excess_block(rps, policy):
+            counts["blocks"] += 1
+            return real_block(rps, policy)
+
+        def counted(key, real):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(thermo, "_excess_logs", excess_logs)
+        monkeypatch.setattr(thermo, "_excess_block", excess_block)
+        monkeypatch.setattr(np, "logaddexp", counted("logaddexp", real_logaddexp))
+        for name in ("LagResult", "TruncationReport"):
+            monkeypatch.setattr(thermo, name, counted("objects", getattr(thermo, name)))
+        rows = run_specs(figure_presets()["fig1"].specs)
+        assert counts["objects"] == 0
+        # One fold per chunk column of each term call, and one call per block for its lags.
+        assert counts["logaddexp"] == counts["columns"] + counts["blocks"] == 6 < len(rows)
 
 
 class TestStopReason:
