@@ -123,12 +123,13 @@ _FLAG_ALIASES = {"omega": "omega_rabi", "phi": "phi_angle"}
 _AXIS_FLAGS = {"eta": "eta", "omega_rabi": "omega", "nbar": "nbar", "nu": "nu", "m": "m"}
 
 
-def _reject_axis_inputs(args: argparse.Namespace, config: dict, axis: str, sweeper: str, also: tuple[str, ...] = ()) -> None:
+def _reject_axis_inputs(args: argparse.Namespace, config: dict, axis: str, sweeper: str) -> None:
     """ConfigError when a flag or the config file sets the parameter that sweeper sweeps along axis."""
-    for flag in (_AXIS_FLAGS[axis], *also):
+    keys = (axis, "beta") if axis == "nbar" else (axis,)  # beta would set the temperature the nbar grid sets
+    for flag in (_AXIS_FLAGS.get(key, key) for key in keys):
         if getattr(args, flag) is not None:
             raise ConfigError(f"--{flag} conflicts with {sweeper}, which sweeps {axis}")
-    for key in (axis, *also):
+    for key in keys:
         if key in config:
             raise ConfigError(f"config key {key!r} in {args.config} conflicts with {sweeper}, which sweeps {axis}")
 
@@ -363,8 +364,7 @@ def _cmd_lag(args: argparse.Namespace) -> int:
         return _run_lags(args, "lag", params, [_with_flags(args, point)])
     specs = []
     for spec in figure_presets(args.preset)[args.preset].specs:
-        # The grid sets the swept value; on the nbar axis beta would set the temperature too.
-        _reject_axis_inputs(args, config, spec.axis, f"preset {args.preset}", ("beta",) if spec.axis == "nbar" else ())
+        _reject_axis_inputs(args, config, spec.axis, f"preset {args.preset}")
         specs.append(_with_flags(args, spec, config, flags))
     return _run_lags(args, "lag", params, specs)
 

@@ -10,7 +10,8 @@ n up to several thousand, where the factorial ratio and the polynomial both
 leave the double range, so the coupling is carried as a phase plus a signed
 log magnitude (:class:`CouplingValue`).  The remaining helpers (log-cosh,
 log-sinh, log-sum-exp, cancellation-safe sqrt difference) keep the partition
-arithmetic exact in the shifted log domain.
+arithmetic exact in the shifted log domain.  Each scalar form is one element
+of its batch form, bit for bit (coupling_f of coupling_values, and so on).
 """
 
 from __future__ import annotations
@@ -27,12 +28,13 @@ __all__ = [
     "LAGUERRE_START",
     "laguerre_assoc",
     "coupling_f",
-    "coupling_f_sequence",
+    "coupling_values",
     "coupling_logabs_sequence",
     "eta_squared",
     "lncosh",
     "lnsinh",
     "log_sum_exp",
+    "log_sum_exp_rows",
     "sqrt_shift",
     "sqrt_excess",
 ]
@@ -57,7 +59,8 @@ class CouplingValue:
 
     @property
     def magnitude(self) -> float:
-        return math.exp(self.log_mag) if self.sign != 0 else 0.0
+        # numpy's exp, as coupling_values uses (math.exp may differ in the last bit); exp(-inf) = 0.0.
+        return float(np.exp(self.log_mag))
 
     @property
     def phase_factor(self) -> complex:
@@ -215,18 +218,19 @@ def eta_squared(eta: float) -> float:
 def coupling_f(n: int, m: int, eta: float) -> CouplingValue:
     """Coupling f_n^m as a numerically safe phase + signed log magnitude.
 
-    Each call reruns the recurrence from n = 0; for a range of n, one
-    coupling_f_sequence call gives the same values.
+    Element n of coupling_values(n, m, eta), bit for bit.  Each call reruns
+    the recurrence from n = 0; for a range of n, call coupling_values once.
     """
     if n < 0 or m < 0:
         raise ValueError("coupling indices must be nonnegative")
-    return coupling_f_sequence(n, m, eta)[n]
+    signs, log_mags = coupling_logabs_sequence(n, m, eta)
+    return CouplingValue(m_phase=m % 4, sign=int(signs[n]), log_mag=float(log_mags[n]))
 
 
-def coupling_f_sequence(n_max: int, m: int, eta: float) -> list[CouplingValue]:
-    """coupling_f(n, m, eta) for n = 0..n_max, bitwise, from one recurrence run."""
+def coupling_values(n_max: int, m: int, eta: float) -> np.ndarray:
+    """Complex couplings f_n^m = i^m sign exp(log|f_n^m|) for n = 0..n_max, from one recurrence run."""
     signs, log_mags = coupling_logabs_sequence(n_max, m, eta)
-    return [CouplingValue(m_phase=m % 4, sign=s, log_mag=v) for s, v in zip(signs.tolist(), log_mags.tolist())]
+    return (1j ** (m % 4)) * signs * np.exp(log_mags)
 
 
 def lncosh(x):
@@ -261,8 +265,21 @@ def lnsinh(x):
     return out
 
 
+def log_sum_exp_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(max, log sum exp) of each row of a 2-D array, by max shift (nan log for an all -inf row).
+
+    All rows are reduced in one pass; the row-wise pairwise sum of a row has
+    the bits of the 1-D np.sum of that row, at any row length.  The log is
+    math's, one row at a time.
+    """
+    his = rows.max(axis=1)
+    with np.errstate(invalid="ignore"):
+        sums = np.exp(rows - his[:, None]).sum(axis=1).tolist()
+    return his, his + [math.log(s) for s in sums]
+
+
 def log_sum_exp(terms) -> float:
-    """log sum exp over a finite sequence, by max shift.
+    """log sum exp over a finite sequence: the one-row case of log_sum_exp_rows.
 
     Accepts -inf entries; returns -inf for an empty or all-(-inf) input.
     +inf entries raise ValueError.  The exponential sum runs in ascending
@@ -270,38 +287,32 @@ def log_sum_exp(terms) -> float:
     input order.
     """
     arr = np.asarray(list(terms) if not isinstance(terms, np.ndarray) else terms, dtype=float)
-    if arr.size == 0:
-        return -math.inf
     if np.any(np.isposinf(arr)):
         raise ValueError("log_sum_exp received +inf")
-    hi = float(np.max(arr))
-    if hi == -math.inf:
+    if arr.size == 0 or arr.max() == -math.inf:
         return -math.inf
-    return hi + math.log(float(np.sum(np.exp(arr - hi))))
+    return float(log_sum_exp_rows(arr.reshape(1, -1))[1][0])
 
 
 def sqrt_shift(w_l: float, u: float, w_0: float) -> float:
     """sqrt(w_l^2 + u^2) - w_0 without catastrophic cancellation.
 
-    Evaluates (w_l - w_0) + u^2 / (sqrt(w_l^2 + u^2) + w_l), accurate even
-    when u/w_l is far below the double epsilon.  Requires w_l >= 0 (callers
-    with a negative laser frequency pass |w_l|; only the square enters).
-    Scalars only; sqrt_excess is the elementwise form for arrays.
+    (w_l - w_0) + sqrt_excess(w_l, u), accurate even when u/w_l is far below
+    the double epsilon.  Requires w_l >= 0 (callers with a negative laser
+    frequency pass |w_l|; only the square enters).  Scalars only;
+    sqrt_excess is the elementwise form for arrays.
     """
     if w_l < 0:
         raise ValueError("sqrt_shift requires w_l >= 0")
     if u < 0:
         raise ValueError("sqrt_shift requires u >= 0")
-    if u == 0.0:
-        return w_l - w_0
-    return (w_l - w_0) + u * u / (math.hypot(w_l, u) + w_l)
+    return (w_l - w_0) + float(sqrt_excess(w_l, u))
 
 
 def sqrt_excess(w: float, u):
-    """sqrt(w^2 + u^2) - w for w >= 0, elementwise and cancellation-free."""
+    """sqrt(w^2 + u^2) - w for w >= 0, elementwise and cancellation-free: u^2 / (sqrt(w^2 + u^2) + w)."""
     u_arr = np.asarray(u, dtype=float)
     with np.errstate(invalid="ignore", divide="ignore"):
         out = u_arr * u_arr / (np.hypot(w, u_arr) + w)
     # Where w > 0, u = 0 gives 0/(2w) = +0.0 already; only w = 0 needs the guard.
     return out if np.all(np.greater(w, 0.0)) else np.where(u_arr == 0.0, 0.0, out)
-

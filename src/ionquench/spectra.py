@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .numerics import CouplingValue, coupling_f, coupling_logabs_sequence, sqrt_shift
+from .numerics import coupling_values, sqrt_excess
 from .params import Branch, ReducedParams
 
 __all__ = [
@@ -37,6 +37,7 @@ __all__ = [
     "edge_eigenvalues",
     "sideband_eigenvectors",
     "spectrum_table",
+    "eigenvector_table",
     "displacement_matrix",
     "dense_hamiltonians",
     "analytic_dense_spectrum",
@@ -79,12 +80,6 @@ def _oriented(f, rp: ReducedParams):
     return f.conjugate() if edge_level(rp) == "e" else f
 
 
-def _coupling_values(n_max: int, m: int, eta: float) -> np.ndarray:
-    """Complex couplings i^m sign exp(log|f_n^m|) for n = 0..n_max."""
-    signs, log_mags = coupling_logabs_sequence(n_max, m, eta)
-    return (1j ** (m % 4)) * signs * np.exp(log_mags)
-
-
 @dataclass(frozen=True)
 class EigenPair:
     """One eigenvalue (units of hbar*nu) with amplitudes over labeled kets."""
@@ -118,18 +113,17 @@ def sideband_eigenvalues(n: int, rp: ReducedParams) -> tuple[float, float]:
 
     mu = (n + m/2) - s/2 and gamma = (n + m/2) + s/2 with
     s = sqrt((omega_L/nu)^2 + (omega_rabi/nu)^2 |f_n^m|^2); the carrier is the
-    m = 0 case of either branch.  Each call reruns the coupling recurrence
-    from n = 0; for a range of n, numerics.coupling_f_sequence runs it once,
-    and spectrum_table gives every pair up to a truncation.
+    m = 0 case of either branch.  Element n of spectrum_table(rp, n), bit for
+    bit; for a range of n, call spectrum_table once.
     """
-    return _pair_values(n, rp, coupling_f(n, rp.m, rp.eta))
+    return spectrum_table(rp, n).pairs[n]
 
 
-def _pair_values(n: int, rp: ReducedParams, f: CouplingValue) -> tuple[float, float]:
-    """(mu, gamma) of block n from its coupling f = f_n^m."""
-    s = math.hypot(rp.r_wl, rp.r_om * f.magnitude)
-    center = n + 0.5 * rp.m
-    return center - 0.5 * s, center + 0.5 * s
+def _pairs(rp: ReducedParams, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(mu, gamma) of blocks 0..len(f)-1 from their couplings f_n^m: the one pair formula."""
+    s = np.hypot(rp.r_wl, rp.r_om * np.abs(f))  # |f| is exact: one part of each f is zero
+    centers = np.arange(f.size, dtype=float) + 0.5 * rp.m
+    return centers - 0.5 * s, centers + 0.5 * s
 
 
 def edge_eigenvalues(rp: ReducedParams) -> np.ndarray:
@@ -144,54 +138,58 @@ def sideband_eigenvectors(n: int, rp: ReducedParams) -> tuple[EigenPair, EigenPa
     """Normalized eigenvectors of the coupled 2x2 block, as (mu pair, gamma pair).
 
     At a coupling zero (f_n^m = 0) the block is already diagonal and the bare
-    kets are returned with their diagonal energies.  Each call reruns the
-    coupling recurrence from n = 0; for a range of blocks, pass each value of
-    one numerics.coupling_f_sequence to _block_eigenvectors.
+    kets are returned with their diagonal energies.  Element n of
+    eigenvector_table(rp, n), bit for bit; for a range of blocks, call
+    eigenvector_table once.
     """
-    return _block_eigenvectors(n, rp, coupling_f(n, rp.m, rp.eta))
+    return _block_eigenvectors(n, rp, *(column[n] for column in _block_columns(rp, n)))
 
 
-def _block_eigenvectors(n: int, rp: ReducedParams, f: CouplingValue) -> tuple[EigenPair, EigenPair]:
-    """sideband_eigenvectors of block n from its coupling f = f_n^m."""
+def eigenvector_table(rp: ReducedParams, n_trunc: int) -> list[tuple[EigenPair, EigenPair]]:
+    """sideband_eigenvectors of blocks n = 0..n_trunc, from one coupling recurrence run."""
+    return [_block_eigenvectors(n, rp, *block) for n, block in enumerate(zip(*_block_columns(rp, n_trunc)))]
+
+
+def _block_columns(rp: ReducedParams, n_trunc: int) -> tuple[list, ...]:
+    """(c, mu, gamma, d_mu, d_gamma) of blocks 0..n_trunc, each as a list.
+
+    c is the block's <e|H|g> element; d is the ground-ket component E - a of
+    the eigenvector of value E, a the excited ket's bare energy, built
+    cancellation-free from s - |r_wl| = sqrt_excess(|r_wl|, 2|c|).
+    """
+    f = coupling_values(n_trunc, rp.m, rp.eta)
+    mu, gamma = _pairs(rp, f)
+    c = 0.5 * rp.r_om * _oriented(f, rp)
+    ket_e, ket_g = _block_kets(np.arange(n_trunc + 1, dtype=float), rp)
+    r_wl = ket_energy(*ket_e, rp) - ket_energy(*ket_g, rp)
+    excess = sqrt_excess(np.abs(r_wl), 2.0 * np.abs(c))
+    wide, up = 2.0 * np.abs(r_wl) + excess, r_wl >= 0
+    d_mu, d_gamma = np.where(up, -0.5 * wide, -0.5 * excess), np.where(up, 0.5 * excess, 0.5 * wide)
+    return tuple(column.tolist() for column in (c, mu, gamma, d_mu, d_gamma))
+
+
+def _block_eigenvectors(n: int, rp: ReducedParams, c: complex, mu: float, gamma: float, d_mu: float, d_gamma: float):
+    """(mu pair, gamma pair) of block n from its columns (see _block_columns)."""
     ket_e, ket_g = _block_kets(n, rp)
-    a = ket_energy(*ket_e, rp)
-    b = ket_energy(*ket_g, rp)
-    c = 0.5 * rp.r_om * _oriented(f.as_complex(), rp)
-
-    mu_val, gamma_val = _pair_values(n, rp, f)
     if c == 0:
+        a, b = ket_energy(*ket_e, rp), ket_energy(*ket_g, rp)
         lo, hi = ((ket_e, a), (ket_g, b)) if a <= b else ((ket_g, b), (ket_e, a))
         return (
             EigenPair(value=lo[1], amplitudes={lo[0]: 1.0 + 0.0j}),
             EigenPair(value=hi[1], amplitudes={hi[0]: 1.0 + 0.0j}),
         )
 
-    # Component along the ground ket is E - a; build it cancellation-free.
-    r_wl = a - b
-    u = 2.0 * abs(c)
-    aw = abs(r_wl)
-    excess = sqrt_shift(aw, u, aw)  # s - |r_wl| >= 0
-    if r_wl >= 0:
-        d_mu = -0.5 * (2.0 * aw + excess)
-        d_gamma = 0.5 * excess
-    else:
-        d_mu = -0.5 * excess
-        d_gamma = 0.5 * (2.0 * aw + excess)
-
     def _normalized(value: float, d: float) -> EigenPair:
         norm = math.hypot(abs(c), abs(d))
         return EigenPair(value=value, amplitudes={ket_e: c / norm, ket_g: complex(d / norm)})
 
-    return _normalized(mu_val, d_mu), _normalized(gamma_val, d_gamma)
+    return _normalized(mu, d_mu), _normalized(gamma, d_gamma)
 
 
 def spectrum_table(rp: ReducedParams, n_trunc: int) -> SpectrumTable:
     """Analytic spectrum: edge values plus (mu_n, gamma_n) for n = 0..n_trunc."""
-    signs, log_mags = coupling_logabs_sequence(n_trunc, rp.m, rp.eta)
-    u = rp.r_om * np.where(signs == 0, 0.0, np.exp(log_mags))
-    s = np.hypot(rp.r_wl, u)
-    centers = np.arange(n_trunc + 1, dtype=float) + 0.5 * rp.m
-    return SpectrumTable(edge=edge_eigenvalues(rp), mu=centers - 0.5 * s, gamma=centers + 0.5 * s)
+    mu, gamma = _pairs(rp, coupling_values(n_trunc, rp.m, rp.eta))
+    return SpectrumTable(edge=edge_eigenvalues(rp), mu=mu, gamma=gamma)
 
 
 def displacement_matrix(n_trunc: int, eta: float) -> np.ndarray:
@@ -199,7 +197,7 @@ def displacement_matrix(n_trunc: int, eta: float) -> np.ndarray:
     dim = n_trunc + 1
     mat = np.zeros((dim, dim), dtype=complex)
     for m in range(dim):
-        vals = _coupling_values(dim - 1 - m, m, eta)
+        vals = coupling_values(dim - 1 - m, m, eta)
         ks = np.arange(dim - m)
         mat[ks + m, ks] = vals
         mat[ks, ks + m] = vals
@@ -285,7 +283,7 @@ def dense_hamiltonians(rp: ReducedParams, n_trunc: int) -> DenseQuench:
 
     # Sideband coupling: only the resonant m-quantum diagonal of D survives.
     h_side = h_initial.copy()
-    c_eg = 0.5 * rp.r_om * _oriented(_coupling_values(n_trunc - m, m, rp.eta), rp)
+    c_eg = 0.5 * rp.r_om * _oriented(coupling_values(n_trunc - m, m, rp.eta), rp)
     ket_e, ket_g = _block_kets(np.arange(n_trunc + 1 - m), rp)
     rows, cols = ket_index(*ket_e), ket_index(*ket_g)
     h_side[rows, cols] += c_eg

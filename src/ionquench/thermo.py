@@ -32,13 +32,14 @@ engine, _log_sums, with a stop state per row.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import LAGUERRE_START, LaguerreState, coupling_logabs_sequence, lnsinh, sqrt_excess
+from .numerics import LAGUERRE_START, LaguerreState, coupling_logabs_sequence, lnsinh, log_sum_exp_rows, sqrt_excess
 from .params import Branch, ReducedParams
 
 __all__ = [
@@ -53,7 +54,6 @@ __all__ = [
     "ln_partition_initial",
     "ln_partition_final",
     "nonequilibrium_lag",
-    "nonequilibrium_lags",
     "lag_columns",
     "phi_reduced",
     "divergence_predicate_reduced",
@@ -109,7 +109,7 @@ class TruncationReport:
     below n_pinned could not change a bit of it, so it holds the value of
     all n_used = n_pinned terms; and "exact" for a closed form.  Every field
     is a function of the row and the policy: it is the same whichever block
-    of nonequilibrium_lags the row is summed in.
+    of lag_columns the row is summed in.
     """
 
     n_used: int
@@ -344,19 +344,6 @@ def _excess_tails(rows: _Rows):
     return lambda n_from: _LN2 - b_nu * (n_from + half_m) + a_shifted + log_edge + log_sinh
 
 
-def _chunk_log_sums(chunks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(max, log sum(exp(chunk))) of each row of a 2-D block of chunks (nan log for an all -inf row).
-
-    All chunks are reduced in one pass; the row-wise pairwise sum of a row
-    has the bits of the 1-D np.sum of that row, at any row length.  The log
-    is math's, one chunk at a time.
-    """
-    his = chunks.max(axis=1)
-    with np.errstate(invalid="ignore"):
-        sums = np.exp(chunks - his[:, None]).sum(axis=1).tolist()
-    return his, his + [math.log(s) for s in sums]
-
-
 _LN16 = math.log(16.0)
 
 
@@ -433,7 +420,7 @@ def _log_sums(term_logs, stops: np.ndarray, tails=None) -> tuple[np.ndarray, np.
             if part.size == 0:
                 continue
             chunks = part.reshape(live.size, -(-part.shape[1] // _CHUNK), -1)
-            his, logs = (a.reshape(chunks.shape[:2]) for a in _chunk_log_sums(chunks.reshape(-1, chunks.shape[2])))
+            his, logs = (a.reshape(chunks.shape[:2]) for a in log_sum_exp_rows(chunks.reshape(-1, chunks.shape[2])))
             # A chunk has a term above -inf iff its max is, unless a nan hides it.
             has = his > -np.inf
             hidden = np.isnan(his)
@@ -602,15 +589,10 @@ def nonequilibrium_lag(rp: ReducedParams, policy: TruncationPolicy | None = None
 
     The shifts cancel exactly; the value is log1p(excess / Z_initial), so the
     decoupled limits (omega_rabi -> 0, eta -> infinity, JC sideband with
-    eta -> 0) return exactly zero.
+    eta -> 0) return exactly zero.  The single row of lag_columns([rp], policy).
     """
-    return nonequilibrium_lags([rp], policy)[0]
-
-
-def nonequilibrium_lags(rps: list[ReducedParams], policy: TruncationPolicy | None = None) -> list[LagResult]:
-    """nonequilibrium_lag of each point, with the same bits: the rows of lag_columns."""
-    columns = lag_columns(rps, policy)
-    return [LagResult(value, TruncationReport(*report), diverges) for value, *report, diverges in zip(*columns)]
+    ((value, *report, diverges),) = zip(*lag_columns([rp], policy))
+    return LagResult(value, TruncationReport(*report), diverges)
 
 
 def lag_columns(rps: list[ReducedParams], policy: TruncationPolicy | None = None) -> LagColumns:
@@ -688,8 +670,10 @@ def phi_reduced(n: int, rp: ReducedParams) -> float:
     """Low-temperature exponent Phi_n^m in trap-frequency units (Phi / nu).
 
     Only the frequency ratios of rp enter, not its temperature; multiply by
-    nu for rad/s.
+    nu for rad/s.  Raises ValueError unless n is a nonnegative integer.
     """
+    if not isinstance(n, numbers.Integral) or n < 0:
+        raise ValueError(f"level index n must be a nonnegative integer, got {n!r}")
     ladder, excess = _phi_parts(rp, n)
     return float(ladder[n] - excess[n])
 

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import coupling_f_sequence, eta_squared
+from .numerics import eta_squared
 from .params import ReducedParams
-from .spectra import DenseQuench, EigenPair, _block_eigenvectors, edge_level, ket_energy, truncation_tail_warning
+from .spectra import DenseQuench, EigenPair, edge_level, eigenvector_table, ket_energy, truncation_tail_warning
 
 __all__ = [
     "WorkMoments",
@@ -138,15 +138,16 @@ def work_pmf_sideband(rp: ReducedParams, n_trunc: int) -> WorkPMF:
     final energies and overlaps come from the exact 2x2 blocks, so no dense
     diagonalization is involved.  Work values within 1e-9 of the largest
     energy magnitude are merged (exact degeneracies, e.g. zero-work edge
-    events, collapse to one atom).
+    events, collapse to one atom).  Raises ValueError for n_trunc < 0.
     """
+    if n_trunc < 0:
+        raise ValueError(f"truncation n_trunc must be nonnegative, got {n_trunc}")
     thermal_base = -math.expm1(-rp.b_nu)
     p_g = 1.0 / (1.0 + math.exp(-rp.b_w0))
     p_e = 1.0 - p_g
 
     # One coupling recurrence for all blocks 0..n_trunc; a block is read once per ket of it inside the truncation.
-    couplings = coupling_f_sequence(max(n_trunc, 0), rp.m, rp.eta)
-    blocks = [_block_eigenvectors(n, rp, couplings[n]) for n in range(n_trunc + 1)]
+    blocks = eigenvector_table(rp, n_trunc)
     edge = edge_level(rp)
     events_w: list[float] = []
     events_p: list[float] = []

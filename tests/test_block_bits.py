@@ -28,7 +28,7 @@ from ionquench.spectra import (
     sideband_eigenvectors,
     spectrum_table,
 )
-from ionquench.thermo import TruncationPolicy, nonequilibrium_lag, nonequilibrium_lags
+from ionquench.thermo import TruncationPolicy, lag_columns, nonequilibrium_lag
 from ionquench.workstats import work_pmf_sideband
 from conftest import branch_for, desk_reduced, fig1_reduced
 
@@ -236,6 +236,14 @@ def _lag_bits(result):
     return *hexes, report.n_used, report.converged, result.divergence_predicted, report.stop_reason
 
 
+def _rows_bits(rps, policy):
+    """_lag_bits of each row of lag_columns(rps, policy)."""
+    return [
+        (value.hex(), tail.hex(), n_used, converged, diverges, reason)
+        for value, n_used, tail, converged, reason, diverges in zip(*lag_columns(rps, policy))
+    ]
+
+
 def _block_ms(monkeypatch):
     """The sideband indices of each excess block summed after the call, in order."""
     blocks = []
@@ -255,7 +263,7 @@ class TestMixedSidebandBlocks:
         rps = _mixed_m_rows()
         one_row = [_lag_bits(nonequilibrium_lag(rp, policy)) for rp in rps]
         blocks = _block_ms(monkeypatch)
-        assert [_lag_bits(result) for result in nonequilibrium_lags(rps, policy)] == one_row
+        assert _rows_bits(rps, policy) == one_row
         # Blocks in input order, each over all four sideband indices: as many rows as fit
         # 8192 terms on their first call, so all 72 rows pinned at 40 terms, else 16 rows.
         assert [len(block) for block in blocks] == ([72] if policy.n_pinned == 40 else [16, 16, 16, 16, 8])
@@ -269,7 +277,7 @@ class TestMixedSidebandBlocks:
             assert max(rp.m for rp in rps) == 29
             one_row = [_lag_bits(nonequilibrium_lag(rp, policy)) for rp in rps]
             blocks = _block_ms(monkeypatch)
-            assert [_lag_bits(result) for result in nonequilibrium_lags(rps, policy)] == one_row
+            assert _rows_bits(rps, policy) == one_row
             assert len(blocks) == (1 if policy.n_pinned == 40 else 4) and all(len(set(block)) > 1 for block in blocks)
 
 
@@ -280,7 +288,7 @@ def test_pinned_stop_reason_is_the_rows_own():
     policy = TruncationPolicy(n_pinned=5000)
     rps = _mixed_m_rows()[:16]
     alone = [_lag_bits(nonequilibrium_lag(rp, policy)) for rp in rps]
-    assert [_lag_bits(result) for result in nonequilibrium_lags(rps, policy)] == alone
+    assert _rows_bits(rps, policy) == alone
     assert any(bits[-1] == "settled" for bits in alone)
 
 
@@ -290,4 +298,4 @@ def test_preset_rows_keep_every_field_of_the_one_row_path(preset):
         policy = TruncationPolicy(n_pinned=spec.n_pinned)
         rps = [reduce(point, point["m"], point["branch"], point.get("eta")) for point in spec.points()]
         one_row = [_lag_bits(nonequilibrium_lag(rp, policy)) for rp in rps]
-        assert [_lag_bits(result) for result in nonequilibrium_lags(rps, policy)] == one_row
+        assert _rows_bits(rps, policy) == one_row

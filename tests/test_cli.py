@@ -343,6 +343,8 @@ class TestInputValidation:
             (["lag", "--preset", "fig6", "--m", "1"], "--m", "m"),
             (["sweep", "--axis", "m", "--values", "1,2", "--m", "3", "--eta", "0.5"], "--m", "m"),
             (["sweep", "--axis", "eta", "--values", "0.1,0.2", "--eta", "0.5"], "--eta", "eta"),
+            (["sweep", "--axis", "nbar", "--values", "1e3,1e4", "--beta", "1", "--m", "1", "--branch", "jc", "--eta", "0.5"],
+             "--beta", "nbar"),
         ],
     )
     def test_flag_for_the_swept_axis_rejected(self, argv, flag, axis, tmp_path, capsys):
@@ -363,6 +365,8 @@ class TestInputValidation:
             (["lag", "--preset", "fig4"], "beta = 1e30", "beta", "nbar"),
             (["lag", "--preset", "fig5"], "nu = 1e4", "nu", "nu"),
             (["sweep", "--axis", "eta", "--values", "0.1,0.2"], "eta = 0.3", "eta", "eta"),
+            (["sweep", "--axis", "nbar", "--values", "1e3,1e4", "--m", "1", "--branch", "jc", "--eta", "0.5"],
+             "beta = 1", "beta", "nbar"),
         ],
     )
     def test_config_value_for_the_swept_axis_rejected(self, argv, line, key, axis, tmp_path, capsys):
@@ -486,10 +490,11 @@ class TestSweepCommand:
         assert len(vals) == 31
         assert (max(vals) - min(vals)) / max(vals) <= 1e-2
 
-    def test_nbar_axis_wins_over_fixed_beta(self, tmp_path):
+    def test_nbar_axis_sets_each_rows_nbar(self, tmp_path):
+        # A beta flag or config key is rejected on this axis (see test_flag_for_the_swept_axis_rejected).
         out = tmp_path / "nbar.csv"
         code = main(
-            ["sweep", "--axis", "nbar", "--values", "0.5,2", "--beta", "1e-20", "--eta", "0.5",
+            ["sweep", "--axis", "nbar", "--values", "0.5,2", "--eta", "0.5",
              "--branch", "jc", "--m", "1", "--out", str(out)]
         )
         assert code == 0

@@ -269,6 +269,10 @@ class TestSpectrumOracle:
         for val in interior:
             assert np.min(np.abs(evals - val)) <= 1e-10 * max(1.0, abs(val))
 
+    def test_negative_truncation_rejected(self):
+        with pytest.raises(ValueError):
+            spectrum_table(desk_reduced(1, Branch.JC, 0.7), -1)
+
     def test_carrier_branch_paths_coincide(self):
         rp = desk_reduced(0, Branch.CARRIER, 0.7)
         as_jc, as_ajc = replace(rp, branch=Branch.JC), replace(rp, branch=Branch.AJC)

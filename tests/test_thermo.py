@@ -19,14 +19,19 @@ from ionquench.thermo import (
     ln_partition_final,
     ln_partition_initial,
     low_temperature_limit,
+    lag_columns,
     nonequilibrium_lag,
-    nonequilibrium_lags,
     phi_reduced,
 )
 from conftest import FIG1, branch_for, desk_reduced, fig1_reduced
 
 FIG4_LEFT = dict(mass=7e-26, nu=1.2e8, omega0=1.0e8, omega_rabi=0.5e9)
 FIG4_RIGHT = dict(mass=7e-26, nu=1.2e8, omega0=1.0e8, omega_rabi=1.0e9)
+
+
+def _lag_rows(rps, policy=None):
+    """The rows of lag_columns(rps, policy), each a LagColumns that holds one row's fields."""
+    return [thermo.LagColumns._make(row) for row in zip(*lag_columns(rps, policy))]
 
 
 def classify_rp(block, m, branch, eta, nbar=0.5):
@@ -235,6 +240,12 @@ class TestPhi:
         for m in (1, 2):
             assert phi_reduced(0, classify_rp(FIG4_RIGHT, m, Branch.JC, 1.0)) < 0
 
+    @pytest.mark.parametrize("n", [-1, 2.5])
+    def test_bad_level_index_rejected(self, n):
+        # -1 used to raise IndexError and 2.5 TypeError.
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            phi_reduced(n, classify_rp(FIG4_RIGHT, 1, Branch.JC, 1.0))
+
     def test_sign_reliable_at_experimental_scale(self):
         # The value is ~1e-12 of omega0 yet must come out with a stable sign.
         cfg = dict(FIG1)
@@ -334,7 +345,7 @@ class TestJcScanSkip:
         monkeypatch.setattr(thermo, "_phi_parts", lambda rp, n_max: pytest.fail("scanned"))
         rps = [classify_rp(FIG1, m, Branch.JC, eta) for m in (1, 2, 29) for eta in (0.5, 3.5)]
         assert all(thermo._jc_phi_positive(rp) for rp in rps)
-        assert not any(result.divergence_predicted for result in nonequilibrium_lags(rps, _pinned(40)))
+        assert not any(row.divergence_predicted for row in _lag_rows(rps, _pinned(40)))
         assert all(divergence_predicate_reduced(rp) == thermo.DivergenceReport(False, []) for rp in rps)
 
     def test_fig4_blocks_keep_their_scan(self):
@@ -487,7 +498,7 @@ class TestCouplingCache:
             monkeypatch.setattr(thermo, "_COUPLING_CACHE", {})
             thermo._coupling_upto({(2, 0.5 + k / 1024): 0 for k in range(cached)})
             calls.clear()
-            runs.append(([result.value for result in nonequilibrium_lags(rps)], list(calls)))
+            runs.append(([row.value for row in _lag_rows(rps)], list(calls)))
         assert runs[0] == runs[1] and len(runs[1][1]) == 32
         assert set(thermo._COUPLING_CACHE) == {(rp.m, rp.eta) for rp in rps}
 
@@ -892,20 +903,20 @@ class TestSettledPinnedRows:
         )
         for policy, rps in _fig3_rows():
             asked.clear()
-            results = nonequilibrium_lags(rps, policy)
-            reports = [result.truncation for result in results if result.truncation.stop_reason != "exact"]
+            results = _lag_rows(rps, policy)
+            reports = [row for row in results if row.stop_reason != "exact"]
             assert sum(asked) < len(reports) * policy.n_pinned
             assert "settled" in {report.stop_reason for report in reports}
             assert all(report.n_used == policy.n_pinned for report in reports)
-            for rp, result in zip(rps, results):
-                assert _report_bits(result.value, result.truncation) == _report_bits(*_ref_lag_report(rp, policy)), rp
+            for rp, row in zip(rps, results):
+                assert _report_bits(row.value, row) == _report_bits(*_ref_lag_report(rp, policy)), rp
 
     @settings(deadline=None, max_examples=30)
     @given(_fig3_like_blocks())
     def test_blocks_bitwise_equal_to_one_chunk_at_a_time(self, case):
         policy, rps = case
-        for rp, result in zip(rps, nonequilibrium_lags(rps, policy)):
-            assert _report_bits(result.value, result.truncation) == _report_bits(*_ref_lag_report(rp, policy)), rp
+        for rp, row in zip(rps, _lag_rows(rps, policy)):
+            assert _report_bits(row.value, row) == _report_bits(*_ref_lag_report(rp, policy)), rp
 
     def test_settled_row_reports_its_pin(self):
         # One row takes 16 chunks per call, so it can settle at 8192 of its 10000 terms.
@@ -940,9 +951,9 @@ class TestSettledPinnedRows:
             thermo, "_log_sums", lambda term_logs, stops, tails=None: handed.append(tails) or real(term_logs, stops, tails)
         )
         rps = [fig1_reduced(1, Branch.JC, 0.5, nbar=0.1), fig1_reduced(2, Branch.AJC, 1.0, nbar=3.0)]
-        adaptive = nonequilibrium_lags(rps, TruncationPolicy(n_cap=4000, error_on_nonconverged=False))
-        assert handed == [None] and {result.truncation.stop_reason for result in adaptive} <= {"bound", "cap"}
-        nonequilibrium_lags(rps, _pinned(4000))
+        adaptive = _lag_rows(rps, TruncationPolicy(n_cap=4000, error_on_nonconverged=False))
+        assert handed == [None] and {row.stop_reason for row in adaptive} <= {"bound", "cap"}
+        _lag_rows(rps, _pinned(4000))
         assert len(handed) == 2 and handed[1](512).shape == (len(rps),)
         # Without tails no row settles: it runs to its stop.
         terms = np.linspace(0.0, -100.0, 4000)
@@ -989,20 +1000,19 @@ class TestBatchedAdaptiveRows:
         specs, policy = case
         points = [point for spec in specs for point in spec.points()]
         rps = [reduce(point, point["m"], point["branch"], point.get("eta")) for point in points]
-        for point, rp, result in zip(points, rps, nonequilibrium_lags(rps, policy)):
+        for point, rp, row in zip(points, rps, _lag_rows(rps, policy)):
             lag, n_used, tail_bound_log, converged, diverges, stop_reason = _one_row(rp, policy)
-            report = result.truncation
-            got = (result.value.hex(), report.n_used, report.tail_bound_log.hex(), report.converged)
+            got = (row.value.hex(), row.n_used, row.tail_bound_log.hex(), row.converged)
             assert got == (lag.hex(), n_used, tail_bound_log.hex(), converged), point
-            assert (result.divergence_predicted, report.stop_reason) == (diverges, stop_reason), point
+            assert (row.divergence_predicted, row.stop_reason) == (diverges, stop_reason), point
 
     @settings(deadline=None, max_examples=40)
     @given(_adaptive_spec_groups())
     def test_every_stop_but_the_cap_is_converged(self, case):
         specs, policy = case
         rps = [reduce(point, point["m"], point["branch"], point.get("eta")) for spec in specs for point in spec.points()]
-        for rp, result in zip(rps, nonequilibrium_lags(rps, policy)):
-            assert result.truncation.stop_reason == "cap" or result.truncation.converged, rp
+        for rp, row in zip(rps, _lag_rows(rps, policy)):
+            assert row.stop_reason == "cap" or row.converged, rp
 
     def test_error_names_the_first_failing_point_in_sweep_order(self):
         # At 512 terms the m = 1 tail lies above the m = 2 tail, and tol is set
@@ -1241,7 +1251,6 @@ def test_adaptive_deep_rows_keep_their_bits():
     etas = {1: 0.3, 2: 0.8, 3: 1.5, 4: 2.5}  # one per m, as the deep_sums benchmark draws them
     keys = list(_DEEP_ROW_BITS)
     rps = [fig1_reduced(m, Branch[branch], etas[m], nbar=nbar) for m, branch, nbar in keys]
-    for key, result in zip(keys, nonequilibrium_lags(rps)):
-        report = result.truncation
-        got = (result.value.hex(), report.tail_bound_log.hex(), report.n_used, report.stop_reason)
+    for key, row in zip(keys, _lag_rows(rps)):
+        got = (row.value.hex(), row.tail_bound_log.hex(), row.n_used, row.stop_reason)
         assert got == _DEEP_ROW_BITS[key], key

@@ -72,7 +72,7 @@ class TestWorkCounts:
         ids=lambda v: getattr(v, "__name__", str(v)),
     )
     def test_one_kernel_call_per_lag_grid(self, monkeypatch, check, grids):
-        calls = _counted(monkeypatch, thermo, "nonequilibrium_lags")
+        calls = _counted(monkeypatch, thermo, "lag_columns")
         assert check(np.random.default_rng(1)).passed
         assert len(calls) == grids
 

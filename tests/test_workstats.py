@@ -158,6 +158,11 @@ class TestWorkPMF:
         work_pmf_sideband(desk_reduced(m, branch, 0.7), 60)
         assert calls == [60]
 
+    def test_negative_truncation_rejected(self):
+        # It used to return an empty distribution with total 0.0.
+        with pytest.raises(ValueError, match="nonnegative"):
+            work_pmf_sideband(desk_reduced(1, Branch.JC, 0.7), -1)
+
     def test_no_quench_gives_point_mass_at_zero(self):
         rp = desk_reduced(1, Branch.JC, 0.5, r_om=0.0)
         pmf = work_pmf_sideband(rp, 50)
