@@ -17,6 +17,7 @@ of its batch form, bit for bit (coupling_f of coupling_values, and so on).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -111,16 +112,18 @@ class LaguerreState(NamedTuple):
 LAGUERRE_START = LaguerreState(-1, 0.0, 0.0, 0.0)
 
 
-def _laguerre_extend(state: LaguerreState, n_max: int, m: int, x: float) -> tuple[np.ndarray, np.ndarray, LaguerreState]:
-    """(signs, log magnitudes) of L_n^m(x) for n = state.n+1..n_max, and the end state.
+def _laguerre_extend(state: LaguerreState, n_max: int, m: int, x: float) -> tuple[list, np.ndarray, LaguerreState]:
+    """(rescaled values, log magnitudes) of L_n^m(x) for n = state.n+1..n_max, and the end state.
 
     Runs the recurrence on rescaled values with exponent tracking, so the
     sequence is valid far beyond the linear-space overflow threshold: (prev,
     curr) are divided by mag = max(|prev|, |curr|) after any step that leaves
     mag > hi = _RESCALE_HI or 0 < mag < lo = _RESCALE_LO.  The loop only stores
-    the rescaled values; each log magnitude is math.log of one plus the offset
-    of its segment (numpy's log may differ from math.log in the last ulp, and
-    the presets' reference values were produced with math.log).
+    the rescaled values, whose signs are those of L_n^m; each log magnitude is
+    math.log of one's abs plus the offset of its segment (numpy's log may differ
+    from math.log in the last ulp, and the presets' reference values were
+    produced with math.log).  No sign array is built: only a one-shot
+    coupling_logabs_sequence call returns signs.
 
     A step first tests `lo <= new <= hi or -hi <= new <= -lo`, and the exact
     test only when that fails.  This is safe: |curr| <= hi after every step
@@ -156,18 +159,15 @@ def _laguerre_extend(state: LaguerreState, n_max: int, m: int, x: float) -> tupl
         prev, curr = curr, new
         append(new)
         c1, c2, kf = c1 + 2.0, c2 + 1.0, kf + 1.0
-    values = np.array(raw)
-    signs = np.sign(values).astype(np.int8)
-    mags = np.abs(values).tolist()
     try:
-        logabs = np.fromiter(map(log, mags), float, len(mags))
+        logabs = np.fromiter(map(log, map(abs, raw)), float, len(raw))
     except ValueError:  # an exact zero of the polynomial
-        logabs = np.array([log(v) if v else -math.inf for v in mags])
+        logabs = np.array([log(abs(v)) if v else -math.inf for v in raw])
     for (start, seg_offset), (stop, _) in zip(cuts, [*cuts[1:], (len(raw), 0.0)]):
         if seg_offset != 0.0:  # log(v) + 0.0 == log(v): math.log never returns -0.0
             logabs[start:stop] += seg_offset
     end = LaguerreState(n_max, prev, curr, offset) if n_max > state.n else state
-    return signs, logabs, end
+    return raw, logabs, end
 
 
 def _log_factorial_ratio(n: np.ndarray, m: int) -> np.ndarray:
@@ -179,32 +179,36 @@ def _log_factorial_ratio(n: np.ndarray, m: int) -> np.ndarray:
 
 
 def coupling_logabs_sequence(n_max: int, m: int, eta: float, *, resume: LaguerreState | None = None):
-    """Signs and log magnitudes of f_n^m(eta) for n = 0..n_max.
+    """(signs, log magnitudes) of f_n^m(eta) for n = 0..n_max.
 
     With resume set (LAGUERRE_START, or the state a previous resumed call for
     the same m and eta returned) only n = resume.n+1..n_max are computed, and
-    the call returns (signs, log_mags, state) for that segment.  The segment
-    is bitwise equal to the same slice of a one-shot call.
+    the call returns (log_mags, state) for that segment: the magnitudes a
+    cache of |f| needs, with no sign array.  The segment is bitwise equal to
+    the same slice of a one-shot call's log_mags.
+
+    The one entry of the recurrence, so it holds the index checks: n_max and
+    m must be nonnegative integers (numbers.Integral), else ValueError.
     """
-    if n_max < 0 or m < 0:
-        raise ValueError("Laguerre indices must be nonnegative")
+    for name, index in (("n_max", n_max), ("m", m)):
+        # type() first: an int is Integral, and the ABC's isinstance costs about 1 us a call.
+        if not (type(index) is int or isinstance(index, numbers.Integral)) or index < 0:
+            raise ValueError(f"coupling index {name} must be a nonnegative integer, got {index!r}")
     if not eta >= 0:  # also rejects nan
         raise ValueError("Lamb-Dicke parameter must be nonnegative")
     x = eta_squared(eta)
     state = LAGUERRE_START if resume is None else resume
     size = max(n_max - state.n, 0)
-    if eta == 0.0:
-        if m == 0:
-            signs, log_mags = np.ones(size, dtype=np.int8), np.zeros(size)
-        else:
-            signs, log_mags = np.zeros(size, dtype=np.int8), np.full(size, -np.inf)
+    if eta == 0.0:  # f_n^0 = 1, and f_n^m = 0 for m > 0
+        signs, log_mags = np.full(size, m == 0, dtype=np.int8), np.full(size, 0.0 if m == 0 else -np.inf)
         end = state._replace(n=n_max) if size else state
     else:
-        signs, logabs, end = _laguerre_extend(state, n_max, m, x)
+        raw, logabs, end = _laguerre_extend(state, n_max, m, x)
+        signs = None if resume is not None else np.sign(np.array(raw)).astype(np.int8)
         n = np.arange(state.n + 1, state.n + 1 + size, dtype=float)
         # Elementwise, so a segment equals the matching slice of a longer run.
         log_mags = m * math.log(eta) - 0.5 * x + _log_factorial_ratio(n, m) + logabs
-    return (signs, log_mags) if resume is None else (signs, log_mags, end)
+    return (signs, log_mags) if resume is None else (log_mags, end)
 
 
 def eta_squared(eta: float) -> float:
@@ -221,8 +225,6 @@ def coupling_f(n: int, m: int, eta: float) -> CouplingValue:
     Element n of coupling_values(n, m, eta), bit for bit.  Each call reruns
     the recurrence from n = 0; for a range of n, call coupling_values once.
     """
-    if n < 0 or m < 0:
-        raise ValueError("coupling indices must be nonnegative")
     signs, log_mags = coupling_logabs_sequence(n, m, eta)
     return CouplingValue(m_phase=m % 4, sign=int(signs[n]), log_mag=float(log_mags[n]))
 
@@ -243,23 +245,24 @@ def lncosh(x):
     return out
 
 
-def lnsinh(x):
+def lnsinh(x, out=None):
     """log sinh(x) for x >= 0 (not checked); -inf at x = 0.
 
     Small arguments go through sinh directly (no loss down to the underflow
-    floor); large ones use x - log 2 + log(1 - exp(-2x)).
+    floor); large ones use x - log 2 + log(1 - exp(-2x)).  One max tells
+    whether every argument is small (a nan fails it).  An array x may give
+    out, a float array of its shape, to receive the result, as a ufunc's out.
     """
     x_arr = np.asarray(x, dtype=float)
-    small = x_arr < 20.0
-    if small.all():
-        with np.errstate(divide="ignore"):
-            out = np.log(np.sinh(x_arr))
-    else:
-        out = np.empty_like(x_arr)
-        with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore"):
+        if x_arr.size == 0 or x_arr.max() < 20.0:
+            out = np.log(np.sinh(x_arr, out=out), out=out)
+        else:
+            small = x_arr < 20.0
+            out = np.empty_like(x_arr) if out is None else out
             out[small] = np.log(np.sinh(x_arr[small]))
-        big = ~small
-        out[big] = x_arr[big] - _LN2 + np.log1p(-np.exp(-2.0 * x_arr[big]))
+            big = ~small
+            out[big] = x_arr[big] - _LN2 + np.log1p(-np.exp(-2.0 * x_arr[big]))
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(out)
     return out
@@ -274,7 +277,8 @@ def log_sum_exp_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     his = rows.max(axis=1)
     with np.errstate(invalid="ignore"):
-        sums = np.exp(rows - his[:, None]).sum(axis=1).tolist()
+        shifted = rows - his[:, None]
+        sums = np.exp(shifted, out=shifted).sum(axis=1).tolist()
     return his, his + [math.log(s) for s in sums]
 
 

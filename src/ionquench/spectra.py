@@ -193,10 +193,13 @@ def spectrum_table(rp: ReducedParams, n_trunc: int) -> SpectrumTable:
 
 
 def displacement_matrix(n_trunc: int, eta: float) -> np.ndarray:
-    """Truncated matrix of exp(i eta (a + a^dag)), filled one diagonal at a time."""
-    dim = n_trunc + 1
-    mat = np.zeros((dim, dim), dtype=complex)
-    for m in range(dim):
+    """Truncated matrix of exp(i eta (a + a^dag)), filled one diagonal at a time.
+
+    The main diagonal comes first, so coupling_values checks n_trunc.
+    """
+    mat = np.diag(coupling_values(n_trunc, 0, eta))
+    dim = len(mat)
+    for m in range(1, dim):
         vals = coupling_values(dim - 1 - m, m, eta)
         ks = np.arange(dim - m)
         mat[ks + m, ks] = vals

@@ -63,14 +63,22 @@ __all__ = [
 _LN2 = math.log(2.0)
 
 
-# Fixed truncation constants: chunk size of the sums, and the term budget of
-# one term call, 16 chunks.  A block takes as many live rows as fit the budget
-# on their first call, min(n_pinned, _CHUNK) terms each: 16 rows of adaptive
-# sums or of sums pinned at 512 or more terms, 204 rows of 40 pinned terms.
-# Each call gives every live row max(1, _TERM_BUDGET // (live * _CHUNK))
-# chunks: 16 chunks of a lone row, one chunk of each of 16 rows.
+# Fixed truncation constants: chunk size of the sums, and the term budgets of
+# one term call.  A block takes as many live rows as fit _TERM_BUDGET (16
+# chunks) on their first call, min(n_pinned, _CHUNK) terms each: 16 rows of
+# adaptive sums or of sums pinned at 512 or more terms, 204 rows of 40 pinned
+# terms.  A call gives every live row max(1, budget // (live * _CHUNK))
+# chunks.  A call that tests rows for settling (pinned excess sums) has
+# budget _TERM_BUDGET: 16 chunks of a lone row, one chunk of each of 16 rows;
+# a row that settles early in a call wastes the rest of it.  A call that
+# tests none (adaptive excess sums, the direct assembly) ends only at stops
+# known before its first term, so it takes _WIDE_BUDGET, 64 chunks: four of
+# each of 16 rows.  The recurrence grows a coupling key _TERM_BUDGET terms a
+# call.  In deep_sums (seed 1) this makes 127 term calls, not 455, while the
+# 40 recurrence calls and their 278528 steps stay as they were.
 _CHUNK = 512
 _TERM_BUDGET = 16 * _CHUNK
+_WIDE_BUDGET = 4 * _TERM_BUDGET
 
 
 @dataclass(frozen=True)
@@ -221,17 +229,19 @@ def _grow_coupling(key: tuple[int, float], entry, n_max: int):
     once, to the furthest stop among its rows (see _excess_block).  A
     divergence scan that still runs (see _jc_phi_positive) extends the key
     like any longer request.  A recurrence call computes at most
-    _TERM_BUDGET terms, so its lists and arrays stay the size of one term
-    call's, and each segment is exponentiated once, as it is stored.  An
-    extension computes only the missing terms; the array doubles in
-    capacity when full, so copying stays linear in the final length.
+    _TERM_BUDGET terms, so its lists and arrays stay small, and each
+    segment is exponentiated once, as it is stored.  A resumed call returns
+    log magnitudes only, taken straight from the recurrence's values: no
+    sign array is built, as |f| needs none.  An extension computes only the
+    missing terms; the array doubles in capacity when full, so copying stays
+    linear in the final length.
     """
     m, eta = key
     abs_f, state = entry or (np.empty(0), LAGUERRE_START)
     while state.n < n_max:
         n_to = min(n_max, state.n + _TERM_BUDGET)
-        _, segment, new_state = coupling_logabs_sequence(n_to, m, eta, resume=state)
-        np.exp(segment, out=segment)  # |f|: a sign is 0 iff its log is -inf, and exp(-inf) = 0.0
+        segment, new_state = coupling_logabs_sequence(n_to, m, eta, resume=state)
+        np.exp(segment, out=segment)  # |f|: an exact zero has log -inf, and exp(-inf) = 0.0
         lo = state.n + 1
         if lo == 0:  # a new key keeps its first segment
             abs_f = segment
@@ -289,21 +299,43 @@ def _excess_logs(rows: _Rows, n_lo: int, n_hi: int) -> np.ndarray:
     """Shifted log of the coupling-induced excess terms for n in [n_lo, n_hi), one row per parameter row.
 
     The one excess-term formula: every operation is elementwise, so a row's
-    terms have the same bits in a block of any size.
+    terms have the same bits in a block of any size.  It is one fused kernel
+    on three [rows x n] buffers (the terms, b_quarter, and a scratch one),
+    with the float operations of the unfused formula in its order:
+
+        u = b_om |f|,  b_quarter = sqrt_excess(|b_wl|, u)/4,  a_shifted = d_aw/2 + b_quarter,
+        _LN2 - b_nu (n + m/2) + a_shifted + log(1 - e^(-2 (a_shifted + b_w0/2))) + lnsinh(b_quarter),
+
+    added left to right, the edge log only where rows.edge (see _rows_of),
+    and -inf where b_quarter = 0.  hypot, sinh and log write into the
+    buffers (out=).  The coupling rows may be a view of the cache: they are
+    only read.
     """
-    u = rows.b_om * _coupling_rows(rows.keys, n_lo, n_hi)
-    b_quarter = 0.25 * sqrt_excess(rows.abs_bwl, u)  # (sqrt(b_wl^2+u^2) - |b_wl|)/4 >= 0
-    a_shifted = 0.5 * rows.d_aw + b_quarter
-    # _LN2 - b_nu (n + m/2) + a_shifted + log(1 - e^(-2 a_full)) + lnsinh(b_quarter),
-    # added left to right in place, which keeps few [rows x n] arrays alive.
-    out = rows.b_nu * (np.arange(n_lo, n_hi, dtype=float) + rows.half_m)
+    coupling = _coupling_rows(rows.keys, n_lo, n_hi)
+    shape = (len(rows.keys), n_hi - n_lo)
+    b_quarter, scratch, out = np.empty(shape), np.empty(shape), np.empty(shape)
+    u = np.multiply(rows.b_om, coupling, out=b_quarter)
+    # sqrt_excess(|b_wl|, u) = u^2 / (hypot(|b_wl|, u) + |b_wl|), and 0 where u = 0 if some |b_wl| is 0
+    dead = None if np.all(np.greater(rows.abs_bwl, 0.0)) else u == 0.0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        np.hypot(rows.abs_bwl, u, out=scratch)
+        scratch += rows.abs_bwl
+        np.multiply(u, u, out=b_quarter)
+        b_quarter /= scratch
+    if dead is not None:
+        b_quarter[dead] = 0.0
+    b_quarter *= 0.25  # (sqrt(b_wl^2+u^2) - |b_wl|)/4 >= 0
+    a_shifted = np.add(0.5 * rows.d_aw, b_quarter, out=scratch)
+    np.add(np.arange(n_lo, n_hi, dtype=float), rows.half_m, out=out)
+    out *= rows.b_nu
     np.subtract(_LN2, out, out=out)
     out += a_shifted
     with np.errstate(divide="ignore", invalid="ignore"):
         if rows.edge:
-            out += _log1m_exp_neg2(a_shifted + 0.5 * rows.b_w0)
-        out += lnsinh(b_quarter)
-    out[b_quarter == 0.0] = -np.inf
+            out += _log1m_exp_neg2(np.add(a_shifted, 0.5 * rows.b_w0, out=scratch))
+        out += lnsinh(b_quarter, out=scratch)
+    if not b_quarter.all():
+        out[b_quarter == 0.0] = -np.inf
     return out
 
 
@@ -402,16 +434,19 @@ def _log_sums(term_logs, stops: np.ndarray, tails=None) -> tuple[np.ndarray, np.
     is folded, so whether a row settles does not depend on the block; the
     row leaves live at the end of that call.  Without tails no row settles.
 
-    A call gives each live row max(1, _TERM_BUDGET // (live * _CHUNK))
-    chunks and ends at its live rows' earliest stop, so no term past a
-    row's stop is computed.
+    A call gives each live row max(1, budget // (live * _CHUNK)) chunks and
+    ends at its live rows' earliest stop, so no term past a row's stop is
+    computed.  The budget is _TERM_BUDGET given tails, as a row that settles
+    early in a call wastes the rest of it, and _WIDE_BUDGET without, as then
+    every call ends at a stop known beforehand (see the truncation constants).
     """
     running = np.full(len(stops), -np.inf)
     settled = np.zeros(len(stops), dtype=bool)
     live = np.arange(len(stops))
     n_done = 0
+    budget = _TERM_BUDGET if tails is not None else _WIDE_BUDGET
     while live.size:
-        per_row = max(1, _TERM_BUDGET // (live.size * _CHUNK))
+        per_row = max(1, budget // (live.size * _CHUNK))
         n_hi = min(n_done + per_row * _CHUNK, int(stops[live].min()))
         xs = term_logs(live, n_done, n_hi)
         split = (n_hi - n_done) // _CHUNK * _CHUNK

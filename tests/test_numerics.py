@@ -120,33 +120,35 @@ class TestCoupling:
 
 
 class TestResumedCoupling:
-    """A sequence grown piecewise from a LaguerreState equals a one-shot one, bit for bit."""
+    """A sequence grown piecewise from a LaguerreState equals a one-shot one, bit for bit.
+
+    A resumed call returns (log_mags, state): the magnitudes of its segment, with no sign array.
+    """
 
     SPLITS = (39, 120, 511, 1500, 9000, 70000)
 
     @pytest.mark.parametrize("m", (0, 1, 4, 29))
     @pytest.mark.parametrize("eta", (0.0, 1e-3, 0.5, 3.5, 12.0, 40.0))
     def test_resumed_equals_one_shot(self, m, eta):
-        signs, log_mags = coupling_logabs_sequence(self.SPLITS[-1], m, eta)
+        _, log_mags = coupling_logabs_sequence(self.SPLITS[-1], m, eta)
         state, lo = LAGUERRE_START, 0
         for n_max in self.SPLITS:
-            seg_signs, seg_mags, state = coupling_logabs_sequence(n_max, m, eta, resume=state)
+            seg_mags, state = coupling_logabs_sequence(n_max, m, eta, resume=state)
             assert state.n == n_max
-            assert np.array_equal(seg_signs, signs[lo : n_max + 1])
             assert seg_mags.tobytes() == log_mags[lo : n_max + 1].tobytes()
             lo = n_max + 1
 
     def test_split_crosses_a_rescale(self):
         # eta = 40 (x = 1600): |L_n| passes 1e250 well before n = 1500, so the
         # splits above resume across at least one rescale of (prev, curr).
-        _, _, early = coupling_logabs_sequence(39, 0, 40.0, resume=LAGUERRE_START)
-        _, _, late = coupling_logabs_sequence(1500, 0, 40.0, resume=early)
+        _, early = coupling_logabs_sequence(39, 0, 40.0, resume=LAGUERRE_START)
+        _, late = coupling_logabs_sequence(1500, 0, 40.0, resume=early)
         assert early.offset == 0.0 and late.offset > 0.0
 
     def test_request_at_or_below_the_state_is_empty(self):
-        _, _, state = coupling_logabs_sequence(50, 2, 0.7, resume=LAGUERRE_START)
-        signs, log_mags, same = coupling_logabs_sequence(50, 2, 0.7, resume=state)
-        assert signs.size == 0 and log_mags.size == 0 and same == state
+        _, state = coupling_logabs_sequence(50, 2, 0.7, resume=LAGUERRE_START)
+        log_mags, same = coupling_logabs_sequence(50, 2, 0.7, resume=state)
+        assert log_mags.size == 0 and same == state
 
     def test_rejects_negative_indices(self):
         with pytest.raises(ValueError):
@@ -186,12 +188,15 @@ def _laguerre_extend_reference(state, n_max, m, x):
 
 
 class TestLaguerreKernel:
-    """numerics._laguerre_extend has the bits of the one-loop reference, wherever that stays finite."""
+    """numerics._laguerre_extend has the bits of the one-loop reference, wherever that stays finite.
+
+    It returns the rescaled values, not their signs: the signs are those of the values.
+    """
 
     def assert_same(self, state, n_max, m, x):
-        signs, logabs, end = numerics._laguerre_extend(state, n_max, m, x)
+        raw, logabs, end = numerics._laguerre_extend(state, n_max, m, x)
         ref_signs, ref_logabs, ref_end = _laguerre_extend_reference(state, n_max, m, x)
-        assert signs.dtype == np.int8 and np.array_equal(signs, ref_signs)
+        assert np.array_equal(np.sign(raw), ref_signs)
         assert logabs.tobytes() == ref_logabs.tobytes()
         assert end == ref_end
         return end
@@ -208,8 +213,8 @@ class TestLaguerreKernel:
 
     def test_exact_zero(self):
         # L_1^3(4) = 3 + 1 - 4 = 0 exactly, at eta = 2.
-        signs, logabs, _ = numerics._laguerre_extend(LAGUERRE_START, 5, 3, 4.0)
-        assert signs[1] == 0 and logabs[1] == -math.inf
+        raw, logabs, _ = numerics._laguerre_extend(LAGUERRE_START, 5, 3, 4.0)
+        assert raw[1] == 0.0 and logabs[1] == -math.inf
         self.assert_same(LAGUERRE_START, 300, 3, 4.0)
 
     def test_low_side_rescale(self):
@@ -250,9 +255,9 @@ class TestHugeEtaCoupling:
         assert direct.tobytes() == log_mags[:n_first_nan].tobytes()
         # For x >> n(n + m), L_n^m(x) = (-x)^n/n! to within a relative n(n + m)/x.
         x = eta * eta
-        laguerre_signs, logabs, _ = numerics._laguerre_extend(LAGUERRE_START, 400, m, x)
+        raw, logabs, _ = numerics._laguerre_extend(LAGUERRE_START, 400, m, x)
         for n in (n_first_nan, 40, 400):
-            assert laguerre_signs[n] == (-1) ** n
+            assert math.copysign(1.0, raw[n]) == (-1) ** n
             assert logabs[n] == pytest.approx(n * math.log(x) - math.lgamma(n + 1), rel=1e-12)
 
     def test_nan_eta_rejected(self):

@@ -4,6 +4,8 @@ The points are ones where a second implementation of the scalar once gave
 other bits than the batch: math.exp against numpy's exp for the coupling
 magnitude, and math.hypot against np.hypot for the block eigenvalues and for
 sqrt_shift.  Floats are compared by hex(), so signed zeros count.
+The last test checks that each of these APIs rejects a bad index at the one
+entry of the coupling recurrence, with a message that names the index.
 """
 
 import math
@@ -11,9 +13,23 @@ import math
 import numpy as np
 import pytest
 
-from ionquench.numerics import coupling_f, coupling_values, log_sum_exp, log_sum_exp_rows, sqrt_excess, sqrt_shift
+from ionquench.numerics import (
+    coupling_f,
+    coupling_logabs_sequence,
+    coupling_values,
+    log_sum_exp,
+    log_sum_exp_rows,
+    sqrt_excess,
+    sqrt_shift,
+)
 from ionquench.params import Branch
-from ionquench.spectra import eigenvector_table, sideband_eigenvalues, sideband_eigenvectors, spectrum_table
+from ionquench.spectra import (
+    displacement_matrix,
+    eigenvector_table,
+    sideband_eigenvalues,
+    sideband_eigenvectors,
+    spectrum_table,
+)
 from ionquench.thermo import TruncationPolicy, lag_columns, nonequilibrium_lag
 from conftest import branch_for, desk_reduced, fig1_reduced
 
@@ -101,3 +117,27 @@ def test_scalar_is_its_batch_element(pair):
     assert len(scalars) == len(batch) > 0
     mismatched = [i for i, (a, b) in enumerate(zip(scalars, batch)) if a != b]
     assert mismatched == []
+
+
+_RP = desk_reduced(1, Branch.JC, 0.3)
+
+
+@pytest.mark.parametrize(
+    "call, name, value",
+    [
+        pytest.param(lambda: coupling_f(2.5, 1, 0.3), "n_max", 2.5, id="coupling_f"),
+        pytest.param(lambda: coupling_values(2.5, 1, 0.3), "n_max", 2.5, id="coupling_values"),
+        pytest.param(lambda: sideband_eigenvalues(2.5, _RP), "n_max", 2.5, id="sideband_eigenvalues"),
+        pytest.param(lambda: sideband_eigenvectors(2.5, _RP), "n_max", 2.5, id="sideband_eigenvectors"),
+        pytest.param(lambda: spectrum_table(_RP, -1), "n_max", -1, id="spectrum_table"),
+        pytest.param(lambda: eigenvector_table(_RP, -1), "n_max", -1, id="eigenvector_table"),
+        pytest.param(lambda: coupling_f(-1, 1, 0.3), "n_max", -1, id="coupling_f-negative"),
+        pytest.param(lambda: coupling_logabs_sequence(3, -1, 0.3), "m", -1, id="sequence-negative-m"),
+        pytest.param(lambda: coupling_logabs_sequence(3, 1.5, 0.3), "m", 1.5, id="sequence-fractional-m"),
+        pytest.param(lambda: displacement_matrix(-1, 0.3), "n_max", -1, id="displacement_matrix"),
+    ],
+)
+def test_bad_index_rejected_at_the_recurrence_entry(call, name, value):
+    # Every coupling table starts at numerics.coupling_logabs_sequence, whose check names the index.
+    with pytest.raises(ValueError, match=rf"^coupling index {name} must be a nonnegative integer, got {value}$"):
+        call()

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ionquench.numerics import coupling_f, coupling_logabs_sequence, log_sum_exp, sqrt_excess, sqrt_shift
 from ionquench.params import Branch, reduce, reduced_from_ratios
@@ -421,10 +421,10 @@ class TestNuToZeroLimit:
 
 
 def _growth(start, stop):
-    """(n_max, resume.n) of the recurrence calls that grow a key from n = start to stop, 8192 terms at most each."""
+    """(n_max, resume.n) of the recurrence calls that grow a key from n = start to stop, _TERM_BUDGET terms at most each."""
     calls = []
     while start < stop:
-        calls.append((min(stop, start + 8192), start))
+        calls.append((min(stop, start + thermo._TERM_BUDGET), start))
         start = calls[-1][0]
     return calls
 
@@ -522,6 +522,22 @@ class TestCouplingCache:
                 signs, log_mags = thermo.coupling_logabs_sequence(abs_f.size - 1, m, eta)
                 assert abs_f.tobytes() == np.where(signs == 0, 0.0, np.exp(log_mags)).tobytes()
                 assert ((abs_f == 0.0) == (signs == 0)).all()
+
+    @pytest.mark.parametrize(
+        "m, eta, n_max, case",
+        [(0, 1.0, 9000, "zero"), (2, 1.1, 3 * 8192 + 5, "plain"), (0, 50.0, 3000, "rescale"), (3, 2.0, 8193, "zero")],
+    )
+    def test_sign_free_growth_is_the_exp_of_the_one_shot_logs(self, monkeypatch, m, eta, n_max, case):
+        # The cache is grown from resumed calls, which build no signs, a first fill then extensions
+        # across the _TERM_BUDGET segment edges: its |f| is np.exp of a one-shot call's log
+        # magnitudes, bit for bit, at an exact zero (L_1(1) = 0, L_1^3(4) = 0) and past a rescale.
+        monkeypatch.setattr(thermo, "_COUPLING_CACHE", {})
+        for reach in (39, n_max // 2, n_max):
+            abs_f = thermo._coupling_upto({(m, eta): reach})[(m, eta)]
+        assert abs_f.size == n_max + 1
+        assert abs_f.tobytes() == np.exp(coupling_logabs_sequence(n_max, m, eta)[1]).tobytes()
+        offset = thermo._COUPLING_CACHE[(m, eta)][1].offset
+        assert {"zero": abs_f[1] == 0.0, "rescale": offset > 0.0, "plain": abs_f.all()}[case]
 
 
 def _never(n):
@@ -625,10 +641,10 @@ class TestBlockedLogSum:
         (got,) = _log_sums(lambda live, lo, hi: term_logs(lo, hi)[None, :], stops)
         ref = _one_chunk_at_a_time(lambda lo, hi: terms[lo:hi].copy(), policy, bound)
         assert (got[0].hex(), got[1:]) == (ref[0].hex(), ref[1:])
-        # Blocks tile [0, end) in order, at most 16 chunks each, and never
-        # run past a pinned, capped or bound stop.
+        # Blocks tile [0, end) in order, at most _WIDE_BUDGET terms each (no row
+        # is tested for settling), and never run past a pinned, capped or bound stop.
         assert [lo for lo, _ in asked] == [0] + [hi for _, hi in asked[:-1]]
-        assert all(hi - lo <= 16 * thermo._CHUNK for lo, hi in asked)
+        assert all(hi - lo <= thermo._WIDE_BUDGET for lo, hi in asked)
         assert asked[-1][1] == got[1]
 
     @settings(deadline=None, max_examples=100)
@@ -649,9 +665,9 @@ class TestBlockedLogSum:
             # A row is asked for until it stops, and never past a pinned, cap or bound stop.
             assert [row in live for live, _, _ in calls] == [lo < n_used for _, lo, _ in calls]
             assert max(hi for live, _, hi in calls if row in live) == n_used
-        # Calls tile [0, end) in order, each within max(16, live) chunks.
+        # Calls tile [0, end) in order, each within _WIDE_BUDGET terms, or one chunk a live row.
         assert [lo for _, lo, _ in calls] == [0] + [hi for _, _, hi in calls[:-1]]
-        assert all(len(live) * (hi - lo) <= max(16, len(live)) * thermo._CHUNK for live, lo, hi in calls)
+        assert all(len(live) * (hi - lo) <= max(thermo._WIDE_BUDGET, len(live) * thermo._CHUNK) for live, lo, hi in calls)
 
     @pytest.mark.parametrize("policy", [TruncationPolicy(n_pinned=3000), TruncationPolicy(n_cap=3000)])
     def test_nan_terms_fold_as_one_chunk_at_a_time(self, policy):
@@ -674,17 +690,22 @@ class TestBlockedLogSum:
 
     @pytest.mark.parametrize(
         "bound, stop",
-        [(_never, (100 * thermo._CHUNK + 300, "cap")), (lambda n: n >= 37 * thermo._CHUNK, (37 * thermo._CHUNK, "bound"))],
+        [(_never, (100 * thermo._CHUNK + 300, "cap")), (lambda n: n >= 97 * thermo._CHUNK, (97 * thermo._CHUNK, "bound"))],
     )
-    def test_one_adaptive_row_takes_sixteen_chunks_per_call(self, bound, stop):
+    @pytest.mark.parametrize(
+        "tails, budget",
+        [(None, thermo._WIDE_BUDGET), (lambda n: np.array([math.inf]), thermo._TERM_BUDGET)],  # +inf never settles
+    )
+    def test_one_row_takes_the_budget_of_its_settle_test_per_call(self, bound, stop, tails, budget):
         asked = []
         terms = np.zeros(100 * thermo._CHUNK + 300)
         stops = _stops(TruncationPolicy(n_cap=terms.size), [bound])
         assert (stops[0].tolist(), stops[1]) == ([stop[0]], [stop[1]])
         term_logs = lambda live, lo, hi: asked.append((lo, hi)) or terms[None, lo:hi]  # noqa: E731
-        ((_, n_used, stop_reason),) = _log_sums(term_logs, stops)
-        # Every call but the last asks for 16 chunks; the calls tile [0, stop) and end exactly at it.
-        assert all(hi - lo == 16 * thermo._CHUNK for lo, hi in asked[:-1])
+        ((_, n_used, stop_reason),) = _log_sums(term_logs, stops, tails)
+        # Every call but the last asks for the whole budget: _TERM_BUDGET when rows are tested
+        # for settling, _WIDE_BUDGET when not.  The calls tile [0, stop) and end exactly at it.
+        assert len(asked) > 1 and all(hi - lo == budget for lo, hi in asked[:-1])
         assert [lo for lo, _ in asked] == [0] + [hi for _, hi in asked[:-1]]
         assert asked[-1][1] == n_used == stop[0] and stop_reason == stop[1]
 
@@ -1223,6 +1244,77 @@ class TestExcessKernel:
         _, b_quarter = _excess_logs_reference(thermo._rows_of(self.DEAD_ROWS), 0, 512)
         assert (b_quarter == 0.0).all()
         assert self.RESONANT_ROWS[0].b_wl == 0.0 and thermo._coupling_rows(((3, 2.0),), 0, 512)[0, 1] == 0.0
+
+
+def _excess_logs_unfused(rows, n_lo, n_hi):
+    """thermo._excess_logs as it was before it was fused into buffers, one fresh array per operation: the reference."""
+    u = rows.b_om * thermo._coupling_rows(rows.keys, n_lo, n_hi)
+    b_quarter = 0.25 * sqrt_excess(rows.abs_bwl, u)
+    a_shifted = 0.5 * rows.d_aw + b_quarter
+    out = rows.b_nu * (np.arange(n_lo, n_hi, dtype=float) + rows.half_m)
+    np.subtract(math.log(2.0), out, out=out)
+    out += a_shifted
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if rows.edge:
+            out += thermo._log1m_exp_neg2(a_shifted + 0.5 * rows.b_w0)
+        out += _lnsinh_masked(b_quarter)
+    out[b_quarter == 0.0] = -np.inf
+    return out
+
+
+_KERNEL_ETAS = [0.0, 0.3, 1.0, 2.0, 3.5]  # eta = 0 on a sideband: dead coupling; L_1(1) = L_1^3(4) = 0
+
+
+@st.composite
+def _excess_blocks(draw):
+    """(rows, n_lo, n_hi): a block of one (m, eta) key or of several, over every case of the kernel.
+
+    r_w0 = m on a JC sideband gives b_wl = 0; desk-scale r_w0 and b_nu keep the edge
+    factor (|b_wl|/2 <= 400); r_om up to 500 puts b_quarter past lnsinh's branch at 20;
+    r_om = 0 or a dead key gives rows of -inf.
+    """
+    key = (draw(st.integers(0, 4)), draw(st.sampled_from(_KERNEL_ETAS)))
+    one_key = draw(st.booleans())
+    rps = []
+    for _ in range(draw(st.integers(1, 6))):
+        m, eta = key if one_key else (draw(st.integers(0, 4)), draw(st.sampled_from(_KERNEL_ETAS)))
+        branch = branch_for(m, draw(st.sampled_from([Branch.JC, Branch.AJC])))
+        r_w0 = draw(st.sampled_from([float(m), 0.5, 10.0, 1e3, 1e7]) | st.floats(0.01, 1e4))
+        r_om = draw(st.sampled_from([0.0, 1.0, 30.0, 200.0]) | st.floats(0.0, 500.0))
+        rps.append(reduced_from_ratios(r_w0, r_om, eta, m, branch, b_nu=draw(st.floats(1e-4, 5.0))))
+    n_lo = draw(st.sampled_from([0, 1, 300, 2048]))
+    return thermo._rows_of(rps), n_lo, n_lo + draw(st.sampled_from([1, 40, 512, 1300]))
+
+
+def _cache_bytes():
+    return {key: (abs_f.tobytes(), state) for key, (abs_f, state) in thermo._COUPLING_CACHE.items()}
+
+
+class TestFusedExcessKernel:
+    """The fused thermo._excess_logs has the bits of the unfused formula and never writes into the cache."""
+
+    MIXED = TestExcessKernel.RESONANT_ROWS + TestExcessKernel.DESK_ROWS + TestExcessKernel.BIG_SINH_ROWS
+    MIXED += TestExcessKernel.DEAD_ROWS + TestExcessKernel.FIG1_ROWS
+
+    @settings(deadline=None, max_examples=150)
+    @given(_excess_blocks())
+    @example((thermo._rows_of(MIXED), 0, 1300))  # every case in one block: mixed m, several keys
+    @example((thermo._rows_of(TestExcessKernel.DESK_ROWS[:1] * 3), 300, 812))  # one key, edge kept
+    def test_bitwise_equal_to_the_unfused_formula(self, case):
+        rows, n_lo, n_hi = case
+        with np.errstate(over="ignore"):
+            ref = _excess_logs_unfused(rows, n_lo, n_hi)
+            cached = _cache_bytes()
+            got = thermo._excess_logs(rows, n_lo, n_hi)
+        assert got.tobytes() == ref.tobytes()
+        assert _cache_bytes() == cached
+
+    def test_mixed_block_reaches_each_case(self):
+        rows = thermo._rows_of(self.MIXED)
+        _, b_quarter = _excess_logs_reference(rows, 0, 1300)
+        assert len(set(rows.keys)) > 1 and len({m for m, _ in rows.keys}) > 1
+        assert (rows.abs_bwl == 0.0).any() and rows.edge and (0.5 * (rows.d_aw + rows.b_w0) <= 400.0).any()
+        assert (b_quarter >= 20.0).any() and (b_quarter == 0.0).all(axis=1).any()
 
 
 # lag, tail_bound_log (float.hex), n_used and stop_reason of adaptive fig1-block
