@@ -18,9 +18,10 @@ import argparse
 import functools
 import json
 import math
-import operator
+import struct
 import sys
 from dataclasses import replace
+from itertools import chain
 from pathlib import Path
 from typing import get_type_hints
 
@@ -29,7 +30,7 @@ import numpy as np
 from .params import Branch, reduce
 from .presets import FIG1_CONFIG, desk_scale_point, figure_presets
 from .spectra import dense_hamiltonians, spectrum_table
-from .sweep import ResultRow, SweepSpec, run_specs, spec_fixed_columns
+from .sweep import ResultRow, SweepSpec, run_specs
 from .thermo import TruncationPolicy
 from .verify import run_checks
 from .workstats import moments_analytic, moments_numeric
@@ -211,16 +212,22 @@ def _policy(args: argparse.Namespace) -> TruncationPolicy:
     return TruncationPolicy(tol=args.tol, error_on_nonconverged=False)
 
 
+def _shared(kind: type, column: list) -> bool:
+    """Whether every value of column is the first one: a float bit for bit, as -0.0 and 0.0 print apart."""
+    if kind is float:
+        data = struct.pack(f"{len(column)}d", *column)
+        return data == data[:8] * len(column)
+    return column.count(column[0]) == len(column)
+
+
 class _Writer:
     """CSV or JSON-lines row sink with a stable column order.
 
     columns maps each column name to its type (float, int, bool or str), in
     output order, and write_rows takes each row's values as a tuple in that
-    order.  A CSV row is one % format of a template that write_rows builds
-    from the column types once per call, with the columns its rows share
-    formatted in.  A context manager: on exit it
-    closes its --out file, and deletes that file when an exception leaves
-    the block, so a failed run leaves no partial output behind.
+    order.  A context manager: on exit it closes its --out file, and deletes
+    that file when an exception leaves the block, so a failed run leaves no
+    partial output behind.
     """
 
     def __init__(self, fmt: str, out_path: str | None, columns: dict[str, type], header_meta: dict):
@@ -234,31 +241,14 @@ class _Writer:
                 self._fh.write(f"# {key} = {_fmt(header_meta[key])}\n")
             self._fh.write(",".join(map(_quoted, self.columns)) + "\n")
 
-    def _csv_form(self, fixed: dict[int, object]) -> tuple[str, list]:
-        """(template, texts) of CSV rows whose columns at the positions in fixed hold the given values.
+    def write_rows(self, rows: list[tuple]) -> None:
+        """Write each row; a CSV is built column by column, and a JSON line holds every column.
 
-        The template has those values formatted in and a % conversion for
-        each other column; texts lists (index among the other values, to
-        text) of each bool and str column among them.
-        """
-        pieces, texts, n_others = [], [], 0
-        for i, kind in enumerate(self._kinds):
-            to_text = _CELL_TEXTS.get(kind)
-            if i in fixed:
-                value = fixed[i] if to_text is None else to_text(fixed[i])
-                pieces.append((_CSV_CONVERSIONS[kind] % value).replace("%", "%%"))
-                continue
-            if to_text is not None:
-                texts.append((n_others, to_text))
-            pieces.append(_CSV_CONVERSIONS[kind])
-            n_others += 1
-        return ",".join(pieces) + "\n", texts
-
-    def write_rows(self, rows: list[tuple], fixed: tuple[int, ...] = ()) -> None:
-        """Write each row; the columns at the positions in fixed hold the same value in every row.
-
-        A CSV formats those columns once for all rows, and each row's other
-        columns in one % format; a JSON line holds every column.
+        Each bool or str column is made text in one pass.  A column whose
+        values are all the same (floats bit for bit) is formatted once, into
+        the row template; the other columns of all rows then go through one
+        % format of that template repeated, which gives the bytes of writing
+        each row alone.
         """
         if not rows:
             return
@@ -266,17 +256,17 @@ class _Writer:
             for row in rows:
                 self._fh.write(json.dumps(dict(zip(self.columns, map(_json_value, row))), allow_nan=False) + "\n")
             return
-        template, texts = self._csv_form({i: rows[0][i] for i in fixed})
-        others = [i for i in range(len(self._kinds)) if i not in fixed]
-        pick = operator.itemgetter(*others) if len(others) > 1 else lambda row: tuple(row[i] for i in others)
-        for row in rows:
-            values = pick(row)
-            if texts:
-                values = list(values)
-                for i, text in texts:
-                    values[i] = text(values[i])
-                values = tuple(values)
-            self._fh.write(template % values)
+        pieces, others = [], []
+        for kind, column in zip(self._kinds, zip(*rows)):
+            to_text = _CELL_TEXTS.get(kind)
+            column = list(column if to_text is None else map(to_text, column))
+            if _shared(kind, column):
+                pieces.append((_CSV_CONVERSIONS[kind] % column[0]).replace("%", "%%"))
+            else:
+                pieces.append(_CSV_CONVERSIONS[kind])
+                others.append(column)
+        template = ",".join(pieces) + "\n"
+        self._fh.write(template * len(rows) % tuple(chain.from_iterable(zip(*others))))
 
     def __enter__(self) -> _Writer:
         return self
@@ -350,7 +340,7 @@ def _run_lags(args: argparse.Namespace, command: str, params: dict, specs: list[
     extra = {} if args.tol is None else {"tol": args.tol}
     with _Writer(args.format, args.out, _LAG_COLUMNS, _meta_for(args, command, params, extra)) as writer:
         for spec, rows in zip(specs, rows_by_spec):
-            writer.write_rows(rows, spec_fixed_columns(spec))
+            writer.write_rows(rows)
     if any(not row.converged for rows in rows_by_spec for row in rows) and not args.allow_nonconverged:
         return _EXIT_NONCONVERGED
     return _EXIT_OK
@@ -464,7 +454,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
                 table = spectrum_table(rp, n_max)
                 edges = [(rp.branch.value, rp.m, "edge", n, float(zeta), math.nan) for n, zeta in enumerate(table.edge)]
                 pairs = [(rp.branch.value, rp.m, "pair", n, mu, gamma) for n, (mu, gamma) in enumerate(table.pairs)]
-                writer.write_rows(edges + pairs, fixed=(0, 1))
+                writer.write_rows(edges + pairs)
     return _EXIT_OK
 
 

@@ -31,6 +31,7 @@ __all__ = [
     "coupling_f",
     "coupling_values",
     "coupling_logabs_sequence",
+    "each_distinct",
     "eta_squared",
     "lncosh",
     "lnsinh",
@@ -71,16 +72,27 @@ class CouplingValue:
         return self.phase_factor * self.sign * self.magnitude
 
 
+def _require_indices(what: str, names: tuple[str, str], n, m) -> None:
+    """ValueError naming the first of n and m that is not a nonnegative integer (numbers.Integral).
+
+    Callers test type(index) is int first: the ABC's isinstance costs about 1 us a call.
+    """
+    for name, index in zip(names, (n, m)):
+        if not isinstance(index, numbers.Integral) or index < 0:
+            raise ValueError(f"{what} index {name} must be a nonnegative integer, got {index!r}")
+
+
 def laguerre_assoc(n: int, m: int, x: float) -> float:
     """Associated Laguerre polynomial L_n^m(x) by the three-term recurrence.
 
     L_{k+1}^m = ((2k + m + 1 - x) L_k^m - (k + m) L_{k-1}^m) / (k + 1),
     seeded with L_0^m = 1 and L_1^m = m + 1 - x.  Raises OverflowError if the
     value leaves the double range; callers needing large n use the log-domain
-    coupling instead.
+    coupling instead.  n and m must be nonnegative integers, as in
+    coupling_logabs_sequence, else ValueError.
     """
-    if n < 0 or m < 0:
-        raise ValueError("Laguerre indices must be nonnegative")
+    if not (type(n) is int and type(m) is int and n >= 0 and m >= 0):
+        _require_indices("Laguerre", ("n", "m"), n, m)
     if x < 0:
         raise ValueError("Laguerre argument must be nonnegative")
     if n == 0:
@@ -190,10 +202,8 @@ def coupling_logabs_sequence(n_max: int, m: int, eta: float, *, resume: Laguerre
     The one entry of the recurrence, so it holds the index checks: n_max and
     m must be nonnegative integers (numbers.Integral), else ValueError.
     """
-    for name, index in (("n_max", n_max), ("m", m)):
-        # type() first: an int is Integral, and the ABC's isinstance costs about 1 us a call.
-        if not (type(index) is int or isinstance(index, numbers.Integral)) or index < 0:
-            raise ValueError(f"coupling index {name} must be a nonnegative integer, got {index!r}")
+    if not (type(n_max) is int and type(m) is int and n_max >= 0 and m >= 0):
+        _require_indices("coupling", ("n_max", "m"), n_max, m)
     if not eta >= 0:  # also rejects nan
         raise ValueError("Lamb-Dicke parameter must be nonnegative")
     x = eta_squared(eta)
@@ -311,6 +321,13 @@ def sqrt_shift(w_l: float, u: float, w_0: float) -> float:
     if u < 0:
         raise ValueError("sqrt_shift requires u >= 0")
     return (w_l - w_0) + float(sqrt_excess(w_l, u))
+
+
+def each_distinct(fn, values: np.ndarray) -> np.ndarray:
+    """fn, a function of one float, at each of values, called once per distinct value (-0.0 and 0.0 are one)."""
+    values = values.tolist()
+    table = {x: fn(x) for x in dict.fromkeys(values)}
+    return np.fromiter(map(table.__getitem__, values), float, len(values))
 
 
 def sqrt_excess(w: float, u):

@@ -1,21 +1,24 @@
 """Parameter sweeps over grids of lag evaluations, with plot-ready rows.
 
 Rows come out in a fixed order: spec by spec, and within a spec grid-major,
-then branch, then sideband index.  A spec's lags come from one
-thermo.lag_columns call (see run_specs); evaluate_point is the
-one-point form.
+then branch, then sideband index.  A spec's reduced groups come from one
+params.reduce_grid call and its lags from one thermo.lag_columns call (see
+run_specs); evaluate_point is the one-point form.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from .params import Branch, ReducedParams, reduce
-from .thermo import TruncationPolicy, lag_columns, nonequilibrium_lag
+import numpy as np
 
-__all__ = ["SweepSpec", "ResultRow", "RESULT_COLUMNS", "run_specs", "evaluate_point", "spec_fixed_columns"]
+from .params import Branch, reduce_grid
+from .thermo import TruncationPolicy, lag_columns
+
+__all__ = ["SweepSpec", "ResultRow", "RESULT_COLUMNS", "run_specs", "evaluate_point"]
 
 SWEEP_AXES = ("eta", "omega_rabi", "nbar", "nu", "m")
 
@@ -91,56 +94,41 @@ class ResultRow(NamedTuple):
 RESULT_COLUMNS = ResultRow._fields
 # The SI columns, which lead a row; a spec holds all of them but its axis fixed.
 SI_COLUMNS = RESULT_COLUMNS[:5]
-
-
-def spec_fixed_columns(spec: SweepSpec) -> tuple[int, ...]:
-    """Positions in RESULT_COLUMNS of the SI columns every row of spec shares: all but its axis."""
-    return tuple(i for i, name in enumerate(SI_COLUMNS) if name != spec.axis)
+# Branch.value by sideband_sign + 1.
+_BRANCH_TEXTS = np.array([Branch.JC.value, Branch.CARRIER.value, Branch.AJC.value])
 
 
 def evaluate_point(point: Mapping, policy: TruncationPolicy | None = None) -> ResultRow:
-    """Evaluate the lag at one point; policy alone sets its truncation, its pin included."""
-    rp = reduce(point, point["m"], point["branch"], point.get("eta"))
-    result = nonequilibrium_lag(rp, policy=policy)
-    report = result.truncation
-    lag = result.value, report.n_used, report.tail_bound_log, report.converged, result.divergence_predicted
-    return _row(_si_values(point), rp, *lag)
-
-
-def _si_values(point: Mapping) -> list[float]:
-    """The SI columns of a point, in SI_COLUMNS order; they echo the point, phi_angle is NaN when eta was given."""
-    phi_angle = math.nan if point.get("eta") is not None else float(point.get("phi_angle", 0.0))
-    return [float(point["nu"]), float(point["omega0"]), float(point["omega_rabi"]), float(point["mass"]), phi_angle]
-
-
-def _row(si_values: list[float], rp: ReducedParams, *lag: float | int | bool) -> ResultRow:
-    """The row of a point with SI columns si_values, reduced parameters rp and its lag columns, in row order."""
-    return ResultRow(*si_values, rp.eta, rp.nbar, rp.b_nu, rp.b_w0, rp.b_om, rp.b_wl, rp.m, rp.branch.value, *lag)
+    """The row of one point, as the one row of a one-point spec; policy alone sets its truncation, pin included."""
+    spec = SweepSpec(axis="m", grid=(point["m"],), fixed=point, branches=(point["branch"],), m_values=())
+    return run_specs([spec], policy)[0]
 
 
 def run_specs(specs: Iterable[SweepSpec], policy: TruncationPolicy | None = None) -> list[ResultRow]:
     """Evaluate every point of every spec, in spec order and then spec.points() order.
 
-    Each spec's points are resolved first, then all their lags come from one
-    thermo.lag_columns call, which sums them in blocks of live rows in
-    point order (see thermo's truncation constants), and the rows are built
-    straight from its columns, with no result object per row.  A spec's SI
-    columns are converted once; only its axis column is set per point.  A
-    TruncationError names the first failing point of the first spec that
-    has one.
+    Each spec's points are resolved by one params.reduce_grid call, and all
+    their lags come from one thermo.lag_columns call, which sums them in
+    blocks of live rows in point order (see thermo's truncation constants).
+    The rows are zipped straight from those columns: no point, reduced
+    parameters or result object per row.  The SI columns echo the spec;
+    phi_angle is NaN when eta is given.  A TruncationError names the first
+    failing point of the first spec that has one.
     """
     policy = policy or TruncationPolicy()
     rows: list[ResultRow] = []
     for spec in specs:
         spec_policy = policy if spec.n_pinned is None else replace(policy, n_pinned=spec.n_pinned)
-        points = list(spec.points())
-        rps = [reduce(p, p["m"], p["branch"], p.get("eta")) for p in points]
-        lags = lag_columns(rps, spec_policy)
-        si_values = _si_values(points[0])
-        axis = SI_COLUMNS.index(spec.axis) if spec.axis in SI_COLUMNS else None
-        columns = (lags.value, lags.n_used, lags.tail_bound_log, lags.converged, lags.divergence_predicted)
-        for point, rp, *lag in zip(points, rps, *columns):
-            if axis is not None:
-                si_values[axis] = point[spec.axis]
-            rows.append(_row(si_values, rp, *lag))
+        cols = reduce_grid(spec.fixed, spec.axis, spec.grid, spec.branches, spec.m_values)
+        lags = lag_columns(cols, spec_policy)
+        eta_given = spec.axis == "eta" or spec.fixed.get("eta") is not None
+        phi_angle = math.nan if eta_given else float(spec.fixed.get("phi_angle", 0.0))
+        si = [repeat(float(spec.fixed[name])) for name in SI_COLUMNS[:4] if name != spec.axis]
+        if spec.axis in SI_COLUMNS:
+            grid = np.array(spec.grid, dtype=float)
+            si.insert(SI_COLUMNS.index(spec.axis), np.repeat(grid, cols.m.size // grid.size).tolist())
+        branch = _BRANCH_TEXTS[cols.sign + 1]
+        reduced = (cols.eta, cols.nbar, cols.b_nu, cols.b_w0, cols.b_om, cols.b_wl, cols.m, branch)
+        lag = (lags.value, lags.n_used, lags.tail_bound_log, lags.converged, lags.divergence_predicted)
+        rows += map(ResultRow._make, zip(*si, repeat(phi_angle), *(column.tolist() for column in reduced), *lag))
     return rows

@@ -39,8 +39,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import LAGUERRE_START, LaguerreState, coupling_logabs_sequence, lnsinh, log_sum_exp_rows, sqrt_excess
-from .params import Branch, ReducedParams
+from .numerics import LAGUERRE_START, LaguerreState, coupling_logabs_sequence, each_distinct, lnsinh
+from .numerics import log_sum_exp_rows, sqrt_excess
+from .params import Branch, ReducedColumns, ReducedParams
 
 __all__ = [
     "TruncationPolicy",
@@ -187,7 +188,7 @@ def ln_partition_initial(rp: ReducedParams) -> LogPartition:
     log Z_i - b_w0/2 = log(nbar+1) + log(1 + e^(-b_w0)), exact for
     arbitrarily large b_w0.
     """
-    shifted = rp.ln_nbar_plus_1 + math.log1p(math.exp(-rp.b_w0))
+    shifted = rp.ln_nbar_plus_1 + rp.zi_edge
     return LogPartition(shifted_log=shifted, truncation=_EXACT_REPORT)
 
 
@@ -267,12 +268,13 @@ class _Rows(NamedTuple):
     d_aw: np.ndarray  # |b_wl| - b_w0
 
 
-def _rows_of(rps: list[ReducedParams]) -> _Rows:
+def _rows_of(rps: ReducedColumns | list[ReducedParams]) -> _Rows:
     """The rows' columns, each with the bits of the same float operations on its row's parameters.
 
     d_aw is formed without cancellation from delta = b_wl - b_w0 = -+m b_nu, exact; b_w0 + delta is rp.b_wl.
     """
-    m, sign, b_nu, b_w0, b_om = np.array([(rp.m, rp.branch.sideband_sign, rp.b_nu, rp.b_w0, rp.b_om) for rp in rps]).T
+    cols = ReducedColumns.of(rps)
+    b_nu, b_w0, b_om, _, m, sign = cols[:6]
     delta = sign * m * b_nu
     b_wl = b_w0 + delta
     above = b_wl >= 0
@@ -280,7 +282,7 @@ def _rows_of(rps: list[ReducedParams]) -> _Rows:
     # a_full >= |b_wl|/2 = (d_aw + b_w0)/2, also in floats: past 400, e^(-2 a_full) underflows
     # to 0 and the edge adds log1p(-0.0) = -0.0, which changes no bit, in any row of any subset.
     edge = not np.all(0.5 * (columns[5] + b_w0) > 400.0)
-    return _Rows(tuple((rp.m, rp.eta) for rp in rps), edge, *np.array(columns)[:, :, None])
+    return _Rows(tuple(zip(m.tolist(), cols.eta.tolist())), edge, *np.array(columns)[:, :, None])
 
 
 def _coupling_rows(keys: tuple[tuple[int, float], ...], n_lo: int, n_hi: int) -> np.ndarray:
@@ -345,16 +347,17 @@ def _log1m_exp_neg2(a):
     log1p(-e^(-2a)), except where e^(-2a) rounds to 1 (a below ~1e-16, at
     extreme temperatures): there log1p would give log(0), and
     log(-expm1(-2a)) is used instead.  Floats go through math, arrays
-    through numpy, as the two differ in the last ulp.
+    through numpy, as the two differ in the last ulp.  An array a is
+    overwritten with -2a (exact), and the result is the one new array.
     """
     if isinstance(a, float):
         edge = math.exp(-2.0 * a)
         return math.log1p(-edge) if edge != 1.0 else math.log(-math.expm1(-2.0 * a))
-    edge = np.exp(-2.0 * a)
-    out = np.log1p(-edge)
+    edge = np.exp(np.multiply(a, -2.0, out=a))
     at_one = edge == 1.0
+    out = np.log1p(np.negative(edge, out=edge), out=edge)
     if at_one.any():
-        out[at_one] = np.log(-np.expm1(-2.0 * a[at_one]))
+        out[at_one] = np.log(-np.expm1(a[at_one]))
     return out
 
 
@@ -366,12 +369,15 @@ def _excess_tails(rows: _Rows):
     The log(nbar+1) is left out because it cancels against Z_initial.
     n_from is a number or an array that broadcasts against the columns.  The
     edge factor is math's (numpy's log1p and exp may differ in the last
-    bit); a zero envelope gives 0.0 there, and -inf from its lnsinh.
+    bit), once per distinct a_full; a zero envelope gives 0.0 there, and
+    -inf from its lnsinh.
     """
     b_quarters = 0.25 * sqrt_excess(rows.abs_bwl, rows.b_om).ravel()
     a_shifted = 0.5 * rows.d_aw.ravel() + b_quarters
-    a_full = (a_shifted + 0.5 * rows.b_w0.ravel()).tolist()
-    log_edge = np.array([_log1m_exp_neg2(a) if q else 0.0 for q, a in zip(b_quarters.tolist(), a_full)])
+    a_full = a_shifted + 0.5 * rows.b_w0.ravel()
+    coupled = b_quarters != 0.0
+    log_edge = np.zeros(a_full.size)
+    log_edge[coupled] = each_distinct(_log1m_exp_neg2, a_full[coupled])
     log_sinh, b_nu, half_m = lnsinh(b_quarters), rows.b_nu.ravel(), rows.half_m.ravel()
     return lambda n_from: _LN2 - b_nu * (n_from + half_m) + a_shifted + log_edge + log_sinh
 
@@ -477,16 +483,16 @@ def _log_sums(term_logs, stops: np.ndarray, tails=None) -> tuple[np.ndarray, np.
     return running, settled
 
 
-def _coupling_alive(rp: ReducedParams) -> bool:
+def _coupling_alive(rp: ReducedParams | ReducedColumns):  # a bool, or a bool array for columns
     """Whether the drive couples any levels: omega_rabi > 0 and, on a sideband, eta > 0.
 
     The one dead-coupling rule: a dead row has an exact zero lag and never
     diverges.  Only the ratio omega_rabi/nu of rp enters, not its temperature.
     """
-    return rp.r_om > 0 and (rp.m == 0 or rp.eta > 0)
+    return (rp.r_om > 0) & ((rp.m == 0) | (rp.eta > 0))
 
 
-def _excess_lags(rps: list[ReducedParams], policy: TruncationPolicy) -> tuple[list, ...]:
+def _excess_lags(cols: ReducedColumns, policy: TruncationPolicy) -> tuple[list, ...]:
     """(lag, n_used, tail_bound_log, converged, stop_reason) columns of the rows, from the excess sum.
 
     Rows with dead coupling are exact zeros.  The live rows are summed in
@@ -496,13 +502,13 @@ def _excess_lags(rps: list[ReducedParams], policy: TruncationPolicy) -> tuple[li
     first such row in input order, unless policy.error_on_nonconverged is
     cleared.
     """
-    n = len(rps)  # a dead row's excess vanishes identically: it keeps these exact zeros
+    n = len(cols.m)  # a dead row's excess vanishes identically: it keeps these exact zeros
     columns = np.zeros(n), np.zeros(n, int), np.full(n, -np.inf), np.ones(n, bool), np.full(n, "exact", object)
-    live = [i for i, rp in enumerate(rps) if _coupling_alive(rp)]
+    live = np.flatnonzero(_coupling_alive(cols))
     size = _TERM_BUDGET // min(policy.n_pinned or _CHUNK, _CHUNK)
-    for start in range(0, len(live), size):
+    for start in range(0, live.size, size):
         block = live[start : start + size]
-        for column, values in zip(columns, _excess_block([rps[i] for i in block], policy)):
+        for column, values in zip(columns, _excess_block(cols if block.size == n else cols.take(block), policy)):
             column[block] = values
     columns = tuple(column.tolist() for column in columns)
     failed = next((i for i, converged in enumerate(columns[3]) if not converged), None)
@@ -519,7 +525,7 @@ def _take(rows: _Rows, live: np.ndarray) -> _Rows:
     return _Rows(tuple(rows.keys[i] for i in live), rows.edge, *(column[live] for column in rows[2:]))
 
 
-def _excess_block(rps: list[ReducedParams], policy: TruncationPolicy) -> tuple:
+def _excess_block(cols: ReducedColumns, policy: TruncationPolicy) -> tuple:
     """_excess_lags for a block of live rows, from one _log_sums call, finished as columns.
 
     An adaptive row's stop is known before its first term, as its tail bound
@@ -528,13 +534,13 @@ def _excess_block(rps: list[ReducedParams], policy: TruncationPolicy) -> tuple:
     flags come from elementwise array operations, with the bits of the same
     operations on each row's floats.
     """
-    rows = _rows_of(rps)
+    rows = _rows_of(cols)
     tails = _excess_tails(rows)
-    # log(nbar+1), and log(1 + e^(-b_w0)) in math like ln_partition_initial: their sum is log Z_i,
-    # and the tails leave out the first, as it cancels.
-    ln1, zi_edges = np.array([(rp.ln_nbar_plus_1, math.log1p(math.exp(-rp.b_w0))) for rp in rps]).T
+    # log(nbar+1) and log(1 + e^(-b_w0)), each from math like ln_partition_initial: their sum is
+    # log Z_i, and the tails leave out the first, as it cancels.
+    ln1, zi_edges = cols.ln_nbar_plus_1, cols.zi_edge
     log_tol = math.log(policy.tol)
-    stops, reasons = _stops(policy, lambda n: tails(n) - zi_edges <= log_tol, len(rps))
+    stops, reasons = _stops(policy, lambda n: tails(n) - zi_edges <= log_tol, len(cols.m))
     term_tails = None  # only a pinned row settles; an adaptive one ends at its bound or n_cap
     if policy.n_pinned is None:
         reach: dict = {}
@@ -578,7 +584,7 @@ def ln_partition_final(
     """
     policy = policy or TruncationPolicy()
     if assembly == "excess":
-        ((lag, *report),) = zip(*_excess_lags([rp], policy))
+        ((lag, *report),) = zip(*_excess_lags(ReducedColumns.of([rp]), policy))
         return LogPartition(ln_partition_initial(rp).shifted_log + lag, TruncationReport(*report))
     if assembly == "direct":
         return _ln_partition_final_direct(rp, policy)
@@ -630,30 +636,33 @@ def nonequilibrium_lag(rp: ReducedParams, policy: TruncationPolicy | None = None
     return LagResult(value, TruncationReport(*report), diverges)
 
 
-def lag_columns(rps: list[ReducedParams], policy: TruncationPolicy | None = None) -> LagColumns:
+def lag_columns(rps: ReducedColumns | list[ReducedParams], policy: TruncationPolicy | None = None) -> LagColumns:
     """The lag of each point as columns, with no object per row: the one engine result.
 
-    Every field of each row, stop_reason included, equals that of the point
-    alone.  Live rows are summed in blocks in input order, of any sideband
-    index, as many as fit the term budget of one call (see the truncation
-    constants), and each block is finished as columns; this costs far less
-    than one row at a time.  The divergence scan runs once per JC key, not
-    once per row.  A TruncationError names the first non-converged point in
-    input order.
+    rps are ReducedColumns, or ReducedParams turned into columns here.  Every
+    field of each row, stop_reason included, equals that of the point alone.
+    Live rows are summed in blocks in input order, of any sideband index, as
+    many as fit the term budget of one call (see the truncation constants),
+    and each block is finished as columns.  The divergence scan runs on one
+    ReducedParams per JC key, not per row.  A TruncationError names the
+    first non-converged point in input order.
     """
-    lags = _excess_lags(rps, policy or TruncationPolicy())
-    # Witnesses are kept under (m, r_w0, r_om, eta), the only inputs of the
-    # scan, so a sweep over temperature scans once.
-    negatives: dict = {}
-    diverges = []
-    for rp in rps:
-        negative = []
-        if _reads_witnesses(rp):
-            key = (rp.m, rp.r_w0, rp.r_om, rp.eta)
-            if key not in negatives:
-                negatives[key] = divergence_predicate_reduced(rp).witnesses
-            negative = negatives[key]
-        diverges.append(_diverges_at_zero(rp, negative))
+    cols = ReducedColumns.of(rps)
+    lags = _excess_lags(cols, policy or TruncationPolicy())
+    # _diverges_at_zero on columns: a row that reads witnesses (a live JC sideband, sign -1) diverges iff it has
+    # a negative one, any other iff it is live.  Witnesses are kept under (m, r_w0, r_om, eta), the only inputs
+    # of the scan, and taken on each key's first row.
+    alive = _coupling_alive(cols)
+    diverges = alive.tolist()
+    rows = np.flatnonzero(alive & (cols.sign < 0) & (cols.m > 0)).tolist()
+    keys = list(zip(*(column[rows].tolist() for column in (cols.m, cols.r_w0, cols.r_om, cols.eta))))
+    firsts: dict = {}
+    for i, key in zip(rows, keys):
+        firsts.setdefault(key, i)
+    scanned = cols.params(list(firsts.values()))
+    negatives = {key: bool(divergence_predicate_reduced(rp).witnesses) for key, rp in zip(firsts, scanned)}
+    for i, key in zip(rows, keys):
+        diverges[i] = negatives[key]
     return LagColumns(*lags, diverges)
 
 
@@ -765,6 +774,7 @@ def _diverges_at_zero(rp: ReducedParams, negative: list[int]) -> bool:
     A JC sideband diverges iff it has a negative witness.  Any other row
     diverges iff its coupling is live, since then Phi_0 < 0; it reads no
     witnesses, so its callers need not scan it, nor a dead JC sideband.
+    lag_columns takes the same verdict on columns.
     """
     return bool(negative) if _reads_witnesses(rp) else _coupling_alive(rp)
 

@@ -249,9 +249,9 @@ def _block_ms(monkeypatch):
     blocks = []
     real = thermo._excess_block
 
-    def excess_block(rps, policy):
-        blocks.append([rp.m for rp in rps])
-        return real(rps, policy)
+    def excess_block(cols, policy):
+        blocks.append(cols.m.tolist())
+        return real(cols, policy)
 
     monkeypatch.setattr(thermo, "_excess_block", excess_block)
     return blocks

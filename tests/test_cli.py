@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -501,6 +502,33 @@ class TestSweepCommand:
         nbars = [float(r["nbar"]) for r in read_csv(out)]
         assert nbars == pytest.approx([0.5, 2.0], rel=1e-12)
 
+    # (axis, values, flags): each axis at an nbar and a beta temperature, and at a given and the geometric eta.
+    ONE_POINT_CASES = [
+        ("eta", "0.2,1.1", ["--nbar", "0.38"]),
+        ("eta", "0.2,1.1", ["--beta", "2.4e30"]),
+        ("omega_rabi", "3e6,9e6", ["--nbar", "0.38", "--eta", "0.7"]),
+        ("omega_rabi", "3e6,9e6", ["--beta", "2.4e30"]),
+        ("nbar", "0.1,4", ["--eta", "0.7"]),
+        ("nbar", "0.1,4", []),
+        ("nu", "4e3,6e3", ["--nbar", "0.38"]),
+        ("nu", "4e3,6e3", ["--beta", "2.4e30", "--eta", "1.3"]),
+        ("m", "0,1,3", ["--nbar", "2", "--eta", "0.7"]),
+        ("m", "0,1,3", ["--beta", "2.4e30"]),
+    ]
+
+    @pytest.mark.parametrize("axis, values, flags", ONE_POINT_CASES)
+    def test_every_row_is_the_one_point_lag_row(self, axis, values, flags, capsys):
+        # JC, AJC and carrier rows: m = 0 repeats the carrier row on both branches, as fig1's grid does.
+        sidebands = ["--branch", "jc,ajc"] + ([] if axis == "m" else ["--m", "0,1,2"])
+        assert main(["sweep", "--axis", axis, "--values", values, *sidebands, *flags]) == 0
+        rows = [line for line in capsys.readouterr().out.splitlines()[1:] if not line.startswith(("#", "nu,"))]
+        points = [(v, b, m) for v in values.split(",") for b in ("jc", "ajc") for m in ([v] if axis == "m" else ["0", "1", "2"])]
+        assert len(rows) == len(points)
+        for row, (value, branch, m) in zip(rows, points):
+            point = [] if axis == "m" else [f"--{cli._AXIS_FLAGS[axis]}", value]
+            assert main(["lag", *point, "--branch", "carrier" if m == "0" else branch, "--m", m, *flags]) == 0
+            assert capsys.readouterr().out.splitlines()[-1] == row
+
     def test_requires_axis_and_grid(self):
         assert main(["sweep", "--grid", "1:2:3:linear"]) == 2
         assert main(["sweep", "--axis", "eta"]) == 2
@@ -729,13 +757,13 @@ class TestWriteRows:
     """write_rows formats the columns its rows share once, with the bytes of one row per call and none shared."""
 
     @staticmethod
-    def _both(tmp_path, fmt, columns, rows, fixed):
+    def _both(tmp_path, fmt, columns, rows):
         one, many = tmp_path / "one", tmp_path / "many"
         with cli._Writer(fmt, str(one), columns, {"k": 1.5}) as writer:
             for row in rows:
                 writer.write_rows([row])
         with cli._Writer(fmt, str(many), columns, {"k": 1.5}) as writer:
-            writer.write_rows(rows, fixed)
+            writer.write_rows(rows)
         return one.read_bytes(), many.read_bytes()
 
     @pytest.mark.parametrize("share", ["none", "every other", "all but one", "all"])
@@ -749,18 +777,33 @@ class TestWriteRows:
         }  # fmt: skip
         rows = _edge_rows(columns)
         rows = [tuple(rows[0][i] if i in fixed[share] else value for i, value in enumerate(row)) for row in rows]
-        one, many = self._both(tmp_path, fmt, columns, rows, fixed[share])
+        one, many = self._both(tmp_path, fmt, columns, rows)
         assert many == one and one.count(b"\n") >= len(rows)
 
     def test_shared_text_with_percent_signs_and_commas(self, tmp_path):
         columns = {"text": str, "x": float, "flag": bool}
         rows = [("100% a,b", 1.5, True), ("100% a,b", math.nan, False)]
-        one, many = self._both(tmp_path, "csv", columns, rows, (0,))
+        one, many = self._both(tmp_path, "csv", columns, rows)
         assert many == one and b'"100% a,b",nan,false' in many
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            (0.0, -0.0), (-0.0, 0.0), (math.nan, math.nan), (math.nan, -math.nan), (math.inf, math.inf),
+            (-math.inf, -math.inf), (math.inf, -math.inf), (1.0, math.nextafter(1.0, 2.0)), (1.0, 1.0),
+        ],
+    )  # fmt: skip
+    def test_a_column_is_shared_only_bit_for_bit(self, values, tmp_path):
+        # Equal floats that print apart (-0.0, 0.0), nan, infinities and neighbours one ulp apart.
+        columns = {"x": float, "y": float, "flag": bool}
+        rows = [(value, 2.5, True) for value in values]
+        one, many = self._both(tmp_path, "csv", columns, rows)
+        assert many == one
+        assert cli._shared(float, list(values)) == (len({struct.pack("d", value) for value in values}) == 1)
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_no_rows_write_nothing(self, fmt, tmp_path):
-        one, many = self._both(tmp_path, fmt, {"text": str, "x": float}, [], (0,))
+        one, many = self._both(tmp_path, fmt, {"text": str, "x": float}, [])
         assert many == one == (b"# k = 1.5\ntext,x\n" if fmt == "csv" else b"")
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import mpmath as mp
@@ -71,6 +72,22 @@ class TestLaguerre:
             laguerre_assoc(-1, 0, 1.0)
         with pytest.raises(ValueError):
             laguerre_assoc(2, 0, -1.0)
+
+    @pytest.mark.parametrize(
+        "n, m, name",
+        [(2.5, 1, "n"), (3, 1.5, "m"), (-1, 1, "n"), (3, -2, "m"), (np.int64(-1), 1, "n"), (2, np.int64(-3), "m")],
+    )
+    def test_bad_index_is_named_as_by_the_coupling_recurrence(self, n, m, name):
+        # The check coupling_logabs_sequence makes: a fractional index used to raise TypeError (n)
+        # or give a value (m = 1.5 gave 4.398).
+        value = re.escape(repr(n if name == "n" else m))
+        with pytest.raises(ValueError, match=rf"^Laguerre index {name} must be a nonnegative integer, got {value}$"):
+            laguerre_assoc(n, m, 0.3)
+        with pytest.raises(ValueError, match=rf"^coupling index {name}(_max)? must be a nonnegative integer, got {value}$"):
+            coupling_logabs_sequence(n, m, 0.3)
+
+    def test_numpy_integer_indices(self):
+        assert laguerre_assoc(np.int64(3), np.int64(1), 0.3) == laguerre_assoc(3, 1, 0.3)
 
 
 class TestCoupling:

@@ -253,24 +253,26 @@ class TestReducedParamsMessages:
 
 
 class TestCallersBindReduce:
-    """sweep and cli call reduce through their own module binding, one call per resolved point."""
+    """sweep calls reduce_grid once per spec, and cli calls reduce once per resolved point, through their own bindings."""
 
     @staticmethod
-    def count_calls(monkeypatch, module):
+    def count_calls(monkeypatch, module, name="reduce"):
         calls = []
+        real = getattr(params, name)
 
         def counted(*args, **kwargs):
             calls.append(args)
-            return params.reduce(*args, **kwargs)
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(module, "reduce", counted)
+        monkeypatch.setattr(module, name, counted)
         return calls
 
-    def test_sweep_resolves_each_row_once(self, monkeypatch):
-        calls = self.count_calls(monkeypatch, sweep)
-        rows = run_specs(figure_presets()["fig2"].specs)
-        assert len(rows) == 186
-        assert len(calls) == 186
+    def test_sweep_resolves_each_spec_once(self, monkeypatch):
+        calls = self.count_calls(monkeypatch, sweep, "reduce_grid")
+        scalar_calls = self.count_calls(monkeypatch, params)
+        specs = figure_presets()["fig3"].specs
+        rows = run_specs(specs)
+        assert len(rows) == 216 and len(calls) == len(specs) == 2 and not scalar_calls
 
     def test_spectrum_resolves_each_transition_once(self, monkeypatch, capsys):
         calls = self.count_calls(monkeypatch, cli)
@@ -279,4 +281,7 @@ class TestCallersBindReduce:
 
 
 def test_params_exports_one_si_entry():
-    assert params.__all__ == ["HBAR", "SPEED_OF_LIGHT", "Branch", "ReducedParams", "reduce", "reduced_from_ratios"]
+    # reduce_grid is the SI entry, and reduce its one-point case.
+    assert params.__all__ == [
+        "HBAR", "SPEED_OF_LIGHT", "Branch", "ReducedParams", "ReducedColumns", "reduce", "reduce_grid", "reduced_from_ratios"
+    ]  # fmt: skip

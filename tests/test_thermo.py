@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -6,10 +7,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ionquench.numerics import coupling_f, coupling_logabs_sequence, log_sum_exp, sqrt_excess, sqrt_shift
-from ionquench.params import Branch, reduce, reduced_from_ratios
+from ionquench.params import Branch, ReducedParams, reduce, reduced_from_ratios
 from ionquench.presets import desk_scale_point, figure_presets
 from ionquench.spectra import dense_hamiltonians
-from ionquench import thermo
+from ionquench import params, thermo
 from ionquench.cli import main
 from ionquench.sweep import SweepSpec, evaluate_point, run_specs
 from ionquench.thermo import (
@@ -1159,6 +1160,88 @@ class TestBlockShape:
         assert counts["objects"] == 0
         # One fold per chunk column of each term call, and one call per block for its lags.
         assert counts["logaddexp"] == counts["columns"] + counts["blocks"] == 6 < len(rows)
+
+
+class TestRowPath:
+    @staticmethod
+    def _count(monkeypatch):
+        """The ReducedParams built and the ones scanned for divergence, from here on."""
+        built, scanned = [], []
+        real_init, real_scan = params.ReducedParams.__post_init__, thermo.divergence_predicate_reduced
+        monkeypatch.setattr(params.ReducedParams, "__post_init__", lambda rp: built.append(rp) or real_init(rp))
+        monkeypatch.setattr(thermo, "divergence_predicate_reduced", lambda rp: scanned.append(rp) or real_scan(rp))
+        return built, scanned
+
+    def test_fig1_builds_one_reduced_params_per_divergence_key(self, monkeypatch, tmp_path):
+        # The rows come from columns; a ReducedParams is built only for the scan of each JC key.
+        rows = run_specs(figure_presets()["fig1"].specs)
+        keys = {(r.m, r.b_w0 / r.b_nu, r.b_om / r.b_nu, r.eta) for r in rows if r.branch == "jc" and r.eta > 0 < r.b_om}
+        built, scanned = self._count(monkeypatch)
+        assert main(["lag", "--preset", "fig1", "--out", str(tmp_path / "fig1.csv")]) == 0
+        assert len(built) == len(scanned) == len(keys) == 140 and all(a is b for a, b in zip(built, scanned))
+
+    def test_rows_that_share_a_key_build_one(self, monkeypatch):
+        # Temperatures b_nu = 2^-k keep r_w0 and r_om exact, so the four JC rows of each m share one scan key.
+        rps = [
+            ReducedParams(2.0**-k, 2.0**-k * 3.0, 2.0**-k * 0.9, 0.4, m, branch)
+            for k in range(4) for m in (1, 2) for branch in (Branch.JC, Branch.AJC)
+        ]  # fmt: skip
+        columns = params.ReducedColumns.of(rps)
+        built, scanned = self._count(monkeypatch)
+        diverges = lag_columns(columns, TruncationPolicy(n_pinned=40)).divergence_predicted
+        assert len(built) == len(scanned) == 2 and [rp.m for rp in scanned] == [1, 2]
+        assert diverges == [divergence_predicate_reduced(rp).diverges for rp in rps]
+
+
+class TestEdgeBuffers:
+    """The edge factor of an excess term call writes into its argument and makes one new array."""
+
+    A = np.concatenate([[1e-17, 5e-17, 6e-17, 1e-16, 1e-3, 0.4, 30.0, 400.0, 800.0], np.geomspace(1e-18, 1e3, 4087)])
+
+    @np.errstate(divide="ignore")  # log1p(-1) before the fallback, as in the kernel
+    def test_array_form_keeps_the_unfused_bits(self):
+        expected = np.log1p(-np.exp(-2.0 * self.A))
+        at_one = np.exp(-2.0 * self.A) == 1.0
+        expected[at_one] = np.log(-np.expm1(-2.0 * self.A[at_one]))
+        assert 0 < at_one.sum() < at_one.size
+        arg = self.A.reshape(8, 512).copy()
+        out = thermo._log1m_exp_neg2(arg)
+        assert out.tobytes() == expected.tobytes() and arg.tobytes() == (-2.0 * self.A).tobytes()
+
+    @np.errstate(divide="ignore")
+    def test_one_new_array_per_call(self):
+        arg = self.A.reshape(8, 512).copy()
+        tracemalloc.start()
+        try:
+            thermo._log1m_exp_neg2(arg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * arg.nbytes  # the result and the at-one mask, not three [rows x n] temporaries
+
+    @pytest.mark.parametrize("policy", [TruncationPolicy(n_pinned=40), TruncationPolicy(n_pinned=600)], ids=["40", "600"])
+    def test_block_with_a_fallback_row_keeps_its_one_row_bits(self, policy, monkeypatch):
+        # beta = 2 /J puts a_full below 1e-16 in every fig1 term (log(-expm1(-2a))); desk rows take log1p.
+        extreme = [reduce(dict(FIG1, beta=2.0), m, branch_for(m, Branch.JC), 0.3) for m in (0, 1)]
+        desk = [desk_reduced(m, branch_for(m, Branch.AJC), 0.8) for m in (0, 1, 2)]
+        rps = desk[:2] + extreme + desk[2:]
+        calls = []
+        real = thermo._log1m_exp_neg2
+
+        def spy(a):
+            if isinstance(a, np.ndarray):
+                calls.append((a.shape[0], bool(np.any(np.exp(-2.0 * a) == 1.0)), bool(np.all(np.exp(-2.0 * a) == 1.0))))
+            return real(a)
+
+        monkeypatch.setattr(thermo, "_log1m_exp_neg2", spy)
+        rows = _lag_rows(rps, policy)
+        assert (len(rps), True, False) in calls  # one edge block, some rows at the fallback
+        for rp, row in zip(rps, rows):
+            (alone,) = _lag_rows([rp], policy)
+            assert (row.value.hex(), row.tail_bound_log.hex(), row.stop_reason) == (
+                alone.value.hex(), alone.tail_bound_log.hex(), alone.stop_reason
+            )
+            assert row.value.hex() == _one_row(rp, policy)[0].hex()
 
 
 class TestStopReason:
