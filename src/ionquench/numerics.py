@@ -27,7 +27,6 @@ __all__ = [
     "CouplingValue",
     "LaguerreState",
     "LAGUERRE_START",
-    "laguerre_assoc",
     "coupling_f",
     "coupling_values",
     "coupling_logabs_sequence",
@@ -72,38 +71,14 @@ class CouplingValue:
         return self.phase_factor * self.sign * self.magnitude
 
 
-def _require_indices(what: str, names: tuple[str, str], n, m) -> None:
-    """ValueError naming the first of n and m that is not a nonnegative integer (numbers.Integral).
+def _require_indices(n_max, m) -> None:
+    """ValueError naming the first of n_max and m that is not a nonnegative integer (numbers.Integral).
 
-    Callers test type(index) is int first: the ABC's isinstance costs about 1 us a call.
+    The caller tests type(index) is int first: the ABC's isinstance costs about 1 us a call.
     """
-    for name, index in zip(names, (n, m)):
+    for name, index in (("n_max", n_max), ("m", m)):
         if not isinstance(index, numbers.Integral) or index < 0:
-            raise ValueError(f"{what} index {name} must be a nonnegative integer, got {index!r}")
-
-
-def laguerre_assoc(n: int, m: int, x: float) -> float:
-    """Associated Laguerre polynomial L_n^m(x) by the three-term recurrence.
-
-    L_{k+1}^m = ((2k + m + 1 - x) L_k^m - (k + m) L_{k-1}^m) / (k + 1),
-    seeded with L_0^m = 1 and L_1^m = m + 1 - x.  Raises OverflowError if the
-    value leaves the double range; callers needing large n use the log-domain
-    coupling instead.  n and m must be nonnegative integers, as in
-    coupling_logabs_sequence, else ValueError.
-    """
-    if not (type(n) is int and type(m) is int and n >= 0 and m >= 0):
-        _require_indices("Laguerre", ("n", "m"), n, m)
-    if x < 0:
-        raise ValueError("Laguerre argument must be nonnegative")
-    if n == 0:
-        return 1.0
-    prev = 1.0
-    curr = m + 1.0 - x
-    for k in range(1, n):
-        prev, curr = curr, ((2.0 * k + m + 1.0 - x) * curr - (k + m) * prev) / (k + 1.0)
-    if not math.isfinite(curr):
-        raise OverflowError(f"L_{n}^{m}({x}) overflows double precision")
-    return curr
+            raise ValueError(f"coupling index {name} must be a nonnegative integer, got {index!r}")
 
 
 class LaguerreState(NamedTuple):
@@ -203,7 +178,7 @@ def coupling_logabs_sequence(n_max: int, m: int, eta: float, *, resume: Laguerre
     m must be nonnegative integers (numbers.Integral), else ValueError.
     """
     if not (type(n_max) is int and type(m) is int and n_max >= 0 and m >= 0):
-        _require_indices("coupling", ("n_max", "m"), n_max, m)
+        _require_indices(n_max, m)
     if not eta >= 0:  # also rejects nan
         raise ValueError("Lamb-Dicke parameter must be nonnegative")
     x = eta_squared(eta)

@@ -17,16 +17,17 @@ materializes).  Two algebraic facts carry the module:
   A_n = (X_n + |b_wl|/2)/2, B_n = (X_n - |b_wl|/2)/2 and
   X_n = sqrt(b_wl^2 + u_n^2)/2.
 
-The default assembly therefore writes Z_final = Z_initial + excess, which
-makes the lag log(Z_f/Z_i) = log1p(excess/Z_i) nonnegative by construction,
-exact in every decoupling limit, and equipped with an analytic tail bound:
-the geometric factor of the neglected excess tail cancels against the
-(nbar+1) inside Z_initial, so convergence is certified even when b_nu is
-tiny (nbar ~ 1e6) after a few hundred explicit terms.  The literal term-by-
-term assembly is kept as assembly="direct" for cross-validation.
+The module therefore writes Z_final = Z_initial + excess, which makes the
+lag log(Z_f/Z_i) = log1p(excess/Z_i) nonnegative by construction, exact in
+every decoupling limit, and equipped with an analytic tail bound: the
+geometric factor of the neglected excess tail cancels against the (nbar+1)
+inside Z_initial, so convergence is certified even when b_nu is tiny
+(nbar ~ 1e6) after a few hundred explicit terms.  This is the one assembly
+of Z_final; ionquench.verify compares it with the Boltzmann sum over
+spectra.spectrum_table and with a dense diagonalization.
 
-Every partition sum, pinned or adaptive, excess or direct, is folded by one
-engine, _log_sums, with a stop state per row.
+Every partition sum, pinned or adaptive, is folded by one engine,
+_log_sums, with a stop state per row.
 """
 
 from __future__ import annotations
@@ -72,11 +73,11 @@ _LN2 = math.log(2.0)
 # chunks.  A call that tests rows for settling (pinned excess sums) has
 # budget _TERM_BUDGET: 16 chunks of a lone row, one chunk of each of 16 rows;
 # a row that settles early in a call wastes the rest of it.  A call that
-# tests none (adaptive excess sums, the direct assembly) ends only at stops
-# known before its first term, so it takes _WIDE_BUDGET, 64 chunks: four of
-# each of 16 rows.  The recurrence grows a coupling key _TERM_BUDGET terms a
-# call.  In deep_sums (seed 1) this makes 127 term calls, not 455, while the
-# 40 recurrence calls and their 278528 steps stay as they were.
+# tests none (adaptive excess sums) ends only at stops known before its
+# first term, so it takes _WIDE_BUDGET, 64 chunks: four of each of 16 rows.
+# The recurrence grows a coupling key _TERM_BUDGET terms a call.  In
+# deep_sums (seed 1) this makes 127 term calls, not 455, while the 40
+# recurrence calls and their 278528 steps stay as they were.
 _CHUNK = 512
 _TERM_BUDGET = 16 * _CHUNK
 _WIDE_BUDGET = 4 * _TERM_BUDGET
@@ -559,70 +560,15 @@ def _excess_block(cols: ReducedColumns, policy: TruncationPolicy) -> tuple:
     return lag, stops, tail_bound_log, converged, reasons
 
 
-def _edge_shifted_log(rp: ReducedParams) -> float:
-    """Shifted log of the decoupled-edge contribution to the final partition sum."""
-    if rp.m == 0:
-        return -math.inf
-    base = rp.ln_nbar_plus_1 + math.log(-math.expm1(-rp.m * rp.b_nu))
-    if rp.branch is Branch.AJC:
-        return base - rp.b_w0
-    return base
-
-
-def ln_partition_final(
-    rp: ReducedParams,
-    policy: TruncationPolicy | None = None,
-    assembly: str = "excess",
-) -> LogPartition:
+def ln_partition_final(rp: ReducedParams, policy: TruncationPolicy | None = None) -> LogPartition:
     """Shifted log of the post-quench partition function.
 
-    assembly="excess" (default) adds the coupling-induced excess onto the
-    closed-form baseline, which equals the initial partition function
-    exactly; assembly="direct" sums the coupled-pair terms and the edge term
-    literally, in fixed ascending order, and exists to cross-check the
-    default path.
+    The coupling-induced excess added onto the closed-form baseline, which
+    equals the initial partition function exactly: ln_partition_initial(rp)
+    plus the lag of nonequilibrium_lag(rp, policy), with its truncation.
     """
-    policy = policy or TruncationPolicy()
-    if assembly == "excess":
-        ((lag, *report),) = zip(*_excess_lags(ReducedColumns.of([rp]), policy))
-        return LogPartition(ln_partition_initial(rp).shifted_log + lag, TruncationReport(*report))
-    if assembly == "direct":
-        return _ln_partition_final_direct(rp, policy)
-    raise ValueError("assembly must be 'excess' or 'direct'")
-
-
-def _direct_term_logs(rp: ReducedParams, n_lo: int, n_hi: int) -> np.ndarray:
-    """Shifted log of 2 e^(-b_nu(n+m/2)) cosh(X_n) for n in [n_lo, n_hi)."""
-    u = rp.b_om * _coupling_rows(((rp.m, rp.eta),), n_lo, n_hi)[0]
-    rows = _rows_of([rp])
-    half_ss = 0.5 * (rows.d_aw[0] + sqrt_excess(rows.abs_bwl[0], u))  # X_n - b_w0/2
-    x_full = half_ss + 0.5 * rp.b_w0
-    ns = np.arange(n_lo, n_hi, dtype=float)
-    return -rp.b_nu * (ns + 0.5 * rp.m) + half_ss + np.log1p(np.exp(-2.0 * x_full))
-
-
-def _ln_partition_final_direct(rp: ReducedParams, policy: TruncationPolicy) -> LogPartition:
-    # Shifted log of the terms past n: each is at most 2 e^(-b_nu(n+m/2)) e^(X_max),
-    # with the splitting at the u = b_om envelope of the coupling.
-    rows = _rows_of([rp])
-    env = 0.5 * (rows.d_aw.item() + sqrt_excess(rows.abs_bwl, rp.b_om).item())
-    tail = lambda n: _LN2 + env - rp.b_nu * (n + 0.5 * rp.m) + rp.ln_nbar_plus_1
-    # Z_final >= Z_initial exactly, so a tail below tol of Z_initial certifies the stop.
-    ln_zi = ln_partition_initial(rp).shifted_log
-    log_tol = math.log(policy.tol)
-    stops, (stop_reason,) = _stops(policy, lambda n: tail(n) - ln_zi <= log_tol, 1)
-    term_logs = lambda live, lo, hi: _direct_term_logs(rp, lo, hi)[None, :]
-    (running,), _ = _log_sums(term_logs, stops)
-    n_done = int(stops[0])
-    total = float(np.logaddexp(running, _edge_shifted_log(rp)))
-    tail_bound_log = tail(n_done) - max(total, ln_zi)
-    converged = tail_bound_log <= log_tol
-    report = TruncationReport(
-        n_used=n_done, tail_bound_log=tail_bound_log, converged=converged, stop_reason=stop_reason
-    )
-    if not converged and policy.n_pinned is None and policy.error_on_nonconverged:
-        raise TruncationError(report, f"direct partition sum not converged after {n_done} terms")
-    return LogPartition(shifted_log=total, truncation=report)
+    ((lag, *report),) = zip(*_excess_lags(ReducedColumns.of([rp]), policy or TruncationPolicy()))
+    return LogPartition(ln_partition_initial(rp).shifted_log + lag, TruncationReport(*report))
 
 
 def nonequilibrium_lag(rp: ReducedParams, policy: TruncationPolicy | None = None) -> LagResult:
@@ -742,8 +688,14 @@ def _phi_scan(rp: ReducedParams) -> tuple[list[int], list[int]]:
 
 
 def default_scan_bound(m: int) -> int:
-    """Witnesses beyond this are impossible: |f_n^m| decays in n while the
-    divergence threshold grows like sqrt(n).
+    """How far _phi_scan looks for witnesses: a heuristic, not a proved bound.
+
+    It assumes |f_n^m| decays in n while the divergence threshold grows like
+    sqrt(n).  That is false at small eta, where |f_n^m| grows like n^(m/2)
+    up to n of order m^2/(4 eta^2): a JC row with m = 2, eta = 0.05,
+    omega0/nu = 1e4 and omega_rabi/nu = 1.36e4 has 792 negative Phi_n at
+    n = 197..988, past this bound of 120, so its verdict reads finite.  A
+    proved bound is ROADMAP item 3.
 
     A scan extends the coupling cache of its key to this bound; a JC row
     that _jc_phi_positive clears is not scanned, so its key is filled only

@@ -46,47 +46,96 @@ def _laguerre_explicit(n: int, m: int, x: Fraction) -> Fraction:
     return Fraction(num, n_fact * q**n)
 
 
+def _laguerre_integer(n_max: int, m: int, x: Fraction) -> list[float]:
+    """L_n^m(x) for n = 0..n_max, each correctly rounded, by the three-term recurrence run in integers.
+
+    With x = p/q and A_k = k! q^k L_k^m(x), the recurrence becomes
+    A_(k+1) = ((2k+m+1) q - p) A_k - (k+m) k q^2 A_(k-1), with A_0 = 1 and
+    A_(-1) = 0; L_n = A_n / (n! q^n) is one correctly rounded int division.
+    """
+    p, q = x.numerator, x.denominator
+    prev, curr, denom = 0, 1, 1
+    out = [1.0]
+    for k in range(n_max):
+        prev, curr = curr, ((2 * k + m + 1) * q - p) * curr - (k + m) * k * q * q * prev
+        denom *= (k + 1) * q
+        out.append(curr / denom)
+    return out
+
+
+def _laguerre_factors(n_max: int, m: int, eta: float) -> list[float]:
+    """L_n^m(eta^2) for n = 0..n_max, read off the kernel's couplings coupling_logabs_sequence(n_max, m, eta).
+
+    The log of the prefactor of f_n^m, m log eta - eta^2/2 +
+    log sqrt(n!/(n+m)!), formed here with math.lgamma, is taken off each
+    log magnitude.
+    """
+    signs, log_mags = numerics.coupling_logabs_sequence(n_max, m, eta)
+    log_eta_m = m * math.log(eta) - 0.5 * eta * eta
+    return [
+        sign * math.exp(log_mag - log_eta_m - 0.5 * (math.lgamma(n + 1) - math.lgamma(n + m + 1)))
+        for n, (sign, log_mag) in enumerate(zip(signs.tolist(), log_mags.tolist()))
+    ]
+
+
 def _hermitian_norm(mat: np.ndarray) -> float:
     """Spectral norm of a Hermitian matrix: its largest |eigenvalue|."""
     return float(np.max(np.abs(np.linalg.eigvalsh(mat))))
 
 
 def check_laguerre_recurrence(rng) -> CheckResult:
+    """The kernel's Laguerre factors against the exact rational sum _laguerre_explicit, n <= 12.
+
+    One coupling_logabs_sequence run per (m, eta), at x = eta^2 = 0.25, 1,
+    2.25 and 9; the error is relative to max(|L_n^m|, 1).
+    """
     worst = 0.0
-    for n in range(13):
-        for m in range(7):
-            for x in (0.0, 0.25, 1.0, 2.25, 9.0):
-                ref = float(_laguerre_explicit(n, m, Fraction(x)))
-                got = numerics.laguerre_assoc(n, m, x)
-                err = abs(got - ref) / max(abs(ref), 1.0)
-                worst = max(worst, err)
+    for m in range(7):
+        for eta in (0.5, 1.0, 1.5, 3.0):
+            for n, got in enumerate(_laguerre_factors(12, m, eta)):
+                ref = float(_laguerre_explicit(n, m, Fraction(eta * eta)))
+                worst = max(worst, abs(got - ref) / max(abs(ref), 1.0))
     return CheckResult("laguerre_recurrence_vs_explicit_sum", worst <= 1e-10, f"max rel err {worst:.2e}")
 
 
 def check_laguerre_at_zero(rng) -> CheckResult:
+    """The kernel's Laguerre factors at eta = 2^-30 against C(n+m, m) and the exact _laguerre_integer.
+
+    There L_n^m(x) = C(n+m, m) (1 + O(n x)) with n x below 2e-17, so both
+    references are the same double.  The kernel carries f_n^m as a log
+    magnitude near -21 m, whose last bit alone is a relative 2.8e-14 at m = 7.
+    """
+    eta = 2.0**-30
     worst = 0.0
-    for n in range(20):
-        for m in range(8):
-            ref = math.comb(n + m, m)
-            worst = max(worst, abs(numerics.laguerre_assoc(n, m, 0.0) - ref) / ref)
+    for m in range(8):
+        exact = _laguerre_integer(19, m, Fraction(eta * eta))
+        for n, got in enumerate(_laguerre_factors(19, m, eta)):
+            for ref in (math.comb(n + m, m), exact[n]):
+                worst = max(worst, abs(got - ref) / ref)
     return CheckResult("laguerre_value_at_zero", worst <= 1e-13, f"max rel err {worst:.2e}")
 
 
 def check_coupling_reconstruction(rng) -> CheckResult:
+    """coupling_logabs_sequence(30, m, eta) against f_n^m from the recurrence run exactly in integers.
+
+    The etas are dyadic, so x = eta^2 is exact, p/q with q a small power of
+    2; the prefactor eta^m sqrt(n!/(n+m)!) e^(-x/2) is formed in floats.
+    The error is relative to the largest |f_k^m| of each (m, eta) sequence,
+    not pointwise: next to a root of L_n^m the value carries an absolute
+    error of a few ulps of that scale, 4.8e-12 of the tiny value there
+    against 4.9e-15 of the largest.
+    """
     worst = 0.0
     for m in range(5):
-        for eta in (0.1, 0.5, 1.0, 1.5, 2.0, 2.5, 3.5):
+        for eta in (0.125, 0.5, 1.0, 1.5, 2.0, 2.5, 3.5):
             signs, log_mags = numerics.coupling_logabs_sequence(30, m, eta)
-            for n, got in enumerate((signs * np.exp(log_mags)).tolist()):
-                direct = (
-                    eta**m
-                    * math.sqrt(math.factorial(n) / math.factorial(n + m))
-                    * math.exp(-eta * eta / 2.0)
-                    * numerics.laguerre_assoc(n, m, eta * eta)
-                )
-                err = abs(got - direct) / max(abs(direct), 1e-30)
-                if abs(direct) > 1e-280:
-                    worst = max(worst, err)
+            got = signs * np.exp(log_mags)
+            x = eta * eta
+            ref = [
+                eta**m * math.sqrt(math.factorial(n) / math.factorial(n + m)) * math.exp(-0.5 * x) * lag
+                for n, lag in enumerate(_laguerre_integer(30, m, Fraction(x)))
+            ]
+            worst = max(worst, float(np.max(np.abs(got - ref))) / max(map(abs, ref)))
     return CheckResult("coupling_log_reconstruction", worst <= 1e-12, f"max rel err {worst:.2e}")
 
 
@@ -297,14 +346,30 @@ def check_partition_dense_oracle(rng) -> CheckResult:
     return CheckResult("partition_vs_dense_oracle", worst <= 1e-8, f"max rel dev {worst:.2e}")
 
 
-def check_direct_vs_excess_assembly(rng) -> CheckResult:
+def _boltzmann_ln_partition(rp: ReducedParams) -> float:
+    """Shifted log Z_final as the term-by-term Boltzmann sum over spectra.spectrum_table.
+
+    log_sum_exp(-b_nu E) - b_w0/2 over the edge, mu and gamma eigenvalues E
+    of blocks n = 0..N.  A pair's shifted weight is at most
+    2 e^(b_om/2 - b_nu n), so the levels past N weigh at most
+    2 e^(b_om/2 - b_nu (N+1)) (nbar+1), and Z_final >= nbar+1: N makes
+    that dropped share below 1e-16.
+    """
+    n_trunc = math.ceil((math.log(2e16) + 0.5 * rp.b_om) / rp.b_nu)
+    table = spectra.spectrum_table(rp, n_trunc)
+    energies = np.concatenate((table.edge, table.mu, table.gamma))
+    return numerics.log_sum_exp(-rp.b_nu * energies) - 0.5 * rp.b_w0
+
+
+def check_partition_assembly(rng) -> CheckResult:
+    """ln_partition_final against the Boltzmann sum over the analytic spectrum (_boltzmann_ln_partition)."""
     worst = 0.0
     for _ in range(8):
         m = int(rng.integers(0, 3))
         branch = (Branch.JC, Branch.AJC)[int(rng.integers(0, 2))] if m > 0 else Branch.CARRIER
         rp = _desk(m, branch, float(rng.uniform(0.0, 2.5)), nbar=float(rng.uniform(0.05, 3.0)))
-        a = thermo.ln_partition_final(rp, assembly="excess").shifted_log
-        b = thermo.ln_partition_final(rp, assembly="direct").shifted_log
+        a = thermo.ln_partition_final(rp).shifted_log
+        b = _boltzmann_ln_partition(rp)
         worst = max(worst, abs(a - b) / max(abs(a), 1e-6))
     return CheckResult("partition_assembly_crosscheck", worst <= 1e-12, f"max rel dev {worst:.2e}")
 
@@ -408,7 +473,7 @@ FULL_ONLY_CHECKS = (
     check_block_sparsity,
     check_carrier_branch_consistency,
     check_partition_dense_oracle,
-    check_direct_vs_excess_assembly,
+    check_partition_assembly,
     check_moment_oracle,
     check_pmf_consistency,
     check_displacement_unitarity,

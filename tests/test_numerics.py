@@ -8,13 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import eval_genlaguerre
 
-from ionquench import numerics
+from ionquench import numerics, verify
 from ionquench.numerics import (
     LAGUERRE_START,
     LaguerreState,
     coupling_f,
     coupling_logabs_sequence,
-    laguerre_assoc,
     lncosh,
     lnsinh,
     log_sum_exp,
@@ -37,57 +36,52 @@ def laguerre_sum_exact(n: int, m: int, x: Fraction) -> Fraction:
 class TestLaguerre:
     def test_order_zero_is_one(self):
         for m in (0, 1, 5):
-            for x in (0.0, 0.3, 7.0):
-                assert laguerre_assoc(0, m, x) == 1.0
+            for eta in (0.3, 1.0, 7.0):
+                assert verify._laguerre_factors(0, m, eta)[0] == pytest.approx(1.0, rel=1e-14)
 
     def test_frozen_point(self):
         # Exact-rational oracle gives 3 - 6 + 2 = -1.
         assert laguerre_sum_exact(2, 1, Fraction(2)) == -1
-        assert laguerre_assoc(2, 1, 2.0) == pytest.approx(-1.0, rel=1e-14)
+        assert verify._laguerre_factors(2, 1, 2.0**0.5)[2] == pytest.approx(-1.0, rel=1e-14)
 
     def test_matches_scipy(self):
-        for n in (3, 17, 40):
-            for m in (0, 2, 5):
-                for x in (0.04, 1.7, 12.25):
-                    assert laguerre_assoc(n, m, x) == pytest.approx(
-                        float(eval_genlaguerre(n, m, x)), rel=1e-9, abs=1e-9
-                    )
-
-    def test_overflow_reported(self):
-        with pytest.raises(OverflowError):
-            laguerre_assoc(3000, 0, 2500.0)
+        for m in (0, 2, 5):
+            for eta in (0.2, 1.7**0.5, 3.5):
+                got = verify._laguerre_factors(40, m, eta)
+                for n in (3, 17, 40):
+                    assert got[n] == pytest.approx(float(eval_genlaguerre(n, m, eta * eta)), rel=1e-9, abs=1e-9)
 
     def test_log_sequence_tracks_overflowing_values(self):
         # f_n^0(50) = e^(-1250) L_n(2500): the log sequence carries L_n past overflow.
         signs, log_mags = coupling_logabs_sequence(3000, 0, 50.0)
         assert np.isfinite(log_mags[3000])
-        # Moderate entries agree with the linear recurrence.
+        # Moderate entries agree with the exact sum.
         for n in (1, 10, 60):
-            ref = laguerre_assoc(n, 0, 2500.0)
+            ref = laguerre_sum_exact(n, 0, Fraction(2500))
             assert signs[n] == (1 if ref > 0 else -1)
             assert log_mags[n] + 1250.0 == pytest.approx(math.log(abs(ref)), rel=1e-12)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            laguerre_assoc(-1, 0, 1.0)
-        with pytest.raises(ValueError):
-            laguerre_assoc(2, 0, -1.0)
+            coupling_logabs_sequence(-1, 0, 1.0)
+        for eta in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="^Lamb-Dicke parameter must be nonnegative$"):
+                coupling_logabs_sequence(2, 0, eta)
 
     @pytest.mark.parametrize(
         "n, m, name",
         [(2.5, 1, "n"), (3, 1.5, "m"), (-1, 1, "n"), (3, -2, "m"), (np.int64(-1), 1, "n"), (2, np.int64(-3), "m")],
     )
     def test_bad_index_is_named_as_by_the_coupling_recurrence(self, n, m, name):
-        # The check coupling_logabs_sequence makes: a fractional index used to raise TypeError (n)
-        # or give a value (m = 1.5 gave 4.398).
+        # A fractional index used to raise TypeError (n) or give a value (m = 1.5 gave 4.398).
         value = re.escape(repr(n if name == "n" else m))
-        with pytest.raises(ValueError, match=rf"^Laguerre index {name} must be a nonnegative integer, got {value}$"):
-            laguerre_assoc(n, m, 0.3)
         with pytest.raises(ValueError, match=rf"^coupling index {name}(_max)? must be a nonnegative integer, got {value}$"):
             coupling_logabs_sequence(n, m, 0.3)
 
     def test_numpy_integer_indices(self):
-        assert laguerre_assoc(np.int64(3), np.int64(1), 0.3) == laguerre_assoc(3, 1, 0.3)
+        signs, log_mags = coupling_logabs_sequence(np.int64(3), np.int64(1), 0.3)
+        ref_signs, ref_log_mags = coupling_logabs_sequence(3, 1, 0.3)
+        assert signs.tobytes() == ref_signs.tobytes() and log_mags.tobytes() == ref_log_mags.tobytes()
 
 
 class TestCoupling:
