@@ -32,7 +32,6 @@ from .presets import FIG1_CONFIG, desk_scale_point, figure_presets
 from .spectra import dense_hamiltonians, spectrum_table
 from .sweep import ResultRow, SweepSpec, run_specs
 from .thermo import TruncationPolicy
-from .verify import run_checks
 from .workstats import moments_analytic, moments_numeric
 
 _EXIT_OK = 0
@@ -47,8 +46,8 @@ _MAX_THREADS = 64
 # moments --numeric-oracle builds dense 2(nmax+1)-square operators; at this
 # maximum a row takes about 1.2 s and 105 MB, and the cost grows like nmax^3.
 _MAX_ORACLE_NMAX = 400
-# The divergence scan builds a (10m + 100) x m matrix, so memory grows like
-# m^2; at this maximum a lag row peaks near 37 MB.
+# The recurrence builds an 8192 x m matrix per call; at this maximum a lag
+# row whose divergence scan runs to the term cap peaks near 58 MB.
 _MAX_SIDEBAND = 200
 # sweep --grid min:max:count; the presets' largest grid has 71 points.
 _MAX_GRID_COUNT = 10_000
@@ -459,6 +458,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import run_checks  # here, so that no other subcommand imports verify and fractions
     results = run_checks(args.level, seed=args.seed)
     for res in results:
         print(f"{'PASS' if res.passed else 'FAIL'} {res.name}: {res.detail}")

@@ -28,6 +28,10 @@ spectra.spectrum_table and with a dense diagonalization.
 
 Every partition sum, pinned or adaptive, is folded by one engine,
 _log_sums, with a stop state per row.
+
+Whether the lag diverges as T -> 0 is read from the signs of the exponents
+Phi_n^m up to one proved end (_scan_end), and decided by one rule
+(_diverges) that lag_columns and both scalar classifiers read.
 """
 
 from __future__ import annotations
@@ -81,6 +85,8 @@ _LN2 = math.log(2.0)
 _CHUNK = 512
 _TERM_BUDGET = 16 * _CHUNK
 _WIDE_BUDGET = 4 * _TERM_BUDGET
+# The term cap: the default n_cap of a sum, and the furthest n a divergence scan reaches (see _phi_scan).
+_TERM_CAP = 200_000
 
 
 @dataclass(frozen=True)
@@ -97,7 +103,7 @@ class TruncationPolicy:
     """
 
     n_pinned: int | None = None
-    n_cap: int = 200_000
+    n_cap: int = _TERM_CAP
     tol: float = 1e-12
     error_on_nonconverged: bool = True
 
@@ -229,10 +235,9 @@ def _grow_coupling(key: tuple[int, float], entry, n_max: int):
     A new key is filled only to the n_max asked: a pinned row needs one
     recurrence call for its terms, and an adaptive block grows each key
     once, to the furthest stop among its rows (see _excess_block).  A
-    divergence scan that still runs (see _jc_phi_positive) extends the key
-    like any longer request.  A recurrence call computes at most
-    _TERM_BUDGET terms, so its lists and arrays stay small, and each
-    segment is exponentiated once, as it is stored.  A resumed call returns
+    divergence scan extends it to the scan's end (see _phi_scan).  A
+    recurrence call computes at most _TERM_BUDGET terms, so its lists and
+    arrays stay small, and each segment is exponentiated once, as stored.  A resumed call returns
     log magnitudes only, taken straight from the recurrence's values: no
     sign array is built, as |f| needs none.  An extension computes only the
     missing terms; the array doubles in capacity when full, so copying stays
@@ -595,20 +600,18 @@ def lag_columns(rps: ReducedColumns | list[ReducedParams], policy: TruncationPol
     """
     cols = ReducedColumns.of(rps)
     lags = _excess_lags(cols, policy or TruncationPolicy())
-    # _diverges_at_zero on columns: a row that reads witnesses (a live JC sideband, sign -1) diverges iff it has
-    # a negative one, any other iff it is live.  Witnesses are kept under (m, r_w0, r_om, eta), the only inputs
-    # of the scan, and taken on each key's first row.
-    alive = _coupling_alive(cols)
-    diverges = alive.tolist()
-    rows = np.flatnonzero(alive & (cols.sign < 0) & (cols.m > 0)).tolist()
-    keys = list(zip(*(column[rows].tolist() for column in (cols.m, cols.r_w0, cols.r_om, cols.eta))))
-    firsts: dict = {}
-    for i, key in zip(rows, keys):
-        firsts.setdefault(key, i)
-    scanned = cols.params(list(firsts.values()))
-    negatives = {key: bool(divergence_predicate_reduced(rp).witnesses) for key, rp in zip(firsts, scanned)}
-    for i, key in zip(rows, keys):
-        diverges[i] = negatives[key]
+    b_nu, b_w0, b_om, eta, m = (column.tolist() for column in cols[:5])
+    scans: dict = {}  # one scan per key (m, r_w0, r_om, eta), the only inputs of the scan, on its first row
+
+    def negative(i: int, key: tuple) -> bool:  # _diverges calls it on JC sidebands only
+        if key not in scans:
+            rp = ReducedParams(b_nu[i], b_w0[i], b_om[i], eta[i], m[i], Branch.JC)
+            scans[key] = bool(divergence_predicate_reduced(rp).witnesses)
+        return scans[key]
+
+    keys = zip(m, cols.r_w0.tolist(), cols.r_om.tolist(), eta)
+    rows = enumerate(zip(_coupling_alive(cols).tolist(), cols.sign.tolist(), keys))
+    diverges = [_diverges(alive, sign, key[0], lambda: negative(i, key)) for i, (alive, sign, key) in rows]
     return LagColumns(*lags, diverges)
 
 
@@ -620,10 +623,12 @@ def _phi_parts(rp: ReducedParams, n_max: int) -> tuple[np.ndarray, np.ndarray]:
 
     ladder = (2n+m) - (|r_wl| - r_w0) and excess = sqrt(r_wl^2 + u_n^2) - |r_wl|
     are each formed without cancellation, so the sign of Phi is reliable even
-    when it is ~1e-11 of omega0/nu.  Only the frequency ratios of rp enter,
-    not its temperature.
+    when it is ~1e-11 of omega0/nu.  u_n = r_om min(|f_n^m|, 1): |f| <= 1
+    holds exactly, but a computed |f_n^0| may exceed 1 (by 8e-8 at eta 1e-8
+    and n = 200000), and _scan_end needs u_n <= r_om.  Only the frequency
+    ratios of rp enter, not its temperature.
     """
-    u = rp.r_om * _coupling_rows(((rp.m, rp.eta),), 0, n_max + 1)[0]
+    u = rp.r_om * np.minimum(_coupling_rows(((rp.m, rp.eta),), 0, n_max + 1)[0], 1.0)
     r_wl, d_aw = _phi_offsets(rp)
     ladder = (2.0 * np.arange(n_max + 1, dtype=float) + rp.m) - d_aw
     return ladder, sqrt_excess(abs(r_wl), u)
@@ -633,27 +638,6 @@ def _phi_offsets(rp: ReducedParams) -> tuple[float, float]:
     """(r_wl, d_aw) of the Phi scan: omega_laser/nu, and |r_wl| - r_w0 formed without cancellation."""
     r_wl, delta = rp.r_wl, rp.branch.sideband_sign * rp.m  # delta = r_wl - r_w0, exact
     return r_wl, float(delta) if r_wl >= 0 else -2.0 * rp.r_w0 - delta
-
-
-def _jc_phi_positive(rp: ReducedParams) -> bool:
-    """Whether |f_n^m| <= 1 alone makes every Phi_n^m of a JC row positive, so no scan is needed.
-
-    The rule: r_om^2 < ladder_0 |r_wl|, where ladder_0 = m - d_aw is the
-    n = 0 ladder as _phi_parts forms it, 2 min(m, r_w0) up to rounding (JC:
-    2m when r_wl >= 0, 2 r_w0 when r_wl < 0).  It never holds at r_wl = 0.
-
-    Proof, for the floats _phi_scan computes.  Rounding is monotone and
-    2n + m >= m, so every ladder_n >= ladder_0.  The excess is
-    u^2/(hypot(|r_wl|, u) + |r_wl|) <= u^2/(2|r_wl|) up to a few ulps, and
-    u = r_om |f_n^m| <= r_om up to a few ulps, as |f| <= 1 (a computed |f|
-    may sit a few ulps above 1).  So the excess is below ladder_0/2 times
-    (1 + 1e-14): the rule keeps a factor 2 on the exact condition
-    r_om^2 < 2 ladder_0 |r_wl|.  Then Phi_n = ladder_n - excess is at least
-    about ladder_n/2 > 0: no negative witness, and no zero crossing either,
-    since that needs |Phi_n| <= 1e-9 (ladder_n + excess).
-    """
-    r_wl, d_aw = _phi_offsets(rp)
-    return rp.r_om**2 < (rp.m - d_aw) * abs(r_wl)
 
 
 def phi_reduced(n: int, rp: ReducedParams) -> float:
@@ -669,66 +653,80 @@ def phi_reduced(n: int, rp: ReducedParams) -> float:
 
 
 _PHI_ZERO_TOL = 1e-9
+# The zero band (1 + 2 _PHI_ZERO_TOL) and 32 ulps of rounding, the relative slack of _scan_end.
+_SCAN_SLACK = (1.0 + 2.0 * _PHI_ZERO_TOL) * (1.0 + 2.0**-48)
+
+
+def _scan_end(rp: ReducedParams) -> int:
+    """The last n at which the computed Phi_n^m may be negative or within _PHI_ZERO_TOL of zero, or -1 if none.
+
+    With a = |r_wl| and ladder_0 = m - d_aw, the n = 0 ladder of _phi_parts
+    (2 min(m, r_w0) on a JC sideband up to rounding, 0 on AJC and the
+    carrier, never negative), the end is floor((X S - ladder_0)/2), or -1
+    when that is negative, for the envelope X = min(r_om^2/(2a), r_om) and
+    S = _SCAN_SLACK.  The u branch caps it near r_om/2, also at a = 0.
+    Dead coupling gives -1: its lag is identically zero (see _coupling_alive).
+
+    Proof, for the floats _phi_parts and _phi_scan compute.  Let e = 2^-53,
+    T = _PHI_ZERO_TOL, and l, x the computed ladder_n and excess_n.
+    * Ladder: 2n + m is an exact integer and ladder_0 = fl(m - d_aw) >= 0,
+      so m - d_aw >= ladder_0 (1 - e) and l = fl(2n + m - d_aw) >=
+      (ladder_0 + 2n)(1 - e)^2.
+    * Excess: u = fl(r_om min(|f|, 1)) <= r_om, as rounding is monotone.
+      Exactly, q = u^2/(h + a) with h = sqrt(a^2 + u^2) >= max(a, u) is at
+      most min(u^2/(2a), u) <= X.  fl(u u), hypot (within an ulp), the sum
+      and the division round x to at most q (1 + 6e) <= X (1 + 6e).
+    * Flag: n is a witness or a zero crossing only if fl(l - x) <=
+      fl(T fl(l + x)).  When l > x, fl(l - x) >= (l - x)(1 - e), and the
+      right side is at most T (l + x)(1 + e)^2, so l <= x (1 + 2T)(1 + e).
+    So a flagged n has 2n + ladder_0 <= X (1 + 2T)(1 + 10e).  The end is
+    computed as floor(fl(fl(X S) - ladder_0)/2), with X rounded twice at
+    most and S >= (1 + 2T)(1 + 32e)(1 - e)^2 as a float, so fl(X S) -
+    ladder_0 rounds to at least X (1 + 2T)(1 + 25e) - ladder_0 >= 2n: every
+    flagged n is at most the end, and when fl(X S) < ladder_0 there is none.
+    The slack moves the end by X 1e-9 terms, less than one within the cap.
+    """
+    if not _coupling_alive(rp):
+        return -1
+    r_wl, d_aw = _phi_offsets(rp)
+    a = abs(r_wl)
+    envelope = rp.r_om if rp.r_om > 2.0 * a else rp.r_om * rp.r_om / (2.0 * a)  # r_om <= 2a makes a > 0
+    return max(-1, math.floor((envelope * _SCAN_SLACK - (rp.m - d_aw)) / 2.0))
 
 
 def _phi_scan(rp: ReducedParams) -> tuple[list[int], list[int]]:
-    """(strictly negative witnesses, zero crossings) of Phi_n^m for n <= default_scan_bound(m).
+    """(strictly negative witnesses, zero crossings) of Phi_n^m for n = 0..min(_scan_end(rp), _TERM_CAP).
 
     A value counts as zero when it is below 1e-9 of the two quantities whose
     difference it is (the level ladder nu(2n+m) -+ m nu and the dressed-
     splitting excess); measuring against omega0 instead would swallow every
-    trap-scale value once omega0/nu is large.  Only the frequency ratios of
-    rp enter, not its temperature.
+    trap-scale value once omega0/nu is large.  Nothing past the term cap is
+    read: one negative witness there still proves divergence, but a row
+    with none raises ValueError, as its verdict is not proved.
     """
-    ladder, excess = _phi_parts(rp, default_scan_bound(rp.m))
+    end = _scan_end(rp)
+    if end < 0:
+        return [], []
+    ladder, excess = _phi_parts(rp, min(end, _TERM_CAP))
     values = ladder - excess
     is_zero = np.abs(values) <= _PHI_ZERO_TOL * (np.abs(ladder) + np.abs(excess))
-    is_neg = (values < 0) & ~is_zero
-    return np.nonzero(is_neg)[0].tolist(), np.nonzero(is_zero)[0].tolist()
+    negative = np.nonzero((values < 0) & ~is_zero)[0].tolist()
+    if end > _TERM_CAP and not negative:
+        raise ValueError(
+            f"the zero-temperature scan must reach n = {end}, past the term cap {_TERM_CAP}, "
+            "and finds no negative Phi_n up to the cap: the divergence verdict is not proved"
+        )
+    return negative, np.nonzero(is_zero)[0].tolist()
 
 
-def default_scan_bound(m: int) -> int:
-    """How far _phi_scan looks for witnesses: a heuristic, not a proved bound.
+def _diverges(alive: bool, sign: int, m: int, negative) -> bool:
+    """The one zero-temperature verdict of a row: whether its lag diverges as T -> 0.
 
-    It assumes |f_n^m| decays in n while the divergence threshold grows like
-    sqrt(n).  That is false at small eta, where |f_n^m| grows like n^(m/2)
-    up to n of order m^2/(4 eta^2): a JC row with m = 2, eta = 0.05,
-    omega0/nu = 1e4 and omega_rabi/nu = 1.36e4 has 792 negative Phi_n at
-    n = 197..988, past this bound of 120, so its verdict reads finite.  A
-    proved bound is ROADMAP item 3.
-
-    A scan extends the coupling cache of its key to this bound; a JC row
-    that _jc_phi_positive clears is not scanned, so its key is filled only
-    to the terms its sum uses."""
-    return 10 * m + 100
-
-
-def _witnesses(rp: ReducedParams) -> tuple[list[int], list[int]]:
-    """(strictly negative witnesses, zero crossings) of Phi_n^m: the one scan every classifier reads.
-
-    Dead coupling has none, and neither has a JC row that _jc_phi_positive
-    clears (its proof rules out both); every other row is scanned by
-    _phi_scan.  Only the frequency ratios of rp enter, not its temperature.
+    A live JC sideband (alive, sign -1, m > 0) diverges iff negative(), that
+    is iff it has a negative witness; negative is called for no other row.
+    Any other row diverges iff its coupling is live, since then Phi_0 < 0.
     """
-    if not _coupling_alive(rp) or (rp.branch is Branch.JC and _jc_phi_positive(rp)):
-        return [], []
-    return _phi_scan(rp)
-
-
-def _reads_witnesses(rp: ReducedParams) -> bool:
-    """Whether the verdict on rp reads its witnesses: a JC sideband with live coupling."""
-    return rp.branch is Branch.JC and rp.m > 0 and _coupling_alive(rp)
-
-
-def _diverges_at_zero(rp: ReducedParams, negative: list[int]) -> bool:
-    """The one zero-temperature verdict, from the negative witnesses of _witnesses(rp).
-
-    A JC sideband diverges iff it has a negative witness.  Any other row
-    diverges iff its coupling is live, since then Phi_0 < 0; it reads no
-    witnesses, so its callers need not scan it, nor a dead JC sideband.
-    lag_columns takes the same verdict on columns.
-    """
-    return bool(negative) if _reads_witnesses(rp) else _coupling_alive(rp)
+    return negative() if alive and sign < 0 and m > 0 else alive
 
 
 def divergence_predicate_reduced(rp: ReducedParams) -> DivergenceReport:
@@ -738,23 +736,23 @@ def divergence_predicate_reduced(rp: ReducedParams) -> DivergenceReport:
     exponent is strictly negative); a JC quench diverges iff some exponent
     Phi_n^m turns negative, equivalently
     |f_n^m| > (2/omega_rabi) sqrt(nu (omega0 + n nu)(n+m)) for some n.
-    The witnesses are those of _witnesses, so a JC row that
-    _jc_phi_positive clears is not scanned.  Only the frequency ratios of
+    The verdict and witnesses of low_temperature_limit(rp): every witness
+    when _scan_end(rp) is within the term cap.  Only the frequency ratios of
     rp enter, not its temperature.
     """
-    negative, _ = _witnesses(rp)
-    return DivergenceReport(diverges=_diverges_at_zero(rp, negative), witnesses=negative)
+    limit = low_temperature_limit(rp)
+    return DivergenceReport(diverges=not limit.finite, witnesses=limit.negative_witnesses)
 
 
 def low_temperature_limit(rp: ReducedParams) -> LowTemperatureLimit:
     """Zero-temperature limit of the lag: log(1 + k) when finite.
 
-    k counts the exponents Phi_n^m within the documented zero tolerance.
-    The witnesses and the verdict are those of divergence_predicate_reduced,
-    so AJC and carrier quenches with live coupling never stay finite, and a
-    JC row that _jc_phi_positive clears is not scanned (its k is 0).  Only
-    the frequency ratios of rp enter, not its temperature.
+    k counts the exponents Phi_n^m within the documented zero tolerance, from
+    one _phi_scan, and the verdict is that of _diverges.  So AJC and carrier
+    quenches with live coupling never stay finite, and a row whose _scan_end
+    is -1 is not scanned (its k is 0).  Only the frequency ratios of rp
+    enter, not its temperature.
     """
-    negative, zeros = _witnesses(rp)
-    finite = not _diverges_at_zero(rp, negative)  # a finite row has no negative witness
+    negative, zeros = _phi_scan(rp)
+    finite = not _diverges(_coupling_alive(rp), rp.branch.sideband_sign, rp.m, lambda: bool(negative))
     return LowTemperatureLimit(finite, math.log1p(len(zeros)) if finite else None, len(zeros), negative)

@@ -135,6 +135,20 @@ class TestLagCommand:
         assert proc.returncode == 0, proc.stderr
         assert len(read_csv(out)) > 0
 
+    @pytest.mark.parametrize("command", ["lag", "sweep --axis nbar --values 0.5,5", "spectrum", "moments"])
+    def test_only_verify_imports_verify(self, command, tmp_path):
+        # verify and fractions are imported by the verify subcommand alone.
+        script = (
+            "import sys\n"
+            "from ionquench.cli import main\n"
+            f"code = main({[*command.split(), '--out', str(tmp_path / 'rows.csv')]!r})\n"
+            "sys.exit(code or ' '.join(sorted({'ionquench.verify', 'fractions'} & set(sys.modules))) or 0)\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+
     def test_preset_fig3_term_counts(self, tmp_path):
         out = tmp_path / "fig3.csv"
         assert main(["lag", "--preset", "fig3", "--out", str(out)]) == 0
@@ -313,7 +327,7 @@ class TestInputValidation:
         ],
     )
     def test_sideband_index_above_maximum_rejected(self, argv, tmp_path, capsys):
-        # Rejected before the (10m + 100) x m divergence scan is built.
+        # Rejected before any sum or divergence scan starts.
         out = tmp_path / "rows.csv"
         assert main([*argv, "--out", str(out)]) == 2
         assert f"{cli._MAX_SIDEBAND + 1} must lie in [0, {cli._MAX_SIDEBAND}]" in capsys.readouterr().err

@@ -323,56 +323,178 @@ class TestDivergencePredicate:
         assert len(flags) == 1440 and True in flags and False in flags
 
 
+def _brute_scan(rp, n_max):
+    """(negative witnesses, zero crossings) of Phi_n^m for every n <= n_max, from the floats of _phi_parts."""
+    ladder, excess = thermo._phi_parts(rp, n_max)
+    values = ladder - excess
+    is_zero = np.abs(values) <= 1e-9 * (np.abs(ladder) + np.abs(excess))
+    return np.nonzero((values < 0) & ~is_zero)[0].tolist(), np.nonzero(is_zero)[0].tolist()
+
+
+def _envelope(rp):
+    """min(r_om^2/(2|r_wl|), r_om): the |f| <= 1 bound on the dressed excess of rp."""
+    a = abs(rp.r_wl)
+    return rp.r_om if rp.r_om > 2.0 * a else rp.r_om**2 / (2.0 * a)
+
+
+def _ladder_0(rp):
+    """The n = 0 ladder: 2 min(m, r_w0) on a JC sideband, 0 on AJC and the carrier."""
+    return 2.0 * min(rp.m, rp.r_w0) if rp.branch is Branch.JC else 0.0
+
+
+def _past_the_envelope(rp):
+    """A scan length four times past the envelope, where no Phi_n^m can be flagged."""
+    return int(4.0 * _envelope(rp)) + 64
+
+
+def _threshold(r_w0, m, branch):
+    """The r_om at which the envelope of a JC row with these ratios reaches its n = 0 ladder 2 min(m, r_w0)."""
+    a = abs(r_w0 + branch.sideband_sign * m)
+    ladder_0 = 2.0 * min(m, r_w0)
+    return math.sqrt(2.0 * a * ladder_0) if ladder_0 <= 2.0 * a else ladder_0
+
+
 @st.composite
-def _jc_rows_about_the_skip_edge(draw):
-    """JC rows with r_om on both sides of the edge sqrt(2 min(m, r_w0) |r_wl|) of _jc_phi_positive."""
-    m = draw(st.integers(1, 30))
-    r_w0 = 10.0 ** draw(st.floats(math.log10(0.5), 12.0))
-    edge = math.sqrt(2.0 * min(m, r_w0) * abs(r_w0 - m))
-    r_om = max(edge, 1e-3) * 10.0 ** draw(st.floats(-1.0, 1.0))
-    eta = 10.0 ** draw(st.floats(-2.0, math.log10(5.0)))
-    return reduced_from_ratios(r_w0, r_om, eta, m, Branch.JC, nbar=0.5)
+def _rows_about_the_threshold(draw, branches=(Branch.JC, Branch.AJC), max_m=5, etas=(0.01, 0.5), log_r_w0=6.0):
+    """Rows with r_om from a tenth to ten times the JC threshold of _threshold (AJC rows take the same scale)."""
+    branch = draw(st.sampled_from(branches))
+    m = draw(st.integers(1, max_m))
+    r_w0 = 10.0 ** draw(st.floats(math.log10(0.5), log_r_w0))
+    r_om = _threshold(r_w0, m, branch) * 10.0 ** draw(st.floats(-1.0, 1.0))
+    eta = draw(st.floats(*etas))
+    return reduced_from_ratios(r_w0, r_om, eta, m, branch, nbar=0.5)
 
 
-class TestJcScanSkip:
-    """A JC row whose |f| <= 1 bound rules out every witness is not scanned."""
+class TestScanEnd:
+    """_scan_end bounds every n at which Phi_n^m is flagged, and the scan reads nothing past it."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(_rows_about_the_threshold())
+    def test_scan_matches_a_scan_well_past_the_envelope(self, rp):
+        negative, zeros = _brute_scan(rp, _past_the_envelope(rp))
+        report, limit = divergence_predicate_reduced(rp), low_temperature_limit(rp)
+        assert report.witnesses == limit.negative_witnesses == negative
+        assert limit.zero_count == len(zeros) and limit.finite is not report.diverges
+        assert report.diverges == (bool(negative) if rp.branch is Branch.JC else True)
 
     @settings(deadline=None, max_examples=300)
-    @given(_jc_rows_about_the_skip_edge())
-    def test_skip_agrees_with_the_full_scan(self, rp):
-        negative, zeros = thermo._phi_scan(rp)
-        report = divergence_predicate_reduced(rp)
-        assert (report.diverges, report.witnesses) == (bool(negative), negative)
-        # The limit that the full scan gives, skipped or not.
-        if negative:
-            full = thermo.LowTemperatureLimit(False, None, len(zeros), negative)
-        else:
-            full = thermo.LowTemperatureLimit(True, math.log1p(len(zeros)), len(zeros), [])
-        assert low_temperature_limit(rp) == full
-        if thermo._jc_phi_positive(rp):
-            assert negative == [] and zeros == []
-            # The proof's margin: Phi_n stays above half its ladder.
-            ladder, excess = thermo._phi_parts(rp, thermo.default_scan_bound(rp.m))
-            assert np.all(ladder - excess >= 0.5 * ladder * (1.0 - 1e-12))
+    @given(_rows_about_the_threshold(branches=(Branch.JC,), max_m=30, etas=(0.01, 5.0), log_r_w0=12.0))
+    def test_end_is_the_envelope_up_to_rounding(self, rp):
+        # Not a factor 2 past the envelope: the end moves by less than one term from floor((X - ladder_0)/2).
+        end, envelope, ladder_0 = thermo._scan_end(rp), _envelope(rp), _ladder_0(rp)
+        assert end == -1 or 2 * end + ladder_0 <= envelope * (1.0 + 3e-9) + 1e-9 * ladder_0
+        assert 2 * (end + 1) + ladder_0 > envelope * (1.0 - 1e-12)
+        negative, zeros = _brute_scan(rp, _past_the_envelope(rp))
+        assert all(n <= end for n in negative + zeros)
+        assert thermo._phi_scan(rp) == (negative, zeros)
 
     def test_fig1_block_is_not_scanned(self, monkeypatch):
         monkeypatch.setattr(thermo, "_phi_parts", lambda rp, n_max: pytest.fail("scanned"))
         rps = [classify_rp(FIG1, m, Branch.JC, eta) for m in (1, 2, 29) for eta in (0.5, 3.5)]
-        assert all(thermo._jc_phi_positive(rp) for rp in rps)
+        assert all(thermo._scan_end(rp) == -1 for rp in rps)
         assert not any(row.divergence_predicted for row in _lag_rows(rps, _pinned(40)))
         assert all(divergence_predicate_reduced(rp) == thermo.DivergenceReport(False, []) for rp in rps)
 
     def test_fig4_blocks_keep_their_scan(self):
         rps = [classify_rp(FIG4_LEFT, m, Branch.JC, 1.5) for m in (1, 2)]
         rps += [classify_rp(FIG4_RIGHT, m, Branch.JC, 1.0) for m in (1, 2)]
-        assert not any(thermo._jc_phi_positive(rp) for rp in rps)
+        assert [thermo._scan_end(rp) for rp in rps] == [1, 1, 3, 3]  # 110 and 120 terms under the old 10 m + 100
         assert [divergence_predicate_reduced(rp).witnesses for rp in rps] == [[0], [], [0], [0]]
 
     def test_low_temperature_limit_skips_the_scan_too(self, monkeypatch):
         monkeypatch.setattr(thermo, "_phi_parts", lambda rp, n_max: pytest.fail("scanned"))
         rp = classify_rp(FIG1, 1, Branch.JC, 0.5)
-        assert thermo._jc_phi_positive(rp)
+        assert thermo._scan_end(rp) == -1
         assert low_temperature_limit(rp) == thermo.LowTemperatureLimit(True, 0.0, 0, [])
+
+    def test_dead_coupling_has_no_end(self):
+        silent = {**FIG1, "omega_rabi": 0.0}
+        rps = [classify_rp(silent, 1, Branch.AJC, 0.5)]
+        rps += [classify_rp(FIG1, 2, branch, 0.0) for branch in (Branch.AJC, Branch.JC)]
+        assert [thermo._scan_end(rp) for rp in rps] == [-1, -1, -1]
+
+    def test_a_computed_coupling_above_one_is_clipped(self):
+        # At eta 1e-8 the recurrence puts |f_n^0| above 1 for large n; the scan's u stays at most r_om.
+        _, log_mags = coupling_logabs_sequence(200_000, 0, 1e-8)
+        assert np.exp(log_mags).max() > 1.0
+        rp = reduced_from_ratios(0.0, 3e3, 1e-8, 0, Branch.CARRIER, nbar=0.5)  # r_wl = 0: the excess is u
+        ladder, excess = thermo._phi_parts(rp, 200_000)
+        assert excess.max() <= rp.r_om * (1.0 + 2.0**-50)
+
+    def test_preset_jc_keys_keep_their_lists(self, monkeypatch):
+        # Every live JC key of the six presets against a scan to n = 20000, from a cache emptied per key.
+        cache = {}
+        monkeypatch.setattr(thermo, "_COUPLING_CACHE", cache)
+        rps = {}
+        for preset in figure_presets().values():
+            for spec in preset.specs:
+                for point in spec.points():
+                    rp = reduce(point, point["m"], point["branch"], point.get("eta"))
+                    if rp.branch is Branch.JC and rp.m > 0 and rp.eta > 0 < rp.r_om:
+                        rps.setdefault((rp.m, rp.r_w0, rp.r_om, rp.eta), rp)
+        assert len(rps) == 336
+        for key, rp in sorted(rps.items(), key=lambda item: (item[0][0], item[0][3])):
+            if (rp.m, rp.eta) not in cache:
+                cache.clear()  # one (m, eta) coupling key at a time
+            negative, zeros = _brute_scan(rp, 20_000)
+            limit = low_temperature_limit(rp)
+            assert (limit.negative_witnesses, limit.zero_count) == (negative, len(zeros)), key
+
+
+# A small-eta JC row whose verdict a scan of 10 m + 100 terms missed: 792 negative Phi_n at n = 197..988.
+SMALL_ETA = dict(mass=7e-26, nu=1e6, omega0=1e10, omega_rabi=1.36e10, nbar=0.38)
+SMALL_ETA_ARGV = ["lag", "--branch", "jc", "--m", "2", "--eta", "0.05"]
+SMALL_ETA_ARGV += ["--nu", "1e6", "--omega0", "1e10", "--omega", "1.36e10", "--nbar", "0.38"]
+
+
+class TestScanPastTheOldBound:
+    def test_witnesses_past_one_hundred_twenty(self):
+        rp = reduce(SMALL_ETA, 2, Branch.JC, 0.05)
+        assert thermo._scan_end(rp) == 4622
+        assert divergence_predicate_reduced(rp) == thermo.DivergenceReport(True, list(range(197, 989)))
+        limit = low_temperature_limit(rp)
+        assert not limit.finite and limit.limit_value is None
+
+    def test_cli_row_prints_divergence(self, tmp_path):
+        out = tmp_path / "row.csv"
+        assert main([*SMALL_ETA_ARGV, "--out", str(out)]) == 0
+        header, row = out.read_text().splitlines()[-2:]
+        assert header.split(",")[-1] == "divergence_predicted" and row.split(",")[-1] == "true"
+
+
+class TestScanCap:
+    """A scan reads n <= _TERM_CAP at most: a witness there proves divergence, and a row with none raises."""
+
+    def test_row_past_the_cap_with_a_witness_diverges(self):
+        rp = classify_rp(dict(FIG4_RIGHT, omega_rabi=1e16), 1, Branch.JC, 1.0)
+        assert thermo._scan_end(rp) > thermo._TERM_CAP
+        report = divergence_predicate_reduced(rp)
+        assert report.diverges and report.witnesses[0] == 0 and report.witnesses[-1] <= thermo._TERM_CAP
+        assert thermo._COUPLING_CACHE[(1, 1.0)][1].n <= thermo._TERM_CAP
+        assert _lag_rows([rp], _pinned(40))[0].divergence_predicted
+
+    def test_witness_found_below_a_lowered_cap(self, monkeypatch):
+        monkeypatch.setattr(thermo, "_TERM_CAP", 500)
+        report = divergence_predicate_reduced(reduce(SMALL_ETA, 2, Branch.JC, 0.05))
+        assert report == thermo.DivergenceReport(True, list(range(197, 501)))
+
+    def test_row_past_the_cap_without_a_witness_raises(self, monkeypatch):
+        monkeypatch.setattr(thermo, "_TERM_CAP", 100)
+        rp = reduce(SMALL_ETA, 2, Branch.JC, 0.05)
+        with pytest.raises(ValueError, match="n = 4622, past the term cap 100"):
+            divergence_predicate_reduced(rp)
+        with pytest.raises(ValueError, match="n = 4622, past the term cap 100"):
+            low_temperature_limit(rp)
+        with pytest.raises(ValueError, match="n = 4622, past the term cap 100"):
+            lag_columns([rp])
+
+    def test_cli_exits_2_and_writes_nothing(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(thermo, "_TERM_CAP", 100)
+        out = tmp_path / "row.csv"
+        assert main([*SMALL_ETA_ARGV, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "4622" in err[0] and "100" in err[0]
+        assert not out.exists()
 
 
 class TestLowTemperatureLimit:
@@ -1099,7 +1221,7 @@ class TestSumWorkBounds:
         "preset, steps, terms, blocks",
         [
             ("fig1", 8440, 16880, 3), ("fig2", 120, 7440, 1), ("fig3", 1536, 110592, 14),
-            ("fig4", 464, 6200, 2), ("fig5", 4096, 126976, 16), ("fig6", 4800, 9600, 4),
+            ("fig4", 200, 6200, 2), ("fig5", 4096, 126976, 16), ("fig6", 4800, 9600, 4),
         ],
     )  # fmt: skip
     def test_preset_work(self, monkeypatch, tmp_path, preset, steps, terms, blocks):
