@@ -40,7 +40,6 @@ from .thermo import (
     LagResult,
     LogPartition,
     LowTemperatureLimit,
-    TruncationError,
     TruncationPolicy,
     TruncationReport,
     divergence_predicate_reduced,
@@ -84,7 +83,6 @@ __all__ = [
     "LagResult",
     "LogPartition",
     "LowTemperatureLimit",
-    "TruncationError",
     "TruncationPolicy",
     "TruncationReport",
     "divergence_predicate_reduced",

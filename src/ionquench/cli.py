@@ -27,11 +27,11 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .params import Branch, reduce
+from .params import SWEEP_AXES, Branch, reduce
 from .presets import FIG1_CONFIG, desk_scale_point, figure_presets
 from .spectra import dense_hamiltonians, spectrum_table
 from .sweep import ResultRow, SweepSpec, run_specs
-from .thermo import TruncationPolicy
+from .thermo import TERM_CAP, TruncationPolicy
 from .workstats import moments_analytic, moments_numeric
 
 _EXIT_OK = 0
@@ -119,14 +119,14 @@ def _parse_ms(text: str) -> tuple[int, ...]:
 
 
 _FLAG_ALIASES = {"omega": "omega_rabi", "phi": "phi_angle"}
-# The flag that sets each sweep axis; on a swept axis the grid sets the value.
-_AXIS_FLAGS = {"eta": "eta", "omega_rabi": "omega", "nbar": "nbar", "nu": "nu", "m": "m"}
+# The flag of each parameter whose flag has another name; any other parameter's flag is its name.
+_PARAM_FLAGS = {key: flag for flag, key in _FLAG_ALIASES.items()}
 
 
 def _reject_axis_inputs(args: argparse.Namespace, config: dict, axis: str, sweeper: str) -> None:
     """ConfigError when a flag or the config file sets the parameter that sweeper sweeps along axis."""
     keys = (axis, "beta") if axis == "nbar" else (axis,)  # beta would set the temperature the nbar grid sets
-    for flag in (_AXIS_FLAGS.get(key, key) for key in keys):
+    for flag in (_PARAM_FLAGS.get(key, key) for key in keys):
         if getattr(args, flag) is not None:
             raise ConfigError(f"--{flag} conflicts with {sweeper}, which sweeps {axis}")
     for key in keys:
@@ -184,11 +184,8 @@ def _effective_params(args: argparse.Namespace) -> tuple[dict, tuple[dict, dict]
         raise ConfigError(f"--desk-scale conflicts with --preset {args.preset}, which sets its own parameter block")
     preset = (figure_presets(args.preset)[args.preset].specs[0].fixed,) if args.preset else ()
     config = _read_config_file(args.config) if args.config else {}
-    flags = {
-        _FLAG_ALIASES.get(flag, flag): getattr(args, flag)
-        for flag in ("nu", "omega0", "omega", "mass", "phi", "nbar", "beta", "eta")
-        if getattr(args, flag) is not None
-    }
+    flags = {key: getattr(args, _PARAM_FLAGS.get(key, key)) for key in _PARAM_KEYS}
+    flags = {key: value for key, value in flags.items() if value is not None}
     params = _layer(desk_scale_point() if args.desk_scale else FIG1_CONFIG, *preset, config, flags)
     if "nbar" not in params and "beta" not in params:
         raise ConfigError("one of nbar or beta is required")
@@ -206,9 +203,7 @@ def _policy(args: argparse.Namespace) -> TruncationPolicy:
     """The lag sums' policy from --tol; --nmax reaches them through each spec's n_pinned."""
     if not 1 <= args.threads <= _MAX_THREADS:
         raise ConfigError(f"--threads {args.threads} must lie in [1, {_MAX_THREADS}]")
-    if args.tol is None:
-        return TruncationPolicy(error_on_nonconverged=False)
-    return TruncationPolicy(tol=args.tol, error_on_nonconverged=False)
+    return TruncationPolicy() if args.tol is None else TruncationPolicy(tol=args.tol)
 
 
 def _shared(kind: type, column: list) -> bool:
@@ -338,7 +333,7 @@ def _run_lags(args: argparse.Namespace, command: str, params: dict, specs: list[
     rows_by_spec = [run_specs([spec], policy=policy) for spec in specs]
     extra = {} if args.tol is None else {"tol": args.tol}
     with _Writer(args.format, args.out, _LAG_COLUMNS, _meta_for(args, command, params, extra)) as writer:
-        for spec, rows in zip(specs, rows_by_spec):
+        for rows in rows_by_spec:
             writer.write_rows(rows)
     if any(not row.converged for rows in rows_by_spec for row in rows) and not args.allow_nonconverged:
         return _EXIT_NONCONVERGED
@@ -444,8 +439,8 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     branches, m_values = _sidebands(args)
     _reject_unused_phi(args, params, "eta" not in params)
     n_max = args.nmax if args.nmax is not None else 40
-    if not 0 <= n_max <= TruncationPolicy.n_cap:
-        raise ConfigError(f"--nmax {n_max} must lie in [0, {TruncationPolicy.n_cap}], the term cap")
+    if not 0 <= n_max <= TERM_CAP:
+        raise ConfigError(f"--nmax {n_max} must lie in [0, {TERM_CAP}], the term cap")
     with _Writer(args.format, args.out, _SPECTRUM_COLUMNS, _meta_for(args, "spectrum", params, {})) as writer:
         for branch in branches:
             for m in m_values:
@@ -494,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", allow_abbrev=False, help="sweep one axis over an explicit grid")
     _add_flags(p_sweep, sidebands=True, lag_sums=True)
-    p_sweep.add_argument("--axis", choices=("eta", "omega_rabi", "nbar", "nu", "m"))
+    p_sweep.add_argument("--axis", choices=SWEEP_AXES)
     p_sweep.add_argument("--grid", type=str, help="min:max:count:linear|log")
     p_sweep.add_argument("--values", type=str, help="explicit comma list")
     p_sweep.set_defaults(func=_cmd_sweep)

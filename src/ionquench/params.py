@@ -233,6 +233,8 @@ class ReducedColumns(NamedTuple):
 
 
 _SI_AXES = ("omega_rabi", "nbar", "nu")  # the axes along which a point's SI parameters change
+# The axes a sweep may run along, in the order sweep --axis lists them.
+SWEEP_AXES = ("eta", *_SI_AXES, "m")
 
 
 def _si_groups(point: Mapping) -> tuple:
@@ -264,7 +266,7 @@ def _resolve(fixed: Mapping, axis: str, grid: Sequence, branches: Sequence[Branc
     def transitions(ms) -> list:  # _transition of each point's branch and m, in point order
         return [_transition(m, branch) for branch in branches for m in map(int, ms)]
 
-    _require(axis in (*_SI_AXES, "eta", "m"), f"axis must be one of {(*_SI_AXES, 'eta', 'm')}")
+    _require(axis in SWEEP_AXES, f"axis must be one of {SWEEP_AXES}")
     points, block = transitions(m_values), None
     geometric = axis != "eta" and fixed.get("eta") is None
     eta = None if axis == "eta" or geometric else float(fixed["eta"])

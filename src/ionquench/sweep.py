@@ -15,12 +15,10 @@ from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
-from .params import Branch, reduce_grid
+from .params import SWEEP_AXES, Branch, reduce_grid
 from .thermo import TruncationPolicy, lag_columns
 
 __all__ = ["SweepSpec", "ResultRow", "RESULT_COLUMNS", "run_specs", "evaluate_point"]
-
-SWEEP_AXES = ("eta", "omega_rabi", "nbar", "nu", "m")
 
 
 @dataclass(frozen=True)
@@ -112,8 +110,7 @@ def run_specs(specs: Iterable[SweepSpec], policy: TruncationPolicy | None = None
     blocks of live rows in point order (see thermo's truncation constants).
     The rows are zipped straight from those columns: no point, reduced
     parameters or result object per row.  The SI columns echo the spec;
-    phi_angle is NaN when eta is given.  A TruncationError names the first
-    failing point of the first spec that has one.
+    phi_angle is NaN when eta is given.
     """
     policy = policy or TruncationPolicy()
     rows: list[ResultRow] = []

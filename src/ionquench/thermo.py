@@ -51,7 +51,7 @@ from .params import Branch, ReducedColumns, ReducedParams
 __all__ = [
     "TruncationPolicy",
     "TruncationReport",
-    "TruncationError",
+    "TERM_CAP",
     "LogPartition",
     "LagResult",
     "LagColumns",
@@ -85,8 +85,9 @@ _LN2 = math.log(2.0)
 _CHUNK = 512
 _TERM_BUDGET = 16 * _CHUNK
 _WIDE_BUDGET = 4 * _TERM_BUDGET
-# The term cap: the default n_cap of a sum, and the furthest n a divergence scan reaches (see _phi_scan).
-_TERM_CAP = 200_000
+# The term cap: the most terms of any sum, and the furthest n a divergence scan reaches (see _phi_scan).
+# It is read at call time, so a test may patch it.
+TERM_CAP = 200_000
 
 
 @dataclass(frozen=True)
@@ -95,23 +96,17 @@ class TruncationPolicy:
 
     n_pinned fixes the number of explicit terms (figure presets pin their
     reference term counts); otherwise the sum grows adaptively until its
-    analytic tail bound certifies convergence or n_cap is hit; tol is the
-    relative tail tolerance of that stop and of the converged flag.  In
-    adaptive mode a sum that ends non-converged raises TruncationError
-    unless error_on_nonconverged is cleared; pinned sums never raise, they
-    only report converged=False.
+    analytic tail bound certifies convergence or TERM_CAP is hit; tol is the
+    relative tail tolerance of that stop and of the converged flag.  No sum
+    raises: a row that ends non-converged reports converged=False.
     """
 
     n_pinned: int | None = None
-    n_cap: int = _TERM_CAP
     tol: float = 1e-12
-    error_on_nonconverged: bool = True
 
     def __post_init__(self) -> None:
-        if self.n_cap < 1:
-            raise ValueError("n_cap must be positive")
-        if self.n_pinned is not None and not 1 <= self.n_pinned <= self.n_cap:
-            raise ValueError(f"pinned term count {self.n_pinned} must lie in [1, {self.n_cap}]")
+        if self.n_pinned is not None and not 1 <= self.n_pinned <= TERM_CAP:
+            raise ValueError(f"pinned term count {self.n_pinned} must lie in [1, {TERM_CAP}]")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tolerance tol must be finite and positive, got {self.tol}")
 
@@ -132,14 +127,6 @@ class TruncationReport:
     tail_bound_log: float
     converged: bool
     stop_reason: str
-
-
-class TruncationError(RuntimeError):
-    """Raised when an adaptive partition sum cannot certify convergence."""
-
-    def __init__(self, report: TruncationReport, message: str):
-        super().__init__(message)
-        self.report = report
 
 
 @dataclass(frozen=True)
@@ -237,11 +224,14 @@ def _grow_coupling(key: tuple[int, float], entry, n_max: int):
     once, to the furthest stop among its rows (see _excess_block).  A
     divergence scan extends it to the scan's end (see _phi_scan).  A
     recurrence call computes at most _TERM_BUDGET terms, so its lists and
-    arrays stay small, and each segment is exponentiated once, as stored.  A resumed call returns
-    log magnitudes only, taken straight from the recurrence's values: no
-    sign array is built, as |f| needs none.  An extension computes only the
-    missing terms; the array doubles in capacity when full, so copying stays
-    linear in the final length.
+    arrays stay small, and each segment is exponentiated once, as stored,
+    and clipped at 1: |f| <= 1 holds exactly, the excess tail bound and
+    _scan_end read it, and the recurrence's rounding takes a computed
+    |f_n^0| up to 1 + 8e-8 at eta 1e-8 and n = 200000.  A resumed call
+    returns log magnitudes only, taken straight from the recurrence's
+    values: no sign array is built, as |f| needs none.  An extension
+    computes only the missing terms; the array doubles in capacity when
+    full, so copying stays linear in the final length.
     """
     m, eta = key
     abs_f, state = entry or (np.empty(0), LAGUERRE_START)
@@ -249,6 +239,7 @@ def _grow_coupling(key: tuple[int, float], entry, n_max: int):
         n_to = min(n_max, state.n + _TERM_BUDGET)
         segment, new_state = coupling_logabs_sequence(n_to, m, eta, resume=state)
         np.exp(segment, out=segment)  # |f|: an exact zero has log -inf, and exp(-inf) = 0.0
+        np.minimum(segment, 1.0, out=segment)
         lo = state.n + 1
         if lo == 0:  # a new key keeps its first segment
             abs_f = segment
@@ -419,16 +410,16 @@ def _stops(policy: TruncationPolicy, reached, rows: int) -> tuple[np.ndarray, li
 
     A pinned row stops after n_pinned terms ("pinned").  An adaptive row
     stops at the first chunk edge n where its bound holds ("bound"), else at
-    n_cap ("cap"): reached(edges), given a column of edges, says for each
+    TERM_CAP ("cap"): reached(edges), given a column of edges, says for each
     edge and row whether the row's bound holds there.  So every stop is
     known before the row's first term.  Pinned rows do not read bounds.
     """
     if policy.n_pinned is not None:
         return np.full(rows, policy.n_pinned), ["pinned"] * rows
-    edges = np.array([*range(_CHUNK, policy.n_cap, _CHUNK), policy.n_cap])
+    edges = np.array([*range(_CHUNK, TERM_CAP, _CHUNK), TERM_CAP])
     hits = np.broadcast_to(reached(edges[:, None]), (edges.size, rows))
     found = hits.any(axis=0)
-    return np.where(found, edges[hits.argmax(axis=0)], policy.n_cap), ["bound" if f else "cap" for f in found.tolist()]
+    return np.where(found, edges[hits.argmax(axis=0)], TERM_CAP), ["bound" if f else "cap" for f in found.tolist()]
 
 
 def _log_sums(term_logs, stops: np.ndarray, tails=None) -> tuple[np.ndarray, np.ndarray]:
@@ -504,9 +495,6 @@ def _excess_lags(cols: ReducedColumns, policy: TruncationPolicy) -> tuple[list, 
     Rows with dead coupling are exact zeros.  The live rows are summed in
     blocks in input order, whatever their sideband index: as many rows as
     fit _TERM_BUDGET on their first call (see the truncation constants).
-    An adaptive sum that ends non-converged raises TruncationError for the
-    first such row in input order, unless policy.error_on_nonconverged is
-    cleared.
     """
     n = len(cols.m)  # a dead row's excess vanishes identically: it keeps these exact zeros
     columns = np.zeros(n), np.zeros(n, int), np.full(n, -np.inf), np.ones(n, bool), np.full(n, "exact", object)
@@ -516,12 +504,7 @@ def _excess_lags(cols: ReducedColumns, policy: TruncationPolicy) -> tuple[list, 
         block = live[start : start + size]
         for column, values in zip(columns, _excess_block(cols if block.size == n else cols.take(block), policy)):
             column[block] = values
-    columns = tuple(column.tolist() for column in columns)
-    failed = next((i for i, converged in enumerate(columns[3]) if not converged), None)
-    if failed is not None and policy.n_pinned is None and policy.error_on_nonconverged:
-        report = TruncationReport(*(column[failed] for column in columns[1:]))
-        raise TruncationError(report, f"partition sum not converged after {report.n_used} terms ({report.stop_reason})")
-    return columns
+    return tuple(column.tolist() for column in columns)
 
 
 def _take(rows: _Rows, live: np.ndarray) -> _Rows:
@@ -547,7 +530,7 @@ def _excess_block(cols: ReducedColumns, policy: TruncationPolicy) -> tuple:
     ln1, zi_edges = cols.ln_nbar_plus_1, cols.zi_edge
     log_tol = math.log(policy.tol)
     stops, reasons = _stops(policy, lambda n: tails(n) - zi_edges <= log_tol, len(cols.m))
-    term_tails = None  # only a pinned row settles; an adaptive one ends at its bound or n_cap
+    term_tails = None  # only a pinned row settles; an adaptive one ends at its bound or TERM_CAP
     if policy.n_pinned is None:
         reach: dict = {}
         for key, n_stop in zip(rows.keys, stops.tolist()):
@@ -595,8 +578,8 @@ def lag_columns(rps: ReducedColumns | list[ReducedParams], policy: TruncationPol
     Live rows are summed in blocks in input order, of any sideband index, as
     many as fit the term budget of one call (see the truncation constants),
     and each block is finished as columns.  The divergence scan runs on one
-    ReducedParams per JC key, not per row.  A TruncationError names the
-    first non-converged point in input order.
+    ReducedParams per JC key, not per row.  A row that cannot converge
+    within TERM_CAP terms reports converged False and stop_reason "cap".
     """
     cols = ReducedColumns.of(rps)
     lags = _excess_lags(cols, policy or TruncationPolicy())
@@ -623,12 +606,11 @@ def _phi_parts(rp: ReducedParams, n_max: int) -> tuple[np.ndarray, np.ndarray]:
 
     ladder = (2n+m) - (|r_wl| - r_w0) and excess = sqrt(r_wl^2 + u_n^2) - |r_wl|
     are each formed without cancellation, so the sign of Phi is reliable even
-    when it is ~1e-11 of omega0/nu.  u_n = r_om min(|f_n^m|, 1): |f| <= 1
-    holds exactly, but a computed |f_n^0| may exceed 1 (by 8e-8 at eta 1e-8
-    and n = 200000), and _scan_end needs u_n <= r_om.  Only the frequency
-    ratios of rp enter, not its temperature.
+    when it is ~1e-11 of omega0/nu.  u_n = r_om |f_n^m| <= r_om, as the
+    cache clips |f| at 1 (see _grow_coupling).  Only the frequency ratios of
+    rp enter, not its temperature.
     """
-    u = rp.r_om * np.minimum(_coupling_rows(((rp.m, rp.eta),), 0, n_max + 1)[0], 1.0)
+    u = rp.r_om * _coupling_rows(((rp.m, rp.eta),), 0, n_max + 1)[0]
     r_wl, d_aw = _phi_offsets(rp)
     ladder = (2.0 * np.arange(n_max + 1, dtype=float) + rp.m) - d_aw
     return ladder, sqrt_excess(abs(r_wl), u)
@@ -672,7 +654,8 @@ def _scan_end(rp: ReducedParams) -> int:
     * Ladder: 2n + m is an exact integer and ladder_0 = fl(m - d_aw) >= 0,
       so m - d_aw >= ladder_0 (1 - e) and l = fl(2n + m - d_aw) >=
       (ladder_0 + 2n)(1 - e)^2.
-    * Excess: u = fl(r_om min(|f|, 1)) <= r_om, as rounding is monotone.
+    * Excess: u = fl(r_om |f|) <= r_om, as the cached |f| is at most 1
+      and rounding is monotone.
       Exactly, q = u^2/(h + a) with h = sqrt(a^2 + u^2) >= max(a, u) is at
       most min(u^2/(2a), u) <= X.  fl(u u), hypot (within an ulp), the sum
       and the division round x to at most q (1 + 6e) <= X (1 + 6e).
@@ -695,7 +678,7 @@ def _scan_end(rp: ReducedParams) -> int:
 
 
 def _phi_scan(rp: ReducedParams) -> tuple[list[int], list[int]]:
-    """(strictly negative witnesses, zero crossings) of Phi_n^m for n = 0..min(_scan_end(rp), _TERM_CAP).
+    """(strictly negative witnesses, zero crossings) of Phi_n^m for n = 0..min(_scan_end(rp), TERM_CAP).
 
     A value counts as zero when it is below 1e-9 of the two quantities whose
     difference it is (the level ladder nu(2n+m) -+ m nu and the dressed-
@@ -707,13 +690,13 @@ def _phi_scan(rp: ReducedParams) -> tuple[list[int], list[int]]:
     end = _scan_end(rp)
     if end < 0:
         return [], []
-    ladder, excess = _phi_parts(rp, min(end, _TERM_CAP))
+    ladder, excess = _phi_parts(rp, min(end, TERM_CAP))
     values = ladder - excess
     is_zero = np.abs(values) <= _PHI_ZERO_TOL * (np.abs(ladder) + np.abs(excess))
     negative = np.nonzero((values < 0) & ~is_zero)[0].tolist()
-    if end > _TERM_CAP and not negative:
+    if end > TERM_CAP and not negative:
         raise ValueError(
-            f"the zero-temperature scan must reach n = {end}, past the term cap {_TERM_CAP}, "
+            f"the zero-temperature scan must reach n = {end}, past the term cap {TERM_CAP}, "
             "and finds no negative Phi_n up to the cap: the divergence verdict is not proved"
         )
     return negative, np.nonzero(is_zero)[0].tolist()

@@ -195,32 +195,36 @@ def check_sqrt_shift_small(rng) -> CheckResult:
 
 
 def check_omega_zero_identity(rng) -> CheckResult:
-    worst = 0.0
+    worst, converged = 0.0, True
     for m, branch in ((0, Branch.CARRIER), (1, Branch.JC), (2, Branch.AJC)):
         rp = reduced_from_ratios(10.0, 0.0, 0.7, m, branch, nbar=0.38)
         zi = thermo.ln_partition_initial(rp).shifted_log
-        zf = thermo.ln_partition_final(rp).shifted_log
-        worst = max(worst, abs(zf - zi))
-        worst = max(worst, abs(thermo.nonequilibrium_lag(rp).value))
-    return CheckResult("omega_zero_quench_of_nothing", worst <= 1e-12, f"max dev {worst:.2e}")
+        zf = thermo.ln_partition_final(rp)
+        lag = thermo.nonequilibrium_lag(rp)
+        worst = max(worst, abs(zf.shifted_log - zi), abs(lag.value))
+        converged &= zf.truncation.converged and lag.truncation.converged
+    return CheckResult("omega_zero_quench_of_nothing", worst <= 1e-12 and converged, f"max dev {worst:.2e}")
 
 
 def check_carrier_closed_form(rng) -> CheckResult:
     rp = _fig1_reduced(0, Branch.CARRIER, 0.0)
-    lag = thermo.nonequilibrium_lag(rp).value
+    result = thermo.nonequilibrium_lag(rp)
+    lag = result.value
     closed = 0.5 * numerics.sqrt_shift(rp.b_w0, rp.b_om, rp.b_w0)
     rel = abs(lag - closed) / closed
-    return CheckResult("carrier_eta_zero_closed_form", rel <= 1e-10, f"lag {lag:.6e}, rel dev {rel:.2e}")
+    ok = rel <= 1e-10 and result.truncation.converged
+    return CheckResult("carrier_eta_zero_closed_form", ok, f"lag {lag:.6e}, rel dev {rel:.2e}")
 
 
 def check_large_eta_partition(rng) -> CheckResult:
-    worst = 0.0
+    worst, converged = 0.0, True
     for m, branch in ((1, Branch.JC), (2, Branch.AJC), (0, Branch.CARRIER)):
         rp = _fig1_reduced(m, branch, 50.0)
         zi = thermo.ln_partition_initial(rp).shifted_log
-        zf = thermo.ln_partition_final(rp).shifted_log
-        worst = max(worst, abs(zf - zi) / abs(zi))
-    return CheckResult("large_eta_partition_collapse", worst <= 1e-12, f"max rel dev {worst:.2e}")
+        zf = thermo.ln_partition_final(rp)
+        worst = max(worst, abs(zf.shifted_log - zi) / abs(zi))
+        converged &= zf.truncation.converged
+    return CheckResult("large_eta_partition_collapse", worst <= 1e-12 and converged, f"max rel dev {worst:.2e}")
 
 
 def check_branch_sign_rule(rng) -> CheckResult:
@@ -334,16 +338,17 @@ def check_carrier_branch_consistency(rng) -> CheckResult:
 
 
 def check_partition_dense_oracle(rng) -> CheckResult:
-    worst = 0.0
+    worst, converged = 0.0, True
     for m in range(3):
         for branch in (Branch.JC, Branch.AJC):
             rp = _desk(m, branch, 0.8)
             dense = spectra.dense_hamiltonians(rp, 70)
             evals = np.linalg.eigvalsh(dense.h_final_sideband)
             ln_z_dense = numerics.log_sum_exp(-rp.b_nu * evals) - 0.5 * rp.b_w0
-            ln_z = thermo.ln_partition_final(rp).shifted_log
-            worst = max(worst, abs(ln_z - ln_z_dense) / max(abs(ln_z_dense), 1e-3))
-    return CheckResult("partition_vs_dense_oracle", worst <= 1e-8, f"max rel dev {worst:.2e}")
+            ln_z = thermo.ln_partition_final(rp)
+            worst = max(worst, abs(ln_z.shifted_log - ln_z_dense) / max(abs(ln_z_dense), 1e-3))
+            converged &= ln_z.truncation.converged
+    return CheckResult("partition_vs_dense_oracle", worst <= 1e-8 and converged, f"max rel dev {worst:.2e}")
 
 
 def _boltzmann_ln_partition(rp: ReducedParams) -> float:
@@ -363,15 +368,16 @@ def _boltzmann_ln_partition(rp: ReducedParams) -> float:
 
 def check_partition_assembly(rng) -> CheckResult:
     """ln_partition_final against the Boltzmann sum over the analytic spectrum (_boltzmann_ln_partition)."""
-    worst = 0.0
+    worst, converged = 0.0, True
     for _ in range(8):
         m = int(rng.integers(0, 3))
         branch = (Branch.JC, Branch.AJC)[int(rng.integers(0, 2))] if m > 0 else Branch.CARRIER
         rp = _desk(m, branch, float(rng.uniform(0.0, 2.5)), nbar=float(rng.uniform(0.05, 3.0)))
-        a = thermo.ln_partition_final(rp).shifted_log
-        b = _boltzmann_ln_partition(rp)
+        part = thermo.ln_partition_final(rp)
+        a, b = part.shifted_log, _boltzmann_ln_partition(rp)
         worst = max(worst, abs(a - b) / max(abs(a), 1e-6))
-    return CheckResult("partition_assembly_crosscheck", worst <= 1e-12, f"max rel dev {worst:.2e}")
+        converged &= part.truncation.converged
+    return CheckResult("partition_assembly_crosscheck", worst <= 1e-12 and converged, f"max rel dev {worst:.2e}")
 
 
 def check_moment_oracle(rng) -> CheckResult:

@@ -206,12 +206,13 @@ class TestSameBitsAsBranchByBranchCode:
 
 # -- excess blocks that mix sideband indices ----------------------------------
 
+# (policy, term cap) pairs.
 MIXED_M_POLICIES = [
-    TruncationPolicy(n_pinned=40),
-    TruncationPolicy(n_pinned=5000),
-    TruncationPolicy(),
-    TruncationPolicy(tol=1e-6),
-    TruncationPolicy(n_cap=700, error_on_nonconverged=False),  # some rows stop on the cap
+    (TruncationPolicy(n_pinned=40), thermo.TERM_CAP),
+    (TruncationPolicy(n_pinned=5000), thermo.TERM_CAP),
+    (TruncationPolicy(), thermo.TERM_CAP),
+    (TruncationPolicy(tol=1e-6), thermo.TERM_CAP),
+    (TruncationPolicy(), 700),  # some rows stop on the cap
 ]
 
 
@@ -257,9 +258,10 @@ def _block_ms(monkeypatch):
     return blocks
 
 
-@pytest.mark.parametrize("policy", MIXED_M_POLICIES, ids=["pinned40", "pinned5000", "adaptive", "tol1e-6", "cap700"])
+@pytest.mark.parametrize("policy, cap", MIXED_M_POLICIES, ids=["pinned40", "pinned5000", "adaptive", "tol1e-6", "cap700"])
 class TestMixedSidebandBlocks:
-    def test_rows_keep_their_one_row_bits(self, policy, monkeypatch):
+    def test_rows_keep_their_one_row_bits(self, policy, cap, monkeypatch):
+        monkeypatch.setattr(thermo, "TERM_CAP", cap)
         rps = _mixed_m_rows()
         one_row = [_lag_bits(nonequilibrium_lag(rp, policy)) for rp in rps]
         blocks = _block_ms(monkeypatch)
@@ -269,7 +271,8 @@ class TestMixedSidebandBlocks:
         assert [len(block) for block in blocks] == ([72] if policy.n_pinned == 40 else [16, 16, 16, 16, 8])
         assert all(set(block) == {0, 1, 2, 3} for block in blocks)
 
-    def test_fig6_sideband_sweep_keeps_its_one_row_bits(self, policy, monkeypatch):
+    def test_fig6_sideband_sweep_keeps_its_one_row_bits(self, policy, cap, monkeypatch):
+        monkeypatch.setattr(thermo, "TERM_CAP", cap)
         # fig6 sweeps m = 0..29 on both branches: a 16-row block holds 8 consecutive m of each branch,
         # and the 60 rows pinned at 40 terms fit one block.
         for spec in figure_presets()["fig6"].specs:

@@ -188,6 +188,14 @@ class TestLagCommand:
         rows = read_csv(tmp_path / "x.csv")
         assert rows[0]["converged"] == "false"
 
+    def test_row_at_the_term_cap_exits_3(self, tmp_path):
+        # fig4's right block at nbar 1e5: the library reports the capped row, and the CLI owns the exit code.
+        out = tmp_path / "cap.csv"
+        args = ["lag", "--branch", "jc", "--m", "1", "--nu", "1.2e8", "--omega0", "1e8", "--omega", "1e9"]
+        assert main(args + ["--eta", "1.0", "--nbar", "1e5", "--out", str(out)]) == 3
+        (row,) = read_csv(out)
+        assert (row["converged"], row["n_used"]) == ("false", "200000")
+
     def test_adaptive_row_runs_on_to_the_bound_edge(self, tmp_path):
         # This row used to stop at 1024 terms, write converged false and exit 3,
         # although 1536 terms certify it with the same lag.
@@ -539,7 +547,7 @@ class TestSweepCommand:
         points = [(v, b, m) for v in values.split(",") for b in ("jc", "ajc") for m in ([v] if axis == "m" else ["0", "1", "2"])]
         assert len(rows) == len(points)
         for row, (value, branch, m) in zip(rows, points):
-            point = [] if axis == "m" else [f"--{cli._AXIS_FLAGS[axis]}", value]
+            point = [] if axis == "m" else [f"--{cli._PARAM_FLAGS.get(axis, axis)}", value]
             assert main(["lag", *point, "--branch", "carrier" if m == "0" else branch, "--m", m, *flags]) == 0
             assert capsys.readouterr().out.splitlines()[-1] == row
 

@@ -1,7 +1,8 @@
 import itertools
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -11,11 +12,11 @@ from ionquench.numerics import coupling_f, coupling_logabs_sequence, log_sum_exp
 from ionquench.params import Branch, ReducedParams, reduce, reduced_from_ratios
 from ionquench.presets import desk_scale_point, figure_presets
 from ionquench.spectra import dense_hamiltonians
+import ionquench
 from ionquench import params, thermo, verify
 from ionquench.cli import main
 from ionquench.sweep import SweepSpec, evaluate_point, run_specs
 from ionquench.thermo import (
-    TruncationError,
     TruncationPolicy,
     divergence_predicate_reduced,
     ln_partition_final,
@@ -29,6 +30,8 @@ from conftest import FIG1, branch_for, desk_reduced, fig1_reduced
 
 FIG4_LEFT = dict(mass=7e-26, nu=1.2e8, omega0=1.0e8, omega_rabi=0.5e9)
 FIG4_RIGHT = dict(mass=7e-26, nu=1.2e8, omega0=1.0e8, omega_rabi=1.0e9)
+# fig4's right block at nbar 1e5, jc, m 1, eta 1: the excess sum cannot converge within the term cap.
+CAP_ROW = dict(FIG4_RIGHT, nbar=1e5), 1, Branch.JC, 1.0
 
 
 def _lag_rows(rps, policy=None):
@@ -127,22 +130,30 @@ class TestPartitionFinal:
             assert part.truncation.converged
             assert part.truncation.tail_bound_log <= math.log(1e-12)
 
-    def test_nonconvergent_adaptive_raises(self):
-        rp = reduced_from_ratios(10.0, 1e4, 0.5, 0, Branch.CARRIER, nbar=1e8)
-        with pytest.raises(TruncationError) as err:
-            ln_partition_final(rp, policy=TruncationPolicy(n_cap=1000))
-        assert not err.value.report.converged
-        # The policy can downgrade the error to a flagged report.
-        part = ln_partition_final(rp, policy=TruncationPolicy(n_cap=1000, error_on_nonconverged=False))
-        assert not part.truncation.converged
+    def test_row_at_the_term_cap_is_reported_not_raised(self):
+        # Every adaptive entry point returns the row with converged false and the cap as its stop.
+        rp = reduce(*CAP_ROW)
+        for report in (
+            nonequilibrium_lag(rp).truncation,
+            ln_partition_final(rp).truncation,
+            thermo.TruncationReport(*(column[0] for column in lag_columns([rp])[1:5])),
+        ):
+            assert (report.n_used, report.stop_reason, report.converged) == (thermo.TERM_CAP, "cap", False)
+            assert report.tail_bound_log > math.log(TruncationPolicy().tol)
 
 
 class TestTruncationPolicy:
+    def test_only_what_a_program_sets(self):
+        # One term cap, a module constant, and no exception type: a non-converged row reports itself.
+        assert [field.name for field in fields(TruncationPolicy)] == ["n_pinned", "tol"]
+        assert not hasattr(ionquench, "TruncationError") and not hasattr(thermo, "TruncationError")
+        assert "TruncationError" not in thermo.__all__ + ionquench.__all__
+
     def test_pinned_count_above_cap_rejected(self):
         with pytest.raises(ValueError, match="pinned term count 200001"):
-            TruncationPolicy(n_pinned=TruncationPolicy().n_cap + 1)
-        with pytest.raises(ValueError, match="pinned term count"):
-            TruncationPolicy(n_pinned=50, n_cap=40)
+            TruncationPolicy(n_pinned=thermo.TERM_CAP + 1)
+        with patch.object(thermo, "TERM_CAP", 40), pytest.raises(ValueError, match=r"pinned term count 50 must lie in \[1, 40\]"):
+            TruncationPolicy(n_pinned=50)
 
     @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
     def test_tolerances_must_be_finite_and_positive(self, value):
@@ -312,7 +323,7 @@ class TestDivergencePredicate:
         # Rows take divergence_predicted from a memo keyed by the frequency
         # ratios, eta and m; every row of every preset must match a fresh scan
         # (fig4 has rows that diverge and rows that do not).
-        policy = TruncationPolicy(error_on_nonconverged=False)
+        policy = TruncationPolicy()
         flags = []
         for preset in figure_presets().values():
             for spec in preset.specs:
@@ -463,23 +474,23 @@ class TestScanPastTheOldBound:
 
 
 class TestScanCap:
-    """A scan reads n <= _TERM_CAP at most: a witness there proves divergence, and a row with none raises."""
+    """A scan reads n <= TERM_CAP at most: a witness there proves divergence, and a row with none raises."""
 
     def test_row_past_the_cap_with_a_witness_diverges(self):
         rp = classify_rp(dict(FIG4_RIGHT, omega_rabi=1e16), 1, Branch.JC, 1.0)
-        assert thermo._scan_end(rp) > thermo._TERM_CAP
+        assert thermo._scan_end(rp) > thermo.TERM_CAP
         report = divergence_predicate_reduced(rp)
-        assert report.diverges and report.witnesses[0] == 0 and report.witnesses[-1] <= thermo._TERM_CAP
-        assert thermo._COUPLING_CACHE[(1, 1.0)][1].n <= thermo._TERM_CAP
+        assert report.diverges and report.witnesses[0] == 0 and report.witnesses[-1] <= thermo.TERM_CAP
+        assert thermo._COUPLING_CACHE[(1, 1.0)][1].n <= thermo.TERM_CAP
         assert _lag_rows([rp], _pinned(40))[0].divergence_predicted
 
     def test_witness_found_below_a_lowered_cap(self, monkeypatch):
-        monkeypatch.setattr(thermo, "_TERM_CAP", 500)
+        monkeypatch.setattr(thermo, "TERM_CAP", 500)
         report = divergence_predicate_reduced(reduce(SMALL_ETA, 2, Branch.JC, 0.05))
         assert report == thermo.DivergenceReport(True, list(range(197, 501)))
 
     def test_row_past_the_cap_without_a_witness_raises(self, monkeypatch):
-        monkeypatch.setattr(thermo, "_TERM_CAP", 100)
+        monkeypatch.setattr(thermo, "TERM_CAP", 100)
         rp = reduce(SMALL_ETA, 2, Branch.JC, 0.05)
         with pytest.raises(ValueError, match="n = 4622, past the term cap 100"):
             divergence_predicate_reduced(rp)
@@ -489,7 +500,7 @@ class TestScanCap:
             lag_columns([rp])
 
     def test_cli_exits_2_and_writes_nothing(self, monkeypatch, tmp_path, capsys):
-        monkeypatch.setattr(thermo, "_TERM_CAP", 100)
+        monkeypatch.setattr(thermo, "TERM_CAP", 100)
         out = tmp_path / "row.csv"
         assert main([*SMALL_ETA_ARGV, "--out", str(out)]) == 2
         err = capsys.readouterr().err.splitlines()
@@ -567,6 +578,16 @@ def _growth(start, stop):
 
 class TestCouplingCache:
     """The coupling cache resumes the Laguerre recurrence instead of rerunning it."""
+
+    def test_cached_coupling_never_exceeds_one(self, monkeypatch):
+        # At eta 1e-8 the recurrence's rounding puts a computed |f_n^0| up to 1 + 7.8e-8; the cache
+        # stores it clipped at 1, the bound the excess tails and the scan end assume.
+        monkeypatch.setattr(thermo, "_COUPLING_CACHE", {})
+        _, log_mags = coupling_logabs_sequence(200_000, 0, 1e-8)
+        assert np.exp(log_mags).max() > 1.0 + 7e-8
+        abs_f = thermo._coupling_upto({(0, 1e-8): 200_000})[(0, 1e-8)]
+        assert abs_f.size == 200_001 and abs_f.max() == 1.0
+        assert abs_f.tobytes() == np.minimum(np.exp(log_mags), 1.0).tobytes()
 
     def test_adaptive_sweep_runs_each_step_once(self, monkeypatch):
         calls = []
@@ -698,10 +719,10 @@ def _log_sums(term_logs, stops, tails=None):
 
 
 def _one_chunk_at_a_time(term_logs, policy, bound_reached=None):
-    """The chunked log-sum loop as it was before terms came in blocks: the reference."""
+    """The chunked log-sum loop as it was before terms came in blocks: the reference; it reads thermo.TERM_CAP."""
     running = -math.inf
     n_done = 0
-    target = policy.n_pinned if policy.n_pinned is not None else policy.n_cap
+    target = policy.n_pinned if policy.n_pinned is not None else thermo.TERM_CAP
     while n_done < target:
         n_hi = min(n_done + thermo._CHUNK, target)
         xs = term_logs(n_done, n_hi)
@@ -732,31 +753,31 @@ def _draw_size(draw, max_chunks):
 
 @st.composite
 def _term_sums(draw):
-    """(terms, policy, bound_reached edges or None) for a chunked log sum."""
+    """(terms, policy, term cap, bound_reached edges or None) for a chunked log sum."""
     chunk = thermo._CHUNK
     size = _draw_size(draw, 40)
     terms = _draw_terms(draw, size)
     target = max(1, round(size * draw(st.sampled_from([1.0, 0.9, 0.5, 0.1, 0.01]))))
     if draw(st.booleans()):
-        return terms, TruncationPolicy(n_pinned=target, n_cap=size), None
+        return terms, TruncationPolicy(n_pinned=target), size, None
     fires = None
     if draw(st.booleans()):
         edges = list(range(chunk, target, chunk)) + [target]
         fires = set(draw(st.lists(st.sampled_from(edges), min_size=1, max_size=3)))
-    return terms, TruncationPolicy(n_cap=target), fires
+    return terms, TruncationPolicy(), target, fires
 
 
 @st.composite
 def _term_blocks(draw):
-    """(2 to 20 rows of terms, policy, per-row bound edges or None) for one multi-row log sum."""
+    """(2 to 20 rows of terms, policy, term cap, per-row bound edges or None) for one multi-row log sum."""
     chunk = thermo._CHUNK
     size = _draw_size(draw, 20)
     rows = [_draw_terms(draw, size) for _ in range(draw(st.integers(2, 20)))]
     target = max(1, round(size * draw(st.sampled_from([1.0, 0.9, 0.5, 0.1, 0.01]))))
     if draw(st.booleans()):
-        return rows, TruncationPolicy(n_pinned=target, n_cap=size), None
+        return rows, TruncationPolicy(n_pinned=target), size, None
     edges = list(range(chunk, target, chunk)) + [target]
-    return rows, TruncationPolicy(n_cap=target), [set(draw(st.lists(st.sampled_from(edges), max_size=3))) for _ in rows]
+    return rows, TruncationPolicy(), target, [set(draw(st.lists(st.sampled_from(edges), max_size=3))) for _ in rows]
 
 
 class TestBlockedLogSum:
@@ -765,7 +786,7 @@ class TestBlockedLogSum:
     @settings(deadline=None, max_examples=200)
     @given(_term_sums())
     def test_bitwise_equal_to_one_chunk_at_a_time(self, case):
-        terms, policy, fires = case
+        terms, policy, cap, fires = case
         bound = None if fires is None else fires.__contains__
         asked = []
 
@@ -773,9 +794,10 @@ class TestBlockedLogSum:
             asked.append((lo, hi))
             return terms[lo:hi].copy()
 
-        stops = _stops(policy, [bound or _never])
-        (got,) = _log_sums(lambda live, lo, hi: term_logs(lo, hi)[None, :], stops)
-        ref = _one_chunk_at_a_time(lambda lo, hi: terms[lo:hi].copy(), policy, bound)
+        with patch.object(thermo, "TERM_CAP", cap):
+            stops = _stops(policy, [bound or _never])
+            (got,) = _log_sums(lambda live, lo, hi: term_logs(lo, hi)[None, :], stops)
+            ref = _one_chunk_at_a_time(lambda lo, hi: terms[lo:hi].copy(), policy, bound)
         assert (got[0].hex(), got[1:]) == (ref[0].hex(), ref[1:])
         # Blocks tile [0, end) in order, at most _WIDE_BUDGET terms each (no row
         # is tested for settling), and never run past a pinned, capped or bound stop.
@@ -786,7 +808,7 @@ class TestBlockedLogSum:
     @settings(deadline=None, max_examples=100)
     @given(_term_blocks())
     def test_rows_of_a_block_bitwise_equal_to_one_chunk_at_a_time(self, case):
-        rows, policy, fires = case
+        rows, policy, cap, fires = case
         bounds = None if fires is None else [row_fires.__contains__ for row_fires in fires]
         calls = []
 
@@ -794,9 +816,13 @@ class TestBlockedLogSum:
             calls.append((list(live), lo, hi))
             return np.stack([rows[row][lo:hi] for row in live])
 
-        got = _log_sums(term_logs, _stops(policy, bounds or [_never] * len(rows)))
-        for row, (terms, (log_sum, n_used, stop_reason)) in enumerate(zip(rows, got)):
-            ref = _one_chunk_at_a_time(lambda lo, hi: terms[lo:hi].copy(), policy, None if fires is None else bounds[row])
+        with patch.object(thermo, "TERM_CAP", cap):
+            got = _log_sums(term_logs, _stops(policy, bounds or [_never] * len(rows)))
+            refs = [
+                _one_chunk_at_a_time(lambda lo, hi: terms[lo:hi].copy(), policy, None if fires is None else bounds[row])
+                for row, terms in enumerate(rows)
+            ]
+        for row, ((log_sum, n_used, stop_reason), ref) in enumerate(zip(got, refs)):
             assert (log_sum.hex(), n_used, stop_reason) == (ref[0].hex(), *ref[1:]), row
             # A row is asked for until it stops, and never past a pinned, cap or bound stop.
             assert [row in live for live, _, _ in calls] == [lo < n_used for _, lo, _ in calls]
@@ -805,7 +831,7 @@ class TestBlockedLogSum:
         assert [lo for _, lo, _ in calls] == [0] + [hi for _, _, hi in calls[:-1]]
         assert all(len(live) * (hi - lo) <= max(thermo._WIDE_BUDGET, len(live) * thermo._CHUNK) for live, lo, hi in calls)
 
-    @pytest.mark.parametrize("policy", [TruncationPolicy(n_pinned=3000), TruncationPolicy(n_cap=3000)])
+    @pytest.mark.parametrize("policy", [TruncationPolicy(n_pinned=3000), TruncationPolicy()])
     def test_nan_terms_fold_as_one_chunk_at_a_time(self, policy):
         # A chunk's max is nan when it holds a nan: such a chunk is folded iff it
         # also holds a term above -inf, exactly as before.
@@ -816,7 +842,7 @@ class TestBlockedLogSum:
         rows[2][:chunk] = -np.inf
         rows[2][3] = np.nan  # nan and -inf only: skipped too
         rows[3][2 * chunk - 1] = np.nan  # a nan last term
-        with np.errstate(invalid="ignore"):
+        with np.errstate(invalid="ignore"), patch.object(thermo, "TERM_CAP", 3000):
             stops = _stops(policy, [_never] * len(rows))
             got = _log_sums(lambda live, lo, hi: np.stack([rows[row][lo:hi] for row in live]), stops)
             refs = [_one_chunk_at_a_time(lambda lo, hi: terms[lo:hi].copy(), policy) for terms in rows]
@@ -835,7 +861,8 @@ class TestBlockedLogSum:
     def test_one_row_takes_the_budget_of_its_settle_test_per_call(self, bound, stop, tails, budget):
         asked = []
         terms = np.zeros(100 * thermo._CHUNK + 300)
-        stops = _stops(TruncationPolicy(n_cap=terms.size), [bound])
+        with patch.object(thermo, "TERM_CAP", terms.size):
+            stops = _stops(TruncationPolicy(), [bound])
         assert (stops[0].tolist(), stops[1]) == ([stop[0]], [stop[1]])
         term_logs = lambda live, lo, hi: asked.append((lo, hi)) or terms[None, lo:hi]  # noqa: E731
         ((_, n_used, stop_reason),) = _log_sums(term_logs, stops, tails)
@@ -936,7 +963,7 @@ def _ref_lag_report(rp, policy):
 
 
 def _pinned(n_pinned):
-    return TruncationPolicy(n_pinned=n_pinned, error_on_nonconverged=False)
+    return TruncationPolicy(n_pinned=n_pinned)
 
 
 _ETAS = (0.0, 0.05, 0.3, 0.5, 0.7, 0.85, 1.0, 1.25, 2.0, 2.7, 3.5, 6.0)
@@ -976,7 +1003,7 @@ class TestBatchedPinnedRows:
     @settings(deadline=None, max_examples=60)
     @given(_pinned_spec_groups())
     def test_bitwise_equal_to_one_row_at_a_time(self, spec):
-        rows = run_specs([spec], TruncationPolicy(error_on_nonconverged=False))
+        rows = run_specs([spec], TruncationPolicy())
         for point, row in zip(spec.points(), rows):
             rp = reduce(point, point["m"], point["branch"], point["eta"])
             lag, n_used, tail_bound_log, converged, diverges, _ = _one_row(rp, _pinned(spec.n_pinned))
@@ -999,7 +1026,7 @@ class TestBatchedPinnedRows:
             axis="eta", grid=_ETAS, fixed=dict(FIG1, nbar=0.38),
             branches=(Branch.JC, Branch.AJC), m_values=(1, 2), n_pinned=1500,
         )  # fmt: skip
-        rows = run_specs([spec], TruncationPolicy(error_on_nonconverged=False))
+        rows = run_specs([spec], TruncationPolicy())
         assert len(rows) == 48
         for point, row in zip(spec.points(), rows):
             rp = reduce(point, point["m"], point["branch"], point["eta"])
@@ -1018,7 +1045,7 @@ class TestBatchedPinnedRows:
             axis="eta", grid=(0.3, 1.0), fixed=dict(FIG1, beta=2.0),
             branches=(Branch.JC, Branch.AJC), m_values=(0, 1), n_pinned=40,
         )  # fmt: skip
-        rows = run_specs([spec], TruncationPolicy(error_on_nonconverged=False))
+        rows = run_specs([spec], TruncationPolicy())
         assert seen and all(seen)
         for point, row in zip(spec.points(), rows):
             rp = reduce(point, point["m"], point["branch"], point["eta"])
@@ -1108,7 +1135,8 @@ class TestSettledPinnedRows:
             thermo, "_log_sums", lambda term_logs, stops, tails=None: handed.append(tails) or real(term_logs, stops, tails)
         )
         rps = [fig1_reduced(1, Branch.JC, 0.5, nbar=0.1), fig1_reduced(2, Branch.AJC, 1.0, nbar=3.0)]
-        adaptive = _lag_rows(rps, TruncationPolicy(n_cap=4000, error_on_nonconverged=False))
+        with patch.object(thermo, "TERM_CAP", 4000):
+            adaptive = _lag_rows(rps, TruncationPolicy())
         assert handed == [None] and {row.stop_reason for row in adaptive} <= {"bound", "cap"}
         _lag_rows(rps, _pinned(4000))
         assert len(handed) == 2 and handed[1](512).shape == (len(rps),)
@@ -1118,17 +1146,18 @@ class TestSettledPinnedRows:
         assert got[1:] == (4000, "pinned")
 
 
+# (policy, term cap) pairs.
 _ADAPTIVE_POLICIES = (
-    TruncationPolicy(error_on_nonconverged=False),
-    TruncationPolicy(n_cap=700, error_on_nonconverged=False),  # "cap" with a partial last chunk
-    TruncationPolicy(tol=1e-6, error_on_nonconverged=False),
-    TruncationPolicy(tol=1e-300, n_cap=3000, error_on_nonconverged=False),  # "cap" after several calls
+    (TruncationPolicy(), thermo.TERM_CAP),
+    (TruncationPolicy(), 700),  # "cap" with a partial last chunk
+    (TruncationPolicy(tol=1e-6), thermo.TERM_CAP),
+    (TruncationPolicy(tol=1e-300), 3000),  # "cap" after several calls
 )
 
 
 @st.composite
 def _adaptive_spec_groups(draw):
-    """(adaptive sweep specs, policy): one to three specs over eta (with 0) or nbar, mixing m and branch."""
+    """(adaptive sweep specs, (policy, term cap)): one to three specs over eta (with 0) or nbar, mixing m and branch."""
     block = dict(draw(st.sampled_from([FIG1, FIG4_LEFT, FIG4_RIGHT, desk_scale_point()])))
     block.pop("eta", None)
     specs = []
@@ -1154,11 +1183,13 @@ class TestBatchedAdaptiveRows:
     @settings(deadline=None, max_examples=40)
     @given(_adaptive_spec_groups())
     def test_bitwise_equal_to_one_row_at_a_time(self, case):
-        specs, policy = case
+        specs, (policy, cap) = case
         points = [point for spec in specs for point in spec.points()]
         rps = [reduce(point, point["m"], point["branch"], point.get("eta")) for point in points]
-        for point, rp, row in zip(points, rps, _lag_rows(rps, policy)):
-            lag, n_used, tail_bound_log, converged, diverges, stop_reason = _one_row(rp, policy)
+        with patch.object(thermo, "TERM_CAP", cap):
+            rows = _lag_rows(rps, policy)
+            refs = [_one_row(rp, policy) for rp in rps]
+        for point, row, (lag, n_used, tail_bound_log, converged, diverges, stop_reason) in zip(points, rows, refs):
             got = (row.value.hex(), row.n_used, row.tail_bound_log.hex(), row.converged)
             assert got == (lag.hex(), n_used, tail_bound_log.hex(), converged), point
             assert (row.divergence_predicted, row.stop_reason) == (diverges, stop_reason), point
@@ -1166,12 +1197,14 @@ class TestBatchedAdaptiveRows:
     @settings(deadline=None, max_examples=40)
     @given(_adaptive_spec_groups())
     def test_every_stop_but_the_cap_is_converged(self, case):
-        specs, policy = case
+        specs, (policy, cap) = case
         rps = [reduce(point, point["m"], point["branch"], point.get("eta")) for spec in specs for point in spec.points()]
-        for rp, row in zip(rps, _lag_rows(rps, policy)):
+        with patch.object(thermo, "TERM_CAP", cap):
+            rows = _lag_rows(rps, policy)
+        for rp, row in zip(rps, rows):
             assert row.stop_reason == "cap" or row.converged, rp
 
-    def test_error_names_the_first_failing_point_in_sweep_order(self):
+    def test_rows_report_their_own_cap_in_sweep_order(self):
         # At 512 terms the m = 1 tail lies above the m = 2 tail, and tol is set
         # between them: at nbar 10 the m = 2 row stops on the bound while the
         # m = 1 row hits the cap, and at nbar 30 both fail.  The lags (about
@@ -1182,13 +1215,13 @@ class TestBatchedAdaptiveRows:
         rps = [reduce(point, point["m"], point["branch"], point["eta"]) for point in points]
         edges = [thermo._excess_tails(thermo._rows_of([rp]))(512)[0] - math.log1p(math.exp(-rp.b_w0)) for rp in rps]
         assert edges[0] < edges[1]
-        policy = TruncationPolicy(n_cap=512, tol=math.exp(0.5 * (edges[0] + edges[1])))
-        lenient = replace(policy, error_on_nonconverged=False)
-        assert [row.converged for row in run_specs([spec], lenient)] == [True, False, False, False]
-        with pytest.raises(TruncationError) as excinfo:
-            run_specs([spec], policy)
-        assert excinfo.value.report == nonequilibrium_lag(rps[1], lenient).truncation
-        assert str(excinfo.value) == "partition sum not converged after 512 terms (cap)"
+        policy = TruncationPolicy(tol=math.exp(0.5 * (edges[0] + edges[1])))
+        with patch.object(thermo, "TERM_CAP", 512):
+            rows = run_specs([spec], policy)
+            reports = [nonequilibrium_lag(rp, policy).truncation for rp in rps]
+        assert [row.converged for row in rows] == [True, False, False, False]
+        assert [(report.n_used, report.stop_reason) for report in reports] == [(512, "bound")] + [(512, "cap")] * 3
+        assert [(row.n_used, row.converged) for row in rows] == [(r.n_used, r.converged) for r in reports]
 
 
 class TestSumWorkBounds:
@@ -1388,10 +1421,8 @@ class TestStopReason:
     def test_other_reports(self):
         assert nonequilibrium_lag(fig1_reduced(1, Branch.JC, 0.0)).truncation.stop_reason == "exact"
         assert ln_partition_initial(fig1_reduced(1, Branch.JC, 0.5)).truncation.stop_reason == "exact"
-        capped = ln_partition_final(
-            reduced_from_ratios(10.0, 1e4, 0.5, 0, Branch.CARRIER, nbar=1e8),
-            policy=TruncationPolicy(n_cap=1000, error_on_nonconverged=False),
-        ).truncation
+        with patch.object(thermo, "TERM_CAP", 1000):
+            capped = ln_partition_final(reduced_from_ratios(10.0, 1e4, 0.5, 0, Branch.CARRIER, nbar=1e8)).truncation
         assert capped.stop_reason == "cap" and capped.n_used == 1000
 
 

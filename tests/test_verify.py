@@ -94,3 +94,30 @@ class TestWorkCounts:
         result = verify.check_moment_oracle(np.random.default_rng(1))
         assert not result.passed
         assert len(calls) == 5 and all(args[0].shape == (162, 162) for args in calls)
+
+
+ADAPTIVE_SUM_CHECKS = (
+    verify.check_omega_zero_identity,
+    verify.check_carrier_closed_form,
+    verify.check_large_eta_partition,
+    verify.check_partition_dense_oracle,
+    verify.check_partition_assembly,
+)
+
+
+@pytest.mark.parametrize("check", ADAPTIVE_SUM_CHECKS, ids=lambda fn: fn.__name__)
+def test_check_fails_on_a_nonconverged_sum(monkeypatch, check):
+    # A sum that reports converged false fails the check, with the values and the detail unchanged.
+    def unconverged(compute):
+        def call(rp, policy=None):
+            result = compute(rp, policy)
+            return replace(result, truncation=replace(result.truncation, converged=False))
+
+        return call
+
+    passing = check(np.random.default_rng(0))
+    monkeypatch.setattr(thermo, "ln_partition_final", unconverged(thermo.ln_partition_final))
+    monkeypatch.setattr(thermo, "nonequilibrium_lag", unconverged(thermo.nonequilibrium_lag))
+    failing = check(np.random.default_rng(0))
+    assert passing.passed and not failing.passed
+    assert (failing.name, failing.detail) == (passing.name, passing.detail)
