@@ -40,7 +40,6 @@ from .thermo import (
     LagResult,
     LogPartition,
     LowTemperatureLimit,
-    TruncationPolicy,
     TruncationReport,
     divergence_predicate_reduced,
     ln_partition_final,
@@ -83,7 +82,6 @@ __all__ = [
     "LagResult",
     "LogPartition",
     "LowTemperatureLimit",
-    "TruncationPolicy",
     "TruncationReport",
     "divergence_predicate_reduced",
     "ln_partition_final",

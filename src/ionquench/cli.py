@@ -31,7 +31,7 @@ from .params import SWEEP_AXES, Branch, reduce
 from .presets import FIG1_CONFIG, desk_scale_point, figure_presets
 from .spectra import dense_hamiltonians, spectrum_table
 from .sweep import ResultRow, SweepSpec, run_specs
-from .thermo import TERM_CAP, TruncationPolicy
+from .thermo import TERM_CAP
 from .workstats import moments_analytic, moments_numeric
 
 _EXIT_OK = 0
@@ -46,8 +46,8 @@ _MAX_THREADS = 64
 # moments --numeric-oracle builds dense 2(nmax+1)-square operators; at this
 # maximum a row takes about 1.2 s and 105 MB, and the cost grows like nmax^3.
 _MAX_ORACLE_NMAX = 400
-# The recurrence builds an 8192 x m matrix per call; at this maximum a lag
-# row whose divergence scan runs to the term cap peaks near 58 MB.
+# The couplings' factorial ratio is built in bounded slices: at this maximum a lag row whose
+# divergence scan runs to the term cap peaks near 42 MB, and spectrum --nmax 40000 near 51 MB.
 _MAX_SIDEBAND = 200
 # sweep --grid min:max:count; the presets' largest grid has 71 points.
 _MAX_GRID_COUNT = 10_000
@@ -199,13 +199,6 @@ def _reject_unused_phi(args: argparse.Namespace, params: dict, geometric_rows: b
         raise ConfigError(f"{source} sets the laser angle of the geometric eta, but every row has a given or swept eta")
 
 
-def _policy(args: argparse.Namespace) -> TruncationPolicy:
-    """The lag sums' policy from --tol; --nmax reaches them through each spec's n_pinned."""
-    if not 1 <= args.threads <= _MAX_THREADS:
-        raise ConfigError(f"--threads {args.threads} must lie in [1, {_MAX_THREADS}]")
-    return TruncationPolicy() if args.tol is None else TruncationPolicy(tol=args.tol)
-
-
 def _shared(kind: type, column: list) -> bool:
     """Whether every value of column is the first one: a float bit for bit, as -0.0 and 0.0 print apart."""
     if kind is float:
@@ -289,7 +282,6 @@ def _add_flags(p: argparse.ArgumentParser, sidebands: bool, lag_sums: bool) -> N
     p.add_argument("--beta", type=float, help="inverse temperature, 1/J")
     p.add_argument("--nmax", type=int, help="pin the term count (spectrum: table rows; moments: oracle truncation)")
     if lag_sums:
-        p.add_argument("--tol", type=float, help="truncation tail tolerance")
         p.add_argument("--threads", type=int, default=1, help=f"1..{_MAX_THREADS}; ignored: runs are serial")
         p.add_argument("--allow-nonconverged", action="store_true", dest="allow_nonconverged")
     p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
@@ -329,10 +321,10 @@ _LAG_COLUMNS = get_type_hints(ResultRow)
 
 def _run_lags(args: argparse.Namespace, command: str, params: dict, specs: list[SweepSpec]) -> int:
     _reject_unused_phi(args, params, any(spec.axis != "eta" and "eta" not in spec.fixed for spec in specs))
-    policy = _policy(args)
-    rows_by_spec = [run_specs([spec], policy=policy) for spec in specs]
-    extra = {} if args.tol is None else {"tol": args.tol}
-    with _Writer(args.format, args.out, _LAG_COLUMNS, _meta_for(args, command, params, extra)) as writer:
+    if not 1 <= args.threads <= _MAX_THREADS:
+        raise ConfigError(f"--threads {args.threads} must lie in [1, {_MAX_THREADS}]")
+    rows_by_spec = [run_specs([spec]) for spec in specs]
+    with _Writer(args.format, args.out, _LAG_COLUMNS, _meta_for(args, command, params, {})) as writer:
         for rows in rows_by_spec:
             writer.write_rows(rows)
     if any(not row.converged for rows in rows_by_spec for row in rows) and not args.allow_nonconverged:
@@ -357,6 +349,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     params, (config, _) = _effective_params(args)
     if args.axis is None:
         raise ConfigError("sweep requires --axis")
+    if args.values is not None and args.grid is not None:
+        raise ConfigError("give only one of --values and --grid")
     if args.values:
         try:
             grid = tuple(int(v) if args.axis == "m" else float(v) for v in args.values.split(","))

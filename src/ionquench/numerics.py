@@ -157,12 +157,27 @@ def _laguerre_extend(state: LaguerreState, n_max: int, m: int, x: float) -> tupl
     return raw, logabs, end
 
 
+# The most elements of one [rows x m] matrix of _log_factorial_ratio: a recurrence call of
+# 8192 terms (thermo's term budget) takes one slice up to m = 32, and memory stays bounded at any m.
+_FACTORIAL_SLICE = 1 << 18
+
+
 def _log_factorial_ratio(n: np.ndarray, m: int) -> np.ndarray:
-    """log sqrt(n!/(n+m)!) = -1/2 sum_{k=1..m} log(n+k), computed exactly termwise."""
+    """log sqrt(n!/(n+m)!) = -1/2 sum_{k=1..m} log(n+k), computed exactly termwise.
+
+    The [rows x m] logs are formed a slice of rows at a time, in one buffer of at most
+    _FACTORIAL_SLICE elements; a row's logs and pairwise sum do not depend on its slice.
+    """
     if m == 0:
         return np.zeros_like(n, dtype=float)
     ks = np.arange(1, m + 1, dtype=float)
-    return -0.5 * np.log(n[:, None] + ks[None, :]).sum(axis=1)
+    rows = max(1, _FACTORIAL_SLICE // m)
+    out, buffer = np.empty(n.size), np.empty((min(n.size, rows), m))
+    for lo in range(0, n.size, rows):
+        logs = np.add(n[lo : lo + rows, None], ks, out=buffer[: n.size - lo])
+        out[lo : lo + rows] = np.log(logs, out=logs).sum(axis=1)
+    out *= -0.5
+    return out
 
 
 def coupling_logabs_sequence(n_max: int, m: int, eta: float, *, resume: LaguerreState | None = None):

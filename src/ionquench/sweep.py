@@ -9,14 +9,14 @@ run_specs); evaluate_point is the one-point form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
 from .params import SWEEP_AXES, Branch, reduce_grid
-from .thermo import TruncationPolicy, lag_columns
+from .thermo import lag_columns
 
 __all__ = ["SweepSpec", "ResultRow", "RESULT_COLUMNS", "run_specs", "evaluate_point"]
 
@@ -96,28 +96,26 @@ SI_COLUMNS = RESULT_COLUMNS[:5]
 _BRANCH_TEXTS = np.array([Branch.JC.value, Branch.CARRIER.value, Branch.AJC.value])
 
 
-def evaluate_point(point: Mapping, policy: TruncationPolicy | None = None) -> ResultRow:
-    """The row of one point, as the one row of a one-point spec; policy alone sets its truncation, pin included."""
-    spec = SweepSpec(axis="m", grid=(point["m"],), fixed=point, branches=(point["branch"],), m_values=())
-    return run_specs([spec], policy)[0]
+def evaluate_point(point: Mapping, n_pinned: int | None = None) -> ResultRow:
+    """The row of one point, as the one row of a one-point spec pinned at n_pinned; points carry no pin."""
+    spec = SweepSpec(axis="m", grid=(point["m"],), fixed=point, branches=(point["branch"],), m_values=(), n_pinned=n_pinned)
+    return run_specs([spec])[0]
 
 
-def run_specs(specs: Iterable[SweepSpec], policy: TruncationPolicy | None = None) -> list[ResultRow]:
+def run_specs(specs: Iterable[SweepSpec]) -> list[ResultRow]:
     """Evaluate every point of every spec, in spec order and then spec.points() order.
 
     Each spec's points are resolved by one params.reduce_grid call, and all
-    their lags come from one thermo.lag_columns call, which sums them in
+    their lags come from one thermo.lag_columns call at the spec's pin, in
     blocks of live rows in point order (see thermo's truncation constants).
     The rows are zipped straight from those columns: no point, reduced
     parameters or result object per row.  The SI columns echo the spec;
     phi_angle is NaN when eta is given.
     """
-    policy = policy or TruncationPolicy()
     rows: list[ResultRow] = []
     for spec in specs:
-        spec_policy = policy if spec.n_pinned is None else replace(policy, n_pinned=spec.n_pinned)
         cols = reduce_grid(spec.fixed, spec.axis, spec.grid, spec.branches, spec.m_values)
-        lags = lag_columns(cols, spec_policy)
+        lags = lag_columns(cols, spec.n_pinned)
         eta_given = spec.axis == "eta" or spec.fixed.get("eta") is not None
         phi_angle = math.nan if eta_given else float(spec.fixed.get("phi_angle", 0.0))
         si = [repeat(float(spec.fixed[name])) for name in SI_COLUMNS[:4] if name != spec.axis]

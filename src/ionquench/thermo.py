@@ -49,9 +49,9 @@ from .numerics import log_sum_exp_rows, sqrt_excess
 from .params import Branch, ReducedColumns, ReducedParams
 
 __all__ = [
-    "TruncationPolicy",
     "TruncationReport",
     "TERM_CAP",
+    "TOL",
     "LogPartition",
     "LagResult",
     "LagColumns",
@@ -85,30 +85,11 @@ _LN2 = math.log(2.0)
 _CHUNK = 512
 _TERM_BUDGET = 16 * _CHUNK
 _WIDE_BUDGET = 4 * _TERM_BUDGET
+# The truncation constants; both are read at call time, so a test may patch them.
 # The term cap: the most terms of any sum, and the furthest n a divergence scan reaches (see _phi_scan).
-# It is read at call time, so a test may patch it.
 TERM_CAP = 200_000
-
-
-@dataclass(frozen=True)
-class TruncationPolicy:
-    """How partition sums are truncated.
-
-    n_pinned fixes the number of explicit terms (figure presets pin their
-    reference term counts); otherwise the sum grows adaptively until its
-    analytic tail bound certifies convergence or TERM_CAP is hit; tol is the
-    relative tail tolerance of that stop and of the converged flag.  No sum
-    raises: a row that ends non-converged reports converged=False.
-    """
-
-    n_pinned: int | None = None
-    tol: float = 1e-12
-
-    def __post_init__(self) -> None:
-        if self.n_pinned is not None and not 1 <= self.n_pinned <= TERM_CAP:
-            raise ValueError(f"pinned term count {self.n_pinned} must lie in [1, {TERM_CAP}]")
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise ValueError(f"tolerance tol must be finite and positive, got {self.tol}")
+# The relative tail tolerance of an adaptive sum's stop and of every converged flag (see _excess_block).
+TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -119,7 +100,7 @@ class TruncationReport:
     chunked sum; "settled" for a pinned sum whose terms past some chunk edge
     below n_pinned could not change a bit of it, so it holds the value of
     all n_used = n_pinned terms; and "exact" for a closed form.  Every field
-    is a function of the row and the policy: it is the same whichever block
+    is a function of the row and its pin: it is the same whichever block
     of lag_columns the row is summed in.
     """
 
@@ -405,7 +386,7 @@ def _settled(running: float, tail_log: float) -> bool:
     return abs(running) >= sys.float_info.min and tail_log < running + math.log(math.ulp(running)) - _LN16
 
 
-def _stops(policy: TruncationPolicy, reached, rows: int) -> tuple[np.ndarray, list[str]]:
+def _stops(n_pinned: int | None, reached, rows: int) -> tuple[np.ndarray, list[str]]:
     """(terms, stop reasons) of rows sums: where each ends unless it settles first.
 
     A pinned row stops after n_pinned terms ("pinned").  An adaptive row
@@ -414,8 +395,8 @@ def _stops(policy: TruncationPolicy, reached, rows: int) -> tuple[np.ndarray, li
     edge and row whether the row's bound holds there.  So every stop is
     known before the row's first term.  Pinned rows do not read bounds.
     """
-    if policy.n_pinned is not None:
-        return np.full(rows, policy.n_pinned), ["pinned"] * rows
+    if n_pinned is not None:
+        return np.full(rows, n_pinned), ["pinned"] * rows
     edges = np.array([*range(_CHUNK, TERM_CAP, _CHUNK), TERM_CAP])
     hits = np.broadcast_to(reached(edges[:, None]), (edges.size, rows))
     found = hits.any(axis=0)
@@ -489,20 +470,27 @@ def _coupling_alive(rp: ReducedParams | ReducedColumns):  # a bool, or a bool ar
     return (rp.r_om > 0) & ((rp.m == 0) | (rp.eta > 0))
 
 
-def _excess_lags(cols: ReducedColumns, policy: TruncationPolicy) -> tuple[list, ...]:
+def _excess_lags(cols: ReducedColumns, n_pinned: int | None) -> tuple[list, ...]:
     """(lag, n_used, tail_bound_log, converged, stop_reason) columns of the rows, from the excess sum.
 
-    Rows with dead coupling are exact zeros.  The live rows are summed in
-    blocks in input order, whatever their sideband index: as many rows as
-    fit _TERM_BUDGET on their first call (see the truncation constants).
+    The pin is checked here, where it is read.  Rows with dead coupling are
+    exact zeros.  The live rows are summed in blocks in input order,
+    whatever their sideband index: as many rows as fit _TERM_BUDGET on
+    their first call (see the truncation constants).
     """
+    if n_pinned is not None:
+        if isinstance(n_pinned, bool) or not isinstance(n_pinned, numbers.Integral):
+            raise ValueError(f"pinned term count {n_pinned!r} must be an integer")
+        if not 1 <= n_pinned <= TERM_CAP:
+            raise ValueError(f"pinned term count {n_pinned} must lie in [1, {TERM_CAP}]")
+        n_pinned = int(n_pinned)
     n = len(cols.m)  # a dead row's excess vanishes identically: it keeps these exact zeros
     columns = np.zeros(n), np.zeros(n, int), np.full(n, -np.inf), np.ones(n, bool), np.full(n, "exact", object)
     live = np.flatnonzero(_coupling_alive(cols))
-    size = _TERM_BUDGET // min(policy.n_pinned or _CHUNK, _CHUNK)
+    size = _TERM_BUDGET // min(n_pinned or _CHUNK, _CHUNK)
     for start in range(0, live.size, size):
         block = live[start : start + size]
-        for column, values in zip(columns, _excess_block(cols if block.size == n else cols.take(block), policy)):
+        for column, values in zip(columns, _excess_block(cols if block.size == n else cols.take(block), n_pinned)):
             column[block] = values
     return tuple(column.tolist() for column in columns)
 
@@ -514,7 +502,7 @@ def _take(rows: _Rows, live: np.ndarray) -> _Rows:
     return _Rows(tuple(rows.keys[i] for i in live), rows.edge, *(column[live] for column in rows[2:]))
 
 
-def _excess_block(cols: ReducedColumns, policy: TruncationPolicy) -> tuple:
+def _excess_block(cols: ReducedColumns, n_pinned: int | None) -> tuple:
     """_excess_lags for a block of live rows, from one _log_sums call, finished as columns.
 
     An adaptive row's stop is known before its first term, as its tail bound
@@ -528,10 +516,10 @@ def _excess_block(cols: ReducedColumns, policy: TruncationPolicy) -> tuple:
     # log(nbar+1) and log(1 + e^(-b_w0)), each from math like ln_partition_initial: their sum is
     # log Z_i, and the tails leave out the first, as it cancels.
     ln1, zi_edges = cols.ln_nbar_plus_1, cols.zi_edge
-    log_tol = math.log(policy.tol)
-    stops, reasons = _stops(policy, lambda n: tails(n) - zi_edges <= log_tol, len(cols.m))
+    log_tol = math.log(TOL)
+    stops, reasons = _stops(n_pinned, lambda n: tails(n) - zi_edges <= log_tol, len(cols.m))
     term_tails = None  # only a pinned row settles; an adaptive one ends at its bound or TERM_CAP
-    if policy.n_pinned is None:
+    if n_pinned is None:
         reach: dict = {}
         for key, n_stop in zip(rows.keys, stops.tolist()):
             reach[key] = max(reach.get(key, 0), n_stop - 1)
@@ -548,29 +536,29 @@ def _excess_block(cols: ReducedColumns, policy: TruncationPolicy) -> tuple:
     return lag, stops, tail_bound_log, converged, reasons
 
 
-def ln_partition_final(rp: ReducedParams, policy: TruncationPolicy | None = None) -> LogPartition:
+def ln_partition_final(rp: ReducedParams, n_pinned: int | None = None) -> LogPartition:
     """Shifted log of the post-quench partition function.
 
     The coupling-induced excess added onto the closed-form baseline, which
     equals the initial partition function exactly: ln_partition_initial(rp)
-    plus the lag of nonequilibrium_lag(rp, policy), with its truncation.
+    plus the lag of nonequilibrium_lag(rp, n_pinned), with its truncation.
     """
-    ((lag, *report),) = zip(*_excess_lags(ReducedColumns.of([rp]), policy or TruncationPolicy()))
+    ((lag, *report),) = zip(*_excess_lags(ReducedColumns.of([rp]), n_pinned))
     return LogPartition(ln_partition_initial(rp).shifted_log + lag, TruncationReport(*report))
 
 
-def nonequilibrium_lag(rp: ReducedParams, policy: TruncationPolicy | None = None) -> LagResult:
+def nonequilibrium_lag(rp: ReducedParams, n_pinned: int | None = None) -> LagResult:
     """Lag log(Z_final / Z_initial) >= 0 for the sudden sideband quench.
 
     The shifts cancel exactly; the value is log1p(excess / Z_initial), so the
     decoupled limits (omega_rabi -> 0, eta -> infinity, JC sideband with
-    eta -> 0) return exactly zero.  The single row of lag_columns([rp], policy).
+    eta -> 0) return exactly zero.  The single row of lag_columns([rp], n_pinned).
     """
-    ((value, *report, diverges),) = zip(*lag_columns([rp], policy))
+    ((value, *report, diverges),) = zip(*lag_columns([rp], n_pinned))
     return LagResult(value, TruncationReport(*report), diverges)
 
 
-def lag_columns(rps: ReducedColumns | list[ReducedParams], policy: TruncationPolicy | None = None) -> LagColumns:
+def lag_columns(rps: ReducedColumns | list[ReducedParams], n_pinned: int | None = None) -> LagColumns:
     """The lag of each point as columns, with no object per row: the one engine result.
 
     rps are ReducedColumns, or ReducedParams turned into columns here.  Every
@@ -578,11 +566,12 @@ def lag_columns(rps: ReducedColumns | list[ReducedParams], policy: TruncationPol
     Live rows are summed in blocks in input order, of any sideband index, as
     many as fit the term budget of one call (see the truncation constants),
     and each block is finished as columns.  The divergence scan runs on one
-    ReducedParams per JC key, not per row.  A row that cannot converge
+    ReducedParams per JC key, not per row.  Each sum has n_pinned terms, or
+    grows until its tail bound is below TOL; a row that cannot converge
     within TERM_CAP terms reports converged False and stop_reason "cap".
     """
     cols = ReducedColumns.of(rps)
-    lags = _excess_lags(cols, policy or TruncationPolicy())
+    lags = _excess_lags(cols, n_pinned)
     b_nu, b_w0, b_om, eta, m = (column.tolist() for column in cols[:5])
     scans: dict = {}  # one scan per key (m, r_w0, r_om, eta), the only inputs of the scan, on its first row
 

@@ -439,7 +439,7 @@ def check_lag_monotone_in_omega(rng) -> CheckResult:
             for r_om in np.linspace(0.0, 2500.0, 11)
         ]
         prev = -1.0
-        for lag in thermo.lag_columns(grid, policy=thermo.TruncationPolicy(n_pinned=40)).value:
+        for lag in thermo.lag_columns(grid, n_pinned=40).value:
             ok &= lag >= prev - 1e-18
             prev = lag
     return CheckResult("lag_monotone_in_rabi_frequency", bool(ok), "nondecreasing on Rabi grids")
@@ -451,7 +451,7 @@ def check_lag_nonnegative_spots(rng) -> CheckResult:
         m = int(rng.integers(0, 4))
         branch = (Branch.JC, Branch.AJC)[int(rng.integers(0, 2))] if m > 0 else Branch.CARRIER
         spots.append(_fig1_reduced(m, branch, float(rng.uniform(0.0, 3.5)), nbar=float(rng.uniform(0.01, 5.0))))
-    lags = thermo.lag_columns(spots, policy=thermo.TruncationPolicy(n_pinned=64)).value
+    lags = thermo.lag_columns(spots, n_pinned=64).value
     worst = min(0.0, *lags)
     return CheckResult("lag_nonnegative_spot_grid", worst >= -1e-12, f"min lag {worst:.2e}")
 

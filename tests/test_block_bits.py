@@ -12,6 +12,7 @@ nonequilibrium_lag.
 """
 
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from ionquench.spectra import (
     sideband_eigenvectors,
     spectrum_table,
 )
-from ionquench.thermo import TruncationPolicy, lag_columns, nonequilibrium_lag
+from ionquench.thermo import lag_columns, nonequilibrium_lag
 from ionquench.workstats import work_pmf_sideband
 from conftest import branch_for, desk_reduced, fig1_reduced
 
@@ -206,13 +207,13 @@ class TestSameBitsAsBranchByBranchCode:
 
 # -- excess blocks that mix sideband indices ----------------------------------
 
-# (policy, term cap) pairs.
-MIXED_M_POLICIES = [
-    (TruncationPolicy(n_pinned=40), thermo.TERM_CAP),
-    (TruncationPolicy(n_pinned=5000), thermo.TERM_CAP),
-    (TruncationPolicy(), thermo.TERM_CAP),
-    (TruncationPolicy(tol=1e-6), thermo.TERM_CAP),
-    (TruncationPolicy(), 700),  # some rows stop on the cap
+# (pin, thermo.TOL, thermo.TERM_CAP), the last two patched in for a test.
+MIXED_M_SETTINGS = [
+    (40, thermo.TOL, thermo.TERM_CAP),
+    (5000, thermo.TOL, thermo.TERM_CAP),
+    (None, thermo.TOL, thermo.TERM_CAP),
+    (None, 1e-6, thermo.TERM_CAP),
+    (None, thermo.TOL, 700),  # some rows stop on the cap
 ]
 
 
@@ -237,11 +238,11 @@ def _lag_bits(result):
     return *hexes, report.n_used, report.converged, result.divergence_predicted, report.stop_reason
 
 
-def _rows_bits(rps, policy):
-    """_lag_bits of each row of lag_columns(rps, policy)."""
+def _rows_bits(rps, n_pinned):
+    """_lag_bits of each row of lag_columns(rps, n_pinned)."""
     return [
         (value.hex(), tail.hex(), n_used, converged, diverges, reason)
-        for value, n_used, tail, converged, reason, diverges in zip(*lag_columns(rps, policy))
+        for value, n_used, tail, converged, reason, diverges in zip(*lag_columns(rps, n_pinned))
     ]
 
 
@@ -250,55 +251,55 @@ def _block_ms(monkeypatch):
     blocks = []
     real = thermo._excess_block
 
-    def excess_block(cols, policy):
+    def excess_block(cols, n_pinned):
         blocks.append(cols.m.tolist())
-        return real(cols, policy)
+        return real(cols, n_pinned)
 
     monkeypatch.setattr(thermo, "_excess_block", excess_block)
     return blocks
 
 
-@pytest.mark.parametrize("policy, cap", MIXED_M_POLICIES, ids=["pinned40", "pinned5000", "adaptive", "tol1e-6", "cap700"])
+@pytest.mark.parametrize(
+    "n_pinned, tol, cap", MIXED_M_SETTINGS, ids=["pinned40", "pinned5000", "adaptive", "tol1e-6", "cap700"]
+)
 class TestMixedSidebandBlocks:
-    def test_rows_keep_their_one_row_bits(self, policy, cap, monkeypatch):
-        monkeypatch.setattr(thermo, "TERM_CAP", cap)
-        rps = _mixed_m_rows()
-        one_row = [_lag_bits(nonequilibrium_lag(rp, policy)) for rp in rps]
-        blocks = _block_ms(monkeypatch)
-        assert _rows_bits(rps, policy) == one_row
+    def test_rows_keep_their_one_row_bits(self, n_pinned, tol, cap, monkeypatch):
+        with patch.object(thermo, "TERM_CAP", cap), patch.object(thermo, "TOL", tol):
+            rps = _mixed_m_rows()
+            one_row = [_lag_bits(nonequilibrium_lag(rp, n_pinned)) for rp in rps]
+            blocks = _block_ms(monkeypatch)
+            assert _rows_bits(rps, n_pinned) == one_row
         # Blocks in input order, each over all four sideband indices: as many rows as fit
         # 8192 terms on their first call, so all 72 rows pinned at 40 terms, else 16 rows.
-        assert [len(block) for block in blocks] == ([72] if policy.n_pinned == 40 else [16, 16, 16, 16, 8])
+        assert [len(block) for block in blocks] == ([72] if n_pinned == 40 else [16, 16, 16, 16, 8])
         assert all(set(block) == {0, 1, 2, 3} for block in blocks)
 
-    def test_fig6_sideband_sweep_keeps_its_one_row_bits(self, policy, cap, monkeypatch):
-        monkeypatch.setattr(thermo, "TERM_CAP", cap)
+    def test_fig6_sideband_sweep_keeps_its_one_row_bits(self, n_pinned, tol, cap, monkeypatch):
         # fig6 sweeps m = 0..29 on both branches: a 16-row block holds 8 consecutive m of each branch,
         # and the 60 rows pinned at 40 terms fit one block.
         for spec in figure_presets()["fig6"].specs:
             rps = [reduce(point, point["m"], point["branch"], point["eta"]) for point in spec.points()]
             assert max(rp.m for rp in rps) == 29
-            one_row = [_lag_bits(nonequilibrium_lag(rp, policy)) for rp in rps]
-            blocks = _block_ms(monkeypatch)
-            assert _rows_bits(rps, policy) == one_row
-            assert len(blocks) == (1 if policy.n_pinned == 40 else 4) and all(len(set(block)) > 1 for block in blocks)
+            with patch.object(thermo, "TERM_CAP", cap), patch.object(thermo, "TOL", tol):
+                one_row = [_lag_bits(nonequilibrium_lag(rp, n_pinned)) for rp in rps]
+                blocks = _block_ms(monkeypatch)
+                assert _rows_bits(rps, n_pinned) == one_row
+            assert len(blocks) == (1 if n_pinned == 40 else 4) and all(len(set(block)) > 1 for block in blocks)
 
 
 def test_pinned_stop_reason_is_the_rows_own():
     # 16 fig1-block rows over m = 0..3: alone each asks 16 chunks (8192 >= 5000 terms) in one
     # call, in the block one chunk per call.  The settle test runs at every chunk edge either way,
     # so a row that settles reads "settled" alone too.
-    policy = TruncationPolicy(n_pinned=5000)
     rps = _mixed_m_rows()[:16]
-    alone = [_lag_bits(nonequilibrium_lag(rp, policy)) for rp in rps]
-    assert _rows_bits(rps, policy) == alone
+    alone = [_lag_bits(nonequilibrium_lag(rp, 5000)) for rp in rps]
+    assert _rows_bits(rps, 5000) == alone
     assert any(bits[-1] == "settled" for bits in alone)
 
 
 @pytest.mark.parametrize("preset", ["fig1", "fig3"])
 def test_preset_rows_keep_every_field_of_the_one_row_path(preset):
     for spec in figure_presets()[preset].specs:
-        policy = TruncationPolicy(n_pinned=spec.n_pinned)
         rps = [reduce(point, point["m"], point["branch"], point.get("eta")) for point in spec.points()]
-        one_row = [_lag_bits(nonequilibrium_lag(rp, policy)) for rp in rps]
-        assert _rows_bits(rps, policy) == one_row
+        one_row = [_lag_bits(nonequilibrium_lag(rp, spec.n_pinned)) for rp in rps]
+        assert _rows_bits(rps, spec.n_pinned) == one_row

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 
 import mpmath as mp
@@ -8,12 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import eval_genlaguerre
 
-from ionquench import numerics, verify
+from ionquench import numerics, thermo, verify
 from ionquench.numerics import (
     LAGUERRE_START,
     LaguerreState,
     coupling_f,
     coupling_logabs_sequence,
+    coupling_values,
     lncosh,
     lnsinh,
     log_sum_exp,
@@ -166,6 +168,41 @@ class TestResumedCoupling:
             coupling_logabs_sequence(-1, 0, 0.5)
         with pytest.raises(ValueError):
             coupling_logabs_sequence(5, -1, 0.0)
+
+
+def _log_factorial_ratio_one_matrix(n, m):
+    """numerics._log_factorial_ratio as one [rows x m] matrix of logs: the reference."""
+    if m == 0:
+        return np.zeros_like(n, dtype=float)
+    ks = np.arange(1, m + 1, dtype=float)
+    return -0.5 * np.log(n[:, None] + ks[None, :]).sum(axis=1)
+
+
+class TestLogFactorialRatio:
+    """The factorial ratio's matrix of logs is built in slices of bounded size, with the bits of one matrix."""
+
+    @pytest.mark.parametrize("m", (0, 1, 2, 7, 8, 9, 29, 200))
+    @pytest.mark.parametrize("budget", (1, 50, 1000, numerics._FACTORIAL_SLICE))
+    def test_slices_keep_the_one_matrix_bits(self, m, budget, monkeypatch):
+        # Budgets below m take one row a slice; the others leave a partial last slice.
+        monkeypatch.setattr(numerics, "_FACTORIAL_SLICE", budget)
+        for lo, hi in ((0, 0), (0, 1), (0, 3001), (8191, 16384), (199_000, 200_001)):
+            n = np.arange(lo, hi, dtype=float)
+            assert numerics._log_factorial_ratio(n, m).tobytes() == _log_factorial_ratio_one_matrix(n, m).tobytes()
+
+    def test_a_recurrence_call_takes_one_slice_up_to_m_32(self):
+        # thermo grows a coupling key 8192 terms a call, and the presets' sidebands reach m = 29.
+        assert all(numerics._FACTORIAL_SLICE // m >= thermo._TERM_BUDGET for m in range(1, 33))
+
+    def test_peak_memory_is_bounded_at_large_m(self):
+        coupling_values(40, 200, 0.5)  # imports and caches outside the measurement
+        tracemalloc.start()
+        try:
+            coupling_values(40000, 200, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6  # about 4.5 MB; one 40001 x 200 matrix and its logs took 130 MB
 
 
 def _laguerre_extend_reference(state, n_max, m, x):

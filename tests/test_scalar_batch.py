@@ -30,7 +30,7 @@ from ionquench.spectra import (
     sideband_eigenvectors,
     spectrum_table,
 )
-from ionquench.thermo import TruncationPolicy, lag_columns, nonequilibrium_lag
+from ionquench.thermo import lag_columns, nonequilibrium_lag
 from conftest import branch_for, desk_reduced, fig1_reduced
 
 # m = 2 AJC at eta 0.3, r_om 3: sideband_eigenvalues(9, .) once differed from spectrum_table(., 40).pairs[9].
@@ -97,13 +97,13 @@ def _lags():
            for m in range(4) for branch in (Branch.JC, Branch.AJC) for eta in (0.5, 1.5) for nbar in (0.38, 30.0)]
     rps += [desk_reduced(m, branch_for(m, Branch.AJC), 0.8, nbar=3.0) for m in range(4)]
     scalars, batch = [], []
-    for policy in (TruncationPolicy(n_pinned=40), TruncationPolicy()):
+    for n_pinned in (40, None):
         for rp in rps:
-            lag = nonequilibrium_lag(rp, policy)
+            lag = nonequilibrium_lag(rp, n_pinned)
             report = lag.truncation
             fields = lag.value, report.n_used, report.tail_bound_log, report.converged, report.stop_reason
             scalars.append(_lag_fields(*fields, lag.divergence_predicted))
-        batch += [_lag_fields(*row) for row in zip(*lag_columns(rps, policy))]
+        batch += [_lag_fields(*row) for row in zip(*lag_columns(rps, n_pinned))]
     return scalars, batch
 
 

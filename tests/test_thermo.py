@@ -1,7 +1,8 @@
+import inspect
 import itertools
 import math
+import re
 import tracemalloc
-from dataclasses import fields
 from unittest.mock import patch
 
 import numpy as np
@@ -17,7 +18,6 @@ from ionquench import params, thermo, verify
 from ionquench.cli import main
 from ionquench.sweep import SweepSpec, evaluate_point, run_specs
 from ionquench.thermo import (
-    TruncationPolicy,
     divergence_predicate_reduced,
     ln_partition_final,
     ln_partition_initial,
@@ -34,9 +34,9 @@ FIG4_RIGHT = dict(mass=7e-26, nu=1.2e8, omega0=1.0e8, omega_rabi=1.0e9)
 CAP_ROW = dict(FIG4_RIGHT, nbar=1e5), 1, Branch.JC, 1.0
 
 
-def _lag_rows(rps, policy=None):
-    """The rows of lag_columns(rps, policy), each a LagColumns that holds one row's fields."""
-    return [thermo.LagColumns._make(row) for row in zip(*lag_columns(rps, policy))]
+def _lag_rows(rps, n_pinned=None):
+    """The rows of lag_columns(rps, n_pinned), each a LagColumns that holds one row's fields."""
+    return [thermo.LagColumns._make(row) for row in zip(*lag_columns(rps, n_pinned))]
 
 
 def classify_rp(block, m, branch, eta, nbar=0.5):
@@ -114,13 +114,13 @@ class TestPartitionFinal:
 
     def test_pinned_term_count_respected(self):
         rp = fig1_reduced(1, Branch.AJC, 0.5)
-        part = ln_partition_final(rp, policy=TruncationPolicy(n_pinned=40))
+        part = ln_partition_final(rp, n_pinned=40)
         assert part.truncation.n_used == 40
         assert part.truncation.converged
 
     def test_converged_flag_implies_tail_bound(self):
         # Whenever the report claims convergence, the recorded tail bound is
-        # actually below the policy tolerance.
+        # actually below the tolerance thermo.TOL.
         for rp in (
             fig1_reduced(1, Branch.AJC, 0.5),
             fig1_reduced(2, Branch.JC, 2.0, nbar=1e6),
@@ -139,26 +139,46 @@ class TestPartitionFinal:
             thermo.TruncationReport(*(column[0] for column in lag_columns([rp])[1:5])),
         ):
             assert (report.n_used, report.stop_reason, report.converged) == (thermo.TERM_CAP, "cap", False)
-            assert report.tail_bound_log > math.log(TruncationPolicy().tol)
+            assert report.tail_bound_log > math.log(thermo.TOL)
 
 
-class TestTruncationPolicy:
-    def test_only_what_a_program_sets(self):
-        # One term cap, a module constant, and no exception type: a non-converged row reports itself.
-        assert [field.name for field in fields(TruncationPolicy)] == ["n_pinned", "tol"]
-        assert not hasattr(ionquench, "TruncationError") and not hasattr(thermo, "TruncationError")
-        assert "TruncationError" not in thermo.__all__ + ionquench.__all__
+class TestTruncationSettings:
+    def test_the_pin_is_the_only_truncation_argument(self):
+        # Two module constants, and no exception type: a non-converged row reports itself.
+        assert (thermo.TERM_CAP, thermo.TOL) == (200_000, 1e-12) and {"TERM_CAP", "TOL"} <= set(thermo.__all__)
+        for entry in (lag_columns, nonequilibrium_lag, ln_partition_final, evaluate_point):
+            assert list(inspect.signature(entry).parameters)[1:] == ["n_pinned"]
+        assert list(inspect.signature(run_specs).parameters) == ["specs"]
+        for name in ("TruncationPolicy", "TruncationError"):
+            assert not hasattr(ionquench, name) and not hasattr(thermo, name)
+            assert name not in thermo.__all__ + ionquench.__all__
 
     def test_pinned_count_above_cap_rejected(self):
+        rp = fig1_reduced(1, Branch.AJC, 0.5)
         with pytest.raises(ValueError, match="pinned term count 200001"):
-            TruncationPolicy(n_pinned=thermo.TERM_CAP + 1)
+            nonequilibrium_lag(rp, thermo.TERM_CAP + 1)
         with patch.object(thermo, "TERM_CAP", 40), pytest.raises(ValueError, match=r"pinned term count 50 must lie in \[1, 40\]"):
-            TruncationPolicy(n_pinned=50)
+            lag_columns([rp], 50)
+        with pytest.raises(ValueError, match=r"pinned term count 0 must lie in \[1, 200000\]"):
+            ln_partition_final(rp, 0)
 
-    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
-    def test_tolerances_must_be_finite_and_positive(self, value):
-        with pytest.raises(ValueError, match="tol must be finite and positive"):
-            TruncationPolicy(tol=value)
+    @pytest.mark.parametrize("pin", [2.5, 40.0, True, False, "40", np.float64(40.0)], ids=repr)
+    def test_a_pin_that_is_not_an_integer_is_named(self, pin):
+        rp = fig1_reduced(1, Branch.AJC, 0.5)
+        message = f"pinned term count {re.escape(repr(pin))} must be an integer"
+        for entry in (nonequilibrium_lag, ln_partition_final, lambda rp, pin: lag_columns([rp], pin)):
+            with pytest.raises(ValueError, match=message):
+                entry(rp, pin)
+        point = dict(FIG1, nbar=0.38, eta=0.5, m=1, branch=Branch.AJC)
+        with pytest.raises(ValueError, match=message):
+            evaluate_point(point, pin)
+
+    def test_numpy_integer_pins_work(self):
+        rp = fig1_reduced(1, Branch.AJC, 0.5)
+        expected = nonequilibrium_lag(rp, 40)
+        for pin in (np.int64(40), np.int32(40), np.uint16(40)):
+            assert repr(nonequilibrium_lag(rp, pin)) == repr(expected)
+        assert expected.truncation.n_used == 40 and type(expected.truncation.n_used) is int
 
 
 class TestLag:
@@ -197,12 +217,11 @@ class TestLag:
 
     def test_nonnegative_on_random_grid(self):
         rng = np.random.default_rng(7)
-        policy = TruncationPolicy(n_pinned=48)
         for _ in range(60):
             m = int(rng.integers(0, 4))
             branch = branch_for(m, Branch.JC if rng.integers(0, 2) else Branch.AJC)
             rp = fig1_reduced(m, branch, float(rng.uniform(0, 3.5)), nbar=float(rng.uniform(0.01, 4.0)))
-            assert nonequilibrium_lag(rp, policy=policy).value >= -1e-12
+            assert nonequilibrium_lag(rp, n_pinned=48).value >= -1e-12
 
     def test_monotone_in_rabi(self):
         base = fig1_reduced(0, Branch.CARRIER, 0.5)
@@ -211,15 +230,15 @@ class TestLag:
             prev = -1.0
             for r_om in np.linspace(0.0, 2500.0, 11):
                 rp = reduced_from_ratios(base.r_w0, float(r_om), 0.5, m, branch, b_nu=base.b_nu)
-                val = nonequilibrium_lag(rp, policy=TruncationPolicy(n_pinned=40)).value
+                val = nonequilibrium_lag(rp, n_pinned=40).value
                 assert val >= prev - 1e-18
                 prev = val
 
     def test_ajc_exceeds_jc_in_preset_regime(self):
         for m in (1, 2):
             for eta in (0.3, 0.8, 1.5, 2.8):
-                jc = nonequilibrium_lag(fig1_reduced(m, Branch.JC, eta), policy=TruncationPolicy(n_pinned=40))
-                ajc = nonequilibrium_lag(fig1_reduced(m, Branch.AJC, eta), policy=TruncationPolicy(n_pinned=40))
+                jc = nonequilibrium_lag(fig1_reduced(m, Branch.JC, eta), n_pinned=40)
+                ajc = nonequilibrium_lag(fig1_reduced(m, Branch.AJC, eta), n_pinned=40)
                 assert ajc.value > jc.value
 
     def test_ajc_cold_growth_rate(self):
@@ -239,9 +258,9 @@ class TestLag:
         assert slope == pytest.approx(abs(phi_min) / 2.0, rel=0.05)
 
     def test_divergence_flag_attached(self):
-        res = nonequilibrium_lag(fig1_reduced(1, Branch.AJC, 0.5), policy=TruncationPolicy(n_pinned=40))
+        res = nonequilibrium_lag(fig1_reduced(1, Branch.AJC, 0.5), n_pinned=40)
         assert res.divergence_predicted is True
-        res = nonequilibrium_lag(fig1_reduced(1, Branch.JC, 0.5), policy=TruncationPolicy(n_pinned=40))
+        res = nonequilibrium_lag(fig1_reduced(1, Branch.JC, 0.5), n_pinned=40)
         assert res.divergence_predicted is False
 
 
@@ -323,11 +342,10 @@ class TestDivergencePredicate:
         # Rows take divergence_predicted from a memo keyed by the frequency
         # ratios, eta and m; every row of every preset must match a fresh scan
         # (fig4 has rows that diverge and rows that do not).
-        policy = TruncationPolicy()
         flags = []
         for preset in figure_presets().values():
             for spec in preset.specs:
-                for point, row in zip(spec.points(), run_specs([spec], policy)):
+                for point, row in zip(spec.points(), run_specs([spec])):
                     rp = reduce(point, point["m"], point["branch"], point.get("eta"))
                     assert row.divergence_predicted == divergence_predicate_reduced(rp).diverges, (preset.name, point)
                     flags.append(row.divergence_predicted)
@@ -403,7 +421,7 @@ class TestScanEnd:
         monkeypatch.setattr(thermo, "_phi_parts", lambda rp, n_max: pytest.fail("scanned"))
         rps = [classify_rp(FIG1, m, Branch.JC, eta) for m in (1, 2, 29) for eta in (0.5, 3.5)]
         assert all(thermo._scan_end(rp) == -1 for rp in rps)
-        assert not any(row.divergence_predicted for row in _lag_rows(rps, _pinned(40)))
+        assert not any(row.divergence_predicted for row in _lag_rows(rps, 40))
         assert all(divergence_predicate_reduced(rp) == thermo.DivergenceReport(False, []) for rp in rps)
 
     def test_fig4_blocks_keep_their_scan(self):
@@ -482,7 +500,7 @@ class TestScanCap:
         report = divergence_predicate_reduced(rp)
         assert report.diverges and report.witnesses[0] == 0 and report.witnesses[-1] <= thermo.TERM_CAP
         assert thermo._COUPLING_CACHE[(1, 1.0)][1].n <= thermo.TERM_CAP
-        assert _lag_rows([rp], _pinned(40))[0].divergence_predicted
+        assert _lag_rows([rp], 40)[0].divergence_predicted
 
     def test_witness_found_below_a_lowered_cap(self, monkeypatch):
         monkeypatch.setattr(thermo, "TERM_CAP", 500)
@@ -604,7 +622,7 @@ class TestCouplingCache:
             axis="nbar", grid=(30.0, 300.0, 3000.0), fixed={**fixed, "eta": 0.8},
             branches=(Branch.JC, Branch.AJC), m_values=(1, 3),
         )  # fmt: skip
-        rows = run_specs([spec], TruncationPolicy())
+        rows = run_specs([spec])
         assert max(row.n_used for row in rows) > 2 * 512  # the cache had to grow
         for key in {(1, 0.8), (3, 0.8)}:
             mine = [(n_max, start) for k, n_max, start in calls if k == key]
@@ -628,7 +646,7 @@ class TestCouplingCache:
         spec = SweepSpec(
             axis="nbar", grid=nbars, fixed={**fixed, "eta": 0.8}, branches=(Branch.JC, Branch.AJC), m_values=(2,)
         )  # fmt: skip
-        rows = run_specs([spec], TruncationPolicy())
+        rows = run_specs([spec])
         firsts, seconds = rows[:16], rows[16:]
         assert max(row.n_used for row in seconds) > max(row.n_used for row in firsts)
         # Each block grows the key once, resuming where the last call stopped: no step runs twice.
@@ -666,7 +684,7 @@ class TestCouplingCache:
         monkeypatch.setattr(thermo, "coupling_logabs_sequence", lambda *a, **k: calls.append(a) or real(*a, **k))
         monkeypatch.setattr(thermo, "_COUPLING_CACHE", {})
         rp = fig1_reduced(2, Branch.JC, 0.6)
-        nonequilibrium_lag(rp, policy=TruncationPolicy(n_pinned=40))
+        nonequilibrium_lag(rp, n_pinned=40)
         assert [a[0] for a in calls] == [39]
 
     def test_cached_values_equal_one_shot(self, monkeypatch):
@@ -702,10 +720,10 @@ def _never(n):
     return False
 
 
-def _stops(policy, bounds):
+def _stops(n_pinned, bounds):
     """thermo._stops of rows whose bounds are given as one predicate per row on a single edge."""
     reached = lambda edges: np.array([[bound(n) for bound in bounds] for n in edges.ravel().tolist()])  # noqa: E731
-    return thermo._stops(policy, reached, len(bounds))
+    return thermo._stops(n_pinned, reached, len(bounds))
 
 
 def _log_sums(term_logs, stops, tails=None):
@@ -718,11 +736,11 @@ def _log_sums(term_logs, stops, tails=None):
     ]
 
 
-def _one_chunk_at_a_time(term_logs, policy, bound_reached=None):
+def _one_chunk_at_a_time(term_logs, n_pinned, bound_reached=None):
     """The chunked log-sum loop as it was before terms came in blocks: the reference; it reads thermo.TERM_CAP."""
     running = -math.inf
     n_done = 0
-    target = policy.n_pinned if policy.n_pinned is not None else thermo.TERM_CAP
+    target = n_pinned if n_pinned is not None else thermo.TERM_CAP
     while n_done < target:
         n_hi = min(n_done + thermo._CHUNK, target)
         xs = term_logs(n_done, n_hi)
@@ -730,9 +748,9 @@ def _one_chunk_at_a_time(term_logs, policy, bound_reached=None):
             hi = float(np.max(xs))
             running = float(np.logaddexp(running, hi + math.log(float(np.sum(np.exp(xs - hi))))))
         n_done = n_hi
-        if policy.n_pinned is None and bound_reached is not None and bound_reached(n_done):
+        if n_pinned is None and bound_reached is not None and bound_reached(n_done):
             return running, n_done, "bound"
-    return running, n_done, "pinned" if policy.n_pinned is not None else "cap"
+    return running, n_done, "pinned" if n_pinned is not None else "cap"
 
 
 def _draw_terms(draw, size):
@@ -753,31 +771,31 @@ def _draw_size(draw, max_chunks):
 
 @st.composite
 def _term_sums(draw):
-    """(terms, policy, term cap, bound_reached edges or None) for a chunked log sum."""
+    """(terms, pin or None, term cap, bound_reached edges or None) for a chunked log sum."""
     chunk = thermo._CHUNK
     size = _draw_size(draw, 40)
     terms = _draw_terms(draw, size)
     target = max(1, round(size * draw(st.sampled_from([1.0, 0.9, 0.5, 0.1, 0.01]))))
     if draw(st.booleans()):
-        return terms, TruncationPolicy(n_pinned=target), size, None
+        return terms, target, size, None
     fires = None
     if draw(st.booleans()):
         edges = list(range(chunk, target, chunk)) + [target]
         fires = set(draw(st.lists(st.sampled_from(edges), min_size=1, max_size=3)))
-    return terms, TruncationPolicy(), target, fires
+    return terms, None, target, fires
 
 
 @st.composite
 def _term_blocks(draw):
-    """(2 to 20 rows of terms, policy, term cap, per-row bound edges or None) for one multi-row log sum."""
+    """(2 to 20 rows of terms, pin or None, term cap, per-row bound edges or None) for one multi-row log sum."""
     chunk = thermo._CHUNK
     size = _draw_size(draw, 20)
     rows = [_draw_terms(draw, size) for _ in range(draw(st.integers(2, 20)))]
     target = max(1, round(size * draw(st.sampled_from([1.0, 0.9, 0.5, 0.1, 0.01]))))
     if draw(st.booleans()):
-        return rows, TruncationPolicy(n_pinned=target), size, None
+        return rows, target, size, None
     edges = list(range(chunk, target, chunk)) + [target]
-    return rows, TruncationPolicy(), target, [set(draw(st.lists(st.sampled_from(edges), max_size=3))) for _ in rows]
+    return rows, None, target, [set(draw(st.lists(st.sampled_from(edges), max_size=3))) for _ in rows]
 
 
 class TestBlockedLogSum:
@@ -786,7 +804,7 @@ class TestBlockedLogSum:
     @settings(deadline=None, max_examples=200)
     @given(_term_sums())
     def test_bitwise_equal_to_one_chunk_at_a_time(self, case):
-        terms, policy, cap, fires = case
+        terms, n_pinned, cap, fires = case
         bound = None if fires is None else fires.__contains__
         asked = []
 
@@ -795,9 +813,9 @@ class TestBlockedLogSum:
             return terms[lo:hi].copy()
 
         with patch.object(thermo, "TERM_CAP", cap):
-            stops = _stops(policy, [bound or _never])
+            stops = _stops(n_pinned, [bound or _never])
             (got,) = _log_sums(lambda live, lo, hi: term_logs(lo, hi)[None, :], stops)
-            ref = _one_chunk_at_a_time(lambda lo, hi: terms[lo:hi].copy(), policy, bound)
+            ref = _one_chunk_at_a_time(lambda lo, hi: terms[lo:hi].copy(), n_pinned, bound)
         assert (got[0].hex(), got[1:]) == (ref[0].hex(), ref[1:])
         # Blocks tile [0, end) in order, at most _WIDE_BUDGET terms each (no row
         # is tested for settling), and never run past a pinned, capped or bound stop.
@@ -808,7 +826,7 @@ class TestBlockedLogSum:
     @settings(deadline=None, max_examples=100)
     @given(_term_blocks())
     def test_rows_of_a_block_bitwise_equal_to_one_chunk_at_a_time(self, case):
-        rows, policy, cap, fires = case
+        rows, n_pinned, cap, fires = case
         bounds = None if fires is None else [row_fires.__contains__ for row_fires in fires]
         calls = []
 
@@ -817,9 +835,9 @@ class TestBlockedLogSum:
             return np.stack([rows[row][lo:hi] for row in live])
 
         with patch.object(thermo, "TERM_CAP", cap):
-            got = _log_sums(term_logs, _stops(policy, bounds or [_never] * len(rows)))
+            got = _log_sums(term_logs, _stops(n_pinned, bounds or [_never] * len(rows)))
             refs = [
-                _one_chunk_at_a_time(lambda lo, hi: terms[lo:hi].copy(), policy, None if fires is None else bounds[row])
+                _one_chunk_at_a_time(lambda lo, hi: terms[lo:hi].copy(), n_pinned, None if fires is None else bounds[row])
                 for row, terms in enumerate(rows)
             ]
         for row, ((log_sum, n_used, stop_reason), ref) in enumerate(zip(got, refs)):
@@ -831,8 +849,8 @@ class TestBlockedLogSum:
         assert [lo for _, lo, _ in calls] == [0] + [hi for _, _, hi in calls[:-1]]
         assert all(len(live) * (hi - lo) <= max(thermo._WIDE_BUDGET, len(live) * thermo._CHUNK) for live, lo, hi in calls)
 
-    @pytest.mark.parametrize("policy", [TruncationPolicy(n_pinned=3000), TruncationPolicy()])
-    def test_nan_terms_fold_as_one_chunk_at_a_time(self, policy):
+    @pytest.mark.parametrize("n_pinned", [3000, None])
+    def test_nan_terms_fold_as_one_chunk_at_a_time(self, n_pinned):
         # A chunk's max is nan when it holds a nan: such a chunk is folded iff it
         # also holds a term above -inf, exactly as before.
         chunk = thermo._CHUNK
@@ -843,9 +861,9 @@ class TestBlockedLogSum:
         rows[2][3] = np.nan  # nan and -inf only: skipped too
         rows[3][2 * chunk - 1] = np.nan  # a nan last term
         with np.errstate(invalid="ignore"), patch.object(thermo, "TERM_CAP", 3000):
-            stops = _stops(policy, [_never] * len(rows))
+            stops = _stops(n_pinned, [_never] * len(rows))
             got = _log_sums(lambda live, lo, hi: np.stack([rows[row][lo:hi] for row in live]), stops)
-            refs = [_one_chunk_at_a_time(lambda lo, hi: terms[lo:hi].copy(), policy) for terms in rows]
+            refs = [_one_chunk_at_a_time(lambda lo, hi: terms[lo:hi].copy(), n_pinned) for terms in rows]
         for (log_sum, n_used, stop_reason), ref in zip(got, refs):
             assert (log_sum.hex(), n_used, stop_reason) == (ref[0].hex(), *ref[1:])
         assert math.isnan(got[0][0]) and not math.isnan(got[1][0]) and not math.isnan(got[2][0])
@@ -862,7 +880,7 @@ class TestBlockedLogSum:
         asked = []
         terms = np.zeros(100 * thermo._CHUNK + 300)
         with patch.object(thermo, "TERM_CAP", terms.size):
-            stops = _stops(TruncationPolicy(), [bound])
+            stops = _stops(None, [bound])
         assert (stops[0].tolist(), stops[1]) == ([stop[0]], [stop[1]])
         term_logs = lambda live, lo, hi: asked.append((lo, hi)) or terms[None, lo:hi]  # noqa: E731
         ((_, n_used, stop_reason),) = _log_sums(term_logs, stops, tails)
@@ -909,9 +927,10 @@ def _lnsinh_masked(x):
     return out
 
 
-def _one_row(rp, policy):
+def _one_row(rp, n_pinned=None):
     """(lag, n_used, tail_bound_log, converged, divergence_predicted, stop_reason) of one row,
-    computed as the one-row path did before rows were summed in blocks: the reference."""
+    computed as the one-row path did before rows were summed in blocks: the reference.
+    It reads thermo.TOL and thermo.TERM_CAP at call time."""
     diverges = divergence_predicate_reduced(rp).diverges
     if rp.b_om == 0.0 or (rp.m > 0 and rp.eta == 0.0):
         return 0.0, 0, -math.inf, True, diverges, "exact"
@@ -947,23 +966,19 @@ def _one_row(rp, policy):
         tail = lambda n_from: (  # noqa: E731
             math.log(2.0) - rp.b_nu * (n_from + 0.5 * rp.m) + a_shifted + log_edge + log_sinh
         )
-    bound_reached = lambda n: tail(n) - math.log1p(math.exp(-rp.b_w0)) <= math.log(policy.tol)  # noqa: E731
-    log_sum, n_done, stop_reason = _one_chunk_at_a_time(term_logs, policy, bound_reached)
+    bound_reached = lambda n: tail(n) - math.log1p(math.exp(-rp.b_w0)) <= math.log(thermo.TOL)  # noqa: E731
+    log_sum, n_done, stop_reason = _one_chunk_at_a_time(term_logs, n_pinned, bound_reached)
     ln_zi = rp.ln_nbar_plus_1 + math.log1p(math.exp(-rp.b_w0))
     lag = float(np.logaddexp(0.0, log_sum - ln_zi))
     tail_bound_log = tail(n_done) + rp.ln_nbar_plus_1 - (ln_zi + lag)
-    converged = tail_bound_log <= math.log(policy.tol) or bound_reached(n_done)
+    converged = tail_bound_log <= math.log(thermo.TOL) or bound_reached(n_done)
     return lag, n_done, tail_bound_log, converged, diverges, stop_reason
 
 
-def _ref_lag_report(rp, policy):
+def _ref_lag_report(rp, n_pinned):
     """(lag, report) of _one_row, the one-chunk-at-a-time reference."""
-    lag, n_used, tail_bound_log, converged, _, stop_reason = _one_row(rp, policy)
+    lag, n_used, tail_bound_log, converged, _, stop_reason = _one_row(rp, n_pinned)
     return lag, thermo.TruncationReport(n_used, tail_bound_log, converged, stop_reason)
-
-
-def _pinned(n_pinned):
-    return TruncationPolicy(n_pinned=n_pinned)
 
 
 _ETAS = (0.0, 0.05, 0.3, 0.5, 0.7, 0.85, 1.0, 1.25, 2.0, 2.7, 3.5, 6.0)
@@ -1003,20 +1018,20 @@ class TestBatchedPinnedRows:
     @settings(deadline=None, max_examples=60)
     @given(_pinned_spec_groups())
     def test_bitwise_equal_to_one_row_at_a_time(self, spec):
-        rows = run_specs([spec], TruncationPolicy())
+        rows = run_specs([spec])
         for point, row in zip(spec.points(), rows):
             rp = reduce(point, point["m"], point["branch"], point["eta"])
-            lag, n_used, tail_bound_log, converged, diverges, _ = _one_row(rp, _pinned(spec.n_pinned))
+            lag, n_used, tail_bound_log, converged, diverges, _ = _one_row(rp, spec.n_pinned)
             got = (row.lag.hex(), row.n_used, row.tail_bound_log.hex(), row.converged, row.divergence_predicted)
             assert got == (lag.hex(), n_used, tail_bound_log.hex(), converged, diverges), point
 
-    def test_one_point_path_pins_through_its_policy(self):
-        # The pin reaches a point only through the policy: points carry no copy of it.
+    def test_one_point_path_pins_through_its_argument(self):
+        # The pin reaches a point only through evaluate_point's argument: points carry no copy of it.
         spec = figure_presets()["fig4"].specs[0]
         points = list(spec.points())
         assert spec.n_pinned == 50 and not any("n_pinned" in point for point in points)
         rows = run_specs([spec])
-        assert [repr(evaluate_point(point, TruncationPolicy(n_pinned=50))) for point in points] == list(map(repr, rows))
+        assert [repr(evaluate_point(point, 50)) for point in points] == list(map(repr, rows))
 
     def test_groups_span_several_blocks(self):
         # 11 live etas x 2 branches = 22 rows per sideband index (eta = 0 is
@@ -1026,11 +1041,11 @@ class TestBatchedPinnedRows:
             axis="eta", grid=_ETAS, fixed=dict(FIG1, nbar=0.38),
             branches=(Branch.JC, Branch.AJC), m_values=(1, 2), n_pinned=1500,
         )  # fmt: skip
-        rows = run_specs([spec], TruncationPolicy())
+        rows = run_specs([spec])
         assert len(rows) == 48
         for point, row in zip(spec.points(), rows):
             rp = reduce(point, point["m"], point["branch"], point["eta"])
-            lag, n_used, tail_bound_log, converged, diverges, _ = _one_row(rp, _pinned(1500))
+            lag, n_used, tail_bound_log, converged, diverges, _ = _one_row(rp, 1500)
             assert (row.lag.hex(), row.n_used, row.tail_bound_log.hex()) == (lag.hex(), n_used, tail_bound_log.hex())
             assert (row.converged, row.divergence_predicted) == (converged, diverges)
 
@@ -1045,17 +1060,17 @@ class TestBatchedPinnedRows:
             axis="eta", grid=(0.3, 1.0), fixed=dict(FIG1, beta=2.0),
             branches=(Branch.JC, Branch.AJC), m_values=(0, 1), n_pinned=40,
         )  # fmt: skip
-        rows = run_specs([spec], TruncationPolicy())
+        rows = run_specs([spec])
         assert seen and all(seen)
         for point, row in zip(spec.points(), rows):
             rp = reduce(point, point["m"], point["branch"], point["eta"])
-            assert row.lag.hex() == _one_row(rp, _pinned(40))[0].hex()
+            assert row.lag.hex() == _one_row(rp, 40)[0].hex()
 
 
 def _fig3_rows():
-    """(policy, rows) of each fig3 spec: AJC pinned at 2000 terms, JC at 5000, nbar 1e-4 to 10."""
+    """(pin, rows) of each fig3 spec: AJC pinned at 2000 terms, JC at 5000, nbar 1e-4 to 10."""
     for spec in figure_presets()["fig3"].specs:
-        yield _pinned(spec.n_pinned), [reduce(point, point["m"], point["branch"], point["eta"]) for point in spec.points()]
+        yield spec.n_pinned, [reduce(point, point["m"], point["branch"], point["eta"]) for point in spec.points()]
 
 
 def _report_bits(lag, report):
@@ -1064,7 +1079,7 @@ def _report_bits(lag, report):
 
 @st.composite
 def _fig3_like_blocks(draw):
-    """(pinned policy, 1 to 20 rows of one m and branch) at the fig3 block and pins.
+    """(pin, 1 to 20 rows of one m and branch) at the fig3 block and pins.
 
     nbar runs from fig3's 1e-4 up to 1e3, where rows settle late or not at all.
     """
@@ -1073,7 +1088,7 @@ def _fig3_like_blocks(draw):
     eta = draw(st.sampled_from([0.5, 0.5, 0.3, 1.5]))
     top = draw(st.sampled_from([1.0, 3.0]))
     nbars = draw(st.lists(st.floats(-4.0, top).map(lambda x: 10.0**x), min_size=1, max_size=20))
-    return _pinned(n_pinned), [fig1_reduced(m, branch_for(m, branch), eta, nbar=nbar) for nbar in nbars]
+    return n_pinned, [fig1_reduced(m, branch_for(m, branch), eta, nbar=nbar) for nbar in nbars]
 
 
 class TestSettledPinnedRows:
@@ -1085,26 +1100,26 @@ class TestSettledPinnedRows:
         monkeypatch.setattr(
             thermo, "_excess_logs", lambda rows, lo, hi: asked.append(len(rows.keys) * (hi - lo)) or real(rows, lo, hi)
         )
-        for policy, rps in _fig3_rows():
+        for n_pinned, rps in _fig3_rows():
             asked.clear()
-            results = _lag_rows(rps, policy)
+            results = _lag_rows(rps, n_pinned)
             reports = [row for row in results if row.stop_reason != "exact"]
-            assert sum(asked) < len(reports) * policy.n_pinned
+            assert sum(asked) < len(reports) * n_pinned
             assert "settled" in {report.stop_reason for report in reports}
-            assert all(report.n_used == policy.n_pinned for report in reports)
+            assert all(report.n_used == n_pinned for report in reports)
             for rp, row in zip(rps, results):
-                assert _report_bits(row.value, row) == _report_bits(*_ref_lag_report(rp, policy)), rp
+                assert _report_bits(row.value, row) == _report_bits(*_ref_lag_report(rp, n_pinned)), rp
 
     @settings(deadline=None, max_examples=30)
     @given(_fig3_like_blocks())
     def test_blocks_bitwise_equal_to_one_chunk_at_a_time(self, case):
-        policy, rps = case
-        for rp, row in zip(rps, _lag_rows(rps, policy)):
-            assert _report_bits(row.value, row) == _report_bits(*_ref_lag_report(rp, policy)), rp
+        n_pinned, rps = case
+        for rp, row in zip(rps, _lag_rows(rps, n_pinned)):
+            assert _report_bits(row.value, row) == _report_bits(*_ref_lag_report(rp, n_pinned)), rp
 
     def test_settled_row_reports_its_pin(self):
         # One row takes 16 chunks per call, so it can settle at 8192 of its 10000 terms.
-        report = nonequilibrium_lag(fig1_reduced(1, Branch.JC, 0.5, nbar=0.1), _pinned(10000)).truncation
+        report = nonequilibrium_lag(fig1_reduced(1, Branch.JC, 0.5, nbar=0.1), 10000).truncation
         assert (report.stop_reason, report.n_used, report.converged) == ("settled", 10000, True)
 
     def test_running_of_minus_inf_or_zero_never_settles(self):
@@ -1119,15 +1134,14 @@ class TestSettledPinnedRows:
         rows[2][0] = 1.0
         for terms in rows:
             terms[chunk:] = -1e3
-        policy = _pinned(3 * chunk)
         sums = _log_sums(
             lambda live, lo, hi: np.stack([rows[row][lo:hi] for row in live]),
-            _stops(policy, [_never] * len(rows)), tails=lambda n: np.full(len(rows), -500.0),
+            _stops(3 * chunk, [_never] * len(rows)), tails=lambda n: np.full(len(rows), -500.0),
         )  # fmt: skip
         assert [stop for _, _, stop in sums[:3]] == ["pinned", "pinned", "settled"]
         assert sums[2] == (1.0, 3 * chunk, "settled")
 
-    def test_adaptive_policy_never_reads_the_tails(self, monkeypatch):
+    def test_adaptive_sums_never_read_the_tails(self, monkeypatch):
         # An excess block hands _log_sums its tails only under a pin, so no adaptive row settles.
         handed = []
         real = thermo._log_sums
@@ -1136,28 +1150,28 @@ class TestSettledPinnedRows:
         )
         rps = [fig1_reduced(1, Branch.JC, 0.5, nbar=0.1), fig1_reduced(2, Branch.AJC, 1.0, nbar=3.0)]
         with patch.object(thermo, "TERM_CAP", 4000):
-            adaptive = _lag_rows(rps, TruncationPolicy())
+            adaptive = _lag_rows(rps)
         assert handed == [None] and {row.stop_reason for row in adaptive} <= {"bound", "cap"}
-        _lag_rows(rps, _pinned(4000))
+        _lag_rows(rps, 4000)
         assert len(handed) == 2 and handed[1](512).shape == (len(rps),)
         # Without tails no row settles: it runs to its stop.
         terms = np.linspace(0.0, -100.0, 4000)
-        (got,) = _log_sums(lambda live, lo, hi: terms[None, lo:hi], _stops(_pinned(4000), [_never]))
+        (got,) = _log_sums(lambda live, lo, hi: terms[None, lo:hi], _stops(4000, [_never]))
         assert got[1:] == (4000, "pinned")
 
 
-# (policy, term cap) pairs.
-_ADAPTIVE_POLICIES = (
-    (TruncationPolicy(), thermo.TERM_CAP),
-    (TruncationPolicy(), 700),  # "cap" with a partial last chunk
-    (TruncationPolicy(tol=1e-6), thermo.TERM_CAP),
-    (TruncationPolicy(tol=1e-300), 3000),  # "cap" after several calls
+# (thermo.TOL, thermo.TERM_CAP) pairs, each patched in for a test.
+_ADAPTIVE_SETTINGS = (
+    (thermo.TOL, thermo.TERM_CAP),
+    (thermo.TOL, 700),  # "cap" with a partial last chunk
+    (1e-6, thermo.TERM_CAP),
+    (1e-300, 3000),  # "cap" after several calls
 )
 
 
 @st.composite
 def _adaptive_spec_groups(draw):
-    """(adaptive sweep specs, (policy, term cap)): one to three specs over eta (with 0) or nbar, mixing m and branch."""
+    """(adaptive sweep specs, (tol, term cap)): one to three specs over eta (with 0) or nbar, mixing m and branch."""
     block = dict(draw(st.sampled_from([FIG1, FIG4_LEFT, FIG4_RIGHT, desk_scale_point()])))
     block.pop("eta", None)
     specs = []
@@ -1174,7 +1188,7 @@ def _adaptive_spec_groups(draw):
             branches = tuple(draw(st.sets(st.sampled_from((Branch.JC, Branch.AJC)), min_size=1)))
             ms = tuple(draw(st.lists(st.integers(0, 4), min_size=1, max_size=3, unique=True)))
         specs.append(SweepSpec(axis=axis, grid=tuple(grid), fixed=fixed, branches=branches, m_values=ms))
-    return specs, draw(st.sampled_from(_ADAPTIVE_POLICIES))
+    return specs, draw(st.sampled_from(_ADAPTIVE_SETTINGS))
 
 
 class TestBatchedAdaptiveRows:
@@ -1183,12 +1197,12 @@ class TestBatchedAdaptiveRows:
     @settings(deadline=None, max_examples=40)
     @given(_adaptive_spec_groups())
     def test_bitwise_equal_to_one_row_at_a_time(self, case):
-        specs, (policy, cap) = case
+        specs, (tol, cap) = case
         points = [point for spec in specs for point in spec.points()]
         rps = [reduce(point, point["m"], point["branch"], point.get("eta")) for point in points]
-        with patch.object(thermo, "TERM_CAP", cap):
-            rows = _lag_rows(rps, policy)
-            refs = [_one_row(rp, policy) for rp in rps]
+        with patch.object(thermo, "TERM_CAP", cap), patch.object(thermo, "TOL", tol):
+            rows = _lag_rows(rps)
+            refs = [_one_row(rp) for rp in rps]
         for point, row, (lag, n_used, tail_bound_log, converged, diverges, stop_reason) in zip(points, rows, refs):
             got = (row.value.hex(), row.n_used, row.tail_bound_log.hex(), row.converged)
             assert got == (lag.hex(), n_used, tail_bound_log.hex(), converged), point
@@ -1197,10 +1211,10 @@ class TestBatchedAdaptiveRows:
     @settings(deadline=None, max_examples=40)
     @given(_adaptive_spec_groups())
     def test_every_stop_but_the_cap_is_converged(self, case):
-        specs, (policy, cap) = case
+        specs, (tol, cap) = case
         rps = [reduce(point, point["m"], point["branch"], point.get("eta")) for spec in specs for point in spec.points()]
-        with patch.object(thermo, "TERM_CAP", cap):
-            rows = _lag_rows(rps, policy)
+        with patch.object(thermo, "TERM_CAP", cap), patch.object(thermo, "TOL", tol):
+            rows = _lag_rows(rps)
         for rp, row in zip(rps, rows):
             assert row.stop_reason == "cap" or row.converged, rp
 
@@ -1215,10 +1229,10 @@ class TestBatchedAdaptiveRows:
         rps = [reduce(point, point["m"], point["branch"], point["eta"]) for point in points]
         edges = [thermo._excess_tails(thermo._rows_of([rp]))(512)[0] - math.log1p(math.exp(-rp.b_w0)) for rp in rps]
         assert edges[0] < edges[1]
-        policy = TruncationPolicy(tol=math.exp(0.5 * (edges[0] + edges[1])))
-        with patch.object(thermo, "TERM_CAP", 512):
-            rows = run_specs([spec], policy)
-            reports = [nonequilibrium_lag(rp, policy).truncation for rp in rps]
+        tol = math.exp(0.5 * (edges[0] + edges[1]))
+        with patch.object(thermo, "TERM_CAP", 512), patch.object(thermo, "TOL", tol):
+            rows = run_specs([spec])
+            reports = [nonequilibrium_lag(rp).truncation for rp in rps]
         assert [row.converged for row in rows] == [True, False, False, False]
         assert [(report.n_used, report.stop_reason) for report in reports] == [(512, "bound")] + [(512, "cap")] * 3
         assert [(row.n_used, row.converged) for row in rows] == [(r.n_used, r.converged) for r in reports]
@@ -1246,7 +1260,7 @@ class TestSumWorkBounds:
         real = thermo._excess_logs
         monkeypatch.setattr(thermo, "_excess_logs", lambda rp, lo, hi: asked.append((lo, hi)) or real(rp, lo, hi))
         rp = fig1_reduced(1, Branch.JC, 0.8, nbar=1e4)
-        report = nonequilibrium_lag(rp, policy=TruncationPolicy(n_pinned=n_pinned)).truncation
+        report = nonequilibrium_lag(rp, n_pinned=n_pinned).truncation
         assert len(asked) == calls and asked[-1][1] == report.n_used == n_pinned
 
 
@@ -1343,7 +1357,7 @@ class TestRowPath:
         ]  # fmt: skip
         columns = params.ReducedColumns.of(rps)
         built, scanned = self._count(monkeypatch)
-        diverges = lag_columns(columns, TruncationPolicy(n_pinned=40)).divergence_predicted
+        diverges = lag_columns(columns, 40).divergence_predicted
         assert len(built) == len(scanned) == 2 and [rp.m for rp in scanned] == [1, 2]
         assert diverges == [divergence_predicate_reduced(rp).diverges for rp in rps]
 
@@ -1374,8 +1388,8 @@ class TestEdgeBuffers:
             tracemalloc.stop()
         assert peak < 1.5 * arg.nbytes  # the result and the at-one mask, not three [rows x n] temporaries
 
-    @pytest.mark.parametrize("policy", [TruncationPolicy(n_pinned=40), TruncationPolicy(n_pinned=600)], ids=["40", "600"])
-    def test_block_with_a_fallback_row_keeps_its_one_row_bits(self, policy, monkeypatch):
+    @pytest.mark.parametrize("n_pinned", [40, 600], ids=["40", "600"])
+    def test_block_with_a_fallback_row_keeps_its_one_row_bits(self, n_pinned, monkeypatch):
         # beta = 2 /J puts a_full below 1e-16 in every fig1 term (log(-expm1(-2a))); desk rows take log1p.
         extreme = [reduce(dict(FIG1, beta=2.0), m, branch_for(m, Branch.JC), 0.3) for m in (0, 1)]
         desk = [desk_reduced(m, branch_for(m, Branch.AJC), 0.8) for m in (0, 1, 2)]
@@ -1389,14 +1403,14 @@ class TestEdgeBuffers:
             return real(a)
 
         monkeypatch.setattr(thermo, "_log1m_exp_neg2", spy)
-        rows = _lag_rows(rps, policy)
+        rows = _lag_rows(rps, n_pinned)
         assert (len(rps), True, False) in calls  # one edge block, some rows at the fallback
         for rp, row in zip(rps, rows):
-            (alone,) = _lag_rows([rp], policy)
+            (alone,) = _lag_rows([rp], n_pinned)
             assert (row.value.hex(), row.tail_bound_log.hex(), row.stop_reason) == (
                 alone.value.hex(), alone.tail_bound_log.hex(), alone.stop_reason
             )
-            assert row.value.hex() == _one_row(rp, policy)[0].hex()
+            assert row.value.hex() == _one_row(rp, n_pinned)[0].hex()
 
 
 class TestStopReason:
@@ -1412,10 +1426,10 @@ class TestStopReason:
         result = nonequilibrium_lag(rp)
         report = result.truncation
         assert (report.stop_reason, report.n_used, report.converged) == ("bound", 1536, True)
-        assert result.value.hex() == nonequilibrium_lag(rp, policy=TruncationPolicy(n_pinned=1536)).value.hex()
+        assert result.value.hex() == nonequilibrium_lag(rp, n_pinned=1536).value.hex()
 
     def test_pinned_row(self):
-        report = nonequilibrium_lag(fig1_reduced(2, Branch.JC, 1.5), policy=TruncationPolicy(n_pinned=40)).truncation
+        report = nonequilibrium_lag(fig1_reduced(2, Branch.JC, 1.5), n_pinned=40).truncation
         assert report.stop_reason == "pinned"
 
     def test_other_reports(self):

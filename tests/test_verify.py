@@ -109,8 +109,8 @@ ADAPTIVE_SUM_CHECKS = (
 def test_check_fails_on_a_nonconverged_sum(monkeypatch, check):
     # A sum that reports converged false fails the check, with the values and the detail unchanged.
     def unconverged(compute):
-        def call(rp, policy=None):
-            result = compute(rp, policy)
+        def call(rp, n_pinned=None):
+            result = compute(rp, n_pinned)
             return replace(result, truncation=replace(result.truncation, converged=False))
 
         return call
